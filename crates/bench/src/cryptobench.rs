@@ -1,24 +1,26 @@
 //! E10: crypto kernel throughput — the one experiment measured in real
 //! wall-clock time.
 //!
-//! Times the optimised kernels (`securecloud-crypto`'s T-table AES-GCM and
-//! windowed GHASH) against the scalar reference implementations they must
-//! match byte-for-byte (`securecloud_crypto::reference`), over a fixed
-//! deterministic payload. Reported throughput is decimal MB/s of payload
-//! processed; SHA-256 has a single implementation and reports throughput
-//! only.
+//! Times AES-GCM three ways over a fixed deterministic payload: the scalar
+//! reference oracle (`securecloud_crypto::reference`), the portable kernel
+//! (T-table AES, windowed GHASH) and the hardware kernel (AES-NI +
+//! PCLMULQDQ), which all produce the same bytes. The report also names the
+//! kernel `AesGcm::new` selects on this host — the one every caller in the
+//! workspace runs on — and the CPU features that selection looked at.
+//! Reported throughput is decimal MB/s of payload processed; SHA-256 has a
+//! single, portable implementation.
 //!
 //! Wall-clock numbers vary with the host, so unlike the simulated
 //! experiments this one asserts nothing — EXPERIMENTS.md records the
-//! observed speedups instead.
+//! observed numbers instead.
 
 use std::io;
 use std::path::Path;
 use std::time::Instant;
 
-use securecloud_crypto::gcm::{AesGcm, NONCE_LEN};
+use securecloud_crypto::gcm::{AesGcm, Kernel, NONCE_LEN};
+use securecloud_crypto::reference;
 use securecloud_crypto::sha256::Sha256;
-use securecloud_crypto::{reference, CryptoError};
 
 /// Sizing knobs for the microbenchmark.
 #[derive(Debug, Clone, Copy)]
@@ -49,24 +51,18 @@ impl CryptoBenchConfig {
     }
 }
 
-/// Throughput of one operation, fast kernel vs scalar reference.
+/// Throughput of one operation on each implementation, decimal MB/s of
+/// payload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CryptoBenchPoint {
     /// Operation label (`ghash`, `seal`, `open`, `sha256`).
     pub op: &'static str,
-    /// Optimised-kernel throughput, decimal MB/s of payload.
-    pub mb_per_s: f64,
-    /// Scalar-reference throughput, where a reference implementation
-    /// exists.
+    /// Scalar reference oracle, where one exists.
     pub reference_mb_per_s: Option<f64>,
-}
-
-impl CryptoBenchPoint {
-    /// fast / reference throughput ratio, where a reference exists.
-    #[must_use]
-    pub fn speedup(&self) -> Option<f64> {
-        self.reference_mb_per_s.map(|r| self.mb_per_s / r)
-    }
+    /// Portable kernel (for `sha256`, the only implementation).
+    pub portable_mb_per_s: f64,
+    /// Hardware kernel, where one exists and this host can run it.
+    pub hardware_mb_per_s: Option<f64>,
 }
 
 /// The whole microbenchmark run.
@@ -76,8 +72,29 @@ pub struct CryptoBenchReport {
     pub payload_bytes: usize,
     /// Timed passes per operation.
     pub iterations: usize,
+    /// The kernel `AesGcm::new` selects on this host.
+    pub kernel: Kernel,
+    /// Which of the CPU features the selection looks at were detected.
+    pub cpu_features: Vec<&'static str>,
     /// One point per operation.
     pub points: Vec<CryptoBenchPoint>,
+}
+
+/// The CPU features `AesGcm::new` selects on, filtered to those detected.
+fn detected_cpu_features() -> Vec<&'static str> {
+    #[cfg(target_arch = "x86_64")]
+    {
+        [
+            ("aes", is_x86_feature_detected!("aes")),
+            ("pclmulqdq", is_x86_feature_detected!("pclmulqdq")),
+            ("ssse3", is_x86_feature_detected!("ssse3")),
+        ]
+        .into_iter()
+        .filter_map(|(name, detected)| detected.then_some(name))
+        .collect()
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    Vec::new()
 }
 
 const KEY: [u8; 16] = *b"securecloud-key!";
@@ -104,67 +121,74 @@ fn throughput(bytes_per_pass: usize, iterations: usize, mut pass: impl FnMut()) 
     (bytes_per_pass * iterations) as f64 / secs / 1e6
 }
 
+/// `ghash`, `seal` and `open` throughput of one cipher.
+fn time_cipher(cipher: &AesGcm, data: &[u8], iterations: usize) -> [f64; 3] {
+    let ghash = throughput(data.len(), iterations, || {
+        std::hint::black_box(cipher.ghash(AAD, data));
+    });
+    let seal = throughput(data.len(), iterations, || {
+        std::hint::black_box(cipher.seal(&NONCE, data, AAD));
+    });
+    let sealed = cipher.seal(&NONCE, data, AAD);
+    let open = throughput(data.len(), iterations, || {
+        let opened = cipher.open(&NONCE, &sealed, AAD);
+        std::hint::black_box(opened.expect("bench ciphertext authenticates"));
+    });
+    [ghash, seal, open]
+}
+
 /// Runs every operation at the configured size.
 #[must_use]
 pub fn run(config: CryptoBenchConfig) -> CryptoBenchReport {
     let data = payload(config.payload_bytes);
-    let cipher = AesGcm::new(&KEY);
     let iterations = config.iterations;
     let bytes = config.payload_bytes;
 
-    let ghash_fast = throughput(bytes, iterations, || {
-        std::hint::black_box(cipher.ghash(AAD, &data));
-    });
-    let ghash_ref = throughput(bytes, iterations, || {
-        std::hint::black_box(reference::ghash(&KEY, AAD, &data));
-    });
-
-    let seal_fast = throughput(bytes, iterations, || {
-        std::hint::black_box(cipher.seal(&NONCE, &data, AAD));
-    });
-    let seal_ref = throughput(bytes, iterations, || {
-        std::hint::black_box(reference::seal(&KEY, &NONCE, &data, AAD));
-    });
-
-    let sealed = cipher.seal(&NONCE, &data, AAD);
-    let open_fast = throughput(bytes, iterations, || {
-        let opened: Result<Vec<u8>, CryptoError> = cipher.open(&NONCE, &sealed, AAD);
-        std::hint::black_box(opened.expect("bench ciphertext authenticates"));
-    });
-    let open_ref = throughput(bytes, iterations, || {
-        let opened = reference::open(&KEY, &NONCE, &sealed, AAD);
-        std::hint::black_box(opened.expect("bench ciphertext authenticates"));
-    });
+    let sealed = reference::seal(&KEY, &NONCE, &data, AAD);
+    let reference = [
+        throughput(bytes, iterations, || {
+            std::hint::black_box(reference::ghash(&KEY, AAD, &data));
+        }),
+        throughput(bytes, iterations, || {
+            std::hint::black_box(reference::seal(&KEY, &NONCE, &data, AAD));
+        }),
+        throughput(bytes, iterations, || {
+            let opened = reference::open(&KEY, &NONCE, &sealed, AAD);
+            std::hint::black_box(opened.expect("bench ciphertext authenticates"));
+        }),
+    ];
+    let portable = AesGcm::with_kernel(&KEY, Kernel::Portable).expect("portable kernel");
+    let portable = time_cipher(&portable, &data, iterations);
+    let hardware = AesGcm::with_kernel(&KEY, Kernel::Hardware)
+        .map(|cipher| time_cipher(&cipher, &data, iterations));
 
     let sha = throughput(bytes, iterations, || {
         std::hint::black_box(Sha256::digest(&data));
     });
 
+    let mut points: Vec<CryptoBenchPoint> = ["ghash", "seal", "open"]
+        .into_iter()
+        .enumerate()
+        .map(|(i, op)| CryptoBenchPoint {
+            op,
+            reference_mb_per_s: Some(reference[i]),
+            portable_mb_per_s: portable[i],
+            hardware_mb_per_s: hardware.map(|h| h[i]),
+        })
+        .collect();
+    points.push(CryptoBenchPoint {
+        op: "sha256",
+        reference_mb_per_s: None,
+        portable_mb_per_s: sha,
+        hardware_mb_per_s: None,
+    });
+
     CryptoBenchReport {
         payload_bytes: config.payload_bytes,
         iterations,
-        points: vec![
-            CryptoBenchPoint {
-                op: "ghash",
-                mb_per_s: ghash_fast,
-                reference_mb_per_s: Some(ghash_ref),
-            },
-            CryptoBenchPoint {
-                op: "seal",
-                mb_per_s: seal_fast,
-                reference_mb_per_s: Some(seal_ref),
-            },
-            CryptoBenchPoint {
-                op: "open",
-                mb_per_s: open_fast,
-                reference_mb_per_s: Some(open_ref),
-            },
-            CryptoBenchPoint {
-                op: "sha256",
-                mb_per_s: sha,
-                reference_mb_per_s: None,
-            },
-        ],
+        kernel: AesGcm::new(&KEY).kernel(),
+        cpu_features: detected_cpu_features(),
+        points,
     }
 }
 
@@ -177,16 +201,25 @@ impl CryptoBenchReport {
         out.push_str("  \"bench\": \"crypto\",\n");
         out.push_str(&format!("  \"payload_bytes\": {},\n", self.payload_bytes));
         out.push_str(&format!("  \"iterations\": {},\n", self.iterations));
+        out.push_str(&format!("  \"kernel\": \"{}\",\n", self.kernel.name()));
+        let features: Vec<String> = self
+            .cpu_features
+            .iter()
+            .map(|f| format!("\"{f}\""))
+            .collect();
+        out.push_str(&format!("  \"cpu_features\": [{}],\n", features.join(", ")));
         out.push_str("  \"results\": [\n");
         for (i, p) in self.points.iter().enumerate() {
+            out.push_str(&format!("    {{\"op\": \"{}\"", p.op));
+            if let Some(r) = p.reference_mb_per_s {
+                out.push_str(&format!(", \"reference_mb_per_s\": {r:.1}"));
+            }
             out.push_str(&format!(
-                "    {{\"op\": \"{}\", \"mb_per_s\": {:.1}",
-                p.op, p.mb_per_s
+                ", \"portable_mb_per_s\": {:.1}",
+                p.portable_mb_per_s
             ));
-            if let (Some(r), Some(s)) = (p.reference_mb_per_s, p.speedup()) {
-                out.push_str(&format!(
-                    ", \"reference_mb_per_s\": {r:.1}, \"speedup\": {s:.2}"
-                ));
+            if let Some(h) = p.hardware_mb_per_s {
+                out.push_str(&format!(", \"hardware_mb_per_s\": {h:.1}"));
             }
             out.push('}');
             if i + 1 < self.points.len() {
@@ -224,12 +257,24 @@ mod tests {
         });
         let ops: Vec<&str> = report.points.iter().map(|p| p.op).collect();
         assert_eq!(ops, ["ghash", "seal", "open", "sha256"]);
+        let has_hardware = report.kernel == Kernel::Hardware;
         for p in &report.points {
-            assert!(p.mb_per_s > 0.0, "{}: non-positive throughput", p.op);
+            assert!(
+                p.portable_mb_per_s > 0.0,
+                "{}: non-positive throughput",
+                p.op
+            );
+            assert_eq!(
+                p.hardware_mb_per_s.is_some(),
+                has_hardware && p.op != "sha256",
+                "{}: hardware column",
+                p.op
+            );
         }
         let json = report.to_json();
         assert!(json.contains("\"op\": \"ghash\""));
-        assert!(json.contains("\"speedup\""));
+        assert!(json.contains("\"reference_mb_per_s\""));
+        assert!(json.contains(&format!("\"kernel\": \"{}\"", report.kernel.name())));
         assert!(json.ends_with("}\n"));
     }
 }

@@ -1,13 +1,20 @@
 //! AES-128-GCM authenticated encryption (NIST SP 800-38D).
 //!
-//! GHASH runs windowed (Shoup's 8-bit table method, one table per byte
-//! position): each cipher precomputes 16 tables of 256 multiples of its hash
-//! key `H`, so one 16-byte block costs 16 *independent* table lookups XORed
-//! together — no serial reduction chain — instead of the textbook
-//! 128-iteration shift/XOR loop. The naive multiply survives as
-//! [`crate::reference::gf128_mul`] and the two are property-tested for
-//! equivalence. Table lookups are *not* constant-time; see DESIGN.md for why
-//! that is acceptable in this simulator.
+//! One cipher type, two kernels behind it, chosen once per cipher in
+//! [`AesGcm::new`] from what the CPU reports:
+//!
+//! * **hardware** (`hw.rs`, x86_64 with AES-NI, PCLMULQDQ and SSSE3): eight
+//!   counter blocks in flight per `aesenc` round, GHASH by carry-less
+//!   multiplication against `H¹…H⁸` with one reduction per 128 bytes. No
+//!   lookup table, no secret-dependent load or branch.
+//! * **portable** (this file and [`crate::aes`], everywhere else): T-table
+//!   AES rounds and windowed GHASH (Shoup's 8-bit table method, one table per
+//!   byte position — 16 tables of 256 multiples of the hash key `H`, so one
+//!   block costs 16 *independent* lookups XORed together). Table lookups are
+//!   *not* constant-time; see DESIGN.md §9.
+//!
+//! Both are byte-identical to the bit-by-bit [`crate::reference`] oracle,
+//! which the property tests pin on arbitrary inputs.
 //!
 //! Sealing is zero-copy at the core: [`AesGcm::seal_in_place_detached`] and
 //! [`AesGcm::open_in_place_detached`] transform a caller-owned buffer, and
@@ -23,6 +30,26 @@ pub const TAG_LEN: usize = 16;
 /// Length in bytes of the GCM nonce (96-bit IVs only).
 pub const NONCE_LEN: usize = 12;
 
+/// The implementation an [`AesGcm`] runs on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kernel {
+    /// AES-NI and PCLMULQDQ instructions (x86_64 CPUs that have them).
+    Hardware,
+    /// T-table AES and windowed GHASH in plain Rust.
+    Portable,
+}
+
+impl Kernel {
+    /// Lower-case name, as printed by the crypto microbenchmark.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Kernel::Hardware => "hardware",
+            Kernel::Portable => "portable",
+        }
+    }
+}
+
 /// AES-128-GCM AEAD cipher.
 ///
 /// ```
@@ -34,19 +61,34 @@ pub const NONCE_LEN: usize = 12;
 /// assert!(cipher.open(&[2u8; 12], &sealed, b"tampered").is_err());
 /// ```
 #[derive(Clone)]
-pub struct AesGcm {
+pub struct AesGcm(State);
+
+/// Key-dependent state of whichever kernel [`AesGcm::new`] selected.
+#[derive(Clone)]
+enum State {
+    #[cfg(target_arch = "x86_64")]
+    Hardware(crate::hw::HwGcm),
+    Portable(Portable),
+}
+
+impl std::fmt::Debug for AesGcm {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Never print key material.
+        f.debug_struct("AesGcm")
+            .field("kernel", &self.kernel())
+            .finish_non_exhaustive()
+    }
+}
+
+/// The portable kernel's state.
+#[derive(Clone)]
+struct Portable {
     aes: Aes128,
     /// Per-byte-position window tables: `tables[j][b]` is the product of the
     /// field element whose byte `j` (big-endian) is `b` with the hash key
     /// `H`, in GCM's reflected bit order. A block's GHASH multiply is then
     /// the XOR of 16 independent lookups. Boxed: 64 KiB per cipher instance.
     tables: Box<[[u128; 256]; 16]>,
-}
-
-impl std::fmt::Debug for AesGcm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AesGcm").finish_non_exhaustive()
-    }
 }
 
 /// The GCM reduction polynomial bit pattern, already reflected: x^128 =
@@ -118,14 +160,12 @@ fn block_to_u128(block: &[u8]) -> u128 {
     u128::from_be_bytes(buf)
 }
 
-impl AesGcm {
-    /// Creates a GCM cipher from a 16-byte key.
-    #[must_use]
-    pub fn new(key: &[u8; 16]) -> Self {
+impl Portable {
+    fn new(key: &[u8; 16]) -> Self {
         let aes = Aes128::new(key);
         let mut h_block = [0u8; 16];
         aes.encrypt_block(&mut h_block);
-        AesGcm {
+        Portable {
             aes,
             tables: window_tables(u128::from_be_bytes(h_block)),
         }
@@ -143,12 +183,7 @@ impl AesGcm {
         z
     }
 
-    /// The GHASH of `aad || ciphertext || lengths` under this cipher's hash
-    /// key. Exposed for the crypto microbenchmark and equivalence tests; the
-    /// AEAD entry points are [`AesGcm::seal`]/[`AesGcm::open`] and their
-    /// in-place variants.
-    #[must_use]
-    pub fn ghash(&self, aad: &[u8], ciphertext: &[u8]) -> [u8; 16] {
+    fn ghash(&self, aad: &[u8], ciphertext: &[u8]) -> [u8; 16] {
         let mut y = 0u128;
         for chunk in aad.chunks(16) {
             y = self.mul_h(y ^ block_to_u128(chunk));
@@ -161,8 +196,6 @@ impl AesGcm {
         y.to_be_bytes()
     }
 
-    /// CTR over the message area: counter starts at inc32(J0) and increments
-    /// only in the low 32 bits, per the GCM spec.
     fn gctr(&self, j0: &[u8; 16], buf: &mut [u8]) {
         let mut counter = u32::from_be_bytes(j0[12..16].try_into().expect("ctr"));
         let mut block = *j0;
@@ -171,6 +204,74 @@ impl AesGcm {
             block[12..16].copy_from_slice(&counter.to_be_bytes());
             block
         });
+    }
+}
+
+impl AesGcm {
+    /// Creates a GCM cipher from a 16-byte key, on the hardware kernel where
+    /// the CPU has AES-NI, PCLMULQDQ and SSSE3 and on the portable kernel
+    /// everywhere else. The choice is made here, once; no later call
+    /// re-detects.
+    #[must_use]
+    pub fn new(key: &[u8; 16]) -> Self {
+        Self::with_kernel(key, Kernel::Hardware)
+            .unwrap_or_else(|| AesGcm(State::Portable(Portable::new(key))))
+    }
+
+    /// Creates a cipher on a named kernel, or `None` if this host cannot run
+    /// it. For the equivalence tests and the crypto microbenchmark, which
+    /// must reach the fallback on hosts where [`AesGcm::new`] never picks it.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn with_kernel(key: &[u8; 16], kernel: Kernel) -> Option<Self> {
+        match kernel {
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Hardware => crate::hw::HwGcm::new(key).map(|hw| AesGcm(State::Hardware(hw))),
+            #[cfg(not(target_arch = "x86_64"))]
+            Kernel::Hardware => None,
+            Kernel::Portable => Some(AesGcm(State::Portable(Portable::new(key)))),
+        }
+    }
+
+    /// The kernel this cipher runs on.
+    #[must_use]
+    pub fn kernel(&self) -> Kernel {
+        match &self.0 {
+            #[cfg(target_arch = "x86_64")]
+            State::Hardware(_) => Kernel::Hardware,
+            State::Portable(_) => Kernel::Portable,
+        }
+    }
+
+    /// The GHASH of `aad || ciphertext || lengths` under this cipher's hash
+    /// key. Exposed for the crypto microbenchmark and equivalence tests; the
+    /// AEAD entry points are [`AesGcm::seal`]/[`AesGcm::open`] and their
+    /// in-place variants.
+    #[must_use]
+    pub fn ghash(&self, aad: &[u8], ciphertext: &[u8]) -> [u8; 16] {
+        match &self.0 {
+            #[cfg(target_arch = "x86_64")]
+            State::Hardware(hw) => hw.ghash(aad, ciphertext),
+            State::Portable(p) => p.ghash(aad, ciphertext),
+        }
+    }
+
+    /// CTR over the message area: counter starts at inc32(J0) and increments
+    /// only in the low 32 bits, per the GCM spec.
+    fn gctr(&self, j0: &[u8; 16], buf: &mut [u8]) {
+        match &self.0 {
+            #[cfg(target_arch = "x86_64")]
+            State::Hardware(hw) => hw.gctr(j0, buf),
+            State::Portable(p) => p.gctr(j0, buf),
+        }
+    }
+
+    fn encrypt_block(&self, block: &mut [u8; 16]) {
+        match &self.0 {
+            #[cfg(target_arch = "x86_64")]
+            State::Hardware(hw) => hw.encrypt_block(block),
+            State::Portable(p) => p.aes.encrypt_block(block),
+        }
     }
 
     fn j0(nonce: &[u8; NONCE_LEN]) -> [u8; 16] {
@@ -184,7 +285,7 @@ impl AesGcm {
     fn tag(&self, j0: &[u8; 16], aad: &[u8], ciphertext: &[u8]) -> [u8; TAG_LEN] {
         let s = self.ghash(aad, ciphertext);
         let mut tag = *j0;
-        self.aes.encrypt_block(&mut tag);
+        self.encrypt_block(&mut tag);
         for (t, s) in tag.iter_mut().zip(s.iter()) {
             *t ^= s;
         }
@@ -314,154 +415,85 @@ pub fn nonce_from_seq(domain: u32, seq: u64) -> [u8; NONCE_LEN] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{hex, unhex};
 
-    #[test]
-    fn nist_case_1_empty() {
-        let cipher = AesGcm::new(&[0u8; 16]);
-        let sealed = cipher.seal(&[0u8; 12], b"", b"");
-        assert_eq!(hex(&sealed), "58e2fccefa7e3061367f1d57a4e7455a");
-    }
-
-    #[test]
-    fn nist_case_2_single_block() {
-        let cipher = AesGcm::new(&[0u8; 16]);
-        let sealed = cipher.seal(&[0u8; 12], &[0u8; 16], b"");
-        assert_eq!(
-            hex(&sealed),
-            "0388dace60b6a392f328c2b971b2fe78ab6e47d42cec13bdf53a67b21257bddf"
-        );
-    }
-
-    #[test]
-    fn nist_case_3_four_blocks() {
-        let key: [u8; 16] = unhex("feffe9928665731c6d6a8f9467308308")
-            .unwrap()
-            .try_into()
-            .unwrap();
-        let nonce: [u8; 12] = unhex("cafebabefacedbaddecaf888")
-            .unwrap()
-            .try_into()
-            .unwrap();
-        let pt = unhex(concat!(
-            "d9313225f88406e5a55909c5aff5269a",
-            "86a7a9531534f7da2e4c303d8a318a72",
-            "1c3c0c95956809532fcf0e2449a6b525",
-            "b16aedf5aa0de657ba637b391aafd255"
-        ))
-        .unwrap();
-        let sealed = AesGcm::new(&key).seal(&nonce, &pt, b"");
-        assert_eq!(
-            hex(&sealed),
-            concat!(
-                "42831ec2217774244b7221b784d0d49c",
-                "e3aa212f2c02a4e035c17e2329aca12e",
-                "21d514b25466931c7d8f6a5aac84aa05",
-                "1ba30b396a0aac973d58e091473f5985",
-                "4d5c2af327cd64a62cf35abd2ba6fab4"
-            )
-        );
-    }
-
-    #[test]
-    fn nist_case_4_with_aad() {
-        let key: [u8; 16] = unhex("feffe9928665731c6d6a8f9467308308")
-            .unwrap()
-            .try_into()
-            .unwrap();
-        let nonce: [u8; 12] = unhex("cafebabefacedbaddecaf888")
-            .unwrap()
-            .try_into()
-            .unwrap();
-        let pt = unhex(concat!(
-            "d9313225f88406e5a55909c5aff5269a",
-            "86a7a9531534f7da2e4c303d8a318a72",
-            "1c3c0c95956809532fcf0e2449a6b525",
-            "b16aedf5aa0de657ba637b39"
-        ))
-        .unwrap();
-        let aad = unhex("feedfacedeadbeeffeedfacedeadbeefabaddad2").unwrap();
-        let cipher = AesGcm::new(&key);
-        let sealed = cipher.seal(&nonce, &pt, &aad);
-        assert_eq!(
-            hex(&sealed),
-            concat!(
-                "42831ec2217774244b7221b784d0d49c",
-                "e3aa212f2c02a4e035c17e2329aca12e",
-                "21d514b25466931c7d8f6a5aac84aa05",
-                "1ba30b396a0aac973d58e091",
-                "5bc94fbc3221a5db94fae95ae7121a47"
-            )
-        );
-        assert_eq!(cipher.open(&nonce, &sealed, &aad).unwrap(), pt);
+    /// One cipher per kernel this host can run (the NIST vectors and the
+    /// equivalence properties live in `tests/prop_equivalence.rs`).
+    fn kernels(key: &[u8; 16]) -> impl Iterator<Item = AesGcm> + '_ {
+        [Kernel::Hardware, Kernel::Portable]
+            .into_iter()
+            .filter_map(|kernel| AesGcm::with_kernel(key, kernel))
     }
 
     #[test]
     fn open_rejects_tampering() {
-        let cipher = AesGcm::new(&[3u8; 16]);
-        let nonce = [5u8; 12];
-        let sealed = cipher.seal(&nonce, b"payload", b"aad");
-        for i in 0..sealed.len() {
-            let mut bad = sealed.clone();
-            bad[i] ^= 0x01;
-            assert_eq!(
-                cipher.open(&nonce, &bad, b"aad"),
-                Err(CryptoError::AuthenticationFailed),
-                "flip at byte {i} must be detected"
-            );
+        for cipher in kernels(&[3u8; 16]) {
+            let nonce = [5u8; 12];
+            let sealed = cipher.seal(&nonce, b"payload", b"aad");
+            for i in 0..sealed.len() {
+                let mut bad = sealed.clone();
+                bad[i] ^= 0x01;
+                assert_eq!(
+                    cipher.open(&nonce, &bad, b"aad"),
+                    Err(CryptoError::AuthenticationFailed),
+                    "flip at byte {i} must be detected"
+                );
+            }
+            assert!(cipher.open(&[6u8; 12], &sealed, b"aad").is_err());
+            assert!(cipher.open(&nonce, &sealed[..8], b"aad").is_err());
         }
-        assert!(cipher.open(&[6u8; 12], &sealed, b"aad").is_err());
-        assert!(cipher.open(&nonce, &sealed[..8], b"aad").is_err());
     }
 
     #[test]
     fn in_place_matches_allocating_api() {
-        let cipher = AesGcm::new(&[0x42u8; 16]);
-        let nonce = [9u8; 12];
-        for len in [0usize, 1, 15, 16, 17, 100, 1000] {
-            let plain: Vec<u8> = (0..len).map(|i| i as u8).collect();
-            let sealed = cipher.seal(&nonce, &plain, b"aad");
+        for cipher in kernels(&[0x42u8; 16]) {
+            let nonce = [9u8; 12];
+            for len in [0usize, 1, 15, 16, 17, 100, 1000] {
+                let plain: Vec<u8> = (0..len).map(|i| i as u8).collect();
+                let sealed = cipher.seal(&nonce, &plain, b"aad");
 
-            let mut buf = plain.clone();
-            cipher.seal_in_place(&nonce, &mut buf, b"aad");
-            assert_eq!(buf, sealed, "seal_in_place, length {len}");
+                let mut buf = plain.clone();
+                cipher.seal_in_place(&nonce, &mut buf, b"aad");
+                assert_eq!(buf, sealed, "seal_in_place, length {len}");
 
-            cipher.open_in_place(&nonce, &mut buf, b"aad").unwrap();
-            assert_eq!(buf, plain, "open_in_place, length {len}");
+                cipher.open_in_place(&nonce, &mut buf, b"aad").unwrap();
+                assert_eq!(buf, plain, "open_in_place, length {len}");
+            }
         }
     }
 
     #[test]
     fn open_in_place_leaves_buffer_on_failure() {
-        let cipher = AesGcm::new(&[0x42u8; 16]);
-        let nonce = [9u8; 12];
-        let mut buf = b"payload".to_vec();
-        cipher.seal_in_place(&nonce, &mut buf, b"aad");
-        let sealed = buf.clone();
-        assert_eq!(
-            cipher.open_in_place(&nonce, &mut buf, b"wrong aad"),
-            Err(CryptoError::AuthenticationFailed)
-        );
-        assert_eq!(buf, sealed, "failed open must not alter the buffer");
-        let mut short = vec![0u8; TAG_LEN - 1];
-        assert!(cipher.open_in_place(&nonce, &mut short, b"aad").is_err());
+        for cipher in kernels(&[0x42u8; 16]) {
+            let nonce = [9u8; 12];
+            let mut buf = b"payload".to_vec();
+            cipher.seal_in_place(&nonce, &mut buf, b"aad");
+            let sealed = buf.clone();
+            assert_eq!(
+                cipher.open_in_place(&nonce, &mut buf, b"wrong aad"),
+                Err(CryptoError::AuthenticationFailed)
+            );
+            assert_eq!(buf, sealed, "failed open must not alter the buffer");
+            let mut short = vec![0u8; TAG_LEN - 1];
+            assert!(cipher.open_in_place(&nonce, &mut short, b"aad").is_err());
+        }
     }
 
     #[test]
     fn detached_tag_roundtrip() {
-        let cipher = AesGcm::new(&[7u8; 16]);
-        let nonce = [1u8; 12];
-        let mut buf = *b"0123456789abcdef_tail";
-        let tag = cipher.seal_in_place_detached(&nonce, &mut buf, b"");
-        assert_ne!(&buf, b"0123456789abcdef_tail");
-        cipher
-            .open_in_place_detached(&nonce, &mut buf, &tag, b"")
-            .unwrap();
-        assert_eq!(&buf, b"0123456789abcdef_tail");
-        let bad = [0u8; TAG_LEN];
-        assert!(cipher
-            .open_in_place_detached(&nonce, &mut buf, &bad, b"")
-            .is_err());
+        for cipher in kernels(&[7u8; 16]) {
+            let nonce = [1u8; 12];
+            let mut buf = *b"0123456789abcdef_tail";
+            let tag = cipher.seal_in_place_detached(&nonce, &mut buf, b"");
+            assert_ne!(&buf, b"0123456789abcdef_tail");
+            cipher
+                .open_in_place_detached(&nonce, &mut buf, &tag, b"")
+                .unwrap();
+            assert_eq!(&buf, b"0123456789abcdef_tail");
+            let bad = [0u8; TAG_LEN];
+            assert!(cipher
+                .open_in_place_detached(&nonce, &mut buf, &bad, b"")
+                .is_err());
+        }
     }
 
     #[test]

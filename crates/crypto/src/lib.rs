@@ -1,12 +1,16 @@
 //! Cryptographic primitives for the SecureCloud stack.
 //!
-//! Everything in this crate is implemented from scratch in safe Rust so that
-//! the rest of the workspace has no external cryptographic dependencies:
+//! Everything in this crate is implemented from scratch so that the rest of
+//! the workspace has no external cryptographic dependencies, and in safe Rust
+//! with one exception: the x86_64 AES-NI/PCLMULQDQ kernel behind [`gcm`]
+//! (`src/hw.rs`) needs `unsafe` for its vector loads, stores and
+//! feature-guarded calls. The crate denies `unsafe_code` everywhere else.
 //!
 //! * [`sha256`] — SHA-256 hashing,
 //! * [`hmac`] — HMAC-SHA256 and HKDF key derivation,
-//! * [`aes`] — the AES-128 block cipher,
-//! * [`gcm`] — AES-128-GCM authenticated encryption,
+//! * [`aes`] — the AES-128 block cipher (portable, table-driven),
+//! * [`gcm`] — AES-128-GCM authenticated encryption, on the hardware kernel
+//!   where the CPU has one and on the portable kernel elsewhere,
 //! * [`x25519`] — Curve25519 Diffie-Hellman,
 //! * [`channel`] — a mutually-authenticated secure channel (Noise-KK-like)
 //!   used for SCF provisioning and inter-service communication,
@@ -17,9 +21,10 @@
 //!
 //! The algorithms are implemented faithfully and verified against the
 //! standard test vectors (FIPS-197, RFC 4231, RFC 5869, RFC 7748, NIST GCM).
-//! Comparisons of secrets are constant-time ([`ct_eq`]). The implementations
-//! are nevertheless *reference grade*: they favour clarity over side-channel
-//! hardening and must not be used outside this research prototype.
+//! Comparisons of secrets are constant-time ([`ct_eq`]), and so is AES-GCM
+//! on the hardware kernel. The rest — the portable AES-GCM fallback included —
+//! is *reference grade*: it favours clarity over side-channel hardening and
+//! must not be used outside this research prototype.
 //!
 //! # Example
 //!
@@ -33,10 +38,15 @@
 //! assert_eq!(plain, b"meter reading 42 kWh");
 //! ```
 
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 pub mod aes;
 pub mod channel;
 pub mod gcm;
 pub mod hmac;
+#[cfg(target_arch = "x86_64")]
+mod hw;
 pub mod reference;
 pub mod sha256;
 pub mod wire;

@@ -1,15 +1,16 @@
-//! Textbook reference implementations of the optimized kernels.
+//! Textbook reference implementations: the oracle both AES-GCM kernels are
+//! checked against.
 //!
-//! The fast paths in [`crate::aes`] (T-table rounds, batched CTR) and
-//! [`crate::gcm`] (windowed GHASH, in-place sealing) replaced byte-wise
-//! loops. Those originals live on here, verbatim in behaviour, for two
-//! reasons:
+//! The production paths — the hardware kernel (AES-NI + PCLMULQDQ) and the
+//! portable one in [`crate::aes`] (T-table rounds, batched CTR) and
+//! [`crate::gcm`] (windowed GHASH) — replaced byte-wise loops. Those
+//! originals live on here, verbatim in behaviour, for two reasons:
 //!
-//! * **equivalence testing** — property tests assert the optimized paths are
+//! * **equivalence testing** — property tests assert each kernel is
 //!   byte-identical to these on arbitrary inputs, on top of the NIST vectors;
-//! * **perf trajectory** — the `repro -- crypto` microbenchmark reports the
-//!   fast paths' throughput as a multiple of these baselines, so regressions
-//!   in either path are visible in `BENCH_crypto.json`.
+//! * **perf trajectory** — the `repro -- crypto` microbenchmark reports
+//!   reference, portable and hardware throughput side by side, so a
+//!   regression in any of them is visible in `BENCH_crypto.json`.
 //!
 //! Nothing outside tests and the benchmark should call into this module.
 
