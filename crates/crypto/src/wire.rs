@@ -24,6 +24,22 @@ pub trait Wire: Sized {
     /// [`CryptoError::Malformed`] if the input is truncated or invalid.
     fn decode(r: &mut Reader<'_>) -> Result<Self, CryptoError>;
 
+    /// Decodes `len` consecutive values: the body of a sequence whose length
+    /// prefix the caller has already read. Element by element unless a type
+    /// can do better (`u8` copies the run in one piece).
+    ///
+    /// # Errors
+    ///
+    /// [`CryptoError::Malformed`] if the input is truncated or invalid.
+    fn decode_vec(r: &mut Reader<'_>, len: usize) -> Result<Vec<Self>, CryptoError> {
+        // Each element takes at least one byte; bound allocation by input.
+        let mut items = Vec::with_capacity(len.min(r.remaining()));
+        for _ in 0..len {
+            items.push(Self::decode(r)?);
+        }
+        Ok(items)
+    }
+
     /// Convenience: encodes into a fresh vector.
     fn to_wire(&self) -> Vec<u8> {
         let mut out = Vec::new();
@@ -113,7 +129,19 @@ macro_rules! impl_wire_int {
     )*};
 }
 
-impl_wire_int!(u8, u16, u32, u64, i8, i16, i32, i64);
+impl_wire_int!(u16, u32, u64, i8, i16, i32, i64);
+
+impl Wire for u8 {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(*self);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CryptoError> {
+        Ok(r.take(1)?[0])
+    }
+    fn decode_vec(r: &mut Reader<'_>, len: usize) -> Result<Vec<Self>, CryptoError> {
+        Ok(r.take(len)?.to_vec())
+    }
+}
 
 impl Wire for f64 {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -175,11 +203,7 @@ impl<T: Wire> Wire for Vec<T> {
                 "sequence length {len} exceeds input"
             )));
         }
-        let mut items = Vec::with_capacity(len);
-        for _ in 0..len {
-            items.push(T::decode(r)?);
-        }
-        Ok(items)
+        T::decode_vec(r, len)
     }
 }
 
@@ -345,6 +369,19 @@ mod tests {
         assert!(String::from_wire(&evil).is_err());
         assert!(Vec::<u8>::from_wire(&evil).is_err());
         assert!(Vec::<u64>::from_wire(&evil).is_err());
+    }
+
+    #[test]
+    fn decode_vec_is_bounded_by_input() {
+        // Called directly, without `Vec::decode`'s own length check: the bulk
+        // `u8` path and the element-wise default both fail on a count the
+        // input cannot hold, without allocating for it.
+        let bytes = [1u8, 2, 3, 4, 5];
+        assert!(u8::decode_vec(&mut Reader::new(&bytes), 6).is_err());
+        assert!(u32::decode_vec(&mut Reader::new(&bytes), usize::MAX).is_err());
+        let mut r = Reader::new(&bytes);
+        assert_eq!(u8::decode_vec(&mut r, 3).unwrap(), [1, 2, 3]);
+        assert_eq!(r.remaining(), 2);
     }
 
     #[test]
