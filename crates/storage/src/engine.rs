@@ -781,23 +781,7 @@ impl StorageEngine {
             return Ok(self.cache.len() - 1);
         }
         self.ensure_verified(mem, si)?;
-        let sealed = self
-            .disk
-            .segments
-            .get(&seg_id)
-            .and_then(|s| s.blocks.get(bi))
-            .ok_or_else(|| StorageError::Corrupt(format!("host lost segment {seg_id} block {bi}")))?
-            .clone();
-        mem.charge_host_read(sealed.len() as u64);
-        let verified = self.segments[si].tags.as_ref().expect("verified above");
-        if block_tag(&sealed)? != verified[bi] {
-            return Err(StorageError::Integrity {
-                segment: seg_id,
-                block: Some(bi as u32),
-            });
-        }
-        mem.charge_ops(2 + sealed.len() as u64 / 64);
-        let records = open_block(&self.segments[si].cipher, seg_id, bi as u32, &sealed)?;
+        let records = self.read_block(mem, si, bi)?;
         let cap = self.config.cache_blocks.max(1);
         if self.cache.len() >= cap {
             let evicted = self.cache.remove(0);
@@ -842,36 +826,44 @@ impl StorageEngine {
         si: usize,
     ) -> Result<Vec<Record>, StorageError> {
         self.ensure_verified(mem, si)?;
-        let seg_id = self.segments[si].meta.id;
         let nblocks = self.segments[si].meta.blocks.len();
         let mut out = Vec::new();
         for bi in 0..nblocks {
-            let sealed = self
-                .disk
-                .segments
-                .get(&seg_id)
-                .and_then(|s| s.blocks.get(bi))
-                .ok_or_else(|| {
-                    StorageError::Corrupt(format!("host lost segment {seg_id} block {bi}"))
-                })?
-                .clone();
-            mem.charge_host_read(sealed.len() as u64);
-            let verified = self.segments[si].tags.as_ref().expect("verified above");
-            if block_tag(&sealed)? != verified[bi] {
-                return Err(StorageError::Integrity {
-                    segment: seg_id,
-                    block: Some(bi as u32),
-                });
-            }
-            mem.charge_ops(2 + sealed.len() as u64 / 64);
-            out.extend(open_block(
-                &self.segments[si].cipher,
-                seg_id,
-                bi as u32,
-                &sealed,
-            )?);
+            out.extend(self.read_block(mem, si, bi)?);
         }
         Ok(out)
+    }
+
+    /// Reads block `bi` of the verified segment `si` off the host, checks
+    /// its tag against the integrity tree and opens it. The host's bytes are
+    /// borrowed, not cloned: the only copy is the buffer `open_block`
+    /// decrypts in.
+    fn read_block(
+        &self,
+        mem: &mut MemorySim,
+        si: usize,
+        bi: usize,
+    ) -> Result<Vec<Record>, StorageError> {
+        let segment = &self.segments[si];
+        let seg_id = segment.meta.id;
+        let sealed = self
+            .disk
+            .segments
+            .get(&seg_id)
+            .and_then(|s| s.blocks.get(bi))
+            .ok_or_else(|| {
+                StorageError::Corrupt(format!("host lost segment {seg_id} block {bi}"))
+            })?;
+        mem.charge_host_read(sealed.len() as u64);
+        let verified = segment.tags.as_ref().expect("verified by the caller");
+        if block_tag(sealed)? != verified[bi] {
+            return Err(StorageError::Integrity {
+                segment: seg_id,
+                block: Some(bi as u32),
+            });
+        }
+        mem.charge_ops(2 + sealed.len() as u64 / 64);
+        open_block(&segment.cipher, seg_id, bi as u32, sealed)
     }
 
     /// Re-verifies every live segment against the host's *current* bytes
