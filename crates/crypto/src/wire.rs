@@ -24,6 +24,14 @@ pub trait Wire: Sized {
     /// [`CryptoError::Malformed`] if the input is truncated or invalid.
     fn decode(r: &mut Reader<'_>) -> Result<Self, CryptoError>;
 
+    /// Encodes consecutive values: the body of a sequence, after its length
+    /// prefix. The counterpart of [`Wire::decode_vec`].
+    fn encode_slice(items: &[Self], out: &mut Vec<u8>) {
+        for item in items {
+            item.encode(out);
+        }
+    }
+
     /// Decodes `len` consecutive values: the body of a sequence whose length
     /// prefix the caller has already read. Element by element unless a type
     /// can do better (`u8` copies the run in one piece).
@@ -138,6 +146,9 @@ impl Wire for u8 {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CryptoError> {
         Ok(r.take(1)?[0])
     }
+    fn encode_slice(items: &[Self], out: &mut Vec<u8>) {
+        out.extend_from_slice(items);
+    }
     fn decode_vec(r: &mut Reader<'_>, len: usize) -> Result<Vec<Self>, CryptoError> {
         Ok(r.take(len)?.to_vec())
     }
@@ -188,12 +199,17 @@ impl Wire for String {
     }
 }
 
+/// Encodes `items` as a sequence — the bytes `Vec<T>::encode` appends —
+/// for callers that hold a slice and should not have to clone it into a
+/// `Vec` first.
+pub fn encode_seq<T: Wire>(items: &[T], out: &mut Vec<u8>) {
+    (items.len() as u32).encode(out);
+    T::encode_slice(items, out);
+}
+
 impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
-        (self.len() as u32).encode(out);
-        for item in self {
-            item.encode(out);
-        }
+        encode_seq(self, out);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CryptoError> {
         let len = u32::decode(r)? as usize;

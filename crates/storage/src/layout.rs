@@ -11,7 +11,7 @@
 use crate::{StorageError, StoreKeys};
 use securecloud_crypto::gcm::{nonce_from_seq, AesGcm, NONCE_LEN, TAG_LEN};
 use securecloud_crypto::impl_wire_struct;
-use securecloud_crypto::wire::{Reader, Wire};
+use securecloud_crypto::wire::{encode_seq, Reader, Wire};
 use securecloud_crypto::CryptoError;
 
 /// Nonce domain for sealed segment blocks (`seq` = block index; uniqueness
@@ -69,7 +69,7 @@ impl Record {
         }
     }
 
-    /// Approximate in-memory footprint, used for block packing.
+    /// Exact encoded size, used for block packing and buffer sizing.
     #[must_use]
     pub fn encoded_len(&self) -> usize {
         // tag byte + one or two length-prefixed byte strings.
@@ -191,7 +191,10 @@ pub fn block_aad(segment: u64, index: u32) -> Vec<u8> {
 /// `ct || tag` — the nonce is derived from the block index, not stored.
 #[must_use]
 pub fn seal_block(cipher: &AesGcm, segment: u64, index: u32, records: &[Record]) -> Vec<u8> {
-    let mut buf = records.to_vec().to_wire();
+    // Sized exactly: the sealed block lives on the host disk as it is.
+    let body: usize = records.iter().map(Record::encoded_len).sum();
+    let mut buf = Vec::with_capacity(4 + body + TAG_LEN);
+    encode_seq(records, &mut buf);
     let nonce = nonce_from_seq(BLOCK_NONCE_DOMAIN, u64::from(index));
     cipher.seal_in_place(&nonce, &mut buf, &block_aad(segment, index));
     buf
@@ -247,7 +250,8 @@ pub fn seal_wal_record(
     prev_tag: &[u8; TAG_LEN],
     record: &Record,
 ) -> Vec<u8> {
-    let mut buf = record.to_wire();
+    let mut buf = Vec::with_capacity(record.encoded_len() + TAG_LEN);
+    record.encode(&mut buf);
     let nonce = nonce_from_seq(WAL_NONCE_DOMAIN, seq);
     cipher.seal_in_place(&nonce, &mut buf, &wal_aad(seq, prev_tag));
     buf
