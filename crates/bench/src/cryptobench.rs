@@ -80,23 +80,6 @@ pub struct CryptoBenchReport {
     pub points: Vec<CryptoBenchPoint>,
 }
 
-/// The CPU features `AesGcm::new` selects on, filtered to those detected.
-fn detected_cpu_features() -> Vec<&'static str> {
-    #[cfg(target_arch = "x86_64")]
-    {
-        [
-            ("aes", is_x86_feature_detected!("aes")),
-            ("pclmulqdq", is_x86_feature_detected!("pclmulqdq")),
-            ("ssse3", is_x86_feature_detected!("ssse3")),
-        ]
-        .into_iter()
-        .filter_map(|(name, detected)| detected.then_some(name))
-        .collect()
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    Vec::new()
-}
-
 const KEY: [u8; 16] = *b"securecloud-key!";
 const NONCE: [u8; NONCE_LEN] = *b"bench-nonce!";
 const AAD: &[u8] = b"securecloud crypto bench";
@@ -187,7 +170,10 @@ pub fn run(config: CryptoBenchConfig) -> CryptoBenchReport {
         payload_bytes: config.payload_bytes,
         iterations,
         kernel: AesGcm::new(&KEY).kernel(),
-        cpu_features: detected_cpu_features(),
+        cpu_features: AesGcm::hardware_features()
+            .into_iter()
+            .filter_map(|(name, detected)| detected.then_some(name))
+            .collect(),
         points,
     }
 }

@@ -11,8 +11,9 @@
 //! byte-wise `sub_bytes`/`shift_rows`/`mix_columns` passes. The byte-wise
 //! round functions are retained as the reference path (see
 //! [`crate::reference`]) and the two are property-tested for equivalence.
-//! Table lookups are *not* constant-time; see DESIGN.md for why that is
-//! acceptable in this simulator.
+//! Table lookups are *not* constant-time. [`crate::gcm::AesGcm`] uses this
+//! cipher only on its portable fallback kernel — hosts with AES-NI never run
+//! it on the data path; see DESIGN.md §9.
 
 use std::sync::OnceLock;
 

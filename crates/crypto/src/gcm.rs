@@ -233,6 +233,18 @@ impl AesGcm {
         }
     }
 
+    /// The CPU features the hardware kernel needs, each with whether this
+    /// CPU reports it (empty off x86_64). For the crypto microbenchmark's
+    /// host fingerprint.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn hardware_features() -> Vec<(&'static str, bool)> {
+        #[cfg(target_arch = "x86_64")]
+        return crate::hw::HwGcm::features().to_vec();
+        #[cfg(not(target_arch = "x86_64"))]
+        Vec::new()
+    }
+
     /// The kernel this cipher runs on.
     #[must_use]
     pub fn kernel(&self) -> Kernel {
@@ -414,86 +426,77 @@ pub fn nonce_from_seq(domain: u32, seq: u64) -> [u8; NONCE_LEN] {
 
 #[cfg(test)]
 mod tests {
+    // The NIST vectors and the per-kernel equivalence properties live in
+    // `tests/prop_equivalence.rs`; these cover the API shapes on whichever
+    // kernel `AesGcm::new` selects.
     use super::*;
-
-    /// One cipher per kernel this host can run (the NIST vectors and the
-    /// equivalence properties live in `tests/prop_equivalence.rs`).
-    fn kernels(key: &[u8; 16]) -> impl Iterator<Item = AesGcm> + '_ {
-        [Kernel::Hardware, Kernel::Portable]
-            .into_iter()
-            .filter_map(|kernel| AesGcm::with_kernel(key, kernel))
-    }
 
     #[test]
     fn open_rejects_tampering() {
-        for cipher in kernels(&[3u8; 16]) {
-            let nonce = [5u8; 12];
-            let sealed = cipher.seal(&nonce, b"payload", b"aad");
-            for i in 0..sealed.len() {
-                let mut bad = sealed.clone();
-                bad[i] ^= 0x01;
-                assert_eq!(
-                    cipher.open(&nonce, &bad, b"aad"),
-                    Err(CryptoError::AuthenticationFailed),
-                    "flip at byte {i} must be detected"
-                );
-            }
-            assert!(cipher.open(&[6u8; 12], &sealed, b"aad").is_err());
-            assert!(cipher.open(&nonce, &sealed[..8], b"aad").is_err());
+        let cipher = AesGcm::new(&[3u8; 16]);
+        let nonce = [5u8; 12];
+        let sealed = cipher.seal(&nonce, b"payload", b"aad");
+        for i in 0..sealed.len() {
+            let mut bad = sealed.clone();
+            bad[i] ^= 0x01;
+            assert_eq!(
+                cipher.open(&nonce, &bad, b"aad"),
+                Err(CryptoError::AuthenticationFailed),
+                "flip at byte {i} must be detected"
+            );
         }
+        assert!(cipher.open(&[6u8; 12], &sealed, b"aad").is_err());
+        assert!(cipher.open(&nonce, &sealed[..8], b"aad").is_err());
     }
 
     #[test]
     fn in_place_matches_allocating_api() {
-        for cipher in kernels(&[0x42u8; 16]) {
-            let nonce = [9u8; 12];
-            for len in [0usize, 1, 15, 16, 17, 100, 1000] {
-                let plain: Vec<u8> = (0..len).map(|i| i as u8).collect();
-                let sealed = cipher.seal(&nonce, &plain, b"aad");
+        let cipher = AesGcm::new(&[0x42u8; 16]);
+        let nonce = [9u8; 12];
+        for len in [0usize, 1, 15, 16, 17, 100, 1000] {
+            let plain: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let sealed = cipher.seal(&nonce, &plain, b"aad");
 
-                let mut buf = plain.clone();
-                cipher.seal_in_place(&nonce, &mut buf, b"aad");
-                assert_eq!(buf, sealed, "seal_in_place, length {len}");
+            let mut buf = plain.clone();
+            cipher.seal_in_place(&nonce, &mut buf, b"aad");
+            assert_eq!(buf, sealed, "seal_in_place, length {len}");
 
-                cipher.open_in_place(&nonce, &mut buf, b"aad").unwrap();
-                assert_eq!(buf, plain, "open_in_place, length {len}");
-            }
+            cipher.open_in_place(&nonce, &mut buf, b"aad").unwrap();
+            assert_eq!(buf, plain, "open_in_place, length {len}");
         }
     }
 
     #[test]
     fn open_in_place_leaves_buffer_on_failure() {
-        for cipher in kernels(&[0x42u8; 16]) {
-            let nonce = [9u8; 12];
-            let mut buf = b"payload".to_vec();
-            cipher.seal_in_place(&nonce, &mut buf, b"aad");
-            let sealed = buf.clone();
-            assert_eq!(
-                cipher.open_in_place(&nonce, &mut buf, b"wrong aad"),
-                Err(CryptoError::AuthenticationFailed)
-            );
-            assert_eq!(buf, sealed, "failed open must not alter the buffer");
-            let mut short = vec![0u8; TAG_LEN - 1];
-            assert!(cipher.open_in_place(&nonce, &mut short, b"aad").is_err());
-        }
+        let cipher = AesGcm::new(&[0x42u8; 16]);
+        let nonce = [9u8; 12];
+        let mut buf = b"payload".to_vec();
+        cipher.seal_in_place(&nonce, &mut buf, b"aad");
+        let sealed = buf.clone();
+        assert_eq!(
+            cipher.open_in_place(&nonce, &mut buf, b"wrong aad"),
+            Err(CryptoError::AuthenticationFailed)
+        );
+        assert_eq!(buf, sealed, "failed open must not alter the buffer");
+        let mut short = vec![0u8; TAG_LEN - 1];
+        assert!(cipher.open_in_place(&nonce, &mut short, b"aad").is_err());
     }
 
     #[test]
     fn detached_tag_roundtrip() {
-        for cipher in kernels(&[7u8; 16]) {
-            let nonce = [1u8; 12];
-            let mut buf = *b"0123456789abcdef_tail";
-            let tag = cipher.seal_in_place_detached(&nonce, &mut buf, b"");
-            assert_ne!(&buf, b"0123456789abcdef_tail");
-            cipher
-                .open_in_place_detached(&nonce, &mut buf, &tag, b"")
-                .unwrap();
-            assert_eq!(&buf, b"0123456789abcdef_tail");
-            let bad = [0u8; TAG_LEN];
-            assert!(cipher
-                .open_in_place_detached(&nonce, &mut buf, &bad, b"")
-                .is_err());
-        }
+        let cipher = AesGcm::new(&[7u8; 16]);
+        let nonce = [1u8; 12];
+        let mut buf = *b"0123456789abcdef_tail";
+        let tag = cipher.seal_in_place_detached(&nonce, &mut buf, b"");
+        assert_ne!(&buf, b"0123456789abcdef_tail");
+        cipher
+            .open_in_place_detached(&nonce, &mut buf, &tag, b"")
+            .unwrap();
+        assert_eq!(&buf, b"0123456789abcdef_tail");
+        let bad = [0u8; TAG_LEN];
+        assert!(cipher
+            .open_in_place_detached(&nonce, &mut buf, &bad, b"")
+            .is_err());
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! The round keys and the hash-key powers `H¹…H⁸` live in `__m128i`. GCTR
 //! keeps eight counter blocks in flight per `aesenc` round; GHASH multiplies
 //! eight blocks against descending powers of `H` and reduces once per 128
-//! bytes (AAD, the tail and the length block take the same routine one block
-//! at a time). Nothing here indexes memory or branches on key, plaintext or
-//! hash state — the only data-dependent control flow is on *lengths* — which
-//! is the property the table-driven portable kernel lacks.
+//! bytes (a shorter AAD or tail is one smaller group against `Hⁿ…H¹`, the
+//! length block a group of one). Nothing here indexes memory or branches on
+//! key, plaintext or hash state — the only data-dependent control flow is on
+//! *lengths* — which is the property the table-driven portable kernel lacks.
 //!
 //! This is the only module of the crate that contains `unsafe`: the unaligned
 //! vector loads/stores, and the calls from the safe wrappers into the
@@ -33,8 +33,8 @@ const BLOCK: usize = 16;
 pub(crate) struct HwGcm {
     round_keys: [__m128i; 11],
     /// Descending powers of the hash key, byte-reflected: `h_pow[i]` is
-    /// `H^(BATCH - i)`, so block `i` of a batch multiplies `h_pow[i]` and the
-    /// single-block path multiplies `h_pow[BATCH - 1]` (`H` itself).
+    /// `H^(BATCH - i)`, so a group of `n` blocks multiplies, block by block,
+    /// the suffix `h_pow[BATCH - n..]`, which always ends in `H` itself.
     h_pow: [__m128i; BATCH],
 }
 
@@ -46,23 +46,24 @@ impl std::fmt::Debug for HwGcm {
 }
 
 impl HwGcm {
-    /// Whether this CPU has every feature the kernel is compiled for.
-    pub(crate) fn available() -> bool {
-        is_x86_feature_detected!("aes")
-            && is_x86_feature_detected!("pclmulqdq")
-            && is_x86_feature_detected!("ssse3")
+    /// The CPU features the kernel is compiled for, each with whether this
+    /// CPU reports it.
+    pub(crate) fn features() -> [(&'static str, bool); 3] {
+        [
+            ("aes", is_x86_feature_detected!("aes")),
+            ("pclmulqdq", is_x86_feature_detected!("pclmulqdq")),
+            ("ssse3", is_x86_feature_detected!("ssse3")),
+        ]
     }
 
     /// Expands `key`, or returns `None` on a CPU without AES-NI, PCLMULQDQ
     /// and SSSE3. The only place features are detected: the other methods
     /// rely on holding a `HwGcm` as the proof.
     pub(crate) fn new(key: &[u8; 16]) -> Option<Self> {
-        if !Self::available() {
-            return None;
-        }
-        // SAFETY: `available` just confirmed aes, pclmulqdq and ssse3, the
-        // features `expand` is compiled with.
-        Some(unsafe { Self::expand(key) })
+        let available = Self::features().iter().all(|&(_, detected)| detected);
+        // SAFETY: every feature `expand` is compiled with — the list in
+        // `features` — was detected on this CPU on the line above.
+        available.then(|| unsafe { Self::expand(key) })
     }
 
     /// Encrypts one block in place.
@@ -142,18 +143,15 @@ impl HwGcm {
         for block in &mut blocks {
             let block: &mut [u8; 16] = block.try_into().expect("16-byte block");
             counter = _mm_add_epi32(counter, one);
-            store(
-                block,
-                _mm_xor_si128(load(block), encrypt(rk, reflect(counter))),
-            );
+            let masked = _mm_xor_si128(load(block), encrypt(rk, reflect(counter)));
+            store(block, masked);
         }
         let tail = blocks.into_remainder();
         if !tail.is_empty() {
             let mut padded = [0u8; 16];
             padded[..tail.len()].copy_from_slice(tail);
             counter = _mm_add_epi32(counter, one);
-            let keystream = encrypt(rk, reflect(counter));
-            let masked = _mm_xor_si128(load(&padded), keystream);
+            let masked = _mm_xor_si128(load(&padded), encrypt(rk, reflect(counter)));
             store(&mut padded, masked);
             tail.copy_from_slice(&padded[..tail.len()]);
         }
@@ -172,39 +170,44 @@ impl HwGcm {
         out
     }
 
-    /// Folds `data` (zero-padded to whole blocks) into the hash state `y`.
+    /// Folds `data` (zero-padded to whole blocks) into the hash state `y`,
+    /// eight blocks per reduction and the remainder in one more.
     #[inline]
     #[target_feature(enable = "aes,pclmulqdq,ssse3")]
     fn absorb(&self, mut y: __m128i, data: &[u8]) -> __m128i {
         let mut batches = data.chunks_exact(BATCH * BLOCK);
         for batch in &mut batches {
-            // (y ^ x0)·H⁸ ^ x1·H⁷ ^ … ^ x7·H: eight independent multiplies
-            // into one unreduced product, one reduction.
-            let mut product = Product::zero();
-            for (block, h) in batch.chunks_exact(BLOCK).zip(self.h_pow) {
-                let block: &[u8; 16] = block.try_into().expect("16-byte block");
-                // The running hash folds into the first block only.
-                let x = _mm_xor_si128(reflect(load(block)), y);
-                y = _mm_setzero_si128();
-                product.add_mul(x, h);
-            }
-            y = product.reduce();
+            y = fold(y, batch, &self.h_pow);
         }
-
-        let h = self.h_pow[BATCH - 1];
-        let mut blocks = batches.remainder().chunks_exact(BLOCK);
-        for block in &mut blocks {
-            let block: &[u8; 16] = block.try_into().expect("16-byte block");
-            y = gf_mul(_mm_xor_si128(y, reflect(load(block))), h);
-        }
-        let tail = blocks.remainder();
-        if !tail.is_empty() {
-            let mut padded = [0u8; 16];
-            padded[..tail.len()].copy_from_slice(tail);
-            y = gf_mul(_mm_xor_si128(y, reflect(load(&padded))), h);
+        let rest = batches.remainder();
+        if !rest.is_empty() {
+            y = fold(y, rest, &self.h_pow[BATCH - rest.len().div_ceil(BLOCK)..]);
         }
         y
     }
+}
+
+/// One GHASH step over the `n ≤ 8` blocks of `group` (the last zero-padded),
+/// with `h_pow` holding `Hⁿ…H¹`: `(y ^ x0)·Hⁿ ^ x1·Hⁿ⁻¹ ^ … ^ xₙ₋₁·H` as
+/// independent multiplies into one unreduced product, then one reduction.
+#[inline]
+#[target_feature(enable = "pclmulqdq,ssse3")]
+fn fold(mut y: __m128i, group: &[u8], h_pow: &[__m128i]) -> __m128i {
+    let mut product = Product::zero();
+    for (chunk, h) in group.chunks(BLOCK).zip(h_pow) {
+        let x = match <&[u8; 16]>::try_from(chunk) {
+            Ok(block) => load(block),
+            Err(_) => {
+                let mut padded = [0u8; 16];
+                padded[..chunk.len()].copy_from_slice(chunk);
+                load(&padded)
+            }
+        };
+        // The running hash folds into the first block only.
+        product.add_mul(_mm_xor_si128(reflect(x), y), *h);
+        y = _mm_setzero_si128();
+    }
+    product.reduce()
 }
 
 #[inline]
