@@ -1,9 +1,9 @@
 //! E4 regression bench: 256 shielded pwrites through the synchronous vs
-//! the asynchronous interface (real lock-free queues and host thread).
+//! the asynchronous interface (real rings and host servicer thread).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use securecloud_scone::hostos::{MemHost, Syscall, SyscallRet};
-use securecloud_scone::syscall::{AsyncShield, SyncShield};
+use securecloud_scone::syscall::Shield;
 use securecloud_sgx::costs::{CostModel, MemoryGeometry};
 use securecloud_sgx::mem::MemorySim;
 use std::sync::Arc;
@@ -19,12 +19,12 @@ fn bench_syscalls(c: &mut Criterion) {
             &payload,
             |b, &payload| {
                 let host = Arc::new(MemHost::new());
-                let shield = SyncShield::new(host);
+                let mut shield = Shield::sync(host);
                 let mut mem = MemorySim::enclave(MemoryGeometry::sgx_v1(), CostModel::sgx_v1());
                 let SyscallRet::Fd(fd) = shield
                     .call(
                         &mut mem,
-                        &Syscall::Open {
+                        Syscall::Open {
                             path: "/f".into(),
                             create: true,
                         },
@@ -38,7 +38,7 @@ fn bench_syscalls(c: &mut Criterion) {
                         shield
                             .call(
                                 &mut mem,
-                                &Syscall::Pwrite {
+                                Syscall::Pwrite {
                                     fd,
                                     offset: (i * payload) as u64,
                                     data: vec![1u8; payload],
@@ -54,7 +54,7 @@ fn bench_syscalls(c: &mut Criterion) {
             &payload,
             |b, &payload| {
                 let host = Arc::new(MemHost::new());
-                let mut shield = AsyncShield::new(host);
+                let mut shield = Shield::threaded(host);
                 let mut mem = MemorySim::enclave(MemoryGeometry::sgx_v1(), CostModel::sgx_v1());
                 let SyscallRet::Fd(fd) = shield
                     .call(

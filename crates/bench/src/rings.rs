@@ -5,7 +5,7 @@
 //! Each point runs `workers` cooperative tasks inside one executor; every
 //! task opens its own shielded file, issues a run of pwrites, and closes
 //! it. The synchronous baseline performs the identical syscall sequence
-//! through [`SyncShield`], paying a full ECALL/OCALL pair per call. The
+//! through [`Shield::sync`], paying a full ECALL/OCALL pair per call. The
 //! ring plane pays only slot copies ([`CostModel::ring_slot_cycles`]) and
 //! never transitions, so `ring_cycles_per_op` stays below
 //! [`CostModel::transition_pair`] regardless of payload — that inequality
@@ -17,7 +17,7 @@
 
 use securecloud_scone::executor::Executor;
 use securecloud_scone::hostos::{MemHost, Syscall, SyscallRet};
-use securecloud_scone::syscall::{AsyncShield, SyncShield};
+use securecloud_scone::syscall::Shield;
 use securecloud_sgx::costs::{CostModel, MemoryGeometry};
 use securecloud_sgx::mem::MemorySim;
 use securecloud_telemetry::Telemetry;
@@ -120,14 +120,14 @@ fn run_sync_plane(
     ops_per_worker: usize,
 ) -> (u64, u64, Arc<MemHost>) {
     let host = Arc::new(MemHost::new());
-    let shield = SyncShield::new(host.clone());
+    let mut shield = Shield::sync(host.clone());
     let mut mem = enclave_mem();
     let before = mem.cycles();
     for worker in 0..workers {
         let ret = shield
             .call(
                 &mut mem,
-                &Syscall::Open {
+                Syscall::Open {
                     path: format!("/bench/w{worker}"),
                     create: true,
                 },
@@ -139,7 +139,7 @@ fn run_sync_plane(
             shield
                 .call(
                     &mut mem,
-                    &Syscall::Pwrite {
+                    Syscall::Pwrite {
                         fd,
                         offset: (i * payload_bytes) as u64,
                         data: data.clone(),
@@ -147,9 +147,7 @@ fn run_sync_plane(
                 )
                 .expect("pwrite");
         }
-        shield
-            .call(&mut mem, &Syscall::Close { fd })
-            .expect("close");
+        shield.call(&mut mem, Syscall::Close { fd }).expect("close");
     }
     (mem.cycles() - before, host.call_count(), host)
 }
@@ -169,7 +167,7 @@ fn run_ring_plane(
     Arc<MemHost>,
 ) {
     let host = Arc::new(MemHost::new());
-    let shield = AsyncShield::switchless(host.clone(), depth);
+    let shield = Shield::switchless(host.clone(), depth);
     let mut exec = Executor::new(shield);
     let local = Arc::new(Telemetry::new());
     exec.set_telemetry(local.clone());

@@ -2,7 +2,7 @@
 //! synchronous (transition-per-call) interface (§IV).
 
 use securecloud_scone::hostos::{MemHost, Syscall, SyscallRet};
-use securecloud_scone::syscall::{AsyncShield, SyncShield};
+use securecloud_scone::syscall::Shield;
 use securecloud_sgx::costs::{CostModel, MemoryGeometry};
 use securecloud_sgx::mem::MemorySim;
 use std::sync::Arc;
@@ -28,11 +28,11 @@ fn enclave_mem() -> MemorySim {
     MemorySim::enclave(MemoryGeometry::sgx_v1(), CostModel::sgx_v1())
 }
 
-fn open(shield: &SyncShield, mem: &mut MemorySim, path: &str) -> u64 {
+fn open(shield: &mut Shield, mem: &mut MemorySim, path: &str) -> u64 {
     match shield
         .call(
             mem,
-            &Syscall::Open {
+            Syscall::Open {
                 path: path.to_string(),
                 create: true,
             },
@@ -51,15 +51,15 @@ pub fn run_point(payload: usize, calls: usize) -> SyscallPoint {
     let ghz = CostModel::sgx_v1().cpu_ghz;
 
     // --- Synchronous: each call transitions out and back.
-    let sync_shield = SyncShield::new(host.clone());
+    let mut sync_shield = Shield::sync(host.clone());
     let mut mem = enclave_mem();
-    let fd = open(&sync_shield, &mut mem, "/sync");
+    let fd = open(&mut sync_shield, &mut mem, "/sync");
     let before = mem.cycles();
     for i in 0..calls {
         sync_shield
             .call(
                 &mut mem,
-                &Syscall::Pwrite {
+                Syscall::Pwrite {
                     fd,
                     offset: (i * payload) as u64,
                     data: vec![0xab; payload],
@@ -69,24 +69,11 @@ pub fn run_point(payload: usize, calls: usize) -> SyscallPoint {
     }
     let sync_cycles = (mem.cycles() - before) as f64 / calls as f64;
 
-    // --- Asynchronous: lock-free queue to a host thread, 32 in flight.
-    let mut async_shield = AsyncShield::new(host);
+    // --- Asynchronous: the rings and a real host servicer thread, 32
+    // calls in flight.
+    let mut async_shield = Shield::threaded(host);
     let mut mem = enclave_mem();
-    let setup = SyncShield::new(Arc::new(MemHost::new()));
-    let _ = setup; // async shield opens through itself:
-    let fd = match async_shield
-        .call(
-            &mut mem,
-            Syscall::Open {
-                path: "/async".into(),
-                create: true,
-            },
-        )
-        .expect("open")
-    {
-        SyscallRet::Fd(fd) => fd,
-        other => panic!("unexpected open result {other:?}"),
-    };
+    let fd = open(&mut async_shield, &mut mem, "/async");
     let before = mem.cycles();
     const WINDOW: usize = 32;
     let mut issued = 0usize;
@@ -130,15 +117,15 @@ pub fn sweep(payloads: &[usize], calls: usize) -> Vec<SyscallPoint> {
 /// E4b: effect of the asynchronous in-flight window. The enclave-side
 /// *simulated* cost per call is window-independent (the submissions are
 /// identical); what the window buys is overlap with the host thread, so
-/// this sweep reports **wall-clock** time per call across the real
-/// lock-free queues and host thread.
+/// this sweep reports **wall-clock** time per call across the real rings
+/// and host servicer thread.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowPoint {
     /// In-flight window depth.
     pub window: usize,
     /// Enclave cycles per call (simulated; window-independent by design).
     pub cycles_per_call: f64,
-    /// Wall-clock nanoseconds per call across the real queues.
+    /// Wall-clock nanoseconds per call across the real rings.
     pub wall_ns_per_call: f64,
 }
 
@@ -149,21 +136,9 @@ pub fn window_sweep(windows: &[usize], calls: usize) -> Vec<WindowPoint> {
         .iter()
         .map(|&window| {
             let host = Arc::new(MemHost::new());
-            let mut shield = AsyncShield::new(host);
+            let mut shield = Shield::threaded(host);
             let mut mem = enclave_mem();
-            let fd = match shield
-                .call(
-                    &mut mem,
-                    Syscall::Open {
-                        path: "/w".into(),
-                        create: true,
-                    },
-                )
-                .expect("open")
-            {
-                SyscallRet::Fd(fd) => fd,
-                other => panic!("unexpected open result {other:?}"),
-            };
+            let fd = open(&mut shield, &mut mem, "/w");
             let before = mem.cycles();
             let wall_start = std::time::Instant::now();
             let mut issued = 0usize;

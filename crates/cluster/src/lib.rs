@@ -23,8 +23,8 @@
 //!   kill during a scale-up converges to the desired state instead of
 //!   flapping;
 //! * every resident replica is placed on the simulated data-center
-//!   through a GenPack [`Scheduler`](securecloud_genpack::Scheduler), so
-//!   elasticity shows up in the power model (consolidation, parked
+//!   through a GenPack [`Scheduler`](securecloud_genpack::schedulers::Scheduler),
+//!   so elasticity shows up in the power model (consolidation, parked
 //!   servers) and not just in replica counts.
 //!
 //! Every decision is recorded as a `t=<ms> ...` line in an append-only

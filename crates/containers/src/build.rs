@@ -16,7 +16,7 @@ use crate::ContainerError;
 use securecloud_scone::fshield::{FsProtection, ShieldedFs};
 use securecloud_scone::hostos::MemHost;
 use securecloud_scone::scf::{Scf, StdioKeys};
-use securecloud_scone::syscall::SyncShield;
+use securecloud_scone::syscall::Shield;
 use securecloud_sgx::costs::{CostModel, MemoryGeometry};
 use securecloud_sgx::enclave::Measurement;
 use securecloud_sgx::mem::MemorySim;
@@ -223,7 +223,7 @@ impl SecureImageBuilder {
             }
             None => FsProtection::new(),
         };
-        let mut fs = ShieldedFs::mount(SyncShield::new(staging.clone()), initial_protection);
+        let mut fs = ShieldedFs::mount(Shield::sync(staging.clone()), initial_protection);
         for (path, content) in &self.protected {
             fs.create(path)
                 .map_err(|e| ContainerError::Build(e.to_string()))?;

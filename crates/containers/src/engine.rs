@@ -398,12 +398,12 @@ impl Engine {
         let server = std::thread::spawn(move || service.read().serve_one(server_t));
         // With an injector attached, the runtime's syscalls pass through a
         // FaultyHost so armed SyscallFail faults hit the shield layer.
-        let host_os: Arc<dyn HostOs> = match injector {
+        let shield = securecloud_scone::syscall::Shield::sync(match injector {
             Some(injector) => Arc::new(FaultyHost::new(Arc::clone(host), Arc::clone(injector))),
-            None => host.clone() as Arc<dyn HostOs>,
-        };
+            None => host.clone(),
+        });
         let runtime =
-            SconeRuntime::bootstrap(enclave, client_t, service_key, host_os, &sealed_protection);
+            SconeRuntime::bootstrap(enclave, client_t, service_key, shield, &sealed_protection);
         let served = server.join().expect("config service thread");
         drop(span);
         match runtime {

@@ -157,7 +157,7 @@ impl Aes128 {
     ///
     /// The state is held as four big-endian column words; each round is 16
     /// T-table lookups and the final round applies the S-box alone. Verified
-    /// byte-for-byte against [`Aes128::encrypt_block_scalar`] by property
+    /// byte-for-byte against `Aes128::encrypt_block_scalar` by property
     /// tests and against the FIPS-197 / NIST vectors.
     #[inline]
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
@@ -243,7 +243,7 @@ impl Aes128 {
     /// block; the same call decrypts.
     ///
     /// The counter is incremented over the full 128 bits, big-endian.
-    /// Keystream blocks are generated [`CTR_BATCH`] at a time and XORed in as
+    /// Keystream blocks are generated `CTR_BATCH` at a time and XORed in as
     /// whole words.
     pub fn ctr_xor(&self, counter0: &[u8; 16], buf: &mut [u8]) {
         let mut counter = *counter0;

@@ -16,7 +16,7 @@
 //!   sealing key is installed exclusively over a mutually-authenticated
 //!   [`SecureChannel`](securecloud_crypto::channel::SecureChannel);
 //! * [`group::ShardGroup`] — quorum writes/reads over `n` enclave replicas
-//!   (configurable [`ReplicationFactor`]/[`WriteQuorum`](cluster::WriteQuorum)) with
+//!   (configurable [`ReplicationFactor`]/[`WriteQuorum`]) with
 //!   rollback-protected epoch numbers backed by the trusted
 //!   [`CounterService`](securecloud_kvstore::CounterService);
 //! * failover — when a replica is killed (e.g. by a

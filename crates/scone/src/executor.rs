@@ -1,24 +1,26 @@
-//! An in-enclave cooperative futures executor over the switchless rings.
+//! The in-enclave scheduler: a cooperative futures executor over the
+//! shielded syscall interface.
 //!
-//! [`crate::tasks`] schedules hand-rolled state machines; this module is
-//! the same M:N idea expressed with Rust's native `Future`/`Waker`
-//! machinery: application coroutines `await` shielded syscalls, the
-//! executor multiplexes them onto one enclave thread, and when every
-//! coroutine is blocked it parks on the ring's completion signal — no
-//! busy-polling and, as always on the switchless plane, no enclave
-//! transitions.
+//! This is SCONE's "tailored threading". Kernel threads cannot be
+//! scheduled inside an enclave without paying transitions, so M
+//! application coroutines are multiplexed onto one enclave thread at user
+//! level, with Rust's native `Future`/`Waker` machinery: a coroutine that
+//! `await`s a shielded syscall parks and another one runs (a user-level
+//! switch costs [`USER_SWITCH_CYCLES`], not a ~8 000-cycle enclave exit),
+//! and when every coroutine is blocked the executor parks on the shield's
+//! completion signal — no busy-polling and, over the switchless
+//! transport, no enclave transitions.
 //!
 //! Futures never touch the shield or the memory simulation directly (a
 //! future's `poll` has no way to carry `&mut MemorySim` soundly across
 //! `await` points). Instead [`EnclaveHandle::syscall`] parks the request
 //! in a shared staging cell; the executor drains staged requests after
 //! each poll — where it *does* hold `&mut MemorySim` — submits them on the
-//! [`AsyncShield`], and routes each completion back to its cell before
-//! waking the owning task.
+//! [`Shield`], and routes each completion back to its cell before waking
+//! the owning task.
 
 use crate::hostos::{Syscall, SyscallRet};
-use crate::syscall::AsyncShield;
-use crate::tasks::USER_SWITCH_CYCLES;
+use crate::syscall::Shield;
 use crate::SconeError;
 use securecloud_sgx::mem::MemorySim;
 use securecloud_telemetry::Telemetry;
@@ -29,6 +31,10 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
+
+/// Cycles charged per user-level context switch (register save/restore —
+/// the whole point is that this is ~100x cheaper than an enclave exit).
+pub const USER_SWITCH_CYCLES: u64 = 60;
 
 /// The per-syscall mailbox shared between a [`SyscallFuture`] and the
 /// executor: the request travels out through `call`, the validated result
@@ -151,16 +157,16 @@ pub struct ExecStats {
     pub polls: u64,
     /// Tasks driven to completion.
     pub tasks_completed: u64,
-    /// Syscalls submitted on the rings.
+    /// Syscalls submitted on the shield.
     pub syscalls: u64,
     /// Times the executor parked on the completion signal.
     pub parks: u64,
 }
 
 /// The in-enclave executor: a ready queue of spawned futures over one
-/// switchless [`AsyncShield`].
+/// [`Shield`].
 pub struct Executor {
-    shield: AsyncShield,
+    shield: Shield,
     staging: Rc<RefCell<Staging>>,
     tasks: HashMap<usize, Pin<Box<dyn Future<Output = ()>>>>,
     wakers: HashMap<usize, Waker>,
@@ -182,7 +188,7 @@ impl std::fmt::Debug for Executor {
 impl Executor {
     /// Creates an executor issuing syscalls through `shield`.
     #[must_use]
-    pub fn new(shield: AsyncShield) -> Self {
+    pub fn new(shield: Shield) -> Self {
         Executor {
             shield,
             staging: Rc::new(RefCell::new(Staging::default())),
@@ -317,8 +323,8 @@ impl Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hostos::MemHost;
-    use crate::rings::ServicerMode;
+    use crate::hostos::{HostOs, MemHost};
+    use crate::rings::DEFAULT_RING_DEPTH;
     use securecloud_sgx::costs::{CostModel, MemoryGeometry};
 
     fn mem() -> MemorySim {
@@ -354,7 +360,7 @@ mod tests {
     #[test]
     fn futures_interleave_over_the_rings() {
         let host = Arc::new(MemHost::new());
-        let mut exec = Executor::new(AsyncShield::switchless(host.clone(), 8));
+        let mut exec = Executor::new(Shield::switchless(host.clone(), 8));
         let handle = exec.handle();
         for i in 0..6u64 {
             exec.spawn(write_file(handle.clone(), format!("/fut{i}"), 12));
@@ -377,7 +383,7 @@ mod tests {
     #[test]
     fn yield_now_round_robins() {
         let host = Arc::new(MemHost::new());
-        let mut exec = Executor::new(AsyncShield::switchless(host, 4));
+        let mut exec = Executor::new(Shield::switchless(host, 4));
         let handle = exec.handle();
         let order: Rc<RefCell<Vec<u32>>> = Rc::new(RefCell::new(Vec::new()));
         for id in 0..3u32 {
@@ -399,9 +405,9 @@ mod tests {
 
     #[test]
     fn executor_runs_are_deterministic() {
-        let run = |mode: ServicerMode| {
+        let run = |shield: fn(Arc<dyn HostOs>) -> Shield| {
             let host = Arc::new(MemHost::new());
-            let mut exec = Executor::new(AsyncShield::with_rings(host.clone(), 8, mode));
+            let mut exec = Executor::new(shield(host.clone()));
             let handle = exec.handle();
             for i in 0..4u64 {
                 exec.spawn(write_file(handle.clone(), format!("/d{i}"), 9));
@@ -410,20 +416,83 @@ mod tests {
             let stats = exec.run(&mut m).unwrap();
             (stats, m.cycles(), host.raw_file("/d3").unwrap())
         };
-        let a = run(ServicerMode::Deterministic);
-        let b = run(ServicerMode::Deterministic);
+        let deterministic = |host| Shield::switchless(host, DEFAULT_RING_DEPTH);
+        let a = run(deterministic);
+        let b = run(deterministic);
         assert_eq!(a, b);
         // The threaded servicer produces the same final state and the same
         // deterministic cycle count — only wall-clock overlap differs.
-        let c = run(ServicerMode::Threaded);
+        let c = run(Shield::threaded);
         assert_eq!(a.1, c.1);
         assert_eq!(a.2, c.2);
     }
 
     #[test]
+    fn pure_compute_tasks_never_reach_the_host() {
+        let host = Arc::new(MemHost::new());
+        let mut exec = Executor::new(Shield::threaded(host.clone()));
+        for _ in 0..4 {
+            let handle = exec.handle();
+            exec.spawn(async move {
+                for _ in 0..5 {
+                    handle.charge_ops(100);
+                    handle.yield_now().await;
+                }
+            });
+        }
+        let mut m = mem();
+        let stats = exec.run(&mut m).unwrap();
+        assert_eq!(stats.tasks_completed, 4);
+        assert_eq!(stats.syscalls, 0);
+        assert_eq!(host.call_count(), 0);
+        // Cost is compute + cheap user switches only: far below one
+        // enclave transition per switch.
+        assert!(m.cycles() < stats.polls * CostModel::sgx_v1().transition_pair());
+    }
+
+    #[test]
+    fn one_poll_charges_exactly_one_user_switch() {
+        // The M:N claim in one number: scheduling overhead per switch is
+        // USER_SWITCH_CYCLES, not the ~8k of an enclave exit+entry.
+        let mut exec = Executor::new(Shield::sync(Arc::new(MemHost::new())));
+        exec.spawn(async {});
+        let mut m = mem();
+        let before = m.cycles();
+        let stats = exec.run(&mut m).unwrap();
+        assert_eq!(stats.polls, 1);
+        assert_eq!(m.cycles() - before, USER_SWITCH_CYCLES);
+    }
+
+    #[test]
+    fn yielding_and_syscalling_tasks_all_complete() {
+        // A mixed workload of syscall-heavy and compute-only tasks: every
+        // park delivers a completion, so nothing is left behind.
+        let host = Arc::new(MemHost::new());
+        let mut exec = Executor::new(Shield::switchless(host.clone(), 8));
+        let handle = exec.handle();
+        for i in 0..6u64 {
+            exec.spawn(write_file(handle.clone(), format!("/mix{i}"), 7));
+        }
+        exec.spawn(async move {
+            for _ in 0..50 {
+                handle.yield_now().await;
+            }
+        });
+        let mut m = mem();
+        let stats = exec.run(&mut m).unwrap();
+        assert_eq!(stats.tasks_completed, 7);
+        assert_eq!(stats.syscalls, 6 * 9); // open + 7 writes + close
+        assert_eq!(stats.parks, stats.syscalls);
+        assert_eq!(exec.pending(), 0);
+        for i in 0..6 {
+            assert_eq!(host.raw_file(&format!("/mix{i}")).unwrap().len(), 7 * 8);
+        }
+    }
+
+    #[test]
     fn deadlocked_await_is_reported() {
         let host = Arc::new(MemHost::new());
-        let mut exec = Executor::new(AsyncShield::switchless(host, 4));
+        let mut exec = Executor::new(Shield::switchless(host, 4));
         exec.spawn(async {
             std::future::pending::<()>().await;
         });

@@ -13,7 +13,7 @@
 //! newer one).
 
 use crate::hostos::{Syscall, SyscallRet};
-use crate::syscall::{AsyncShield, ShieldDriver, SyncShield};
+use crate::syscall::Shield;
 use crate::SconeError;
 use securecloud_crypto::gcm::{AesGcm, NONCE_LEN, TAG_LEN};
 use securecloud_crypto::sha256::Sha256;
@@ -171,36 +171,16 @@ fn chunk_aad(path: &str, chunk_index: usize, version: u64) -> Vec<u8> {
 /// only inside the enclave.
 #[derive(Debug)]
 pub struct ShieldedFs {
-    shield: ShieldDriver,
+    shield: Shield,
     protection: FsProtection,
 }
 
 impl ShieldedFs {
-    /// Mounts a shielded FS with existing protection metadata, issuing
-    /// syscalls synchronously (one transition pair each).
+    /// Mounts a shielded FS with existing protection metadata; syscalls
+    /// travel over whichever transport `shield` was built with.
     #[must_use]
-    pub fn mount(shield: SyncShield, protection: FsProtection) -> Self {
-        ShieldedFs {
-            shield: ShieldDriver::sync(shield),
-            protection,
-        }
-    }
-
-    /// Mounts a shielded FS whose syscalls ride the switchless
-    /// submission/completion rings: identical shielding and validation,
-    /// zero enclave transitions.
-    #[must_use]
-    pub fn mount_switchless(shield: AsyncShield, protection: FsProtection) -> Self {
-        ShieldedFs {
-            shield: ShieldDriver::switchless(shield),
-            protection,
-        }
-    }
-
-    /// The plane syscalls travel on: `"sync"` or `"switchless"`.
-    #[must_use]
-    pub fn shield_mode(&self) -> &'static str {
-        self.shield.mode()
+    pub fn mount(shield: Shield, protection: FsProtection) -> Self {
+        ShieldedFs { shield, protection }
     }
 
     /// The current protection metadata (keys + MACs).
@@ -323,7 +303,7 @@ impl ShieldedFs {
     /// [`SconeError::NotFound`] for unknown paths; [`SconeError::Tampered`]
     /// if any covering chunk fails authentication or was rolled back.
     pub fn read(
-        &self,
+        &mut self,
         mem: &mut MemorySim,
         path: &str,
         offset: u64,
@@ -370,9 +350,9 @@ impl ShieldedFs {
             .remove(path)
             .ok_or_else(|| SconeError::NotFound(path.to_string()))?;
         for chunk_index in 0..meta.chunks.len() {
-            let _ = self.shield.call(
+            self.shield.call(
                 mem,
-                &Syscall::Unlink {
+                Syscall::Unlink {
                     path: chunk_path(path, chunk_index),
                 },
             )?;
@@ -381,7 +361,7 @@ impl ShieldedFs {
     }
 
     fn read_chunk(
-        &self,
+        &mut self,
         mem: &mut MemorySim,
         path: &str,
         chunk_index: usize,
@@ -391,7 +371,8 @@ impl ShieldedFs {
             .files
             .get(path)
             .ok_or_else(|| SconeError::NotFound(path.to_string()))?;
-        let chunk_meta = meta.chunks.get(chunk_index).ok_or_else(|| {
+        let key = meta.key;
+        let chunk_meta = meta.chunks.get(chunk_index).cloned().ok_or_else(|| {
             SconeError::Tampered(format!("missing chunk metadata {chunk_index} for {path}"))
         })?;
         // A version-0 chunk is a hole from a sparse write: it was never
@@ -403,7 +384,7 @@ impl ShieldedFs {
         let fd = self.open_host(mem, &host_path, false)?;
         let sealed = match self.shield.call(
             mem,
-            &Syscall::Pread {
+            Syscall::Pread {
                 fd,
                 offset: 0,
                 len: CHUNK_SIZE + TAG_LEN,
@@ -432,11 +413,9 @@ impl ShieldedFs {
         let nonce = chunk_nonce(chunk_index as u32, chunk_meta.version);
         let aad = chunk_aad(path, chunk_index, chunk_meta.version);
         mem.charge_cycles(sealed.len() as u64 * AEAD_CYCLES_PER_BYTE);
-        AesGcm::new(&meta.key)
-            .open(&nonce, &sealed, &aad)
-            .map_err(|_| {
-                SconeError::Tampered(format!("chunk {chunk_index} of {path} failed to decrypt"))
-            })
+        AesGcm::new(&key).open(&nonce, &sealed, &aad).map_err(|_| {
+            SconeError::Tampered(format!("chunk {chunk_index} of {path} failed to decrypt"))
+        })
     }
 
     fn write_chunk(
@@ -450,15 +429,9 @@ impl ShieldedFs {
         let meta = self
             .protection
             .files
-            .get_mut(path)
+            .get(path)
             .ok_or_else(|| SconeError::NotFound(path.to_string()))?;
-        while meta.chunks.len() <= chunk_index {
-            meta.chunks.push(ChunkMeta {
-                version: 0,
-                tag: [0u8; TAG_LEN],
-            });
-        }
-        let version = meta.chunks[chunk_index].version + 1;
+        let version = meta.chunks.get(chunk_index).map_or(0, |c| c.version) + 1;
         let nonce = chunk_nonce(chunk_index as u32, version);
         let aad = chunk_aad(path, chunk_index, version);
         mem.charge_cycles(plain.len() as u64 * AEAD_CYCLES_PER_BYTE);
@@ -466,30 +439,45 @@ impl ShieldedFs {
         let tag: [u8; TAG_LEN] = sealed[sealed.len() - TAG_LEN..]
             .try_into()
             .expect("tag length");
-        meta.chunks[chunk_index] = ChunkMeta { version, tag };
 
         let host_path = chunk_path(path, chunk_index);
         let fd = self.open_host(mem, &host_path, true)?;
         let sealed_len = sealed.len() as u64;
         match self.shield.call(
             mem,
-            &Syscall::Pwrite {
+            Syscall::Pwrite {
                 fd,
                 offset: 0,
                 data: sealed,
             },
         )? {
-            SyscallRet::Done(_) => {}
+            SyscallRet::Done(n) if n == sealed_len => {}
             other => {
                 return Err(SconeError::HostViolation(format!(
-                    "pwrite answered {other:?}"
+                    "pwrite of {sealed_len} bytes answered {other:?}"
                 )))
             }
         }
+        // The host acknowledged the whole chunk: only now does the
+        // metadata move to the new version, so a failed write leaves the
+        // previous (version, tag) over the previous host bytes.
+        let chunks = &mut self
+            .protection
+            .files
+            .get_mut(path)
+            .expect("looked up above")
+            .chunks;
+        while chunks.len() <= chunk_index {
+            chunks.push(ChunkMeta {
+                version: 0,
+                tag: [0u8; TAG_LEN],
+            });
+        }
+        chunks[chunk_index] = ChunkMeta { version, tag };
         // Shrink the host file if the chunk got shorter.
         self.shield.call(
             mem,
-            &Syscall::Ftruncate {
+            Syscall::Ftruncate {
                 fd,
                 len: sealed_len,
             },
@@ -497,10 +485,15 @@ impl ShieldedFs {
         self.close_host(mem, fd)
     }
 
-    fn open_host(&self, mem: &mut MemorySim, path: &str, create: bool) -> Result<u64, SconeError> {
+    fn open_host(
+        &mut self,
+        mem: &mut MemorySim,
+        path: &str,
+        create: bool,
+    ) -> Result<u64, SconeError> {
         match self.shield.call(
             mem,
-            &Syscall::Open {
+            Syscall::Open {
                 path: path.to_string(),
                 create,
             },
@@ -515,8 +508,8 @@ impl ShieldedFs {
         }
     }
 
-    fn close_host(&self, mem: &mut MemorySim, fd: u64) -> Result<(), SconeError> {
-        self.shield.call(mem, &Syscall::Close { fd })?;
+    fn close_host(&mut self, mem: &mut MemorySim, fd: u64) -> Result<(), SconeError> {
+        self.shield.call(mem, Syscall::Close { fd })?;
         Ok(())
     }
 }
@@ -530,7 +523,7 @@ mod tests {
 
     fn setup() -> (Arc<MemHost>, ShieldedFs, MemorySim) {
         let host = Arc::new(MemHost::new());
-        let fs = ShieldedFs::mount(SyncShield::new(host.clone()), FsProtection::new());
+        let fs = ShieldedFs::mount(Shield::sync(host.clone()), FsProtection::new());
         let mem = MemorySim::enclave(MemoryGeometry::sgx_v1(), CostModel::zero());
         (host, fs, mem)
     }
@@ -553,14 +546,12 @@ mod tests {
     fn switchless_mount_matches_sync_byte_for_byte() {
         let run = |switchless: bool| {
             let host = Arc::new(MemHost::new());
-            let mut fs = if switchless {
-                ShieldedFs::mount_switchless(
-                    AsyncShield::switchless(host.clone(), 8),
-                    FsProtection::new(),
-                )
+            let shield = if switchless {
+                Shield::switchless(host.clone(), 8)
             } else {
-                ShieldedFs::mount(SyncShield::new(host.clone()), FsProtection::new())
+                Shield::sync(host.clone())
             };
+            let mut fs = ShieldedFs::mount(shield, FsProtection::new());
             let mut mem = MemorySim::enclave(MemoryGeometry::sgx_v1(), CostModel::zero());
             fs.create("/db").unwrap();
             let data: Vec<u8> = (0..2 * CHUNK_SIZE + 77).map(|i| (i % 241) as u8).collect();
@@ -679,6 +670,67 @@ mod tests {
     }
 
     #[test]
+    fn failed_chunk_write_leaves_the_file_readable_and_retryable() {
+        use crate::hostos::FaultyHost;
+        use securecloud_faults::{FaultInjector, FaultKind, FaultPlan};
+        let plan = FaultPlan::new().at(1, FaultKind::SyscallFail { count: 1 });
+        let injector = Arc::new(FaultInjector::with_plan(7, plan));
+        let host = Arc::new(FaultyHost::new(MemHost::new(), Arc::clone(&injector)));
+        let mut fs = ShieldedFs::mount(Shield::sync(host), FsProtection::new());
+        let mut mem = MemorySim::enclave(MemoryGeometry::sgx_v1(), CostModel::zero());
+        fs.create("/g").unwrap();
+        fs.write(&mut mem, "/g", 0, b"near").unwrap();
+        // The host fails the open of the far chunk: nothing was stored, so
+        // the metadata must not claim a version the host never saw.
+        injector.advance_to(1);
+        assert!(fs.write(&mut mem, "/g", 1 << 20, b"far").is_err());
+        assert_eq!(fs.read(&mut mem, "/g", 0, 4).unwrap(), b"near");
+        // The host is healthy again: the same write goes through.
+        fs.write(&mut mem, "/g", 1 << 20, b"far").unwrap();
+        assert_eq!(fs.read(&mut mem, "/g", 1 << 20, 3).unwrap(), b"far");
+        assert_eq!(fs.read(&mut mem, "/g", 0, 4).unwrap(), b"near");
+    }
+
+    #[test]
+    fn short_pwrite_ack_is_a_failed_write() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        /// Acknowledges one byte less than it was given, once, storing
+        /// nothing.
+        struct ShortAck {
+            inner: MemHost,
+            armed: AtomicBool,
+        }
+        impl HostOs for ShortAck {
+            fn execute(&self, call: &Syscall) -> SyscallRet {
+                match call {
+                    Syscall::Pwrite { data, .. } if self.armed.swap(false, Ordering::Relaxed) => {
+                        SyscallRet::Done(data.len() as u64 - 1)
+                    }
+                    _ => self.inner.execute(call),
+                }
+            }
+        }
+        let host = Arc::new(ShortAck {
+            inner: MemHost::new(),
+            armed: false.into(),
+        });
+        let mut fs = ShieldedFs::mount(Shield::sync(host.clone()), FsProtection::new());
+        let mut mem = MemorySim::enclave(MemoryGeometry::sgx_v1(), CostModel::zero());
+        fs.create("/f").unwrap();
+        fs.write(&mut mem, "/f", 0, b"version 1").unwrap();
+        host.armed.store(true, Ordering::Relaxed);
+        assert!(matches!(
+            fs.write(&mut mem, "/f", 0, b"version 2"),
+            Err(SconeError::HostViolation(_))
+        ));
+        // The short write never counted: version 1 is still what the
+        // metadata vouches for, and the retry lands.
+        assert_eq!(fs.read(&mut mem, "/f", 0, 9).unwrap(), b"version 1");
+        fs.write(&mut mem, "/f", 0, b"version 2").unwrap();
+        assert_eq!(fs.read(&mut mem, "/f", 0, 9).unwrap(), b"version 2");
+    }
+
+    #[test]
     fn protection_seal_roundtrip() {
         let (_host, mut fs, mut mem) = setup();
         fs.create("/a").unwrap();
@@ -711,7 +763,7 @@ mod tests {
         // their own protected file on top.
         let reopened = FsProtection::open_signed(&signing_key, &signed).unwrap();
         assert_eq!(reopened, base_protection);
-        let mut fs2 = ShieldedFs::mount(SyncShield::new(host), reopened);
+        let mut fs2 = ShieldedFs::mount(Shield::sync(host), reopened);
         fs2.create("/custom/extra").unwrap();
         fs2.write(&mut mem, "/custom/extra", 0, b"customised")
             .unwrap();
@@ -745,7 +797,7 @@ mod tests {
         fs.write(&mut mem, "/persist", 0, b"durable bytes").unwrap();
         let protection = fs.into_protection();
         // A new enclave instance mounts the same host state.
-        let fs2 = ShieldedFs::mount(SyncShield::new(host), protection);
+        let mut fs2 = ShieldedFs::mount(Shield::sync(host), protection);
         assert_eq!(
             fs2.read(&mut mem, "/persist", 0, 13).unwrap(),
             b"durable bytes"

@@ -107,6 +107,12 @@ impl<H: HostOs + ?Sized> HostOs for Arc<H> {
     }
 }
 
+impl fmt::Debug for dyn HostOs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "dyn HostOs")
+    }
+}
+
 type FileRef = Arc<Mutex<Vec<u8>>>;
 
 #[derive(Debug, Default)]

@@ -6,21 +6,20 @@
 //! untrusted world. This crate reproduces its architecture:
 //!
 //! * [`syscall`] — the *external system call interface*: arguments are
-//!   copied out, results sanity-checked and copied in; available in a
-//!   naive synchronous mode (one enclave transition round-trip per call)
-//!   and SCONE's asynchronous queue mode.
+//!   copied out, results sanity-checked against an in-enclave pending
+//!   table and copied in. One [`syscall::Shield`]; its constructor picks
+//!   the transport — a transition pair per call, or SCONE's asynchronous
+//!   rings.
 //! * [`fshield`] — transparent encryption/authentication of file data with
 //!   an *FS protection file* holding per-file keys and chunk MACs.
 //! * [`stdio`] — encrypted standard I/O streams.
 //! * [`rings`] — shared-memory submission/completion rings: the switchless
-//!   transport that replaces the per-call queue handoff with SPSC slots in
-//!   untrusted memory, serviced by the host without any enclave transition.
-//! * [`tasks`] — SCONE's "tailored threading": a user-level M:N task
-//!   scheduler multiplexing application threads over the async syscall
-//!   rings without enclave transitions.
-//! * [`executor`] — an in-enclave cooperative futures executor: wakers,
-//!   a ready queue, and a parking path that blocks on ring completions
-//!   instead of busy-polling.
+//!   transport, SPSC slots in untrusted memory serviced by the host
+//!   without any enclave transition.
+//! * [`executor`] — SCONE's "tailored threading", the one in-enclave
+//!   scheduler: a cooperative futures executor (wakers, a ready queue, and
+//!   a parking path that blocks on completions instead of busy-polling)
+//!   multiplexing application coroutines over the shield.
 //! * [`scf`] — the startup configuration file and the attested provisioning
 //!   flow that releases it only to verified enclaves.
 //! * [`runtime`] — the assembled secure-container runtime.
@@ -35,7 +34,6 @@ pub mod runtime;
 pub mod scf;
 pub mod stdio;
 pub mod syscall;
-pub mod tasks;
 
 use securecloud_crypto::CryptoError;
 use securecloud_sgx::SgxError;

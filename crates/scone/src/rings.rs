@@ -27,7 +27,7 @@
 //!
 //! # Wake protocol
 //!
-//! Both directions park on a permit-counting [`WaitSignal`] (an
+//! Both directions park on a permit-counting `WaitSignal` (an
 //! eventcount): the producer posts one permit per pushed entry, the
 //! consumer loops `wait → try_pop`, so a wake without an entry — a
 //! *spurious* wake — is structurally impossible unless the consumer

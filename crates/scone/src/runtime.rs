@@ -9,13 +9,13 @@
 //! 3. the sealed FS protection file (shipped in the container image) is
 //!    verified against the digest pinned in the SCF and decrypted with the
 //!    key from the SCF,
-//! 4. the shielded file system is mounted over the untrusted host.
+//! 4. the shielded file system is mounted over the untrusted host, behind
+//!    the [`Shield`] the caller built (which fixes the syscall transport).
 
 use crate::fshield::{FsProtection, ShieldedFs};
-use crate::hostos::HostOs;
 use crate::scf::{fetch_scf, Scf};
 use crate::stdio::{ShieldedStream, StreamRole};
-use crate::syscall::SyncShield;
+use crate::syscall::Shield;
 use crate::SconeError;
 use securecloud_crypto::channel::{Identity, Transport};
 use securecloud_crypto::x25519::PublicKey;
@@ -41,53 +41,11 @@ impl SconeRuntime {
     /// * [`SconeError::Tampered`] — the image's FS protection file does not
     ///   match the digest pinned in the SCF.
     pub fn bootstrap<T: Transport>(
-        enclave: Enclave,
-        transport: T,
-        config_service_key: PublicKey,
-        host: Arc<dyn HostOs>,
-        sealed_protection: &[u8],
-    ) -> Result<Self, SconeError> {
-        Self::bootstrap_inner(
-            enclave,
-            transport,
-            config_service_key,
-            host,
-            sealed_protection,
-            false,
-        )
-    }
-
-    /// Like [`SconeRuntime::bootstrap`], but the shielded file system rides
-    /// the switchless submission/completion rings: identical provisioning
-    /// and shielding, zero enclave transitions per syscall.
-    ///
-    /// # Errors
-    ///
-    /// See [`SconeRuntime::bootstrap`].
-    pub fn bootstrap_switchless<T: Transport>(
-        enclave: Enclave,
-        transport: T,
-        config_service_key: PublicKey,
-        host: Arc<dyn HostOs>,
-        sealed_protection: &[u8],
-    ) -> Result<Self, SconeError> {
-        Self::bootstrap_inner(
-            enclave,
-            transport,
-            config_service_key,
-            host,
-            sealed_protection,
-            true,
-        )
-    }
-
-    fn bootstrap_inner<T: Transport>(
         mut enclave: Enclave,
         transport: T,
         config_service_key: PublicKey,
-        host: Arc<dyn HostOs>,
+        shield: Shield,
         sealed_protection: &[u8],
-        switchless: bool,
     ) -> Result<Self, SconeError> {
         let channel_identity = Identity::generate(&format!("enclave-{:?}", enclave.id()));
         let scf = fetch_scf(
@@ -104,14 +62,7 @@ impl SconeRuntime {
             ));
         }
         let protection = FsProtection::open_sealed(&scf.fs_protection_key, sealed_protection)?;
-        let fs = if switchless {
-            ShieldedFs::mount_switchless(
-                crate::syscall::AsyncShield::switchless(host, crate::rings::DEFAULT_RING_DEPTH),
-                protection,
-            )
-        } else {
-            ShieldedFs::mount(SyncShield::new(host), protection)
-        };
+        let fs = ShieldedFs::mount(shield, protection);
         Ok(SconeRuntime { enclave, scf, fs })
     }
 
@@ -234,7 +185,6 @@ mod tests {
     use crate::fshield::FsProtection;
     use crate::hostos::MemHost;
     use crate::scf::{ConfigService, StdioKeys};
-    use crate::syscall::SyncShield;
     use securecloud_crypto::channel::memory_pair;
     use securecloud_sgx::attest::AttestationService;
     use securecloud_sgx::enclave::{EnclaveConfig, Platform};
@@ -255,7 +205,7 @@ mod tests {
             securecloud_sgx::costs::MemoryGeometry::sgx_v1(),
             securecloud_sgx::costs::CostModel::zero(),
         );
-        let mut fs = ShieldedFs::mount(SyncShield::new(host.clone()), FsProtection::new());
+        let mut fs = ShieldedFs::mount(Shield::sync(host.clone()), FsProtection::new());
         fs.create("/app/config.toml").unwrap();
         fs.write(&mut build_mem, "/app/config.toml", 0, b"threshold = 5")
             .unwrap();
@@ -284,8 +234,9 @@ mod tests {
         let (client_t, server_t) = memory_pair();
         let service_key = service.public_key();
         let server = thread::spawn(move || service.serve_one(server_t));
+        let shield = Shield::sync(host);
         let mut runtime =
-            SconeRuntime::bootstrap(enclave, client_t, service_key, host, &sealed_protection)
+            SconeRuntime::bootstrap(enclave, client_t, service_key, shield, &sealed_protection)
                 .unwrap();
         server.join().unwrap().unwrap();
 
@@ -311,8 +262,9 @@ mod tests {
         // path: the collector receives the key out of band (it is the image
         // owner). Here we read it back from the provisioned runtime.
         let server = thread::spawn(move || service.serve_one(server_t));
+        let shield = Shield::sync(host);
         let runtime =
-            SconeRuntime::bootstrap(enclave, client_t, service_key, host, &sealed_protection)
+            SconeRuntime::bootstrap(enclave, client_t, service_key, shield, &sealed_protection)
                 .unwrap();
         server.join().unwrap().unwrap();
         let stdout_key = runtime.scf().stdio.stdout;
@@ -341,21 +293,29 @@ mod tests {
         let (client_t, server_t) = memory_pair();
         let service_key = service.public_key();
         let server = thread::spawn(move || service.serve_one(server_t));
-        let mut runtime = SconeRuntime::bootstrap_switchless(
-            enclave,
-            client_t,
-            service_key,
-            host,
-            &sealed_protection,
-        )
-        .unwrap();
+        let shield = Shield::switchless(host, crate::rings::DEFAULT_RING_DEPTH);
+        let mut runtime =
+            SconeRuntime::bootstrap(enclave, client_t, service_key, shield, &sealed_protection)
+                .unwrap();
         server.join().unwrap().unwrap();
-        assert_eq!(runtime.fs().shield_mode(), "switchless");
+        let telemetry = Arc::new(securecloud_telemetry::Telemetry::new());
+        runtime.set_telemetry(&telemetry);
         let content = runtime.read_file("/app/config.toml", 0, 64).unwrap();
         assert_eq!(content, b"threshold = 5");
         runtime.create_file("/app/state").unwrap();
         runtime.write_file("/app/state", 0, b"counter=2").unwrap();
         assert_eq!(runtime.read_file("/app/state", 0, 9).unwrap(), b"counter=2");
+        // Every one of those syscalls rode the rings, none the sync hop.
+        let opens = |mode| {
+            telemetry
+                .counter_with(
+                    "securecloud_scone_syscalls_total",
+                    &[("kind", "open"), ("mode", mode)],
+                )
+                .value()
+        };
+        assert_eq!(opens("async"), 3);
+        assert_eq!(opens("sync"), 0);
     }
 
     #[test]
@@ -366,7 +326,8 @@ mod tests {
         let server = thread::spawn(move || service.serve_one(server_t));
         // The host ships a different (attacker-chosen) protection file.
         let forged = FsProtection::new().seal(&[0u8; 16]);
-        let err = SconeRuntime::bootstrap(enclave, client_t, service_key, host, &forged);
+        let err =
+            SconeRuntime::bootstrap(enclave, client_t, service_key, Shield::sync(host), &forged);
         assert!(matches!(err, Err(SconeError::Tampered(_))));
         let _ = server.join().unwrap();
     }
@@ -380,7 +341,8 @@ mod tests {
         let (client_t, server_t) = memory_pair();
         let service_key = service.public_key();
         let server = thread::spawn(move || service.serve_one(server_t));
-        let err = SconeRuntime::bootstrap(rogue, client_t, service_key, host, &sealed_protection);
+        let shield = Shield::sync(host);
+        let err = SconeRuntime::bootstrap(rogue, client_t, service_key, shield, &sealed_protection);
         assert!(err.is_err());
         assert!(server.join().unwrap().is_err());
     }

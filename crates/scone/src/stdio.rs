@@ -6,15 +6,15 @@
 //! wraps a byte-frame transport with AES-128-GCM, sequence-numbered nonces,
 //! and strict in-order delivery — reordering or replay by the untrusted
 //! host surfaces as an authentication failure.
-
+//!
 //! [`SwitchlessLog`] is the ring-backed variant of the producer side:
 //! sealed stdout frames stream to a host append-log through the
-//! switchless [`AsyncShield`] — writes pipeline without any enclave
+//! switchless [`Shield`] — writes pipeline without any enclave
 //! transition, and [`SwitchlessLog::flush`] reaps the write
 //! acknowledgements in one parking pass.
 
 use crate::hostos::{Syscall, SyscallRet};
-use crate::syscall::AsyncShield;
+use crate::syscall::Shield;
 use crate::SconeError;
 use securecloud_crypto::channel::Transport;
 use securecloud_crypto::gcm::{nonce_from_seq, AesGcm};
@@ -112,7 +112,7 @@ impl<T: Transport> ShieldedStream<T> {
 /// acknowledgements.
 #[derive(Debug)]
 pub struct SwitchlessLog {
-    shield: AsyncShield,
+    shield: Shield,
     cipher: AesGcm,
     seq: u64,
     fd: u64,
@@ -127,7 +127,7 @@ impl SwitchlessLog {
     ///
     /// [`SconeError::HostViolation`] if the host refuses the open.
     pub fn create(
-        mut shield: AsyncShield,
+        mut shield: Shield,
         mem: &mut MemorySim,
         path: &str,
         key: &[u8; 16],
@@ -336,7 +336,7 @@ mod tests {
     fn switchless_log_roundtrips_without_transitions() {
         let key = [6u8; 16];
         let host = Arc::new(MemHost::new());
-        let shield = AsyncShield::switchless(host.clone(), 8);
+        let shield = Shield::switchless(host.clone(), 8);
         let mut mem = MemorySim::enclave(MemoryGeometry::sgx_v1(), CostModel::sgx_v1());
         let mut log = SwitchlessLog::create(shield, &mut mem, "/stdout.log", &key).unwrap();
         for i in 0..20 {
@@ -362,7 +362,7 @@ mod tests {
     fn switchless_log_detects_reordering() {
         let key = [7u8; 16];
         let host = Arc::new(MemHost::new());
-        let shield = AsyncShield::switchless(host.clone(), 4);
+        let shield = Shield::switchless(host.clone(), 4);
         let mut mem = MemorySim::enclave(MemoryGeometry::sgx_v1(), CostModel::zero());
         let mut log = SwitchlessLog::create(shield, &mut mem, "/l", &key).unwrap();
         log.write(&mut mem, b"first").unwrap();

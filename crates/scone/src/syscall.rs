@@ -3,32 +3,35 @@
 //! SCONE exposes an *external* system-call interface to the micro-service:
 //! arguments are copied out of the enclave, results are sanity-checked and
 //! copied back in before the application sees them (§IV of the paper).
-//! Two execution modes are provided:
+//! That is one mechanism, so there is one type: [`Shield`] keeps the
+//! trusted copy of every submitted call in an in-enclave pending table and
+//! validates each host answer against it. The constructors name the only
+//! thing that differs — how a call reaches the host:
 //!
-//! * [`SyncShield`] — the naive mode: every call exits and re-enters the
-//!   enclave, paying two transitions (~8k cycles) per call.
-//! * [`AsyncShield`] — SCONE's *switchless* interface: submissions are
-//!   pushed onto fixed-capacity shared-memory rings
-//!   ([`crate::rings::SyscallRings`]) serviced by the host without any
-//!   enclave transition; the enclave pays one ring-slot cache-line
+//! * [`Shield::sync`] — the naive transport: every call exits and
+//!   re-enters the enclave, paying one transition pair (~8k cycles).
+//! * [`Shield::switchless`] / [`Shield::threaded`] — SCONE's asynchronous
+//!   interface: submissions are pushed onto fixed-capacity shared-memory
+//!   rings ([`crate::rings::SyscallRings`]) serviced by the host without
+//!   any enclave transition; the enclave pays one ring-slot cache-line
 //!   transfer per hop and parks on a wake signal instead of busy-polling.
 //!
-//! Benchmark E4 (`syscall_async`) compares the two, reproducing the paper's
-//! claim that the asynchronous interface is what makes SCONE's performance
-//! "acceptable"; E15 (`rings`) sweeps ring depth, payload, and worker
-//! count over the switchless plane.
+//! Benchmark E4 (`syscall_async`) compares the two transports,
+//! reproducing the paper's claim that the asynchronous interface is what
+//! makes SCONE's performance "acceptable"; E15 (`rings`) sweeps ring
+//! depth, payload, and worker count over the switchless one.
 
 use crate::hostos::{HostOs, Syscall, SyscallRet};
-use crate::rings::{ParkReport, ServicerMode, SyscallRings, DEFAULT_RING_DEPTH};
+use crate::rings::{ServicerMode, SyscallRings, DEFAULT_RING_DEPTH};
 use crate::SconeError;
 use securecloud_sgx::mem::{MemorySim, Region};
 use securecloud_telemetry::{Counter, Gauge, Telemetry};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-/// Telemetry hook shared by both shield modes: per-kind syscall counters
-/// and enclave-side cycle histograms, labelled with the shield mode so
-/// the sync/async cost gap (benchmark E4) shows up in one metric family.
+/// The shield's telemetry hook: per-kind syscall counters and enclave-side
+/// cycle histograms, labelled with the transport so the sync/async cost
+/// gap (benchmark E4) shows up in one metric family.
 #[derive(Debug, Clone)]
 struct ShieldTelemetry {
     telemetry: Arc<Telemetry>,
@@ -142,83 +145,20 @@ fn validate(call: &Syscall, ret: &SyscallRet) -> Result<(), SconeError> {
     }
 }
 
-/// Synchronous shielded syscalls: one enclave exit/entry round trip each.
-#[derive(Debug, Clone)]
-pub struct SyncShield {
-    host: Arc<dyn HostOs>,
-    costs: ShieldCosts,
-    telemetry: Option<ShieldTelemetry>,
-}
-
-impl SyncShield {
-    /// Creates a synchronous shield over `host`.
-    pub fn new(host: Arc<dyn HostOs>) -> Self {
-        SyncShield {
-            host,
-            costs: ShieldCosts::default(),
-            telemetry: None,
-        }
-    }
-
-    /// Routes per-kind syscall counters and cycle histograms (labelled
-    /// `mode="sync"`) into `telemetry`'s registry.
-    pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
-        self.telemetry = Some(ShieldTelemetry {
-            telemetry,
-            mode: "sync",
-        });
-    }
-
-    /// Issues one shielded syscall from the enclave whose memory system is
-    /// `mem`, charging transitions, copies, and validation.
-    ///
-    /// # Errors
-    ///
-    /// [`SconeError::HostViolation`] if the host's answer fails the sanity
-    /// checks; the malformed answer never reaches the application.
-    pub fn call(&self, mem: &mut MemorySim, call: &Syscall) -> Result<SyscallRet, SconeError> {
-        let start = mem.cycles();
-        // Copy arguments out of the enclave.
-        mem.charge_cycles(self.costs.copy_cost(call_payload_bytes(call)));
-        // OCALL out, syscall, ECALL back in.
-        let transition = mem.costs().transition_pair();
-        mem.charge_cycles(transition);
-        let ret = self.host.execute(call);
-        if let Err(e) = validate(call, &ret) {
-            if let Some(t) = &self.telemetry {
-                t.violation(call.kind());
-            }
-            return Err(e);
-        }
-        // Copy the (validated) result into the enclave.
-        mem.charge_cycles(self.costs.copy_cost(ret_payload_bytes(&ret)));
-        if let Some(t) = &self.telemetry {
-            t.record(call.kind(), mem.cycles().saturating_sub(start));
-        }
-        Ok(ret)
-    }
-}
-
-impl std::fmt::Debug for dyn HostOs {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "dyn HostOs")
-    }
-}
-
-/// A completed asynchronous syscall.
+/// A completed shielded syscall.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Completion {
-    /// The id returned by [`AsyncShield::submit`].
+    /// The id returned by [`Shield::submit`].
     pub id: u64,
     /// The validated host result.
     pub ret: SyscallRet,
 }
 
-/// Registry handles for the switchless plane. The depth gauge derives from
-/// enclave-side state only (deterministic in every mode); park/wake counts
-/// are recorded only when the servicer is deterministic, because threaded
-/// wake timing is wall-clock-dependent and would break the byte-identical
-/// telemetry contract.
+/// Registry handles for the switchless transport. The depth gauge derives
+/// from enclave-side state only (deterministic in every mode); park/wake
+/// counts are recorded only when the servicer is deterministic, because
+/// threaded wake timing is wall-clock-dependent and would break the
+/// byte-identical telemetry contract.
 #[derive(Debug, Clone)]
 struct RingMetrics {
     depth: Gauge,
@@ -230,91 +170,18 @@ struct RingMetrics {
 /// line holding the trusted copy's bookkeeping.
 const PENDING_SLOT_BYTES: u64 = 64;
 
-/// Switchless shielded syscalls over shared-memory submission/completion
-/// rings: the enclave thread never transitions — it pushes ring slots,
-/// parks on completions, and validates every host answer against its own
-/// in-enclave pending table (see [`crate::rings`] for the memory-safety
-/// argument).
+/// Enclave-side state of the switchless transport: the ring pair, the EPC
+/// backing store of the pending table, and the registry handles.
 #[derive(Debug)]
-pub struct AsyncShield {
+struct RingPlane {
     rings: SyscallRings,
-    /// The trusted, in-enclave copy of every submitted call, keyed by id.
-    /// Host answers are validated against *this*, never against anything
-    /// echoed through untrusted ring memory.
-    pending: HashMap<u64, Syscall>,
-    /// Completions popped off the ring but not yet handed to the caller
-    /// (filled when `submit` must reap to free a ring slot).
-    reaped: VecDeque<(u64, SyscallRet)>,
     /// Backing store of the pending table, charged through the enclave
     /// memory simulation.
     table: Option<Region>,
-    next_id: u64,
-    costs: ShieldCosts,
-    telemetry: Option<ShieldTelemetry>,
     metrics: Option<RingMetrics>,
 }
 
-impl AsyncShield {
-    /// Builds a switchless shield over `host` with a real host-side
-    /// servicer thread and the default ring depth: genuine wall-clock
-    /// overlap between enclave and host (benchmark E4b).
-    pub fn new(host: Arc<dyn HostOs>) -> Self {
-        Self::with_rings(host, DEFAULT_RING_DEPTH, ServicerMode::Threaded)
-    }
-
-    /// Builds a switchless shield whose host side is serviced inline at
-    /// enclave park points: fully deterministic, so ring park/wake counters
-    /// are recorded in the registry.
-    pub fn switchless(host: Arc<dyn HostOs>, depth: usize) -> Self {
-        Self::with_rings(host, depth, ServicerMode::Deterministic)
-    }
-
-    /// Builds a switchless shield with explicit ring depth and servicer
-    /// mode.
-    pub fn with_rings(host: Arc<dyn HostOs>, depth: usize, mode: ServicerMode) -> Self {
-        AsyncShield {
-            rings: SyscallRings::new(host, depth, mode),
-            pending: HashMap::new(),
-            reaped: VecDeque::new(),
-            table: None,
-            next_id: 0,
-            costs: ShieldCosts::default(),
-            telemetry: None,
-            metrics: None,
-        }
-    }
-
-    /// Ring capacity (maximum in-flight calls before `submit` reaps).
-    #[must_use]
-    pub fn ring_depth(&self) -> usize {
-        self.rings.depth()
-    }
-
-    /// Whether ring park/wake observations are workload-deterministic.
-    #[must_use]
-    pub fn is_deterministic(&self) -> bool {
-        self.rings.is_deterministic()
-    }
-
-    /// Routes per-kind syscall counters and cycle histograms (labelled
-    /// `mode="async"`) plus ring-depth gauges and wake counters into
-    /// `telemetry`'s registry. Only enclave-side cycles are recorded; the
-    /// host servicer thread is never instrumented (it runs on wall-clock
-    /// time and would break trace determinism), and park/wake counts are
-    /// recorded only in deterministic servicer mode for the same reason.
-    pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
-        self.metrics = Some(RingMetrics {
-            depth: telemetry.gauge_with("securecloud_scone_ring_depth", &[]),
-            wakes: telemetry.counter_with("securecloud_scone_ring_wakes_total", &[]),
-            spurious_wakes: telemetry
-                .counter_with("securecloud_scone_ring_spurious_wakes_total", &[]),
-        });
-        self.telemetry = Some(ShieldTelemetry {
-            telemetry,
-            mode: "async",
-        });
-    }
-
+impl RingPlane {
     fn touch_pending_slot(&mut self, mem: &mut MemorySim, id: u64) {
         let depth = self.rings.depth() as u64;
         let table = *self
@@ -327,54 +194,160 @@ impl AsyncShield {
         );
     }
 
-    fn note_park(&self, report: ParkReport) {
+    /// Pops one completion off the ring, charging the slot transfer.
+    fn reap(&mut self, mem: &mut MemorySim) -> (u64, SyscallRet) {
+        let (entry, report) = self.rings.pop_completion();
+        mem.charge_cycles(mem.costs().ring_slot_cycles);
         // Threaded wake timing is wall-clock-dependent: keep it out of the
         // registry (deterministic mode's counts are pure workload functions).
-        if !self.rings.is_deterministic() {
-            return;
-        }
-        if let Some(m) = &self.metrics {
+        if let (true, Some(m)) = (self.rings.is_deterministic(), &self.metrics) {
             if report.parked {
                 m.wakes.inc();
             }
             m.spurious_wakes.add(report.spurious_wakes);
         }
+        (entry.id, entry.ret)
+    }
+}
+
+/// How a submitted call reaches the host: the one thing the paper's two
+/// measurements of the shielded interface differ in.
+#[derive(Debug)]
+enum Transport {
+    /// Serviced inline: OCALL out, syscall, ECALL back in — one
+    /// transition pair per call, nothing ever outstanding on the host.
+    Sync(Arc<dyn HostOs>),
+    /// Shared-memory submission/completion rings: no transition, one
+    /// ring-slot transfer per hop.
+    Rings(RingPlane),
+}
+
+/// The shielded syscall interface. Every call is copied out of the
+/// enclave, carried to the host over the transport the constructor chose,
+/// and its answer validated against the shield's own in-enclave pending
+/// table before it is copied back in (see [`crate::rings`] for the
+/// memory-safety argument).
+#[derive(Debug)]
+pub struct Shield {
+    transport: Transport,
+    /// The trusted, in-enclave copy of every submitted call, keyed by id.
+    /// Host answers are validated against *this*, never against anything
+    /// echoed through untrusted memory.
+    pending: HashMap<u64, Syscall>,
+    /// Host answers not yet handed to the caller: everything the sync
+    /// transport executed, and completions `submit` reaped to free a ring
+    /// slot.
+    reaped: VecDeque<(u64, SyscallRet)>,
+    next_id: u64,
+    costs: ShieldCosts,
+    telemetry: Option<ShieldTelemetry>,
+}
+
+impl Shield {
+    fn over(transport: Transport) -> Self {
+        Shield {
+            transport,
+            pending: HashMap::new(),
+            reaped: VecDeque::new(),
+            next_id: 0,
+            costs: ShieldCosts::default(),
+            telemetry: None,
+        }
+    }
+
+    fn over_rings(host: Arc<dyn HostOs>, depth: usize, mode: ServicerMode) -> Self {
+        Self::over(Transport::Rings(RingPlane {
+            rings: SyscallRings::new(host, depth, mode),
+            table: None,
+            metrics: None,
+        }))
+    }
+
+    /// The naive transport: each call exits and re-enters the enclave, so
+    /// it is serviced inline and charged one transition pair.
+    pub fn sync(host: Arc<dyn HostOs>) -> Self {
+        Self::over(Transport::Sync(host))
+    }
+
+    /// The switchless transport with `depth` ring slots, its host side
+    /// serviced inline at enclave park points: fully deterministic, so
+    /// ring park/wake counters are recorded in the registry.
+    pub fn switchless(host: Arc<dyn HostOs>, depth: usize) -> Self {
+        Self::over_rings(host, depth, ServicerMode::Deterministic)
+    }
+
+    /// The switchless transport with a real host-side servicer thread and
+    /// the default ring depth: genuine wall-clock overlap between enclave
+    /// and host (benchmark E4b).
+    pub fn threaded(host: Arc<dyn HostOs>) -> Self {
+        Self::over_rings(host, DEFAULT_RING_DEPTH, ServicerMode::Threaded)
+    }
+
+    /// Routes per-kind syscall counters and cycle histograms (labelled
+    /// `mode="sync"` or `mode="async"` after the transport) into
+    /// `telemetry`'s registry; the switchless transport adds its
+    /// ring-depth gauge and wake counters. Only enclave-side cycles are
+    /// recorded; the host servicer thread is never instrumented (it runs
+    /// on wall-clock time and would break trace determinism).
+    pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
+        let mode = match &mut self.transport {
+            Transport::Sync(_) => "sync",
+            Transport::Rings(plane) => {
+                plane.metrics = Some(RingMetrics {
+                    depth: telemetry.gauge_with("securecloud_scone_ring_depth", &[]),
+                    wakes: telemetry.counter_with("securecloud_scone_ring_wakes_total", &[]),
+                    spurious_wakes: telemetry
+                        .counter_with("securecloud_scone_ring_spurious_wakes_total", &[]),
+                });
+                "async"
+            }
+        };
+        self.telemetry = Some(ShieldTelemetry { telemetry, mode });
     }
 
     fn set_depth_gauge(&self) {
-        if let Some(m) = &self.metrics {
+        if let Transport::Rings(RingPlane {
+            metrics: Some(m), ..
+        }) = &self.transport
+        {
             m.depth.set(self.pending.len() as i64);
         }
     }
 
-    /// Pops one completion off the ring into the reaped buffer, charging
-    /// the slot transfer.
-    fn reap_one(&mut self, mem: &mut MemorySim) {
-        let (entry, report) = self.rings.pop_completion();
-        mem.charge_cycles(mem.costs().ring_slot_cycles);
-        self.note_park(report);
-        self.reaped.push_back((entry.id, entry.ret));
+    fn violation(&self, kind: &'static str) {
+        if let Some(t) = &self.telemetry {
+            t.violation(kind);
+        }
     }
 
-    /// Submits a syscall without leaving the enclave; returns its id. If
-    /// every ring slot is occupied, one completion is reaped (and buffered
-    /// for [`AsyncShield::complete`]) to make room — so depth bounds ring
-    /// occupancy, not the caller's pipeline length.
+    /// Submits a syscall; returns its id. On the switchless transport the
+    /// enclave never leaves: if every ring slot is occupied, one
+    /// completion is reaped (and buffered for [`Shield::complete`]) to
+    /// make room — so depth bounds ring occupancy, not the caller's
+    /// pipeline length.
     ///
     /// # Errors
     ///
     /// [`SconeError::ShieldStopped`] if the ring protocol is violated.
     pub fn submit(&mut self, mem: &mut MemorySim, call: Syscall) -> Result<u64, SconeError> {
-        // Copy arguments out of the enclave into the ring slot.
+        // Copy arguments out of the enclave.
         mem.charge_cycles(self.costs.copy_cost(call_payload_bytes(&call)));
-        if self.pending.len() - self.reaped.len() == self.rings.depth() {
-            self.reap_one(mem);
-        }
         let id = self.next_id;
+        match &mut self.transport {
+            Transport::Sync(host) => {
+                mem.charge_cycles(mem.costs().transition_pair());
+                self.reaped.push_back((id, host.execute(&call)));
+            }
+            Transport::Rings(plane) => {
+                if self.pending.len() - self.reaped.len() == plane.rings.depth() {
+                    self.reaped.push_back(plane.reap(mem));
+                }
+                plane.touch_pending_slot(mem, id);
+                mem.charge_cycles(mem.costs().ring_slot_cycles);
+                plane.rings.push_submission(id, call.clone())?;
+            }
+        }
         self.next_id += 1;
-        self.touch_pending_slot(mem, id);
-        mem.charge_cycles(mem.costs().ring_slot_cycles);
-        self.rings.push_submission(id, call.clone())?;
         self.pending.insert(id, call);
         self.set_depth_gauge();
         Ok(id)
@@ -386,61 +359,64 @@ impl AsyncShield {
         self.pending.len()
     }
 
-    /// Waits for the next completion — parking on the ring's wake signal,
-    /// never busy-polling and never transitioning — then validates it
-    /// against the in-enclave pending table.
+    /// Takes the next host answer — on the switchless transport parking on
+    /// the ring's wake signal, never busy-polling and never transitioning
+    /// — then validates it against the in-enclave pending table.
     ///
     /// # Errors
     ///
     /// [`SconeError::ShieldStopped`] if nothing is in flight;
     /// [`SconeError::HostViolation`] if the host answered with an unknown
-    /// or duplicated id, or the result fails validation.
+    /// or duplicated id, or the result fails validation — the malformed
+    /// answer never reaches the application.
     pub fn complete(&mut self, mem: &mut MemorySim) -> Result<Completion, SconeError> {
         if self.pending.is_empty() {
             return Err(SconeError::ShieldStopped);
         }
-        if self.reaped.is_empty() {
-            self.reap_one(mem);
-        }
-        let (id, ret) = self.reaped.pop_front().expect("reap_one buffered an entry");
-        self.touch_pending_slot(mem, id);
-        // The id must match a call *we* recorded: a forged, replayed, or
-        // duplicated completion from the untrusted ring dies here.
-        let Some(call) = self.pending.remove(&id) else {
-            if let Some(t) = &self.telemetry {
-                t.violation("unknown");
+        let (id, ret) = match (self.reaped.pop_front(), &mut self.transport) {
+            (Some(answer), _) => answer,
+            (None, Transport::Rings(plane)) => plane.reap(mem),
+            // The sync transport buffers every answer at submit.
+            (None, Transport::Sync(_)) => return Err(SconeError::ShieldStopped),
+        };
+        let hop_cycles = match &mut self.transport {
+            Transport::Sync(_) => mem.costs().transition_pair(),
+            Transport::Rings(plane) => {
+                plane.touch_pending_slot(mem, id);
+                2 * mem.costs().ring_slot_cycles
             }
+        };
+        // The id must match a call *we* recorded: a forged, replayed, or
+        // duplicated completion from the untrusted host dies here.
+        let Some(call) = self.pending.remove(&id) else {
+            self.violation("unknown");
             return Err(SconeError::HostViolation(format!(
                 "completion for unknown id {id}"
             )));
         };
         self.set_depth_gauge();
         if let Err(e) = validate(&call, &ret) {
-            if let Some(t) = &self.telemetry {
-                t.violation(call.kind());
-            }
+            self.violation(call.kind());
             return Err(e);
         }
         // Copy the (validated) result into the enclave.
-        mem.charge_cycles(self.costs.copy_cost(ret_payload_bytes(&ret)));
+        let copy_in = self.costs.copy_cost(ret_payload_bytes(&ret));
+        mem.charge_cycles(copy_in);
         if let Some(t) = &self.telemetry {
-            // Enclave-side cycles for the whole call: the submit-side copy
-            // and ring push (deterministic from the cost model) plus the
-            // completion-side ring pop and result copy charged above.
-            let cycles = self.costs.copy_cost(call_payload_bytes(&call))
-                + 2 * mem.costs().ring_slot_cycles
-                + self.costs.copy_cost(ret_payload_bytes(&ret));
-            t.record(call.kind(), cycles);
+            // Enclave-side cycles for the whole call, deterministic from
+            // the cost model: the submit-side copy, the hop (transition
+            // pair, or ring push plus pop), and the result copy.
+            let copy_out = self.costs.copy_cost(call_payload_bytes(&call));
+            t.record(call.kind(), copy_out + hop_cycles + copy_in);
         }
         Ok(Completion { id, ret })
     }
 
-    /// Submits `call` and waits for its completion (single-call convenience;
-    /// still cheaper than [`SyncShield`] because no transition occurs).
+    /// Submits `call` and waits for its completion.
     ///
     /// # Errors
     ///
-    /// See [`AsyncShield::submit`] and [`AsyncShield::complete`].
+    /// See [`Shield::submit`] and [`Shield::complete`].
     pub fn call(&mut self, mem: &mut MemorySim, call: Syscall) -> Result<SyscallRet, SconeError> {
         let id = self.submit(mem, call)?;
         loop {
@@ -448,66 +424,6 @@ impl AsyncShield {
             if completion.id == id {
                 return Ok(completion.ret);
             }
-        }
-    }
-}
-
-/// A shield selector for components that work over either plane: the
-/// synchronous transition-per-call shield or the switchless ring shield.
-#[derive(Debug)]
-pub struct ShieldDriver {
-    inner: DriverInner,
-}
-
-#[derive(Debug)]
-enum DriverInner {
-    Sync(SyncShield),
-    Switchless(std::cell::RefCell<AsyncShield>),
-}
-
-impl ShieldDriver {
-    /// Drives syscalls through the synchronous shield.
-    #[must_use]
-    pub fn sync(shield: SyncShield) -> Self {
-        ShieldDriver {
-            inner: DriverInner::Sync(shield),
-        }
-    }
-
-    /// Drives syscalls through the switchless ring shield.
-    #[must_use]
-    pub fn switchless(shield: AsyncShield) -> Self {
-        ShieldDriver {
-            inner: DriverInner::Switchless(std::cell::RefCell::new(shield)),
-        }
-    }
-
-    /// The plane label (`"sync"` or `"switchless"`), for reports.
-    #[must_use]
-    pub fn mode(&self) -> &'static str {
-        match &self.inner {
-            DriverInner::Sync(_) => "sync",
-            DriverInner::Switchless(_) => "switchless",
-        }
-    }
-
-    /// Issues one shielded syscall over whichever plane this driver wraps.
-    ///
-    /// # Errors
-    ///
-    /// See [`SyncShield::call`] and [`AsyncShield::call`].
-    pub fn call(&self, mem: &mut MemorySim, call: &Syscall) -> Result<SyscallRet, SconeError> {
-        match &self.inner {
-            DriverInner::Sync(shield) => shield.call(mem, call),
-            DriverInner::Switchless(shield) => shield.borrow_mut().call(mem, call.clone()),
-        }
-    }
-
-    /// Routes shield telemetry into `telemetry`'s registry.
-    pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
-        match &mut self.inner {
-            DriverInner::Sync(shield) => shield.set_telemetry(telemetry),
-            DriverInner::Switchless(shield) => shield.get_mut().set_telemetry(telemetry),
         }
     }
 }
@@ -522,28 +438,42 @@ mod tests {
         MemorySim::enclave(MemoryGeometry::sgx_v1(), CostModel::sgx_v1())
     }
 
+    fn open(shield: &mut Shield, mem: &mut MemorySim, path: &str) -> u64 {
+        let open = Syscall::Open {
+            path: path.into(),
+            create: true,
+        };
+        let SyscallRet::Fd(fd) = shield.call(mem, open).unwrap() else {
+            panic!("expected fd")
+        };
+        fd
+    }
+
+    /// Both transports over one (possibly hostile) host.
+    fn both_transports(host: Arc<dyn HostOs>) -> [Shield; 2] {
+        [Shield::sync(host.clone()), Shield::switchless(host, 4)]
+    }
+
+    fn violations(telemetry: &Telemetry, kind: &str, mode: &str) -> u64 {
+        telemetry
+            .counter_with(
+                "securecloud_scone_host_violations_total",
+                &[("kind", kind), ("mode", mode)],
+            )
+            .value()
+    }
+
     #[test]
     fn sync_shield_roundtrip_and_cost() {
         let host = Arc::new(MemHost::new());
-        let shield = SyncShield::new(host.clone());
+        let mut shield = Shield::sync(host.clone());
         let mut mem = mem();
-        let ret = shield
-            .call(
-                &mut mem,
-                &Syscall::Open {
-                    path: "/f".into(),
-                    create: true,
-                },
-            )
-            .unwrap();
-        let SyscallRet::Fd(fd) = ret else {
-            panic!("expected fd")
-        };
+        let fd = open(&mut shield, &mut mem, "/f");
         let before = mem.cycles();
         shield
             .call(
                 &mut mem,
-                &Syscall::Pwrite {
+                Syscall::Pwrite {
                     fd,
                     offset: 0,
                     data: vec![0u8; 4096],
@@ -558,17 +488,11 @@ mod tests {
     #[test]
     fn async_shield_is_cheaper_per_call() {
         let host = Arc::new(MemHost::new());
-        let sync_shield = SyncShield::new(host.clone());
-        let mut async_shield = AsyncShield::new(host.clone());
+        let mut sync_shield = Shield::sync(host.clone());
+        let mut async_shield = Shield::threaded(host.clone());
         let mut mem_sync = mem();
         let mut mem_async = mem();
-        let open = Syscall::Open {
-            path: "/f".into(),
-            create: true,
-        };
-        let SyscallRet::Fd(fd) = sync_shield.call(&mut mem_sync, &open).unwrap() else {
-            panic!()
-        };
+        let fd = open(&mut sync_shield, &mut mem_sync, "/f");
         let write = |fd| Syscall::Pwrite {
             fd,
             offset: 0,
@@ -576,13 +500,11 @@ mod tests {
         };
         let s0 = mem_sync.cycles();
         for _ in 0..100 {
-            sync_shield.call(&mut mem_sync, &write(fd)).unwrap();
+            sync_shield.call(&mut mem_sync, write(fd)).unwrap();
         }
         let sync_cost = mem_sync.cycles() - s0;
 
-        let SyscallRet::Fd(fd2) = async_shield.call(&mut mem_async, open).unwrap() else {
-            panic!()
-        };
+        let fd2 = open(&mut async_shield, &mut mem_async, "/f");
         let a0 = mem_async.cycles();
         for _ in 0..100 {
             async_shield.call(&mut mem_async, write(fd2)).unwrap();
@@ -597,20 +519,9 @@ mod tests {
     #[test]
     fn async_pipelining_overlaps() {
         let host = Arc::new(MemHost::new());
-        let mut shield = AsyncShield::new(host);
+        let mut shield = Shield::threaded(host);
         let mut mem = mem();
-        let SyscallRet::Fd(fd) = shield
-            .call(
-                &mut mem,
-                Syscall::Open {
-                    path: "/f".into(),
-                    create: true,
-                },
-            )
-            .unwrap()
-        else {
-            panic!()
-        };
+        let fd = open(&mut shield, &mut mem, "/f");
         let mut ids = Vec::new();
         for i in 0..32u64 {
             ids.push(
@@ -638,12 +549,13 @@ mod tests {
     #[test]
     fn complete_without_submit_errors() {
         let host = Arc::new(MemHost::new());
-        let mut shield = AsyncShield::new(host);
         let mut mem = mem();
-        assert!(matches!(
-            shield.complete(&mut mem),
-            Err(SconeError::ShieldStopped)
-        ));
+        for mut shield in [Shield::sync(host.clone()), Shield::threaded(host)] {
+            assert!(matches!(
+                shield.complete(&mut mem),
+                Err(SconeError::ShieldStopped)
+            ));
+        }
     }
 
     #[test]
@@ -655,17 +567,25 @@ mod tests {
                 SyscallRet::Data(vec![0u8; 1 << 20])
             }
         }
-        let shield = SyncShield::new(Arc::new(EvilHost));
+        let telemetry = Arc::new(Telemetry::new());
         let mut mem = mem();
-        let err = shield.call(
-            &mut mem,
-            &Syscall::Pread {
-                fd: 1,
-                offset: 0,
-                len: 16,
-            },
-        );
-        assert!(matches!(err, Err(SconeError::HostViolation(_))));
+        for mut shield in both_transports(Arc::new(EvilHost)) {
+            shield.set_telemetry(telemetry.clone());
+            let err = shield.call(
+                &mut mem,
+                Syscall::Pread {
+                    fd: 1,
+                    offset: 0,
+                    len: 16,
+                },
+            );
+            assert!(matches!(err, Err(SconeError::HostViolation(_))));
+            assert_eq!(shield.in_flight(), 0);
+        }
+        // One validate path, one counter family: each transport counted its
+        // own rejection.
+        assert_eq!(violations(&telemetry, "pread", "sync"), 1);
+        assert_eq!(violations(&telemetry, "pread", "async"), 1);
     }
 
     #[test]
@@ -676,16 +596,17 @@ mod tests {
                 SyscallRet::Len(42)
             }
         }
-        let shield = SyncShield::new(Arc::new(ShapeShifter));
         let mut mem = mem();
-        let err = shield.call(
-            &mut mem,
-            &Syscall::Open {
-                path: "/f".into(),
-                create: true,
-            },
-        );
-        assert!(matches!(err, Err(SconeError::HostViolation(_))));
+        for mut shield in both_transports(Arc::new(ShapeShifter)) {
+            let err = shield.call(
+                &mut mem,
+                Syscall::Open {
+                    path: "/f".into(),
+                    create: true,
+                },
+            );
+            assert!(matches!(err, Err(SconeError::HostViolation(_))));
+        }
         // Over-acknowledged write is also rejected.
         struct OverAck;
         impl HostOs for OverAck {
@@ -693,36 +614,60 @@ mod tests {
                 SyscallRet::Done(u64::MAX)
             }
         }
-        let shield = SyncShield::new(Arc::new(OverAck));
-        let err = shield.call(
-            &mut mem,
-            &Syscall::Pwrite {
-                fd: 1,
-                offset: 0,
-                data: vec![1],
-            },
-        );
-        assert!(matches!(err, Err(SconeError::HostViolation(_))));
+        for mut shield in both_transports(Arc::new(OverAck)) {
+            let err = shield.call(
+                &mut mem,
+                Syscall::Pwrite {
+                    fd: 1,
+                    offset: 0,
+                    data: vec![1],
+                },
+            );
+            assert!(matches!(err, Err(SconeError::HostViolation(_))));
+        }
+    }
+
+    /// The zero-drift pin: total enclave cycles of one fixed script (open,
+    /// 98 × 64 B pwrite pipelined, close) on every transport, as literals
+    /// captured at the commit before the sync and ring shields became one
+    /// type.
+    #[test]
+    fn fixed_script_cycles_are_pinned_per_transport() {
+        let run = |mut shield: Shield| {
+            let mut mem = mem();
+            let fd = open(&mut shield, &mut mem, "/pin");
+            for i in 0..98u64 {
+                shield
+                    .submit(
+                        &mut mem,
+                        Syscall::Pwrite {
+                            fd,
+                            offset: i * 64,
+                            data: vec![i as u8; 64],
+                        },
+                    )
+                    .unwrap();
+            }
+            while shield.in_flight() > 0 {
+                shield.complete(&mut mem).unwrap();
+            }
+            shield.call(&mut mem, Syscall::Close { fd }).unwrap();
+            mem.cycles()
+        };
+        let host = || Arc::new(MemHost::new());
+        assert_eq!(run(Shield::sync(host())), 800_785);
+        assert_eq!(run(Shield::switchless(host(), 1)), 46_377);
+        assert_eq!(run(Shield::switchless(host(), 8)), 49_821);
+        assert_eq!(run(Shield::switchless(host(), 64)), 77_373);
     }
 
     #[test]
     fn switchless_shield_is_deterministic_across_runs() {
         let run = |depth: usize| {
             let host = Arc::new(MemHost::new());
-            let mut shield = AsyncShield::switchless(host, depth);
+            let mut shield = Shield::switchless(host, depth);
             let mut mem = mem();
-            let SyscallRet::Fd(fd) = shield
-                .call(
-                    &mut mem,
-                    Syscall::Open {
-                        path: "/d".into(),
-                        create: true,
-                    },
-                )
-                .unwrap()
-            else {
-                panic!()
-            };
+            let fd = open(&mut shield, &mut mem, "/d");
             for i in 0..40u64 {
                 shield
                     .submit(
@@ -748,20 +693,9 @@ mod tests {
     #[test]
     fn submit_beyond_depth_reaps_to_free_a_slot() {
         let host = Arc::new(MemHost::new());
-        let mut shield = AsyncShield::switchless(host.clone(), 4);
+        let mut shield = Shield::switchless(host.clone(), 4);
         let mut mem = mem();
-        let SyscallRet::Fd(fd) = shield
-            .call(
-                &mut mem,
-                Syscall::Open {
-                    path: "/r".into(),
-                    create: true,
-                },
-            )
-            .unwrap()
-        else {
-            panic!()
-        };
+        let fd = open(&mut shield, &mut mem, "/r");
         // 12 submissions through a 4-deep ring: submit transparently reaps.
         let ids: Vec<u64> = (0..12u64)
             .map(|i| {
@@ -791,21 +725,10 @@ mod tests {
     fn deterministic_mode_records_parks_without_spurious_wakes() {
         let host = Arc::new(MemHost::new());
         let telemetry = Arc::new(Telemetry::new());
-        let mut shield = AsyncShield::switchless(host, 8);
+        let mut shield = Shield::switchless(host, 8);
         shield.set_telemetry(telemetry.clone());
         let mut mem = mem();
-        let SyscallRet::Fd(fd) = shield
-            .call(
-                &mut mem,
-                Syscall::Open {
-                    path: "/p".into(),
-                    create: true,
-                },
-            )
-            .unwrap()
-        else {
-            panic!()
-        };
+        let fd = open(&mut shield, &mut mem, "/p");
         for i in 0..8u64 {
             shield
                 .submit(
@@ -852,68 +775,81 @@ mod tests {
                 SyscallRet::Fd(7)
             }
         }
-        let mut shield =
-            AsyncShield::with_rings(Arc::new(ForgingHost), 4, ServicerMode::Deterministic);
+        let telemetry = Arc::new(Telemetry::new());
         let mut mem = mem();
-        shield
-            .submit(
-                &mut mem,
-                Syscall::Open {
-                    path: "/f".into(),
-                    create: true,
-                },
-            )
-            .unwrap();
-        // Corrupt the pending table's view by pretending the id was never
-        // issued: steal the entry and re-key it.
-        let call = shield.pending.remove(&0).unwrap();
-        shield.pending.insert(99, call);
-        let err = shield.complete(&mut mem);
-        assert!(matches!(err, Err(SconeError::HostViolation(_))));
+        for mut shield in both_transports(Arc::new(ForgingHost)) {
+            shield.set_telemetry(telemetry.clone());
+            shield
+                .submit(
+                    &mut mem,
+                    Syscall::Open {
+                        path: "/f".into(),
+                        create: true,
+                    },
+                )
+                .unwrap();
+            // Corrupt the pending table's view by pretending the id was
+            // never issued: steal the entry and re-key it.
+            let call = shield.pending.remove(&0).unwrap();
+            shield.pending.insert(99, call);
+            let err = shield.complete(&mut mem);
+            assert!(matches!(err, Err(SconeError::HostViolation(_))));
+        }
+        assert_eq!(violations(&telemetry, "unknown", "sync"), 1);
+        assert_eq!(violations(&telemetry, "unknown", "async"), 1);
     }
 
     #[test]
-    fn shield_driver_exposes_both_planes() {
+    fn one_shield_type_serves_both_transports() {
         let host = Arc::new(MemHost::new());
-        let sync_driver = ShieldDriver::sync(SyncShield::new(host.clone()));
-        let ring_driver = ShieldDriver::switchless(AsyncShield::switchless(host.clone(), 8));
-        assert_eq!(sync_driver.mode(), "sync");
-        assert_eq!(ring_driver.mode(), "switchless");
+        let telemetry = Arc::new(Telemetry::new());
+        let mut sync_shield = Shield::sync(host.clone());
+        let mut ring_shield = Shield::switchless(host.clone(), 8);
+        sync_shield.set_telemetry(telemetry.clone());
+        ring_shield.set_telemetry(telemetry.clone());
         let mut mem_sync = mem();
         let mut mem_ring = mem();
-        let open = Syscall::Open {
-            path: "/d".into(),
-            create: true,
-        };
-        let SyscallRet::Fd(fd_sync) = sync_driver.call(&mut mem_sync, &open).unwrap() else {
-            panic!()
-        };
-        let SyscallRet::Fd(fd_ring) = ring_driver.call(&mut mem_ring, &open).unwrap() else {
-            panic!()
-        };
-        // Past the one-time pending-table warm-up, the switchless plane
-        // never pays the transition pair.
+        let fd_sync = open(&mut sync_shield, &mut mem_sync, "/d");
+        let fd_ring = open(&mut ring_shield, &mut mem_ring, "/d");
+        // Past the one-time pending-table warm-up, the switchless
+        // transport never pays the transition pair.
         let write = |fd| Syscall::Pwrite {
             fd,
             offset: 0,
             data: vec![7u8; 32],
         };
         let s0 = mem_sync.cycles();
-        sync_driver.call(&mut mem_sync, &write(fd_sync)).unwrap();
+        sync_shield.call(&mut mem_sync, write(fd_sync)).unwrap();
         let r0 = mem_ring.cycles();
-        ring_driver.call(&mut mem_ring, &write(fd_ring)).unwrap();
+        ring_shield.call(&mut mem_ring, write(fd_ring)).unwrap();
         assert!(mem_ring.cycles() - r0 < mem_sync.cycles() - s0);
+        // The sync hop is exactly copy-out plus one transition pair.
+        assert_eq!(
+            mem_sync.cycles() - s0,
+            4 + CostModel::sgx_v1().transition_pair()
+        );
+        // The transport is the telemetry label; nothing else tells the
+        // two shields apart.
+        for mode in ["sync", "async"] {
+            let calls = telemetry
+                .counter_with(
+                    "securecloud_scone_syscalls_total",
+                    &[("kind", "pwrite"), ("mode", mode)],
+                )
+                .value();
+            assert_eq!(calls, 1, "mode {mode}");
+        }
     }
 
     #[test]
     fn host_error_passes_through() {
         let host = Arc::new(MemHost::new());
-        let shield = SyncShield::new(host);
+        let mut shield = Shield::sync(host);
         let mut mem = mem();
         let ret = shield
             .call(
                 &mut mem,
-                &Syscall::Open {
+                Syscall::Open {
                     path: "/missing".into(),
                     create: false,
                 },

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use securecloud_scone::fshield::{FsProtection, ShieldedFs};
 use securecloud_scone::hostos::MemHost;
-use securecloud_scone::syscall::SyncShield;
+use securecloud_scone::syscall::Shield;
 use securecloud_sgx::costs::{CostModel, MemoryGeometry};
 use securecloud_sgx::mem::MemorySim;
 use std::collections::HashMap;
@@ -43,7 +43,7 @@ proptest! {
     #[test]
     fn shielded_fs_matches_plain_model(ops in prop::collection::vec(arb_op(), 0..40)) {
         let host = Arc::new(MemHost::new());
-        let mut fs = ShieldedFs::mount(SyncShield::new(host.clone()), FsProtection::new());
+        let mut fs = ShieldedFs::mount(Shield::sync(host.clone()), FsProtection::new());
         let mut mem = MemorySim::enclave(MemoryGeometry::sgx_v1(), CostModel::zero());
         let mut model: HashMap<String, Vec<u8>> = HashMap::new();
 
@@ -121,7 +121,7 @@ proptest! {
         files in prop::collection::btree_map("f[0-9]", prop::collection::vec(any::<u8>(), 0..5000), 0..4),
     ) {
         let host = Arc::new(MemHost::new());
-        let mut fs = ShieldedFs::mount(SyncShield::new(host.clone()), FsProtection::new());
+        let mut fs = ShieldedFs::mount(Shield::sync(host.clone()), FsProtection::new());
         let mut mem = MemorySim::enclave(MemoryGeometry::sgx_v1(), CostModel::zero());
         for (name, content) in &files {
             let p = format!("/{name}");
@@ -129,7 +129,7 @@ proptest! {
             fs.write(&mut mem, &p, 0, content).unwrap();
         }
         let protection = fs.into_protection();
-        let fs2 = ShieldedFs::mount(SyncShield::new(host), protection);
+        let mut fs2 = ShieldedFs::mount(Shield::sync(host), protection);
         for (name, content) in &files {
             let p = format!("/{name}");
             prop_assert_eq!(&fs2.read(&mut mem, &p, 0, content.len() + 10).unwrap(), content);

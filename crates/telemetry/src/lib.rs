@@ -231,7 +231,7 @@ impl Telemetry {
     }
 
     /// Records a weighted exemplar trace id under `key`, retaining the
-    /// [`EXEMPLARS_PER_KEY`] heaviest (ties broken oldest-first). Used to
+    /// `EXEMPLARS_PER_KEY` heaviest (ties broken oldest-first). Used to
     /// point a scaling decision's cause chain at the traces behind it.
     pub fn note_exemplar(&self, key: &'static str, trace_id: u64, weight: u64) {
         if trace_id == 0 {
