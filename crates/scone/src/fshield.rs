@@ -7,10 +7,11 @@
 //!
 //! Files are split into 4 KiB chunks, each sealed with AES-128-GCM under a
 //! per-file key. The chunk nonce encodes the chunk index and a write
-//! version, and the resulting tag is recorded in the [`FsProtection`]
-//! structure — so the untrusted host can neither tamper with a chunk
-//! (tag mismatch) nor roll it back to an older version (recorded tag is the
-//! newer one).
+//! version drawn from the file's write counter, which is spent before the
+//! host sees the ciphertext — a write the host fails still uses up its
+//! nonce. The resulting tag is recorded in the [`FsProtection`] structure —
+//! so the untrusted host can neither tamper with a chunk (tag mismatch) nor
+//! roll it back to an older version (recorded tag is the newer one).
 
 use crate::hostos::{Syscall, SyscallRet};
 use crate::syscall::Shield;
@@ -33,7 +34,8 @@ const AEAD_CYCLES_PER_BYTE: u64 = 2;
 /// Authenticated metadata for one chunk of a shielded file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkMeta {
-    /// Write version, incremented on every chunk update (rollback defence).
+    /// Write version: the file's [`FileMeta::writes`] when this chunk was
+    /// last stored (rollback defence); 0 marks a never-stored hole.
     pub version: u64,
     /// GCM tag of the current chunk ciphertext.
     pub tag: [u8; TAG_LEN],
@@ -50,9 +52,17 @@ pub struct FileMeta {
     pub len: u64,
     /// Per-chunk versions and tags.
     pub chunks: Vec<ChunkMeta>,
+    /// Chunk writes attempted under `key`, acknowledged by the host or
+    /// not: the source of chunk versions, so no nonce is sealed twice.
+    pub writes: u64,
 }
 
-impl_wire_struct!(FileMeta { key, len, chunks });
+impl_wire_struct!(FileMeta {
+    key,
+    len,
+    chunks,
+    writes
+});
 
 /// The FS protection file: keys and MACs for every shielded file.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -235,13 +245,14 @@ impl ShieldedFs {
                 key: securecloud_crypto::random_array(),
                 len: 0,
                 chunks: Vec::new(),
+                writes: 0,
             },
         );
         Ok(())
     }
 
     /// Writes `data` at `offset`, extending the file as needed. Affected
-    /// chunks are re-encrypted with bumped versions.
+    /// chunks are re-encrypted under fresh versions.
     ///
     /// # Errors
     ///
@@ -429,9 +440,13 @@ impl ShieldedFs {
         let meta = self
             .protection
             .files
-            .get(path)
+            .get_mut(path)
             .ok_or_else(|| SconeError::NotFound(path.to_string()))?;
-        let version = meta.chunks.get(chunk_index).map_or(0, |c| c.version) + 1;
+        // Spend the version before the host sees anything sealed under it:
+        // the host reads the ciphertext even when it then fails the write,
+        // and the retry must not seal other plaintext under the same nonce.
+        meta.writes += 1;
+        let version = meta.writes;
         let nonce = chunk_nonce(chunk_index as u32, version);
         let aad = chunk_aad(path, chunk_index, version);
         mem.charge_cycles(plain.len() as u64 * AEAD_CYCLES_PER_BYTE);
@@ -443,24 +458,25 @@ impl ShieldedFs {
         let host_path = chunk_path(path, chunk_index);
         let fd = self.open_host(mem, &host_path, true)?;
         let sealed_len = sealed.len() as u64;
-        match self.shield.call(
-            mem,
-            Syscall::Pwrite {
-                fd,
-                offset: 0,
-                data: sealed,
-            },
-        )? {
-            SyscallRet::Done(n) if n == sealed_len => {}
-            other => {
-                return Err(SconeError::HostViolation(format!(
-                    "pwrite of {sealed_len} bytes answered {other:?}"
-                )))
-            }
+        let pwrite = Syscall::Pwrite {
+            fd,
+            offset: 0,
+            data: sealed,
+        };
+        let stored = self.shield.call(mem, pwrite).and_then(|ret| match ret {
+            SyscallRet::Done(n) if n == sealed_len => Ok(()),
+            other => Err(SconeError::HostViolation(format!(
+                "pwrite of {sealed_len} bytes answered {other:?}"
+            ))),
+        });
+        if stored.is_err() {
+            // Best effort: a failed write must not leak the host descriptor.
+            let _ = self.close_host(mem, fd);
+            return stored;
         }
-        // The host acknowledged the whole chunk: only now does the
-        // metadata move to the new version, so a failed write leaves the
-        // previous (version, tag) over the previous host bytes.
+        // The host acknowledged the whole chunk: only now does the chunk's
+        // (version, tag) move, so a failed write leaves the previous pair
+        // over the previous host bytes.
         let chunks = &mut self
             .protection
             .files
@@ -474,15 +490,13 @@ impl ShieldedFs {
             });
         }
         chunks[chunk_index] = ChunkMeta { version, tag };
-        // Shrink the host file if the chunk got shorter.
-        self.shield.call(
-            mem,
-            Syscall::Ftruncate {
-                fd,
-                len: sealed_len,
-            },
-        )?;
-        self.close_host(mem, fd)
+        // Shrink the host file if the chunk got shorter; close either way.
+        let shrink = Syscall::Ftruncate {
+            fd,
+            len: sealed_len,
+        };
+        let shrunk = self.shield.call(mem, shrink);
+        shrunk.and(self.close_host(mem, fd))
     }
 
     fn open_host(
@@ -519,7 +533,8 @@ mod tests {
     use super::*;
     use crate::hostos::{HostOs, MemHost};
     use securecloud_sgx::costs::{CostModel, MemoryGeometry};
-    use std::sync::Arc;
+    use std::sync::atomic::{AtomicI64, Ordering::Relaxed};
+    use std::sync::{Arc, Mutex};
 
     fn setup() -> (Arc<MemHost>, ShieldedFs, MemorySim) {
         let host = Arc::new(MemHost::new());
@@ -691,34 +706,52 @@ mod tests {
         assert_eq!(fs.read(&mut mem, "/g", 0, 4).unwrap(), b"near");
     }
 
-    #[test]
-    fn short_pwrite_ack_is_a_failed_write() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        /// Acknowledges one byte less than it was given, once, storing
-        /// nothing.
-        struct ShortAck {
-            inner: MemHost,
-            armed: AtomicBool,
-        }
-        impl HostOs for ShortAck {
-            fn execute(&self, call: &Syscall) -> SyscallRet {
-                match call {
-                    Syscall::Pwrite { data, .. } if self.armed.swap(false, Ordering::Relaxed) => {
-                        SyscallRet::Done(data.len() as u64 - 1)
-                    }
-                    _ => self.inner.execute(call),
+    /// A host that logs every sealed chunk it is handed and, when armed,
+    /// answers the next pwrite with `armed`'s value instead of storing it.
+    struct FlakyWrites {
+        inner: MemHost,
+        armed: Mutex<Option<SyscallRet>>,
+        seen: Mutex<Vec<Vec<u8>>>,
+        open_fds: AtomicI64,
+    }
+
+    impl HostOs for FlakyWrites {
+        fn execute(&self, call: &Syscall) -> SyscallRet {
+            if let Syscall::Pwrite { data, .. } = call {
+                self.seen.lock().unwrap().push(data.clone());
+                if let Some(answer) = self.armed.lock().unwrap().take() {
+                    return answer;
                 }
             }
+            let ret = self.inner.execute(call);
+            match (call, &ret) {
+                (Syscall::Open { .. }, SyscallRet::Fd(_)) => self.open_fds.fetch_add(1, Relaxed),
+                (Syscall::Close { .. }, SyscallRet::Done(_)) => self.open_fds.fetch_sub(1, Relaxed),
+                _ => 0,
+            };
+            ret
         }
-        let host = Arc::new(ShortAck {
+    }
+
+    fn flaky_setup() -> (Arc<FlakyWrites>, ShieldedFs, MemorySim) {
+        let host = Arc::new(FlakyWrites {
             inner: MemHost::new(),
-            armed: false.into(),
+            armed: Mutex::new(None),
+            seen: Mutex::new(Vec::new()),
+            open_fds: AtomicI64::new(0),
         });
-        let mut fs = ShieldedFs::mount(Shield::sync(host.clone()), FsProtection::new());
-        let mut mem = MemorySim::enclave(MemoryGeometry::sgx_v1(), CostModel::zero());
+        let fs = ShieldedFs::mount(Shield::sync(host.clone()), FsProtection::new());
+        let mem = MemorySim::enclave(MemoryGeometry::sgx_v1(), CostModel::zero());
+        (host, fs, mem)
+    }
+
+    #[test]
+    fn short_pwrite_ack_is_a_failed_write() {
+        let (host, mut fs, mut mem) = flaky_setup();
         fs.create("/f").unwrap();
         fs.write(&mut mem, "/f", 0, b"version 1").unwrap();
-        host.armed.store(true, Ordering::Relaxed);
+        // One byte less than the sealed chunk (9 B + tag) was acknowledged.
+        *host.armed.lock().unwrap() = Some(SyscallRet::Done(9 + TAG_LEN as u64 - 1));
         assert!(matches!(
             fs.write(&mut mem, "/f", 0, b"version 2"),
             Err(SconeError::HostViolation(_))
@@ -728,6 +761,35 @@ mod tests {
         assert_eq!(fs.read(&mut mem, "/f", 0, 9).unwrap(), b"version 1");
         fs.write(&mut mem, "/f", 0, b"version 2").unwrap();
         assert_eq!(fs.read(&mut mem, "/f", 0, 9).unwrap(), b"version 2");
+        assert_eq!(host.open_fds.load(Relaxed), 0, "failed write leaked a fd");
+    }
+
+    #[test]
+    fn failed_write_spends_its_nonce() {
+        // The host reads the sealed bytes of a write it then fails. The
+        // retry carries different plaintext: sealed under the same nonce
+        // the two ciphertexts would XOR to the XOR of the plaintexts.
+        let (host, mut fs, mut mem) = flaky_setup();
+        fs.create("/f").unwrap();
+        fs.write(&mut mem, "/f", 0, b"version 1").unwrap();
+        *host.armed.lock().unwrap() = Some(SyscallRet::Error("disk full".into()));
+        assert!(fs.write(&mut mem, "/f", 0, b"attempt A").is_err());
+        assert_eq!(fs.read(&mut mem, "/f", 0, 9).unwrap(), b"version 1");
+        fs.write(&mut mem, "/f", 0, b"attempt B").unwrap();
+        assert_eq!(fs.read(&mut mem, "/f", 0, 9).unwrap(), b"attempt B");
+
+        let seen = host.seen.lock().unwrap();
+        let xor = |a: &[u8], b: &[u8]| -> Vec<u8> { a.iter().zip(b).map(|(x, y)| x ^ y).collect() };
+        assert_eq!(seen.len(), 3);
+        assert_ne!(
+            xor(&seen[1][..9], &seen[2][..9]),
+            xor(b"attempt A", b"attempt B"),
+            "keystream reused across a failed write and its retry"
+        );
+        // Versions 1 (stored), 2 (spent on the failed write), 3 (retry).
+        let meta = &fs.protection().files["/f"];
+        assert_eq!((meta.writes, meta.chunks[0].version), (3, 3));
+        assert_eq!(host.open_fds.load(Relaxed), 0, "failed write leaked a fd");
     }
 
     #[test]

@@ -64,29 +64,12 @@ impl ShieldTelemetry {
     }
 }
 
-/// Cycle charges specific to the shield machinery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShieldCosts {
-    /// Cost of one lock-free queue operation (cache-line transfer + fence).
-    pub queue_op_cycles: u64,
-    /// Copy throughput: cycles charged per 8 bytes moved across the
-    /// boundary (memcpy plus pointer/length sanitisation).
-    pub copy_cycles_per_8_bytes: u64,
-}
+/// Copy throughput: cycles charged per 8 bytes moved across the enclave
+/// boundary (memcpy plus pointer/length sanitisation).
+const COPY_CYCLES_PER_8_BYTES: u64 = 1;
 
-impl Default for ShieldCosts {
-    fn default() -> Self {
-        ShieldCosts {
-            queue_op_cycles: 300,
-            copy_cycles_per_8_bytes: 1,
-        }
-    }
-}
-
-impl ShieldCosts {
-    fn copy_cost(&self, bytes: usize) -> u64 {
-        (bytes as u64).div_ceil(8) * self.copy_cycles_per_8_bytes
-    }
+fn copy_cost(bytes: usize) -> u64 {
+    (bytes as u64).div_ceil(8) * COPY_CYCLES_PER_8_BYTES
 }
 
 fn call_payload_bytes(call: &Syscall) -> usize {
@@ -239,7 +222,6 @@ pub struct Shield {
     /// slot.
     reaped: VecDeque<(u64, SyscallRet)>,
     next_id: u64,
-    costs: ShieldCosts,
     telemetry: Option<ShieldTelemetry>,
 }
 
@@ -250,7 +232,6 @@ impl Shield {
             pending: HashMap::new(),
             reaped: VecDeque::new(),
             next_id: 0,
-            costs: ShieldCosts::default(),
             telemetry: None,
         }
     }
@@ -331,7 +312,7 @@ impl Shield {
     /// [`SconeError::ShieldStopped`] if the ring protocol is violated.
     pub fn submit(&mut self, mem: &mut MemorySim, call: Syscall) -> Result<u64, SconeError> {
         // Copy arguments out of the enclave.
-        mem.charge_cycles(self.costs.copy_cost(call_payload_bytes(&call)));
+        mem.charge_cycles(copy_cost(call_payload_bytes(&call)));
         let id = self.next_id;
         match &mut self.transport {
             Transport::Sync(host) => {
@@ -373,17 +354,17 @@ impl Shield {
         if self.pending.is_empty() {
             return Err(SconeError::ShieldStopped);
         }
-        let (id, ret) = match (self.reaped.pop_front(), &mut self.transport) {
-            (Some(answer), _) => answer,
-            (None, Transport::Rings(plane)) => plane.reap(mem),
-            // The sync transport buffers every answer at submit.
-            (None, Transport::Sync(_)) => return Err(SconeError::ShieldStopped),
-        };
-        let hop_cycles = match &mut self.transport {
-            Transport::Sync(_) => mem.costs().transition_pair(),
+        let buffered = self.reaped.pop_front();
+        let (id, ret, hop_cycles) = match &mut self.transport {
+            // The sync transport buffered its answer at submit.
+            Transport::Sync(_) => {
+                let (id, ret) = buffered.ok_or(SconeError::ShieldStopped)?;
+                (id, ret, mem.costs().transition_pair())
+            }
             Transport::Rings(plane) => {
+                let (id, ret) = buffered.unwrap_or_else(|| plane.reap(mem));
                 plane.touch_pending_slot(mem, id);
-                2 * mem.costs().ring_slot_cycles
+                (id, ret, 2 * mem.costs().ring_slot_cycles)
             }
         };
         // The id must match a call *we* recorded: a forged, replayed, or
@@ -400,13 +381,13 @@ impl Shield {
             return Err(e);
         }
         // Copy the (validated) result into the enclave.
-        let copy_in = self.costs.copy_cost(ret_payload_bytes(&ret));
+        let copy_in = copy_cost(ret_payload_bytes(&ret));
         mem.charge_cycles(copy_in);
         if let Some(t) = &self.telemetry {
             // Enclave-side cycles for the whole call, deterministic from
             // the cost model: the submit-side copy, the hop (transition
             // pair, or ring push plus pop), and the result copy.
-            let copy_out = self.costs.copy_cost(call_payload_bytes(&call));
+            let copy_out = copy_cost(call_payload_bytes(&call));
             t.record(call.kind(), copy_out + hop_cycles + copy_in);
         }
         Ok(Completion { id, ret })
