@@ -19,9 +19,11 @@ use securecloud::eventbus::bus::METRIC_BACKPRESSURED;
 use securecloud::faults::{FaultInjector, FaultKind, FaultPlan};
 use securecloud::replica::{ReplicaConfig, ReplicationFactor, WriteQuorum};
 use securecloud::SecureCloud;
-use std::io;
-use std::path::Path;
 use std::sync::Arc;
+
+use crate::pool;
+use crate::report::Cell::{Hex, List};
+use crate::report::{Column, Ctx, Report};
 
 /// Sizing knobs for the chaos sweep.
 #[derive(Debug, Clone)]
@@ -250,14 +252,11 @@ fn run_cell(seed: u64, writes_per_tick: u64, config: &ClusterConfig) -> ClusterP
 /// traces included — are byte-identical for any job count, in seed-major
 /// order.
 #[must_use]
-pub fn sweep_jobs(config: &ClusterConfig, jobs: usize) -> ClusterReport {
-    let cells: Vec<(u64, u64)> = config
-        .seeds
-        .iter()
-        .flat_map(|&seed| config.writes_per_tick.iter().map(move |&w| (seed, w)))
-        .collect();
-    let points =
-        crate::pool::run_ordered(cells, jobs, |(seed, writes)| run_cell(seed, writes, config));
+pub fn sweep(config: &ClusterConfig, jobs: usize) -> ClusterReport {
+    let cells = pool::grid(&config.seeds, &config.writes_per_tick);
+    let points = pool::run_ordered(cells, jobs, None, |(seed, writes), _| {
+        run_cell(seed, writes, config)
+    });
     ClusterReport {
         ticks: config.ticks,
         tick_ms: config.tick_ms,
@@ -276,61 +275,56 @@ pub struct ClusterReport {
     pub points: Vec<ClusterPoint>,
 }
 
-impl ClusterReport {
-    /// The report as a JSON document (hand-rolled — the workspace carries
-    /// no serde). Decision traces are recorded as FNV-1a digests plus
-    /// line counts, which is enough to diff two runs for determinism.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"bench\": \"cluster\",\n");
-        out.push_str(&format!("  \"ticks\": {},\n", self.ticks));
-        out.push_str(&format!("  \"tick_ms\": {},\n", self.tick_ms));
-        out.push_str("  \"results\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            let epochs: Vec<String> = p.epochs.iter().map(u64::to_string).collect();
-            out.push_str(&format!(
-                "    {{\"seed\": {}, \"writes_per_tick\": {}, \"acked\": {}, \
-                 \"rejected\": {}, \"acked_lost\": {}, \"epoch_rollbacks\": {}, \
-                 \"scale_ups\": {}, \"scale_downs\": {}, \"replicas_killed\": {}, \
-                 \"replicas_replaced\": {}, \"final_live\": {}, \"epochs\": [{}], \
-                 \"decisions\": {}, \"trace_fnv\": {}}}",
-                p.seed,
-                p.writes_per_tick,
-                p.acked,
-                p.rejected,
-                p.acked_lost,
-                p.epoch_rollbacks,
-                p.scale_ups,
-                p.scale_downs,
-                p.replicas_killed,
-                p.replicas_replaced,
-                p.final_live,
-                epochs.join(", "),
-                p.decisions,
-                trace_fnv(&p.decision_trace)
-            ));
-            if i + 1 < self.points.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Writes the JSON report to `path`, creating parent directories.
-    ///
-    /// # Errors
-    /// Propagates any filesystem error.
-    pub fn write_json(&self, path: &Path) -> io::Result<()> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        std::fs::write(path, self.to_json())
-    }
+/// Runs E12 at the context's size and declares its table. Decision traces
+/// are recorded as FNV-1a digests plus line counts, which is enough to diff
+/// two runs for determinism.
+pub fn report(ctx: &Ctx) -> Vec<Report> {
+    let config = ctx.pick(ClusterConfig::smoke(), ClusterConfig::full());
+    let swept = sweep(&config, ctx.jobs);
+    let report = Report::new(
+        "cluster",
+        "== E12: elastic cluster controller under a seeded fault schedule ==
+(load ramp forces scale-ups; the schedule kills the replicas they
+ admit, stalls one, partitions a group — zero acked writes lost,
+ no epoch rollback, byte-identical decisions at any --jobs)",
+        &swept.points,
+        [
+            Column::table("seed", 10, |p| Hex(p.seed)),
+            Column::json("seed", |p| p.seed.into()),
+            Column::keyed("wr/tick", 7, "writes_per_tick", |p| {
+                p.writes_per_tick.into()
+            }),
+            Column::new("acked", 6, |p| p.acked.into()),
+            Column::keyed("reject", 6, "rejected", |p| p.rejected.into()),
+            Column::json("acked_lost", |p| p.acked_lost.into()),
+            Column::json("epoch_rollbacks", |p| p.epoch_rollbacks.into()),
+            Column::keyed("ups", 5, "scale_ups", |p| p.scale_ups.into()),
+            Column::keyed("downs", 7, "scale_downs", |p| p.scale_downs.into()),
+            Column::keyed("kills", 6, "replicas_killed", |p| p.replicas_killed.into()),
+            Column::keyed("repl", 6, "replicas_replaced", |p| {
+                p.replicas_replaced.into()
+            }),
+            Column::keyed("live", 5, "final_live", |p| p.final_live.into()),
+            Column::json("epochs", |p| {
+                List(p.epochs.iter().map(|&e| e.into()).collect())
+            }),
+            Column::new("decisions", 9, |p| p.decisions.into()),
+            Column::table("trace fnv", 18, |p| Hex(trace_fnv(&p.decision_trace))),
+            Column::json("trace_fnv", |p| trace_fnv(&p.decision_trace).into()),
+        ],
+    );
+    vec![Report {
+        summary: format!(
+            "{} tick(s) x {} ms virtual per cell",
+            swept.ticks, swept.tick_ms
+        ),
+        meta: vec![
+            ("ticks", swept.ticks.into()),
+            ("tick_ms", swept.tick_ms.into()),
+        ],
+        announce: true,
+        ..report
+    }]
 }
 
 #[cfg(test)]
@@ -349,7 +343,7 @@ mod tests {
 
     #[test]
     fn chaos_cell_scales_survives_and_converges() {
-        let report = sweep_jobs(&tiny(), 1);
+        let report = sweep(&tiny(), 1);
         let point = &report.points[0];
         // run_cell already asserted the invariants; pin the recorded
         // evidence that the schedule actually exercised the controller.
@@ -367,8 +361,13 @@ mod tests {
 
     #[test]
     fn report_serialises_with_trace_digests() {
-        let report = sweep_jobs(&tiny(), 1);
-        let json = report.to_json();
+        let telemetry = securecloud_telemetry::Telemetry::new();
+        let ctx = Ctx {
+            smoke: true,
+            jobs: 2,
+            telemetry: &telemetry,
+        };
+        let json = report(&ctx)[0].to_json();
         assert!(json.contains("\"bench\": \"cluster\""));
         assert!(json.contains("\"acked_lost\": 0"));
         assert!(json.contains("\"trace_fnv\": "));

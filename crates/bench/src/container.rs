@@ -7,9 +7,11 @@
 //! cycles.
 
 use securecloud::containers::build::SecureImageBuilder;
-
 use securecloud::SecureCloud;
 use std::time::Instant;
+
+use crate::report::Cell::Fixed;
+use crate::report::{Column, Ctx, Report};
 
 /// Result of one image-size point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,4 +79,26 @@ pub fn run_point(fs_mb: usize) -> ContainerPoint {
 #[must_use]
 pub fn sweep(fs_sizes_mb: &[usize]) -> Vec<ContainerPoint> {
     fs_sizes_mb.iter().map(|&mb| run_point(mb)).collect()
+}
+
+/// The E5 table.
+pub fn report(ctx: &Ctx) -> Vec<Report> {
+    let points = sweep(ctx.pick(&[8, 32], &[8, 32, 128]));
+    vec![Report::new(
+        "container",
+        "== E5: secure container build & startup overhead (§V-A) ==",
+        &points,
+        [
+            Column::new("FS MiB", 6, |p| p.fs_mb.into()),
+            Column::new("build ms", 11, |p| Fixed(p.build_ms, 1)),
+            Column::new("image MiB", 12, |p| {
+                Fixed(p.image_bytes as f64 / (1024.0 * 1024.0), 1)
+            }),
+            Column::new("secure start ms", 16, |p| Fixed(p.secure_start_ms, 1)),
+            Column::new("plain start ms", 15, |p| Fixed(p.plain_start_ms, 1)),
+            Column::new("bootstrap Mcyc", 14, |p| {
+                Fixed(p.bootstrap_sim_cycles as f64 / 1e6, 1)
+            }),
+        ],
+    )]
 }

@@ -14,13 +14,14 @@
 //! experiments this one asserts nothing — EXPERIMENTS.md records the
 //! observed numbers instead.
 
-use std::io;
-use std::path::Path;
 use std::time::Instant;
 
 use securecloud_crypto::gcm::{AesGcm, Kernel, NONCE_LEN};
 use securecloud_crypto::reference;
 use securecloud_crypto::sha256::Sha256;
+
+use crate::report::Cell::{Absent, Fixed, List};
+use crate::report::{Cell, Column, Ctx, Report};
 
 /// Sizing knobs for the microbenchmark.
 #[derive(Debug, Clone, Copy)]
@@ -178,57 +179,58 @@ pub fn run(config: CryptoBenchConfig) -> CryptoBenchReport {
     }
 }
 
-impl CryptoBenchReport {
-    /// The report as a JSON document (hand-rolled — the workspace carries
-    /// no serde).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"bench\": \"crypto\",\n");
-        out.push_str(&format!("  \"payload_bytes\": {},\n", self.payload_bytes));
-        out.push_str(&format!("  \"iterations\": {},\n", self.iterations));
-        out.push_str(&format!("  \"kernel\": \"{}\",\n", self.kernel.name()));
-        let features: Vec<String> = self
-            .cpu_features
-            .iter()
-            .map(|f| format!("\"{f}\""))
-            .collect();
-        out.push_str(&format!("  \"cpu_features\": [{}],\n", features.join(", ")));
-        out.push_str("  \"results\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            out.push_str(&format!("    {{\"op\": \"{}\"", p.op));
-            if let Some(r) = p.reference_mb_per_s {
-                out.push_str(&format!(", \"reference_mb_per_s\": {r:.1}"));
-            }
-            out.push_str(&format!(
-                ", \"portable_mb_per_s\": {:.1}",
-                p.portable_mb_per_s
-            ));
-            if let Some(h) = p.hardware_mb_per_s {
-                out.push_str(&format!(", \"hardware_mb_per_s\": {h:.1}"));
-            }
-            out.push('}');
-            if i + 1 < self.points.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ]\n}\n");
-        out
+/// Declares the E10 table over a finished run.
+fn declare(measured: &CryptoBenchReport) -> Report {
+    fn mb_per_s(v: Option<f64>) -> Cell {
+        v.map_or(Absent, |v| Fixed(v, 1))
     }
+    let report = Report::new(
+        "crypto",
+        "== E10: crypto kernel throughput (wall-clock) ==
+(AES-GCM three ways: scalar reference oracle, portable T-table /
+ windowed kernel, hardware AES-NI + PCLMULQDQ kernel; same bytes)",
+        &measured.points,
+        [
+            Column::new("op", 8, |p| p.op.into()),
+            Column::keyed("reference MB/s", 15, "reference_mb_per_s", |p| {
+                mb_per_s(p.reference_mb_per_s)
+            }),
+            Column::keyed("portable MB/s", 14, "portable_mb_per_s", |p| {
+                Fixed(p.portable_mb_per_s, 1)
+            }),
+            Column::keyed("hardware MB/s", 14, "hardware_mb_per_s", |p| {
+                mb_per_s(p.hardware_mb_per_s)
+            }),
+        ],
+    );
+    Report {
+        // CI greps the kernel line: benchmarking the fallback unnoticed is
+        // a failure.
+        summary: format!(
+            "kernel={} cpu_features={}\npayload: {} KiB x {} iterations",
+            measured.kernel.name(),
+            measured.cpu_features.join(","),
+            measured.payload_bytes >> 10,
+            measured.iterations
+        ),
+        meta: vec![
+            ("payload_bytes", measured.payload_bytes.into()),
+            ("iterations", measured.iterations.into()),
+            ("kernel", measured.kernel.name().into()),
+            (
+                "cpu_features",
+                List(measured.cpu_features.iter().map(|&f| f.into()).collect()),
+            ),
+        ],
+        announce: true,
+        ..report
+    }
+}
 
-    /// Writes the JSON report to `path`, creating parent directories.
-    ///
-    /// # Errors
-    /// Propagates any filesystem error.
-    pub fn write_json(&self, path: &Path) -> io::Result<()> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        std::fs::write(path, self.to_json())
-    }
+/// Runs E10 at the context's size.
+pub fn report(ctx: &Ctx) -> Vec<Report> {
+    let config = ctx.pick(CryptoBenchConfig::smoke(), CryptoBenchConfig::full());
+    vec![declare(&run(config))]
 }
 
 #[cfg(test)]
@@ -257,7 +259,7 @@ mod tests {
                 p.op
             );
         }
-        let json = report.to_json();
+        let json = declare(&report).to_json();
         assert!(json.contains("\"op\": \"ghash\""));
         assert!(json.contains("\"reference_mb_per_s\""));
         assert!(json.contains(&format!("\"kernel\": \"{}\"", report.kernel.name())));

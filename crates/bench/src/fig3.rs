@@ -12,6 +12,10 @@ use securecloud_sgx::costs::{CostModel, MemoryGeometry};
 use securecloud_sgx::mem::MemorySim;
 use securecloud_telemetry::Telemetry;
 
+use crate::pool;
+use crate::report::Cell::{Fixed, Unit};
+use crate::report::{Column, Ctx, Report};
+
 /// The database sizes swept for Figure 3 (MiB). The vertical line of the
 /// paper's figure sits at 128 MiB.
 pub const PAPER_DB_SIZES_MB: &[u64] = &[
@@ -44,28 +48,8 @@ struct DomainRun {
     llc_misses_per_pub: u64,
 }
 
-fn run_domain(
-    spec: &WorkloadSpec,
-    db_bytes: u64,
-    publications: usize,
-    geometry: MemoryGeometry,
-    costs: CostModel,
-    enclave: bool,
-) -> DomainRun {
-    run_domain_with_layout(
-        spec,
-        db_bytes,
-        publications,
-        geometry,
-        costs,
-        enclave,
-        Layout::ArrivalOrder,
-        None,
-    )
-}
-
 #[allow(clippy::too_many_arguments)]
-fn run_domain_with_layout(
+fn run_domain(
     spec: &WorkloadSpec,
     db_bytes: u64,
     publications: usize,
@@ -119,50 +103,28 @@ fn run_domain_with_layout(
     }
 }
 
-/// Runs one database size in both domains with explicit geometry/costs.
+/// Runs one database size in both domains with SGX1 defaults, optionally
+/// recording per-domain sgx/scbr metrics and a `bench/fig3_domain` span
+/// pair into `telemetry`.
 #[must_use]
-pub fn run_point_with(
-    db_bytes: u64,
-    publications: usize,
-    geometry: MemoryGeometry,
-    costs: CostModel,
-) -> Fig3Point {
-    run_point_with_telemetry(db_bytes, publications, geometry, costs, None)
-}
-
-/// Like [`run_point_with`], optionally recording per-domain sgx/scbr
-/// metrics and a `bench/fig3_domain` span pair into `telemetry`.
-#[must_use]
-pub fn run_point_with_telemetry(
-    db_bytes: u64,
-    publications: usize,
-    geometry: MemoryGeometry,
-    costs: CostModel,
-    telemetry: Option<&Telemetry>,
-) -> Fig3Point {
+pub fn run_point(db_mb: u64, publications: usize, telemetry: Option<&Telemetry>) -> Fig3Point {
     let spec = WorkloadSpec::fig3();
-    let native = run_domain_with_layout(
-        &spec,
-        db_bytes,
-        publications,
-        geometry,
-        costs.clone(),
-        false,
-        Layout::ArrivalOrder,
-        telemetry,
-    );
-    let enclave = run_domain_with_layout(
-        &spec,
-        db_bytes,
-        publications,
-        geometry,
-        costs,
-        true,
-        Layout::ArrivalOrder,
-        telemetry,
-    );
+    let run = |enclave: bool| {
+        run_domain(
+            &spec,
+            db_mb << 20,
+            publications,
+            MemoryGeometry::sgx_v1(),
+            CostModel::sgx_v1(),
+            enclave,
+            Layout::ArrivalOrder,
+            telemetry,
+        )
+    };
+    let native = run(false);
+    let enclave = run(true);
     Fig3Point {
-        db_mb: db_bytes >> 20,
+        db_mb,
         native_us: native.us_per_pub,
         enclave_us: enclave.us_per_pub,
         ratio: enclave.us_per_pub / native.us_per_pub,
@@ -172,71 +134,51 @@ pub fn run_point_with_telemetry(
     }
 }
 
-/// Runs one database size in both domains with SGX1 defaults.
-#[must_use]
-pub fn run_point(db_mb: u64, publications: usize) -> Fig3Point {
-    run_point_with(
-        db_mb << 20,
-        publications,
-        MemoryGeometry::sgx_v1(),
-        CostModel::sgx_v1(),
-    )
-}
-
-/// Full Figure 3 sweep.
-#[must_use]
-pub fn sweep(db_sizes_mb: &[u64], publications: usize) -> Vec<Fig3Point> {
-    sweep_instrumented(db_sizes_mb, publications, None)
-}
-
-/// Full Figure 3 sweep with optional telemetry: every point records its
-/// memory-simulator and matching-engine metrics (labeled by domain) into
-/// the shared registry and leaves a span per domain run in the trace.
-#[must_use]
-pub fn sweep_instrumented(
-    db_sizes_mb: &[u64],
-    publications: usize,
-    telemetry: Option<&Telemetry>,
-) -> Vec<Fig3Point> {
-    sweep_jobs(db_sizes_mb, publications, 1, telemetry)
-}
-
 /// Figure 3 sweep fanned across up to `jobs` worker threads.
 ///
 /// Every sweep point is independent (own simulator, own engine, own virtual
 /// time base), so points run concurrently and are collected in input order.
-/// When telemetry is requested, each point records into a private bundle
-/// that is absorbed into the shared one in point order — the serial path
-/// (`jobs == 1`) goes through the identical record-then-absorb sequence, so
-/// results *and* telemetry exports are byte-identical for any job count.
+/// With `telemetry`, every point records its memory-simulator and
+/// matching-engine metrics (labeled by domain) and a span per domain run
+/// through [`pool::run_ordered`], so results *and* telemetry exports
+/// are byte-identical for any job count.
 #[must_use]
-pub fn sweep_jobs(
+pub fn sweep(
     db_sizes_mb: &[u64],
     publications: usize,
     jobs: usize,
     telemetry: Option<&Telemetry>,
 ) -> Vec<Fig3Point> {
-    let instrument = telemetry.is_some();
-    let results = crate::pool::run_ordered(db_sizes_mb.to_vec(), jobs, move |mb| {
-        let local = instrument.then(Telemetry::new);
-        let point = run_point_with_telemetry(
-            mb << 20,
-            publications,
-            MemoryGeometry::sgx_v1(),
-            CostModel::sgx_v1(),
-            local.as_ref(),
-        );
-        (point, local)
-    });
-    results
-        .into_iter()
-        .map(|(point, local)| {
-            if let (Some(shared), Some(local)) = (telemetry, local) {
-                shared.absorb(&local);
-            }
-            point
-        })
-        .collect()
+    pool::run_ordered(db_sizes_mb.to_vec(), jobs, telemetry, |mb, local| {
+        run_point(mb, publications, local)
+    })
+}
+
+/// The Figure 3 table.
+pub fn report(ctx: &Ctx) -> Vec<Report> {
+    // Few sizes under --smoke, but enough publications that the 160 MiB
+    // point still pages (too few and the touched set fits the EPC after
+    // warm-up).
+    let (sizes, pubs) = ctx.pick((&[8, 64, 128, 160][..], 20), (PAPER_DB_SIZES_MB, 30));
+    let points = sweep(sizes, pubs, ctx.jobs, Some(ctx.telemetry));
+    vec![Report::new(
+        "fig3",
+        "== E1 / Figure 3: effect of memory swapping ==
+(paper: ratio ~1 below EPC, degradation before the 128 MiB line,
+ ~18x at a 200 MiB subscription database)",
+        &points,
+        [
+            Column::new("DB MiB", 6, |p| p.db_mb.into()),
+            Column::new("native us/p", 12, |p| Fixed(p.native_us, 1)),
+            Column::new("enclave us/p", 13, |p| Fixed(p.enclave_us, 1)),
+            Column::new("ratio", 7, |p| Unit(p.ratio, 1, "x")),
+            Column::new("faults/pub", 11, |p| p.faults_per_pub.into()),
+            Column::new("visits/pub", 11, |p| p.visits_per_pub.into()),
+            Column::table("", 0, |p| {
+                if p.db_mb == 128 { " <-- EPC size" } else { "" }.into()
+            }),
+        ],
+    )]
 }
 
 /// E8: one Figure 3 point under the paper's proposed optimisations.
@@ -262,24 +204,23 @@ pub struct OptimisedPoint {
 pub fn optimisations(db_mb: u64, publications: usize) -> Vec<OptimisedPoint> {
     let spec = WorkloadSpec::fig3();
     let costs = CostModel::sgx_v1();
+    let run = |geometry: MemoryGeometry, enclave: bool, layout: Layout| {
+        let costs = costs.clone();
+        run_domain(
+            &spec,
+            db_mb << 20,
+            publications,
+            geometry,
+            costs,
+            enclave,
+            layout,
+            None,
+        )
+    };
     // Each variant is compared against a native run on the *same*
     // geometry, so larger-LLC platforms do not skew the ratio.
-    let native_v1 = run_domain(
-        &spec,
-        db_mb << 20,
-        publications,
-        MemoryGeometry::sgx_v1(),
-        costs.clone(),
-        false,
-    );
-    let native_v2 = run_domain(
-        &spec,
-        db_mb << 20,
-        publications,
-        MemoryGeometry::sgx_v2(),
-        costs.clone(),
-        false,
-    );
+    let native_v1 = run(MemoryGeometry::sgx_v1(), false, Layout::ArrivalOrder);
+    let native_v2 = run(MemoryGeometry::sgx_v2(), false, Layout::ArrivalOrder);
     let variants: Vec<(&'static str, MemoryGeometry, Layout)> = vec![
         (
             "baseline (arrival order, SGX1)",
@@ -305,16 +246,7 @@ pub fn optimisations(db_mb: u64, publications: usize) -> Vec<OptimisedPoint> {
     variants
         .into_iter()
         .map(|(variant, geometry, layout)| {
-            let run = run_domain_with_layout(
-                &spec,
-                db_mb << 20,
-                publications,
-                geometry,
-                costs.clone(),
-                true,
-                layout,
-                None,
-            );
+            let run = run(geometry, true, layout);
             let native_us = if geometry == MemoryGeometry::sgx_v2() {
                 native_v2.us_per_pub
             } else {
@@ -329,6 +261,25 @@ pub fn optimisations(db_mb: u64, publications: usize) -> Vec<OptimisedPoint> {
             }
         })
         .collect()
+}
+
+/// The E8 table, at the 160 MiB past-EPC point.
+pub fn optimisations_report(ctx: &Ctx) -> Vec<Report> {
+    let points = optimisations(160, ctx.pick(6, 30));
+    vec![Report::new(
+        "fig3opt",
+        "== E8: paging optimisations (paper's future work, quantified) ==
+(\"we intend to optimise our data structures to avoid paging and
+ cache misses ... to further decrease the overhead\", 160 MiB DB)",
+        &points,
+        [
+            Column::new("variant", 32, |p| p.variant.into()),
+            Column::json("db_mib", |p| p.db_mb.into()),
+            Column::new("enclave us/p", 13, |p| Fixed(p.enclave_us, 1)),
+            Column::new("ratio", 7, |p| Unit(p.ratio, 1, "x")),
+            Column::new("faults/pub", 11, |p| p.faults_per_pub.into()),
+        ],
+    )]
 }
 
 /// E2: the three memory-pressure regimes of §V-B.
@@ -356,7 +307,27 @@ pub fn cache_vs_swap(publications: usize) -> Vec<CacheRegime> {
     .map(|(regime, db_mb)| CacheRegime {
         regime,
         db_mb,
-        point: run_point(db_mb, publications),
+        point: run_point(db_mb, publications, None),
     })
     .collect()
+}
+
+/// The E2 table.
+pub fn cache_report(ctx: &Ctx) -> Vec<Report> {
+    let regimes = cache_vs_swap(ctx.pick(30, 200));
+    vec![Report::new(
+        "cache",
+        "== E2: cache misses vs memory swapping (§V-B) ==
+(paper: cache misses impose limited overhead; swapping is worse)",
+        &regimes,
+        [
+            Column::new("regime", 24, |r| r.regime.into()),
+            Column::new("DB MiB", 6, |r| r.db_mb.into()),
+            Column::new("native us/p", 12, |r| Fixed(r.point.native_us, 1)),
+            Column::new("enclave us/p", 13, |r| Fixed(r.point.enclave_us, 1)),
+            Column::new("ratio", 7, |r| Unit(r.point.ratio, 1, "x")),
+            Column::new("misses/pub", 11, |r| r.point.llc_misses_per_pub.into()),
+            Column::new("faults/pub", 11, |r| r.point.faults_per_pub.into()),
+        ],
+    )]
 }

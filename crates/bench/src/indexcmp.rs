@@ -4,10 +4,13 @@
 
 use securecloud_scbr::engine::MatchEngine;
 use securecloud_scbr::index::{NaiveIndex, PosetIndex, SubscriptionIndex};
-use securecloud_scbr::types::{Op, Predicate, Subscription, Value};
+use securecloud_scbr::types::{Op, Predicate, Publication, SubId, Subscription, Value};
 use securecloud_scbr::workload::WorkloadSpec;
 use securecloud_sgx::costs::{CostModel, MemoryGeometry};
 use securecloud_sgx::mem::MemorySim;
+
+use crate::report::Cell::Fixed;
+use crate::report::{Column, Ctx, Report};
 
 /// One subscription-count point comparing the two indexes.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -108,37 +111,55 @@ pub fn containment_heavy_point(chains: usize, depth: usize, publications: usize)
     }
     // Publications that miss every chain (x = -1): the poset visits only
     // the chain heads, the naive index visits everything.
-    let publication = securecloud_scbr::types::Publication::new().with("x", Value::Int(-1));
-    let run = |use_poset: bool| -> u64 {
-        let mut mem = MemorySim::native(MemoryGeometry::sgx_v1(), CostModel::zero());
-        let mut visits = 0u64;
-        if use_poset {
-            let mut index = PosetIndex::new();
-            for (i, sub) in database.iter().enumerate() {
-                index.insert(
-                    securecloud_scbr::types::SubId(i as u64),
-                    sub.clone(),
-                    i as u64 * 256,
-                );
-            }
-            for _ in 0..publications {
-                index.match_publication(&publication, &mut |_| visits += 1);
-            }
-        } else {
-            let mut index = NaiveIndex::new();
-            for (i, sub) in database.iter().enumerate() {
-                index.insert(
-                    securecloud_scbr::types::SubId(i as u64),
-                    sub.clone(),
-                    i as u64 * 256,
-                );
-            }
-            for _ in 0..publications {
-                index.match_publication(&publication, &mut |_| visits += 1);
-            }
+    let publication = Publication::new().with("x", Value::Int(-1));
+    let visits = |index: &mut dyn SubscriptionIndex| {
+        for (i, sub) in database.iter().enumerate() {
+            index.insert(SubId(i as u64), sub.clone(), i as u64 * 256);
         }
-        let _ = &mut mem;
+        let mut visits = 0u64;
+        for _ in 0..publications {
+            index.match_publication(&publication, &mut |_| visits += 1);
+        }
         visits / publications as u64
     };
-    (run(false), run(true))
+    (
+        visits(&mut NaiveIndex::new()),
+        visits(&mut PosetIndex::new()),
+    )
+}
+
+/// The E6 table plus the containment-heavy comparison.
+pub fn report(ctx: &Ctx) -> Vec<Report> {
+    let (sub_counts, pubs) = ctx.pick(
+        (&[1_000, 10_000][..], 10),
+        (&[1_000, 10_000, 50_000, 100_000][..], 30),
+    );
+    let points = sweep(sub_counts, pubs);
+    let report = Report::new(
+        "index",
+        "== E6: containment index vs naive matching (§V-B) ==",
+        &points,
+        [
+            Column::new("subs", 8, |p| p.subs.into()),
+            Column::new("naive visit", 12, |p| p.naive_visits.into()),
+            Column::new("poset visit", 12, |p| p.poset_visits.into()),
+            Column::new("naive pred", 11, |p| p.naive_predicates.into()),
+            Column::new("poset pred", 11, |p| p.poset_predicates.into()),
+            Column::new("naive us", 10, |p| Fixed(p.naive_us, 1)),
+            Column::new("poset us", 10, |p| Fixed(p.poset_us, 1)),
+        ],
+    );
+    let (naive, poset) = containment_heavy_point(50, 50, 10);
+    vec![Report {
+        meta: vec![
+            ("containment_heavy_naive_visits", naive.into()),
+            ("containment_heavy_poset_visits", poset.into()),
+        ],
+        footer: format!(
+            "containment-heavy workload (50 chains x 50 nested ranges, non-matching pubs):
+  naive visits/pub: {naive}, poset visits/pub: {poset} ({}x fewer)",
+            naive / poset.max(1)
+        ),
+        ..report
+    }]
 }

@@ -16,8 +16,10 @@ use securecloud_scbr::types::{Op, Predicate, Publication, Subscription, Value};
 use securecloud_sgx::costs::CostModel;
 use securecloud_sgx::enclave::{EnclaveConfig, Platform};
 use securecloud_telemetry::{Histogram, Telemetry};
-use std::io;
-use std::path::Path;
+
+use crate::pool;
+use crate::report::Cell::{Absent, Fixed, Unit};
+use crate::report::{Column, Ctx, Report};
 
 /// Sizing knobs for the messaging sweep.
 #[derive(Debug, Clone)]
@@ -200,55 +202,23 @@ fn run_point(
     }
 }
 
-/// Runs the sweep on the classic transition-per-frame plane. Results and
-/// telemetry are byte-identical for any job count: each point runs on a
-/// private telemetry bundle, absorbed into `telemetry` in point order.
-#[must_use]
-pub fn sweep_jobs(
-    config: &MessagingConfig,
-    jobs: usize,
-    telemetry: Option<&Telemetry>,
-) -> MessagingReport {
-    sweep_jobs_on(config, jobs, telemetry, false)
-}
-
 /// Runs the sweep on either call plane: `switchless = true` routes every
 /// router match through the shared-memory ring plane
 /// ([`SecureRouter::set_switchless`]) instead of per-frame ECALL/OCALL
-/// pairs. Determinism contract as [`sweep_jobs`].
+/// pairs. Results and telemetry are byte-identical for any job count
+/// ([`pool::run_ordered`]).
 #[must_use]
-pub fn sweep_jobs_on(
+pub fn sweep(
     config: &MessagingConfig,
     jobs: usize,
     telemetry: Option<&Telemetry>,
     switchless: bool,
 ) -> MessagingReport {
-    let cells: Vec<(usize, usize)> = config
-        .payload_bytes
-        .iter()
-        .flat_map(|&payload| {
-            config
-                .batch_sizes
-                .iter()
-                .map(move |&batch| (batch, payload))
-        })
-        .collect();
+    let cells = pool::grid(&config.payload_bytes, &config.batch_sizes);
     let messages = config.messages;
-    let instrument = telemetry.is_some();
-    let results = crate::pool::run_ordered(cells, jobs, move |(batch, payload)| {
-        let local = instrument.then(Telemetry::new);
-        let point = run_point(batch, payload, messages, switchless, local.as_ref());
-        (point, local)
+    let points = pool::run_ordered(cells, jobs, telemetry, |(payload, batch), local| {
+        run_point(batch, payload, messages, switchless, local)
     });
-    let points = results
-        .into_iter()
-        .map(|(point, local)| {
-            if let (Some(shared), Some(local)) = (telemetry, local) {
-                shared.absorb(&local);
-            }
-            point
-        })
-        .collect();
     MessagingReport {
         plane: if switchless { "switchless" } else { "sync" },
         messages,
@@ -280,45 +250,69 @@ impl MessagingReport {
         };
         Some(rate(batch)? / rate(1)?)
     }
+}
 
-    /// The report as a JSON document (hand-rolled — the workspace carries
-    /// no serde).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"bench\": \"messaging\",\n");
-        out.push_str(&format!("  \"plane\": \"{}\",\n", self.plane));
-        out.push_str(&format!("  \"messages\": {},\n", self.messages));
-        out.push_str("  \"results\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"batch\": {}, \"payload_bytes\": {}, \"msgs_per_s\": {:.0}, \"p99_us\": {}, \"transitions_per_msg\": {:.3}",
-                p.batch, p.payload_bytes, p.msgs_per_s, p.p99_us, p.transitions_per_msg
-            ));
-            if let Some(speedup) = self.speedup(p.payload_bytes, p.batch) {
-                out.push_str(&format!(", \"speedup_vs_single\": {speedup:.2}"));
-            }
-            out.push('}');
-            if i + 1 < self.points.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Writes the JSON report to `path`, creating parent directories.
-    ///
-    /// # Errors
-    /// Propagates any filesystem error.
-    pub fn write_json(&self, path: &Path) -> io::Result<()> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        std::fs::write(path, self.to_json())
+/// Runs E11 at the context's size on the chosen plane and declares its
+/// table. The sync plane is the experiment proper; the switchless plane is
+/// its rerun, written beside it as `BENCH_messaging_switchless.json` with
+/// the transitions column on show.
+pub fn report(ctx: &Ctx, switchless: bool) -> Report {
+    let config = ctx.pick(MessagingConfig::smoke(), MessagingConfig::full());
+    let swept = sweep(&config, ctx.jobs, Some(ctx.telemetry), switchless);
+    let rerun = swept.plane != "sync";
+    let rows: Vec<(&MessagingPoint, Option<f64>)> = swept
+        .points
+        .iter()
+        .map(|p| (p, swept.speedup(p.payload_bytes, p.batch)))
+        .collect();
+    let heading = if rerun {
+        "-- E11 rerun over the switchless plane --
+(the same messaging sweep with every router match riding the
+ ring plane: ~0 transitions/msg, no batch-size knee)"
+    } else {
+        "== E11: batched messaging on the SCBR sealed path ==
+(one AEAD frame + one ECALL/OCALL pair per batch amortizes the
+ enclave transition and nonce/GHASH setup across N publications)"
+    };
+    let transitions = |(p, _): &(&MessagingPoint, _)| Fixed(p.transitions_per_msg, 3);
+    let report = Report::new(
+        "messaging",
+        heading,
+        &rows,
+        [
+            Column::new("batch", 6, |(p, _)| p.batch.into()),
+            Column::keyed("payload B", 10, "payload_bytes", |(p, _)| {
+                p.payload_bytes.into()
+            }),
+            Column::keyed("msgs/s", 12, "msgs_per_s", |(p, _)| Fixed(p.msgs_per_s, 0)),
+            Column::new("p99 us", 9, |(p, _)| p.p99_us.into()),
+            Column::table("speedup", 9, |(_, speedup)| {
+                Unit(speedup.unwrap_or(1.0), 1, "x")
+            }),
+            if rerun {
+                Column::keyed("trans/msg", 10, "transitions_per_msg", transitions)
+            } else {
+                Column::json("transitions_per_msg", transitions)
+            },
+            Column::json("speedup_vs_single", |(_, speedup)| {
+                speedup.map_or(Absent, |s| Fixed(s, 2))
+            }),
+        ],
+    );
+    let messages = format!("messages per point: {}", swept.messages);
+    Report {
+        variant: rerun.then_some(swept.plane),
+        summary: if rerun {
+            format!("plane: {}, {messages}", swept.plane)
+        } else {
+            messages
+        },
+        meta: vec![
+            ("plane", swept.plane.into()),
+            ("messages", swept.messages.into()),
+        ],
+        announce: true,
+        ..report
     }
 }
 
@@ -336,7 +330,7 @@ mod tests {
 
     #[test]
     fn batching_amortizes_transitions_at_least_threefold() {
-        let report = sweep_jobs(&tiny(), 1, None);
+        let report = sweep(&tiny(), 1, None, false);
         for point in &report.points {
             assert_eq!(
                 point.delivered, point.messages as u64,
@@ -354,15 +348,15 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic_across_job_counts() {
-        let serial = sweep_jobs(&tiny(), 1, None);
-        let parallel = sweep_jobs(&tiny(), 4, None);
+        let serial = sweep(&tiny(), 1, None, false);
+        let parallel = sweep(&tiny(), 4, None, false);
         assert_eq!(serial, parallel);
     }
 
     #[test]
     fn switchless_plane_eliminates_transitions() {
-        let sync = sweep_jobs_on(&tiny(), 1, None, false);
-        let switchless = sweep_jobs_on(&tiny(), 1, None, true);
+        let sync = sweep(&tiny(), 1, None, false);
+        let switchless = sweep(&tiny(), 1, None, true);
         for (s, r) in sync.points.iter().zip(&switchless.points) {
             assert_eq!(r.delivered, s.delivered, "planes must route identically");
             assert_eq!(
@@ -400,23 +394,20 @@ mod tests {
 
     #[test]
     fn switchless_sweep_is_deterministic_across_job_counts() {
-        let serial = sweep_jobs_on(&tiny(), 1, None, true);
-        let parallel = sweep_jobs_on(&tiny(), 4, None, true);
+        let serial = sweep(&tiny(), 1, None, true);
+        let parallel = sweep(&tiny(), 4, None, true);
         assert_eq!(serial, parallel);
     }
 
     #[test]
     fn report_serialises_with_speedups() {
-        let report = sweep_jobs(
-            &MessagingConfig {
-                batch_sizes: vec![1, 8],
-                payload_bytes: vec![64],
-                messages: 32,
-            },
-            1,
-            None,
-        );
-        let json = report.to_json();
+        let telemetry = Telemetry::new();
+        let ctx = Ctx {
+            smoke: true,
+            jobs: 2,
+            telemetry: &telemetry,
+        };
+        let json = report(&ctx, false).to_json();
         assert!(json.contains("\"bench\": \"messaging\""));
         assert!(json.contains("\"batch\": 8"));
         assert!(json.contains("\"speedup_vs_single\""));

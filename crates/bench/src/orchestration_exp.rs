@@ -7,6 +7,9 @@ use securecloud_smartgrid::orchestration::{
 };
 use securecloud_smartgrid::quality::{run_detector, QualityDetector, QualitySpec};
 
+use crate::report::Cell::Fixed;
+use crate::report::{Column, Ctx, Report};
+
 /// Result of the orchestration-latency experiment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OrchestrationResult {
@@ -72,4 +75,38 @@ pub fn run(samples: usize, faults: usize, seed: u64) -> OrchestrationResult {
         false_positives: report.false_positives,
         orchestrator_reaction_steps: steps,
     }
+}
+
+/// The E7 result: three sentences on the console, one JSON row.
+pub fn report(ctx: &Ctx) -> Vec<Report> {
+    let result = run(ctx.pick(10_000, 60_000), 10, 3);
+    let report = Report::new(
+        "orchestration",
+        "== E7: anomaly detection within milliseconds (§VI) ==",
+        std::slice::from_ref(&result),
+        [
+            Column::json("faults_injected", |r| r.faults_injected.into()),
+            Column::json("faults_detected", |r| r.faults_detected.into()),
+            Column::json("missed", |r| r.missed.into()),
+            Column::json("false_positives", |r| r.false_positives.into()),
+            Column::json("mean_latency_ms", |r| Fixed(r.mean_latency_ms, 1)),
+            Column::json("max_latency_ms", |r| Fixed(r.max_latency_ms, 1)),
+            Column::json("reaction_steps", |r| r.orchestrator_reaction_steps.into()),
+        ],
+    );
+    vec![Report {
+        footer: format!(
+            "power-quality faults: {} injected, {} detected, {} missed, {} false positives
+detection latency: mean {:.1} ms, max {:.1} ms (1 kHz sampling)
+orchestrator reaction: scaling action emitted after {} bus step(s)",
+            result.faults_injected,
+            result.faults_detected,
+            result.missed,
+            result.false_positives,
+            result.mean_latency_ms,
+            result.max_latency_ms,
+            result.orchestrator_reaction_steps
+        ),
+        ..report
+    }]
 }

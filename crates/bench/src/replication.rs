@@ -21,6 +21,11 @@ use securecloud_kvstore::CounterService;
 use securecloud_sgx::costs::{CostModel, MemoryGeometry};
 use securecloud_sgx::enclave::Platform;
 
+use crate::pool;
+use crate::report::Cell::Fixed;
+use crate::report::{Column, Ctx, Report};
+use crate::small_epc;
+
 /// One cell of the shards x replication grid.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplicationPoint {
@@ -82,42 +87,19 @@ impl ReplicationWorkload {
     }
 }
 
-/// SGX1 line/page sizes with a scaled-down EPC (and an LLC a quarter of
-/// it, keeping the cache-vs-EPC proportions of the full-size model).
-fn small_epc(total: usize, reserved: usize) -> MemoryGeometry {
-    MemoryGeometry {
-        epc_total_bytes: total,
-        epc_reserved_bytes: reserved,
-        llc_bytes: total / 4,
-        ..MemoryGeometry::sgx_v1()
-    }
-}
-
-/// Runs the grid: every `shards` value against every `replication` value.
+/// Runs the grid — every `shards` value against every `replication` value —
+/// fanned across up to `jobs` worker threads. Each cell deploys its own
+/// platform and replica set, so cells are independent and deterministic;
+/// results come back in row-major order for any job count.
 #[must_use]
 pub fn sweep(
     shards: &[u32],
     replication: &[u32],
     workload: &ReplicationWorkload,
-) -> Vec<ReplicationPoint> {
-    sweep_jobs(shards, replication, workload, 1)
-}
-
-/// Runs the grid fanned across up to `jobs` worker threads. Each cell
-/// deploys its own platform and replica set, so cells are independent and
-/// deterministic; results come back in the serial sweep's row-major order.
-#[must_use]
-pub fn sweep_jobs(
-    shards: &[u32],
-    replication: &[u32],
-    workload: &ReplicationWorkload,
     jobs: usize,
 ) -> Vec<ReplicationPoint> {
-    let cells: Vec<(u32, u32)> = shards
-        .iter()
-        .flat_map(|&s| replication.iter().map(move |&n| (s, n)))
-        .collect();
-    crate::pool::run_ordered(cells, jobs, |(s, n)| run_cell(s, n, workload))
+    let cells = pool::grid(shards, replication);
+    pool::run_ordered(cells, jobs, None, |(s, n), _| run_cell(s, n, workload))
 }
 
 fn run_cell(shards: u32, replication: u32, workload: &ReplicationWorkload) -> ReplicationPoint {
@@ -249,6 +231,58 @@ pub fn failover_stream_comparison(workload: &ReplicationWorkload) -> FailoverStr
     }
 }
 
+/// The E9 table plus the E9b failover-stream comparison.
+pub fn report(ctx: &Ctx) -> Vec<Report> {
+    let (shards, replication, workload) = ctx.pick(
+        (&[1, 4][..], &[1, 3][..], ReplicationWorkload::smoke()),
+        (
+            &[1, 2, 4, 8][..],
+            &[1, 3, 5][..],
+            ReplicationWorkload::full(),
+        ),
+    );
+    let points = sweep(shards, replication, &workload, ctx.jobs);
+    let report = Report::new(
+        "replication",
+        "== E9: replicated KV — shards x replication factor ==
+(sharding splits the working set below the EPC knee; replication
+ multiplies write work and buys attested failover)",
+        &points,
+        [
+            Column::new("shards", 7, |p| p.shards.into()),
+            Column::new("rf", 4, |p| p.replication_factor.into()),
+            Column::new("w", 3, |p| p.write_quorum.into()),
+            Column::new("put us", 10, |p| Fixed(p.put_us, 1)),
+            Column::new("get us", 10, |p| Fixed(p.get_us, 1)),
+            Column::new("put kops/s", 11, |p| Fixed(p.put_kops_s, 1)),
+            Column::new("faults/get", 11, |p| Fixed(p.faults_per_get, 2)),
+            Column::new("failover ms", 12, |p| Fixed(p.failover_ms, 2)),
+        ],
+    );
+    let stream = failover_stream_comparison(&workload);
+    vec![Report {
+        meta: vec![
+            ("keys", stream.keys.into()),
+            ("value_bytes", stream.value_bytes.into()),
+            ("failover_whole_bytes", stream.whole_bytes.into()),
+            (
+                "failover_incremental_bytes",
+                stream.incremental_bytes.into(),
+            ),
+        ],
+        footer: format!(
+            "failover catch-up stream ({} keys x {} B): whole snapshot {} B,
+incremental manifest {} B ({:.1}x smaller)",
+            stream.keys,
+            stream.value_bytes,
+            stream.whole_bytes,
+            stream.incremental_bytes,
+            stream.shrink_factor()
+        ),
+        ..report
+    }]
+}
+
 /// Total EPC faults charged across the deployment's live replicas.
 fn epc_faults(kv: &ReplicatedKv) -> u64 {
     (0..kv.shard_map().shards())
@@ -264,7 +298,7 @@ mod tests {
     #[test]
     fn sharding_relieves_paging_and_replication_costs_writes() {
         let workload = ReplicationWorkload::smoke();
-        let grid = sweep(&[1, 4], &[1, 3], &workload);
+        let grid = sweep(&[1, 4], &[1, 3], &workload, 1);
         assert_eq!(grid.len(), 4);
         let cell = |s: u32, n: u32| {
             grid.iter()

@@ -21,9 +21,11 @@ use securecloud_scone::syscall::Shield;
 use securecloud_sgx::costs::{CostModel, MemoryGeometry};
 use securecloud_sgx::mem::MemorySim;
 use securecloud_telemetry::Telemetry;
-use std::io;
-use std::path::Path;
 use std::sync::Arc;
+
+use crate::report::Cell::{Fixed, Unit};
+use crate::report::{Column, Ctx, Report};
+use crate::{messaging, pool};
 
 /// Sweep configuration: the cross product of depths × payloads × workers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -257,101 +259,68 @@ pub fn run_point(
     }
 }
 
-/// The whole sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RingsReport {
-    /// Total pwrites requested per point.
-    pub ops: usize,
-    /// One point per (depth, payload, workers) cell, depth-major.
-    pub points: Vec<RingsPoint>,
-}
-
-/// Runs the sweep with `jobs` worker threads. Results and telemetry are
-/// byte-identical for any job count: each point runs on a private
-/// telemetry bundle, absorbed into `telemetry` in point order.
+/// Runs the sweep with `jobs` worker threads, one point per (depth,
+/// payload, workers) cell, depth-major. Results and telemetry are
+/// byte-identical for any job count ([`pool::run_ordered`]).
 #[must_use]
-pub fn sweep_jobs(config: &RingsConfig, jobs: usize, telemetry: Option<&Telemetry>) -> RingsReport {
-    let cells: Vec<(usize, usize, usize)> = config
-        .depths
-        .iter()
-        .flat_map(|&depth| {
-            config.payload_bytes.iter().flat_map(move |&payload| {
-                config
-                    .workers
-                    .iter()
-                    .map(move |&workers| (depth, payload, workers))
-            })
-        })
-        .collect();
+pub fn sweep(config: &RingsConfig, jobs: usize, telemetry: Option<&Telemetry>) -> Vec<RingsPoint> {
+    let cells = pool::grid(
+        &pool::grid(&config.depths, &config.payload_bytes),
+        &config.workers,
+    );
     let ops = config.ops;
-    let instrument = telemetry.is_some();
-    let results = crate::pool::run_ordered(cells, jobs, move |(depth, payload, workers)| {
-        let local = instrument.then(Telemetry::new);
-        let point = run_point(depth, payload, workers, ops, local.as_ref());
-        (point, local)
-    });
-    let points = results
-        .into_iter()
-        .map(|(point, local)| {
-            if let (Some(shared), Some(local)) = (telemetry, local) {
-                shared.absorb(&local);
-            }
-            point
-        })
-        .collect();
-    RingsReport { ops, points }
+    pool::run_ordered(
+        cells,
+        jobs,
+        telemetry,
+        |((depth, payload), workers), local| run_point(depth, payload, workers, ops, local),
+    )
 }
 
-impl RingsReport {
-    /// The report as a JSON document (hand-rolled — the workspace carries
-    /// no serde).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"bench\": \"rings\",\n");
-        out.push_str(&format!("  \"ops\": {},\n", self.ops));
-        out.push_str("  \"results\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"depth\": {}, \"payload_bytes\": {}, \"workers\": {}, \"syscalls\": {}, \
-                 \"sync_cycles_per_op\": {:.0}, \"ring_cycles_per_op\": {:.0}, \
-                 \"speedup\": {:.2}, \"ring_kops_per_s\": {:.1}, \
-                 \"sync_transitions_per_op\": {:.1}, \"ring_transitions_per_op\": {:.1}, \
-                 \"parks\": {}, \"spurious_wakes\": {}}}",
-                p.depth,
-                p.payload_bytes,
-                p.workers,
-                p.syscalls,
-                p.sync_cycles_per_op,
-                p.ring_cycles_per_op,
-                p.speedup,
-                p.ring_kops_per_s,
-                p.sync_transitions_per_op,
-                p.ring_transitions_per_op,
-                p.parks,
-                p.spurious_wakes,
-            ));
-            if i + 1 < self.points.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Writes the JSON report to `path`, creating parent directories.
-    ///
-    /// # Errors
-    /// Propagates any filesystem error.
-    pub fn write_json(&self, path: &Path) -> io::Result<()> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        std::fs::write(path, self.to_json())
-    }
+/// The E15 table, followed by the E11 rerun over the switchless plane.
+pub fn report(ctx: &Ctx) -> Vec<Report> {
+    let config = ctx.pick(RingsConfig::smoke(), RingsConfig::full());
+    let points = sweep(&config, ctx.jobs, Some(ctx.telemetry));
+    let report = Report::new(
+        "rings",
+        "== E15: switchless syscall rings + in-enclave executor (§IV) ==
+(submission/completion rings replace the per-call ECALL/OCALL
+ pair with slot copies; the cooperative executor overlaps tasks
+ while the host servicer drains the ring without a transition)",
+        &points,
+        [
+            Column::new("depth", 6, |p| p.depth.into()),
+            Column::keyed("payload B", 10, "payload_bytes", |p| p.payload_bytes.into()),
+            Column::new("workers", 8, |p| p.workers.into()),
+            Column::json("syscalls", |p| p.syscalls.into()),
+            Column::keyed("sync c/op", 10, "sync_cycles_per_op", |p| {
+                Fixed(p.sync_cycles_per_op, 0)
+            }),
+            Column::keyed("ring c/op", 10, "ring_cycles_per_op", |p| {
+                Fixed(p.ring_cycles_per_op, 0)
+            }),
+            Column::table("speedup", 9, |p| Unit(p.speedup, 1, "x")),
+            Column::json("speedup", |p| Fixed(p.speedup, 2)),
+            Column::keyed("ring kop/s", 11, "ring_kops_per_s", |p| {
+                Fixed(p.ring_kops_per_s, 1)
+            }),
+            Column::json("sync_transitions_per_op", |p| {
+                Fixed(p.sync_transitions_per_op, 1)
+            }),
+            Column::keyed("trans/op", 9, "ring_transitions_per_op", |p| {
+                Fixed(p.ring_transitions_per_op, 1)
+            }),
+            Column::new("parks", 7, |p| p.parks.into()),
+            Column::keyed("spurious", 9, "spurious_wakes", |p| p.spurious_wakes.into()),
+        ],
+    );
+    let rings = Report {
+        summary: format!("pwrites per point: {}", config.ops),
+        meta: vec![("ops", config.ops.into())],
+        announce: true,
+        ..report
+    };
+    vec![rings, messaging::report(ctx, true)]
 }
 
 #[cfg(test)]
@@ -370,8 +339,8 @@ mod tests {
     #[test]
     fn ring_plane_never_pays_a_transition() {
         let pair = CostModel::sgx_v1().transition_pair() as f64;
-        let report = sweep_jobs(&tiny(), 1, None);
-        for p in &report.points {
+        let points = sweep(&tiny(), 1, None);
+        for p in &points {
             // The sync plane pays at least one full ECALL/OCALL pair per
             // op; the ring plane's whole per-op budget stays under one
             // pair — the "~0 transitions" witness.
@@ -388,10 +357,9 @@ mod tests {
         // still grows with payload copies; on the ring plane the slot
         // copy dominates, so the 64 B → 4 KiB cost ratio must stay far
         // below the sync plane's absolute transition overhead.
-        let report = sweep_jobs(&tiny(), 1, None);
+        let points = sweep(&tiny(), 1, None);
         let per_op = |depth: usize, payload: usize| {
-            report
-                .points
+            points
                 .iter()
                 .find(|p| p.depth == depth && p.payload_bytes == payload && p.workers == 4)
                 .map(|p| p.ring_cycles_per_op)
@@ -405,8 +373,8 @@ mod tests {
 
     #[test]
     fn deterministic_servicer_reports_zero_spurious_wakes() {
-        let report = sweep_jobs(&tiny(), 1, None);
-        for p in &report.points {
+        let points = sweep(&tiny(), 1, None);
+        for p in &points {
             assert_eq!(p.spurious_wakes, 0, "{p:?}");
         }
     }
@@ -415,13 +383,12 @@ mod tests {
     fn sweep_is_deterministic_across_job_counts() {
         let t1 = Telemetry::new();
         let t8 = Telemetry::new();
-        let serial = sweep_jobs(&tiny(), 1, Some(&t1));
-        let parallel = sweep_jobs(&tiny(), 8, Some(&t8));
+        let serial = sweep(&tiny(), 1, Some(&t1));
+        let parallel = sweep(&tiny(), 8, Some(&t8));
         assert_eq!(serial, parallel);
         assert_eq!(
             securecloud_telemetry::export::prometheus_text(t1.registry()),
             securecloud_telemetry::export::prometheus_text(t8.registry())
         );
-        assert_eq!(serial.to_json(), parallel.to_json());
     }
 }

@@ -30,9 +30,10 @@ use securecloud::replica::{ReplicaConfig, ReplicationFactor, WriteQuorum};
 use securecloud::scbr::types::{Publication, Subscription};
 use securecloud::telemetry::{CategoryAttribution, SloEngine, SloSpec};
 use securecloud::SecureCloud;
-use std::io;
-use std::path::Path;
 use std::sync::Arc;
+
+use crate::report::Cell::{Hex, List, Map, Str};
+use crate::report::{Column, Ctx, Report};
 
 /// Sizing knobs for the SLO sweep.
 #[derive(Debug, Clone)]
@@ -359,9 +360,10 @@ fn run_cell(seed: u64, config: &SloConfig) -> SloPoint {
 /// so results — critical-path reports and alert streams included — are
 /// byte-identical for any job count, in seed order.
 #[must_use]
-pub fn sweep_jobs(config: &SloConfig, jobs: usize) -> SloReport {
-    let points =
-        crate::pool::run_ordered(config.seeds.clone(), jobs, |seed| run_cell(seed, config));
+pub fn sweep(config: &SloConfig, jobs: usize) -> SloReport {
+    let points = crate::pool::run_ordered(config.seeds.clone(), jobs, None, |seed, _| {
+        run_cell(seed, config)
+    });
     SloReport {
         ticks: config.ticks,
         tick_ms: config.tick_ms,
@@ -381,59 +383,6 @@ pub struct SloReport {
 }
 
 impl SloReport {
-    /// The report as a JSON document (hand-rolled — the workspace carries
-    /// no serde). Texts are recorded as FNV-1a digests plus counts,
-    /// enough to diff two runs for determinism.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"bench\": \"slo\",\n");
-        out.push_str(&format!("  \"ticks\": {},\n", self.ticks));
-        out.push_str(&format!("  \"tick_ms\": {},\n", self.tick_ms));
-        out.push_str("  \"results\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            let categories: Vec<String> = p
-                .categories
-                .iter()
-                .map(|c| {
-                    format!(
-                        "{{\"category\": \"{}\", \"self_ms\": {}, \"spans\": {}}}",
-                        c.category, c.self_ms, c.spans
-                    )
-                })
-                .collect();
-            out.push_str(&format!(
-                "    {{\"seed\": {}, \"published\": {}, \"acked\": {}, \
-                 \"rejected\": {}, \"alerts\": {}, \"restarts\": {}, \
-                 \"subsystems\": {}, \"traces\": {}, \"total_self_ms\": {}, \
-                 \"decisions\": {}, \"critical_path_fnv\": {}, \
-                 \"alert_fnv\": {}, \"decision_fnv\": {}, \
-                 \"trace_events_fnv\": {}, \"categories\": [{}]}}",
-                p.seed,
-                p.published,
-                p.acked,
-                p.rejected,
-                p.alerts,
-                p.restarts,
-                p.subsystems,
-                p.traces,
-                p.total_self_ms,
-                p.decisions,
-                trace_fnv(&p.critical_path_text),
-                trace_fnv(&p.alert_stream),
-                trace_fnv(&p.decision_trace),
-                p.trace_events_fnv,
-                categories.join(", ")
-            ));
-            if i + 1 < self.points.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
     /// The concatenated critical-path reports and alert streams, one
     /// section per seed — the human-readable artifact CI uploads.
     #[must_use]
@@ -456,33 +405,86 @@ impl SloReport {
         }
         out
     }
+}
 
-    /// Writes the JSON report to `path`, creating parent directories.
-    ///
-    /// # Errors
-    /// Propagates any filesystem error.
-    pub fn write_json(&self, path: &Path) -> io::Result<()> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        std::fs::write(path, self.to_json())
+/// Declares the E13 table over a finished sweep. Texts are recorded as
+/// FNV-1a digests plus counts, enough to diff two runs for determinism; the
+/// first seed's critical path is printed under the table and every seed's
+/// goes into `critical_path.txt`.
+fn declare(swept: &SloReport) -> Report {
+    let report = Report::new(
+        "slo",
+        "== E13: causal tracing, critical path, and SLO burn rates ==
+(every publish mints a root trace; aborts, a consumer stall, and
+ a partition draw burn-rate alerts; the critical path attributes
+ self time per subsystem — byte-identical at any --jobs)",
+        &swept.points,
+        [
+            Column::table("seed", 10, |p| Hex(p.seed)),
+            Column::json("seed", |p| p.seed.into()),
+            Column::json("published", |p| p.published.into()),
+            Column::new("acked", 6, |p| p.acked.into()),
+            Column::keyed("reject", 6, "rejected", |p| p.rejected.into()),
+            Column::new("alerts", 7, |p| p.alerts.into()),
+            Column::keyed("restart", 7, "restarts", |p| p.restarts.into()),
+            Column::keyed("subsystem", 9, "subsystems", |p| p.subsystems.into()),
+            Column::json("traces", |p| p.traces.into()),
+            Column::keyed("self ms", 11, "total_self_ms", |p| p.total_self_ms.into()),
+            Column::table("traces", 7, |p| p.traces.into()),
+            Column::new("decisions", 9, |p| p.decisions.into()),
+            Column::json("critical_path_fnv", |p| {
+                trace_fnv(&p.critical_path_text).into()
+            }),
+            Column::json("alert_fnv", |p| trace_fnv(&p.alert_stream).into()),
+            Column::json("decision_fnv", |p| trace_fnv(&p.decision_trace).into()),
+            Column::table("trace fnv", 18, |p| Hex(p.trace_events_fnv)),
+            Column::json("trace_events_fnv", |p| p.trace_events_fnv.into()),
+            Column::json("categories", |p| {
+                let category = |c: &CategoryAttribution| {
+                    Map(vec![
+                        ("category", Str(c.category.clone())),
+                        ("self_ms", c.self_ms.into()),
+                        ("spans", c.spans.into()),
+                    ])
+                };
+                List(p.categories.iter().map(category).collect())
+            }),
+        ],
+    );
+    let footer = swept.points.first().map_or(String::new(), |point| {
+        let indented = point.critical_path_text.trim_end().replace('\n', "\n  ");
+        format!("critical path, seed {:#x}:\n  {indented}", point.seed)
+    });
+    Report {
+        summary: format!(
+            "{} tick(s) x {} ms virtual per cell",
+            swept.ticks, swept.tick_ms
+        ),
+        meta: vec![
+            ("ticks", swept.ticks.into()),
+            ("tick_ms", swept.tick_ms.into()),
+        ],
+        footer,
+        attachments: vec![(
+            "critical-path",
+            "critical_path.txt",
+            swept.critical_path_document(),
+        )],
+        announce: true,
+        ..report
     }
+}
 
-    /// Writes the critical-path document to `path`, creating parent
-    /// directories.
-    ///
-    /// # Errors
-    /// Propagates any filesystem error.
-    pub fn write_critical_path(&self, path: &Path) -> io::Result<()> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        std::fs::write(path, self.critical_path_document())
-    }
+/// Runs E13 at the context's size.
+pub fn report(ctx: &Ctx) -> Vec<Report> {
+    let config = ctx.pick(SloConfig::smoke(), SloConfig::full());
+    // The schedule panics the aggregator on purpose; keep the injected
+    // backtraces quiet for the sweep, then restore normal reporting.
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let swept = sweep(&config, ctx.jobs);
+    std::panic::set_hook(hook);
+    vec![declare(&swept)]
 }
 
 #[cfg(test)]
@@ -498,7 +500,7 @@ mod tests {
 
     #[test]
     fn slo_cell_alerts_and_attributes_latency() {
-        let report = sweep_jobs(&tiny(), 1);
+        let report = sweep(&tiny(), 1);
         let point = &report.points[0];
         // run_cell asserted the acceptance invariants; pin the evidence.
         assert!(point.alerts >= 1, "{point:?}");
@@ -537,8 +539,8 @@ mod tests {
 
     #[test]
     fn report_serialises_with_digests() {
-        let report = sweep_jobs(&tiny(), 1);
-        let json = report.to_json();
+        let report = sweep(&tiny(), 1);
+        let json = declare(&report).to_json();
         assert!(json.contains("\"bench\": \"slo\""));
         assert!(json.contains("\"critical_path_fnv\": "));
         assert!(json.contains("\"alert_fnv\": "));

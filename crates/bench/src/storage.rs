@@ -18,12 +18,14 @@
 //! All durations are simulated cost-model cycles; cells are independent
 //! and seeded, so the report is byte-identical at any `--jobs` count.
 
-use std::io;
-use std::path::Path;
-
 use securecloud_kvstore::{CounterService, SecureKv, StorageConfig, StoreKeys};
 use securecloud_sgx::costs::{CostModel, MemoryGeometry};
 use securecloud_sgx::mem::MemorySim;
+
+use crate::pool;
+use crate::report::Cell::{Fixed, Map, Str, Unit};
+use crate::report::{Column, Ctx, Report};
+use crate::small_epc;
 
 /// Workload knobs for the sweep.
 #[derive(Debug, Clone)]
@@ -81,17 +83,6 @@ impl StorageWorkload {
     }
 }
 
-/// SGX1 line/page sizes with a scaled-down EPC (LLC a quarter of it,
-/// keeping the cache-vs-EPC proportions of the full-size model).
-fn small_epc(total: usize, reserved: usize) -> MemoryGeometry {
-    MemoryGeometry {
-        epc_total_bytes: total,
-        epc_reserved_bytes: reserved,
-        llc_bytes: total / 4,
-        ..MemoryGeometry::sgx_v1()
-    }
-}
-
 /// One cell of the ratio x value-size grid.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoragePoint {
@@ -126,23 +117,13 @@ pub struct StoragePoint {
     pub wal_total: u64,
 }
 
-/// Runs the grid serially.
-#[must_use]
-pub fn sweep(workload: &StorageWorkload) -> Vec<StoragePoint> {
-    sweep_jobs(workload, 1)
-}
-
 /// Runs the grid fanned across up to `jobs` worker threads. Cells build
 /// independent stores and simulators, so results come back byte-identical
 /// in row-major order regardless of the worker count.
 #[must_use]
-pub fn sweep_jobs(workload: &StorageWorkload, jobs: usize) -> Vec<StoragePoint> {
-    let cells: Vec<(f64, usize)> = workload
-        .epc_ratios
-        .iter()
-        .flat_map(|&r| workload.value_bytes.iter().map(move |&v| (r, v)))
-        .collect();
-    crate::pool::run_ordered(cells, jobs, |(ratio, value_bytes)| {
+pub fn sweep(workload: &StorageWorkload, jobs: usize) -> Vec<StoragePoint> {
+    let cells = pool::grid(&workload.epc_ratios, &workload.value_bytes);
+    pool::run_ordered(cells, jobs, None, |(ratio, value_bytes), _| {
         run_cell(ratio, value_bytes, workload)
     })
 }
@@ -269,90 +250,69 @@ fn run_cell(ratio: f64, value_bytes: usize, workload: &StorageWorkload) -> Stora
     }
 }
 
-/// The whole sweep, with enough workload echo to interpret the numbers.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StorageReport {
-    /// Usable EPC bytes each cell ran against.
-    pub usable_epc_bytes: usize,
-    /// Storage-tier tuning used.
-    pub config: StorageConfig,
-    /// One point per (ratio, value size) cell, row-major.
-    pub points: Vec<StoragePoint>,
-}
-
-/// Runs the sweep and wraps it in a report.
-#[must_use]
-pub fn report_jobs(workload: &StorageWorkload, jobs: usize) -> StorageReport {
-    StorageReport {
-        usable_epc_bytes: workload.geometry.epc_total_bytes - workload.geometry.epc_reserved_bytes,
-        config: workload.config.clone(),
-        points: sweep_jobs(workload, jobs),
-    }
-}
-
-impl StorageReport {
-    /// The report as a JSON document (hand-rolled — the workspace carries
-    /// no serde).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"bench\": \"storage\",\n");
-        out.push_str(&format!(
-            "  \"usable_epc_bytes\": {},\n",
-            self.usable_epc_bytes
-        ));
-        out.push_str(&format!(
-            "  \"config\": {{\"block_bytes\": {}, \"flush_bytes\": {}, \"cache_blocks\": {}, \"compact_at_segments\": {}}},\n",
-            self.config.block_bytes,
-            self.config.flush_bytes,
-            self.config.cache_blocks,
-            self.config.compact_at_segments
-        ));
-        out.push_str("  \"results\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"epc_ratio\": {:.1}, \"value_bytes\": {}, \"keys\": {}, \
-                 \"put_us\": {:.2}, \"host_write_kib_per_put\": {:.3}, \
-                 \"get_us\": {:.2}, \"host_read_kib_per_get\": {:.3}, \
-                 \"faults_per_get\": {:.3}, \"segments\": {}, \"compactions\": {}, \
-                 \"sealed_mib\": {:.2}, \"restart_ms\": {:.3}, \
-                 \"wal_replayed\": {}, \"wal_total\": {}}}",
-                p.epc_ratio,
-                p.value_bytes,
-                p.keys,
-                p.put_us,
-                p.host_write_kib_per_put,
-                p.get_us,
-                p.host_read_kib_per_get,
-                p.faults_per_get,
-                p.segments,
-                p.compactions,
-                p.sealed_mib,
-                p.restart_ms,
-                p.wal_replayed,
-                p.wal_total
-            ));
-            if i + 1 < self.points.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Writes the JSON report to `path`, creating parent directories.
-    ///
-    /// # Errors
-    /// Propagates any filesystem error.
-    pub fn write_json(&self, path: &Path) -> io::Result<()> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        std::fs::write(path, self.to_json())
-    }
+/// The E14 table, with enough workload echo to interpret the numbers.
+pub fn report(ctx: &Ctx) -> Vec<Report> {
+    let workload = ctx.pick(StorageWorkload::smoke(), StorageWorkload::full());
+    let points = sweep(&workload, ctx.jobs);
+    let report = Report::new(
+        "storage",
+        "== E14: tiered encrypted storage — sealed segments beyond EPC ==
+(in-EPC memtable over sealed log-structured host segments: reads
+ beyond the EPC pay explicit amortised host I/O instead of paging,
+ and restart replays only the WAL tail)",
+        &points,
+        [
+            Column::keyed("ws/EPC", 6, "epc_ratio", |p| Unit(p.epc_ratio, 1, "x")),
+            Column::keyed("val B", 7, "value_bytes", |p| p.value_bytes.into()),
+            Column::new("keys", 7, |p| p.keys.into()),
+            Column::table("put us", 8, |p| Fixed(p.put_us, 1)),
+            Column::json("put_us", |p| Fixed(p.put_us, 2)),
+            Column::keyed("wr KiB/put", 10, "host_write_kib_per_put", |p| {
+                Fixed(p.host_write_kib_per_put, 3)
+            }),
+            Column::table("get us", 8, |p| Fixed(p.get_us, 1)),
+            Column::json("get_us", |p| Fixed(p.get_us, 2)),
+            Column::keyed("rd KiB/get", 10, "host_read_kib_per_get", |p| {
+                Fixed(p.host_read_kib_per_get, 3)
+            }),
+            Column::keyed("flt/get", 9, "faults_per_get", |p| {
+                Fixed(p.faults_per_get, 3)
+            }),
+            Column::keyed("segs", 5, "segments", |p| p.segments.into()),
+            Column::json("compactions", |p| p.compactions.into()),
+            Column::json("sealed_mib", |p| Fixed(p.sealed_mib, 2)),
+            Column::new("restart ms", 10, |p| Fixed(p.restart_ms, 3)),
+            Column::table("replay/total", 12, |p| {
+                Str(format!("{:>6}/{}", p.wal_replayed, p.wal_total))
+            }),
+            Column::json("wal_replayed", |p| p.wal_replayed.into()),
+            Column::json("wal_total", |p| p.wal_total.into()),
+        ],
+    );
+    let usable_epc = workload.geometry.epc_total_bytes - workload.geometry.epc_reserved_bytes;
+    let config = &workload.config;
+    vec![Report {
+        summary: format!(
+            "usable EPC: {} KiB, block {} B, memtable budget {} KiB",
+            usable_epc >> 10,
+            config.block_bytes,
+            config.flush_bytes >> 10
+        ),
+        meta: vec![
+            ("usable_epc_bytes", usable_epc.into()),
+            (
+                "config",
+                Map(vec![
+                    ("block_bytes", config.block_bytes.into()),
+                    ("flush_bytes", config.flush_bytes.into()),
+                    ("cache_blocks", config.cache_blocks.into()),
+                    ("compact_at_segments", config.compact_at_segments.into()),
+                ]),
+            ),
+        ],
+        announce: true,
+        ..report
+    }]
 }
 
 #[cfg(test)]
@@ -378,10 +338,10 @@ mod tests {
     #[test]
     fn beyond_epc_cell_pays_host_io_and_restarts_from_the_tail() {
         let workload = tiny_workload();
-        let report = report_jobs(&workload, 1);
-        assert_eq!(report.points.len(), 2);
-        let small = &report.points[0];
-        let large = &report.points[1];
+        let points = sweep(&workload, 1);
+        assert_eq!(points.len(), 2);
+        let small = &points[0];
+        let large = &points[1];
         assert_eq!(small.epc_ratio, 0.5);
         assert_eq!(large.epc_ratio, 8.0);
         // The 8x working set cannot live in the memtable: its reads page
@@ -413,20 +373,6 @@ mod tests {
     #[test]
     fn sweep_is_byte_identical_across_job_counts() {
         let workload = tiny_workload();
-        let serial = report_jobs(&workload, 1);
-        let parallel = report_jobs(&workload, 4);
-        assert_eq!(serial, parallel);
-        assert_eq!(serial.to_json(), parallel.to_json());
-    }
-
-    #[test]
-    fn json_report_shape() {
-        let workload = tiny_workload();
-        let report = report_jobs(&workload, 2);
-        let json = report.to_json();
-        assert!(json.contains("\"bench\": \"storage\""));
-        assert!(json.contains("\"epc_ratio\": 8.0"));
-        assert!(json.contains("\"wal_replayed\""));
-        assert!(json.ends_with("}\n"));
+        assert_eq!(sweep(&workload, 1), sweep(&workload, 4));
     }
 }

@@ -22,12 +22,14 @@
 //!
 //! [`StreamPlane`]: securecloud_streaming::pipeline::StreamPlane
 
-use std::io;
-use std::path::Path;
-
 use securecloud_sgx::costs::{CostModel, MemoryGeometry};
 use securecloud_streaming::pipeline::{CityConfig, CityPipelines, CitySpec};
 use securecloud_streaming::window::WindowSpec;
+
+use crate::pool;
+use crate::report::Cell::{Fixed, Hex, Map};
+use crate::report::{Column, Ctx, Report};
+use crate::small_epc;
 
 /// Workload knobs for the sweep.
 #[derive(Debug, Clone)]
@@ -79,19 +81,6 @@ impl StreamingWorkload {
             ingest_batch: 256,
             seed: 11,
         }
-    }
-}
-
-/// SGX1 line/page sizes with a scaled-down EPC (LLC a quarter of it), the
-/// same shrinking the storage bench uses so paging behaves like the
-/// full-size model at harness-sized working sets.
-#[must_use]
-pub fn small_epc(total: usize, reserved: usize) -> MemoryGeometry {
-    MemoryGeometry {
-        epc_total_bytes: total,
-        epc_reserved_bytes: reserved,
-        llc_bytes: total / 4,
-        ..MemoryGeometry::sgx_v1()
     }
 }
 
@@ -189,116 +178,75 @@ fn run_cell(
     }
 }
 
-/// Runs the grid serially.
-#[must_use]
-pub fn sweep(workload: &StreamingWorkload) -> Vec<StreamingPoint> {
-    sweep_jobs(workload, 1)
-}
-
 /// Runs the grid fanned across up to `jobs` worker threads. Every cell
 /// deploys its own plane, enclaves, and simulators, so results come back
 /// byte-identical in row-major order regardless of the worker count.
 #[must_use]
-pub fn sweep_jobs(workload: &StreamingWorkload, jobs: usize) -> Vec<StreamingPoint> {
-    let cells: Vec<(u64, usize, MemoryGeometry)> = workload
-        .window_ms
-        .iter()
-        .flat_map(|&w| {
-            workload
-                .meters
-                .iter()
-                .flat_map(move |&m| workload.geometries.iter().map(move |&g| (w, m, g)))
-        })
-        .collect();
-    crate::pool::run_ordered(cells, jobs, |(window_ms, meters, geometry)| {
+pub fn sweep(workload: &StreamingWorkload, jobs: usize) -> Vec<StreamingPoint> {
+    let cells = pool::grid(&workload.window_ms, &workload.meters);
+    let cells = pool::grid(&cells, &workload.geometries);
+    pool::run_ordered(cells, jobs, None, |((window_ms, meters), geometry), _| {
         run_cell(window_ms, meters, geometry, workload)
     })
 }
 
-/// The whole sweep, with enough workload echo to interpret the numbers.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StreamingReport {
-    /// Meters per feeder used to derive feeder counts.
-    pub households_per_feeder: usize,
-    /// Meter sampling interval, seconds.
-    pub interval_secs: u64,
-    /// Trace duration, seconds.
-    pub duration_secs: u64,
-    /// One point per (window, meters, geometry) cell, row-major.
-    pub points: Vec<StreamingPoint>,
-}
-
-/// Runs the sweep and wraps it in a report.
-#[must_use]
-pub fn report_jobs(workload: &StreamingWorkload, jobs: usize) -> StreamingReport {
-    StreamingReport {
-        households_per_feeder: workload.households_per_feeder,
-        interval_secs: workload.interval_secs,
-        duration_secs: workload.duration_secs,
-        points: sweep_jobs(workload, jobs),
-    }
-}
-
-impl StreamingReport {
-    /// The report as a JSON document (hand-rolled — the workspace carries
-    /// no serde). Digests are hex strings so consumers never round them
-    /// through a double.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"bench\": \"streaming\",\n");
-        out.push_str(&format!(
-            "  \"city\": {{\"households_per_feeder\": {}, \"interval_secs\": {}, \"duration_secs\": {}}},\n",
-            self.households_per_feeder, self.interval_secs, self.duration_secs
-        ));
-        out.push_str("  \"results\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"window_ms\": {}, \"meters\": {}, \"usable_epc_kib\": {}, \
-                 \"events\": {}, \"results\": {}, \"kevents_per_s\": {:.2}, \
-                 \"cycles_per_event\": {:.1}, \"faults_per_kevent\": {:.2}, \
-                 \"host_kib_per_kevent\": {:.3}, \"peak_state_kib\": {:.1}, \
-                 \"state_to_epc\": {:.3}, \"flagged_feeders\": {}, \
-                 \"theft_feeders\": {}, \"sag_windows\": {}, \"swell_windows\": {}, \
-                 \"results_digest\": \"{:016x}\"}}",
-                p.window_ms,
-                p.meters,
-                p.usable_epc_kib,
-                p.events,
-                p.results,
-                p.kevents_per_s,
-                p.cycles_per_event,
-                p.faults_per_kevent,
-                p.host_kib_per_kevent,
-                p.peak_state_kib,
-                p.state_to_epc,
-                p.flagged_feeders,
-                p.theft_feeders,
-                p.sag_windows,
-                p.swell_windows,
-                p.results_digest
-            ));
-            if i + 1 < self.points.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Writes the JSON report to `path`, creating parent directories.
-    ///
-    /// # Errors
-    /// Propagates any filesystem error.
-    pub fn write_json(&self, path: &Path) -> io::Result<()> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        std::fs::write(path, self.to_json())
-    }
+/// The E16 table, with enough workload echo to interpret the numbers.
+pub fn report(ctx: &Ctx) -> Vec<Report> {
+    let workload = ctx.pick(StreamingWorkload::smoke(), StreamingWorkload::full());
+    let points = sweep(&workload, ctx.jobs);
+    let report = Report::new(
+        "streaming",
+        "== E16: streaming analytics — window x cardinality x EPC pressure ==
+(city pipelines over the sealed plane; operator state in the tiered
+ KV, charged to shrunken enclave geometries — flat cycles/event while
+ peak state fits the EPC, a knee past it, host I/O past the memtable)",
+        &points,
+        [
+            Column::table("window s", 9, |p| (p.window_ms / 1_000).into()),
+            Column::json("window_ms", |p| p.window_ms.into()),
+            Column::new("meters", 7, |p| p.meters.into()),
+            Column::keyed("EPC KiB", 8, "usable_epc_kib", |p| p.usable_epc_kib.into()),
+            Column::new("events", 7, |p| p.events.into()),
+            Column::json("results", |p| p.results.into()),
+            Column::table("kev/s", 8, |p| Fixed(p.kevents_per_s, 1)),
+            Column::json("kevents_per_s", |p| Fixed(p.kevents_per_s, 2)),
+            Column::table("cyc/ev", 9, |p| Fixed(p.cycles_per_event, 0)),
+            Column::json("cycles_per_event", |p| Fixed(p.cycles_per_event, 1)),
+            Column::keyed("flt/kev", 9, "faults_per_kevent", |p| {
+                Fixed(p.faults_per_kevent, 2)
+            }),
+            Column::keyed("KiB/kev", 9, "host_kib_per_kevent", |p| {
+                Fixed(p.host_kib_per_kevent, 3)
+            }),
+            Column::json("peak_state_kib", |p| Fixed(p.peak_state_kib, 1)),
+            Column::table("state/E", 8, |p| Fixed(p.state_to_epc, 2)),
+            Column::json("state_to_epc", |p| Fixed(p.state_to_epc, 3)),
+            Column::keyed("flag", 7, "flagged_feeders", |p| p.flagged_feeders.into()),
+            Column::keyed("theft", 5, "theft_feeders", |p| p.theft_feeders.into()),
+            Column::json("sag_windows", |p| p.sag_windows.into()),
+            Column::json("swell_windows", |p| p.swell_windows.into()),
+            Column::keyed("digest", 18, "results_digest", |p| Hex(p.results_digest)),
+        ],
+    );
+    vec![Report {
+        summary: format!(
+            "city: {} meters/feeder, {} s interval, {} s trace",
+            workload.households_per_feeder, workload.interval_secs, workload.duration_secs
+        ),
+        meta: vec![(
+            "city",
+            Map(vec![
+                (
+                    "households_per_feeder",
+                    workload.households_per_feeder.into(),
+                ),
+                ("interval_secs", workload.interval_secs.into()),
+                ("duration_secs", workload.duration_secs.into()),
+            ]),
+        )],
+        announce: true,
+        ..report
+    }]
 }
 
 #[cfg(test)]
@@ -321,10 +269,10 @@ mod tests {
 
     #[test]
     fn epc_pressure_shows_the_knee() {
-        let report = report_jobs(&tiny_workload(), 1);
-        assert_eq!(report.points.len(), 2);
-        let roomy = &report.points[0];
-        let tight = &report.points[1];
+        let points = sweep(&tiny_workload(), 1);
+        assert_eq!(points.len(), 2);
+        let roomy = &points[0];
+        let tight = &points[1];
         assert_eq!(roomy.meters, tight.meters);
         assert!(roomy.events > 0 && roomy.results > 0);
         // Identical city, identical windows: the streaming *output* does
@@ -346,19 +294,6 @@ mod tests {
     #[test]
     fn sweep_is_byte_identical_across_job_counts() {
         let workload = tiny_workload();
-        let serial = report_jobs(&workload, 1);
-        let parallel = report_jobs(&workload, 4);
-        assert_eq!(serial, parallel);
-        assert_eq!(serial.to_json(), parallel.to_json());
-    }
-
-    #[test]
-    fn json_report_shape() {
-        let report = report_jobs(&tiny_workload(), 2);
-        let json = report.to_json();
-        assert!(json.contains("\"bench\": \"streaming\""));
-        assert!(json.contains("\"results_digest\""));
-        assert!(json.contains("\"state_to_epc\""));
-        assert!(json.ends_with("}\n"));
+        assert_eq!(sweep(&workload, 1), sweep(&workload, 4));
     }
 }

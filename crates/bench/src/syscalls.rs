@@ -7,6 +7,9 @@ use securecloud_sgx::costs::{CostModel, MemoryGeometry};
 use securecloud_sgx::mem::MemorySim;
 use std::sync::Arc;
 
+use crate::report::Cell::{Fixed, Unit};
+use crate::report::{Column, Ctx, Report};
+
 /// Result of one payload-size point.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SyscallPoint {
@@ -44,6 +47,37 @@ fn open(shield: &mut Shield, mem: &mut MemorySim, path: &str) -> u64 {
     }
 }
 
+/// Issues `calls` pwrites of `payload` bytes through the asynchronous
+/// interface, `window` calls in flight at a time; returns the enclave
+/// cycles spent per call.
+fn pwrite_windowed(
+    shield: &mut Shield,
+    mem: &mut MemorySim,
+    fd: u64,
+    calls: usize,
+    payload: usize,
+    window: usize,
+) -> f64 {
+    let before = mem.cycles();
+    let mut issued = 0usize;
+    while issued < calls {
+        let batch = window.min(calls - issued);
+        for i in 0..batch {
+            let write = Syscall::Pwrite {
+                fd,
+                offset: ((issued + i) * payload) as u64,
+                data: vec![0xab; payload],
+            };
+            shield.submit(mem, write).expect("submit");
+        }
+        for _ in 0..batch {
+            shield.complete(mem).expect("complete");
+        }
+        issued += batch;
+    }
+    (mem.cycles() - before) as f64 / calls as f64
+}
+
 /// Measures `calls` pwrites of `payload` bytes through both interfaces.
 #[must_use]
 pub fn run_point(payload: usize, calls: usize) -> SyscallPoint {
@@ -56,16 +90,12 @@ pub fn run_point(payload: usize, calls: usize) -> SyscallPoint {
     let fd = open(&mut sync_shield, &mut mem, "/sync");
     let before = mem.cycles();
     for i in 0..calls {
-        sync_shield
-            .call(
-                &mut mem,
-                Syscall::Pwrite {
-                    fd,
-                    offset: (i * payload) as u64,
-                    data: vec![0xab; payload],
-                },
-            )
-            .expect("pwrite");
+        let write = Syscall::Pwrite {
+            fd,
+            offset: (i * payload) as u64,
+            data: vec![0xab; payload],
+        };
+        sync_shield.call(&mut mem, write).expect("pwrite");
     }
     let sync_cycles = (mem.cycles() - before) as f64 / calls as f64;
 
@@ -74,29 +104,7 @@ pub fn run_point(payload: usize, calls: usize) -> SyscallPoint {
     let mut async_shield = Shield::threaded(host);
     let mut mem = enclave_mem();
     let fd = open(&mut async_shield, &mut mem, "/async");
-    let before = mem.cycles();
-    const WINDOW: usize = 32;
-    let mut issued = 0usize;
-    while issued < calls {
-        let batch = WINDOW.min(calls - issued);
-        for i in 0..batch {
-            async_shield
-                .submit(
-                    &mut mem,
-                    Syscall::Pwrite {
-                        fd,
-                        offset: ((issued + i) * payload) as u64,
-                        data: vec![0xab; payload],
-                    },
-                )
-                .expect("submit");
-        }
-        for _ in 0..batch {
-            async_shield.complete(&mut mem).expect("complete");
-        }
-        issued += batch;
-    }
-    let async_cycles = (mem.cycles() - before) as f64 / calls as f64;
+    let async_cycles = pwrite_windowed(&mut async_shield, &mut mem, fd, calls, payload, 32);
 
     SyscallPoint {
         payload,
@@ -132,43 +140,56 @@ pub struct WindowPoint {
 /// Sweeps the async in-flight window for 64-byte writes.
 #[must_use]
 pub fn window_sweep(windows: &[usize], calls: usize) -> Vec<WindowPoint> {
-    windows
-        .iter()
-        .map(|&window| {
-            let host = Arc::new(MemHost::new());
-            let mut shield = Shield::threaded(host);
-            let mut mem = enclave_mem();
-            let fd = open(&mut shield, &mut mem, "/w");
-            let before = mem.cycles();
-            let wall_start = std::time::Instant::now();
-            let mut issued = 0usize;
-            while issued < calls {
-                let batch = window.min(calls - issued);
-                for i in 0..batch {
-                    shield
-                        .submit(
-                            &mut mem,
-                            Syscall::Pwrite {
-                                fd,
-                                offset: ((issued + i) * 64) as u64,
-                                data: vec![0u8; 64],
-                            },
-                        )
-                        .expect("submit");
-                }
-                for _ in 0..batch {
-                    shield.complete(&mut mem).expect("complete");
-                }
-                issued += batch;
-            }
-            WindowPoint {
-                window,
-                cycles_per_call: (mem.cycles() - before) as f64 / calls as f64,
-                wall_ns_per_call: wall_start.elapsed().as_nanos() as f64 / calls as f64,
-            }
-        })
-        .collect()
+    let point = |&window: &usize| {
+        let mut shield = Shield::threaded(Arc::new(MemHost::new()));
+        let mut mem = enclave_mem();
+        let fd = open(&mut shield, &mut mem, "/w");
+        let wall_start = std::time::Instant::now();
+        let cycles_per_call = pwrite_windowed(&mut shield, &mut mem, fd, calls, 64, window);
+        WindowPoint {
+            window,
+            cycles_per_call,
+            wall_ns_per_call: wall_start.elapsed().as_nanos() as f64 / calls as f64,
+        }
+    };
+    windows.iter().map(point).collect()
 }
 
 /// Default payload sizes (64 B – 64 KiB).
 pub const PAYLOADS: &[usize] = &[64, 256, 1024, 4096, 16_384, 65_536];
+
+/// The E4 table.
+pub fn report(ctx: &Ctx) -> Vec<Report> {
+    let points = sweep(PAYLOADS, ctx.pick(500, 2_000));
+    vec![Report::new(
+        "syscall",
+        "== E4: synchronous vs asynchronous shielded syscalls (§IV) ==
+(paper: SCONE's async interface makes enclave performance acceptable)",
+        &points,
+        [
+            Column::new("payload B", 9, |p| p.payload.into()),
+            Column::new("sync cyc", 12, |p| Fixed(p.sync_cycles, 0)),
+            Column::new("async cyc", 13, |p| Fixed(p.async_cycles, 0)),
+            Column::new("speedup", 9, |p| Unit(p.speedup, 1, "x")),
+            Column::new("sync Mc/s", 13, |p| Fixed(p.sync_mcalls_per_s, 2)),
+            Column::new("async Mc/s", 14, |p| Fixed(p.async_mcalls_per_s, 2)),
+        ],
+    )]
+}
+
+/// The E4b table.
+pub fn window_report(ctx: &Ctx) -> Vec<Report> {
+    let points = window_sweep(&[1, 2, 4, 8, 16, 32, 64], ctx.pick(2_000, 20_000));
+    vec![Report::new(
+        "syscall_window",
+        "== E4b: async syscall in-flight window (batching ablation) ==
+(enclave-side cycles are window-independent; the window buys
+ wall-clock overlap with the host syscall thread)",
+        &points,
+        [
+            Column::new("window", 8, |p| p.window.into()),
+            Column::new("cycles per call", 16, |p| Fixed(p.cycles_per_call, 0)),
+            Column::new("wall ns per call", 18, |p| Fixed(p.wall_ns_per_call, 0)),
+        ],
+    )]
+}

@@ -15,7 +15,7 @@ fn fig3_sweep_is_identical_across_job_counts() {
 
     let run = |jobs: usize| {
         let telemetry = Telemetry::new();
-        let points = fig3::sweep_jobs(sizes, pubs, jobs, Some(&telemetry));
+        let points = fig3::sweep(sizes, pubs, jobs, Some(&telemetry));
         (points, telemetry.prometheus(), telemetry.trace_jsonl())
     };
 
@@ -36,8 +36,8 @@ fn fig3_sweep_is_identical_across_job_counts() {
 /// match across job counts.
 #[test]
 fn fig3_sweep_without_telemetry_is_identical_across_job_counts() {
-    let serial = fig3::sweep_jobs(&[1, 2], 2, 1, None);
-    let parallel = fig3::sweep_jobs(&[1, 2], 2, 3, None);
+    let serial = fig3::sweep(&[1, 2], 2, 1, None);
+    let parallel = fig3::sweep(&[1, 2], 2, 3, None);
     assert_eq!(serial, parallel);
 }
 
@@ -54,7 +54,7 @@ fn messaging_sweep_is_identical_across_job_counts() {
 
     let run = |jobs: usize| {
         let telemetry = Telemetry::new();
-        let report = messaging::sweep_jobs(&config, jobs, Some(&telemetry));
+        let report = messaging::sweep(&config, jobs, Some(&telemetry), false);
         (report, telemetry.prometheus(), telemetry.trace_jsonl())
     };
 
@@ -85,8 +85,8 @@ fn cluster_decision_traces_are_identical_across_job_counts() {
         overload_ticks: 9,
     };
 
-    let serial = cluster_exp::sweep_jobs(&config, 1);
-    let parallel = cluster_exp::sweep_jobs(&config, 4);
+    let serial = cluster_exp::sweep(&config, 1);
+    let parallel = cluster_exp::sweep(&config, 4);
 
     assert_eq!(serial, parallel, "cluster chaos cells diverge across jobs");
     assert_eq!(serial.points.len(), 2);
@@ -117,9 +117,9 @@ fn slo_traces_and_reports_are_identical_across_job_counts() {
         ..slo::SloConfig::full()
     };
 
-    let serial = slo::sweep_jobs(&config, 1);
-    let two_way = slo::sweep_jobs(&config, 2);
-    let eight_way = slo::sweep_jobs(&config, 8);
+    let serial = slo::sweep(&config, 1);
+    let two_way = slo::sweep(&config, 2);
+    let eight_way = slo::sweep(&config, 8);
 
     assert_eq!(serial, two_way, "slo cells diverge between 1 and 2 jobs");
     assert_eq!(serial, eight_way, "slo cells diverge between 1 and 8 jobs");
@@ -155,8 +155,8 @@ fn replication_grid_is_identical_across_job_counts() {
     workload.keys = 128;
     workload.value_bytes = 256;
 
-    let serial = replication::sweep_jobs(&[1, 2], &[1, 3], &workload, 1);
-    let parallel = replication::sweep_jobs(&[1, 2], &[1, 3], &workload, 4);
+    let serial = replication::sweep(&[1, 2], &[1, 3], &workload, 1);
+    let parallel = replication::sweep(&[1, 2], &[1, 3], &workload, 4);
 
     assert_eq!(serial, parallel);
     assert_eq!(serial.len(), 4);
