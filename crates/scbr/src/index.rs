@@ -15,7 +15,7 @@
 //! a correctness oracle in tests.
 
 use crate::types::{covers_normalised, Normalised, Publication, SubId, Subscription, Value};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Insertion scans at most this many siblings per level when looking for
 /// covering relations; beyond it, subscriptions are treated as
@@ -117,7 +117,7 @@ impl SubscriptionIndex for NaiveIndex {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 enum GroupKey {
     Int(i64),
     Str(String),
@@ -139,7 +139,10 @@ struct Node {
 pub struct PosetIndex {
     partition_attr: Option<String>,
     nodes: Vec<Node>,
-    groups: HashMap<GroupKey, Vec<usize>>, // roots per group
+    /// Roots per group. Ordered, so a publication without a partition value
+    /// visits the groups — and charges the simulator — in the same order in
+    /// every identically built index.
+    groups: BTreeMap<GroupKey, Vec<usize>>,
 }
 
 impl PosetIndex {
@@ -150,7 +153,7 @@ impl PosetIndex {
         PosetIndex {
             partition_attr: None,
             nodes: Vec::new(),
-            groups: HashMap::new(),
+            groups: BTreeMap::new(),
         }
     }
 
@@ -161,7 +164,7 @@ impl PosetIndex {
         PosetIndex {
             partition_attr: Some(attr.to_string()),
             nodes: Vec::new(),
-            groups: HashMap::new(),
+            groups: BTreeMap::new(),
         }
     }
 
@@ -288,10 +291,8 @@ impl SubscriptionIndex for PosetIndex {
             size,
             children: Vec::new(),
         });
-        // Split borrows: take the roots vector out, mutate, put it back.
-        let mut roots = self.groups.remove(&key).unwrap_or_default();
-        Self::insert_into_group(&mut self.nodes, &mut roots, idx);
-        self.groups.insert(key, roots);
+        let roots = self.groups.entry(key).or_default();
+        Self::insert_into_group(&mut self.nodes, roots, idx);
     }
 
     fn match_publication(
@@ -446,6 +447,38 @@ mod tests {
             .with("topic", Value::Int(8))
             .with("x", Value::Int(1));
         assert_eq!(ids(index.match_publication(&p2, &mut |_| {})), vec![2]);
+    }
+
+    /// The determinism contract: a publication without the partition
+    /// attribute visits every group, and identically built indices must
+    /// visit them in the same order (the visits drive the simulated LRU).
+    #[test]
+    fn identically_built_indices_visit_all_groups_in_the_same_order() {
+        let build = || {
+            let mut index = PosetIndex::with_partition_attr("topic");
+            for i in 0..96i64 {
+                let topic = (i * 7) % 24;
+                let attr = if i % 2 == 0 { "x" } else { "y" };
+                let preds = vec![pred("topic", Op::Eq, topic), pred(attr, Op::Ge, i % 5)];
+                index.insert(SubId(i as u64), sub(preds), i as u64 * 64);
+            }
+            index.insert(SubId(96), sub(vec![pred("x", Op::Ge, 0)]), 96 * 64);
+            index
+        };
+        let p = Publication::new().with("x", Value::Int(3));
+        let run = |index: &PosetIndex| {
+            let mut visits = Vec::new();
+            let matched = index.match_publication(&p, &mut |v| visits.push(v));
+            (visits, matched)
+        };
+        let (visits, matched) = run(&build());
+        // Topic subscriptions cannot match without a topic, so only the
+        // roots of the 24 topic groups and the general group are visited.
+        assert!(visits.len() >= 25, "{} visits", visits.len());
+        assert_eq!(matched, vec![SubId(96)]);
+        for _ in 0..3 {
+            assert_eq!(run(&build()), (visits.clone(), matched.clone()));
+        }
     }
 
     #[test]

@@ -18,6 +18,11 @@
 //! This is precisely the mechanism behind the paper's Figure 3: as a
 //! working set grows past the usable EPC, page faults dominate and
 //! in-enclave execution time diverges from native execution time.
+//!
+//! [`MemorySim::touch`] is the simulator's whole host cost: it walks the
+//! lines of an access once and charges cycles, [`MemStats`] and the telemetry
+//! mirror counters once per call. The two [`LruSet`]s alone decide which
+//! lines hit and which pages fault; the simulated clock follows from that.
 
 use crate::costs::{CostModel, MemoryGeometry};
 use crate::lru::LruSet;
@@ -148,6 +153,9 @@ impl MemMetrics {
 pub struct MemorySim {
     domain: Domain,
     geometry: MemoryGeometry,
+    /// `log2` of `geometry.line_bytes` and of `geometry.page_bytes`.
+    line_shift: u32,
+    page_shift: u32,
     costs: CostModel,
     llc: LruSet,
     epc: Option<LruSet>,
@@ -171,8 +179,19 @@ impl MemorySim {
     }
 
     /// Creates a simulator for `domain`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `geometry.line_bytes` and `geometry.page_bytes` are
+    /// powers of two with `line_bytes <= page_bytes`: `touch`, `alloc` and
+    /// `free` must agree on which page an address belongs to.
     #[must_use]
     pub fn new(domain: Domain, geometry: MemoryGeometry, costs: CostModel) -> Self {
+        let (line, page) = (geometry.line_bytes, geometry.page_bytes);
+        assert!(
+            line.is_power_of_two() && page.is_power_of_two() && line <= page,
+            "MemoryGeometry needs power-of-two line_bytes <= page_bytes, got {line} and {page}"
+        );
         let epc = match domain {
             Domain::Native => None,
             Domain::Enclave => Some(LruSet::new(geometry.epc_pages().max(1))),
@@ -180,6 +199,8 @@ impl MemorySim {
         MemorySim {
             domain,
             geometry,
+            line_shift: line.trailing_zeros(),
+            page_shift: page.trailing_zeros(),
             costs,
             llc: LruSet::new(geometry.llc_lines().max(1)),
             epc,
@@ -230,10 +251,8 @@ impl MemorySim {
     /// (EREMOVE is cheap relative to EWB) and its lines age out naturally.
     pub fn free(&mut self, region: Region) {
         if let Some(epc) = &mut self.epc {
-            let page = self.geometry.page_bytes as u64;
-            let first = region.base / page;
-            let last = (region.base + region.len.max(1) - 1) / page;
-            for p in first..=last {
+            let last = (region.base + region.len.max(1) - 1) >> self.page_shift;
+            for p in region.base >> self.page_shift..=last {
                 epc.remove(p);
             }
         }
@@ -245,53 +264,51 @@ impl MemorySim {
         if len == 0 {
             return;
         }
-        let line = self.geometry.line_bytes as u64;
-        let page_shift = self.geometry.page_bytes.trailing_zeros();
-        let first_line = addr / line;
-        let last_line = (addr + len as u64 - 1) / line;
-        let metrics = self.metrics.as_ref();
+        let first_line = addr >> self.line_shift;
+        let last_line = (addr + len as u64 - 1) >> self.line_shift;
+        let page_of_line = self.page_shift - self.line_shift;
+        // Tallied in locals and charged once per call: the per-line loop is
+        // the simulator's whole host cost.
+        let (mut hits, mut decrypts, mut faults, mut evictions) = (0u64, 0u64, 0u64, 0u64);
         for l in first_line..=last_line {
-            self.stats.line_accesses += 1;
-            if let Some(m) = metrics {
-                m.line_accesses.inc();
-            }
             if self.llc.touch(l).hit {
-                self.stats.cache_hits += 1;
-                if let Some(m) = metrics {
-                    m.cache_hits.inc();
+                hits += 1;
+            } else if let Some(epc) = &mut self.epc {
+                let t = epc.touch(l >> page_of_line);
+                if t.hit {
+                    // DRAM access through the MEE: decrypt + integrity
+                    // check on the missed line.
+                    decrypts += 1;
+                } else {
+                    faults += 1;
+                    evictions += u64::from(t.evicted.is_some());
                 }
-                self.cycles += self.costs.cache_hit_cycles;
-                continue;
             }
-            self.stats.llc_misses += 1;
-            if let Some(m) = metrics {
-                m.llc_misses.inc();
-            }
-            match &mut self.epc {
-                None => self.cycles += self.costs.dram_cycles,
-                Some(epc) => {
-                    let page = (l * line) >> page_shift;
-                    let t = epc.touch(page);
-                    if t.hit {
-                        // DRAM access through the MEE: decrypt + integrity
-                        // check on the missed line.
-                        if let Some(m) = metrics {
-                            m.mee_decrypts.inc();
-                        }
-                        self.cycles += self.costs.epc_miss_cycles;
-                    } else {
-                        self.stats.epc_faults += 1;
-                        if let Some(m) = metrics {
-                            m.epc_faults.inc();
-                        }
-                        if t.evicted.is_some() {
-                            self.stats.epc_evictions += 1;
-                            if let Some(m) = metrics {
-                                m.epc_evictions.inc();
-                            }
-                        }
-                        self.cycles += self.costs.epc_fault_cycles;
-                    }
+        }
+        let lines = last_line - first_line + 1;
+        let misses = lines - hits;
+        let dram = if self.epc.is_none() { misses } else { 0 };
+        let costs = &self.costs;
+        self.cycles += hits * costs.cache_hit_cycles
+            + dram * costs.dram_cycles
+            + decrypts * costs.epc_miss_cycles
+            + faults * costs.epc_fault_cycles;
+        self.stats.line_accesses += lines;
+        self.stats.cache_hits += hits;
+        self.stats.llc_misses += misses;
+        self.stats.epc_faults += faults;
+        self.stats.epc_evictions += evictions;
+        if let Some(m) = &self.metrics {
+            for (counter, n) in [
+                (&m.line_accesses, lines),
+                (&m.cache_hits, hits),
+                (&m.llc_misses, misses),
+                (&m.mee_decrypts, decrypts),
+                (&m.epc_faults, faults),
+                (&m.epc_evictions, evictions),
+            ] {
+                if n != 0 {
+                    counter.add(n);
                 }
             }
         }
@@ -536,6 +553,180 @@ mod tests {
         assert!(a.base() + a.len() <= b.base());
         assert!(b.base() + b.len() <= c.base());
         assert_eq!(sim.stats().bytes_allocated, 5101);
+    }
+
+    /// A geometry whose shifts differ from SGX1's: 32 B lines, a 48-line LLC
+    /// (not a power of two), 1 KiB pages, 11 usable EPC pages.
+    fn odd_geometry() -> MemoryGeometry {
+        MemoryGeometry {
+            line_bytes: 32,
+            llc_bytes: 32 * 48,
+            page_bytes: 1024,
+            epc_total_bytes: 1024 * 14,
+            epc_reserved_bytes: 1024 * 3,
+        }
+    }
+
+    /// Replays one fixed pseudorandom trace: 1-line, multi-line and
+    /// page-crossing touches over a changing set of regions, `alloc`/`free`,
+    /// contiguous sweeps larger than the LLC and page-stride sweeps larger
+    /// than the EPC.
+    fn replay_fixed_trace(sim: &mut MemorySim) {
+        let geometry = sim.geometry();
+        let (line, page) = (geometry.line_bytes as u64, geometry.page_bytes as u64);
+        let llc = geometry.llc_bytes as u64;
+        let epc = geometry.epc_usable_bytes() as u64;
+        let big = sim.alloc((3 * llc).max(epc + epc / 16));
+        let mut regions = vec![sim.alloc(5 * page + 17), sim.alloc(40 * page)];
+        let mut state = 0x5EC0_C10D_u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        for step in 0..6_000u64 {
+            if step % 2_500 == 700 {
+                sim.touch_region(big, line / 2, (llc + llc / 2) as usize);
+            }
+            if step % 2_500 == 1_900 {
+                for p in 0..big.len() / page {
+                    sim.touch_region(big, p * page + (step % page), 1);
+                }
+            }
+            let pick = next() as usize % regions.len();
+            let region = regions[pick];
+            match next() % 16 {
+                0 => regions.push(sim.alloc(1 + next() % (8 * page))),
+                1 if regions.len() > 2 => sim.free(regions.swap_remove(pick)),
+                2..=4 if region.len() > page => {
+                    // Straddles a page boundary.
+                    let boundary = page * (1 + next() % (region.len() / page));
+                    let before = 1 + next() % (2 * line);
+                    let after = (1 + next() % (2 * line)).min(region.len() - boundary);
+                    sim.touch_region(region, boundary - before, (before + after) as usize);
+                }
+                5..=8 => {
+                    let offset = next() % region.len();
+                    let len = (1 + next() % (24 * line)).min(region.len() - offset);
+                    sim.touch_region(region, offset, len as usize);
+                }
+                _ => {
+                    let offset = next() % region.len();
+                    let len = (1 + next() % 8).min(region.len() - offset);
+                    sim.touch_region(region, offset, len as usize);
+                }
+            }
+        }
+    }
+
+    /// Zero-drift pin: cycles and counters of [`replay_fixed_trace`], captured
+    /// at the commit before the open-addressed `LruSet` and the one-pass
+    /// `touch`. A change to any literal is a change to the cost model.
+    #[test]
+    fn fixed_trace_charges_are_pinned() {
+        let pin =
+            |line_accesses, cache_hits, epc_faults, epc_evictions, bytes_allocated| MemStats {
+                line_accesses,
+                cache_hits,
+                llc_misses: line_accesses - cache_hits,
+                epc_faults,
+                epc_evictions,
+                bytes_allocated,
+                ..MemStats::default()
+            };
+        let (v1, odd) = (MemoryGeometry::sgx_v1(), odd_geometry());
+        for (domain, geometry, cycles, stats) in [
+            (
+                Domain::Native,
+                v1,
+                130_208_376,
+                pin(664_743, 14_272, 0, 0, 110_350_861),
+            ),
+            (
+                Domain::Enclave,
+                v1,
+                1_359_161_676,
+                pin(664_743, 14_272, 53_016, 27_841, 110_350_861),
+            ),
+            (
+                Domain::Native,
+                odd,
+                4_053_088,
+                pin(23_180, 3_036, 0, 0, 1_479_258),
+            ),
+            (
+                Domain::Enclave,
+                odd,
+                62_180_788,
+                pin(23_180, 3_036, 2_671, 1_931, 1_479_258),
+            ),
+        ] {
+            let mut sim = MemorySim::new(domain, geometry, CostModel::sgx_v1());
+            replay_fixed_trace(&mut sim);
+            assert_eq!(sim.cycles(), cycles, "{domain:?} {geometry:?}");
+            assert_eq!(sim.stats(), stats, "{domain:?} {geometry:?}");
+        }
+    }
+
+    /// Batching the mirror counters per `touch` call must not change totals.
+    #[test]
+    fn mirror_counters_equal_stats_after_the_fixed_trace() {
+        for (domain, label) in [(Domain::Native, "native"), (Domain::Enclave, "enclave")] {
+            let telemetry = Telemetry::new();
+            let mut sim = MemorySim::new(domain, odd_geometry(), CostModel::sgx_v1());
+            sim.set_telemetry(&telemetry);
+            replay_fixed_trace(&mut sim);
+            let stats = sim.stats();
+            let decrypts = match domain {
+                Domain::Native => 0,
+                Domain::Enclave => stats.llc_misses - stats.epc_faults,
+            };
+            for (series, expect) in [
+                ("line_accesses", stats.line_accesses),
+                ("cache_hits", stats.cache_hits),
+                ("llc_misses", stats.llc_misses),
+                ("mee_decrypts", decrypts),
+                ("epc_faults", stats.epc_faults),
+                ("epc_evictions", stats.epc_evictions),
+            ] {
+                let name = format!("securecloud_sgx_{series}_total");
+                let counter = telemetry.counter_with(&name, &[("domain", label)]);
+                assert_eq!(counter.value(), expect, "{name}{{domain={label}}}");
+            }
+        }
+    }
+
+    #[test]
+    fn geometry_that_touch_and_free_would_disagree_on_is_refused() {
+        for (line_bytes, page_bytes) in [(64, 4095), (48, 4096), (0, 4096), (8192, 4096)] {
+            let geometry = MemoryGeometry {
+                line_bytes,
+                page_bytes,
+                ..tiny_geometry()
+            };
+            let refused = std::panic::catch_unwind(|| MemorySim::enclave(geometry, unit_costs()))
+                .expect_err("geometry must be refused");
+            let message = refused.downcast_ref::<String>().expect("formatted panic");
+            assert!(
+                message.contains("power-of-two line_bytes <= page_bytes"),
+                "{line_bytes}/{page_bytes}: {message}"
+            );
+        }
+    }
+
+    #[test]
+    fn free_releases_the_pages_touch_faulted_in() {
+        // 1 KiB pages of 32 B lines: shifts other than SGX1's 12 and 6.
+        let mut sim = MemorySim::enclave(odd_geometry(), unit_costs());
+        let region = sim.alloc(5 * 1024 + 1);
+        sim.touch_region(region, 0, region.len() as usize);
+        assert_eq!(sim.stats().epc_faults, 6);
+        sim.free(region);
+        assert!(sim.epc.as_ref().is_some_and(LruSet::is_empty));
+        sim.llc.clear();
+        sim.touch_region(region, 0, region.len() as usize);
+        assert_eq!(sim.stats().epc_faults, 12, "every page faults again");
     }
 
     #[test]

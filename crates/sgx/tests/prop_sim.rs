@@ -2,9 +2,54 @@
 
 use proptest::prelude::*;
 use securecloud_sgx::costs::{CostModel, MemoryGeometry};
-use securecloud_sgx::lru::LruSet;
+use securecloud_sgx::lru::{LruSet, Touch};
 use securecloud_sgx::mem::MemorySim;
 use std::collections::VecDeque;
+
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Touch,
+    Remove,
+    Contains,
+    Clear,
+}
+
+/// Drives an `LruSet` and a naive deque (front = MRU) through the same
+/// steps, comparing every outcome.
+fn check_against_model(capacity: usize, ops: impl IntoIterator<Item = (Op, u64)>) {
+    let mut lru = LruSet::new(capacity);
+    let mut model: VecDeque<u64> = VecDeque::new();
+    for (op, key) in ops {
+        let resident = model.iter().position(|&k| k == key);
+        match op {
+            Op::Clear => {
+                lru.clear();
+                model.clear();
+            }
+            Op::Remove => {
+                assert_eq!(lru.remove(key), resident.is_some());
+                if let Some(pos) = resident {
+                    model.remove(pos);
+                }
+            }
+            Op::Contains => assert_eq!(lru.contains(key), resident.is_some()),
+            Op::Touch => {
+                let mut evicted = None;
+                if let Some(pos) = resident {
+                    model.remove(pos);
+                } else if model.len() == capacity {
+                    evicted = model.pop_back();
+                }
+                model.push_front(key);
+                let hit = resident.is_some();
+                assert_eq!(lru.touch(key), Touch { hit, evicted });
+            }
+        }
+        assert_eq!(lru.len(), model.len());
+        assert_eq!(lru.is_empty(), model.is_empty());
+        assert_eq!(lru.contains(key), model.contains(&key));
+    }
+}
 
 proptest! {
     /// The slab-based LRU behaves exactly like a naive deque model.
@@ -13,23 +58,7 @@ proptest! {
         capacity in 1usize..16,
         keys in prop::collection::vec(0u64..32, 0..500),
     ) {
-        let mut lru = LruSet::new(capacity);
-        let mut model: VecDeque<u64> = VecDeque::new();
-        for key in keys {
-            let expect_hit = model.contains(&key);
-            let mut expect_evicted = None;
-            if expect_hit {
-                let pos = model.iter().position(|&k| k == key).unwrap();
-                model.remove(pos);
-            } else if model.len() == capacity {
-                expect_evicted = model.pop_back();
-            }
-            model.push_front(key);
-            let t = lru.touch(key);
-            prop_assert_eq!(t.hit, expect_hit);
-            prop_assert_eq!(t.evicted, expect_evicted);
-            prop_assert_eq!(lru.len(), model.len());
-        }
+        check_against_model(capacity, keys.into_iter().map(|key| (Op::Touch, key)));
     }
 
     /// LRU removal keeps the set consistent with the model.
@@ -38,26 +67,45 @@ proptest! {
         capacity in 1usize..8,
         ops in prop::collection::vec((any::<bool>(), 0u64..16), 0..300),
     ) {
-        let mut lru = LruSet::new(capacity);
-        let mut model: VecDeque<u64> = VecDeque::new();
-        for (is_remove, key) in ops {
-            if is_remove {
-                let in_model = model.iter().position(|&k| k == key);
-                prop_assert_eq!(lru.remove(key), in_model.is_some());
-                if let Some(pos) = in_model {
-                    model.remove(pos);
-                }
-            } else {
-                if let Some(pos) = model.iter().position(|&k| k == key) {
-                    model.remove(pos);
-                } else if model.len() == capacity {
-                    model.pop_back();
-                }
-                model.push_front(key);
-                lru.touch(key);
-            }
-            prop_assert_eq!(lru.len(), model.len());
-        }
+        let op = |is_remove| if is_remove { Op::Remove } else { Op::Touch };
+        check_against_model(capacity, ops.into_iter().map(|(is_remove, key)| (op(is_remove), key)));
+    }
+
+    /// The same equivalence where the index has to work: capacities around
+    /// powers of two up to 2049 (the table doubles up to ten times), keys
+    /// sparse and strided (multiples of the line size, the page size and
+    /// every table size, and an odd 64-bit stride), twice as many keys as
+    /// fit, removals of absent keys and reuse after `clear`.
+    #[test]
+    fn lru_matches_reference_model_on_strided_keys(
+        log2 in 0u32..12,
+        around in 0usize..3,
+        stride in prop_oneof![
+            Just(1u64),
+            Just(64u64),
+            Just(4096u64),
+            (4u32..16).prop_map(|s| 1u64 << s),
+            any::<u64>().prop_map(|m| m | 1),
+        ],
+        base in any::<u64>(),
+        seed in any::<u64>(),
+    ) {
+        let capacity = ((1usize << log2) + around).saturating_sub(1).max(1);
+        let universe = 2 * capacity as u64 + 3;
+        let mut state = seed;
+        let ops = (0..6 * capacity + 200).map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let op = match (state >> 20) % 4096 {
+                0 => Op::Clear,
+                1..=800 => Op::Remove,
+                801..=1200 => Op::Contains,
+                _ => Op::Touch,
+            };
+            (op, base.wrapping_add(((state >> 40) % universe).wrapping_mul(stride)))
+        });
+        check_against_model(capacity, ops);
     }
 
     /// Simulated cycles are monotone in the amount of memory touched, and
