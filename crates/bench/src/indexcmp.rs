@@ -3,7 +3,7 @@
 //! matched" (§V-B).
 
 use securecloud_scbr::engine::MatchEngine;
-use securecloud_scbr::index::{NaiveIndex, PosetIndex, SubscriptionIndex};
+use securecloud_scbr::index::{MatchScratch, NaiveIndex, PosetIndex, SubscriptionIndex};
 use securecloud_scbr::types::{Op, Predicate, Publication, SubId, Subscription, Value};
 use securecloud_scbr::workload::WorkloadSpec;
 use securecloud_sgx::costs::{CostModel, MemoryGeometry};
@@ -116,9 +116,12 @@ pub fn containment_heavy_point(chains: usize, depth: usize, publications: usize)
         for (i, sub) in database.iter().enumerate() {
             index.insert(SubId(i as u64), sub.clone(), i as u64 * 256);
         }
+        let mut scratch = MatchScratch::default();
         let mut visits = 0u64;
         for _ in 0..publications {
-            index.match_publication(&publication, &mut |_| visits += 1);
+            scratch.trace.clear();
+            index.match_publication(&publication, &mut scratch);
+            visits += scratch.trace.len() as u64;
         }
         visits / publications as u64
     };

@@ -1,7 +1,7 @@
 //! The matching engine with a simulated memory layout.
 //!
 //! The engine stores subscriptions in a bump-allocated arena of simulated
-//! memory and reports every node visit to the [`MemorySim`], which charges
+//! memory and charges every node visit of a match to the [`MemorySim`]:
 //! cache, MEE, and EPC-paging costs. Running the *same* engine code against
 //! a native-domain and an enclave-domain simulator is how benchmark E1
 //! regenerates the paper's Figure 3.
@@ -15,7 +15,7 @@
 //! attribute are packed into dedicated chunks, so a matching pass touches
 //! a compact page range. Benchmark E8 quantifies the effect.
 
-use crate::index::SubscriptionIndex;
+use crate::index::{MatchScratch, SubscriptionIndex};
 use crate::types::{Op, Publication, SubId, Subscription, Value};
 use securecloud_sgx::mem::{MemorySim, Region};
 use securecloud_telemetry::{Counter, Telemetry};
@@ -251,19 +251,41 @@ impl<I: SubscriptionIndex> MatchEngine<I> {
     /// Matches a publication against the database, charging every node
     /// visit (memory reads and predicate evaluations).
     pub fn publish(&mut self, mem: &mut MemorySim, publication: &Publication) -> Vec<SubId> {
-        let mut nodes_visited = 0u64;
+        let mut scratch = MatchScratch::default();
+        self.publish_with(mem, publication, &mut scratch);
+        scratch.matched
+    }
+
+    /// [`Self::publish`] for a batch: appends the matching ids to
+    /// `scratch.matched` and reuses the scratch's working memory, so a
+    /// publication allocates nothing once the scratch has grown.
+    ///
+    /// The index first records the visit trace, then the trace is charged:
+    /// the same [`MemorySim::touch`] calls in the same order as if each
+    /// visit were charged on the spot (a touch never steers the walk), while
+    /// the index and the simulator's tables stop evicting each other from
+    /// the host's cache.
+    pub fn publish_with<'p>(
+        &mut self,
+        mem: &mut MemorySim,
+        publication: &'p Publication,
+        scratch: &mut MatchScratch<'p>,
+    ) {
+        scratch.trace.clear();
+        let matched_before = scratch.matched.len();
+        self.index.match_publication(publication, scratch);
         let mut predicates = 0u64;
-        let matches = self.index.match_publication(publication, &mut |v| {
-            nodes_visited += 1;
-            predicates += u64::from(v.predicates_evaluated);
-            mem.touch(v.offset, v.size.min(MATCH_READ_BYTES) as usize);
-        });
+        for visit in &scratch.trace {
+            predicates += u64::from(visit.predicates_evaluated);
+            mem.touch(visit.offset, visit.size.min(MATCH_READ_BYTES) as usize);
+        }
         mem.charge_ops(predicates);
         self.metrics.publications.inc();
-        self.metrics.matches.add(matches.len() as u64);
-        self.metrics.nodes_visited.add(nodes_visited);
+        self.metrics
+            .matches
+            .add((scratch.matched.len() - matched_before) as u64);
+        self.metrics.nodes_visited.add(scratch.trace.len() as u64);
         self.metrics.predicates_evaluated.add(predicates);
-        matches
     }
 }
 
@@ -273,6 +295,7 @@ mod tests {
     use crate::index::{NaiveIndex, PosetIndex};
     use crate::types::{Op, Predicate, Value};
     use securecloud_sgx::costs::{CostModel, MemoryGeometry};
+    use securecloud_sgx::mem::MemStats;
 
     fn native_mem() -> MemorySim {
         MemorySim::native(MemoryGeometry::sgx_v1(), CostModel::sgx_v1())
@@ -415,6 +438,115 @@ mod tests {
             clustered_faults * 3 < arrival_faults,
             "clustering should cut faults: arrival {arrival_faults}, clustered {clustered_faults}"
         );
+    }
+
+    /// 2 000 subscriptions (fig3 database plus string-keyed, float and
+    /// general-group ones) and 64 publications (fig3 stream plus string
+    /// topics, unmatched topics and publications without a topic, which
+    /// visit every group). Returns an FNV-1a digest of the match lists in
+    /// the order `publish` returned them.
+    fn replay_fixed_trace(mem: &mut MemorySim) -> (EngineStats, u64) {
+        use crate::workload::WorkloadSpec;
+        let spec = WorkloadSpec::fig3();
+        let mut engine = MatchEngine::new(PosetIndex::with_partition_attr("topic"));
+        for (i, s) in spec.subscriptions(1_900).into_iter().enumerate() {
+            engine.subscribe(mem, s);
+            if i % 19 != 0 {
+                continue;
+            }
+            let i = i as i64;
+            let lo = Predicate::new("a0", Op::Ge, Value::Int(i % 700));
+            let preds = match i % 3 {
+                0 => {
+                    let city = Value::Str(format!("city-{}", i % 7));
+                    vec![Predicate::new("topic", Op::Eq, city), lo]
+                }
+                1 => vec![
+                    lo,
+                    Predicate::new("a1", Op::Lt, Value::Float(i as f64 / 2.0)),
+                ],
+                _ => vec![
+                    Predicate::new("topic", Op::Eq, Value::Int(i % 5)),
+                    Predicate::new("a0", Op::Ge, Value::Int(0)),
+                    Predicate::new("a2", Op::Le, Value::Float(900.5)),
+                    lo,
+                ],
+            };
+            engine.subscribe(mem, Subscription::new(preds).with_payload(vec![0; 64]));
+        }
+        assert_eq!(engine.len(), 2_000);
+        let mut publications = spec.publications(52);
+        for i in 0..12i64 {
+            let base = Publication::new()
+                .with("a0", Value::Int(650 + i))
+                .with("a1", Value::Float(40.25 * i as f64))
+                .with("a2", Value::Int(i * 90));
+            publications.push(match i % 3 {
+                0 => base.with("topic", Value::Str(format!("city-{}", i % 7))),
+                1 => base,
+                _ => base.with("topic", Value::Int(1_000 + i)),
+            });
+        }
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for publication in &publications {
+            for id in engine.publish(mem, publication) {
+                digest = (digest ^ id.0).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            digest = (digest ^ u64::MAX).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        (engine.stats(), digest)
+    }
+
+    /// Zero-drift pin: simulated charges, engine counters and match order of
+    /// [`replay_fixed_trace`], captured at the commit before the compiled
+    /// index and the "trace, then charge" publish. A change to any literal is
+    /// a change to the cost model or to the traversal order.
+    #[test]
+    fn fixed_trace_charges_are_pinned() {
+        // Usable EPC (384 KiB) below the ~570 KiB database, so matching pages.
+        let geometry = MemoryGeometry {
+            line_bytes: 64,
+            llc_bytes: 64 << 10,
+            page_bytes: 4096,
+            epc_total_bytes: 512 << 10,
+            epc_reserved_bytes: 128 << 10,
+        };
+        let pin = |epc_faults, epc_evictions| MemStats {
+            line_accesses: 25_504,
+            cache_hits: 6_586,
+            llc_misses: 18_918,
+            epc_faults,
+            epc_evictions,
+            compute_ops: 21_998,
+            bytes_allocated: 1 << 20,
+            ..MemStats::default()
+        };
+        for (mut mem, cycles, mem_stats) in [
+            (
+                MemorySim::native(geometry, CostModel::sgx_v1()),
+                4_716_208,
+                pin(0, 0),
+            ),
+            (
+                MemorySim::enclave(geometry, CostModel::sgx_v1()),
+                38_081_608,
+                pin(1_420, 1_324),
+            ),
+        ] {
+            let (engine_stats, digest) = replay_fixed_trace(&mut mem);
+            assert_eq!(
+                engine_stats,
+                EngineStats {
+                    publications: 64,
+                    matches: 1_222,
+                    nodes_visited: 4_571,
+                    predicates_evaluated: 7_535,
+                }
+            );
+            assert_eq!(digest, 0x39be_76c8_37b5_ed16, "match order");
+            assert_eq!(mem.cycles(), cycles);
+            assert_eq!(mem.stats(), mem_stats);
+        }
     }
 
     #[test]

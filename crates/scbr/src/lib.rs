@@ -48,6 +48,7 @@ use securecloud_crypto::CryptoError;
 use securecloud_sgx::SgxError;
 use std::error::Error as StdError;
 use std::fmt;
+use types::SubId;
 
 /// Errors from the SCBR router.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,6 +62,8 @@ pub enum ScbrError {
     Crypto(CryptoError),
     /// The router's enclave refused the call (destroyed/aborted).
     Enclave(SgxError),
+    /// The match engine returned a subscription the router has no owner for.
+    UnknownSubscription(SubId),
 }
 
 impl fmt::Display for ScbrError {
@@ -70,6 +73,7 @@ impl fmt::Display for ScbrError {
             ScbrError::ExchangeIncomplete => write!(f, "key exchange not completed"),
             ScbrError::Crypto(e) => write!(f, "cryptographic failure: {e}"),
             ScbrError::Enclave(e) => write!(f, "enclave failure: {e}"),
+            ScbrError::UnknownSubscription(id) => write!(f, "subscription {} has no owner", id.0),
         }
     }
 }
@@ -104,6 +108,9 @@ mod tests {
     fn error_display() {
         assert!(!ScbrError::UnknownClient(ClientId(3)).to_string().is_empty());
         assert!(!ScbrError::ExchangeIncomplete.to_string().is_empty());
+        assert!(ScbrError::UnknownSubscription(SubId(9))
+            .to_string()
+            .contains('9'));
         let e: ScbrError = CryptoError::AuthenticationFailed.into();
         assert!(!e.to_string().is_empty());
     }

@@ -8,7 +8,7 @@
 //! and re-encrypts notifications per subscriber.
 
 use crate::engine::MatchEngine;
-use crate::index::PosetIndex;
+use crate::index::{MatchScratch, PosetIndex};
 use crate::types::{Publication, SubId, Subscription};
 use crate::ScbrError;
 use securecloud_crypto::gcm::{nonce_from_seq, AesGcm, NONCE_LEN, TAG_LEN};
@@ -18,6 +18,7 @@ use securecloud_crypto::x25519::{self, PublicKey, SecretKey};
 use securecloud_sgx::enclave::Enclave;
 use securecloud_telemetry::{Telemetry, TraceContext, CONTEXT_WIRE_LEN};
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Router-assigned client identifier.
@@ -47,7 +48,9 @@ pub struct SecureRouter {
     secret: SecretKey,
     public: PublicKey,
     clients: HashMap<ClientId, ClientState>,
-    owners: HashMap<SubId, ClientId>,
+    /// The owner of every subscription, indexed by the engine's dense
+    /// [`SubId`]s.
+    owners: Vec<ClientId>,
     next_client: u64,
     telemetry: Option<Arc<Telemetry>>,
     switchless: bool,
@@ -78,7 +81,7 @@ impl SecureRouter {
             secret,
             public,
             clients: HashMap::new(),
-            owners: HashMap::new(),
+            owners: Vec::new(),
             next_client: 1,
             telemetry: None,
             switchless: false,
@@ -186,8 +189,22 @@ impl SecureRouter {
         let mem = self.enclave.memory();
         mem.charge_cycles(sealed.len() as u64 * AEAD_CYCLES_PER_BYTE);
         let id = self.engine.subscribe(mem, sub);
-        self.owners.insert(id, client);
+        assert_eq!(
+            id.0,
+            self.owners.len() as u64,
+            "the engine hands out dense subscription ids"
+        );
+        self.owners.push(client);
         Ok(id)
+    }
+
+    /// The owner of a subscription the engine matched.
+    fn owner_of(owners: &[ClientId], sub_id: SubId) -> Result<ClientId, ScbrError> {
+        usize::try_from(sub_id.0)
+            .ok()
+            .and_then(|index| owners.get(index))
+            .copied()
+            .ok_or(ScbrError::UnknownSubscription(sub_id))
     }
 
     /// Processes a sealed publication from `client`: decrypts, matches, and
@@ -201,7 +218,7 @@ impl SecureRouter {
     /// # Errors
     ///
     /// [`ScbrError::UnknownClient`], [`ScbrError::Crypto`],
-    /// [`ScbrError::Enclave`].
+    /// [`ScbrError::Enclave`], [`ScbrError::UnknownSubscription`].
     pub fn publish_sealed(
         &mut self,
         client: ClientId,
@@ -228,11 +245,11 @@ impl SecureRouter {
 
         let mut notifications = Vec::with_capacity(matches.len());
         for sub_id in matches {
-            let owner = self.owners[&sub_id];
+            let owner = Self::owner_of(&self.owners, sub_id)?;
             let owner_state = self
                 .clients
                 .get_mut(&owner)
-                .expect("owner registered at subscribe time");
+                .ok_or(ScbrError::UnknownClient(owner))?;
             let nonce = nonce_from_seq(DOMAIN_TO_CLIENT, owner_state.send_seq);
             owner_state.send_seq += 1;
             // One exactly-sized frame per notification: nonce, plaintext
@@ -269,7 +286,7 @@ impl SecureRouter {
     /// # Errors
     ///
     /// [`ScbrError::UnknownClient`], [`ScbrError::Crypto`],
-    /// [`ScbrError::Enclave`].
+    /// [`ScbrError::Enclave`], [`ScbrError::UnknownSubscription`].
     pub fn publish_sealed_batch(
         &mut self,
         client: ClientId,
@@ -310,23 +327,41 @@ impl SecureRouter {
         };
         let aead_cost = sealed.len() as u64 * AEAD_CYCLES_PER_BYTE;
         let engine = &mut self.engine;
-        let matches_per_publication = Self::enter(&mut self.enclave, self.switchless, |mem| {
+        let mut scratch = MatchScratch::default();
+        // Where each publication's matches end in `scratch.matched`.
+        let mut match_ends = Vec::with_capacity(publications.len());
+        Self::enter(&mut self.enclave, self.switchless, |mem| {
             mem.charge_cycles(aead_cost);
-            publications
-                .iter()
-                .map(|publication| engine.publish(mem, publication))
-                .collect::<Vec<_>>()
+            for publication in &publications {
+                engine.publish_with(mem, publication, &mut scratch);
+                match_ends.push(scratch.matched.len());
+            }
         })?;
 
-        // Group matched publications per owning subscriber, preserving batch
-        // order within each owner; BTreeMap keeps the fan-out order
-        // deterministic. A publication matching two subscriptions of the
-        // same owner is delivered twice, exactly like the single path.
-        let mut per_owner: BTreeMap<u64, Vec<&Publication>> = BTreeMap::new();
-        for (publication, matches) in publications.iter().zip(&matches_per_publication) {
+        // Encode every matched publication once — re-encoded, not sliced out
+        // of `plain`: decoding sorts attributes and drops duplicates, and the
+        // frames carry that canonical form (never longer than what it was
+        // decoded from). Then group per owning subscriber,
+        // preserving batch order within each owner; BTreeMap keeps the
+        // fan-out order deterministic. A publication matching two
+        // subscriptions of the same owner is delivered twice, exactly like
+        // the single path.
+        let mut encoded = Vec::with_capacity(plain.len());
+        let mut per_owner: BTreeMap<u64, Vec<Range<usize>>> = BTreeMap::new();
+        let mut match_start = 0;
+        for (publication, match_end) in publications.iter().zip(match_ends) {
+            let matches = &scratch.matched[match_start..match_end];
+            match_start = match_end;
+            if matches.is_empty() {
+                continue;
+            }
+            let encoded_start = encoded.len();
+            publication.encode(&mut encoded);
             for sub_id in matches {
-                let owner = self.owners[sub_id];
-                per_owner.entry(owner.0).or_default().push(publication);
+                per_owner
+                    .entry(Self::owner_of(&self.owners, *sub_id)?.0)
+                    .or_default()
+                    .push(encoded_start..encoded.len());
             }
         }
 
@@ -336,21 +371,23 @@ impl SecureRouter {
             let owner_state = self
                 .clients
                 .get_mut(&owner)
-                .expect("owner registered at subscribe time");
+                .ok_or(ScbrError::UnknownClient(owner))?;
             let nonce = nonce_from_seq(DOMAIN_TO_CLIENT, owner_state.send_seq);
             owner_state.send_seq += 1;
-            let mut framed = Vec::new();
+            // One exactly-sized frame per owner: nonce, count and
+            // publications sealed in place, tag appended.
+            let body_len = 4 + matched.iter().map(Range::len).sum::<usize>();
+            let mut framed = Vec::with_capacity(NONCE_LEN + body_len + TAG_LEN);
             framed.extend_from_slice(&nonce);
             (matched.len() as u32).encode(&mut framed);
-            for publication in &matched {
-                publication.encode(&mut framed);
+            for publication in matched {
+                framed.extend_from_slice(&encoded[publication]);
             }
             let tag = owner_state.key.seal_in_place_detached(
                 &nonce,
                 &mut framed[NONCE_LEN..],
                 b"scbr-notify-batch",
             );
-            let body_len = framed.len() - NONCE_LEN;
             framed.extend_from_slice(&tag);
             self.enclave
                 .memory()
@@ -753,6 +790,88 @@ mod tests {
         assert_eq!(for_alice, vec![publication(1, 50), publication(1, 500)]);
         let for_bob = bob.open_notification_batch(&notifications[1].1).unwrap();
         assert_eq!(for_bob, vec![publication(1, 500)]);
+    }
+
+    /// Frames re-encode the decoded publications; they do not slice the
+    /// sender's bytes. A hand-written batch body with unsorted and duplicated
+    /// attribute keys is delivered in canonical form (sorted keys, last
+    /// duplicate wins), once per matching subscription, in batch order, in
+    /// exactly-sized frames.
+    #[test]
+    fn batch_frames_carry_the_canonical_encoding() {
+        let mut router = router();
+        let mut alice = RouterClient::new();
+        let mut bob = RouterClient::new();
+        let mut publisher = RouterClient::new();
+        let alice_id = router.register(&alice.public_key());
+        let bob_id = router.register(&bob.public_key());
+        let pub_id = router.register(&publisher.public_key());
+        for client in [&mut alice, &mut bob, &mut publisher] {
+            client.complete_exchange(&router.public_key());
+        }
+        for (alices, id, lo) in [
+            (true, alice_id, 10),
+            (false, bob_id, 100),
+            (true, alice_id, 60),
+        ] {
+            let client = if alices { &mut alice } else { &mut bob };
+            let sealed = client.seal_subscription(&sub(1, lo)).unwrap();
+            router.subscribe_sealed(id, &sealed).unwrap();
+        }
+
+        let attr = |out: &mut Vec<u8>, name: &str, v: i64| {
+            name.to_string().encode(out);
+            Value::Int(v).encode(out);
+        };
+        let mut body = Vec::new();
+        3u32.encode(&mut body);
+        3u32.encode(&mut body); // unsorted, "v" twice: the later 500 wins
+        attr(&mut body, "v", 50);
+        attr(&mut body, "topic", 1);
+        attr(&mut body, "v", 500);
+        publication(2, 999).encode(&mut body); // nobody
+        2u32.encode(&mut body); // unsorted
+        attr(&mut body, "v", 20);
+        attr(&mut body, "topic", 1);
+        let nonce = nonce_from_seq(DOMAIN_TO_ROUTER, publisher.send_seq);
+        let mut sealed = TraceContext::none().encode().to_vec();
+        sealed.extend_from_slice(&body);
+        publisher
+            .cipher()
+            .unwrap()
+            .seal_in_place(&nonce, &mut sealed, b"scbr-pub-batch");
+        publisher.send_seq += 1;
+
+        let frames = router.publish_sealed_batch(pub_id, &sealed).unwrap();
+        let (first, last) = (publication(1, 500), publication(1, 20));
+        let want = [
+            (alice_id, &alice, vec![first.clone(), first.clone(), last]),
+            (bob_id, &bob, vec![first]),
+        ];
+        assert_eq!(frames.len(), want.len());
+        for ((owner, frame), (want_owner, client, publications)) in frames.iter().zip(&want) {
+            assert_eq!(owner, want_owner);
+            assert_eq!(frame.capacity(), frame.len(), "exactly-sized frame");
+            let (nonce, sealed_body) = frame.split_at(NONCE_LEN);
+            let plain = client
+                .cipher()
+                .unwrap()
+                .open(nonce.try_into().unwrap(), sealed_body, b"scbr-notify-batch")
+                .unwrap();
+            assert_eq!(plain, publications.to_wire());
+        }
+    }
+
+    #[test]
+    fn a_subscription_without_an_owner_is_an_error_not_a_panic() {
+        let owners = [ClientId(7)];
+        assert_eq!(SecureRouter::owner_of(&owners, SubId(0)), Ok(ClientId(7)));
+        for stray in [1, u64::MAX] {
+            assert_eq!(
+                SecureRouter::owner_of(&owners, SubId(stray)),
+                Err(ScbrError::UnknownSubscription(SubId(stray)))
+            );
+        }
     }
 
     #[test]

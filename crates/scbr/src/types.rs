@@ -112,19 +112,14 @@ impl Predicate {
             (Value::Float(want), Value::Float(have)) => compare(self.op, *have, *want),
             (Value::Int(want), Value::Float(have)) => compare(self.op, *have, *want as f64),
             (Value::Float(want), Value::Int(have)) => compare(self.op, *have as f64, *want),
-            (Value::Str(want), Value::Str(have)) => match self.op {
-                Op::Eq => have == want,
-                Op::Lt => have < want,
-                Op::Le => have <= want,
-                Op::Gt => have > want,
-                Op::Ge => have >= want,
-            },
+            (Value::Str(want), Value::Str(have)) => compare(self.op, have, want),
             _ => false, // type mismatch never matches
         }
     }
 }
 
-fn compare(op: Op, have: f64, want: f64) -> bool {
+/// `have op want`, for numbers (as `f64`, so NaN never holds) and strings.
+pub(crate) fn compare<T: PartialOrd>(op: Op, have: T, want: T) -> bool {
     match op {
         Op::Eq => have == want,
         Op::Lt => have < want,
@@ -211,7 +206,15 @@ impl Subscription {
     /// re-normalising on every covering check.
     #[must_use]
     pub fn normalised(&self) -> Normalised {
-        Normalised(normalise(&self.predicates))
+        self.normalised_by(|attr| attr.to_string())
+    }
+
+    /// [`Self::normalised`] with attributes renamed by `key` (an index
+    /// interns them to integers, which compare without a pointer chase).
+    /// Forms are comparable only with forms built by the same `key`.
+    #[must_use]
+    pub fn normalised_by<K: Ord>(&self, key: impl FnMut(&str) -> K) -> Normalised<K> {
+        Normalised(normalise(&self.predicates, key))
     }
 }
 
@@ -219,12 +222,12 @@ impl Subscription {
 ///
 /// `Normalised(None)` means the conjunction is unsatisfiable.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Normalised(Option<BTreeMap<String, Constraint>>);
+pub struct Normalised<K = String>(Option<BTreeMap<K, Constraint>>);
 
 /// Covering decision on normalised forms: `a` covers `b` when every
 /// publication matching `b` matches `a` (conservative).
 #[must_use]
-pub fn covers_normalised(a: &Normalised, b: &Normalised) -> bool {
+pub fn covers_normalised<K: Ord>(a: &Normalised<K>, b: &Normalised<K>) -> bool {
     let (Some(mine), Some(theirs)) = (&a.0, &b.0) else {
         // Unsatisfiable `b` is covered by anything; unsatisfiable `a`
         // covers only unsatisfiable others.
@@ -314,8 +317,11 @@ impl Constraint {
 
 /// Normalises a conjunction into per-attribute constraints; `None` if the
 /// conjunction is unsatisfiable (empty interval).
-fn normalise(predicates: &[Predicate]) -> Option<BTreeMap<String, Constraint>> {
-    let mut out: BTreeMap<String, Constraint> = BTreeMap::new();
+fn normalise<K: Ord>(
+    predicates: &[Predicate],
+    mut key: impl FnMut(&str) -> K,
+) -> Option<BTreeMap<K, Constraint>> {
+    let mut out: BTreeMap<K, Constraint> = BTreeMap::new();
     for p in predicates {
         let constraint = match (&p.value, p.op) {
             (Value::Str(s), Op::Eq) => Constraint::StrEq(s.clone()),
@@ -326,12 +332,17 @@ fn normalise(predicates: &[Predicate]) -> Option<BTreeMap<String, Constraint>> {
                     Value::Float(f) => *f,
                     Value::Str(_) => unreachable!("handled above"),
                 };
+                if x.is_nan() {
+                    return None; // no value compares with NaN, not even NaN
+                }
+                // The open side is closed at the infinity: `x >= 0` holds
+                // for +∞.
                 let (lo, lo_incl, hi, hi_incl) = match op {
                     Op::Eq => (x, true, x, true),
-                    Op::Lt => (f64::NEG_INFINITY, false, x, false),
-                    Op::Le => (f64::NEG_INFINITY, false, x, true),
-                    Op::Gt => (x, false, f64::INFINITY, false),
-                    Op::Ge => (x, true, f64::INFINITY, false),
+                    Op::Lt => (f64::NEG_INFINITY, true, x, false),
+                    Op::Le => (f64::NEG_INFINITY, true, x, true),
+                    Op::Gt => (x, false, f64::INFINITY, true),
+                    Op::Ge => (x, true, f64::INFINITY, true),
                 };
                 Constraint::Interval {
                     lo,
@@ -341,15 +352,12 @@ fn normalise(predicates: &[Predicate]) -> Option<BTreeMap<String, Constraint>> {
                 }
             }
         };
-        match out.remove(&p.attr) {
-            None => {
-                out.insert(p.attr.clone(), constraint);
-            }
-            Some(existing) => {
-                let merged = intersect(existing, constraint)?;
-                out.insert(p.attr.clone(), merged);
-            }
-        }
+        let attr = key(&p.attr);
+        let merged = match out.remove(&attr) {
+            None => constraint,
+            Some(existing) => intersect(existing, constraint)?,
+        };
+        out.insert(attr, merged);
     }
     Some(out)
 }
@@ -401,7 +409,11 @@ fn intersect(a: Constraint, b: Constraint) -> Option<Constraint> {
                 None
             }
         }
-        (a, _) => Some(a), // conservative: keep the first, never claim empty
+        // A value is a number or a string, never both.
+        (Constraint::Interval { .. }, _) | (_, Constraint::Interval { .. }) => None,
+        // A string range intersected with anything stays opaque: it neither
+        // covers nor is covered.
+        _ => Some(Constraint::StrOther),
     }
 }
 
@@ -517,6 +529,43 @@ mod tests {
         // Anything covers the unsatisfiable subscription.
         assert!(anything.covers(&impossible));
         assert!(!impossible.covers(&anything));
+    }
+
+    /// Each `broad` here matches nothing or less than `narrow`, so claiming
+    /// to cover it would let the index prune a subscription that matches.
+    #[test]
+    fn covering_is_sound_at_the_corners() {
+        let text = |op, s: &str| Predicate::new("x", op, Value::Str(s.into()));
+        let float = |op, v| Predicate::new("x", op, Value::Float(v));
+        for (broad, narrow) in [
+            // No value compares with NaN: the first conjunction is empty.
+            (
+                vec![pred("x", Op::Ge, 5), float(Op::Le, f64::NAN)],
+                vec![pred("x", Op::Ge, 6)],
+            ),
+            // `x >= +∞` is satisfiable (by +∞), so not covered by everything.
+            (
+                vec![pred("x", Op::Eq, 5)],
+                vec![float(Op::Ge, f64::INFINITY)],
+            ),
+            // A value is a number or a string: the first is empty again.
+            (
+                vec![text(Op::Eq, "s"), pred("x", Op::Ge, 3)],
+                vec![text(Op::Eq, "s")],
+            ),
+            // "x" < "b" is false, and string ranges are opaque to covering.
+            (
+                vec![text(Op::Eq, "x"), text(Op::Lt, "b")],
+                vec![text(Op::Eq, "x")],
+            ),
+        ] {
+            let (broad, narrow) = (Subscription::new(broad), Subscription::new(narrow));
+            assert!(!broad.covers(&narrow), "{broad:?} vs {narrow:?}");
+        }
+        let at_infinity = Publication::new().with("x", Value::Float(f64::INFINITY));
+        let open_above = Subscription::new(vec![pred("x", Op::Ge, 0)]);
+        assert!(open_above.matches(&at_infinity));
+        assert!(open_above.covers(&Subscription::new(vec![float(Op::Ge, f64::INFINITY)])));
     }
 
     #[test]

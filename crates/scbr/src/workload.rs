@@ -167,17 +167,19 @@ mod tests {
 
     #[test]
     fn workload_produces_matches() {
-        use crate::index::{NaiveIndex, SubscriptionIndex};
+        use crate::index::{MatchScratch, NaiveIndex, SubscriptionIndex};
         use crate::types::SubId;
         let spec = WorkloadSpec::fig3();
         let mut index = NaiveIndex::new();
         for (i, sub) in spec.subscriptions(2000).into_iter().enumerate() {
             index.insert(SubId(i as u64), sub, i as u64 * 256);
         }
-        let mut total_matches = 0usize;
-        for publication in spec.publications(50) {
-            total_matches += index.match_publication(&publication, &mut |_| {}).len();
+        let publications = spec.publications(50);
+        let mut scratch = MatchScratch::default();
+        for publication in &publications {
+            index.match_publication(publication, &mut scratch);
         }
+        let total_matches = scratch.matched.len();
         // ~2000/64 subs per topic, ~30-50% match within topic.
         assert!(
             total_matches > 100,

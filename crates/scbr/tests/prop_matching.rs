@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use securecloud_scbr::broker::{BrokerId, Overlay};
-use securecloud_scbr::index::{NaiveIndex, PosetIndex, SubscriptionIndex};
+use securecloud_scbr::index::{MatchScratch, NaiveIndex, PosetIndex, SubscriptionIndex, VisitInfo};
 use securecloud_scbr::types::{Op, Predicate, Publication, SubId, Subscription, Value};
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -16,25 +16,69 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// Values from every corner predicates compare over: small integers (so
+/// predicates and publications collide), integers `f64` cannot tell apart,
+/// floats including NaN, the infinities and the signed zeros, and strings.
+fn arb_value() -> impl Strategy<Value = Value> {
+    const TWO_53: i64 = 1 << 53;
+    prop_oneof![
+        (-20i64..20).prop_map(Value::Int),
+        (-20i64..20).prop_map(Value::Int),
+        (-3i64..4).prop_map(|d| Value::Int(TWO_53 + d)),
+        (-3i64..4).prop_map(|d| Value::Int(-TWO_53 + d)),
+        (0i64..3).prop_map(|d| Value::Int(i64::MAX - d)),
+        (0i64..3).prop_map(|d| Value::Int(i64::MIN + d)),
+        (-40i64..40).prop_map(|v| Value::Float(v as f64 / 2.0)),
+        prop_oneof![
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(-0.0),
+            Just(0.0),
+            Just((1u64 << 53) as f64),
+        ]
+        .prop_map(Value::Float),
+        "[a-c]{0,2}".prop_map(Value::Str),
+    ]
+}
+
+/// Predicates over `a`–`d`; several of one subscription may name the same
+/// attribute, and no publication carries `d`.
 fn arb_predicate() -> impl Strategy<Value = Predicate> {
-    (prop_oneof!["a", "b", "c"], arb_op(), -20i64..20)
-        .prop_map(|(attr, op, v)| Predicate::new(&attr, op, Value::Int(v)))
+    (prop_oneof!["a", "b", "c", "d"], arb_op(), arb_value())
+        .prop_map(|(attr, op, value)| Predicate::new(&attr, op, value))
 }
 
 fn arb_subscription() -> impl Strategy<Value = Subscription> {
-    prop::collection::vec(arb_predicate(), 0..4).prop_map(Subscription::new)
+    prop::collection::vec(arb_predicate(), 0..5).prop_map(Subscription::new)
 }
 
+/// Publications over `a`–`c` and `e`: each attribute is missing one time in
+/// four, and no subscription names `e`.
 fn arb_publication() -> impl Strategy<Value = Publication> {
-    (-25i64..25, -25i64..25, -25i64..25).prop_map(|(a, b, c)| {
-        Publication::new()
-            .with("a", Value::Int(a))
-            .with("b", Value::Int(b))
-            .with("c", Value::Int(c))
+    prop::array::uniform4(prop::option::of(arb_value())).prop_map(|values| {
+        let mut publication = Publication::new();
+        for (attr, value) in ["a", "b", "c", "e"].into_iter().zip(values) {
+            if let Some(value) = value {
+                publication = publication.with(attr, value);
+            }
+        }
+        publication
     })
 }
 
+/// One matching pass: the visit trace and the match list.
+fn visit(
+    index: &impl SubscriptionIndex,
+    publication: &Publication,
+) -> (Vec<VisitInfo>, Vec<SubId>) {
+    let mut scratch = MatchScratch::default();
+    index.match_publication(publication, &mut scratch);
+    (scratch.trace, scratch.matched)
+}
+
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
     /// Covering soundness: if `x` covers `y`, every publication matching
     /// `y` must match `x`. (The converse need not hold — covers() is
     /// conservative.)
@@ -56,41 +100,57 @@ proptest! {
         }
     }
 
-    /// Covering is reflexive and transitive on satisfiable subscriptions.
+    /// Covering is transitive, and reflexive except over string ranges,
+    /// which are opaque to it (they neither cover nor are covered).
     #[test]
     fn covers_is_a_preorder(
         x in arb_subscription(),
         y in arb_subscription(),
         z in arb_subscription(),
     ) {
-        prop_assert!(x.covers(&x), "reflexivity");
+        let string_range = |p: &Predicate| matches!(p.value, Value::Str(_)) && p.op != Op::Eq;
+        if !x.predicates.iter().any(string_range) {
+            prop_assert!(x.covers(&x), "reflexivity");
+        }
         if x.covers(&y) && y.covers(&z) {
             prop_assert!(x.covers(&z), "transitivity");
         }
     }
 
-    /// The containment-forest index returns exactly the naive index's
-    /// matches, for any database and any publication stream.
+    /// The compiled containment forest against the oracle, with and without
+    /// partition groups: every node it visits reports exactly what the
+    /// linear scan computed on the original `Subscription` — address, size,
+    /// match and short-circuit predicate count — and its match set is the
+    /// oracle's.
     #[test]
     fn poset_equals_naive(
         subs in prop::collection::vec(arb_subscription(), 0..60),
         publications in prop::collection::vec(arb_publication(), 0..20),
     ) {
         let mut naive = NaiveIndex::new();
-        let mut poset = PosetIndex::new();
+        let mut posets = [PosetIndex::new(), PosetIndex::with_partition_attr("a")];
         for (i, sub) in subs.iter().enumerate() {
+            let sub = sub.clone().with_payload(vec![0; i % 7]);
             naive.insert(SubId(i as u64), sub.clone(), i as u64 * 256);
-            poset.insert(SubId(i as u64), sub.clone(), i as u64 * 256);
+            for poset in &mut posets {
+                poset.insert(SubId(i as u64), sub.clone(), i as u64 * 256);
+            }
         }
         for publication in &publications {
-            let mut naive_visits = 0u32;
-            let mut poset_visits = 0u32;
-            let mut a = naive.match_publication(publication, &mut |_| naive_visits += 1);
-            let mut b = poset.match_publication(publication, &mut |_| poset_visits += 1);
-            a.sort();
-            b.sort();
-            prop_assert_eq!(a, b);
-            prop_assert!(poset_visits <= naive_visits, "pruning must never add visits");
+            let (oracle, mut want) = visit(&naive, publication);
+            want.sort();
+            for poset in &posets {
+                let (trace, mut got) = visit(poset, publication);
+                for node in &trace {
+                    prop_assert_eq!(node, &oracle[(node.offset / 256) as usize]);
+                }
+                let mut visited: Vec<u64> = trace.iter().map(|node| node.offset).collect();
+                visited.sort();
+                visited.dedup();
+                prop_assert_eq!(visited.len(), trace.len(), "a node is visited at most once");
+                got.sort();
+                prop_assert_eq!(&got, &want);
+            }
         }
     }
 
@@ -122,17 +182,16 @@ proptest! {
         }
     }
 
-    /// Wire roundtrips for the SCBR message types never lose information.
+    /// Wire roundtrips for the SCBR message types never lose information
+    /// (compared as bytes: a NaN value does not equal itself).
     #[test]
     fn scbr_wire_roundtrips(
         sub in arb_subscription(),
         publication in arb_publication(),
     ) {
         use securecloud_crypto::wire::Wire;
-        prop_assert_eq!(Subscription::from_wire(&sub.to_wire()).unwrap(), sub);
-        prop_assert_eq!(
-            Publication::from_wire(&publication.to_wire()).unwrap(),
-            publication
-        );
+        let (sub, publication) = (sub.to_wire(), publication.to_wire());
+        prop_assert_eq!(Subscription::from_wire(&sub).unwrap().to_wire(), sub);
+        prop_assert_eq!(Publication::from_wire(&publication).unwrap().to_wire(), publication);
     }
 }
