@@ -719,6 +719,8 @@ impl SecureKv {
 mod tests {
     use super::*;
     use securecloud_sgx::costs::{CostModel, MemoryGeometry};
+    use securecloud_sgx::mem::MemStats;
+    use securecloud_storage::StorageStats;
 
     fn mem() -> MemorySim {
         MemorySim::enclave(MemoryGeometry::sgx_v1(), CostModel::sgx_v1())
@@ -1094,6 +1096,144 @@ mod tests {
         m.touch(offset + 1024, 64);
         assert_eq!(m.stats().epc_faults, f0 + 1);
         assert_eq!(kv.data_bytes(), 0);
+    }
+
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+    /// FNV-1a over `bytes`, then a separator so adjacent items cannot merge.
+    fn fnv(digest: &mut u64, bytes: &[u8]) {
+        for b in bytes.iter().chain(&[0xff]) {
+            *digest = (*digest ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// FNV digest of everything the host holds: manifest, WAL, sealed blocks.
+    fn disk_digest(disk: &HostDisk) -> u64 {
+        let mut digest = FNV_OFFSET;
+        fnv(&mut digest, disk.manifest.as_deref().unwrap_or_default());
+        for record in &disk.wal {
+            fnv(&mut digest, &record.seq.to_le_bytes());
+            fnv(&mut digest, &record.sealed);
+        }
+        for (id, segment) in &disk.segments {
+            fnv(&mut digest, &id.to_le_bytes());
+            for block in &segment.blocks {
+                fnv(&mut digest, block);
+            }
+        }
+        digest
+    }
+
+    /// Drives a fixed schedule of 4 000 puts, gets, deletes and scans over a
+    /// 400-key space through a tiny tiered store (256-byte blocks, 1 KiB
+    /// memtable, 2-block cache, compaction at 4 segments), so the run flushes
+    /// and compacts many times, scans evict cached blocks mid-scan, and
+    /// tombstones shadow sealed keys. Returns the store and an FNV digest of
+    /// every value any call returned.
+    fn replay_fixed_trace(mem: &mut MemorySim) -> (SecureKv, u64) {
+        let mut kv = tiered_kv(&CounterService::new());
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            state >> 33
+        };
+        let key = |n: u64| format!("meter/{:04}", n % 400).into_bytes();
+        let mut digest = FNV_OFFSET;
+        let mut returned = |value: Option<&[u8]>| match value {
+            Some(v) => fnv(&mut digest, v),
+            None => fnv(&mut digest, b"\0absent"),
+        };
+        for _ in 0..4_000 {
+            match next() % 10 {
+                0..=4 => {
+                    let value = vec![next() as u8; 8 + (next() % 56) as usize];
+                    returned(kv.put(mem, &key(next()), &value).as_deref());
+                }
+                5..=6 => returned(kv.get(mem, &key(next())).as_deref()),
+                7 => returned(kv.delete(mem, &key(next())).as_deref()),
+                _ => {
+                    let from = next() % 400;
+                    let to = format!("meter/{:04}", from + 1 + next() % 40).into_bytes();
+                    for (k, v) in kv.scan(mem, &key(from), &to) {
+                        returned(Some(&k));
+                        returned(Some(&v));
+                    }
+                }
+            }
+        }
+        // A tombstone in a newer segment shadows the sealed key beneath it.
+        kv.put(mem, b"meter/9999", b"sealed");
+        kv.flush_memtable(mem).unwrap();
+        returned(kv.delete(mem, b"meter/9999").as_deref());
+        kv.flush_memtable(mem).unwrap();
+        returned(kv.get(mem, b"meter/9999").as_deref());
+        (kv, digest)
+    }
+
+    /// Zero-drift pin: simulated charges, engine and store counters, every
+    /// returned value and every sealed host byte of [`replay_fixed_trace`],
+    /// captured at the commit before the borrowed record path. A change to
+    /// any literal is a change to the cost model, to the block visit order or
+    /// to the sealed format.
+    #[test]
+    fn fixed_trace_charges_are_pinned() {
+        // One usable EPC page and a 1 KiB LLC: the block cache and the
+        // memtable arena evict each other.
+        let geometry = MemoryGeometry {
+            line_bytes: 64,
+            llc_bytes: 1 << 10,
+            page_bytes: 4096,
+            epc_total_bytes: 8 << 10,
+            epc_reserved_bytes: 4 << 10,
+        };
+        let mut mem = MemorySim::enclave(geometry, CostModel::sgx_v1());
+        let (kv, returned) = replay_fixed_trace(&mut mem);
+        let engine = kv.storage().expect("tiered");
+        assert_eq!(mem.cycles(), 546_134_976);
+        assert_eq!(
+            mem.stats(),
+            MemStats {
+                line_accesses: 28_600,
+                cache_hits: 23_532,
+                llc_misses: 5_068,
+                epc_faults: 440,
+                epc_evictions: 354,
+                compute_ops: 78_618,
+                bytes_allocated: 90_178_048,
+                host_reads: 7_696,
+                host_writes: 4_952,
+                host_read_bytes: 1_880_800,
+                host_write_bytes: 1_058_317,
+            }
+        );
+        assert_eq!(
+            engine.stats(),
+            StorageStats {
+                wal_appends: 2_293,
+                wal_replayed: 0,
+                flushes: 86,
+                compactions: 28,
+                segments_written: 114,
+                blocks_written: 2_431,
+                blocks_read: 5_344,
+                cache_hits: 165,
+                quarantined_segments: 0,
+            }
+        );
+        assert_eq!(
+            kv.stats(),
+            KvStats {
+                puts: 2_013,
+                gets: 831,
+                deletes: 280,
+                scanned: 10_274,
+            }
+        );
+        assert_eq!(returned, 0x3149_f18d_71cb_151a, "returned values");
+        assert_eq!(disk_digest(engine.disk()), 0xc5ff_e410_e753_ddf4);
+        assert_eq!((kv.version(), engine.segment_count()), (2_293, 2));
     }
 
     #[test]
