@@ -13,13 +13,14 @@ use securecloud_crypto::wire::Wire;
 use securecloud_crypto::CryptoError;
 use securecloud_sgx::mem::{MemorySim, Region};
 use securecloud_storage::{
-    HostDisk, IncrementalSnapshot, Record, ReplayReport, StorageConfig, StorageEngine,
+    HostDisk, IncrementalSnapshot, RecordRef, ReplayReport, StorageConfig, StorageEngine,
     StorageError, StoreKeys,
 };
 use securecloud_telemetry::{Counter, Telemetry};
 use std::collections::BTreeMap;
 use std::error::Error as StdError;
 use std::fmt;
+use std::ops::Bound;
 
 // The trusted counter service now lives in `securecloud-storage` (the
 // storage engine binds manifests to it); re-exported here so existing
@@ -123,6 +124,13 @@ struct Entry {
     dead: bool,
 }
 
+impl Entry {
+    /// The value, unless the entry is a tombstone.
+    fn live(&self) -> Option<&[u8]> {
+        (!self.dead).then_some(&self.value)
+    }
+}
+
 /// A sealed, versioned snapshot of the store.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot {
@@ -199,14 +207,7 @@ impl SecureKv {
         let mut kv = SecureKv::new();
         kv.storage = Some(Box::new(engine));
         for record in &report.tail {
-            match record {
-                Record::Put { key, value } => {
-                    kv.memtable_put(mem, key, value, false);
-                }
-                Record::Tombstone { key } => {
-                    kv.memtable_put(mem, key, b"", true);
-                }
-            }
+            kv.memtable_put(mem, record.key(), record.value());
         }
         kv.version = report.recovered_version;
         Ok((kv, report))
@@ -298,8 +299,9 @@ impl SecureKv {
                 base + used
             }
             _ => {
-                let region = mem.alloc(ARENA_CHUNK);
-                self.arena_next = Some((region.base(), bytes.min(ARENA_CHUNK)));
+                // An entry larger than a chunk gets a region of its own size.
+                let region = mem.alloc(bytes.max(ARENA_CHUNK));
+                self.arena_next = Some((region.base(), bytes));
                 let base = region.base();
                 self.arena_chunks.push(region);
                 base
@@ -311,34 +313,39 @@ impl SecureKv {
         (48 + key.len() + value.len()) as u32
     }
 
-    /// Raw memtable insert: allocation, touch, and byte accounting, but no
-    /// version bump, metrics, WAL, or flush. Returns the previous *live*
-    /// value (a shadowed tombstone reads as absent).
+    /// Raw memtable insert (`value` of `None` plants a tombstone):
+    /// allocation, touch, and byte accounting, but no version bump, metrics,
+    /// WAL, or flush. Returns the previous *live* value (a shadowed tombstone
+    /// reads as absent).
     fn memtable_put(
         &mut self,
         mem: &mut MemorySim,
         key: &[u8],
-        value: &[u8],
-        dead: bool,
+        value: Option<&[u8]>,
     ) -> Option<Vec<u8>> {
+        let dead = value.is_none();
+        let value = value.unwrap_or_default();
         let footprint = Self::footprint(key, value);
         let offset = self.alloc(mem, u64::from(footprint));
         mem.touch(offset, footprint as usize);
         mem.charge_ops(2 + (key.len() as u64) / 8);
         self.bytes += (key.len() + value.len()) as u64;
-        let previous = self.map.insert(
-            key.to_vec(),
-            Entry {
-                value: value.to_vec(),
-                offset,
-                footprint,
-                dead,
-            },
-        );
-        if let Some(prev) = &previous {
-            self.bytes -= (key.len() + prev.value.len()) as u64;
-        }
-        previous.and_then(|e| if e.dead { None } else { Some(e.value) })
+        let entry = Entry {
+            value: value.to_vec(),
+            offset,
+            footprint,
+            dead,
+        };
+        // An overwrite keeps the key the map already owns.
+        let previous = match self.map.get_mut(key) {
+            Some(slot) => std::mem::replace(slot, entry),
+            None => {
+                self.map.insert(key.to_vec(), entry);
+                return None;
+            }
+        };
+        self.bytes -= (key.len() + previous.value.len()) as u64;
+        (!previous.dead).then_some(previous.value)
     }
 
     /// Inserts or updates `key`, returning the previous value.
@@ -368,16 +375,11 @@ impl SecureKv {
         key: &[u8],
         value: &[u8],
     ) -> Result<Option<Vec<u8>>, KvError> {
+        let value = Some(value);
         if let Some(engine) = self.storage.as_mut() {
-            engine.append(
-                mem,
-                &Record::Put {
-                    key: key.to_vec(),
-                    value: value.to_vec(),
-                },
-            )?;
+            engine.append(mem, RecordRef { key, value })?;
         }
-        let previous = self.memtable_put(mem, key, value, false);
+        let previous = self.memtable_put(mem, key, value);
         self.version += 1;
         self.metrics.puts.inc();
         self.maybe_flush(mem)?;
@@ -431,10 +433,9 @@ impl SecureKv {
         self.metrics.gets.inc();
         // B-tree descent: log(n) comparisons.
         mem.charge_ops(2 + (self.map.len().max(2) as f64).log2() as u64);
-        if self.map.contains_key(key) {
-            let entry = self.map.get(key).expect("key checked present");
+        if let Some(entry) = self.map.get(key) {
             mem.touch(entry.offset, entry.footprint as usize);
-            return Ok(if entry.dead { None } else { Some(&entry.value) });
+            return Ok(entry.live());
         }
         match self.storage.as_mut() {
             None => Ok(None),
@@ -494,8 +495,8 @@ impl SecureKv {
             }
         };
         let engine = self.storage.as_mut().expect("tiered mode checked");
-        engine.append(mem, &Record::Tombstone { key: key.to_vec() })?;
-        self.memtable_put(mem, key, b"", true);
+        engine.append(mem, RecordRef { key, value: None })?;
+        self.memtable_put(mem, key, None);
         self.version += 1;
         self.metrics.deletes.inc();
         self.maybe_flush(mem)?;
@@ -534,20 +535,14 @@ impl SecureKv {
         if let Some(engine) = self.storage.as_mut() {
             engine.scan_into(mem, from, Some(to), &mut merged)?;
         }
-        // Collect touches first to avoid borrowing issues.
-        type MemtableHit = (Vec<u8>, Option<Vec<u8>>, u64, u32);
-        let hits: Vec<MemtableHit> = self
+        for (key, entry) in self
             .map
-            .range(from.to_vec()..to.to_vec())
-            .map(|(k, e)| {
-                let value = if e.dead { None } else { Some(e.value.clone()) };
-                (k.clone(), value, e.offset, e.footprint)
-            })
-            .collect();
-        for (k, v, offset, footprint) in hits {
-            mem.touch(offset, footprint as usize);
+            .range::<[u8], _>((Bound::Included(from), Bound::Excluded(to)))
+        {
+            mem.touch(entry.offset, entry.footprint as usize);
             mem.charge_ops(1);
-            merged.insert(k, v);
+            let value = entry.live();
+            RecordRef { key, value }.merge_into(&mut merged); // the memtable is newest
         }
         for (k, v) in merged {
             if let Some(v) = v {
@@ -585,21 +580,13 @@ impl SecureKv {
         if self.map.is_empty() {
             return Ok(());
         }
-        let records: Vec<Record> = self
-            .map
-            .iter()
-            .map(|(k, e)| {
-                if e.dead {
-                    Record::Tombstone { key: k.clone() }
-                } else {
-                    Record::Put {
-                        key: k.clone(),
-                        value: e.value.clone(),
-                    }
-                }
-            })
-            .collect();
-        engine.flush(mem, &records)?;
+        engine.flush(
+            mem,
+            self.map.iter().map(|(key, entry)| RecordRef {
+                key,
+                value: entry.live(),
+            }),
+        )?;
         self.map.clear();
         self.bytes = 0;
         self.arena_next = None;
@@ -1096,6 +1083,46 @@ mod tests {
         m.touch(offset + 1024, 64);
         assert_eq!(m.stats().epc_faults, f0 + 1);
         assert_eq!(kv.data_bytes(), 0);
+    }
+
+    #[test]
+    fn oversized_entries_get_regions_of_their_own() {
+        // A 64 KiB LLC, so the probes below find the lines of both values cold.
+        let geometry = MemoryGeometry {
+            llc_bytes: 64 << 10,
+            ..MemoryGeometry::sgx_v1()
+        };
+        let mut m = MemorySim::enclave(geometry, CostModel::sgx_v1());
+        let config = StorageConfig {
+            flush_bytes: 8 << 20,
+            ..tiny_config()
+        };
+        let keys = StoreKeys::new([5u8; 16]);
+        let mut kv = SecureKv::tiered(config, keys, CounterService::new(), "test/big");
+        let big = vec![7u8; 3 << 19]; // 1.5 MiB: larger than an arena chunk
+        kv.put(&mut m, b"a", &big);
+        kv.put(&mut m, b"b", &big);
+        let span = |key: &[u8]| {
+            let entry = &kv.map[key];
+            entry.offset..entry.offset + u64::from(entry.footprint)
+        };
+        let (a, b) = (span(b"a"), span(b"b"));
+        assert!(a.end <= b.start || b.end <= a.start, "{a:?} meets {b:?}");
+        for span in [&a, &b] {
+            let inside = |r: &Region| r.base() <= span.start && span.end <= r.base() + r.len();
+            assert!(
+                kv.arena_chunks.iter().any(inside),
+                "{span:?} leaves its region"
+            );
+        }
+        // The flush frees both regions whole: a line past the first MiB of
+        // either faults its page back in.
+        kv.flush_memtable(&mut m).unwrap();
+        assert!(kv.arena_chunks.is_empty());
+        let faults = m.stats().epc_faults;
+        m.touch(a.start + (1 << 20) + 4096, 64);
+        m.touch(b.start + (1 << 20) + 4096, 64);
+        assert_eq!(m.stats().epc_faults, faults + 2);
     }
 
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

@@ -1,8 +1,8 @@
-//! Model-based property tests: `SecureKv` behaves exactly like a
-//! `BTreeMap`, and snapshots are faithful and fresh.
+//! Model-based property tests: `SecureKv` — flat or tiered — behaves
+//! exactly like a `BTreeMap`, and snapshots are faithful and fresh.
 
 use proptest::prelude::*;
-use securecloud_kvstore::{CounterService, SecureKv};
+use securecloud_kvstore::{CounterService, SecureKv, StorageConfig, StoreKeys};
 use securecloud_sgx::costs::{CostModel, MemoryGeometry};
 use securecloud_sgx::mem::MemorySim;
 use std::collections::BTreeMap;
@@ -20,7 +20,10 @@ fn arb_key() -> impl Strategy<Value = Vec<u8>> {
 }
 
 fn arb_kv_op() -> impl Strategy<Value = KvOp> {
+    // Puts outnumber deletes two to one, so the tiered store's memtable
+    // keeps outgrowing its budget and most keys end up in sealed segments.
     prop_oneof![
+        (arb_key(), prop::collection::vec(any::<u8>(), 0..64)).prop_map(|(k, v)| KvOp::Put(k, v)),
         (arb_key(), prop::collection::vec(any::<u8>(), 0..64)).prop_map(|(k, v)| KvOp::Put(k, v)),
         arb_key().prop_map(KvOp::Get),
         arb_key().prop_map(KvOp::Delete),
@@ -34,23 +37,43 @@ fn mem() -> MemorySim {
 
 proptest! {
     #[test]
-    fn kv_matches_btreemap(ops in prop::collection::vec(arb_kv_op(), 0..120)) {
+    fn kv_matches_btreemap(ops in prop::collection::vec(arb_kv_op(), 0..600)) {
         let mut mem = mem();
         let mut kv = SecureKv::new();
+        // The same ops through sealed segments: blocks of a few records, a
+        // memtable that flushes every ~50 mutations (two or three segments,
+        // one compaction in half the long cases), a cache that scans overflow.
+        let mut tiered = SecureKv::tiered(
+            StorageConfig {
+                block_bytes: 256,
+                flush_bytes: 1 << 10,
+                cache_blocks: 2,
+                compact_at_segments: 3,
+            },
+            StoreKeys::new([4u8; 16]),
+            CounterService::new(),
+            "prop/tiered",
+        );
         let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
         for op in &ops {
             match op {
                 KvOp::Put(k, v) => {
+                    // A tiered put reports the previous value only from the
+                    // memtable (no host IO on the write path): not compared.
+                    tiered.put(&mut mem, k, v);
                     prop_assert_eq!(kv.put(&mut mem, k, v), model.insert(k.clone(), v.clone()));
                 }
                 KvOp::Get(k) => {
+                    prop_assert_eq!(tiered.get(&mut mem, k), model.get(k).cloned());
                     prop_assert_eq!(kv.get(&mut mem, k), model.get(k).cloned());
                 }
                 KvOp::Delete(k) => {
+                    prop_assert_eq!(tiered.delete(&mut mem, k), model.get(k).cloned());
                     prop_assert_eq!(kv.delete(&mut mem, k), model.remove(k));
                 }
                 KvOp::Scan(a, b) => {
                     let got = kv.scan(&mut mem, a, b);
+                    prop_assert_eq!(&tiered.scan(&mut mem, a, b), &got);
                     let want: Vec<(Vec<u8>, Vec<u8>)> = if a <= b {
                         model
                             .range(a.clone()..b.clone())
@@ -69,6 +92,10 @@ proptest! {
             .map(|(k, v)| (k.len() + v.len()) as u64)
             .sum();
         prop_assert_eq!(kv.data_bytes(), expected_bytes);
+        if ops.len() >= 400 {
+            let stats = tiered.storage().expect("tiered").stats();
+            prop_assert!(stats.flushes >= 2 && stats.blocks_read > 0, "{stats:?}");
+        }
     }
 
     /// Snapshot → restore is the identity on contents, and any *older*

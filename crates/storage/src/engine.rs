@@ -23,13 +23,15 @@
 use crate::disk::{HostDisk, HostSegment, SealedWalRecord};
 use crate::layout::{
     block_tag, open_block, open_manifest, open_wal_record, seal_block, seal_manifest,
-    seal_wal_record, wal_tag, BlockMeta, Manifest, Record, SegmentMeta, WAL_GENESIS_TAG,
+    seal_wal_record, wal_tag, Block, BlockMeta, Manifest, Record, RecordRef, SegmentMeta,
+    WAL_GENESIS_TAG,
 };
 use crate::tree::merkle_root;
 use crate::{CounterService, StorageConfig, StorageError, StoreKeys};
 use securecloud_crypto::gcm::{AesGcm, TAG_LEN};
 use securecloud_sgx::mem::{MemorySim, Region};
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
 /// Counters accumulated by a [`StorageEngine`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -114,7 +116,7 @@ struct CachedBlock {
     index: u32,
     /// Which slot of the cache region this block occupies (for `touch`).
     slot: usize,
-    records: Vec<Record>,
+    block: Block,
 }
 
 /// The log-structured segment store under one `SecureKv`.
@@ -124,7 +126,11 @@ pub struct StorageEngine {
     keys: StoreKeys,
     wal_cipher: AesGcm,
     counters: CounterService,
-    counter_base: String,
+    /// Names of the trusted version-floor, commit-epoch and segment-id
+    /// counters under this store's counter base.
+    version_counter: String,
+    commit_counter: String,
+    segment_counter: String,
     disk: HostDisk,
     /// Live segments, oldest first (manifest order).
     segments: Vec<LiveSegment>,
@@ -158,12 +164,16 @@ impl StorageEngine {
         counter_base: impl Into<String>,
     ) -> Self {
         let cap = config.cache_blocks.max(1);
+        let [version_counter, commit_counter, segment_counter] =
+            counter_names(&counter_base.into());
         StorageEngine {
             wal_cipher: AesGcm::new(&keys.wal_key()),
             config,
             keys,
             counters,
-            counter_base: counter_base.into(),
+            version_counter,
+            commit_counter,
+            segment_counter,
             disk: HostDisk::new(),
             segments: Vec::new(),
             manifest_version: 0,
@@ -199,9 +209,10 @@ impl StorageEngine {
         counter_base: impl Into<String>,
         mut disk: HostDisk,
     ) -> Result<(Self, ReplayReport), StorageError> {
-        let counter_base = counter_base.into();
-        let version_floor = counters.read(&format!("{counter_base}/storage-version"));
-        let commit_floor = counters.read(&format!("{counter_base}/storage-commit"));
+        let [version_counter, commit_counter, segment_counter] =
+            counter_names(&counter_base.into());
+        let version_floor = counters.read(&version_counter);
+        let commit_floor = counters.read(&commit_counter);
 
         let manifest = match &disk.manifest {
             None => Manifest {
@@ -286,10 +297,7 @@ impl StorageEngine {
         }
         // Re-advance counters that may lag the host after a crash between
         // a host write and the corresponding counter bump.
-        counters.advance_to(
-            &format!("{counter_base}/storage-version"),
-            recovered_version,
-        );
+        counters.advance_to(&version_counter, recovered_version);
 
         let cap = config.cache_blocks.max(1);
         let wal_replayed = tail.len() as u64;
@@ -298,7 +306,9 @@ impl StorageEngine {
             config,
             keys,
             counters,
-            counter_base,
+            version_counter,
+            commit_counter,
+            segment_counter,
             disk,
             segments,
             manifest_version: manifest.version,
@@ -388,18 +398,6 @@ impl StorageEngine {
         self.fail_after_host_writes = writes;
     }
 
-    fn version_counter(&self) -> String {
-        format!("{}/storage-version", self.counter_base)
-    }
-
-    fn commit_counter(&self) -> String {
-        format!("{}/storage-commit", self.counter_base)
-    }
-
-    fn segment_counter(&self) -> String {
-        format!("{}/storage-segment", self.counter_base)
-    }
-
     fn maybe_crash(&mut self) -> Result<(), StorageError> {
         if let Some(n) = &mut self.fail_after_host_writes {
             if *n == 0 {
@@ -416,9 +414,13 @@ impl StorageEngine {
     /// # Errors
     ///
     /// [`StorageError::CrashInjected`] if the crash hook fires.
-    pub fn append(&mut self, mem: &mut MemorySim, record: &Record) -> Result<(), StorageError> {
+    pub fn append<'a>(
+        &mut self,
+        mem: &mut MemorySim,
+        record: impl Into<RecordRef<'a>>,
+    ) -> Result<(), StorageError> {
         let seq = self.wal_next_seq;
-        let sealed = seal_wal_record(&self.wal_cipher, seq, &self.wal_prev_tag, record);
+        let sealed = seal_wal_record(&self.wal_cipher, seq, &self.wal_prev_tag, record.into());
         let tag = wal_tag(&sealed)?;
         mem.charge_ops(2 + sealed.len() as u64 / 64);
         self.maybe_crash()?;
@@ -428,7 +430,7 @@ impl StorageEngine {
         self.wal_prev_tag = tag;
         self.stats.wal_appends += 1;
         self.counters
-            .advance_to(&self.version_counter(), self.version());
+            .advance_to(&self.version_counter, self.version());
         Ok(())
     }
 
@@ -445,15 +447,20 @@ impl StorageEngine {
     /// # Panics
     ///
     /// Panics (debug only) if `records` is not sorted by unique key.
-    pub fn flush(&mut self, mem: &mut MemorySim, records: &[Record]) -> Result<(), StorageError> {
+    pub fn flush<'a, I>(&mut self, mem: &mut MemorySim, records: I) -> Result<(), StorageError>
+    where
+        I: IntoIterator,
+        I::Item: Into<RecordRef<'a>>,
+    {
+        let records: Vec<RecordRef<'a>> = records.into_iter().map(Into::into).collect();
         debug_assert!(
-            records.windows(2).all(|w| w[0].key() < w[1].key()),
+            records.windows(2).all(|w| w[0].key < w[1].key),
             "flush records must be sorted by unique key"
         );
         if records.is_empty() {
             return Ok(());
         }
-        let new_segment = self.write_segment(mem, records)?;
+        let new_segment = self.write_segment(mem, &records)?;
         let mut segments: Vec<SegmentMeta> = self.segments.iter().map(|s| s.meta.clone()).collect();
         segments.push(new_segment.meta.clone());
         self.segments.push(new_segment);
@@ -484,26 +491,32 @@ impl StorageEngine {
         if self.segments.len() < 2 {
             return Ok(());
         }
-        let mut merged: BTreeMap<Vec<u8>, Record> = BTreeMap::new();
+        let mut blocks = Vec::new();
         for si in 0..self.segments.len() {
-            match self.read_segment_records(mem, si) {
-                Ok(records) => {
-                    for record in records {
-                        merged.insert(record.key().to_vec(), record);
-                    }
-                }
+            match self.read_segment_blocks(mem, si) {
+                Ok(segment) => blocks.extend(segment),
                 Err(StorageError::Integrity { .. }) => {
                     self.stats.quarantined_segments += 1;
                 }
                 Err(e) => return Err(e),
             }
         }
-        merged.retain(|_, r| matches!(r, Record::Put { .. }));
-        let records: Vec<Record> = merged.into_values().collect();
+        // Every segment is a key-sorted run, oldest first: a stable sort
+        // merges the runs and leaves each key's newest version last.
+        let mut merged: Vec<RecordRef<'_>> = blocks.iter().flat_map(Block::iter).collect();
+        merged.sort_by_key(|r| r.key);
+        merged.dedup_by(|newer, kept| {
+            let shadows = newer.key == kept.key;
+            if shadows {
+                *kept = *newer;
+            }
+            shadows
+        });
+        merged.retain(|r| r.value.is_some());
         let mut segments = Vec::new();
         let mut metas = Vec::new();
-        if !records.is_empty() {
-            let segment = self.write_segment(mem, &records)?;
+        if !merged.is_empty() {
+            let segment = self.write_segment(mem, &merged)?;
             metas.push(segment.meta.clone());
             segments.push(segment);
         }
@@ -525,9 +538,9 @@ impl StorageEngine {
     fn write_segment(
         &mut self,
         mem: &mut MemorySim,
-        records: &[Record],
+        records: &[RecordRef<'_>],
     ) -> Result<LiveSegment, StorageError> {
-        let seg_id = self.counters.increment(&self.segment_counter());
+        let seg_id = self.counters.increment(&self.segment_counter);
         let cipher = AesGcm::new(&self.keys.segment_key(seg_id));
         self.disk.segments.insert(seg_id, HostSegment::default());
         let mut tags = Vec::new();
@@ -545,8 +558,8 @@ impl StorageEngine {
             bytes += sealed.len() as u64;
             tags.push(block_tag(&sealed)?);
             blocks.push(BlockMeta {
-                first_key: chunk[0].key().to_vec(),
-                last_key: chunk[chunk.len() - 1].key().to_vec(),
+                first_key: chunk[0].key.to_vec(),
+                last_key: chunk[chunk.len() - 1].key.to_vec(),
                 records: chunk.len() as u32,
             });
             self.disk
@@ -582,7 +595,7 @@ impl StorageEngine {
         wal_start_seq: u64,
         wal_anchor_tag: [u8; TAG_LEN],
     ) -> Result<(), StorageError> {
-        let epoch = self.counters.increment(&self.commit_counter());
+        let epoch = self.counters.increment(&self.commit_counter);
         let manifest = Manifest {
             version,
             epoch,
@@ -600,7 +613,7 @@ impl StorageEngine {
         self.wal_start_seq = wal_start_seq;
         self.wal_anchor_tag = wal_anchor_tag;
         self.counters
-            .advance_to(&self.version_counter(), self.version());
+            .advance_to(&self.version_counter, self.version());
         // Post-commit cleanup; a crash here only leaves garbage that the
         // next open discards.
         let live: BTreeSet<u64> = manifest.segments.iter().map(|s| s.id).collect();
@@ -642,10 +655,7 @@ impl StorageEngine {
         let Some((cache_pos, record_pos)) = self.locate(mem, key)? else {
             return Ok(None);
         };
-        match &self.cache[cache_pos].records[record_pos] {
-            Record::Put { value, .. } => Ok(Some(Some(value.as_slice()))),
-            Record::Tombstone { .. } => Ok(Some(None)),
-        }
+        Ok(Some(self.cache[cache_pos].block.get(record_pos).value))
     }
 
     /// Owned-value variant of [`StorageEngine::lookup_ref`].
@@ -672,8 +682,7 @@ impl StorageEngine {
                 continue;
             };
             let cache_pos = self.ensure_cached(mem, si, bi)?;
-            let records = &self.cache[cache_pos].records;
-            if let Ok(ri) = records.binary_search_by(|r| r.key().cmp(key)) {
+            if let Some(ri) = self.cache[cache_pos].block.position(key) {
                 return Ok(Some((cache_pos, ri)));
             }
         }
@@ -695,22 +704,11 @@ impl StorageEngine {
         out: &mut BTreeMap<Vec<u8>, Option<Vec<u8>>>,
     ) -> Result<(), StorageError> {
         for si in 0..self.segments.len() {
-            let candidates: Vec<usize> = self.segments[si]
-                .meta
-                .blocks
-                .iter()
-                .enumerate()
-                .filter(|(_, b)| {
-                    b.last_key.as_slice() >= lo && hi.is_none_or(|h| b.first_key.as_slice() < h)
-                })
-                .map(|(i, _)| i)
-                .collect();
-            for bi in candidates {
+            for bi in blocks_in_range(&self.segments[si].meta, lo, hi) {
                 let cache_pos = self.ensure_cached(mem, si, bi)?;
-                for record in &self.cache[cache_pos].records {
-                    let key = record.key();
-                    if key >= lo && hi.is_none_or(|h| key < h) {
-                        out.insert(key.to_vec(), record.value().map(<[u8]>::to_vec));
+                for record in self.cache[cache_pos].block.iter() {
+                    if record.key >= lo && hi.is_none_or(|h| record.key < h) {
+                        record.merge_into(out);
                     }
                 }
             }
@@ -781,7 +779,7 @@ impl StorageEngine {
             return Ok(self.cache.len() - 1);
         }
         self.ensure_verified(mem, si)?;
-        let records = self.read_block(mem, si, bi)?;
+        let block = self.read_block(mem, si, bi)?;
         let cap = self.config.cache_blocks.max(1);
         if self.cache.len() >= cap {
             let evicted = self.cache.remove(0);
@@ -793,7 +791,7 @@ impl StorageEngine {
             segment: seg_id,
             index: bi as u32,
             slot,
-            records,
+            block,
         });
         self.stats.blocks_read += 1;
         Ok(self.cache.len() - 1)
@@ -818,32 +816,24 @@ impl StorageEngine {
         );
     }
 
-    /// Reads and authenticates every record of segment `si` (used by
-    /// compaction and scrubbing; bypasses the cache).
-    fn read_segment_records(
+    /// Reads and authenticates every block of segment `si`, in index order
+    /// (used by compaction and scrubbing; bypasses the cache).
+    fn read_segment_blocks(
         &mut self,
         mem: &mut MemorySim,
         si: usize,
-    ) -> Result<Vec<Record>, StorageError> {
+    ) -> Result<Vec<Block>, StorageError> {
         self.ensure_verified(mem, si)?;
-        let nblocks = self.segments[si].meta.blocks.len();
-        let mut out = Vec::new();
-        for bi in 0..nblocks {
-            out.extend(self.read_block(mem, si, bi)?);
-        }
-        Ok(out)
+        (0..self.segments[si].meta.blocks.len())
+            .map(|bi| self.read_block(mem, si, bi))
+            .collect()
     }
 
     /// Reads block `bi` of the verified segment `si` off the host, checks
     /// its tag against the integrity tree and opens it. The host's bytes are
     /// borrowed, not cloned: the only copy is the buffer `open_block`
     /// decrypts in.
-    fn read_block(
-        &self,
-        mem: &mut MemorySim,
-        si: usize,
-        bi: usize,
-    ) -> Result<Vec<Record>, StorageError> {
+    fn read_block(&self, mem: &mut MemorySim, si: usize, bi: usize) -> Result<Block, StorageError> {
         let segment = &self.segments[si];
         let seg_id = segment.meta.id;
         let sealed = self
@@ -880,7 +870,7 @@ impl StorageEngine {
         let mut quarantined = Vec::new();
         for si in 0..self.segments.len() {
             self.segments[si].tags = None;
-            match self.read_segment_records(mem, si) {
+            match self.read_segment_blocks(mem, si) {
                 Ok(_) => {}
                 Err(StorageError::Integrity { segment, .. }) => quarantined.push(segment),
                 Err(e) => return Err(e),
@@ -944,7 +934,7 @@ impl StorageEngine {
     #[must_use]
     pub fn export(&self) -> IncrementalSnapshot {
         self.counters
-            .advance_to(&self.version_counter(), self.version());
+            .advance_to(&self.version_counter, self.version());
         IncrementalSnapshot {
             version: self.version(),
             disk: self.disk.clone(),
@@ -954,7 +944,7 @@ impl StorageEngine {
 
 /// Greedily packs sorted records into `(start, end)` runs whose encoded
 /// size fits `block_bytes` (always at least one record per block).
-fn pack_blocks(records: &[Record], block_bytes: usize) -> Vec<(usize, usize)> {
+fn pack_blocks(records: &[RecordRef<'_>], block_bytes: usize) -> Vec<(usize, usize)> {
     let mut chunks = Vec::new();
     let mut start = 0;
     let mut used = 0usize;
@@ -978,6 +968,22 @@ fn pack_blocks(records: &[Record], block_bytes: usize) -> Vec<(usize, usize)> {
 fn block_for_key(meta: &SegmentMeta, key: &[u8]) -> Option<usize> {
     let idx = meta.blocks.partition_point(|b| b.last_key.as_slice() < key);
     (idx < meta.blocks.len() && meta.blocks[idx].first_key.as_slice() <= key).then_some(idx)
+}
+
+/// The (contiguous) run of a segment's blocks whose key range meets
+/// `[lo, hi)`, unbounded above when `hi` is `None`.
+fn blocks_in_range(meta: &SegmentMeta, lo: &[u8], hi: Option<&[u8]>) -> Range<usize> {
+    let start = meta.blocks.partition_point(|b| b.last_key.as_slice() < lo);
+    let end = meta
+        .blocks
+        .partition_point(|b| hi.is_none_or(|h| b.first_key.as_slice() < h));
+    start..end
+}
+
+/// The trusted version-floor, commit-epoch and segment-id counter names
+/// under `base`.
+fn counter_names(base: &str) -> [String; 3] {
+    ["version", "commit", "segment"].map(|what| format!("{base}/storage-{what}"))
 }
 
 #[cfg(test)]
@@ -1341,10 +1347,47 @@ mod tests {
         assert_eq!(e2.version(), 0);
     }
 
+    proptest::proptest! {
+        /// The two `partition_point`s pick exactly the blocks the linear
+        /// filter they replaced picked, in the same order.
+        #[test]
+        fn blocks_in_range_equals_the_linear_filter(
+            keys in proptest::collection::btree_map(0u8..40, 1usize..4, 0..12),
+            lo in 0u8..44,
+            hi in proptest::option::of(0u8..44),
+        ) {
+            // Consecutive runs of the sorted keys; 41..44 lie past the last.
+            let keys: Vec<u8> = keys.keys().copied().collect();
+            let mut blocks = Vec::new();
+            let mut rest = keys.as_slice();
+            while let Some((&first, _)) = rest.split_first() {
+                let (block, tail) = rest.split_at((1 + usize::from(first) % 3).min(rest.len()));
+                blocks.push(BlockMeta {
+                    first_key: vec![first],
+                    last_key: vec![block[block.len() - 1]],
+                    records: block.len() as u32,
+                });
+                rest = tail;
+            }
+            let meta = SegmentMeta { id: 1, root: [0; 32], records: 0, bytes: 0, blocks };
+            let (lo, hi) = ([lo], hi.map(|h| [h]));
+            let hi = hi.as_ref().map(<[u8; 1]>::as_slice);
+            let linear: Vec<usize> = (0..meta.blocks.len())
+                .filter(|&i| {
+                    let b = &meta.blocks[i];
+                    b.last_key.as_slice() >= &lo[..] && hi.is_none_or(|h| b.first_key.as_slice() < h)
+                })
+                .collect();
+            let picked: Vec<usize> = blocks_in_range(&meta, &lo, hi).collect();
+            proptest::prop_assert_eq!(picked, linear);
+        }
+    }
+
     #[test]
     fn pack_blocks_respects_budget() {
         let records = sorted_puts(0..20);
-        let chunks = pack_blocks(&records, 128);
+        let refs: Vec<RecordRef<'_>> = records.iter().map(RecordRef::from).collect();
+        let chunks = pack_blocks(&refs, 128);
         assert!(chunks.len() > 1);
         assert_eq!(chunks[0].0, 0);
         assert_eq!(chunks.last().unwrap().1, 20);
@@ -1352,10 +1395,10 @@ mod tests {
             assert_eq!(w[0].1, w[1].0, "contiguous");
         }
         // A record larger than the budget still lands alone.
-        let big = vec![Record::Put {
-            key: b"k".to_vec(),
-            value: vec![0u8; 4096],
-        }];
-        assert_eq!(pack_blocks(&big, 128), vec![(0, 1)]);
+        let big = RecordRef {
+            key: b"k",
+            value: Some(&[0u8; 4096]),
+        };
+        assert_eq!(pack_blocks(&[big], 128), vec![(0, 1)]);
     }
 }

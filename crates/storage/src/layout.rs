@@ -13,6 +13,7 @@ use securecloud_crypto::gcm::{nonce_from_seq, AesGcm, NONCE_LEN, TAG_LEN};
 use securecloud_crypto::impl_wire_struct;
 use securecloud_crypto::wire::{encode_seq, Reader, Wire};
 use securecloud_crypto::CryptoError;
+use std::collections::BTreeMap;
 
 /// Nonce domain for sealed segment blocks (`seq` = block index; uniqueness
 /// comes from the per-segment key).
@@ -55,44 +56,19 @@ impl Record {
     /// The record's key.
     #[must_use]
     pub fn key(&self) -> &[u8] {
-        match self {
-            Record::Put { key, .. } | Record::Tombstone { key } => key,
-        }
+        RecordRef::from(self).key
     }
 
     /// The record's value (`None` for a tombstone).
     #[must_use]
     pub fn value(&self) -> Option<&[u8]> {
-        match self {
-            Record::Put { value, .. } => Some(value),
-            Record::Tombstone { .. } => None,
-        }
-    }
-
-    /// Exact encoded size, used for block packing and buffer sizing.
-    #[must_use]
-    pub fn encoded_len(&self) -> usize {
-        // tag byte + one or two length-prefixed byte strings.
-        match self {
-            Record::Put { key, value } => 1 + 4 + key.len() + 4 + value.len(),
-            Record::Tombstone { key } => 1 + 4 + key.len(),
-        }
+        RecordRef::from(self).value
     }
 }
 
 impl Wire for Record {
     fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Record::Put { key, value } => {
-                out.push(0);
-                key.encode(out);
-                value.encode(out);
-            }
-            Record::Tombstone { key } => {
-                out.push(1);
-                key.encode(out);
-            }
-        }
+        RecordRef::from(self).encode(out);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CryptoError> {
@@ -107,6 +83,180 @@ impl Wire for Record {
             other => Err(CryptoError::Malformed(format!("record tag {other}"))),
         }
     }
+}
+
+/// One mutation borrowed from wherever it already lives — a caller's
+/// slices, a memtable entry, an opened [`Block`], a [`Record`] — so sealing,
+/// flushing and merging never own one. The only record encoder.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordRef<'a> {
+    /// The key.
+    pub key: &'a [u8],
+    /// The value; `None` for a tombstone.
+    pub value: Option<&'a [u8]>,
+}
+
+impl<'a> From<&'a Record> for RecordRef<'a> {
+    fn from(record: &'a Record) -> Self {
+        match record {
+            Record::Put { key, value } => RecordRef {
+                key,
+                value: Some(value),
+            },
+            Record::Tombstone { key } => RecordRef { key, value: None },
+        }
+    }
+}
+
+impl RecordRef<'_> {
+    /// Exact encoded size (tag byte + one or two length-prefixed strings),
+    /// used for block packing and buffer sizing.
+    #[must_use]
+    pub fn encoded_len(&self) -> usize {
+        1 + 4 + self.key.len() + self.value.map_or(0, |v| 4 + v.len())
+    }
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(self.value.is_none()));
+        encode_seq(self.key, out);
+        if let Some(value) = self.value {
+            encode_seq(value, out);
+        }
+    }
+
+    /// Binds the key to this (newer) version in a scan's merge map,
+    /// overwriting a shadowed version's buffer in place.
+    pub fn merge_into(&self, out: &mut BTreeMap<Vec<u8>, Option<Vec<u8>>>) {
+        match (out.get_mut(self.key), self.value) {
+            (Some(Some(old)), Some(value)) => {
+                old.clear();
+                old.extend_from_slice(value);
+            }
+            (Some(old), value) => *old = value.map(<[u8]>::to_vec),
+            (None, value) => {
+                out.insert(self.key.to_vec(), value.map(<[u8]>::to_vec));
+            }
+        }
+    }
+}
+
+/// Where one record sits in a [`Block`]'s plaintext.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    key_at: u32,
+    key_len: u32,
+    /// [`TOMBSTONE`] when the record has no value.
+    value_at: u32,
+    value_len: u32,
+}
+
+/// No value starts at offset 0: the record count does.
+const TOMBSTONE: u32 = 0;
+
+/// An opened block: the decrypted plaintext and one slot per record, so a
+/// lookup binary-searches and borrows without decoding a record. The only
+/// block decoder; accepts exactly what `Vec::<Record>::from_wire` accepts.
+#[derive(Debug)]
+pub struct Block {
+    plain: Vec<u8>,
+    slots: Vec<Slot>,
+}
+
+impl Block {
+    /// Indexes a block's plaintext, validating every length once.
+    ///
+    /// # Errors
+    ///
+    /// [`StorageError::Crypto`] with [`CryptoError::Malformed`] on a
+    /// truncated, over-long or mis-tagged encoding;
+    /// [`StorageError::Corrupt`] if the plaintext exceeds the slots' `u32`
+    /// offsets.
+    pub fn parse(plain: Vec<u8>) -> Result<Self, StorageError> {
+        if u32::try_from(plain.len()).is_err() {
+            return Err(StorageError::Corrupt(format!(
+                "block plaintext of {} bytes exceeds u32 offsets",
+                plain.len()
+            )));
+        }
+        let mut r = Reader::new(&plain);
+        // The span of a length-prefixed string, as `Vec::<u8>::decode` reads it.
+        let span = |r: &mut Reader<'_>| -> Result<(u32, u32), CryptoError> {
+            let len = sequence_len(r)?;
+            let at = plain.len() - r.remaining();
+            r.take(len)?;
+            Ok((at as u32, len as u32))
+        };
+        let count = sequence_len(&mut r)?;
+        // A record takes at least five bytes; bound allocation by input.
+        let mut slots = Vec::with_capacity(count.min(r.remaining() / 5));
+        for _ in 0..count {
+            let tag = u8::decode(&mut r)?;
+            let (key_at, key_len) = span(&mut r)?;
+            let (value_at, value_len) = match tag {
+                0 => span(&mut r)?,
+                1 => (TOMBSTONE, 0),
+                other => return Err(CryptoError::Malformed(format!("record tag {other}")).into()),
+            };
+            slots.push(Slot {
+                key_at,
+                key_len,
+                value_at,
+                value_len,
+            });
+        }
+        if r.remaining() != 0 {
+            return Err(CryptoError::Malformed(format!(
+                "{} trailing bytes after decode",
+                r.remaining()
+            ))
+            .into());
+        }
+        Ok(Block { plain, slots })
+    }
+
+    /// The `i`-th record, borrowed from the plaintext.
+    ///
+    /// # Panics
+    ///
+    /// If `i` is out of range.
+    #[must_use]
+    pub fn get(&self, i: usize) -> RecordRef<'_> {
+        let slot = self.slots[i];
+        RecordRef {
+            key: self.bytes(slot.key_at, slot.key_len),
+            value: (slot.value_at != TOMBSTONE).then(|| self.bytes(slot.value_at, slot.value_len)),
+        }
+    }
+
+    /// The records in stored order.
+    pub fn iter(&self) -> impl Iterator<Item = RecordRef<'_>> {
+        (0..self.slots.len()).map(|i| self.get(i))
+    }
+
+    /// Binary-searches the (key-sorted) block for `key`.
+    #[must_use]
+    pub fn position(&self, key: &[u8]) -> Option<usize> {
+        self.slots
+            .binary_search_by(|s| self.bytes(s.key_at, s.key_len).cmp(key))
+            .ok()
+    }
+
+    /// A span `parse` validated.
+    fn bytes(&self, at: u32, len: u32) -> &[u8] {
+        &self.plain[at as usize..][..len as usize]
+    }
+}
+
+/// Reads a sequence's `u32` length prefix, bounded by the remaining input
+/// as `Vec::<T>::decode` bounds it.
+fn sequence_len(r: &mut Reader<'_>) -> Result<usize, CryptoError> {
+    let len = u32::decode(r)? as usize;
+    if len > r.remaining() {
+        return Err(CryptoError::Malformed(format!(
+            "sequence length {len} exceeds input"
+        )));
+    }
+    Ok(len)
 }
 
 /// Key range and cardinality of one sealed block, kept in the manifest so
@@ -179,35 +329,42 @@ impl_wire_struct!(Manifest {
     segments
 });
 
-/// AAD binding a block to its `(segment, index)` position.
+/// AAD binding a block to its `(segment, index)` position: the prefix,
+/// then the `(u64, u32)` wire tuple.
 #[must_use]
-pub fn block_aad(segment: u64, index: u32) -> Vec<u8> {
-    let mut aad = BLOCK_AAD.to_vec();
-    (segment, index).encode(&mut aad);
+pub fn block_aad(segment: u64, index: u32) -> [u8; BLOCK_AAD.len() + 12] {
+    let mut aad = [0u8; BLOCK_AAD.len() + 12];
+    aad[..BLOCK_AAD.len()].copy_from_slice(BLOCK_AAD);
+    aad[BLOCK_AAD.len()..][..8].copy_from_slice(&segment.to_le_bytes());
+    aad[BLOCK_AAD.len() + 8..].copy_from_slice(&index.to_le_bytes());
     aad
 }
 
 /// Seals one block of records under the segment key. The ciphertext is
 /// `ct || tag` — the nonce is derived from the block index, not stored.
 #[must_use]
-pub fn seal_block(cipher: &AesGcm, segment: u64, index: u32, records: &[Record]) -> Vec<u8> {
+pub fn seal_block(cipher: &AesGcm, segment: u64, index: u32, records: &[RecordRef<'_>]) -> Vec<u8> {
     // Sized exactly: the sealed block lives on the host disk as it is.
-    let body: usize = records.iter().map(Record::encoded_len).sum();
+    let body: usize = records.iter().map(RecordRef::encoded_len).sum();
     let mut buf = Vec::with_capacity(4 + body + TAG_LEN);
-    encode_seq(records, &mut buf);
+    (records.len() as u32).encode(&mut buf);
+    for record in records {
+        record.encode(&mut buf);
+    }
     let nonce = nonce_from_seq(BLOCK_NONCE_DOMAIN, u64::from(index));
     cipher.seal_in_place(&nonce, &mut buf, &block_aad(segment, index));
     buf
 }
 
-/// Opens a sealed block. Auth failure maps to [`StorageError::Integrity`]:
+/// Opens a sealed block into its slot-indexed view, decrypting in the one
+/// buffer the view keeps. Auth failure maps to [`StorageError::Integrity`]:
 /// the bytes on the host do not match what was sealed at this position.
 pub fn open_block(
     cipher: &AesGcm,
     segment: u64,
     index: u32,
     sealed: &[u8],
-) -> Result<Vec<Record>, StorageError> {
+) -> Result<Block, StorageError> {
     let nonce = nonce_from_seq(BLOCK_NONCE_DOMAIN, u64::from(index));
     let mut buf = sealed.to_vec();
     cipher
@@ -216,7 +373,7 @@ pub fn open_block(
             segment,
             block: Some(index),
         })?;
-    Vec::<Record>::from_wire(&buf).map_err(StorageError::Crypto)
+    Block::parse(buf)
 }
 
 /// The GCM tag of a sealed block (its trailing [`TAG_LEN`] bytes) — the
@@ -234,10 +391,11 @@ pub fn block_tag(sealed: &[u8]) -> Result<[u8; TAG_LEN], StorageError> {
 
 /// AAD chaining a WAL record to its predecessor's tag.
 #[must_use]
-pub fn wal_aad(seq: u64, prev_tag: &[u8; TAG_LEN]) -> Vec<u8> {
-    let mut aad = WAL_AAD.to_vec();
-    aad.extend_from_slice(&seq.to_le_bytes());
-    aad.extend_from_slice(prev_tag);
+pub fn wal_aad(seq: u64, prev_tag: &[u8; TAG_LEN]) -> [u8; WAL_AAD.len() + 8 + TAG_LEN] {
+    let mut aad = [0u8; WAL_AAD.len() + 8 + TAG_LEN];
+    aad[..WAL_AAD.len()].copy_from_slice(WAL_AAD);
+    aad[WAL_AAD.len()..][..8].copy_from_slice(&seq.to_le_bytes());
+    aad[WAL_AAD.len() + 8..].copy_from_slice(prev_tag);
     aad
 }
 
@@ -248,7 +406,7 @@ pub fn seal_wal_record(
     cipher: &AesGcm,
     seq: u64,
     prev_tag: &[u8; TAG_LEN],
-    record: &Record,
+    record: RecordRef<'_>,
 ) -> Vec<u8> {
     let mut buf = Vec::with_capacity(record.encoded_len() + TAG_LEN);
     record.encode(&mut buf);
@@ -327,8 +485,10 @@ mod tests {
         let tomb = Record::Tombstone { key: b"k".to_vec() };
         assert_eq!(Record::from_wire(&put.to_wire()).unwrap(), put);
         assert_eq!(Record::from_wire(&tomb.to_wire()).unwrap(), tomb);
-        assert_eq!(put.encoded_len(), put.to_wire().len());
-        assert_eq!(tomb.encoded_len(), tomb.to_wire().len());
+        for record in [&put, &tomb] {
+            let len = RecordRef::from(record).encoded_len();
+            assert_eq!(len, record.to_wire().len());
+        }
         assert!(Record::from_wire(&[2]).is_err(), "unknown tag rejected");
         assert_eq!(put.value(), Some(&b"v"[..]));
         assert_eq!(tomb.value(), None);
@@ -337,12 +497,13 @@ mod tests {
     #[test]
     fn block_binds_position() {
         let cipher = AesGcm::new(&keys().segment_key(3));
-        let records = vec![Record::Put {
-            key: b"a".to_vec(),
-            value: b"1".to_vec(),
+        let records = [RecordRef {
+            key: b"a",
+            value: Some(b"1"),
         }];
         let sealed = seal_block(&cipher, 3, 0, &records);
-        assert_eq!(open_block(&cipher, 3, 0, &sealed).unwrap(), records);
+        let opened = open_block(&cipher, 3, 0, &sealed).unwrap();
+        assert!(opened.iter().eq(records));
         // Same bytes at a different index or segment fail.
         assert!(matches!(
             open_block(&cipher, 3, 1, &sealed),
@@ -366,9 +527,9 @@ mod tests {
             value: b"1".to_vec(),
         };
         let r1 = Record::Tombstone { key: b"a".to_vec() };
-        let s0 = seal_wal_record(&cipher, 0, &WAL_GENESIS_TAG, &r0);
+        let s0 = seal_wal_record(&cipher, 0, &WAL_GENESIS_TAG, (&r0).into());
         let t0 = wal_tag(&s0).unwrap();
-        let s1 = seal_wal_record(&cipher, 1, &t0, &r1);
+        let s1 = seal_wal_record(&cipher, 1, &t0, (&r1).into());
         assert_eq!(
             open_wal_record(&cipher, 0, &WAL_GENESIS_TAG, &s0).unwrap(),
             r0

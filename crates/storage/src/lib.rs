@@ -31,7 +31,7 @@ pub mod tree;
 
 pub use disk::{HostDisk, HostSegment, SealedWalRecord};
 pub use engine::{IncrementalSnapshot, ReplayReport, StorageEngine, StorageStats};
-pub use layout::{BlockMeta, Manifest, Record, SegmentMeta};
+pub use layout::{Block, BlockMeta, Manifest, Record, RecordRef, SegmentMeta};
 
 use parking_lot::Mutex;
 use securecloud_crypto::hmac::hkdf;
@@ -125,10 +125,7 @@ impl CounterService {
 
     /// Increments and returns the new value.
     pub fn increment(&self, name: &str) -> u64 {
-        let mut counters = self.counters.lock();
-        let v = counters.entry(name.to_string()).or_insert(0);
-        *v += 1;
-        *v
+        self.update(name, |v| v + 1)
     }
 
     /// Advances a counter to `value` if that moves it forward, returning
@@ -136,10 +133,24 @@ impl CounterService {
     /// sealing an older snapshot than a sibling already recorded) can
     /// never roll the counter back.
     pub fn advance_to(&self, name: &str, value: u64) -> u64 {
+        self.update(name, |v| v.max(value))
+    }
+
+    /// Applies `f` to the counter (0 if never bumped) and returns the
+    /// result; only a counter's first update allocates its name.
+    fn update(&self, name: &str, f: impl FnOnce(u64) -> u64) -> u64 {
         let mut counters = self.counters.lock();
-        let v = counters.entry(name.to_string()).or_insert(0);
-        *v = (*v).max(value);
-        *v
+        match counters.get_mut(name) {
+            Some(v) => {
+                *v = f(*v);
+                *v
+            }
+            None => {
+                let v = f(0);
+                counters.insert(name.to_string(), v);
+                v
+            }
+        }
     }
 }
 

@@ -11,7 +11,7 @@ use securecloud_crypto::gcm::AesGcm;
 use securecloud_crypto::wire::Wire;
 use securecloud_storage::layout::{
     block_tag, open_block, open_manifest, open_wal_record, seal_block, seal_manifest,
-    seal_wal_record, wal_tag, BlockMeta, Manifest, Record, SegmentMeta, WAL_GENESIS_TAG,
+    seal_wal_record, wal_tag, BlockMeta, Manifest, Record, RecordRef, SegmentMeta, WAL_GENESIS_TAG,
 };
 use securecloud_storage::StoreKeys;
 
@@ -33,6 +33,11 @@ fn sample_records() -> Vec<Record> {
             key: b"meter/002".to_vec(),
         },
     ]
+}
+
+/// The borrowed form every sealing helper takes.
+fn refs(records: &[Record]) -> Vec<RecordRef<'_>> {
+    records.iter().map(RecordRef::from).collect()
 }
 
 fn sample_manifest() -> Manifest {
@@ -86,17 +91,15 @@ fn record_encoding_is_pinned() {
 #[test]
 fn sealed_block_is_pinned() {
     let cipher = AesGcm::new(&keys().segment_key(2));
-    let sealed = seal_block(&cipher, 2, 0, &sample_records());
+    let sealed = seal_block(&cipher, 2, 0, &refs(&sample_records()));
     assert_eq!(hex(&sealed), SEALED_BLOCK_HEX);
     // The trailing 16 bytes are the GCM tag — the integrity-tree leaf.
     assert_eq!(
         hex(&block_tag(&sealed).unwrap()),
         &SEALED_BLOCK_HEX[SEALED_BLOCK_HEX.len() - 32..]
     );
-    assert_eq!(
-        open_block(&cipher, 2, 0, &sealed).unwrap(),
-        sample_records()
-    );
+    let opened = open_block(&cipher, 2, 0, &sealed).unwrap();
+    assert_eq!(opened.iter().collect::<Vec<_>>(), refs(&sample_records()));
 }
 
 /// A sealed WAL record: AES-128-GCM over one record, nonce derived from
@@ -105,9 +108,9 @@ fn sealed_block_is_pinned() {
 fn sealed_wal_records_are_pinned() {
     let cipher = AesGcm::new(&keys().wal_key());
     let records = sample_records();
-    let s0 = seal_wal_record(&cipher, 0, &WAL_GENESIS_TAG, &records[0]);
+    let s0 = seal_wal_record(&cipher, 0, &WAL_GENESIS_TAG, (&records[0]).into());
     let t0 = wal_tag(&s0).unwrap();
-    let s1 = seal_wal_record(&cipher, 1, &t0, &records[1]);
+    let s1 = seal_wal_record(&cipher, 1, &t0, (&records[1]).into());
     assert_eq!(hex(&s0), SEALED_WAL_0_HEX);
     assert_eq!(hex(&s1), SEALED_WAL_1_HEX);
     assert_eq!(
@@ -145,16 +148,16 @@ fn print_constants() {
     let cipher = AesGcm::new(&keys().segment_key(2));
     println!(
         "SEALED_BLOCK_HEX = {}",
-        hex(&seal_block(&cipher, 2, 0, &sample_records()))
+        hex(&seal_block(&cipher, 2, 0, &refs(&sample_records())))
     );
     let wal = AesGcm::new(&keys().wal_key());
     let records = sample_records();
-    let s0 = seal_wal_record(&wal, 0, &WAL_GENESIS_TAG, &records[0]);
+    let s0 = seal_wal_record(&wal, 0, &WAL_GENESIS_TAG, (&records[0]).into());
     println!("SEALED_WAL_0_HEX = {}", hex(&s0));
     let t0 = wal_tag(&s0).unwrap();
     println!(
         "SEALED_WAL_1_HEX = {}",
-        hex(&seal_wal_record(&wal, 1, &t0, &records[1]))
+        hex(&seal_wal_record(&wal, 1, &t0, (&records[1]).into()))
     );
     println!(
         "SEALED_MANIFEST_HEX = {}",
