@@ -54,7 +54,7 @@ pub fn run(samples: usize, faults: usize, seed: u64) -> OrchestrationResult {
             telemetry("grid-analytics", 4.0 + f64::from(i % 3) * 0.02),
         );
     }
-    host.run_until_quiet(64);
+    host.pump_switchless(64);
     host.bus_mut().publish(
         TELEMETRY_TOPIC,
         Vec::new(),
@@ -62,7 +62,7 @@ pub fn run(samples: usize, faults: usize, seed: u64) -> OrchestrationResult {
     );
     let mut steps = 0;
     while host.bus().backlog(actions) == 0 && steps < 10 {
-        host.step();
+        host.pump_switchless(1);
         steps += 1;
     }
 

@@ -164,12 +164,14 @@ fn run_cell(ratio: f64, value_bytes: usize, workload: &StorageWorkload) -> Stora
     let load_start_cycles = mem.cycles();
     let writes_before = mem.stats().host_write_bytes;
     for i in 0..keys {
-        kv.put(&mut mem, &key_of(i), &value_for(i, 0, value_bytes));
+        kv.try_put(&mut mem, &key_of(i), &value_for(i, 0, value_bytes))
+            .unwrap();
     }
     // Overwrite phase: a deterministic subset gets fresh values, leaving
     // shadowed records behind in older segments for the compactor.
     for i in (0..keys).step_by(workload.overwrite_every.max(1)) {
-        kv.put(&mut mem, &key_of(i), &value_for(i, 1, value_bytes));
+        kv.try_put(&mut mem, &key_of(i), &value_for(i, 1, value_bytes))
+            .unwrap();
     }
     let put_cycles = mem.cycles() - load_start_cycles;
     let put_host_kib = (mem.stats().host_write_bytes - writes_before) as f64 / 1024.0;
@@ -179,7 +181,8 @@ fn run_cell(ratio: f64, value_bytes: usize, workload: &StorageWorkload) -> Stora
     // pollute the steady-state read numbers.
     mem.reset_metrics();
     for i in 0..keys {
-        let got = kv.get(&mut mem, &key_of(i)).expect("loaded key present");
+        let got = kv.try_get_ref(&mut mem, &key_of(i)).expect("sealed tier");
+        let got = got.expect("loaded key present");
         let pass = if i.is_multiple_of(workload.overwrite_every.max(1)) {
             1
         } else {
@@ -226,8 +229,10 @@ fn run_cell(ratio: f64, value_bytes: usize, workload: &StorageWorkload) -> Stora
         0
     };
     assert_eq!(
-        reopened.get(&mut restart_mem, &key_of(probe)),
-        Some(value_for(probe, pass, value_bytes)),
+        reopened
+            .try_get_ref(&mut restart_mem, &key_of(probe))
+            .unwrap(),
+        Some(&value_for(probe, pass, value_bytes)[..]),
         "restarted store lost a key"
     );
 

@@ -100,7 +100,6 @@ pub struct SecureCloud {
     injector: Option<Arc<FaultInjector>>,
     telemetry: Arc<Telemetry>,
     causal_tracing: bool,
-    switchless_delivery: bool,
 }
 
 /// Handle to a replicated KV deployment owned by the facade.
@@ -158,7 +157,6 @@ impl SecureCloud {
             injector: None,
             telemetry,
             causal_tracing: false,
-            switchless_delivery: false,
         }
     }
 
@@ -565,28 +563,10 @@ impl SecureCloud {
         self.host.set_delivery_batch(batch);
     }
 
-    /// Switches [`SecureCloud::run_services`] onto the event-driven
-    /// delivery loop ([`ServiceHost::pump_switchless`]): each pass delivers
-    /// only to subscribers the bus reports ready instead of scanning every
-    /// service × subscription. Delivery outcomes are observably identical;
-    /// only the pump's work scales with readiness rather than fleet size.
-    pub fn set_switchless_delivery(&mut self, switchless: bool) {
-        self.switchless_delivery = switchless;
-    }
-
-    /// Whether the event-driven delivery loop is active.
-    #[must_use]
-    pub fn switchless_delivery(&self) -> bool {
-        self.switchless_delivery
-    }
-
-    /// Pumps bus deliveries until quiet; returns messages processed.
+    /// Pumps bus deliveries ([`ServiceHost::pump_switchless`]) until quiet
+    /// or for `max_steps` rounds; returns messages processed.
     pub fn run_services(&mut self, max_steps: usize) -> usize {
-        if self.switchless_delivery {
-            self.host.pump_switchless(max_steps)
-        } else {
-            self.host.run_until_quiet(max_steps)
-        }
+        self.host.pump_switchless(max_steps)
     }
 }
 
@@ -816,47 +796,6 @@ mod tests {
             .decisions()
             .iter()
             .any(|d| d.contains("killed stalled replica s0/r0")));
-    }
-
-    #[test]
-    fn switchless_delivery_toggle_routes_run_services() {
-        use eventbus::service::{MicroService, ServiceCtx};
-        use eventbus::Message;
-        use scbr::types::{Publication, Subscription};
-        use std::sync::atomic::{AtomicU64, Ordering};
-
-        struct Echo {
-            seen: Arc<AtomicU64>,
-        }
-        impl MicroService for Echo {
-            fn name(&self) -> &str {
-                "echo"
-            }
-            fn subscriptions(&self) -> Vec<(String, Option<Subscription>)> {
-                vec![("in".into(), None)]
-            }
-            fn handle(&mut self, _message: &Message, _ctx: &mut ServiceCtx) {
-                self.seen.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-
-        let run = |switchless: bool| {
-            let mut cloud = SecureCloud::new();
-            cloud.set_switchless_delivery(switchless);
-            assert_eq!(cloud.switchless_delivery(), switchless);
-            let seen = Arc::new(AtomicU64::new(0));
-            cloud.register_service(Box::new(Echo { seen: seen.clone() }));
-            for i in 0..5u8 {
-                cloud
-                    .services_mut()
-                    .bus_mut()
-                    .publish("in", vec![i], Publication::new());
-            }
-            let processed = cloud.run_services(100);
-            (processed, seen.load(Ordering::Relaxed))
-        };
-        assert_eq!(run(false), run(true));
-        assert_eq!(run(true), (5, 5));
     }
 
     #[test]

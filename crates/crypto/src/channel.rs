@@ -28,7 +28,7 @@
 //! assert_eq!(server.recv().unwrap(), b"GET /scf");
 //! ```
 
-use crate::gcm::{nonce_from_seq, AesGcm};
+use crate::gcm::{AesGcm, SealCtx};
 use crate::hmac::{hkdf_expand, hkdf_extract, HmacSha256};
 use crate::sha256::Sha256;
 use crate::wire::{Reader, Wire};
@@ -193,12 +193,8 @@ impl Wire for Hello {
 /// record is bound to the handshake transcript via the AAD.
 pub struct SecureChannel<T: Transport> {
     transport: T,
-    send_cipher: AesGcm,
-    recv_cipher: AesGcm,
-    send_seq: u64,
-    recv_seq: u64,
-    send_domain: u32,
-    recv_domain: u32,
+    send: SealCtx,
+    recv: SealCtx,
     transcript: [u8; 32],
     peer_static: PublicKey,
     peer_payload: Vec<u8>,
@@ -208,8 +204,8 @@ impl<T: Transport> std::fmt::Debug for SecureChannel<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SecureChannel")
             .field("peer", &crate::hex(&self.peer_static))
-            .field("send_seq", &self.send_seq)
-            .field("recv_seq", &self.recv_seq)
+            .field("send_seq", &self.send.seq())
+            .field("recv_seq", &self.recv.seq())
             .finish_non_exhaustive()
     }
 }
@@ -315,12 +311,8 @@ impl<T: Transport> SecureChannel<T> {
 
         Ok(SecureChannel {
             transport,
-            send_cipher: AesGcm::new(&keys.i2r),
-            recv_cipher: AesGcm::new(&keys.r2i),
-            send_seq: 0,
-            recv_seq: 0,
-            send_domain: DOMAIN_I2R,
-            recv_domain: DOMAIN_R2I,
+            send: SealCtx::new(AesGcm::new(&keys.i2r), DOMAIN_I2R),
+            recv: SealCtx::new(AesGcm::new(&keys.r2i), DOMAIN_R2I),
             transcript,
             peer_static: hello_r.static_key,
             peer_payload: hello_r.payload,
@@ -369,12 +361,8 @@ impl<T: Transport> SecureChannel<T> {
 
         Ok(SecureChannel {
             transport,
-            send_cipher: AesGcm::new(&keys.r2i),
-            recv_cipher: AesGcm::new(&keys.i2r),
-            send_seq: 0,
-            recv_seq: 0,
-            send_domain: DOMAIN_R2I,
-            recv_domain: DOMAIN_I2R,
+            send: SealCtx::new(AesGcm::new(&keys.r2i), DOMAIN_R2I),
+            recv: SealCtx::new(AesGcm::new(&keys.i2r), DOMAIN_I2R),
             transcript,
             peer_static: hello_i.static_key,
             peer_payload: hello_i.payload,
@@ -387,14 +375,11 @@ impl<T: Transport> SecureChannel<T> {
     ///
     /// [`CryptoError::TransportClosed`] if the peer is gone.
     pub fn send(&mut self, plaintext: &[u8]) -> Result<(), CryptoError> {
-        let nonce = nonce_from_seq(self.send_domain, self.send_seq);
-        self.send_seq += 1;
         // Single exactly-sized allocation: copy the plaintext in, seal the
         // buffer in place, let the tag land in the reserved suffix.
         let mut sealed = Vec::with_capacity(plaintext.len() + crate::gcm::TAG_LEN);
         sealed.extend_from_slice(plaintext);
-        self.send_cipher
-            .seal_in_place(&nonce, &mut sealed, &self.transcript);
+        self.send.seal_in_place(&mut sealed, &self.transcript);
         self.transport.send_frame(sealed)
     }
 
@@ -413,14 +398,11 @@ impl<T: Transport> SecureChannel<T> {
         plaintext: &[u8],
         ctx: TraceContext,
     ) -> Result<(), CryptoError> {
-        let nonce = nonce_from_seq(self.send_domain, self.send_seq);
-        self.send_seq += 1;
         let mut sealed =
             Vec::with_capacity(CONTEXT_WIRE_LEN + plaintext.len() + crate::gcm::TAG_LEN);
         sealed.extend_from_slice(&ctx.encode());
         sealed.extend_from_slice(plaintext);
-        self.send_cipher
-            .seal_in_place(&nonce, &mut sealed, &self.transcript);
+        self.send.seal_in_place(&mut sealed, &self.transcript);
         self.transport.send_frame(sealed)
     }
 
@@ -435,10 +417,7 @@ impl<T: Transport> SecureChannel<T> {
     /// peer is gone.
     pub fn recv_with_ctx(&mut self) -> Result<(TraceContext, Vec<u8>), CryptoError> {
         let mut sealed = self.transport.recv_frame()?;
-        let nonce = nonce_from_seq(self.recv_domain, self.recv_seq);
-        self.recv_cipher
-            .open_in_place(&nonce, &mut sealed, &self.transcript)?;
-        self.recv_seq += 1;
+        self.recv.open_in_place(&mut sealed, &self.transcript)?;
         if sealed.len() < CONTEXT_WIRE_LEN {
             return Err(CryptoError::Malformed(
                 "traced record shorter than a context header".into(),
@@ -460,8 +439,6 @@ impl<T: Transport> SecureChannel<T> {
     ///
     /// [`CryptoError::TransportClosed`] if the peer is gone.
     pub fn send_batch(&mut self, messages: &[Vec<u8>]) -> Result<(), CryptoError> {
-        let nonce = nonce_from_seq(self.send_domain, self.send_seq);
-        self.send_seq += 1;
         let framed: usize = messages.iter().map(|m| 4 + m.len()).sum();
         let mut sealed = Vec::with_capacity(4 + framed + crate::gcm::TAG_LEN);
         (messages.len() as u32).encode(&mut sealed);
@@ -469,8 +446,7 @@ impl<T: Transport> SecureChannel<T> {
             (message.len() as u32).encode(&mut sealed);
             sealed.extend_from_slice(message);
         }
-        self.send_cipher
-            .seal_in_place(&nonce, &mut sealed, &self.transcript);
+        self.send.seal_in_place(&mut sealed, &self.transcript);
         self.transport.send_frame(sealed)
     }
 
@@ -487,10 +463,7 @@ impl<T: Transport> SecureChannel<T> {
     /// peer is gone.
     pub fn recv_batch(&mut self) -> Result<Vec<Vec<u8>>, CryptoError> {
         let mut sealed = self.transport.recv_frame()?;
-        let nonce = nonce_from_seq(self.recv_domain, self.recv_seq);
-        self.recv_cipher
-            .open_in_place(&nonce, &mut sealed, &self.transcript)?;
-        self.recv_seq += 1;
+        self.recv.open_in_place(&mut sealed, &self.transcript)?;
         Vec::<Vec<u8>>::from_wire(&sealed)
     }
 
@@ -504,10 +477,7 @@ impl<T: Transport> SecureChannel<T> {
         // The transport hands us an owned frame, so decrypting it in place
         // is zero-copy: the ciphertext buffer becomes the plaintext buffer.
         let mut sealed = self.transport.recv_frame()?;
-        let nonce = nonce_from_seq(self.recv_domain, self.recv_seq);
-        self.recv_cipher
-            .open_in_place(&nonce, &mut sealed, &self.transcript)?;
-        self.recv_seq += 1;
+        self.recv.open_in_place(&mut sealed, &self.transcript)?;
         Ok(sealed)
     }
 
@@ -582,11 +552,11 @@ mod tests {
         client.send(b"after").unwrap();
         assert_eq!(server.recv().unwrap(), b"after");
         server.send_batch(&[b"reply".to_vec()]).unwrap();
-        assert_eq!(server.send_seq, 1);
+        assert_eq!(server.send.seq(), 1);
         assert_eq!(client.recv_batch().unwrap(), vec![b"reply".to_vec()]);
         // Empty batches and empty messages are legal frames.
         client.send_batch(&[]).unwrap();
-        assert_eq!(client.send_seq, 3);
+        assert_eq!(client.send.seq(), 3);
         assert!(server.recv_batch().unwrap().is_empty());
         client.send_batch(&[Vec::new(), b"x".to_vec()]).unwrap();
         assert_eq!(
@@ -637,18 +607,17 @@ mod tests {
     fn tampered_batch_rejected() {
         let (client, server) = pair_with(ChannelConfig::default(), ChannelConfig::default());
         let mut client = client.unwrap();
-        let server = server.unwrap();
+        let mut server = server.unwrap();
         client.send_batch(&[b"a".to_vec(), b"b".to_vec()]).unwrap();
         let mut frame = server.transport.recv_frame().unwrap();
         frame[1] ^= 0x80;
         server.transport.tx.send(frame).ok(); // reinject toward client; open directly instead
-        let nonce = nonce_from_seq(server.recv_domain, server.recv_seq);
         client.send_batch(&[b"c".to_vec()]).unwrap();
         let mut frame2 = server.transport.recv_frame().unwrap();
         frame2[0] ^= 1;
         assert!(server
-            .recv_cipher
-            .open(&nonce, &frame2, &server.transcript)
+            .recv
+            .open_in_place(&mut frame2, &server.transcript)
             .is_err());
     }
 
@@ -702,7 +671,7 @@ mod tests {
     fn tampered_record_rejected() {
         let (client, server) = pair_with(ChannelConfig::default(), ChannelConfig::default());
         let mut client = client.unwrap();
-        let server = server.unwrap();
+        let mut server = server.unwrap();
         client.send(b"secret").unwrap();
         // Tamper in flight: pull the frame, flip a bit, reinject.
         let frame = server.transport.recv_frame().unwrap();
@@ -715,10 +684,9 @@ mod tests {
         let frame2 = server.transport.recv_frame().unwrap();
         let mut bad2 = frame2;
         bad2[3] ^= 0xff;
-        let nonce = nonce_from_seq(server.recv_domain, server.recv_seq);
         assert!(server
-            .recv_cipher
-            .open(&nonce, &bad2, &server.transcript)
+            .recv
+            .open_in_place(&mut bad2, &server.transcript)
             .is_err());
     }
 

@@ -424,6 +424,69 @@ pub fn nonce_from_seq(domain: u32, seq: u64) -> [u8; NONCE_LEN] {
     nonce
 }
 
+/// One direction of a sequence-numbered stream: a cipher, a nonce domain and
+/// the count of records sealed (or opened) so far. The only place such a
+/// stream spends a sequence number: every seal derives
+/// `nonce_from_seq(domain, seq)` and advances, and an open advances only once
+/// the tag has verified, so a forged record does not desynchronise the peers.
+#[derive(Debug, Clone)]
+pub struct SealCtx {
+    cipher: AesGcm,
+    domain: u32,
+    seq: u64,
+}
+
+impl SealCtx {
+    /// A stream at sequence number zero.
+    #[must_use]
+    pub fn new(cipher: AesGcm, domain: u32) -> Self {
+        SealCtx {
+            cipher,
+            domain,
+            seq: 0,
+        }
+    }
+
+    /// Records sealed (or opened) so far, i.e. the next sequence number.
+    #[must_use]
+    pub fn seq(&self) -> u64 {
+        self.seq
+    }
+
+    /// The nonce of the next record, for framings that carry it in clear.
+    #[must_use]
+    pub fn next_nonce(&self) -> [u8; NONCE_LEN] {
+        nonce_from_seq(self.domain, self.seq)
+    }
+
+    /// [`AesGcm::seal_in_place`] under the next sequence number.
+    pub fn seal_in_place(&mut self, buf: &mut Vec<u8>, aad: &[u8]) {
+        let tag = self.seal_in_place_detached(buf, aad);
+        buf.extend_from_slice(&tag);
+    }
+
+    /// [`AesGcm::seal_in_place_detached`] under the next sequence number.
+    #[must_use]
+    pub fn seal_in_place_detached(&mut self, buf: &mut [u8], aad: &[u8]) -> [u8; TAG_LEN] {
+        let nonce = self.next_nonce();
+        self.seq += 1;
+        self.cipher.seal_in_place_detached(&nonce, buf, aad)
+    }
+
+    /// [`AesGcm::open_in_place`] under the next sequence number, which is
+    /// spent only if the tag verifies.
+    ///
+    /// # Errors
+    ///
+    /// [`CryptoError::AuthenticationFailed`] on a tampered, replayed or
+    /// reordered record; `buf` is left unmodified.
+    pub fn open_in_place(&mut self, buf: &mut Vec<u8>, aad: &[u8]) -> Result<(), CryptoError> {
+        self.cipher.open_in_place(&self.next_nonce(), buf, aad)?;
+        self.seq += 1;
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     // The NIST vectors and the per-kernel equivalence properties live in
@@ -480,6 +543,33 @@ mod tests {
         assert_eq!(buf, sealed, "failed open must not alter the buffer");
         let mut short = vec![0u8; TAG_LEN - 1];
         assert!(cipher.open_in_place(&nonce, &mut short, b"aad").is_err());
+    }
+
+    #[test]
+    fn seal_ctx_spends_one_sequence_number_per_record() {
+        let cipher = AesGcm::new(&[0x11u8; 16]);
+        let mut send = SealCtx::new(cipher.clone(), 0xabcd);
+        let mut recv = SealCtx::new(cipher.clone(), 0xabcd);
+        let mut first = b"first".to_vec();
+        send.seal_in_place(&mut first, b"aad");
+        assert_eq!(
+            first,
+            cipher.seal(&nonce_from_seq(0xabcd, 0), b"first", b"aad")
+        );
+        assert_eq!(send.next_nonce(), nonce_from_seq(0xabcd, 1));
+        let mut second = *b"second";
+        let tag = send.seal_in_place_detached(&mut second, b"");
+        let mut second = [&second[..], &tag[..]].concat();
+        assert_eq!(send.seq(), 2);
+        // Out of order: refused, buffer intact, no sequence number spent.
+        let sealed = second.clone();
+        assert!(recv.open_in_place(&mut second, b"").is_err());
+        assert_eq!((recv.seq(), &second), (0, &sealed));
+        recv.open_in_place(&mut first, b"aad").unwrap();
+        recv.open_in_place(&mut second, b"").unwrap();
+        assert_eq!((&first[..], &second[..]), (&b"first"[..], &b"second"[..]));
+        // Replay of an opened record is refused too.
+        assert!(recv.open_in_place(&mut sealed.clone(), b"").is_err());
     }
 
     #[test]

@@ -208,8 +208,8 @@ pub struct EventBus {
     next_message: u64,
     metrics: BusMetrics,
     max_attempts: Option<u32>,
-    /// Bus-wide default queue-depth limit enforced by the `try_publish` /
-    /// `publish_batch` admission path. `None` = unbounded.
+    /// Bus-wide default queue-depth limit enforced by `publish_batch`'s
+    /// admission check. `None` = unbounded.
     queue_limit: Option<usize>,
     dead: Vec<DeadLetter>,
     injector: Option<Arc<FaultInjector>>,
@@ -259,10 +259,8 @@ impl EventBus {
         self.injector = Some(injector);
     }
 
-    /// Sets the bus-wide default queue-depth limit enforced by the
-    /// admission-controlled publish paths ([`EventBus::try_publish`],
-    /// [`EventBus::publish_batch`]). `None` (the default) admits everything.
-    /// The legacy [`EventBus::publish`] bypasses admission control.
+    /// Sets the bus-wide default queue-depth limit [`EventBus::publish_batch`]
+    /// enforces. `None` (the default) admits everything.
     pub fn set_queue_limit(&mut self, limit: Option<usize>) {
         self.queue_limit = limit;
     }
@@ -413,30 +411,16 @@ impl EventBus {
         !self.ready.is_empty()
     }
 
-    /// Publishes to `topic`, fanning out to every subscriber whose filter
-    /// accepts `attributes`. Returns the message id.
-    ///
-    /// This legacy path bypasses queue-depth admission control and never
-    /// fails; use [`EventBus::try_publish`] or [`EventBus::publish_batch`]
-    /// to get typed backpressure instead.
+    /// Publishes to `topic` under a fresh root context (when telemetry is
+    /// attached), fanning out to every subscriber whose filter accepts
+    /// `attributes`. Returns the message id. No admission control: see
+    /// [`EventBus::publish_with_ctx`].
     pub fn publish(&mut self, topic: &str, payload: Vec<u8>, attributes: Publication) -> MessageId {
-        self.enqueue(topic, payload, attributes)
-    }
-
-    /// Publishes to `topic` with admission control: if any matching
-    /// subscriber's queue is at its depth limit, nothing is enqueued and a
-    /// typed [`PublishError::Backpressure`] is returned.
-    ///
-    /// # Errors
-    /// [`PublishError::Backpressure`] when a matching subscriber has no room.
-    pub fn try_publish(
-        &mut self,
-        topic: &str,
-        payload: Vec<u8>,
-        attributes: Publication,
-    ) -> Result<MessageId, PublishError> {
-        self.admit(topic, &[&attributes])?;
-        Ok(self.enqueue(topic, payload, attributes))
+        let ctx = self
+            .telemetry
+            .as_deref()
+            .map_or_else(TraceContext::none, Telemetry::mint_root);
+        self.publish_with_ctx(topic, payload, attributes, ctx)
     }
 
     /// Publishes a batch of `(payload, attributes)` pairs to `topic` with
@@ -444,11 +428,15 @@ impl EventBus {
     /// returned in batch order, assigned consecutively) or — if admitting
     /// the whole batch would push any matching subscriber past its
     /// queue-depth limit — nothing is, and the publisher gets a typed
-    /// backpressure error to retry after draining.
+    /// backpressure error to retry after draining. A single message is a
+    /// batch of one.
     ///
-    /// Once admitted, a batch of N is observably identical to N
-    /// [`EventBus::publish`] calls: same fan-out, same per-message
-    /// published/dropped accounting, same ordering.
+    /// With `ctx` the messages join the caller's trace (a service reacting
+    /// to a delivery publishes downstream work under a child context);
+    /// without, each message starts a trace of its own. Once admitted, a
+    /// batch of N is observably identical to N [`EventBus::publish`] (or
+    /// [`EventBus::publish_with_ctx`]) calls: same fan-out, same
+    /// per-message published/dropped accounting, same ordering.
     ///
     /// # Errors
     /// [`PublishError::Backpressure`] when a matching subscriber cannot
@@ -457,12 +445,16 @@ impl EventBus {
         &mut self,
         topic: &str,
         batch: Vec<(Vec<u8>, Publication)>,
+        ctx: Option<TraceContext>,
     ) -> Result<Vec<MessageId>, PublishError> {
         let attrs: Vec<&Publication> = batch.iter().map(|(_, a)| a).collect();
         self.admit(topic, &attrs)?;
         Ok(batch
             .into_iter()
-            .map(|(payload, attributes)| self.enqueue(topic, payload, attributes))
+            .map(|(payload, attributes)| match ctx {
+                Some(ctx) => self.publish_with_ctx(topic, payload, attributes, ctx),
+                None => self.publish(topic, payload, attributes),
+            })
             .collect())
     }
 
@@ -497,47 +489,11 @@ impl EventBus {
         Ok(())
     }
 
-    /// Publishes with a caller-supplied causal context instead of minting a
-    /// fresh root — the causally-linked republish path (a service reacting
-    /// to a delivery publishes downstream work under a child context, so
-    /// the whole chain folds into one trace).
+    /// The fan-out every publication goes through: enqueues one message
+    /// under the caller's causal context and opens its flow. Like
+    /// [`EventBus::publish`] it admits unconditionally and cannot fail;
+    /// `benchmark/src/workloads/plane.rs:186,316` pins both signatures.
     pub fn publish_with_ctx(
-        &mut self,
-        topic: &str,
-        payload: Vec<u8>,
-        attributes: Publication,
-        ctx: TraceContext,
-    ) -> MessageId {
-        self.enqueue_with(topic, payload, attributes, ctx)
-    }
-
-    /// Admission-controlled flavour of [`EventBus::publish_with_ctx`].
-    ///
-    /// # Errors
-    /// [`PublishError::Backpressure`] when a matching subscriber has no room.
-    pub fn try_publish_with_ctx(
-        &mut self,
-        topic: &str,
-        payload: Vec<u8>,
-        attributes: Publication,
-        ctx: TraceContext,
-    ) -> Result<MessageId, PublishError> {
-        self.admit(topic, &[&attributes])?;
-        Ok(self.enqueue_with(topic, payload, attributes, ctx))
-    }
-
-    /// The shared fan-out path behind every publish flavour: mints a root
-    /// context for the new request (when telemetry is attached) and opens
-    /// its flow.
-    fn enqueue(&mut self, topic: &str, payload: Vec<u8>, attributes: Publication) -> MessageId {
-        let ctx = self
-            .telemetry
-            .as_deref()
-            .map_or_else(TraceContext::none, Telemetry::mint_root);
-        self.enqueue_with(topic, payload, attributes, ctx)
-    }
-
-    fn enqueue_with(
         &mut self,
         topic: &str,
         payload: Vec<u8>,
@@ -1019,33 +975,51 @@ mod tests {
     #[test]
     fn publish_batch_matches_n_single_publishes() {
         // Same inputs through publish_batch and N publishes: identical
-        // fan-out, ids, delivery order, and stats.
+        // fan-out, ids, delivery order, contexts and stats — whether each
+        // message roots its own trace or all join the caller's.
         let filter = Subscription::new(vec![Predicate::new("severity", Op::Ge, Value::Int(3))]);
         let inputs: Vec<(Vec<u8>, Publication)> =
             (0..6).map(|i| (vec![i as u8], attrs("pq", i))).collect();
+        let traced_bus = || {
+            let mut bus = EventBus::new(1000);
+            let telemetry = Arc::new(Telemetry::new());
+            telemetry.set_trace_seed(7);
+            bus.set_telemetry(telemetry);
+            bus
+        };
+        let parent = TraceContext {
+            trace_id: 0xfeed,
+            span_id: 0xbeef,
+            parent_span_id: 0,
+        };
+        for ctx in [None, Some(parent)] {
+            let mut single = traced_bus();
+            let s1 = single.subscribe("t", Some(filter.clone()));
+            let mut single_ids = Vec::new();
+            for (payload, attributes) in inputs.clone() {
+                single_ids.push(match ctx {
+                    Some(ctx) => single.publish_with_ctx("t", payload, attributes, ctx),
+                    None => single.publish("t", payload, attributes),
+                });
+            }
 
-        let mut single = EventBus::new(1000);
-        let s1 = single.subscribe("t", Some(filter.clone()));
-        let mut single_ids = Vec::new();
-        for (payload, attributes) in inputs.clone() {
-            single_ids.push(single.publish("t", payload, attributes));
+            let mut batched = traced_bus();
+            let s2 = batched.subscribe("t", Some(filter.clone()));
+            let batch_ids = batched.publish_batch("t", inputs.clone(), ctx).unwrap();
+
+            assert_eq!(single_ids, batch_ids);
+            assert_eq!(single.stats(), batched.stats());
+            assert_eq!(single.backlog(s1), batched.backlog(s2));
+            loop {
+                let a = single.fetch(s1);
+                let b = batched.fetch(s2);
+                assert_eq!(a, b);
+                let Some(m) = a else { break };
+                assert_eq!(ctx.is_some(), m.ctx == parent, "caller's context kept");
+                assert_eq!(single.ack(s1, m.id), batched.ack(s2, m.id));
+            }
+            assert_eq!(single.stats(), batched.stats());
         }
-
-        let mut batched = EventBus::new(1000);
-        let s2 = batched.subscribe("t", Some(filter));
-        let batch_ids = batched.publish_batch("t", inputs).unwrap();
-
-        assert_eq!(single_ids, batch_ids);
-        assert_eq!(single.stats(), batched.stats());
-        assert_eq!(single.backlog(s1), batched.backlog(s2));
-        loop {
-            let a = single.fetch(s1);
-            let b = batched.fetch(s2);
-            assert_eq!(a, b);
-            let Some(m) = a else { break };
-            assert_eq!(single.ack(s1, m.id), batched.ack(s2, m.id));
-        }
-        assert_eq!(single.stats(), batched.stats());
     }
 
     #[test]
@@ -1074,7 +1048,7 @@ mod tests {
         bus.publish("t", b"seed".to_vec(), Publication::new());
         let batch: Vec<(Vec<u8>, Publication)> =
             (0..4).map(|i| (vec![i], Publication::new())).collect();
-        let err = bus.publish_batch("t", batch.clone()).unwrap_err();
+        let err = bus.publish_batch("t", batch.clone(), None).unwrap_err();
         assert_eq!(
             err,
             PublishError::Backpressure {
@@ -1090,22 +1064,23 @@ mod tests {
         // Drain one message and the same batch fits exactly.
         let m = bus.fetch(s).unwrap();
         bus.ack(s, m.id);
-        assert_eq!(bus.publish_batch("t", batch).unwrap().len(), 4);
+        assert_eq!(bus.publish_batch("t", batch, None).unwrap().len(), 4);
         assert_eq!(bus.backlog(s), 4);
     }
 
     #[test]
-    fn try_publish_enforces_per_subscriber_override() {
+    fn publish_batch_enforces_per_subscriber_override() {
+        let one = |payload: &[u8], attributes| vec![(payload.to_vec(), attributes)];
         let mut bus = EventBus::new(1000);
         bus.set_queue_limit(Some(10));
         let tight = bus.subscribe("t", None);
         let roomy = bus.subscribe("t", None);
         assert!(bus.set_subscriber_queue_limit(tight, Some(1)));
         assert!(!bus.set_subscriber_queue_limit(SubscriberId(99), Some(1)));
-        bus.try_publish("t", b"a".to_vec(), Publication::new())
+        bus.publish_batch("t", one(b"a", Publication::new()), None)
             .unwrap();
         let err = bus
-            .try_publish("t", b"b".to_vec(), Publication::new())
+            .publish_batch("t", one(b"b", Publication::new()), None)
             .unwrap_err();
         assert!(matches!(
             err,
@@ -1128,7 +1103,7 @@ mod tests {
         );
         filtered_bus.set_subscriber_queue_limit(filtered, Some(0));
         filtered_bus
-            .try_publish("t", b"minor".to_vec(), attrs("pq", 1))
+            .publish_batch("t", one(b"minor", attrs("pq", 1)), None)
             .unwrap();
     }
 

@@ -55,8 +55,8 @@ pub struct ServiceHost {
     bus: EventBus,
     services: Vec<Registered>,
     quarantine_after: u32,
-    /// Messages fetched per subscription per [`ServiceHost::step`] (1 = the
-    /// classic one-at-a-time pump; larger values opt into batch delivery).
+    /// Messages fetched per ready subscription per pump round (1 = one at
+    /// a time; larger values opt into batch delivery).
     delivery_batch: usize,
     injector: Option<Arc<FaultInjector>>,
     telemetry: Option<Arc<Telemetry>>,
@@ -84,11 +84,11 @@ impl ServiceHost {
         }
     }
 
-    /// Opts services into batch delivery: each [`ServiceHost::step`]
-    /// fetches up to `batch` messages per subscription (clamped to at
-    /// least one) instead of a single message. Per-message ack/nack/panic
-    /// semantics are unchanged — a batch is simply the same messages with
-    /// fewer pump iterations.
+    /// Opts services into batch delivery: each pump round fetches up to
+    /// `batch` messages per ready subscription (clamped to at least one)
+    /// instead of a single message. Per-message ack/nack/panic semantics
+    /// are unchanged — a batch is simply the same messages with fewer
+    /// pump rounds.
     pub fn set_delivery_batch(&mut self, batch: usize) {
         self.delivery_batch = batch.max(1);
     }
@@ -180,34 +180,15 @@ impl ServiceHost {
         &self.bus
     }
 
-    /// Delivers up to [`ServiceHost::delivery_batch`] messages (default 1)
-    /// to every subscription of every non-quarantined service; returns the
-    /// number of messages processed (including attempts whose handler
-    /// panicked).
+    /// Delivers up to [`ServiceHost::delivery_batch`] messages to one
+    /// `(service, subscription)` pair; returns the number processed
+    /// (including attempts whose handler panicked).
     ///
     /// A message is acked only if its handler returns normally; a panic is
     /// caught, the message nacked (redelivery or dead-letter per the bus's
     /// retry budget), and the handler's emitted events discarded. If a
     /// service trips quarantine mid-batch, the rest of its batch is nacked
     /// back to the queue immediately rather than waiting out the lease.
-    pub fn step(&mut self) -> usize {
-        let mut processed = 0;
-        let mut outbox = Vec::new();
-        for service_idx in 0..self.services.len() {
-            if self.services[service_idx].quarantined {
-                continue;
-            }
-            for sub_pos in 0..self.services[service_idx].subscriber_ids.len() {
-                processed += self.deliver_one_subscription(service_idx, sub_pos, &mut outbox);
-            }
-        }
-        self.flush_outbox(outbox);
-        processed
-    }
-
-    /// Delivers one batch for a single `(service, subscription)` pair —
-    /// the unit of work shared by the scanning pump ([`ServiceHost::step`])
-    /// and the event-driven pump ([`ServiceHost::pump_switchless`]).
     fn deliver_one_subscription(
         &mut self,
         service_idx: usize,
@@ -343,15 +324,14 @@ impl ServiceHost {
         None
     }
 
-    /// Event-driven delivery: instead of scanning every service ×
-    /// subscription per pass (the [`ServiceHost::step`] pump), each round
-    /// asks the bus which subscribers actually have waiting messages
-    /// ([`EventBus::ready_subscribers`]) and delivers only to those — the
-    /// host-side analogue of the switchless syscall plane, where completions
-    /// wake exactly the parked task instead of every poller. Runs until the
-    /// ready set drains or `max_rounds` is reached; returns total messages
-    /// processed. Observably identical to pumping [`ServiceHost::step`]:
-    /// same deliveries, same order, same stats.
+    /// The delivery loop: each round asks the bus which subscribers have
+    /// waiting messages ([`EventBus::ready_subscribers`], ascending id, i.e.
+    /// registration order) and delivers one batch to each — the host-side
+    /// analogue of the switchless syscall plane, where completions wake
+    /// exactly the parked task instead of every poller — then republishes
+    /// what the handlers emitted. Runs until the ready set drains or
+    /// `max_rounds` is reached; returns total messages processed.
+    /// `pump_switchless(1)` is one delivery step.
     pub fn pump_switchless(&mut self, max_rounds: usize) -> usize {
         let mut total = 0;
         for _ in 0..max_rounds {
@@ -374,20 +354,6 @@ impl ServiceHost {
             if round == 0 {
                 break;
             }
-        }
-        total
-    }
-
-    /// Pumps [`ServiceHost::step`] until no messages flow or `max_steps`
-    /// is reached; returns total messages processed.
-    pub fn run_until_quiet(&mut self, max_steps: usize) -> usize {
-        let mut total = 0;
-        for _ in 0..max_steps {
-            let n = self.step();
-            if n == 0 {
-                break;
-            }
-            total += n;
         }
         total
     }
@@ -449,7 +415,7 @@ mod tests {
         }));
         host.bus_mut()
             .publish("readings", 21u64.to_le_bytes().to_vec(), Publication::new());
-        let processed = host.run_until_quiet(10);
+        let processed = host.pump_switchless(10);
         assert_eq!(processed, 2, "doubler then counter");
         assert_eq!(seen.load(Ordering::Relaxed), 1);
     }
@@ -473,7 +439,7 @@ mod tests {
             .publish("readings", 21u64.to_le_bytes().to_vec(), Publication::new());
         host.bus_mut()
             .publish("readings", 60u64.to_le_bytes().to_vec(), Publication::new());
-        host.run_until_quiet(10);
+        host.pump_switchless(10);
         assert_eq!(seen.load(Ordering::Relaxed), 1);
     }
 
@@ -497,11 +463,12 @@ mod tests {
                 host.bus_mut()
                     .publish("readings", i.to_le_bytes().to_vec(), Publication::new());
             }
-            let processed = host.run_until_quiet(100);
+            let processed = host.pump_switchless(100);
             (processed, seen.load(Ordering::Relaxed), host.bus().stats())
         };
         let single = run(1);
         assert_eq!(single.1, 10);
+        assert_eq!(single.2.wasted_fetches, 0, "the pump never polls dry");
         for batch in [8usize, 64] {
             assert_eq!(run(batch), single, "batch size {batch} diverged");
         }
@@ -511,7 +478,7 @@ mod tests {
     fn quiet_host_stops() {
         let mut host = ServiceHost::new(1000);
         host.register(Box::new(Doubler));
-        assert_eq!(host.run_until_quiet(100), 0);
+        assert_eq!(host.pump_switchless(100), 0);
     }
 
     /// Panics on the first `failures` deliveries, then succeeds.
@@ -551,7 +518,7 @@ mod tests {
             seen: seen.clone(),
         }));
         host.bus_mut().publish("work", vec![], Publication::new());
-        let processed = host.run_until_quiet(10);
+        let processed = host.pump_switchless(10);
         // Attempt 1 panics (nack -> requeue), attempt 2 succeeds.
         assert_eq!(processed, 2);
         assert_eq!(seen.load(Ordering::Relaxed), 1);
@@ -574,46 +541,15 @@ mod tests {
         }));
         host.bus_mut().set_max_attempts(Some(10));
         host.bus_mut().publish("work", vec![], Publication::new());
-        let processed = host.run_until_quiet(50);
+        let processed = host.pump_switchless(50);
         assert_eq!(processed, 3, "quarantined after 3 consecutive panics");
         assert_eq!(host.quarantined_services(), vec!["flaky"]);
         // The message stays queued for when the service is released.
         host.bus_mut().publish("work", vec![], Publication::new());
-        assert_eq!(host.run_until_quiet(10), 0, "quarantined service skipped");
+        assert_eq!(host.pump_switchless(10), 0, "quarantined service skipped");
         assert!(host.release_quarantine("flaky"));
         assert!(!host.release_quarantine("flaky"), "already released");
-        assert!(host.run_until_quiet(50) > 0);
-    }
-
-    #[test]
-    fn switchless_pump_matches_step_pump() {
-        // The event-driven pump must be observably identical to the
-        // scanning pump: same messages seen, same terminal bus stats —
-        // and it never polls an empty queue.
-        let run = |switchless: bool| {
-            let mut host = ServiceHost::new(1000);
-            let seen = Arc::new(AtomicU64::new(0));
-            host.register(Box::new(Doubler));
-            host.register(Box::new(Counter {
-                seen: seen.clone(),
-                filter: None,
-                topic: "doubled".into(),
-            }));
-            for i in 0..10u64 {
-                host.bus_mut()
-                    .publish("readings", i.to_le_bytes().to_vec(), Publication::new());
-            }
-            let processed = if switchless {
-                host.pump_switchless(100)
-            } else {
-                host.run_until_quiet(100)
-            };
-            (processed, seen.load(Ordering::Relaxed), host.bus().stats())
-        };
-        let stepped = run(false);
-        let switchless = run(true);
-        assert_eq!(switchless, stepped);
-        assert_eq!(switchless.2.wasted_fetches, 0);
+        assert!(host.pump_switchless(50) > 0);
     }
 
     #[test]
@@ -648,7 +584,7 @@ mod tests {
         assert!(!host.inject_panic_next("nonexistent"));
         host.bus_mut()
             .publish("work", b"bad".to_vec(), Publication::new());
-        host.run_until_quiet(50);
+        host.pump_switchless(50);
         let dead = host.bus().dead_letters();
         assert_eq!(dead.len(), 1);
         assert_eq!(dead[0].message.payload, b"bad");

@@ -23,8 +23,9 @@
 //!
 //! let mut mem = MemorySim::enclave(MemoryGeometry::sgx_v1(), CostModel::sgx_v1());
 //! let mut kv = SecureKv::new();
-//! kv.put(&mut mem, b"meter/42", b"1337 W");
-//! assert_eq!(kv.get(&mut mem, b"meter/42"), Some(b"1337 W".to_vec()));
+//! kv.try_put(&mut mem, b"meter/42", b"1337 W")?;
+//! assert_eq!(kv.try_get_ref(&mut mem, b"meter/42")?, Some(&b"1337 W"[..]));
+//! # Ok::<(), securecloud_kvstore::KvError>(())
 //! ```
 
 pub mod store;

@@ -11,7 +11,7 @@
 use securecloud_crypto::gcm::{AesGcm, NONCE_LEN, TAG_LEN};
 use securecloud_crypto::wire::Wire;
 use securecloud_crypto::CryptoError;
-use securecloud_sgx::mem::{MemorySim, Region};
+use securecloud_sgx::mem::{Arena, MemorySim};
 use securecloud_storage::{
     HostDisk, IncrementalSnapshot, RecordRef, ReplayReport, StorageConfig, StorageEngine,
     StorageError, StoreKeys,
@@ -142,21 +142,32 @@ pub struct Snapshot {
 
 /// The enclave-resident ordered KV store. Callers pass the enclave's
 /// [`MemorySim`] so accesses are charged to the right domain.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct SecureKv {
     map: BTreeMap<Vec<u8>, Entry>,
     version: u64,
     bytes: u64,
     metrics: KvMetrics,
-    arena_next: Option<(u64, u64)>, // (chunk base, used)
-    /// Arena chunks handed out so far, so tiered flushes can release the
-    /// drained memtable's simulated memory.
-    arena_chunks: Vec<Region>,
+    /// The memtable's simulated memory; a tiered flush releases it.
+    arena: Arena,
     /// The sealed on-host tier (tiered mode only).
     storage: Option<Box<StorageEngine>>,
 }
 
 const ARENA_CHUNK: u64 = 1 << 20;
+
+impl Default for SecureKv {
+    fn default() -> Self {
+        SecureKv {
+            map: BTreeMap::new(),
+            version: 0,
+            bytes: 0,
+            metrics: KvMetrics::default(),
+            arena: Arena::new(ARENA_CHUNK),
+            storage: None,
+        }
+    }
+}
 
 impl SecureKv {
     /// Creates an empty store.
@@ -292,23 +303,6 @@ impl SecureKv {
         self.metrics.adopt_into(telemetry);
     }
 
-    fn alloc(&mut self, mem: &mut MemorySim, bytes: u64) -> u64 {
-        match self.arena_next {
-            Some((base, used)) if used + bytes <= ARENA_CHUNK => {
-                self.arena_next = Some((base, used + bytes));
-                base + used
-            }
-            _ => {
-                // An entry larger than a chunk gets a region of its own size.
-                let region = mem.alloc(bytes.max(ARENA_CHUNK));
-                self.arena_next = Some((region.base(), bytes));
-                let base = region.base();
-                self.arena_chunks.push(region);
-                base
-            }
-        }
-    }
-
     fn footprint(key: &[u8], value: &[u8]) -> u32 {
         (48 + key.len() + value.len()) as u32
     }
@@ -326,7 +320,7 @@ impl SecureKv {
         let dead = value.is_none();
         let value = value.unwrap_or_default();
         let footprint = Self::footprint(key, value);
-        let offset = self.alloc(mem, u64::from(footprint));
+        let offset = self.arena.alloc(mem, u64::from(footprint));
         mem.touch(offset, footprint as usize);
         mem.charge_ops(2 + (key.len() as u64) / 8);
         self.bytes += (key.len() + value.len()) as u64;
@@ -348,12 +342,8 @@ impl SecureKv {
         (!previous.dead).then_some(previous.value)
     }
 
-    /// Inserts or updates `key`, returning the previous value.
-    ///
-    /// # Panics
-    ///
-    /// In tiered mode, if the storage tier fails (a failed store must be
-    /// discarded and reopened) — use [`SecureKv::try_put`] to handle that.
+    /// [`SecureKv::try_put`], panicking on a storage-tier failure. Pinned by
+    /// `benchmark/src/probes.rs:145`; product code calls `try_put`.
     pub fn put(&mut self, mem: &mut MemorySim, key: &[u8], value: &[u8]) -> Option<Vec<u8>> {
         self.try_put(mem, key, value)
             .expect("tiered storage failure on put; reopen the store")
@@ -386,39 +376,15 @@ impl SecureKv {
         Ok(previous)
     }
 
-    /// Point lookup, returning an owned copy of the value.
-    ///
-    /// # Panics
-    ///
-    /// In tiered mode, on a storage-tier failure (integrity violation on a
-    /// paged-in block) — use [`SecureKv::try_get`] to handle that.
-    pub fn get(&mut self, mem: &mut MemorySim, key: &[u8]) -> Option<Vec<u8>> {
-        self.get_ref(mem, key).map(<[u8]>::to_vec)
-    }
-
-    /// Fallible point lookup (see [`SecureKv::try_get_ref`]).
-    ///
-    /// # Errors
-    ///
-    /// [`KvError::Storage`] — a sealed block failed verification.
-    pub fn try_get(&mut self, mem: &mut MemorySim, key: &[u8]) -> Result<Option<Vec<u8>>, KvError> {
-        Ok(self.try_get_ref(mem, key)?.map(<[u8]>::to_vec))
-    }
-
-    /// Point lookup without copying the value out. Charges exactly the same
-    /// simulated memory accesses as [`SecureKv::get`]; callers that only
-    /// inspect (or conditionally copy) the value avoid the allocation.
-    ///
-    /// # Panics
-    ///
-    /// In tiered mode, on a storage-tier failure — use
-    /// [`SecureKv::try_get_ref`] to handle that.
+    /// [`SecureKv::try_get_ref`], panicking on a storage-tier failure. Pinned
+    /// by `benchmark/src/probes.rs:140`; product code calls `try_get_ref`.
     pub fn get_ref(&mut self, mem: &mut MemorySim, key: &[u8]) -> Option<&[u8]> {
         self.try_get_ref(mem, key)
             .expect("tiered storage failure on get; scrub or reopen the store")
     }
 
-    /// Point lookup falling through the memtable to sealed segments. A
+    /// Point lookup falling through the memtable to sealed segments,
+    /// borrowing the value (callers copy it out only if they keep it). A
     /// memtable tombstone masks older sealed records.
     ///
     /// # Errors
@@ -443,12 +409,8 @@ impl SecureKv {
         }
     }
 
-    /// Removes `key`, returning its value.
-    ///
-    /// # Panics
-    ///
-    /// In tiered mode, on a storage-tier failure — use
-    /// [`SecureKv::try_delete`] to handle that.
+    /// [`SecureKv::try_delete`], panicking on a storage-tier failure. Pinned
+    /// by `benchmark/src/probes.rs:158`; product code calls `try_delete`.
     pub fn delete(&mut self, mem: &mut MemorySim, key: &[u8]) -> Option<Vec<u8>> {
         self.try_delete(mem, key)
             .expect("tiered storage failure on delete; reopen the store")
@@ -503,12 +465,8 @@ impl SecureKv {
         Ok(previous)
     }
 
-    /// Ordered scan of `[from, to)`, returning key-value pairs.
-    ///
-    /// # Panics
-    ///
-    /// In tiered mode, on a storage-tier failure — use
-    /// [`SecureKv::try_scan`] to handle that.
+    /// [`SecureKv::try_scan`], panicking on a storage-tier failure. Pinned by
+    /// `benchmark/src/probes.rs:154`; product code calls `try_scan`.
     pub fn scan(&mut self, mem: &mut MemorySim, from: &[u8], to: &[u8]) -> Vec<Pair> {
         self.try_scan(mem, from, to)
             .expect("tiered storage failure on scan; scrub or reopen the store")
@@ -589,10 +547,7 @@ impl SecureKv {
         )?;
         self.map.clear();
         self.bytes = 0;
-        self.arena_next = None;
-        for region in self.arena_chunks.drain(..) {
-            mem.free(region);
-        }
+        self.arena.release(mem);
         Ok(())
     }
 
@@ -695,7 +650,7 @@ impl SecureKv {
         }
         let mut kv = SecureKv::new();
         for (k, v) in pairs {
-            kv.put(mem, &k, &v);
+            kv.try_put(mem, &k, &v)?;
         }
         kv.version = version;
         Ok(kv)
@@ -706,11 +661,16 @@ impl SecureKv {
 mod tests {
     use super::*;
     use securecloud_sgx::costs::{CostModel, MemoryGeometry};
-    use securecloud_sgx::mem::MemStats;
+    use securecloud_sgx::mem::{MemStats, Region};
     use securecloud_storage::StorageStats;
 
     fn mem() -> MemorySim {
         MemorySim::enclave(MemoryGeometry::sgx_v1(), CostModel::sgx_v1())
+    }
+
+    /// An owned copy of what `try_get_ref` finds.
+    fn get(kv: &mut SecureKv, mem: &mut MemorySim, key: &[u8]) -> Option<Vec<u8>> {
+        kv.try_get_ref(mem, key).unwrap().map(<[u8]>::to_vec)
     }
 
     #[test]
@@ -718,12 +678,15 @@ mod tests {
         let mut mem = mem();
         let mut kv = SecureKv::new();
         assert!(kv.is_empty());
-        assert_eq!(kv.put(&mut mem, b"a", b"1"), None);
-        assert_eq!(kv.put(&mut mem, b"a", b"2"), Some(b"1".to_vec()));
-        assert_eq!(kv.get(&mut mem, b"a"), Some(b"2".to_vec()));
-        assert_eq!(kv.get(&mut mem, b"missing"), None);
-        assert_eq!(kv.delete(&mut mem, b"a"), Some(b"2".to_vec()));
-        assert_eq!(kv.delete(&mut mem, b"a"), None);
+        assert_eq!(kv.try_put(&mut mem, b"a", b"1").unwrap(), None);
+        assert_eq!(
+            kv.try_put(&mut mem, b"a", b"2").unwrap(),
+            Some(b"1".to_vec())
+        );
+        assert_eq!(get(&mut kv, &mut mem, b"a"), Some(b"2".to_vec()));
+        assert_eq!(get(&mut kv, &mut mem, b"missing"), None);
+        assert_eq!(kv.try_delete(&mut mem, b"a").unwrap(), Some(b"2".to_vec()));
+        assert_eq!(kv.try_delete(&mut mem, b"a").unwrap(), None);
         assert_eq!(kv.len(), 0);
         assert_eq!(kv.data_bytes(), 0);
         let s = kv.stats();
@@ -735,9 +698,9 @@ mod tests {
         let mut mem = mem();
         let mut kv = SecureKv::new();
         for k in ["b", "a", "d", "c", "e"] {
-            kv.put(&mut mem, k.as_bytes(), k.as_bytes());
+            kv.try_put(&mut mem, k.as_bytes(), k.as_bytes()).unwrap();
         }
-        let hits = kv.scan(&mut mem, b"b", b"e");
+        let hits = kv.try_scan(&mut mem, b"b", b"e").unwrap();
         let keys: Vec<&[u8]> = hits.iter().map(|(k, _)| k.as_slice()).collect();
         assert_eq!(keys, [b"b", b"c", b"d"]);
         assert_eq!(kv.stats().scanned, 3);
@@ -748,10 +711,10 @@ mod tests {
         let mut mem = mem();
         let mut kv = SecureKv::new();
         let c0 = mem.cycles();
-        kv.put(&mut mem, b"key", &vec![0u8; 1000]);
+        kv.try_put(&mut mem, b"key", &vec![0u8; 1000]).unwrap();
         let after_put = mem.cycles();
         assert!(after_put > c0);
-        kv.get(&mut mem, b"key");
+        get(&mut kv, &mut mem, b"key");
         assert!(mem.cycles() > after_put);
     }
 
@@ -761,13 +724,13 @@ mod tests {
         let counters = CounterService::new();
         let key = [7u8; 16];
         let mut kv = SecureKv::new();
-        kv.put(&mut m, b"x", b"1");
-        kv.put(&mut m, b"y", b"2");
+        kv.try_put(&mut m, b"x", b"1").unwrap();
+        kv.try_put(&mut m, b"y", b"2").unwrap();
         let snapshot = kv.snapshot(&key, &counters, "store-A");
         let mut restored =
             SecureKv::restore(&mut m, &key, &snapshot.sealed, &counters, "store-A").unwrap();
-        assert_eq!(restored.get(&mut m, b"x"), Some(b"1".to_vec()));
-        assert_eq!(restored.get(&mut m, b"y"), Some(b"2".to_vec()));
+        assert_eq!(get(&mut restored, &mut m, b"x"), Some(b"1".to_vec()));
+        assert_eq!(get(&mut restored, &mut m, b"y"), Some(b"2".to_vec()));
         assert_eq!(restored.len(), 2);
         assert_eq!(restored.version(), snapshot.version);
     }
@@ -780,10 +743,10 @@ mod tests {
         let counters = CounterService::new();
         let key = [3u8; 16];
         let mut kv = SecureKv::new();
-        kv.put(&mut m, b"zeta", b"26");
-        kv.put(&mut m, b"alpha", b"1");
-        kv.put(&mut m, b"", b"empty key");
-        kv.put(&mut m, b"mid", b"");
+        kv.try_put(&mut m, b"zeta", b"26").unwrap();
+        kv.try_put(&mut m, b"alpha", b"1").unwrap();
+        kv.try_put(&mut m, b"", b"empty key").unwrap();
+        kv.try_put(&mut m, b"mid", b"").unwrap();
         let snapshot = kv.snapshot(&key, &counters, "layout");
         let (nonce, body) = snapshot.sealed.split_at(NONCE_LEN);
         let nonce: [u8; NONCE_LEN] = nonce.try_into().unwrap();
@@ -799,28 +762,12 @@ mod tests {
     }
 
     #[test]
-    fn get_ref_charges_like_get() {
-        let mut kv = SecureKv::new();
-        let mut mem_a = mem();
-        let mut mem_b = mem();
-        kv.put(&mut mem_a, b"k", &vec![9u8; 512]);
-        let mut kv_b = SecureKv::new();
-        kv_b.put(&mut mem_b, b"k", &vec![9u8; 512]);
-        let a0 = mem_a.cycles();
-        let b0 = mem_b.cycles();
-        assert_eq!(kv.get(&mut mem_a, b"k").as_deref(), Some(&[9u8; 512][..]));
-        assert_eq!(kv_b.get_ref(&mut mem_b, b"k"), Some(&[9u8; 512][..]));
-        assert_eq!(mem_a.cycles() - a0, mem_b.cycles() - b0);
-        assert_eq!(kv.stats().gets, kv_b.stats().gets);
-    }
-
-    #[test]
     fn snapshot_tampering_detected() {
         let mut m = mem();
         let counters = CounterService::new();
         let key = [7u8; 16];
         let mut kv = SecureKv::new();
-        kv.put(&mut m, b"x", b"1");
+        kv.try_put(&mut m, b"x", b"1").unwrap();
         let snapshot = kv.snapshot(&key, &counters, "c");
         let mut bad = snapshot.sealed.clone();
         bad[NONCE_LEN + 2] ^= 1;
@@ -838,9 +785,9 @@ mod tests {
         let counters = CounterService::new();
         let key = [7u8; 16];
         let mut kv = SecureKv::new();
-        kv.put(&mut m, b"balance", b"100");
+        kv.try_put(&mut m, b"balance", b"100").unwrap();
         let old_snapshot = kv.snapshot(&key, &counters, "bank");
-        kv.put(&mut m, b"balance", b"50");
+        kv.try_put(&mut m, b"balance", b"50").unwrap();
         let _new_snapshot = kv.snapshot(&key, &counters, "bank");
         // The untrusted host serves the old (validly sealed!) snapshot.
         let err = SecureKv::restore(&mut m, &key, &old_snapshot.sealed, &counters, "bank");
@@ -880,13 +827,15 @@ mod tests {
         for i in 0..200u32 {
             let key = i.to_be_bytes();
             let value = vec![0u8; 1024];
-            kv_e.put(&mut enclave_mem, &key, &value);
-            kv_n.put(&mut native_mem, &key, &value);
+            kv_e.try_put(&mut enclave_mem, &key, &value).unwrap();
+            kv_n.try_put(&mut native_mem, &key, &value).unwrap();
         }
         enclave_mem.reset_metrics();
         native_mem.reset_metrics();
-        kv_e.scan(&mut enclave_mem, &0u32.to_be_bytes(), &200u32.to_be_bytes());
-        kv_n.scan(&mut native_mem, &0u32.to_be_bytes(), &200u32.to_be_bytes());
+        kv_e.try_scan(&mut enclave_mem, &0u32.to_be_bytes(), &200u32.to_be_bytes())
+            .unwrap();
+        kv_n.try_scan(&mut native_mem, &0u32.to_be_bytes(), &200u32.to_be_bytes())
+            .unwrap();
         assert!(enclave_mem.stats().epc_faults > 0);
         assert!(enclave_mem.cycles() > native_mem.cycles());
     }
@@ -916,14 +865,15 @@ mod tests {
         let mut kv = tiered_kv(&counters);
         assert!(kv.is_tiered());
         for i in 0..40u32 {
-            kv.put(&mut m, format!("key{i:04}").as_bytes(), &[i as u8; 50]);
+            kv.try_put(&mut m, format!("key{i:04}").as_bytes(), &[i as u8; 50])
+                .unwrap();
         }
         let engine = kv.storage().expect("tiered");
         assert!(engine.segment_count() > 0, "memtable should have flushed");
         // Keys from flushed segments and from the live memtable both read.
         for i in 0..40u32 {
             assert_eq!(
-                kv.get(&mut m, format!("key{i:04}").as_bytes()),
+                get(&mut kv, &mut m, format!("key{i:04}").as_bytes()),
                 Some(vec![i as u8; 50]),
                 "key{i:04}"
             );
@@ -937,22 +887,26 @@ mod tests {
         let counters = CounterService::new();
         let mut kv = tiered_kv(&counters);
         for i in 0..30u32 {
-            kv.put(&mut m, format!("key{i:04}").as_bytes(), &[1u8; 50]);
+            kv.try_put(&mut m, format!("key{i:04}").as_bytes(), &[1u8; 50])
+                .unwrap();
         }
         kv.flush_memtable(&mut m).unwrap();
         assert_eq!(kv.len(), 0, "memtable drained");
         // Delete a flushed key: pages it in, returns the old value, masks it.
-        assert_eq!(kv.delete(&mut m, b"key0007"), Some(vec![1u8; 50]));
-        assert_eq!(kv.get(&mut m, b"key0007"), None);
+        assert_eq!(
+            kv.try_delete(&mut m, b"key0007").unwrap(),
+            Some(vec![1u8; 50])
+        );
+        assert_eq!(get(&mut kv, &mut m, b"key0007"), None);
         // Deleting again (or an absent key) is a no-op.
         let v = kv.version();
-        assert_eq!(kv.delete(&mut m, b"key0007"), None);
-        assert_eq!(kv.delete(&mut m, b"nope"), None);
+        assert_eq!(kv.try_delete(&mut m, b"key0007").unwrap(), None);
+        assert_eq!(kv.try_delete(&mut m, b"nope").unwrap(), None);
         assert_eq!(kv.version(), v);
         // The tombstone survives its own flush.
         kv.flush_memtable(&mut m).unwrap();
-        assert_eq!(kv.get(&mut m, b"key0007"), None);
-        assert_eq!(kv.get(&mut m, b"key0008"), Some(vec![1u8; 50]));
+        assert_eq!(get(&mut kv, &mut m, b"key0007"), None);
+        assert_eq!(get(&mut kv, &mut m, b"key0008"), Some(vec![1u8; 50]));
     }
 
     #[test]
@@ -961,12 +915,13 @@ mod tests {
         let counters = CounterService::new();
         let mut kv = tiered_kv(&counters);
         for i in 0..20u32 {
-            kv.put(&mut m, format!("key{i:04}").as_bytes(), b"old");
+            kv.try_put(&mut m, format!("key{i:04}").as_bytes(), b"old")
+                .unwrap();
         }
         kv.flush_memtable(&mut m).unwrap();
-        kv.put(&mut m, b"key0003", b"new"); // memtable shadows segment
-        kv.delete(&mut m, b"key0005"); // tombstone hides segment record
-        let hits = kv.scan(&mut m, b"key0002", b"key0007");
+        kv.try_put(&mut m, b"key0003", b"new").unwrap(); // memtable shadows segment
+        kv.try_delete(&mut m, b"key0005").unwrap(); // tombstone hides segment record
+        let hits = kv.try_scan(&mut m, b"key0002", b"key0007").unwrap();
         let got: Vec<(&[u8], &[u8])> = hits
             .iter()
             .map(|(k, v)| (k.as_slice(), v.as_slice()))
@@ -989,9 +944,10 @@ mod tests {
         let keys = StoreKeys::new([5u8; 16]);
         let mut kv = tiered_kv(&counters);
         for i in 0..35u32 {
-            kv.put(&mut m, format!("key{i:04}").as_bytes(), &[2u8; 50]);
+            kv.try_put(&mut m, format!("key{i:04}").as_bytes(), &[2u8; 50])
+                .unwrap();
         }
-        kv.delete(&mut m, b"key0001");
+        kv.try_delete(&mut m, b"key0001").unwrap();
         let version = kv.version();
         let disk = kv.storage().unwrap().disk().clone();
         drop(kv);
@@ -1010,9 +966,9 @@ mod tests {
             report.wal_replayed < 36,
             "only the WAL tail replays, not the whole history"
         );
-        assert_eq!(revived.get(&mut m, b"key0001"), None);
-        assert_eq!(revived.get(&mut m, b"key0002"), Some(vec![2u8; 50]));
-        assert_eq!(revived.get(&mut m, b"key0034"), Some(vec![2u8; 50]));
+        assert_eq!(get(&mut revived, &mut m, b"key0001"), None);
+        assert_eq!(get(&mut revived, &mut m, b"key0002"), Some(vec![2u8; 50]));
+        assert_eq!(get(&mut revived, &mut m, b"key0034"), Some(vec![2u8; 50]));
     }
 
     #[test]
@@ -1022,10 +978,11 @@ mod tests {
         let keys = StoreKeys::new([5u8; 16]);
         let mut kv = tiered_kv(&counters);
         for i in 0..25u32 {
-            kv.put(&mut m, format!("key{i:04}").as_bytes(), b"value");
+            kv.try_put(&mut m, format!("key{i:04}").as_bytes(), b"value")
+                .unwrap();
         }
         let stale = kv.incremental_snapshot();
-        kv.put(&mut m, b"key9999", b"late");
+        kv.try_put(&mut m, b"key9999", b"late").unwrap();
         let fresh = kv.incremental_snapshot();
         assert!(fresh.version > stale.version);
 
@@ -1038,8 +995,14 @@ mod tests {
             fresh,
         )
         .unwrap();
-        assert_eq!(restored.get(&mut m, b"key9999"), Some(b"late".to_vec()));
-        assert_eq!(restored.get(&mut m, b"key0000"), Some(b"value".to_vec()));
+        assert_eq!(
+            get(&mut restored, &mut m, b"key9999"),
+            Some(b"late".to_vec())
+        );
+        assert_eq!(
+            get(&mut restored, &mut m, b"key0000"),
+            Some(b"value".to_vec())
+        );
 
         // The stale export is fenced by the version floor.
         let err = SecureKv::restore_incremental(
@@ -1069,7 +1032,7 @@ mod tests {
         let mut m = mem();
         let counters = CounterService::new();
         let mut kv = tiered_kv(&counters);
-        kv.put(&mut m, b"a", &[0u8; 100]);
+        kv.try_put(&mut m, b"a", &[0u8; 100]).unwrap();
         let offset = kv.map.get(b"a".as_slice()).unwrap().offset;
         // Probe with LLC-cold lines of the arena's (page-aligned) first
         // page: while the page is EPC-resident a cold line misses without
@@ -1100,8 +1063,8 @@ mod tests {
         let keys = StoreKeys::new([5u8; 16]);
         let mut kv = SecureKv::tiered(config, keys, CounterService::new(), "test/big");
         let big = vec![7u8; 3 << 19]; // 1.5 MiB: larger than an arena chunk
-        kv.put(&mut m, b"a", &big);
-        kv.put(&mut m, b"b", &big);
+        kv.try_put(&mut m, b"a", &big).unwrap();
+        kv.try_put(&mut m, b"b", &big).unwrap();
         let span = |key: &[u8]| {
             let entry = &kv.map[key];
             entry.offset..entry.offset + u64::from(entry.footprint)
@@ -1111,14 +1074,14 @@ mod tests {
         for span in [&a, &b] {
             let inside = |r: &Region| r.base() <= span.start && span.end <= r.base() + r.len();
             assert!(
-                kv.arena_chunks.iter().any(inside),
+                kv.arena.chunks().iter().any(inside),
                 "{span:?} leaves its region"
             );
         }
         // The flush frees both regions whole: a line past the first MiB of
         // either faults its page back in.
         kv.flush_memtable(&mut m).unwrap();
-        assert!(kv.arena_chunks.is_empty());
+        assert!(kv.arena.chunks().is_empty());
         let faults = m.stats().epc_faults;
         m.touch(a.start + (1 << 20) + 4096, 64);
         m.touch(b.start + (1 << 20) + 4096, 64);
@@ -1176,14 +1139,14 @@ mod tests {
             match next() % 10 {
                 0..=4 => {
                     let value = vec![next() as u8; 8 + (next() % 56) as usize];
-                    returned(kv.put(mem, &key(next()), &value).as_deref());
+                    returned(kv.try_put(mem, &key(next()), &value).unwrap().as_deref());
                 }
-                5..=6 => returned(kv.get(mem, &key(next())).as_deref()),
-                7 => returned(kv.delete(mem, &key(next())).as_deref()),
+                5..=6 => returned(kv.try_get_ref(mem, &key(next())).unwrap()),
+                7 => returned(kv.try_delete(mem, &key(next())).unwrap().as_deref()),
                 _ => {
                     let from = next() % 400;
                     let to = format!("meter/{:04}", from + 1 + next() % 40).into_bytes();
-                    for (k, v) in kv.scan(mem, &key(from), &to) {
+                    for (k, v) in kv.try_scan(mem, &key(from), &to).unwrap() {
                         returned(Some(&k));
                         returned(Some(&v));
                     }
@@ -1191,11 +1154,11 @@ mod tests {
             }
         }
         // A tombstone in a newer segment shadows the sealed key beneath it.
-        kv.put(mem, b"meter/9999", b"sealed");
+        kv.try_put(mem, b"meter/9999", b"sealed").unwrap();
         kv.flush_memtable(mem).unwrap();
-        returned(kv.delete(mem, b"meter/9999").as_deref());
+        returned(kv.try_delete(mem, b"meter/9999").unwrap().as_deref());
         kv.flush_memtable(mem).unwrap();
-        returned(kv.get(mem, b"meter/9999").as_deref());
+        returned(kv.try_get_ref(mem, b"meter/9999").unwrap());
         (kv, digest)
     }
 
@@ -1268,9 +1231,9 @@ mod tests {
         let mut m = mem();
         let mut kv = SecureKv::new();
         let v0 = kv.version();
-        kv.put(&mut m, b"a", b"1");
+        kv.try_put(&mut m, b"a", b"1").unwrap();
         let v1 = kv.version();
-        kv.delete(&mut m, b"a");
+        kv.try_delete(&mut m, b"a").unwrap();
         let v2 = kv.version();
         assert!(v0 < v1 && v1 < v2);
     }

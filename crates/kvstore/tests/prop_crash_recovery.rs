@@ -153,11 +153,11 @@ proptest! {
             "prop/tier",
         );
         for i in 0..n1 {
-            kv.put(&mut m, &key(i as u8), b"before the copy");
+            kv.try_put(&mut m, &key(i as u8), b"before the copy").unwrap();
         }
         let stale = kv.storage().expect("tiered").disk().clone();
         for i in 0..n2 {
-            kv.put(&mut m, &key(i as u8), b"after the copy");
+            kv.try_put(&mut m, &key(i as u8), b"after the copy").unwrap();
         }
         let err = SecureKv::reopen(&mut m, tiny_config(), store_keys, counters, "prop/tier", stale)
             .expect_err("stale disk must be fenced");

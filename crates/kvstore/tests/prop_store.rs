@@ -60,20 +60,21 @@ proptest! {
                 KvOp::Put(k, v) => {
                     // A tiered put reports the previous value only from the
                     // memtable (no host IO on the write path): not compared.
-                    tiered.put(&mut mem, k, v);
-                    prop_assert_eq!(kv.put(&mut mem, k, v), model.insert(k.clone(), v.clone()));
+                    tiered.try_put(&mut mem, k, v).unwrap();
+                    prop_assert_eq!(kv.try_put(&mut mem, k, v).unwrap(), model.insert(k.clone(), v.clone()));
                 }
                 KvOp::Get(k) => {
-                    prop_assert_eq!(tiered.get(&mut mem, k), model.get(k).cloned());
-                    prop_assert_eq!(kv.get(&mut mem, k), model.get(k).cloned());
+                    let want = model.get(k).map(Vec::as_slice);
+                    prop_assert_eq!(tiered.try_get_ref(&mut mem, k).unwrap(), want);
+                    prop_assert_eq!(kv.try_get_ref(&mut mem, k).unwrap(), want);
                 }
                 KvOp::Delete(k) => {
-                    prop_assert_eq!(tiered.delete(&mut mem, k), model.get(k).cloned());
-                    prop_assert_eq!(kv.delete(&mut mem, k), model.remove(k));
+                    prop_assert_eq!(tiered.try_delete(&mut mem, k).unwrap(), model.get(k).cloned());
+                    prop_assert_eq!(kv.try_delete(&mut mem, k).unwrap(), model.remove(k));
                 }
                 KvOp::Scan(a, b) => {
-                    let got = kv.scan(&mut mem, a, b);
-                    prop_assert_eq!(&tiered.scan(&mut mem, a, b), &got);
+                    let got = kv.try_scan(&mut mem, a, b).unwrap();
+                    prop_assert_eq!(&tiered.try_scan(&mut mem, a, b).unwrap(), &got);
                     let want: Vec<(Vec<u8>, Vec<u8>)> = if a <= b {
                         model
                             .range(a.clone()..b.clone())
@@ -110,19 +111,19 @@ proptest! {
         let key = [9u8; 16];
         let mut kv = SecureKv::new();
         for (k, v) in &first {
-            kv.put(&mut mem, k, v);
+            kv.try_put(&mut mem, k, v).unwrap();
         }
         let old = kv.snapshot(&key, &counters, "s");
-        kv.put(&mut mem, &second_key, b"newer");
+        kv.try_put(&mut mem, &second_key, b"newer").unwrap();
         let new = kv.snapshot(&key, &counters, "s");
 
         let mut restored = SecureKv::restore(&mut mem, &key, &new.sealed, &counters, "s").unwrap();
         for (k, v) in &first {
             if k != &second_key {
-                prop_assert_eq!(restored.get(&mut mem, k), Some(v.clone()));
+                prop_assert_eq!(restored.try_get_ref(&mut mem, k).unwrap(), Some(&v[..]));
             }
         }
-        prop_assert_eq!(restored.get(&mut mem, &second_key), Some(b"newer".to_vec()));
+        prop_assert_eq!(restored.try_get_ref(&mut mem, &second_key).unwrap(), Some(&b"newer"[..]));
         // Rollback to the old snapshot is detected.
         prop_assert!(SecureKv::restore(&mut mem, &key, &old.sealed, &counters, "s").is_err());
     }

@@ -355,26 +355,7 @@ impl ReplicatedKv {
     /// replicas than the write quorum (the write is applied nowhere), plus
     /// the per-replica error cases of [`ShardGroup::put`].
     pub fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), ReplicaError> {
-        let shard = self.map.shard_for(key);
-        let _span = self.telemetry.as_ref().map(|t| {
-            OwnedSpan::open_with(
-                t.clone(),
-                "replica",
-                "quorum_put",
-                vec![("shard", shard.to_string())],
-            )
-        });
-        let result = self
-            .groups
-            .get_mut(shard.0 as usize)
-            .ok_or(ReplicaError::UnknownShard(shard))?
-            .put(key, value);
-        match &result {
-            Ok(()) => self.metrics.puts.inc(),
-            Err(ReplicaError::QuorumLost { .. }) => self.metrics.quorum_failures.inc(),
-            Err(_) => {}
-        }
-        result
+        self.put_traced(key, value, TraceContext::none())
     }
 
     /// [`ReplicatedKv::put`] under a causal parent context: the routing

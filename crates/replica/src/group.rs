@@ -1,11 +1,10 @@
 //! One shard group: `n` enclave replicas, quorum writes/reads, epoch
 //! discipline, and snapshot-streaming failover.
 //!
-//! Every replica is its own enclave with its own
-//! [`MemorySim`](securecloud_sgx::mem::MemorySim), so a group's working
-//! set pages independently of its siblings — the sharding story of Göttel
-//! et al.'s memory-protection trade-off study: keep each working set under
-//! the EPC knee and the paging cliff never fires.
+//! Every replica is its own enclave with its own [`MemorySim`], so a group's
+//! working set pages independently of its siblings — the sharding story of
+//! Göttel et al.'s memory-protection trade-off study: keep each working set
+//! under the EPC knee and the paging cliff never fires.
 //!
 //! ## Quorum rules
 //!
@@ -35,6 +34,7 @@ use securecloud_kvstore::{
 };
 use securecloud_sgx::costs::{CostModel, MemoryGeometry};
 use securecloud_sgx::enclave::{Enclave, EnclaveConfig, Platform};
+use securecloud_sgx::mem::MemorySim;
 use securecloud_telemetry::{Counter, Gauge, Histogram, Telemetry, TraceContext};
 use std::sync::Arc;
 
@@ -93,41 +93,18 @@ struct Replica {
 }
 
 impl Replica {
-    fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), ReplicaError> {
-        let kv = &mut self.kv;
+    /// Runs one store operation inside the replica's enclave; an enclave
+    /// failure surfaces as [`ReplicaError::Sgx`], a store failure (a sealed
+    /// block the host corrupted, a stale snapshot) as [`ReplicaError::Store`].
+    fn call<R>(
+        &mut self,
+        op: impl FnOnce(&mut SecureKv, &mut MemorySim) -> Result<R, KvError>,
+    ) -> Result<R, ReplicaError> {
+        let (replica, kv) = (self.id, &mut self.kv);
         self.enclave
-            .ecall(|mem| {
-                kv.put(mem, key, value);
-            })
-            .map_err(|source| ReplicaError::Sgx {
-                replica: self.id,
-                source,
-            })
-    }
-
-    fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, ReplicaError> {
-        let kv = &mut self.kv;
-        self.enclave
-            .ecall(|mem| kv.get(mem, key))
-            .map_err(|source| ReplicaError::Sgx {
-                replica: self.id,
-                source,
-            })
-    }
-
-    /// Performs the read without copying the value out: charges exactly the
-    /// same simulated memory accesses as [`Replica::get`], for quorum reads
-    /// that only need this replica's vote, not another copy of its value.
-    fn touch(&mut self, key: &[u8]) -> Result<(), ReplicaError> {
-        let kv = &mut self.kv;
-        self.enclave
-            .ecall(|mem| {
-                kv.get_ref(mem, key);
-            })
-            .map_err(|source| ReplicaError::Sgx {
-                replica: self.id,
-                source,
-            })
+            .ecall(|mem| op(kv, mem))
+            .map_err(|source| ReplicaError::Sgx { replica, source })?
+            .map_err(|source| ReplicaError::Store { replica, source })
     }
 }
 
@@ -367,7 +344,7 @@ impl ShardGroup {
     /// * [`ReplicaError::StaleEpoch`] — a replica missed a membership
     ///   change (defensive; the group keeps epochs in lockstep).
     pub fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), ReplicaError> {
-        self.put_inner(key, value, TraceContext::none())
+        self.put_traced(key, value, TraceContext::none())
     }
 
     /// [`ShardGroup::put`] under a causal parent: the quorum write becomes
@@ -380,15 +357,6 @@ impl ShardGroup {
     ///
     /// Same as [`ShardGroup::put`].
     pub fn put_traced(
-        &mut self,
-        key: &[u8],
-        value: &[u8],
-        parent: TraceContext,
-    ) -> Result<(), ReplicaError> {
-        self.put_inner(key, value, parent)
-    }
-
-    fn put_inner(
         &mut self,
         key: &[u8],
         value: &[u8],
@@ -438,7 +406,7 @@ impl ShardGroup {
                     t.mint_child(quorum_ctx),
                 )
             });
-            replica.put(key, value)?;
+            replica.call(|kv, mem| kv.try_put(mem, key, value))?;
         }
         self.metrics.put_cycles.observe(self.cycles() - before);
         self.update_replication_lag();
@@ -476,12 +444,13 @@ impl ShardGroup {
         {
             let version = replica.kv.version();
             if freshest.as_ref().is_none_or(|(v, _)| version > *v) {
-                let value = replica.get(key)?;
+                let value =
+                    replica.call(|kv, mem| Ok(kv.try_get_ref(mem, key)?.map(<[u8]>::to_vec)))?;
                 freshest = Some((version, value));
             } else {
                 // This replica cannot win the freshness race; read it for
                 // the quorum (same simulated cost) without copying its value.
-                replica.touch(key)?;
+                replica.call(|kv, mem| kv.try_get_ref(mem, key).map(drop))?;
             }
         }
         self.metrics.get_cycles.observe(self.cycles() - before);
@@ -588,7 +557,7 @@ impl ShardGroup {
         // Membership change: bump the trusted epoch before the newcomer
         // joins, exactly as failover does.
         let epoch = self.counters.increment(&self.epoch_counter);
-        let snapshot = self.snapshot_from_survivor()?;
+        let snapshot = self.seal_snapshot()?;
         let slot = self.slots.len();
         self.slots.push(None);
         let id = self.adopt_replacement(slot, provisioning, &snapshot)?;
@@ -717,7 +686,7 @@ impl ShardGroup {
         }
         // Membership change: bump the trusted epoch before anyone rejoins.
         let epoch = self.counters.increment(&self.epoch_counter);
-        let snapshot = self.snapshot_from_survivor()?;
+        let snapshot = self.seal_snapshot()?;
         let kind = match &snapshot {
             SnapshotStream::Whole(_) => "whole snapshot",
             SnapshotStream::Incremental(_) => "incremental manifest",
@@ -785,7 +754,7 @@ impl ShardGroup {
         let kv = match stream {
             SnapshotStream::Whole(snapshot) => {
                 let counter_name = self.version_counter.clone();
-                replica.enclave.ecall(|mem| {
+                replica.call(|_, mem| {
                     SecureKv::restore(mem, &key, &snapshot.sealed, &counters, &counter_name)
                 })
             }
@@ -799,7 +768,7 @@ impl ShardGroup {
                 })?;
                 let base = self.storage_counter_base.clone();
                 let snapshot = snapshot.clone();
-                replica.enclave.ecall(move |mem| {
+                replica.call(move |_, mem| {
                     SecureKv::restore_incremental(
                         mem,
                         config,
@@ -810,15 +779,7 @@ impl ShardGroup {
                     )
                 })
             }
-        }
-        .map_err(|source| ReplicaError::Sgx {
-            replica: id,
-            source,
-        })?
-        .map_err(|source| ReplicaError::Store {
-            replica: id,
-            source,
-        })?;
+        }?;
         replica.kv = kv;
         self.record(format!(
             "replica {id} re-attested and admitted at epoch {}",
@@ -837,36 +798,21 @@ impl ShardGroup {
         Ok(id)
     }
 
-    /// Seals a failover stream of the shard from a surviving replica (the
-    /// same artefact failover hands to replacements; also useful as an
-    /// off-group backup). Records the captured version in the trusted
-    /// counter, fencing any older copy the host may keep around.
+    /// Seals a failover stream of the shard from the *freshest* surviving
+    /// replica (highest store version, responsive preferred on ties): the
+    /// artefact failover hands to replacements, also useful as an off-group
+    /// backup. Every responsive replica holds all acknowledged writes, so
+    /// the max-version survivor always does — a stalled replica can only be
+    /// behind, never ahead, and is never chosen over a fresh one. Tiered
+    /// replicas export an incremental manifest; in-memory replicas seal the
+    /// whole store and record the captured version in the trusted counter,
+    /// fencing any older copy the host may keep around.
     ///
     /// # Errors
     ///
     /// [`ReplicaError::NoSurvivors`] when no replica is live, or
     /// [`ReplicaError::Sgx`] when the survivor's enclave call fails.
     pub fn seal_snapshot(&mut self) -> Result<SnapshotStream, ReplicaError> {
-        self.snapshot_from_survivor()
-    }
-
-    /// Cumulative bytes this group has pushed through the *trusted*
-    /// failover channel. Tiered groups stream incremental manifests, so
-    /// this grows by metadata + WAL tail per replacement instead of the
-    /// whole store.
-    #[must_use]
-    pub fn streamed_snapshot_bytes(&self) -> u64 {
-        self.streamed_snapshot_bytes
-    }
-
-    /// Seals a failover stream from the *freshest* surviving replica
-    /// (highest store version, responsive preferred on ties). Every
-    /// responsive replica holds all acknowledged writes, so the
-    /// max-version survivor always does — a stalled replica can only be
-    /// behind, never ahead, and is therefore never chosen over a fresh
-    /// one. Tiered replicas export an incremental manifest; in-memory
-    /// replicas seal the whole store.
-    fn snapshot_from_survivor(&mut self) -> Result<SnapshotStream, ReplicaError> {
         let counters = self.counters.clone();
         let counter_name = self.version_counter.clone();
         let survivor = self
@@ -876,25 +822,22 @@ impl ShardGroup {
             .max_by_key(|r| (r.kv.version(), !r.stalled))
             .ok_or(ReplicaError::NoSurvivors { shard: self.shard })?;
         let key = survivor.group_key;
-        let id = survivor.id;
-        let kv = &mut survivor.kv;
-        if kv.is_tiered() {
-            survivor
-                .enclave
-                .ecall(|_mem| SnapshotStream::Incremental(kv.incremental_snapshot()))
-                .map_err(|source| ReplicaError::Sgx {
-                    replica: id,
-                    source,
-                })
-        } else {
-            survivor
-                .enclave
-                .ecall(|_mem| SnapshotStream::Whole(kv.snapshot(&key, &counters, &counter_name)))
-                .map_err(|source| ReplicaError::Sgx {
-                    replica: id,
-                    source,
-                })
-        }
+        survivor.call(|kv, _mem| {
+            Ok(if kv.is_tiered() {
+                SnapshotStream::Incremental(kv.incremental_snapshot())
+            } else {
+                SnapshotStream::Whole(kv.snapshot(&key, &counters, &counter_name))
+            })
+        })
+    }
+
+    /// Cumulative bytes this group has pushed through the *trusted*
+    /// failover channel. Tiered groups stream incremental manifests, so
+    /// this grows by metadata + WAL tail per replacement instead of the
+    /// whole store.
+    #[must_use]
+    pub fn streamed_snapshot_bytes(&self) -> u64 {
+        self.streamed_snapshot_bytes
     }
 
     fn launch_admitted(
@@ -992,21 +935,10 @@ impl ShardGroup {
             return Ok(Vec::new());
         };
         let id = replica.id;
-        let kv = &mut replica.kv;
-        let quarantined = replica
-            .enclave
-            .ecall(|mem| match kv.storage_mut() {
-                Some(engine) => engine.scrub(mem).map_err(KvError::Storage),
-                None => Ok(Vec::new()),
-            })
-            .map_err(|source| ReplicaError::Sgx {
-                replica: id,
-                source,
-            })?
-            .map_err(|source| ReplicaError::Store {
-                replica: id,
-                source,
-            })?;
+        let quarantined = replica.call(|kv, mem| match kv.storage_mut() {
+            Some(engine) => engine.scrub(mem).map_err(KvError::Storage),
+            None => Ok(Vec::new()),
+        })?;
         if !quarantined.is_empty() {
             self.record(format!(
                 "replica {id} scrub quarantined segment(s) {quarantined:?}"
@@ -1151,10 +1083,10 @@ mod tests {
         let (mut g, mut prov, _counters) = group();
         g.put(b"balance", b"100").unwrap();
         // The untrusted host keeps an old snapshot around...
-        let stale = g.snapshot_from_survivor().unwrap();
+        let stale = g.seal_snapshot().unwrap();
         g.put(b"balance", b"10").unwrap();
         // ...the group moves on (a fresh snapshot bumps the counter)...
-        let _fresh = g.snapshot_from_survivor().unwrap();
+        let _fresh = g.seal_snapshot().unwrap();
         g.kill(0, "chaos");
         g.counters.increment("replica/s0/epoch");
         // ...and serves the stale one during failover: detected.
@@ -1402,6 +1334,31 @@ mod tests {
                 "key{i:04}"
             );
         }
+    }
+
+    #[test]
+    fn tiered_corrupt_block_fails_the_read_without_a_scrub() {
+        let (mut g, _prov, _counters) = tiered_group();
+        for i in 0..60u32 {
+            g.put(format!("key{i:04}").as_bytes(), &[3u8; 50]).unwrap();
+        }
+        // Slot 0 votes in every quorum read; nobody scrubs before reading.
+        g.corrupt_storage_block(0).expect("blocks exist to corrupt");
+        let mut refused = 0;
+        for i in 0..60u32 {
+            match g.get(format!("key{i:04}").as_bytes()) {
+                Ok(value) => assert_eq!(value, Some(vec![3u8; 50]), "key{i:04}"),
+                Err(ReplicaError::Store {
+                    replica,
+                    source: KvError::Storage(_),
+                }) => {
+                    assert_eq!(replica.slot, 0);
+                    refused += 1;
+                }
+                Err(other) => panic!("expected a store error, got {other}"),
+            }
+        }
+        assert!(refused > 0, "some key lives in the flipped block");
     }
 
     #[test]

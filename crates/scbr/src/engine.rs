@@ -17,7 +17,7 @@
 
 use crate::index::{MatchScratch, SubscriptionIndex};
 use crate::types::{Op, Publication, SubId, Subscription, Value};
-use securecloud_sgx::mem::{MemorySim, Region};
+use securecloud_sgx::mem::{Arena, MemorySim};
 use securecloud_telemetry::{Counter, Telemetry};
 use std::collections::HashMap;
 
@@ -74,9 +74,8 @@ struct EngineMetrics {
 pub struct MatchEngine<I> {
     index: I,
     layout: Layout,
-    chunks: Vec<Region>,
-    chunk_used: u64,
-    cluster_arenas: HashMap<ClusterKey, (u64, u64)>, // (next offset, end)
+    arena: Arena,
+    cluster_arenas: HashMap<ClusterKey, Arena>,
     db_bytes: u64,
     next_id: u64,
     metrics: EngineMetrics,
@@ -102,8 +101,7 @@ impl<I: SubscriptionIndex> MatchEngine<I> {
         MatchEngine {
             index,
             layout,
-            chunks: Vec::new(),
-            chunk_used: 0,
+            arena: Arena::new(ARENA_CHUNK_BYTES),
             cluster_arenas: HashMap::new(),
             db_bytes: 0,
             next_id: 0,
@@ -155,29 +153,6 @@ impl<I: SubscriptionIndex> MatchEngine<I> {
         ClusterKey::General
     }
 
-    fn alloc_clustered(&mut self, mem: &mut MemorySim, key: ClusterKey, bytes: u64) -> u64 {
-        let need = bytes.min(CLUSTER_CHUNK_BYTES);
-        match self.cluster_arenas.get_mut(&key) {
-            Some((next, end)) if *next + need <= *end => {
-                let offset = *next;
-                *next += bytes.min(*end - *next);
-                offset
-            }
-            _ => {
-                let region = mem.alloc(CLUSTER_CHUNK_BYTES);
-                let offset = region.base();
-                self.cluster_arenas.insert(
-                    key,
-                    (
-                        offset + bytes.min(CLUSTER_CHUNK_BYTES),
-                        offset + region.len(),
-                    ),
-                );
-                offset
-            }
-        }
-    }
-
     /// The subscription database footprint in bytes.
     #[must_use]
     pub fn db_bytes(&self) -> u64 {
@@ -213,32 +188,17 @@ impl<I: SubscriptionIndex> MatchEngine<I> {
         &self.index
     }
 
-    fn alloc(&mut self, mem: &mut MemorySim, bytes: u64) -> u64 {
-        let need = bytes.min(ARENA_CHUNK_BYTES);
-        if self
-            .chunks
-            .last()
-            .is_none_or(|c| self.chunk_used + need > c.len())
-        {
-            self.chunks.push(mem.alloc(ARENA_CHUNK_BYTES));
-            self.chunk_used = 0;
-        }
-        let chunk = self.chunks.last().expect("chunk pushed above");
-        let offset = chunk.base() + self.chunk_used;
-        self.chunk_used += bytes.min(ARENA_CHUNK_BYTES - (self.chunk_used % ARENA_CHUNK_BYTES));
-        offset
-    }
-
     /// Stores a subscription, charging the write into the arena.
     pub fn subscribe(&mut self, mem: &mut MemorySim, sub: Subscription) -> SubId {
         let bytes = sub.footprint() as u64;
-        let offset = match self.layout {
-            Layout::ArrivalOrder => self.alloc(mem, bytes),
-            Layout::Clustered(_) => {
-                let key = self.cluster_key(&sub);
-                self.alloc_clustered(mem, key, bytes)
-            }
+        let arena = match self.layout {
+            Layout::ArrivalOrder => &mut self.arena,
+            Layout::Clustered(_) => self
+                .cluster_arenas
+                .entry(self.cluster_key(&sub))
+                .or_insert_with(|| Arena::new(CLUSTER_CHUNK_BYTES)),
         };
+        let offset = arena.alloc(mem, bytes);
         mem.touch(offset, bytes as usize);
         mem.charge_ops(sub.predicates.len() as u64 + 4);
         self.db_bytes += bytes;
@@ -393,6 +353,34 @@ mod tests {
             a.sort();
             b.sort();
             assert_eq!(a, b, "layout must not change matching semantics");
+        }
+    }
+
+    #[test]
+    fn oversized_subscription_gets_a_region_of_its_own() {
+        for layout in [Layout::ArrivalOrder, Layout::Clustered("topic".into())] {
+            let mut mem = native_mem();
+            let mut engine =
+                MatchEngine::with_layout(PosetIndex::with_partition_attr("topic"), layout.clone());
+            // 1.5 MiB: larger than a chunk of either layout.
+            engine.subscribe(&mut mem, sub(1, 0).with_payload(vec![0u8; 3 << 19]));
+            engine.subscribe(&mut mem, sub(1, 5));
+            let p = Publication::new()
+                .with("topic", Value::Int(1))
+                .with("v", Value::Int(9));
+            let mut scratch = MatchScratch::default();
+            engine.publish_with(&mut mem, &p, &mut scratch);
+            assert_eq!(scratch.matched.len(), 2);
+            let spans: Vec<_> = scratch
+                .trace
+                .iter()
+                .map(|v| v.offset..v.offset + u64::from(v.size))
+                .collect();
+            let (a, b) = (&spans[0], &spans[1]);
+            assert!(
+                a.end <= b.start || b.end <= a.start,
+                "{layout:?}: {a:?} meets {b:?}"
+            );
         }
     }
 

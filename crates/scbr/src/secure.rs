@@ -11,7 +11,7 @@ use crate::engine::MatchEngine;
 use crate::index::{MatchScratch, PosetIndex};
 use crate::types::{Publication, SubId, Subscription};
 use crate::ScbrError;
-use securecloud_crypto::gcm::{nonce_from_seq, AesGcm, NONCE_LEN, TAG_LEN};
+use securecloud_crypto::gcm::{AesGcm, SealCtx, NONCE_LEN, TAG_LEN};
 use securecloud_crypto::hmac::hkdf;
 use securecloud_crypto::wire::Wire;
 use securecloud_crypto::x25519::{self, PublicKey, SecretKey};
@@ -31,14 +31,61 @@ const DOMAIN_TO_CLIENT: u32 = 0x7232_6300; // "r2c"
 /// Cycles charged per byte of in-enclave AEAD work.
 const AEAD_CYCLES_PER_BYTE: u64 = 2;
 
-fn derive_client_key(shared: &[u8; 32], client_pub: &PublicKey) -> [u8; 16] {
-    hkdf(b"scbr client key v1", shared, client_pub)
+/// Both directions of one client↔router link: one key, and a nonce domain
+/// and running counter per direction.
+#[derive(Clone)]
+struct Link {
+    send: SealCtx,
+    recv: SealCtx,
 }
 
-struct ClientState {
-    key: AesGcm,
-    recv_seq: u64,
-    send_seq: u64,
+impl Link {
+    fn new(shared: &[u8; 32], client_pub: &PublicKey, send_domain: u32, recv_domain: u32) -> Self {
+        let cipher = AesGcm::new(&hkdf(b"scbr client key v1", shared, client_pub));
+        Link {
+            send: SealCtx::new(cipher.clone(), send_domain),
+            recv: SealCtx::new(cipher, recv_domain),
+        }
+    }
+
+    /// Opens the next sealed record from the peer into a fresh buffer.
+    fn open(&mut self, sealed: &[u8], aad: &[u8]) -> Result<Vec<u8>, ScbrError> {
+        let mut plain = sealed.to_vec();
+        self.recv
+            .open_in_place(&mut plain, aad)
+            .map_err(ScbrError::Crypto)?;
+        Ok(plain)
+    }
+
+    /// Seals the next `nonce || ciphertext || tag` frame in one
+    /// exactly-sized buffer; `fill` appends the `body_len` plaintext bytes.
+    fn seal_frame(
+        &mut self,
+        body_len: usize,
+        aad: &[u8],
+        fill: impl FnOnce(&mut Vec<u8>),
+    ) -> Vec<u8> {
+        let mut framed = Vec::with_capacity(NONCE_LEN + body_len + TAG_LEN);
+        framed.extend_from_slice(&self.send.next_nonce());
+        fill(&mut framed);
+        let tag = self
+            .send
+            .seal_in_place_detached(&mut framed[NONCE_LEN..], aad);
+        framed.extend_from_slice(&tag);
+        framed
+    }
+
+    /// Opens the next frame sealed by the peer's [`Link::seal_frame`].
+    fn open_frame(&mut self, framed: &[u8], aad: &[u8]) -> Result<Vec<u8>, ScbrError> {
+        if framed.len() < NONCE_LEN
+            || !securecloud_crypto::ct_eq(&framed[..NONCE_LEN], &self.recv.next_nonce())
+        {
+            return Err(ScbrError::Crypto(
+                securecloud_crypto::CryptoError::AuthenticationFailed,
+            ));
+        }
+        self.open(&framed[NONCE_LEN..], aad)
+    }
 }
 
 /// The enclave-hosted secure content-based router.
@@ -47,7 +94,7 @@ pub struct SecureRouter {
     engine: MatchEngine<PosetIndex>,
     secret: SecretKey,
     public: PublicKey,
-    clients: HashMap<ClientId, ClientState>,
+    clients: HashMap<ClientId, Link>,
     /// The owner of every subscription, indexed by the engine's dense
     /// [`SubId`]s.
     owners: Vec<ClientId>,
@@ -148,19 +195,12 @@ impl SecureRouter {
     /// Completes the key exchange for a client and registers it.
     pub fn register(&mut self, client_public: &PublicKey) -> ClientId {
         let shared = x25519::diffie_hellman(&self.secret, client_public);
-        let key = derive_client_key(&shared, client_public);
         let id = ClientId(self.next_client);
         self.next_client += 1;
         // X25519 inside the enclave.
         self.enclave.memory().charge_cycles(150_000);
-        self.clients.insert(
-            id,
-            ClientState {
-                key: AesGcm::new(&key),
-                recv_seq: 0,
-                send_seq: 0,
-            },
-        );
+        let link = Link::new(&shared, client_public, DOMAIN_TO_CLIENT, DOMAIN_TO_ROUTER);
+        self.clients.insert(id, link);
         id
     }
 
@@ -179,12 +219,7 @@ impl SecureRouter {
             .clients
             .get_mut(&client)
             .ok_or(ScbrError::UnknownClient(client))?;
-        let nonce = nonce_from_seq(DOMAIN_TO_ROUTER, state.recv_seq);
-        let plain = state
-            .key
-            .open(&nonce, sealed, b"scbr-sub")
-            .map_err(ScbrError::Crypto)?;
-        state.recv_seq += 1;
+        let plain = state.open(sealed, b"scbr-sub")?;
         let sub = Subscription::from_wire(&plain).map_err(ScbrError::Crypto)?;
         let mem = self.enclave.memory();
         mem.charge_cycles(sealed.len() as u64 * AEAD_CYCLES_PER_BYTE);
@@ -228,12 +263,7 @@ impl SecureRouter {
             .clients
             .get_mut(&client)
             .ok_or(ScbrError::UnknownClient(client))?;
-        let nonce = nonce_from_seq(DOMAIN_TO_ROUTER, state.recv_seq);
-        let plain = state
-            .key
-            .open(&nonce, sealed, b"scbr-pub")
-            .map_err(ScbrError::Crypto)?;
-        state.recv_seq += 1;
+        let plain = state.open(sealed, b"scbr-pub")?;
         let publication = Publication::from_wire(&plain).map_err(ScbrError::Crypto)?;
 
         let aead_cost = sealed.len() as u64 * AEAD_CYCLES_PER_BYTE;
@@ -250,19 +280,9 @@ impl SecureRouter {
                 .clients
                 .get_mut(&owner)
                 .ok_or(ScbrError::UnknownClient(owner))?;
-            let nonce = nonce_from_seq(DOMAIN_TO_CLIENT, owner_state.send_seq);
-            owner_state.send_seq += 1;
-            // One exactly-sized frame per notification: nonce, plaintext
-            // sealed in place, tag appended.
-            let mut framed = Vec::with_capacity(NONCE_LEN + plain.len() + TAG_LEN);
-            framed.extend_from_slice(&nonce);
-            framed.extend_from_slice(&plain);
-            let tag = owner_state.key.seal_in_place_detached(
-                &nonce,
-                &mut framed[NONCE_LEN..],
-                b"scbr-notify",
-            );
-            framed.extend_from_slice(&tag);
+            let framed = owner_state.seal_frame(plain.len(), b"scbr-notify", |framed| {
+                framed.extend_from_slice(&plain);
+            });
             self.enclave
                 .memory()
                 .charge_cycles(plain.len() as u64 * AEAD_CYCLES_PER_BYTE);
@@ -296,12 +316,7 @@ impl SecureRouter {
             .clients
             .get_mut(&client)
             .ok_or(ScbrError::UnknownClient(client))?;
-        let nonce = nonce_from_seq(DOMAIN_TO_ROUTER, state.recv_seq);
-        let plain = state
-            .key
-            .open(&nonce, sealed, b"scbr-pub-batch")
-            .map_err(ScbrError::Crypto)?;
-        state.recv_seq += 1;
+        let plain = state.open(sealed, b"scbr-pub-batch")?;
         // Batch frames lead with a fixed-width causal context (all-zero =
         // untraced) — inside the AEAD envelope, so trace linkage cannot be
         // forged or stripped in transit.
@@ -372,23 +387,14 @@ impl SecureRouter {
                 .clients
                 .get_mut(&owner)
                 .ok_or(ScbrError::UnknownClient(owner))?;
-            let nonce = nonce_from_seq(DOMAIN_TO_CLIENT, owner_state.send_seq);
-            owner_state.send_seq += 1;
-            // One exactly-sized frame per owner: nonce, count and
-            // publications sealed in place, tag appended.
+            // One frame per owner: the count, then the publications.
             let body_len = 4 + matched.iter().map(Range::len).sum::<usize>();
-            let mut framed = Vec::with_capacity(NONCE_LEN + body_len + TAG_LEN);
-            framed.extend_from_slice(&nonce);
-            (matched.len() as u32).encode(&mut framed);
-            for publication in matched {
-                framed.extend_from_slice(&encoded[publication]);
-            }
-            let tag = owner_state.key.seal_in_place_detached(
-                &nonce,
-                &mut framed[NONCE_LEN..],
-                b"scbr-notify-batch",
-            );
-            framed.extend_from_slice(&tag);
+            let framed = owner_state.seal_frame(body_len, b"scbr-notify-batch", |framed| {
+                (matched.len() as u32).encode(framed);
+                for publication in matched {
+                    framed.extend_from_slice(&encoded[publication]);
+                }
+            });
             self.enclave
                 .memory()
                 .charge_cycles(body_len as u64 * AEAD_CYCLES_PER_BYTE);
@@ -403,9 +409,7 @@ impl SecureRouter {
 pub struct RouterClient {
     secret: SecretKey,
     public: PublicKey,
-    key: Option<AesGcm>,
-    send_seq: u64,
-    recv_seq: u64,
+    link: Option<Link>,
 }
 
 impl std::fmt::Debug for RouterClient {
@@ -430,9 +434,7 @@ impl RouterClient {
         RouterClient {
             secret,
             public,
-            key: None,
-            send_seq: 0,
-            recv_seq: 0,
+            link: None,
         }
     }
 
@@ -445,11 +447,12 @@ impl RouterClient {
     /// Completes the exchange with the router's public key.
     pub fn complete_exchange(&mut self, router_public: &PublicKey) {
         let shared = x25519::diffie_hellman(&self.secret, router_public);
-        self.key = Some(AesGcm::new(&derive_client_key(&shared, &self.public)));
+        let link = Link::new(&shared, &self.public, DOMAIN_TO_ROUTER, DOMAIN_TO_CLIENT);
+        self.link = Some(link);
     }
 
-    fn cipher(&self) -> Result<&AesGcm, ScbrError> {
-        self.key.as_ref().ok_or(ScbrError::ExchangeIncomplete)
+    fn link(&mut self) -> Result<&mut Link, ScbrError> {
+        self.link.as_mut().ok_or(ScbrError::ExchangeIncomplete)
     }
 
     /// Seals a subscription for the router.
@@ -458,12 +461,9 @@ impl RouterClient {
     ///
     /// [`ScbrError::ExchangeIncomplete`] before [`Self::complete_exchange`].
     pub fn seal_subscription(&mut self, sub: &Subscription) -> Result<Vec<u8>, ScbrError> {
-        let nonce = nonce_from_seq(DOMAIN_TO_ROUTER, self.send_seq);
         // Seal the wire encoding in place rather than copying it.
         let mut sealed = sub.to_wire();
-        self.cipher()?
-            .seal_in_place(&nonce, &mut sealed, b"scbr-sub");
-        self.send_seq += 1;
+        self.link()?.send.seal_in_place(&mut sealed, b"scbr-sub");
         Ok(sealed)
     }
 
@@ -473,12 +473,9 @@ impl RouterClient {
     ///
     /// [`ScbrError::ExchangeIncomplete`] before [`Self::complete_exchange`].
     pub fn seal_publication(&mut self, publication: &Publication) -> Result<Vec<u8>, ScbrError> {
-        let nonce = nonce_from_seq(DOMAIN_TO_ROUTER, self.send_seq);
         // Seal the wire encoding in place rather than copying it.
         let mut sealed = publication.to_wire();
-        self.cipher()?
-            .seal_in_place(&nonce, &mut sealed, b"scbr-pub");
-        self.send_seq += 1;
+        self.link()?.send.seal_in_place(&mut sealed, b"scbr-pub");
         Ok(sealed)
     }
 
@@ -510,7 +507,7 @@ impl RouterClient {
         publications: &[Publication],
         ctx: TraceContext,
     ) -> Result<Vec<u8>, ScbrError> {
-        let nonce = nonce_from_seq(DOMAIN_TO_ROUTER, self.send_seq);
+        let link = self.link()?;
         // Fixed-width context header, then the `Vec<Publication>` wire
         // encoding: count, then each item.
         let mut sealed = ctx.encode().to_vec();
@@ -518,9 +515,7 @@ impl RouterClient {
         for publication in publications {
             publication.encode(&mut sealed);
         }
-        self.cipher()?
-            .seal_in_place(&nonce, &mut sealed, b"scbr-pub-batch");
-        self.send_seq += 1;
+        link.send.seal_in_place(&mut sealed, b"scbr-pub-batch");
         Ok(sealed)
     }
 
@@ -534,23 +529,7 @@ impl RouterClient {
         &mut self,
         framed: &[u8],
     ) -> Result<Vec<Publication>, ScbrError> {
-        if framed.len() < NONCE_LEN {
-            return Err(ScbrError::Crypto(
-                securecloud_crypto::CryptoError::AuthenticationFailed,
-            ));
-        }
-        let (nonce, body) = framed.split_at(NONCE_LEN);
-        let expected = nonce_from_seq(DOMAIN_TO_CLIENT, self.recv_seq);
-        if !securecloud_crypto::ct_eq(nonce, &expected) {
-            return Err(ScbrError::Crypto(
-                securecloud_crypto::CryptoError::AuthenticationFailed,
-            ));
-        }
-        let plain = self
-            .cipher()?
-            .open(&expected, body, b"scbr-notify-batch")
-            .map_err(ScbrError::Crypto)?;
-        self.recv_seq += 1;
+        let plain = self.link()?.open_frame(framed, b"scbr-notify-batch")?;
         Vec::<Publication>::from_wire(&plain).map_err(ScbrError::Crypto)
     }
 
@@ -560,23 +539,7 @@ impl RouterClient {
     ///
     /// [`ScbrError::Crypto`] on tampering or replay.
     pub fn open_notification(&mut self, framed: &[u8]) -> Result<Publication, ScbrError> {
-        if framed.len() < NONCE_LEN {
-            return Err(ScbrError::Crypto(
-                securecloud_crypto::CryptoError::AuthenticationFailed,
-            ));
-        }
-        let (nonce, body) = framed.split_at(NONCE_LEN);
-        let expected = nonce_from_seq(DOMAIN_TO_CLIENT, self.recv_seq);
-        if !securecloud_crypto::ct_eq(nonce, &expected) {
-            return Err(ScbrError::Crypto(
-                securecloud_crypto::CryptoError::AuthenticationFailed,
-            ));
-        }
-        let plain = self
-            .cipher()?
-            .open(&expected, body, b"scbr-notify")
-            .map_err(ScbrError::Crypto)?;
-        self.recv_seq += 1;
+        let plain = self.link()?.open_frame(framed, b"scbr-notify")?;
         Publication::from_wire(&plain).map_err(ScbrError::Crypto)
     }
 }
@@ -833,14 +796,10 @@ mod tests {
         2u32.encode(&mut body); // unsorted
         attr(&mut body, "v", 20);
         attr(&mut body, "topic", 1);
-        let nonce = nonce_from_seq(DOMAIN_TO_ROUTER, publisher.send_seq);
         let mut sealed = TraceContext::none().encode().to_vec();
         sealed.extend_from_slice(&body);
-        publisher
-            .cipher()
-            .unwrap()
-            .seal_in_place(&nonce, &mut sealed, b"scbr-pub-batch");
-        publisher.send_seq += 1;
+        let link = publisher.link().unwrap();
+        link.send.seal_in_place(&mut sealed, b"scbr-pub-batch");
 
         let frames = router.publish_sealed_batch(pub_id, &sealed).unwrap();
         let (first, last) = (publication(1, 500), publication(1, 20));
@@ -852,12 +811,8 @@ mod tests {
         for ((owner, frame), (want_owner, client, publications)) in frames.iter().zip(&want) {
             assert_eq!(owner, want_owner);
             assert_eq!(frame.capacity(), frame.len(), "exactly-sized frame");
-            let (nonce, sealed_body) = frame.split_at(NONCE_LEN);
-            let plain = client
-                .cipher()
-                .unwrap()
-                .open(nonce.try_into().unwrap(), sealed_body, b"scbr-notify-batch")
-                .unwrap();
+            let mut link = client.link.clone().unwrap();
+            let plain = link.open_frame(frame, b"scbr-notify-batch").unwrap();
             assert_eq!(plain, publications.to_wire());
         }
     }

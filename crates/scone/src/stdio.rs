@@ -17,7 +17,7 @@ use crate::hostos::{Syscall, SyscallRet};
 use crate::syscall::Shield;
 use crate::SconeError;
 use securecloud_crypto::channel::Transport;
-use securecloud_crypto::gcm::{nonce_from_seq, AesGcm};
+use securecloud_crypto::gcm::{AesGcm, SealCtx, TAG_LEN};
 use securecloud_crypto::CryptoError;
 use securecloud_sgx::mem::MemorySim;
 
@@ -50,11 +50,8 @@ const DOMAIN_CONSUMER: u32 = 0x7374_6f32; // "sto2"
 #[derive(Debug)]
 pub struct ShieldedStream<T: Transport> {
     transport: T,
-    cipher: AesGcm,
-    send_domain: u32,
-    recv_domain: u32,
-    send_seq: u64,
-    recv_seq: u64,
+    send: SealCtx,
+    recv: SealCtx,
 }
 
 impl<T: Transport> ShieldedStream<T> {
@@ -65,13 +62,11 @@ impl<T: Transport> ShieldedStream<T> {
             StreamRole::Producer => (DOMAIN_PRODUCER, DOMAIN_CONSUMER),
             StreamRole::Consumer => (DOMAIN_CONSUMER, DOMAIN_PRODUCER),
         };
+        let cipher = AesGcm::new(key);
         ShieldedStream {
             transport,
-            cipher: AesGcm::new(key),
-            send_domain,
-            recv_domain,
-            send_seq: 0,
-            recv_seq: 0,
+            send: SealCtx::new(cipher.clone(), send_domain),
+            recv: SealCtx::new(cipher, recv_domain),
         }
     }
 
@@ -81,11 +76,7 @@ impl<T: Transport> ShieldedStream<T> {
     ///
     /// [`CryptoError::TransportClosed`] if the peer is gone.
     pub fn write(&mut self, data: &[u8]) -> Result<(), CryptoError> {
-        let nonce = nonce_from_seq(self.send_domain, self.send_seq);
-        let seq_bytes = self.send_seq.to_be_bytes();
-        self.send_seq += 1;
-        let sealed = self.cipher.seal(&nonce, data, &seq_bytes);
-        self.transport.send_frame(sealed)
+        self.transport.send_frame(seal_line(&mut self.send, data))
     }
 
     /// Receives and decrypts the next frame, enforcing order.
@@ -95,13 +86,25 @@ impl<T: Transport> ShieldedStream<T> {
     /// [`CryptoError::AuthenticationFailed`] on tampering, replay, or
     /// reordering; [`CryptoError::TransportClosed`] if the peer is gone.
     pub fn read(&mut self) -> Result<Vec<u8>, CryptoError> {
-        let sealed = self.transport.recv_frame()?;
-        let nonce = nonce_from_seq(self.recv_domain, self.recv_seq);
-        let seq_bytes = self.recv_seq.to_be_bytes();
-        let plain = self.cipher.open(&nonce, &sealed, &seq_bytes)?;
-        self.recv_seq += 1;
-        Ok(plain)
+        let mut frame = self.transport.recv_frame()?;
+        open_line(&mut self.recv, &mut frame)?;
+        Ok(frame)
     }
+}
+
+/// Seals `data` as the stream's next frame; the sequence number is the AAD.
+fn seal_line(stream: &mut SealCtx, data: &[u8]) -> Vec<u8> {
+    let mut sealed = Vec::with_capacity(data.len() + TAG_LEN);
+    sealed.extend_from_slice(data);
+    let seq_bytes = stream.seq().to_be_bytes();
+    stream.seal_in_place(&mut sealed, &seq_bytes);
+    sealed
+}
+
+/// Opens the stream's next frame in place.
+fn open_line(stream: &mut SealCtx, frame: &mut Vec<u8>) -> Result<(), CryptoError> {
+    let seq_bytes = stream.seq().to_be_bytes();
+    stream.open_in_place(frame, &seq_bytes)
 }
 
 /// Encrypted stdout over the switchless rings: each log line is sealed
@@ -113,8 +116,7 @@ impl<T: Transport> ShieldedStream<T> {
 #[derive(Debug)]
 pub struct SwitchlessLog {
     shield: Shield,
-    cipher: AesGcm,
-    seq: u64,
+    stream: SealCtx,
     fd: u64,
     offset: u64,
     unflushed: usize,
@@ -146,8 +148,7 @@ impl SwitchlessLog {
         };
         Ok(SwitchlessLog {
             shield,
-            cipher: AesGcm::new(key),
-            seq: 0,
+            stream: SealCtx::new(AesGcm::new(key), DOMAIN_PRODUCER),
             fd,
             offset: 0,
             unflushed: 0,
@@ -160,10 +161,7 @@ impl SwitchlessLog {
     ///
     /// [`SconeError::ShieldStopped`] on a ring protocol violation.
     pub fn write(&mut self, mem: &mut MemorySim, line: &[u8]) -> Result<(), SconeError> {
-        let nonce = nonce_from_seq(DOMAIN_PRODUCER, self.seq);
-        let seq_bytes = self.seq.to_be_bytes();
-        self.seq += 1;
-        let sealed = self.cipher.seal(&nonce, line, &seq_bytes);
+        let sealed = seal_line(&mut self.stream, line);
         let mut frame = Vec::with_capacity(4 + sealed.len());
         frame.extend_from_slice(&(sealed.len() as u32).to_be_bytes());
         frame.extend_from_slice(&sealed);
@@ -204,7 +202,7 @@ impl SwitchlessLog {
     /// Frames written so far.
     #[must_use]
     pub fn frames_written(&self) -> u64 {
-        self.seq
+        self.stream.seq()
     }
 
     /// Collector side: decodes a raw host append-log back into plaintext
@@ -215,10 +213,9 @@ impl SwitchlessLog {
     /// [`CryptoError::AuthenticationFailed`] on tampering, truncation,
     /// reordering, or replay of any frame.
     pub fn decode_log(key: &[u8; 16], raw: &[u8]) -> Result<Vec<Vec<u8>>, CryptoError> {
-        let cipher = AesGcm::new(key);
+        let mut stream = SealCtx::new(AesGcm::new(key), DOMAIN_PRODUCER);
         let mut lines = Vec::new();
         let mut cursor = 0usize;
-        let mut seq = 0u64;
         while cursor < raw.len() {
             if cursor + 4 > raw.len() {
                 return Err(CryptoError::AuthenticationFailed);
@@ -229,11 +226,10 @@ impl SwitchlessLog {
             if cursor + len > raw.len() {
                 return Err(CryptoError::AuthenticationFailed);
             }
-            let nonce = nonce_from_seq(DOMAIN_PRODUCER, seq);
-            let plain = cipher.open(&nonce, &raw[cursor..cursor + len], &seq.to_be_bytes())?;
+            let mut line = raw[cursor..cursor + len].to_vec();
+            open_line(&mut stream, &mut line)?;
             cursor += len;
-            seq += 1;
-            lines.push(plain);
+            lines.push(line);
         }
         Ok(lines)
     }

@@ -76,6 +76,59 @@ impl Region {
     }
 }
 
+/// A chunked bump allocator over simulated memory: entries are packed back
+/// to back into `chunk_bytes`-sized [`Region`]s, and an entry larger than a
+/// chunk gets a region of its own size.
+#[derive(Debug)]
+pub struct Arena {
+    chunk_bytes: u64,
+    chunks: Vec<Region>,
+    /// Bytes handed out of the newest chunk.
+    used: u64,
+}
+
+impl Arena {
+    /// An empty arena that grows by `chunk_bytes` at a time.
+    #[must_use]
+    pub fn new(chunk_bytes: u64) -> Self {
+        Arena {
+            chunk_bytes,
+            chunks: Vec::new(),
+            used: 0,
+        }
+    }
+
+    /// Address of `bytes` fresh bytes, from the newest chunk if they fit
+    /// there and from a new region otherwise.
+    pub fn alloc(&mut self, mem: &mut MemorySim, bytes: u64) -> u64 {
+        let base = match self.chunks.last() {
+            Some(chunk) if self.used + bytes <= chunk.len() => chunk.base(),
+            _ => {
+                let region = mem.alloc(bytes.max(self.chunk_bytes));
+                self.chunks.push(region);
+                self.used = 0;
+                region.base()
+            }
+        };
+        let offset = base + self.used;
+        self.used += bytes;
+        offset
+    }
+
+    /// The regions handed out so far, oldest first.
+    #[must_use]
+    pub fn chunks(&self) -> &[Region] {
+        &self.chunks
+    }
+
+    /// Frees every region; the next allocation starts a new chunk.
+    pub fn release(&mut self, mem: &mut MemorySim) {
+        for region in self.chunks.drain(..) {
+            mem.free(region);
+        }
+    }
+}
+
 /// Counters accumulated by a [`MemorySim`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemStats {

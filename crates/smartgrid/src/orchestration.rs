@@ -213,14 +213,17 @@ mod tests {
                 telemetry("billing", 5.0 + f64::from(i % 4) * 0.05),
             );
         }
-        host.run_until_quiet(64);
+        host.pump_switchless(64);
         assert_eq!(host.bus().backlog(actions), 0, "no anomaly yet");
         // Inject the anomaly and count steps until the action appears.
         host.bus_mut()
             .publish(TELEMETRY_TOPIC, Vec::new(), telemetry("billing", 80.0));
         let mut steps = 0;
         while host.bus().backlog(actions) == 0 {
-            assert!(host.step() > 0, "bus went quiet without an action");
+            assert!(
+                host.pump_switchless(1) > 0,
+                "bus went quiet without an action"
+            );
             steps += 1;
             assert!(steps < 5);
         }

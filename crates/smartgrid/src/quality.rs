@@ -415,7 +415,7 @@ mod tests {
                 Publication::new().with("volts", Value::Float(v)),
             );
         }
-        host.run_until_quiet(5_000);
+        host.pump_switchless(5_000);
         let events = host.bus_mut().backlog(alerts);
         assert!(
             events >= trace.faults.len().saturating_sub(1),

@@ -24,7 +24,7 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use securecloud_kvstore::{CounterService, SecureKv, StorageConfig, StoreKeys};
+use securecloud_kvstore::{CounterService, KvError, SecureKv, StorageConfig, StoreKeys};
 use securecloud_sgx::costs::{CostModel, MemoryGeometry};
 use securecloud_sgx::mem::{MemStats, MemorySim};
 
@@ -109,6 +109,12 @@ impl Aggregate {
             max: f64::from_le_bytes(word(3)),
         })
     }
+}
+
+/// A failure of the sealed tier under the state: the host tampered with (or
+/// lost) what the operator wrote.
+fn sealed_tier(_: KvError) -> StreamError {
+    StreamError::CorruptState("sealed state failed verification")
 }
 
 /// Per-operator stream counters, read by benches and tests through the
@@ -198,7 +204,7 @@ impl OperatorState {
     /// # Errors
     ///
     /// [`StreamError::CorruptState`] if the stored accumulator no longer
-    /// decodes.
+    /// decodes or its sealed block fails verification.
     pub fn observe(
         &mut self,
         lane: &str,
@@ -207,15 +213,18 @@ impl OperatorState {
         value: f64,
     ) -> Result<(), StreamError> {
         let storage_key = self.storage_key(lane, window_start, key);
-        let agg = match self.kv.get(&mut self.mem, &storage_key) {
+        let stored = self.kv.try_get_ref(&mut self.mem, &storage_key);
+        let agg = match stored.map_err(sealed_tier)? {
             Some(stored) => {
-                let mut agg = Aggregate::decode(&stored)?;
+                let mut agg = Aggregate::decode(stored)?;
                 agg.observe(value);
                 agg
             }
             None => Aggregate::of(value),
         };
-        self.kv.put(&mut self.mem, &storage_key, &agg.encode());
+        self.kv
+            .try_put(&mut self.mem, &storage_key, &agg.encode())
+            .map_err(sealed_tier)?;
         self.peak_state_bytes = self.peak_state_bytes.max(self.kv.data_bytes());
         self.metrics.events += 1;
         Ok(())
@@ -227,7 +236,8 @@ impl OperatorState {
     ///
     /// # Errors
     ///
-    /// [`StreamError::CorruptState`] on undecodable entries.
+    /// [`StreamError::CorruptState`] on undecodable entries or sealed blocks
+    /// that fail verification.
     pub fn drain(
         &mut self,
         lane: &str,
@@ -238,7 +248,10 @@ impl OperatorState {
         // exactly the keys under the window prefix.
         let mut to = format!("{}/{}/{:016x}", self.name, lane, window_start).into_bytes();
         to.push(b'0');
-        let pairs = self.kv.scan(&mut self.mem, &from, &to);
+        let pairs = self
+            .kv
+            .try_scan(&mut self.mem, &from, &to)
+            .map_err(sealed_tier)?;
         let mut out = Vec::with_capacity(pairs.len());
         for (storage_key, value) in &pairs {
             let hex = storage_key
@@ -250,7 +263,9 @@ impl OperatorState {
             out.push((hex, Aggregate::decode(value)?));
         }
         for (storage_key, _) in &pairs {
-            self.kv.delete(&mut self.mem, storage_key);
+            self.kv
+                .try_delete(&mut self.mem, storage_key)
+                .map_err(sealed_tier)?;
         }
         self.metrics.results += out.len() as u64;
         Ok(out)
@@ -346,5 +361,71 @@ mod tests {
         st.observe("r", 0, 1, 2.0).unwrap();
         assert_eq!(st.drain("l", 0).unwrap().len(), 1);
         assert_eq!(st.drain("r", 0).unwrap().len(), 1);
+    }
+
+    /// Seals the accumulators written so far into host blocks and flips one
+    /// bit in one of them, as a tampering host would.
+    fn corrupt_sealed_state(st: &mut OperatorState) {
+        st.kv.flush_memtable(&mut st.mem).unwrap();
+        let engine = st.kv.storage_mut().expect("operator state is tiered");
+        engine.corrupt_block(7).expect("a flushed block exists");
+    }
+
+    #[test]
+    fn corrupted_state_block_is_an_error_not_a_panic() {
+        let mut st = state();
+        st.observe("a", 60_000, 1, 1.0).unwrap();
+        corrupt_sealed_state(&mut st);
+        for result in [
+            st.observe("a", 60_000, 1, 2.0),
+            st.drain("a", 60_000).map(drop),
+        ] {
+            assert!(
+                matches!(result, Err(StreamError::CorruptState(_))),
+                "{result:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn operator_counts_a_corrupted_state_block_as_malformed() {
+        use crate::operator::{AggregatorConfig, StreamEvent, WindowedAggregator, ATTR_KEY};
+        use crate::window::WindowSpec;
+        use securecloud_eventbus::service::ServiceHost;
+        use securecloud_scbr::types::Publication;
+
+        let shared = Arc::new(Mutex::new(state()));
+        let cfg = AggregatorConfig {
+            name: "test-op".into(),
+            input: "in".into(),
+            output: "out".into(),
+            output_stream: 9,
+            key_attr: ATTR_KEY.into(),
+            windows: WindowSpec::tumbling(60_000).unwrap(),
+            flush_in: "flush".into(),
+            flush_out: None,
+        };
+        let mut host = ServiceHost::new(60_000);
+        host.register(Box::new(WindowedAggregator::new(cfg, shared.clone())));
+        let event = |value| {
+            let event = StreamEvent {
+                key: 1,
+                t_ms: 1_000,
+                value,
+            };
+            event.publication(1)
+        };
+        host.bus_mut().publish("in", Vec::new(), event(1.0));
+        host.pump_switchless(64);
+        corrupt_sealed_state(&mut shared.lock());
+        // The fold reads the flipped block, the flush scans it.
+        host.bus_mut().publish("in", Vec::new(), event(2.0));
+        host.pump_switchless(64);
+        assert_eq!(shared.lock().metrics.malformed, 1);
+        host.bus_mut()
+            .publish("flush", Vec::new(), Publication::new());
+        host.pump_switchless(64);
+        assert_eq!(shared.lock().metrics.malformed, 2);
+        assert_eq!(shared.lock().metrics.results, 0);
     }
 }

@@ -17,11 +17,12 @@ fn main() {
     let mut kv = SecureKv::new();
     for meter in 0u32..1_000 {
         let key = format!("meter/{meter:04}/total_kwh");
-        kv.put(
+        kv.try_put(
             &mut mem,
             key.as_bytes(),
             &(f64::from(meter) * 1.5).to_le_bytes(),
-        );
+        )
+        .expect("in-memory store");
     }
     println!(
         "stored {} keys ({} bytes) in enclave memory; {} simulated cycles so far",
@@ -31,7 +32,9 @@ fn main() {
     );
 
     // Ordered range scan: all meters in the 0040–0049 block.
-    let hits = kv.scan(&mut mem, b"meter/0040", b"meter/0050");
+    let hits = kv
+        .try_scan(&mut mem, b"meter/0040", b"meter/0050")
+        .expect("in-memory store");
     println!("range scan meters 0040..0050: {} entries", hits.len());
 
     // Durability: snapshot to untrusted storage, sealed and versioned.
@@ -43,7 +46,8 @@ fn main() {
     );
 
     // More writes, then a second snapshot.
-    kv.put(&mut mem, b"meter/0001/total_kwh", &999.9f64.to_le_bytes());
+    kv.try_put(&mut mem, b"meter/0001/total_kwh", &999.9f64.to_le_bytes())
+        .expect("in-memory store");
     let snapshot_v2 = kv.snapshot(&sealing_key, &counters, "meter-db");
     println!("snapshot v{} supersedes it", snapshot_v2.version);
 
@@ -56,7 +60,11 @@ fn main() {
         "meter-db",
     )
     .expect("fresh snapshot restores");
-    let updated = restored.get(&mut mem, b"meter/0001/total_kwh").unwrap();
+    let updated = restored
+        .try_get_ref(&mut mem, b"meter/0001/total_kwh")
+        .expect("in-memory store")
+        .expect("key present")
+        .to_vec();
     println!(
         "restored v{}: meter 0001 = {} kWh",
         restored.version(),

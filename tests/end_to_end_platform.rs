@@ -111,7 +111,8 @@ impl MicroService for IngestService {
             return;
         };
         self.kv
-            .put(&mut self.mem, &meter.to_be_bytes(), &message.payload);
+            .try_put(&mut self.mem, &meter.to_be_bytes(), &message.payload)
+            .unwrap();
         self.stored += 1;
         ctx.emit(
             "alerts",
@@ -220,15 +221,19 @@ fn kv_snapshot_travels_between_enclave_instances() {
     let key = securecloud::crypto::random_array();
     let mut kv = SecureKv::new();
     for i in 0..50u32 {
-        kv.put(&mut mem, &i.to_be_bytes(), &i.to_le_bytes());
+        kv.try_put(&mut mem, &i.to_be_bytes(), &i.to_le_bytes())
+            .unwrap();
     }
     let snap1 = kv.snapshot(&key, &counters, "svc");
-    kv.put(&mut mem, b"extra", b"new");
+    kv.try_put(&mut mem, b"extra", b"new").unwrap();
     let snap2 = kv.snapshot(&key, &counters, "svc");
 
     // Restore the newest snapshot: fine.
     let mut restored = SecureKv::restore(&mut mem, &key, &snap2.sealed, &counters, "svc").unwrap();
-    assert_eq!(restored.get(&mut mem, b"extra"), Some(b"new".to_vec()));
+    assert_eq!(
+        restored.try_get_ref(&mut mem, b"extra").unwrap(),
+        Some(&b"new"[..])
+    );
     assert_eq!(restored.len(), 51);
     // The host serving the older snapshot is caught.
     assert!(SecureKv::restore(&mut mem, &key, &snap1.sealed, &counters, "svc").is_err());
