@@ -419,6 +419,7 @@ fn chaos_pipeline_survives_seeded_faults() {
 struct ReplicaOutcome {
     trace: Vec<String>,
     telemetry_jsonl: String,
+    prometheus: String,
     stats: securecloud::replica::cluster::ReplicaStats,
     lost_any_acked_write: bool,
 }
@@ -469,9 +470,33 @@ fn run_replica_scenario(seed: u64) -> ReplicaOutcome {
     ReplicaOutcome {
         trace: injector.trace(),
         telemetry_jsonl: cloud.telemetry().trace_jsonl(),
+        prometheus: cloud.telemetry().prometheus(),
         stats,
         lost_any_acked_write,
     }
+}
+
+/// FNV-1a of an export; pinned beside its length below.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The replica run's Prometheus text and JSONL trace, pinned as
+/// `(length, FNV-1a)`: the replica counters, the shard-labelled cycle
+/// histograms, the lag gauge and the admissions all export into them, so
+/// a refactor of any metric set that moves one series, label or value
+/// fails here.
+#[test]
+fn replica_run_exports_are_pinned() {
+    let outcome = run_replica_scenario(0xFA11);
+    let (prometheus, jsonl) = (&outcome.prometheus, &outcome.telemetry_jsonl);
+    assert_eq!(
+        (prometheus.len(), fnv1a(prometheus)),
+        (5102, 0xeac4_103e_27c0_7309)
+    );
+    assert_eq!((jsonl.len(), fnv1a(jsonl)), (9650, 0xebd9_cda1_2235_0005));
 }
 
 #[test]

@@ -255,6 +255,27 @@ fn delivery_batch_size_does_not_change_telemetry() {
     }
 }
 
+/// FNV-1a of an export; pinned beside its length below.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The seeded run's Prometheus text and JSONL trace, pinned as
+/// `(length, FNV-1a)`: bus, containers, scbr overlay, scone, the sgx
+/// mirrors and enclave transitions all export into them, so a refactor of
+/// any metric set that moves one series, label or value fails here.
+#[test]
+fn seeded_run_exports_are_pinned() {
+    let (jsonl, prometheus, _) = with_silent_panics(|| run_scenario(0x5EED));
+    assert_eq!(
+        (prometheus.len(), fnv1a(&prometheus)),
+        (4843, 0xb78b_12b0_4430_9910)
+    );
+    assert_eq!((jsonl.len(), fnv1a(&jsonl)), (24080, 0xd277_5116_730c_66f9));
+}
+
 #[test]
 fn chaos_run_records_metrics_from_every_layer() {
     let (jsonl, snapshot, _) = with_silent_panics(|| run_scenario(0xC0FFEE));
