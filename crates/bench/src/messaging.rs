@@ -14,7 +14,7 @@
 use securecloud_scbr::secure::{RouterClient, SecureRouter};
 use securecloud_scbr::types::{Op, Predicate, Publication, Subscription, Value};
 use securecloud_sgx::costs::CostModel;
-use securecloud_sgx::enclave::{EnclaveConfig, Platform};
+use securecloud_sgx::enclave::{EnclaveConfig, Platform, METRIC_ECALLS};
 use securecloud_telemetry::{Histogram, Telemetry};
 
 use crate::pool;
@@ -186,9 +186,7 @@ fn run_point(
     }
     let total_cycles = router.enclave_mut().memory().cycles() - started;
     let secs = (total_cycles as f64 / (costs.cpu_ghz * 1e9)).max(1e-12);
-    let ecalls = transition_counters
-        .counter("securecloud_sgx_ecalls_total")
-        .value();
+    let ecalls = transition_counters.counter(METRIC_ECALLS).value();
 
     MessagingPoint {
         plane,

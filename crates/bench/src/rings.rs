@@ -17,7 +17,7 @@
 
 use securecloud_scone::executor::Executor;
 use securecloud_scone::hostos::{MemHost, Syscall, SyscallRet};
-use securecloud_scone::syscall::Shield;
+use securecloud_scone::syscall::{Shield, METRIC_RING_SPURIOUS_WAKES};
 use securecloud_sgx::costs::{CostModel, MemoryGeometry};
 use securecloud_sgx::mem::MemorySim;
 use securecloud_telemetry::Telemetry;
@@ -202,9 +202,7 @@ fn run_ring_plane(
     let before = mem.cycles();
     let stats = exec.run(&mut mem).expect("executor run");
     let cycles = mem.cycles() - before;
-    let spurious = local
-        .counter_with("securecloud_scone_ring_spurious_wakes_total", &[])
-        .value();
+    let spurious = local.counter(METRIC_RING_SPURIOUS_WAKES).value();
     if let Some(shared) = telemetry {
         shared.absorb(&local);
     }

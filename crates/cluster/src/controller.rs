@@ -25,7 +25,7 @@ use securecloud_eventbus::bus::{
 use securecloud_faults::FaultInjector;
 use securecloud_genpack::cluster::{Cluster, Demand, JobId, ServerSpec};
 use securecloud_genpack::schedulers::{GenPackScheduler, Scheduler};
-use securecloud_replica::{ReplicaError, ReplicatedKv, ShardId};
+use securecloud_replica::{ReplicaError, ReplicatedKv, ShardId, METRIC_REPLICATION_LAG};
 use securecloud_telemetry::{Counter, Gauge, Histogram, SloEngine, Telemetry};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -239,7 +239,7 @@ impl ClusterController {
     fn lag_of(&mut self, shard: ShardId, telemetry: &Arc<Telemetry>) -> u64 {
         let gauge = self.lag_gauges.entry(shard.0).or_insert_with(|| {
             let label = shard.to_string();
-            telemetry.gauge_with("securecloud_replica_replication_lag", &[("shard", &label)])
+            telemetry.gauge_with(METRIC_REPLICATION_LAG, &[("shard", &label)])
         });
         u64::try_from(gauge.value()).unwrap_or(0)
     }

@@ -22,7 +22,7 @@
 
 use securecloud_faults::{FaultInjector, MessageFate};
 use securecloud_scbr::types::{Publication, Subscription};
-use securecloud_telemetry::{Counter, Gauge, Histogram, Telemetry, TraceContext};
+use securecloud_telemetry::{Telemetry, TraceContext};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
@@ -35,10 +35,6 @@ pub const METRIC_BACKPRESSURED: &str = "securecloud_bus_backpressured_total";
 pub const METRIC_DEAD_LETTER_DEPTH: &str = "securecloud_bus_dead_letter_depth";
 /// Registry name of the publish→ack latency histogram (virtual ms).
 pub const METRIC_PUBLISH_TO_ACK_MS: &str = "securecloud_bus_publish_to_ack_ms";
-/// Registry name of the wasted-fetch counter: fetches that polled an empty
-/// queue. The switchless delivery loop ([`crate::service::ServiceHost`])
-/// consults the bus's ready set instead of polling, so this stays ~0 there.
-pub const METRIC_WASTED_FETCHES: &str = "securecloud_bus_wasted_fetches_total";
 
 /// Bus-assigned message identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -106,69 +102,35 @@ impl fmt::Display for PublishError {
 
 impl std::error::Error for PublishError {}
 
-/// Bus statistics snapshot. All counters saturate at `u64::MAX` — a
-/// runaway counter pegs rather than wrapping back to small values.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BusStats {
-    /// Messages published.
-    pub published: u64,
-    /// Deliveries (including redeliveries).
-    pub delivered: u64,
-    /// Redeliveries after lease expiry or nack.
-    pub redelivered: u64,
-    /// Acknowledgements.
-    pub acked: u64,
-    /// Publications that matched no subscriber.
-    pub dropped: u64,
-    /// Messages moved to the dead-letter queue after exhausting their
-    /// retry budget.
-    pub dead_lettered: u64,
-    /// Negative acknowledgements received.
-    pub nacked: u64,
-    /// Publications (or whole batches) refused for backpressure.
-    pub backpressured: u64,
-    /// Fetches that polled an empty queue (event-driven consumers keep
-    /// this at zero by consulting [`EventBus::ready_subscribers`]).
-    pub wasted_fetches: u64,
-}
-
-/// The bus's live metric handles. These are the single source of truth:
-/// [`EventBus::stats`] reads them, and [`EventBus::set_telemetry`] adopts
-/// the very same handles into the shared registry for export.
-#[derive(Debug, Clone, Default)]
-struct BusMetrics {
-    published: Counter,
-    delivered: Counter,
-    redelivered: Counter,
-    acked: Counter,
-    dropped: Counter,
-    dead_lettered: Counter,
-    nacked: Counter,
-    backpressured: Counter,
-    wasted_fetches: Counter,
-    dead_letter_depth: Gauge,
-    publish_to_ack_ms: Histogram,
-}
-
-impl BusMetrics {
-    fn adopt_into(&self, telemetry: &Telemetry) {
-        let registry = telemetry.registry();
-        registry.adopt_counter("securecloud_bus_published_total", &[], &self.published);
-        registry.adopt_counter("securecloud_bus_delivered_total", &[], &self.delivered);
-        registry.adopt_counter("securecloud_bus_redelivered_total", &[], &self.redelivered);
-        registry.adopt_counter("securecloud_bus_acked_total", &[], &self.acked);
-        registry.adopt_counter("securecloud_bus_dropped_total", &[], &self.dropped);
-        registry.adopt_counter(
-            "securecloud_bus_dead_lettered_total",
-            &[],
-            &self.dead_lettered,
-        );
-        registry.adopt_counter("securecloud_bus_nacked_total", &[], &self.nacked);
-        registry.adopt_counter(METRIC_BACKPRESSURED, &[], &self.backpressured);
-        registry.adopt_counter(METRIC_WASTED_FETCHES, &[], &self.wasted_fetches);
-        registry.adopt_gauge(METRIC_DEAD_LETTER_DEPTH, &[], &self.dead_letter_depth);
-        registry.adopt_histogram(METRIC_PUBLISH_TO_ACK_MS, &[], &self.publish_to_ack_ms);
+securecloud_telemetry::metric_set! {
+    /// The bus's live metric handles, behind [`EventBus::stats`].
+    struct BusMetrics {
+        /// Messages published.
+        published: Counter = "securecloud_bus_published_total",
+        /// Deliveries (including redeliveries).
+        delivered: Counter = "securecloud_bus_delivered_total",
+        /// Redeliveries after lease expiry or nack.
+        redelivered: Counter = "securecloud_bus_redelivered_total",
+        /// Acknowledgements.
+        acked: Counter = "securecloud_bus_acked_total",
+        /// Publications that matched no subscriber.
+        dropped: Counter = "securecloud_bus_dropped_total",
+        /// Messages moved to the dead-letter queue after exhausting their
+        /// retry budget.
+        dead_lettered: Counter = "securecloud_bus_dead_lettered_total",
+        /// Negative acknowledgements received.
+        nacked: Counter = "securecloud_bus_nacked_total",
+        /// Publications (or whole batches) refused for backpressure.
+        backpressured: Counter = METRIC_BACKPRESSURED,
+        /// Fetches that polled an empty queue (event-driven consumers keep
+        /// this at zero by consulting [`EventBus::ready_subscribers`]).
+        wasted_fetches: Counter = "securecloud_bus_wasted_fetches_total",
+        dead_letter_depth: Gauge = METRIC_DEAD_LETTER_DEPTH,
+        publish_to_ack_ms: Histogram = METRIC_PUBLISH_TO_ACK_MS,
     }
+    /// Bus statistics snapshot. All counters saturate at `u64::MAX` — a
+    /// runaway counter pegs rather than wrapping back to small values.
+    pub struct BusStats;
 }
 
 /// A message that exhausted its retry budget, parked for inspection.
@@ -241,7 +203,7 @@ impl EventBus {
     /// the registry, dead-letter events become trace events, and
     /// [`EventBus::advance`] publishes the bus clock to the virtual clock.
     pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
-        self.metrics.adopt_into(&telemetry);
+        self.metrics.adopt_into(telemetry.registry(), &[]);
         self.telemetry = Some(telemetry);
     }
 
@@ -355,17 +317,7 @@ impl EventBus {
     /// Bus statistics, snapshotted from the live metric handles.
     #[must_use]
     pub fn stats(&self) -> BusStats {
-        BusStats {
-            published: self.metrics.published.value(),
-            delivered: self.metrics.delivered.value(),
-            redelivered: self.metrics.redelivered.value(),
-            acked: self.metrics.acked.value(),
-            dropped: self.metrics.dropped.value(),
-            dead_lettered: self.metrics.dead_lettered.value(),
-            nacked: self.metrics.nacked.value(),
-            backpressured: self.metrics.backpressured.value(),
-            wasted_fetches: self.metrics.wasted_fetches.value(),
-        }
+        self.metrics.snapshot()
     }
 
     /// Subscribes to `topic`, optionally with a content filter evaluated

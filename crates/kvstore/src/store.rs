@@ -16,7 +16,7 @@ use securecloud_storage::{
     HostDisk, IncrementalSnapshot, RecordRef, ReplayReport, StorageConfig, StorageEngine,
     StorageError, StoreKeys,
 };
-use securecloud_telemetry::{Counter, Telemetry};
+use securecloud_telemetry::Telemetry;
 use std::collections::BTreeMap;
 use std::error::Error as StdError;
 use std::fmt;
@@ -81,37 +81,20 @@ impl From<StorageError> for KvError {
 /// A key-value pair as stored in snapshots.
 type Pair = (Vec<u8>, Vec<u8>);
 
-/// Operation counters for a [`SecureKv`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct KvStats {
-    /// Keys inserted or updated.
-    pub puts: u64,
-    /// Point lookups served.
-    pub gets: u64,
-    /// Keys removed.
-    pub deletes: u64,
-    /// Entries returned by range scans.
-    pub scanned: u64,
-}
-
-/// Live operation counters; [`KvStats`] snapshots read from these, and
-/// `set_telemetry` adopts the same handles into the shared registry.
-#[derive(Debug, Default)]
-struct KvMetrics {
-    puts: Counter,
-    gets: Counter,
-    deletes: Counter,
-    scanned: Counter,
-}
-
-impl KvMetrics {
-    fn adopt_into(&self, telemetry: &Telemetry) {
-        let registry = telemetry.registry();
-        registry.adopt_counter("securecloud_kv_puts_total", &[], &self.puts);
-        registry.adopt_counter("securecloud_kv_gets_total", &[], &self.gets);
-        registry.adopt_counter("securecloud_kv_deletes_total", &[], &self.deletes);
-        registry.adopt_counter("securecloud_kv_scanned_total", &[], &self.scanned);
+securecloud_telemetry::metric_set! {
+    /// Live operation counters behind [`KvStats`].
+    struct KvMetrics {
+        /// Keys inserted or updated.
+        puts: Counter = "securecloud_kv_puts_total",
+        /// Point lookups served.
+        gets: Counter = "securecloud_kv_gets_total",
+        /// Keys removed.
+        deletes: Counter = "securecloud_kv_deletes_total",
+        /// Entries returned by range scans.
+        scanned: Counter = "securecloud_kv_scanned_total",
     }
+    /// Operation counters for a [`SecureKv`].
+    pub struct KvStats;
 }
 
 #[derive(Debug, Clone)]
@@ -290,17 +273,12 @@ impl SecureKv {
     /// Operation counters.
     #[must_use]
     pub fn stats(&self) -> KvStats {
-        KvStats {
-            puts: self.metrics.puts.value(),
-            gets: self.metrics.gets.value(),
-            deletes: self.metrics.deletes.value(),
-            scanned: self.metrics.scanned.value(),
-        }
+        self.metrics.snapshot()
     }
 
     /// Adopts the store's operation counters into `telemetry`'s registry.
     pub fn set_telemetry(&mut self, telemetry: &Telemetry) {
-        self.metrics.adopt_into(telemetry);
+        self.metrics.adopt_into(telemetry.registry(), &[]);
     }
 
     fn footprint(key: &[u8], value: &[u8]) -> u32 {

@@ -20,7 +20,7 @@ use securecloud_faults::{FaultInjector, FaultKind};
 use securecloud_kvstore::{CounterService, StorageConfig};
 use securecloud_sgx::costs::{CostModel, MemoryGeometry};
 use securecloud_sgx::enclave::{Measurement, Platform};
-use securecloud_telemetry::{Counter, OwnedSpan, Telemetry, TraceContext};
+use securecloud_telemetry::{OwnedSpan, Telemetry, TraceContext};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -144,49 +144,19 @@ pub enum FaultApplication {
     Ignored,
 }
 
-/// Cluster-wide operation counters (standalone when no telemetry).
-#[derive(Debug)]
-struct ClusterMetrics {
-    puts: Counter,
-    gets: Counter,
-    quorum_failures: Counter,
-    replicas_killed: Counter,
-    failovers: Counter,
-    stalls: Counter,
-    partitions: Counter,
-    scale_ups: Counter,
-    scale_downs: Counter,
-    storage_corruptions: Counter,
-}
-
-impl ClusterMetrics {
-    fn new(telemetry: Option<&Arc<Telemetry>>) -> Self {
-        match telemetry {
-            Some(t) => ClusterMetrics {
-                puts: t.counter("securecloud_replica_puts_total"),
-                gets: t.counter("securecloud_replica_gets_total"),
-                quorum_failures: t.counter("securecloud_replica_quorum_failures_total"),
-                replicas_killed: t.counter("securecloud_replica_killed_total"),
-                failovers: t.counter("securecloud_replica_failovers_total"),
-                stalls: t.counter("securecloud_replica_stalled_total"),
-                partitions: t.counter("securecloud_replica_partitions_total"),
-                scale_ups: t.counter("securecloud_replica_scale_ups_total"),
-                scale_downs: t.counter("securecloud_replica_scale_downs_total"),
-                storage_corruptions: t.counter("securecloud_replica_storage_corruptions_total"),
-            },
-            None => ClusterMetrics {
-                puts: Counter::new(),
-                gets: Counter::new(),
-                quorum_failures: Counter::new(),
-                replicas_killed: Counter::new(),
-                failovers: Counter::new(),
-                stalls: Counter::new(),
-                partitions: Counter::new(),
-                scale_ups: Counter::new(),
-                scale_downs: Counter::new(),
-                storage_corruptions: Counter::new(),
-            },
-        }
+securecloud_telemetry::metric_set! {
+    /// Cluster-wide operation counters (standalone when no telemetry).
+    struct ClusterMetrics {
+        puts: Counter = "securecloud_replica_puts_total",
+        gets: Counter = "securecloud_replica_gets_total",
+        quorum_failures: Counter = "securecloud_replica_quorum_failures_total",
+        replicas_killed: Counter = "securecloud_replica_killed_total",
+        failovers: Counter = "securecloud_replica_failovers_total",
+        stalls: Counter = "securecloud_replica_stalled_total",
+        partitions: Counter = "securecloud_replica_partitions_total",
+        scale_ups: Counter = "securecloud_replica_scale_ups_total",
+        scale_downs: Counter = "securecloud_replica_scale_downs_total",
+        storage_corruptions: Counter = "securecloud_replica_storage_corruptions_total",
     }
 }
 
@@ -202,7 +172,8 @@ pub struct ReplicaStats {
     pub write_quorum: u32,
     /// Replicas currently live across all shards.
     pub live_replicas: usize,
-    /// Replica slots across all shards (`shards * replication_factor`).
+    /// Replica slots currently deployed across all shards (scaling moves
+    /// this away from `shards * replication_factor`).
     pub total_replicas: usize,
     /// Acknowledged quorum writes.
     pub puts: u64,
@@ -249,6 +220,7 @@ pub struct ReplicatedKv {
     map: ShardMap,
     groups: Vec<ShardGroup>,
     provisioning: ProvisioningService,
+    replication_factor: u32,
     write_quorum: u32,
     /// Virtual-time heal deadline per partitioned shard index; drained by
     /// [`ReplicatedKv::advance_to`]. `BTreeMap` keeps heal order (and the
@@ -309,10 +281,13 @@ impl ReplicatedKv {
             map: ShardMap::new(config.shards, config.virtual_nodes),
             groups,
             provisioning,
+            replication_factor: config.replication.0,
             write_quorum: config.write_quorum.0,
             partition_heals: BTreeMap::new(),
             telemetry: telemetry.cloned(),
-            metrics: ClusterMetrics::new(telemetry),
+            metrics: telemetry.map_or_else(ClusterMetrics::default, |t| {
+                ClusterMetrics::shared(t.registry(), &[])
+            }),
         })
     }
 
@@ -627,10 +602,7 @@ impl ReplicatedKv {
     pub fn stats(&self) -> ReplicaStats {
         ReplicaStats {
             shards: self.map.shards(),
-            replication_factor: self
-                .groups
-                .first()
-                .map_or(0, |g| g.replication_factor() as u32),
+            replication_factor: self.replication_factor,
             write_quorum: self.write_quorum,
             live_replicas: self.live_replicas(),
             total_replicas: self.groups.iter().map(ShardGroup::replication_factor).sum(),
@@ -967,5 +939,17 @@ mod tests {
             kv.scale_up(ShardId(9)),
             Err(ReplicaError::UnknownShard(ShardId(9)))
         ));
+    }
+
+    #[test]
+    fn stats_report_the_configured_factor_after_scaling_shard_zero() {
+        let mut kv = deploy();
+        kv.scale_up(ShardId(0)).unwrap();
+        let stats = kv.stats();
+        assert_eq!(
+            stats.replication_factor, 3,
+            "configured, not shard 0's size"
+        );
+        assert_eq!(stats.total_replicas, 7, "current slots: 4 + 3");
     }
 }

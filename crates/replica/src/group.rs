@@ -35,7 +35,7 @@ use securecloud_kvstore::{
 use securecloud_sgx::costs::{CostModel, MemoryGeometry};
 use securecloud_sgx::enclave::{Enclave, EnclaveConfig, Platform};
 use securecloud_sgx::mem::MemorySim;
-use securecloud_telemetry::{Counter, Gauge, Histogram, Telemetry, TraceContext};
+use securecloud_telemetry::{Telemetry, TraceContext};
 use std::sync::Arc;
 
 /// What failover streams to a replacement over the trusted channel.
@@ -108,36 +108,16 @@ impl Replica {
     }
 }
 
-/// Per-group metric handles; standalone when no telemetry is attached.
-#[derive(Debug)]
-struct GroupMetrics {
-    put_cycles: Histogram,
-    get_cycles: Histogram,
-    replication_lag: Gauge,
-    snapshot_stream_bytes: Counter,
-}
+/// Registry name of the per-shard replication-lag gauge.
+pub const METRIC_REPLICATION_LAG: &str = "securecloud_replica_replication_lag";
 
-impl GroupMetrics {
-    fn new(shard: ShardId, telemetry: Option<&Arc<Telemetry>>) -> Self {
-        match telemetry {
-            Some(t) => {
-                let label = shard.to_string();
-                let labels: &[(&str, &str)] = &[("shard", label.as_str())];
-                GroupMetrics {
-                    put_cycles: t.histogram_with("securecloud_replica_put_cycles", labels),
-                    get_cycles: t.histogram_with("securecloud_replica_get_cycles", labels),
-                    replication_lag: t.gauge_with("securecloud_replica_replication_lag", labels),
-                    snapshot_stream_bytes: t
-                        .counter_with("securecloud_replica_snapshot_stream_bytes_total", labels),
-                }
-            }
-            None => GroupMetrics {
-                put_cycles: Histogram::new(),
-                get_cycles: Histogram::new(),
-                replication_lag: Gauge::new(),
-                snapshot_stream_bytes: Counter::new(),
-            },
-        }
+securecloud_telemetry::metric_set! {
+    /// Per-group metric handles, labelled by shard.
+    struct GroupMetrics {
+        put_cycles: Histogram = "securecloud_replica_put_cycles",
+        get_cycles: Histogram = "securecloud_replica_get_cycles",
+        replication_lag: Gauge = METRIC_REPLICATION_LAG,
+        snapshot_stream_bytes: Counter = "securecloud_replica_snapshot_stream_bytes_total",
     }
 }
 
@@ -219,7 +199,9 @@ impl ShardGroup {
             partitioned: false,
             telemetry: telemetry.cloned(),
             injector: injector.cloned(),
-            metrics: GroupMetrics::new(shard, telemetry),
+            metrics: telemetry.map_or_else(GroupMetrics::default, |t| {
+                GroupMetrics::shared(t.registry(), &[("shard", &shard.to_string())])
+            }),
         };
         // Epoch 1: the founding membership.
         group.counters.increment(&group.epoch_counter);

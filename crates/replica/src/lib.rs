@@ -41,7 +41,7 @@ pub mod shard;
 pub use cluster::{
     FaultApplication, ReplicaConfig, ReplicaStats, ReplicatedKv, ReplicationFactor, WriteQuorum,
 };
-pub use group::{ShardGroup, SnapshotStream};
+pub use group::{ShardGroup, SnapshotStream, METRIC_REPLICATION_LAG};
 pub use provision::ProvisioningService;
 pub use securecloud_kvstore::StorageConfig;
 pub use shard::ShardMap;

@@ -29,7 +29,7 @@ use securecloud_crypto::sha256::Sha256;
 use securecloud_sgx::attest::{AttestationService, Quote};
 use securecloud_sgx::enclave::{Enclave, Measurement, Platform};
 use securecloud_sgx::SgxError;
-use securecloud_telemetry::{Counter, Telemetry};
+use securecloud_telemetry::{Counter, Metric, Telemetry};
 use std::collections::HashMap;
 
 /// What an admitted replica walks away with: the group's sealing key and
@@ -78,15 +78,15 @@ impl ProvisioningService {
     /// Adopts the admission counters into a shared telemetry registry.
     pub fn set_telemetry(&mut self, telemetry: &Telemetry) {
         let registry = telemetry.registry();
-        registry.adopt_counter(
+        registry.adopt(
             "securecloud_replica_admissions_total",
             &[("outcome", "admitted")],
-            &self.admitted,
+            Metric::Counter(self.admitted.clone()),
         );
-        registry.adopt_counter(
+        registry.adopt(
             "securecloud_replica_admissions_total",
             &[("outcome", "rejected")],
-            &self.rejected,
+            Metric::Counter(self.rejected.clone()),
         );
     }
 

@@ -14,7 +14,7 @@
 //! process, excluding the subtree it came from).
 
 use crate::types::{covers_normalised, Normalised, Publication, SubId, Subscription};
-use securecloud_telemetry::{Counter, OwnedSpan, Telemetry};
+use securecloud_telemetry::{OwnedSpan, Telemetry};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -64,56 +64,23 @@ impl fmt::Display for OverlayError {
 
 impl std::error::Error for OverlayError {}
 
-/// Overlay-wide statistics snapshot. All counters saturate at `u64::MAX`
-/// instead of wrapping.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OverlayStats {
-    /// Subscription-forward messages sent between brokers.
-    pub subscription_forwards: u64,
-    /// Subscription forwards suppressed because a covering subscription
-    /// had already been forwarded.
-    pub forwards_suppressed: u64,
-    /// Publication messages sent between brokers.
-    pub publication_hops: u64,
-    /// Subscription forwards re-sent while recovering from a broker
-    /// failure (re-parenting orphaned subtrees).
-    pub recovery_forwards: u64,
-}
-
-/// Live metric handles; [`Overlay::stats`] reads them and
-/// [`Overlay::set_telemetry`] adopts the same handles into the registry.
-#[derive(Debug, Clone, Default)]
-struct OverlayMetrics {
-    subscription_forwards: Counter,
-    forwards_suppressed: Counter,
-    publication_hops: Counter,
-    recovery_forwards: Counter,
-}
-
-impl OverlayMetrics {
-    fn adopt_into(&self, telemetry: &Telemetry) {
-        let registry = telemetry.registry();
-        registry.adopt_counter(
-            "securecloud_scbr_subscription_forwards_total",
-            &[],
-            &self.subscription_forwards,
-        );
-        registry.adopt_counter(
-            "securecloud_scbr_forwards_suppressed_total",
-            &[],
-            &self.forwards_suppressed,
-        );
-        registry.adopt_counter(
-            "securecloud_scbr_publication_hops_total",
-            &[],
-            &self.publication_hops,
-        );
-        registry.adopt_counter(
-            "securecloud_scbr_recovery_forwards_total",
-            &[],
-            &self.recovery_forwards,
-        );
+securecloud_telemetry::metric_set! {
+    /// Live metric handles behind [`OverlayStats`].
+    struct OverlayMetrics {
+        /// Subscription-forward messages sent between brokers.
+        subscription_forwards: Counter = "securecloud_scbr_subscription_forwards_total",
+        /// Subscription forwards suppressed because a covering subscription
+        /// had already been forwarded.
+        forwards_suppressed: Counter = "securecloud_scbr_forwards_suppressed_total",
+        /// Publication messages sent between brokers.
+        publication_hops: Counter = "securecloud_scbr_publication_hops_total",
+        /// Subscription forwards re-sent while recovering from a broker
+        /// failure (re-parenting orphaned subtrees).
+        recovery_forwards: Counter = "securecloud_scbr_recovery_forwards_total",
     }
+    /// Overlay-wide statistics snapshot. All counters saturate at `u64::MAX`
+    /// instead of wrapping.
+    pub struct OverlayStats;
 }
 
 #[derive(Debug)]
@@ -208,7 +175,7 @@ impl Overlay {
     /// Attaches shared telemetry: routing counters are adopted into the
     /// registry and broker failures / publication routing emit spans.
     pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
-        self.metrics.adopt_into(&telemetry);
+        self.metrics.adopt_into(telemetry.registry(), &[]);
         self.telemetry = Some(telemetry);
     }
 
@@ -246,12 +213,7 @@ impl Overlay {
     /// Accumulated statistics, snapshotted from the live metric handles.
     #[must_use]
     pub fn stats(&self) -> OverlayStats {
-        OverlayStats {
-            subscription_forwards: self.metrics.subscription_forwards.value(),
-            forwards_suppressed: self.metrics.forwards_suppressed.value(),
-            publication_hops: self.metrics.publication_hops.value(),
-            recovery_forwards: self.metrics.recovery_forwards.value(),
-        }
+        self.metrics.snapshot()
     }
 
     /// Whether `broker` has failed.

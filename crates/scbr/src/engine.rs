@@ -18,7 +18,7 @@
 use crate::index::{MatchScratch, SubscriptionIndex};
 use crate::types::{Op, Publication, SubId, Subscription, Value};
 use securecloud_sgx::mem::{Arena, MemorySim};
-use securecloud_telemetry::{Counter, Telemetry};
+use securecloud_telemetry::Telemetry;
 use std::collections::HashMap;
 
 /// Arena chunk size: subscriptions are packed into these.
@@ -43,27 +43,21 @@ pub enum Layout {
 /// predicate block; the payload is not touched during matching).
 const MATCH_READ_BYTES: u32 = 128;
 
-/// Counters accumulated by a [`MatchEngine`] (snapshot; the live handles
-/// saturate rather than wrap).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineStats {
-    /// Publications processed.
-    pub publications: u64,
-    /// Total subscription matches produced.
-    pub matches: u64,
-    /// Index nodes visited.
-    pub nodes_visited: u64,
-    /// Predicates evaluated.
-    pub predicates_evaluated: u64,
-}
-
-/// Live metric handles behind [`EngineStats`].
-#[derive(Debug, Clone, Default)]
-struct EngineMetrics {
-    publications: Counter,
-    matches: Counter,
-    nodes_visited: Counter,
-    predicates_evaluated: Counter,
+securecloud_telemetry::metric_set! {
+    /// Live metric handles behind [`EngineStats`].
+    struct EngineMetrics {
+        /// Publications processed.
+        publications: Counter = "securecloud_scbr_publications_total",
+        /// Total subscription matches produced.
+        matches: Counter = "securecloud_scbr_matches_total",
+        /// Index nodes visited.
+        nodes_visited: Counter = "securecloud_scbr_nodes_visited_total",
+        /// Predicates evaluated.
+        predicates_evaluated: Counter = "securecloud_scbr_predicates_evaluated_total",
+    }
+    /// Counters accumulated by a [`MatchEngine`] (snapshot; the live handles
+    /// saturate rather than wrap).
+    pub struct EngineStats;
 }
 
 /// A content-based matching engine over an index `I`.
@@ -113,28 +107,8 @@ impl<I: SubscriptionIndex> MatchEngine<I> {
     /// the memory `domain` it runs against (`"native"` / `"enclave"`), so a
     /// Figure 3 run exports both sides distinctly.
     pub fn set_telemetry(&mut self, telemetry: &Telemetry, domain: &str) {
-        let labels: [(&str, &str); 1] = [("domain", domain)];
-        let registry = telemetry.registry();
-        registry.adopt_counter(
-            "securecloud_scbr_publications_total",
-            &labels,
-            &self.metrics.publications,
-        );
-        registry.adopt_counter(
-            "securecloud_scbr_matches_total",
-            &labels,
-            &self.metrics.matches,
-        );
-        registry.adopt_counter(
-            "securecloud_scbr_nodes_visited_total",
-            &labels,
-            &self.metrics.nodes_visited,
-        );
-        registry.adopt_counter(
-            "securecloud_scbr_predicates_evaluated_total",
-            &labels,
-            &self.metrics.predicates_evaluated,
-        );
+        self.metrics
+            .adopt_into(telemetry.registry(), &[("domain", domain)]);
     }
 
     fn cluster_key(&self, sub: &Subscription) -> ClusterKey {
@@ -174,12 +148,7 @@ impl<I: SubscriptionIndex> MatchEngine<I> {
     /// Accumulated counters, snapshotted from the live metric handles.
     #[must_use]
     pub fn stats(&self) -> EngineStats {
-        EngineStats {
-            publications: self.metrics.publications.value(),
-            matches: self.metrics.matches.value(),
-            nodes_visited: self.metrics.nodes_visited.value(),
-            predicates_evaluated: self.metrics.predicates_evaluated.value(),
-        }
+        self.metrics.snapshot()
     }
 
     /// The underlying index (diagnostics).

@@ -25,7 +25,7 @@ use crate::hostos::{HostOs, Syscall, SyscallRet};
 use crate::rings::{ServicerMode, SyscallRings, DEFAULT_RING_DEPTH};
 use crate::SconeError;
 use securecloud_sgx::mem::{MemorySim, Region};
-use securecloud_telemetry::{Counter, Gauge, Telemetry};
+use securecloud_telemetry::Telemetry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -137,16 +137,20 @@ pub struct Completion {
     pub ret: SyscallRet,
 }
 
-/// Registry handles for the switchless transport. The depth gauge derives
-/// from enclave-side state only (deterministic in every mode); park/wake
-/// counts are recorded only when the servicer is deterministic, because
-/// threaded wake timing is wall-clock-dependent and would break the
-/// byte-identical telemetry contract.
-#[derive(Debug, Clone)]
-struct RingMetrics {
-    depth: Gauge,
-    wakes: Counter,
-    spurious_wakes: Counter,
+/// Registry name of the spurious-wake counter of the switchless rings.
+pub const METRIC_RING_SPURIOUS_WAKES: &str = "securecloud_scone_ring_spurious_wakes_total";
+
+securecloud_telemetry::metric_set! {
+    /// Registry handles for the switchless transport. The depth gauge derives
+    /// from enclave-side state only (deterministic in every mode); park/wake
+    /// counts are recorded only when the servicer is deterministic, because
+    /// threaded wake timing is wall-clock-dependent and would break the
+    /// byte-identical telemetry contract.
+    struct RingMetrics {
+        depth: Gauge = "securecloud_scone_ring_depth",
+        wakes: Counter = "securecloud_scone_ring_wakes_total",
+        spurious_wakes: Counter = METRIC_RING_SPURIOUS_WAKES,
+    }
 }
 
 /// Bytes of in-enclave pending-table state per in-flight call: one cache
@@ -274,12 +278,7 @@ impl Shield {
         let mode = match &mut self.transport {
             Transport::Sync(_) => "sync",
             Transport::Rings(plane) => {
-                plane.metrics = Some(RingMetrics {
-                    depth: telemetry.gauge_with("securecloud_scone_ring_depth", &[]),
-                    wakes: telemetry.counter_with("securecloud_scone_ring_wakes_total", &[]),
-                    spurious_wakes: telemetry
-                        .counter_with("securecloud_scone_ring_spurious_wakes_total", &[]),
-                });
+                plane.metrics = Some(RingMetrics::shared(telemetry.registry(), &[]));
                 "async"
             }
         };

@@ -15,7 +15,7 @@ use crate::SgxError;
 use securecloud_crypto::gcm::{AesGcm, NONCE_LEN};
 use securecloud_crypto::hmac::{hkdf, HmacSha256};
 use securecloud_crypto::sha256::Sha256;
-use securecloud_telemetry::{Counter, Telemetry};
+use securecloud_telemetry::Telemetry;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -166,25 +166,17 @@ impl Platform {
     }
 }
 
-/// Shared-registry counters for enclave transitions.
-#[derive(Debug, Clone)]
-struct EnclaveMetrics {
-    ecalls: Counter,
-    ocalls: Counter,
-    switchless_calls: Counter,
-    transition_cycles: Counter,
-    aborts: Counter,
-}
+/// Registry name of the platform-wide ECALL counter.
+pub const METRIC_ECALLS: &str = "securecloud_sgx_ecalls_total";
 
-impl EnclaveMetrics {
-    fn shared(telemetry: &Telemetry) -> Self {
-        EnclaveMetrics {
-            ecalls: telemetry.counter("securecloud_sgx_ecalls_total"),
-            ocalls: telemetry.counter("securecloud_sgx_ocalls_total"),
-            switchless_calls: telemetry.counter("securecloud_sgx_switchless_calls_total"),
-            transition_cycles: telemetry.counter("securecloud_sgx_transition_cycles_total"),
-            aborts: telemetry.counter("securecloud_sgx_enclave_aborts_total"),
-        }
+securecloud_telemetry::metric_set! {
+    /// Shared-registry counters for enclave transitions.
+    struct EnclaveMetrics {
+        ecalls: Counter = METRIC_ECALLS,
+        ocalls: Counter = "securecloud_sgx_ocalls_total",
+        switchless_calls: Counter = "securecloud_sgx_switchless_calls_total",
+        transition_cycles: Counter = "securecloud_sgx_transition_cycles_total",
+        aborts: Counter = "securecloud_sgx_enclave_aborts_total",
     }
 }
 
@@ -237,7 +229,7 @@ impl Enclave {
     /// cycles are counted platform-wide, and the enclave's memory simulator
     /// mirrors its paging/decrypt counters into the registry.
     pub fn set_telemetry(&mut self, telemetry: &Telemetry) {
-        self.metrics = Some(EnclaveMetrics::shared(telemetry));
+        self.metrics = Some(EnclaveMetrics::shared(telemetry.registry(), &[]));
         self.mem.set_telemetry(telemetry);
     }
 

@@ -26,7 +26,7 @@
 
 use crate::costs::{CostModel, MemoryGeometry};
 use crate::lru::LruSet;
-use securecloud_telemetry::{Counter, Telemetry};
+use securecloud_telemetry::Telemetry;
 use std::time::Duration;
 
 /// Execution domain of a [`MemorySim`].
@@ -156,48 +156,25 @@ pub struct MemStats {
     pub host_write_bytes: u64,
 }
 
-/// Registry-backed mirror counters for a [`MemorySim`].
-///
-/// The local [`MemStats`] stays the per-instance source of truth (and is
-/// what [`MemorySim::reset_metrics`] zeroes for steady-state measurement);
-/// these shared counters accumulate *globally* per domain across every
-/// simulator attached to the same registry, so a run's total paging and
-/// decrypt activity shows up in the exported snapshot.
-#[derive(Debug, Clone)]
-struct MemMetrics {
-    line_accesses: Counter,
-    cache_hits: Counter,
-    llc_misses: Counter,
-    mee_decrypts: Counter,
-    epc_faults: Counter,
-    epc_evictions: Counter,
-    host_io_reads: Counter,
-    host_io_writes: Counter,
-    host_io_read_bytes: Counter,
-    host_io_write_bytes: Counter,
-}
-
-impl MemMetrics {
-    fn for_domain(telemetry: &Telemetry, domain: Domain) -> Self {
-        let domain = match domain {
-            Domain::Native => "native",
-            Domain::Enclave => "enclave",
-        };
-        let labels: [(&str, &str); 1] = [("domain", domain)];
-        MemMetrics {
-            line_accesses: telemetry.counter_with("securecloud_sgx_line_accesses_total", &labels),
-            cache_hits: telemetry.counter_with("securecloud_sgx_cache_hits_total", &labels),
-            llc_misses: telemetry.counter_with("securecloud_sgx_llc_misses_total", &labels),
-            mee_decrypts: telemetry.counter_with("securecloud_sgx_mee_decrypts_total", &labels),
-            epc_faults: telemetry.counter_with("securecloud_sgx_epc_faults_total", &labels),
-            epc_evictions: telemetry.counter_with("securecloud_sgx_epc_evictions_total", &labels),
-            host_io_reads: telemetry.counter_with("securecloud_sgx_host_io_reads_total", &labels),
-            host_io_writes: telemetry.counter_with("securecloud_sgx_host_io_writes_total", &labels),
-            host_io_read_bytes: telemetry
-                .counter_with("securecloud_sgx_host_io_read_bytes_total", &labels),
-            host_io_write_bytes: telemetry
-                .counter_with("securecloud_sgx_host_io_write_bytes_total", &labels),
-        }
+securecloud_telemetry::metric_set! {
+    /// Registry-backed mirror counters for a [`MemorySim`].
+    ///
+    /// The local [`MemStats`] stays the per-instance source of truth (and is
+    /// what [`MemorySim::reset_metrics`] zeroes for steady-state measurement);
+    /// these shared counters accumulate *globally* per domain across every
+    /// simulator attached to the same registry, so a run's total paging and
+    /// decrypt activity shows up in the exported snapshot.
+    struct MemMetrics {
+        line_accesses: Counter = "securecloud_sgx_line_accesses_total",
+        cache_hits: Counter = "securecloud_sgx_cache_hits_total",
+        llc_misses: Counter = "securecloud_sgx_llc_misses_total",
+        mee_decrypts: Counter = "securecloud_sgx_mee_decrypts_total",
+        epc_faults: Counter = "securecloud_sgx_epc_faults_total",
+        epc_evictions: Counter = "securecloud_sgx_epc_evictions_total",
+        host_io_reads: Counter = "securecloud_sgx_host_io_reads_total",
+        host_io_writes: Counter = "securecloud_sgx_host_io_writes_total",
+        host_io_read_bytes: Counter = "securecloud_sgx_host_io_read_bytes_total",
+        host_io_write_bytes: Counter = "securecloud_sgx_host_io_write_bytes_total",
     }
 }
 
@@ -268,7 +245,14 @@ impl MemorySim {
     /// labeled by domain. Shared counters aggregate across simulators and
     /// are *not* cleared by [`MemorySim::reset_metrics`].
     pub fn set_telemetry(&mut self, telemetry: &Telemetry) {
-        self.metrics = Some(MemMetrics::for_domain(telemetry, self.domain));
+        let domain = match self.domain {
+            Domain::Native => "native",
+            Domain::Enclave => "enclave",
+        };
+        self.metrics = Some(MemMetrics::shared(
+            telemetry.registry(),
+            &[("domain", domain)],
+        ));
     }
 
     /// The simulator's execution domain.

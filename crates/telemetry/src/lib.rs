@@ -506,14 +506,14 @@ mod tests {
         let stale = Counter::new();
         stale.add(1);
         main.registry()
-            .adopt_counter("securecloud_engine_total", &[], &stale);
+            .adopt("securecloud_engine_total", &[], Metric::Counter(stale));
 
         let worker = Telemetry::new();
         let fresh = Counter::new();
         fresh.add(9);
         worker
             .registry()
-            .adopt_counter("securecloud_engine_total", &[], &fresh);
+            .adopt("securecloud_engine_total", &[], Metric::Counter(fresh));
 
         main.absorb(&worker);
         let snapshot = main.registry().snapshot();

@@ -6,15 +6,15 @@
 //! is only locked to *create or look up* a handle — subsystems hold their
 //! handles in their own structs and update them directly.
 //!
-//! Two ways to get a handle:
+//! A subsystem declares its handles once, in a [`metric_set!`](crate::metric_set):
+//! its `Default` holds standalone handles, so it works with no registry
+//! attached, and it registers in one of two ways:
 //!
-//! * **get-or-create** ([`Registry::counter`], [`Registry::histogram_with`],
-//!   …): shared, labeled families. Two callers asking for the same
-//!   name+labels get the *same* underlying metric and aggregate together.
-//! * **adopt** ([`Registry::adopt_counter`], …): a subsystem that created a
-//!   standalone handle (so it works without any registry attached) hands a
-//!   clone of that handle to the registry for export. The subsystem's own
-//!   view and the exported view are the same atomics; nothing is copied.
+//! * **`shared`** gets or creates every handle ([`Registry::counter_with`],
+//!   …): two sets asking for the same name+labels aggregate together.
+//! * **`adopt_into`** hands the set's own handles to the registry for
+//!   export ([`Registry::adopt`]): the subsystem's view and the exported
+//!   view are the same atomics; the last adopter of a name+labels wins.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -270,7 +270,7 @@ pub enum Metric {
 #[derive(Debug, Default)]
 pub struct Registry {
     metrics: Mutex<BTreeMap<MetricKey, Metric>>,
-    /// Keys registered via the adopt-style constructors. [`Registry::merge_from`]
+    /// Keys registered via [`Registry::adopt`]. [`Registry::merge_from`]
     /// replays their last-adopter-wins semantics instead of aggregating.
     adopted: Mutex<std::collections::BTreeSet<MetricKey>>,
 }
@@ -336,32 +336,17 @@ impl Registry {
         }
     }
 
-    fn adopt(&self, name: &str, labels: &[(&str, &str)], metric: Metric) {
+    /// Registers an existing handle under `name` for export: the registry
+    /// and the caller share its atomics, and the last adopter of a
+    /// name+labels wins the slot (get-or-create handles aggregate instead).
+    pub fn adopt(&self, name: &str, labels: &[(&str, &str)], metric: Metric) {
         let key = MetricKey::new(name, labels);
         let mut metrics = self.metrics.lock().expect("registry poisoned");
-        // Last adopter wins the export slot. Instances that want to
-        // aggregate should use the get-or-create constructors instead.
         self.adopted
             .lock()
             .expect("registry poisoned")
             .insert(key.clone());
         metrics.insert(key, metric);
-    }
-
-    /// Registers an existing counter handle under `name` for export. The
-    /// registry and the caller share the same underlying atomics.
-    pub fn adopt_counter(&self, name: &str, labels: &[(&str, &str)], counter: &Counter) {
-        self.adopt(name, labels, Metric::Counter(counter.clone()));
-    }
-
-    /// Registers an existing gauge handle under `name` for export.
-    pub fn adopt_gauge(&self, name: &str, labels: &[(&str, &str)], gauge: &Gauge) {
-        self.adopt(name, labels, Metric::Gauge(gauge.clone()));
-    }
-
-    /// Registers an existing histogram handle under `name` for export.
-    pub fn adopt_histogram(&self, name: &str, labels: &[(&str, &str)], histogram: &Histogram) {
-        self.adopt(name, labels, Metric::Histogram(histogram.clone()));
     }
 
     /// A deterministic snapshot of every registered metric, in export order.
@@ -425,6 +410,85 @@ impl Registry {
             }
         }
     }
+}
+
+/// Declares a set of metric handles once, one line per metric: doc, field,
+/// kind (`Counter`, `Gauge` or `Histogram`) and registry name. It generates
+/// the handle struct, whose `Default` holds standalone handles, with
+/// `adopt_into` and `shared` (see the [module docs](crate::metrics)). A
+/// trailing `struct Name;` adds a `Copy` snapshot of the counters, in
+/// declaration order, read by `snapshot()`.
+///
+/// ```
+/// securecloud_telemetry::metric_set! {
+///     struct QueueMetrics {
+///         /// Messages enqueued.
+///         enqueued: Counter = "queue_enqueued_total",
+///         depth: Gauge = "queue_depth",
+///     }
+///     /// A queue's counters (the gauge is exported, not snapshotted).
+///     pub struct QueueStats;
+/// }
+///
+/// let registry = securecloud_telemetry::Registry::new();
+/// let metrics = QueueMetrics::default();
+/// metrics.adopt_into(&registry, &[]);
+/// metrics.enqueued.add(3);
+/// assert_eq!(metrics.snapshot(), QueueStats { enqueued: 3 });
+/// assert_eq!(registry.counter("queue_enqueued_total").value(), 3);
+/// ```
+#[macro_export]
+macro_rules! metric_set {
+    (@shared Counter) => { $crate::Registry::counter_with };
+    (@shared Gauge) => { $crate::Registry::gauge_with };
+    (@shared Histogram) => { $crate::Registry::histogram_with };
+    // The snapshot keeps the counters and skips every other kind.
+    (@snapshot $head:tt [$($acc:tt)*] $(#[$doc:meta])* $field:ident: Counter = $name:expr, $($rest:tt)*) => {
+        $crate::metric_set!(@snapshot $head [$($acc)* $(#[$doc])* $field,] $($rest)*);
+    };
+    (@snapshot $head:tt $acc:tt $(#[$doc:meta])* $field:ident: $kind:ident = $name:expr, $($rest:tt)*) => {
+        $crate::metric_set!(@snapshot $head $acc $($rest)*);
+    };
+    (@snapshot [$(#[$meta:meta])* $vis:vis struct $snap:ident for $set:ident] [$($(#[$doc:meta])* $field:ident,)*]) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        $vis struct $snap { $($(#[$doc])* pub $field: u64,)* }
+
+        impl $set {
+            /// Reads every counter of the set.
+            pub fn snapshot(&self) -> $snap {
+                $snap { $($field: self.$field.value(),)* }
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])* $vis:vis struct $set:ident { $($body:tt)* }
+        $(#[$snap_meta:meta])* $snap_vis:vis struct $snap:ident;
+    ) => {
+        $crate::metric_set!($(#[$meta])* $vis struct $set { $($body)* });
+        $crate::metric_set!(@snapshot [$(#[$snap_meta])* $snap_vis struct $snap for $set] [] $($body)*);
+    };
+    ($(#[$meta:meta])* $vis:vis struct $set:ident { $($(#[$doc:meta])* $field:ident: $kind:ident = $name:expr,)* }) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Default)]
+        $vis struct $set { $($(#[$doc])* $field: $crate::$kind,)* }
+
+        // A set registers one way or the other, so one of these is unused.
+        #[allow(dead_code)]
+        impl $set {
+            /// Exports these very handles under `labels`; the last adopter
+            /// of a name and label set wins.
+            pub fn adopt_into(&self, registry: &$crate::Registry, labels: &[(&str, &str)]) {
+                $(registry.adopt($name, labels, $crate::Metric::$kind(self.$field.clone()));)*
+            }
+
+            /// Gets or creates every handle under `labels`: sets registered
+            /// under one name and label set share their atomics.
+            pub fn shared(registry: &$crate::Registry, labels: &[(&str, &str)]) -> Self {
+                $set { $($field: $crate::metric_set!(@shared $kind)(registry, $name, labels),)* }
+            }
+        }
+    };
 }
 
 #[cfg(test)]
@@ -603,7 +667,7 @@ mod tests {
         let r = Registry::new();
         let c = Counter::new();
         c.add(7);
-        r.adopt_counter("adopted_total", &[], &c);
+        r.adopt("adopted_total", &[], Metric::Counter(c.clone()));
         c.add(1);
         let snap = r.snapshot();
         assert_eq!(snap.len(), 1);
@@ -611,6 +675,114 @@ mod tests {
             Metric::Counter(exported) => assert_eq!(exported.value(), 8),
             other => panic!("unexpected metric {other:?}"),
         }
+    }
+
+    metric_set! {
+        /// A set with a gauge and a histogram between its counters.
+        struct TestMetrics {
+            /// First counter.
+            first: Counter = "test_first_total",
+            /// A gauge.
+            depth: Gauge = "test_depth",
+            /// Second counter.
+            second: Counter = "test_second_total",
+            /// A histogram.
+            latency: Histogram = "test_latency",
+        }
+        /// The counters of [`TestMetrics`].
+        pub struct TestStats;
+    }
+
+    fn exported_names(registry: &Registry) -> Vec<String> {
+        registry
+            .snapshot()
+            .into_iter()
+            .map(|(k, _)| k.name)
+            .collect()
+    }
+
+    #[test]
+    fn metric_set_works_without_a_registry() {
+        let set = TestMetrics::default();
+        set.first.inc();
+        set.depth.set(4);
+        set.latency.observe(9);
+        assert_eq!(
+            set.snapshot(),
+            TestStats {
+                first: 1,
+                second: 0
+            }
+        );
+        assert_eq!((set.depth.value(), set.latency.count()), (4, 1));
+    }
+
+    #[test]
+    fn metric_set_adopt_exports_its_atomics_and_the_last_adopter_wins() {
+        let registry = Registry::new();
+        let (old, new) = (TestMetrics::default(), TestMetrics::default());
+        old.adopt_into(&registry, &[("shard", "0")]);
+        new.adopt_into(&registry, &[("shard", "0")]);
+        old.first.add(5);
+        new.first.add(2);
+        new.depth.set(-3);
+        new.latency.observe(1);
+        assert_eq!(
+            exported_names(&registry),
+            [
+                "test_depth",
+                "test_first_total",
+                "test_latency",
+                "test_second_total"
+            ]
+        );
+        for (key, metric) in registry.snapshot() {
+            assert_eq!(key.labels, [("shard".to_string(), "0".to_string())]);
+            match (key.name.as_str(), metric) {
+                ("test_first_total", Metric::Counter(c)) => assert_eq!(c.value(), 2),
+                ("test_second_total", Metric::Counter(c)) => assert_eq!(c.value(), 0),
+                ("test_depth", Metric::Gauge(g)) => assert_eq!(g.value(), -3),
+                ("test_latency", Metric::Histogram(h)) => assert_eq!(h.count(), 1),
+                other => panic!("unexpected export {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn metric_set_shared_aggregates_under_one_name_and_label_set() {
+        let registry = Registry::new();
+        let a = TestMetrics::shared(&registry, &[("domain", "enclave")]);
+        let b = TestMetrics::shared(&registry, &[("domain", "enclave")]);
+        let other = TestMetrics::shared(&registry, &[("domain", "native")]);
+        a.second.add(3);
+        b.second.add(4);
+        b.latency.observe(7);
+        assert_eq!(
+            a.snapshot(),
+            TestStats {
+                first: 0,
+                second: 7
+            }
+        );
+        assert_eq!(a.latency.count(), 1);
+        assert_eq!(other.snapshot(), TestStats::default());
+        assert_eq!(exported_names(&registry).len(), 8);
+    }
+
+    #[test]
+    fn metric_set_snapshot_reads_counters_in_declaration_order() {
+        let set = TestMetrics::default();
+        set.first.add(u64::MAX);
+        set.first.inc();
+        set.second.add(2);
+        set.depth.set(11);
+        set.latency.observe(12);
+        // The gauge and the histogram are registered (see the adopt test)
+        // but are no snapshot fields.
+        assert_eq!(
+            format!("{:?}", set.snapshot()),
+            "TestStats { first: 18446744073709551615, second: 2 }"
+        );
     }
 
     #[test]
