@@ -420,6 +420,7 @@ struct ReplicaOutcome {
     trace: Vec<String>,
     telemetry_jsonl: String,
     prometheus: String,
+    chrome: String,
     stats: securecloud::replica::cluster::ReplicaStats,
     lost_any_acked_write: bool,
 }
@@ -471,6 +472,7 @@ fn run_replica_scenario(seed: u64) -> ReplicaOutcome {
         trace: injector.trace(),
         telemetry_jsonl: cloud.telemetry().trace_jsonl(),
         prometheus: cloud.telemetry().prometheus(),
+        chrome: cloud.telemetry().chrome_trace_json(),
         stats,
         lost_any_acked_write,
     }
@@ -483,11 +485,12 @@ fn fnv1a(text: &str) -> u64 {
     })
 }
 
-/// The replica run's Prometheus text and JSONL trace, pinned as
-/// `(length, FNV-1a)`: the replica counters, the shard-labelled cycle
+/// The replica run's Prometheus text, JSONL trace and chrome trace, pinned
+/// as `(length, FNV-1a)`: the replica counters, the shard-labelled cycle
 /// histograms, the lag gauge and the admissions all export into them, so
 /// a refactor of any metric set that moves one series, label or value
-/// fails here.
+/// fails here; the chrome trace also pins how spans pair their
+/// `Begin`/`End` events.
 #[test]
 fn replica_run_exports_are_pinned() {
     let outcome = run_replica_scenario(0xFA11);
@@ -497,6 +500,11 @@ fn replica_run_exports_are_pinned() {
         (5102, 0xeac4_103e_27c0_7309)
     );
     assert_eq!((jsonl.len(), fnv1a(jsonl)), (9650, 0xebd9_cda1_2235_0005));
+    let chrome = &outcome.chrome;
+    assert_eq!(
+        (chrome.len(), fnv1a(chrome)),
+        (11781, 0xa850_38ec_8918_1c21)
+    );
 }
 
 #[test]

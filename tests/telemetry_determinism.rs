@@ -262,18 +262,24 @@ fn fnv1a(text: &str) -> u64 {
     })
 }
 
-/// The seeded run's Prometheus text and JSONL trace, pinned as
-/// `(length, FNV-1a)`: bus, containers, scbr overlay, scone, the sgx
+/// The seeded run's Prometheus text, JSONL trace and chrome trace, pinned
+/// as `(length, FNV-1a)`: bus, containers, scbr overlay, scone, the sgx
 /// mirrors and enclave transitions all export into them, so a refactor of
-/// any metric set that moves one series, label or value fails here.
+/// any metric set that moves one series, label or value fails here; the
+/// chrome trace also pins how spans pair their `Begin`/`End` events and
+/// flow edges.
 #[test]
 fn seeded_run_exports_are_pinned() {
-    let (jsonl, prometheus, _) = with_silent_panics(|| run_scenario(0x5EED));
+    let (jsonl, prometheus, chrome) = with_silent_panics(|| run_scenario(0x5EED));
     assert_eq!(
         (prometheus.len(), fnv1a(&prometheus)),
         (4843, 0xb78b_12b0_4430_9910)
     );
     assert_eq!((jsonl.len(), fnv1a(&jsonl)), (24080, 0xd277_5116_730c_66f9));
+    assert_eq!(
+        (chrome.len(), fnv1a(&chrome)),
+        (24871, 0xbc0b_56b6_e7df_b493)
+    );
 }
 
 #[test]
