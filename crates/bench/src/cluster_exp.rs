@@ -174,7 +174,10 @@ fn run_cell(seed: u64, writes_per_tick: u64, config: &ClusterConfig) -> ClusterP
         .attach_cluster_controller(id, ScalingPolicy::default(), 8)
         .expect("valid default policy");
 
-    let backpressured = cloud.telemetry().counter(METRIC_BACKPRESSURED);
+    let backpressured = cloud
+        .telemetry()
+        .registry()
+        .counter(METRIC_BACKPRESSURED, &[]);
     let mut acked: Vec<(String, u64)> = Vec::new();
     let mut rejected = 0u64;
     let mut epoch_rollbacks = 0u64;

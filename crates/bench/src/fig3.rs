@@ -10,7 +10,7 @@ use securecloud_scbr::index::PosetIndex;
 use securecloud_scbr::workload::WorkloadSpec;
 use securecloud_sgx::costs::{CostModel, MemoryGeometry};
 use securecloud_sgx::mem::MemorySim;
-use securecloud_telemetry::Telemetry;
+use securecloud_telemetry::{Telemetry, TraceContext};
 
 use crate::pool;
 use crate::report::Cell::{Fixed, Unit};
@@ -61,13 +61,14 @@ fn run_domain(
 ) -> DomainRun {
     let domain = if enclave { "enclave" } else { "native" };
     let _span = telemetry.map(|t| {
-        t.span_with(
+        t.span(
             "bench",
             "fig3_domain",
             vec![
                 ("domain", domain.to_string()),
                 ("db_mb", (db_bytes >> 20).to_string()),
             ],
+            TraceContext::none(),
         )
     });
     let mut mem = if enclave {

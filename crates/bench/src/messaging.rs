@@ -139,7 +139,7 @@ fn run_point(
     let batch_label = batch.to_string();
     let payload_label = payload_bytes.to_string();
     let latency = match telemetry {
-        Some(t) => t.histogram_with(
+        Some(t) => t.registry().histogram(
             "securecloud_bench_messaging_publish_us",
             &[
                 ("batch", &batch_label),
@@ -186,7 +186,10 @@ fn run_point(
     }
     let total_cycles = router.enclave_mut().memory().cycles() - started;
     let secs = (total_cycles as f64 / (costs.cpu_ghz * 1e9)).max(1e-12);
-    let ecalls = transition_counters.counter(METRIC_ECALLS).value();
+    let ecalls = transition_counters
+        .registry()
+        .counter(METRIC_ECALLS, &[])
+        .value();
 
     MessagingPoint {
         plane,

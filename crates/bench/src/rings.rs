@@ -202,7 +202,10 @@ fn run_ring_plane(
     let before = mem.cycles();
     let stats = exec.run(&mut mem).expect("executor run");
     let cycles = mem.cycles() - before;
-    let spurious = local.counter(METRIC_RING_SPURIOUS_WAKES).value();
+    let spurious = local
+        .registry()
+        .counter(METRIC_RING_SPURIOUS_WAKES, &[])
+        .value();
     if let Some(shared) = telemetry {
         shared.absorb(&local);
     }

@@ -212,15 +212,21 @@ fn run_cell(seed: u64, config: &SloConfig) -> SloPoint {
     // lease-expiry redeliveries land far above 500 ms), and a durability
     // SLO on traced write admissions (partition refusals burn it).
     let telemetry = Arc::clone(cloud.telemetry());
-    let writes_total = telemetry.counter("securecloud_slo_writes_total");
-    let writes_refused = telemetry.counter("securecloud_slo_writes_refused_total");
+    let writes_total = telemetry
+        .registry()
+        .counter("securecloud_slo_writes_total", &[]);
+    let writes_refused = telemetry
+        .registry()
+        .counter("securecloud_slo_writes_refused_total", &[]);
     let mut engine = SloEngine::new(Arc::clone(&telemetry));
     engine.add(SloSpec {
         fast_window_ticks: 2,
         slow_window_ticks: 6,
         ..SloSpec::latency(
             "publish_to_ack_latency",
-            telemetry.histogram(METRIC_PUBLISH_TO_ACK_MS),
+            telemetry
+                .registry()
+                .histogram(METRIC_PUBLISH_TO_ACK_MS, &[]),
             500,
             10_000,
         )
@@ -259,7 +265,7 @@ fn run_cell(seed: u64, config: &SloConfig) -> SloPoint {
 
     cloud.register_service(Box::new(MeterAggregator { seen: 0 }));
 
-    let backpressured = telemetry.counter(METRIC_BACKPRESSURED);
+    let backpressured = telemetry.registry().counter(METRIC_BACKPRESSURED, &[]);
     let mut published = 0u64;
     let mut acked = 0u64;
     let mut rejected = 0u64;
@@ -319,7 +325,8 @@ fn run_cell(seed: u64, config: &SloConfig) -> SloPoint {
         .expect("controller attached")
         .decision_trace();
     let restarts = telemetry
-        .counter("securecloud_containers_restarts_total")
+        .registry()
+        .counter("securecloud_containers_restarts_total", &[])
         .value();
 
     assert!(

@@ -3,7 +3,8 @@
 //! byte-identical point vectors *and* byte-identical telemetry exports for
 //! any `--jobs` value.
 
-use securecloud_bench::{cluster_exp, fig3, messaging, replication, slo};
+use securecloud_bench::report::{Ctx, Report};
+use securecloud_bench::{cluster_exp, fig3, messaging, replication, slo, syscalls};
 use securecloud_telemetry::Telemetry;
 
 /// Tiny Figure 3 sweep (debug-build sized): serial and 4-way parallel runs
@@ -166,4 +167,33 @@ fn replication_grid_is_identical_across_job_counts() {
         .map(|p| (p.shards, p.replication_factor))
         .collect();
     assert_eq!(order, expected_order, "row-major order must be preserved");
+}
+
+/// E4 smoke report (`repro -- syscall --smoke`): its async column runs over
+/// `Shield::threaded`, a real host servicer thread, but the shield charges
+/// enclave cycles from the cost model alone, never from the thread's
+/// timing. So the report is byte-identical across runs and job counts,
+/// which is what lets CI `cmp` the committed `BENCH_syscall.json`.
+#[test]
+fn syscall_smoke_report_is_identical_across_runs_and_job_counts() {
+    let render = |jobs: usize| {
+        let telemetry = Telemetry::new();
+        let ctx = Ctx {
+            smoke: true,
+            jobs,
+            telemetry: &telemetry,
+        };
+        let reports = syscalls::report(&ctx);
+        let json: Vec<String> = reports.iter().map(Report::to_json).collect();
+        (json, telemetry.prometheus(), telemetry.trace_jsonl())
+    };
+    let first = render(1);
+    assert_eq!(first, render(1), "two runs at --jobs 1 diverge");
+    assert_eq!(first, render(4), "--jobs 1 and --jobs 4 diverge");
+    assert_eq!(first.0.len(), 1);
+    assert_eq!(
+        first.0[0].matches("\"payload_b\"").count(),
+        6,
+        "one row per payload"
+    );
 }

@@ -26,7 +26,7 @@ use securecloud_faults::FaultInjector;
 use securecloud_genpack::cluster::{Cluster, Demand, JobId, ServerSpec};
 use securecloud_genpack::schedulers::{GenPackScheduler, Scheduler};
 use securecloud_replica::{ReplicaError, ReplicatedKv, ShardId, METRIC_REPLICATION_LAG};
-use securecloud_telemetry::{Counter, Gauge, Histogram, SloEngine, Telemetry};
+use securecloud_telemetry::{Counter, Gauge, Histogram, SloEngine, Telemetry, TraceContext};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -147,10 +147,11 @@ impl ClusterController {
     ) -> Result<Self, crate::PolicyError> {
         policy.validate()?;
         let desired_services = policy.min_service_replicas;
+        let registry = telemetry.registry();
         Ok(ClusterController {
-            backpressured: telemetry.counter(METRIC_BACKPRESSURED),
-            dead_letter_depth: telemetry.gauge(METRIC_DEAD_LETTER_DEPTH),
-            publish_to_ack: telemetry.histogram(METRIC_PUBLISH_TO_ACK_MS),
+            backpressured: registry.counter(METRIC_BACKPRESSURED, &[]),
+            dead_letter_depth: registry.gauge(METRIC_DEAD_LETTER_DEPTH, &[]),
+            publish_to_ack: registry.histogram(METRIC_PUBLISH_TO_ACK_MS, &[]),
             last_backpressured: 0,
             lag_gauges: BTreeMap::new(),
             shards: BTreeMap::new(),
@@ -165,9 +166,9 @@ impl ClusterController {
             slo: None,
             slo_alerts_seen: 0,
             decisions: Vec::new(),
-            decisions_total: telemetry.counter("securecloud_cluster_decisions_total"),
-            power_watts: telemetry.gauge("securecloud_cluster_power_watts"),
-            servers_on: telemetry.gauge("securecloud_cluster_servers_on"),
+            decisions_total: registry.counter("securecloud_cluster_decisions_total", &[]),
+            power_watts: registry.gauge("securecloud_cluster_power_watts", &[]),
+            servers_on: registry.gauge("securecloud_cluster_servers_on", &[]),
             telemetry: Arc::clone(telemetry),
             injector: None,
             policy,
@@ -230,8 +231,12 @@ impl ClusterController {
         if let Some(injector) = &self.injector {
             injector.record(line.clone());
         }
-        self.telemetry
-            .event("cluster", "decision", vec![("line", line.clone())]);
+        self.telemetry.event(
+            "cluster",
+            "decision",
+            vec![("line", line.clone())],
+            TraceContext::none(),
+        );
         self.decisions_total.inc();
         self.decisions.push(line);
     }
@@ -239,7 +244,9 @@ impl ClusterController {
     fn lag_of(&mut self, shard: ShardId, telemetry: &Arc<Telemetry>) -> u64 {
         let gauge = self.lag_gauges.entry(shard.0).or_insert_with(|| {
             let label = shard.to_string();
-            telemetry.gauge_with(METRIC_REPLICATION_LAG, &[("shard", &label)])
+            telemetry
+                .registry()
+                .gauge(METRIC_REPLICATION_LAG, &[("shard", &label)])
         });
         u64::try_from(gauge.value()).unwrap_or(0)
     }
@@ -376,6 +383,7 @@ impl ClusterController {
             "cluster",
             "scale_up_cause",
             vec![("target", target.to_string()), ("traces", traces)],
+            TraceContext::none(),
         );
     }
 
@@ -738,7 +746,7 @@ mod tests {
         let telemetry = Arc::new(Telemetry::new());
         let mut kv = deploy(&telemetry);
         let mut controller = controller(&telemetry);
-        let backpressured = telemetry.counter(METRIC_BACKPRESSURED);
+        let backpressured = telemetry.registry().counter(METRIC_BACKPRESSURED, &[]);
         let mut admitted = 0;
         for step in 0..6u64 {
             // 20 backpressure errors per tick: breach every tick.
@@ -767,7 +775,7 @@ mod tests {
         let telemetry = Arc::new(Telemetry::new());
         let mut kv = deploy(&telemetry);
         let mut controller = controller(&telemetry);
-        let backpressured = telemetry.counter(METRIC_BACKPRESSURED);
+        let backpressured = telemetry.registry().counter(METRIC_BACKPRESSURED, &[]);
         let mut now = 0;
         for _ in 0..6u64 {
             backpressured.add(20);
@@ -814,7 +822,7 @@ mod tests {
         let mut kv = deploy(&telemetry);
         let mut controller = controller(&telemetry);
         kv.partition_shard(ShardId(0), 10_000);
-        let backpressured = telemetry.counter(METRIC_BACKPRESSURED);
+        let backpressured = telemetry.registry().counter(METRIC_BACKPRESSURED, &[]);
         for step in 0..4u64 {
             backpressured.add(20);
             let _ = controller.tick(step * 1_000, &mut kv);
@@ -834,7 +842,7 @@ mod tests {
             let telemetry = Arc::new(Telemetry::new());
             let mut kv = deploy(&telemetry);
             let mut controller = controller(&telemetry);
-            let backpressured = telemetry.counter(METRIC_BACKPRESSURED);
+            let backpressured = telemetry.registry().counter(METRIC_BACKPRESSURED, &[]);
             for step in 0..12u64 {
                 if step % 3 == 0 {
                     backpressured.add(20);

@@ -25,7 +25,7 @@ use securecloud_scone::hostos::{FaultyHost, HostOs, MemHost, Syscall, SyscallRet
 use securecloud_scone::runtime::SconeRuntime;
 use securecloud_scone::scf::ConfigService;
 use securecloud_sgx::enclave::{EnclaveConfig, Platform};
-use securecloud_telemetry::{OwnedSpan, Telemetry, TraceContext};
+use securecloud_telemetry::{Telemetry, TraceContext};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -376,12 +376,14 @@ impl Engine {
         injector: Option<&Arc<FaultInjector>>,
     ) -> Result<SconeRuntime, ContainerError> {
         let span = telemetry.map(|t| {
-            t.counter("securecloud_containers_bootstraps_total").inc();
-            OwnedSpan::open_with(
-                t.clone(),
+            t.registry()
+                .counter("securecloud_containers_bootstraps_total", &[])
+                .inc();
+            t.span(
                 "containers",
                 "attested_bootstrap",
                 vec![("image", image.reference())],
+                TraceContext::none(),
             )
         });
         let sealed_protection = image
@@ -416,7 +418,8 @@ impl Engine {
             }
             Err(e) => {
                 if let Some(t) = telemetry {
-                    t.counter("securecloud_containers_bootstrap_failures_total")
+                    t.registry()
+                        .counter("securecloud_containers_bootstrap_failures_total", &[])
                         .inc();
                 }
                 Err(ContainerError::Start(e.to_string()))
@@ -492,17 +495,14 @@ impl Engine {
         container.fault_ctx = cause;
         self.record(format!("container c{} aborted: {reason}", id.0));
         if let Some(t) = &self.telemetry {
-            t.counter("securecloud_containers_aborts_total").inc();
+            t.registry()
+                .counter("securecloud_containers_aborts_total", &[])
+                .inc();
             let args = vec![
                 ("container", format!("c{}", id.0)),
                 ("reason", reason.to_string()),
             ];
-            if cause.is_none() {
-                t.event("containers", "container_aborted", args);
-            } else {
-                let leaf = t.mint_child(cause);
-                t.event_ctx("containers", "container_aborted", args, leaf);
-            }
+            t.event("containers", "container_aborted", args, t.mint_child(cause));
         }
         match self.containers[&id].supervision.policy {
             RestartPolicy::Never => {
@@ -544,30 +544,27 @@ impl Engine {
                 container.restarts += 1;
                 (container.restarts, container.fault_ctx)
             };
-            let span = self.telemetry.clone().map(|t| {
-                // A traced abort makes the restart a child span of the fault
-                // that caused it; untraced aborts keep the plain span.
-                let ctx = if fault_ctx.is_none() {
-                    TraceContext::none()
-                } else {
-                    t.mint_child(fault_ctx)
-                };
-                OwnedSpan::open_ctx(
-                    t,
+            let telemetry = self.telemetry.clone();
+            // A traced abort makes the restart a child span of the fault
+            // that caused it; untraced aborts keep the plain span.
+            let span = telemetry.as_ref().map(|t| {
+                t.span(
                     "containers",
                     "restart",
                     vec![
                         ("container", format!("c{}", id.0)),
                         ("attempt", attempt.to_string()),
                     ],
-                    ctx,
+                    t.mint_child(fault_ctx),
                 )
             });
             match self.try_restart(id) {
                 Ok(()) => {
                     self.record(format!("container c{} restarted attempt {attempt}", id.0));
                     if let Some(t) = &self.telemetry {
-                        t.counter("securecloud_containers_restarts_total").inc();
+                        t.registry()
+                            .counter("securecloud_containers_restarts_total", &[])
+                            .inc();
                     }
                 }
                 Err(e) => {
@@ -630,17 +627,15 @@ impl Engine {
                 id.0
             ));
             if let Some(t) = &self.telemetry {
-                t.counter("securecloud_containers_quarantines_total").inc();
+                t.registry()
+                    .counter("securecloud_containers_quarantines_total", &[])
+                    .inc();
                 let args = vec![
                     ("container", format!("c{}", id.0)),
                     ("restarts", restarts.to_string()),
                 ];
-                if fault_ctx.is_none() {
-                    t.event("containers", "container_quarantined", args);
-                } else {
-                    let leaf = t.mint_child(fault_ctx);
-                    t.event_ctx("containers", "container_quarantined", args, leaf);
-                }
+                let leaf = t.mint_child(fault_ctx);
+                t.event("containers", "container_quarantined", args, leaf);
             }
             return;
         }
@@ -666,6 +661,7 @@ impl Engine {
                     ("container", format!("c{}", id.0)),
                     ("delay_ms", delay.to_string()),
                 ],
+                TraceContext::none(),
             );
         }
     }

@@ -66,7 +66,6 @@ use containers::image::ImageId;
 use containers::registry::Registry;
 use containers::ContainerError;
 use eventbus::service::{MicroService, ServiceHost};
-use eventbus::TopicKeyService;
 use faults::{FaultEvent, FaultInjector, FaultKind};
 use kvstore::CounterService;
 use parking_lot::RwLock;
@@ -82,14 +81,13 @@ use telemetry::{SloEngine, Telemetry, TraceContext};
 /// The assembled SecureCloud control plane.
 ///
 /// Owns one SGX-capable platform, the attestation + configuration trust
-/// anchors, an image registry, the container engine, the per-topic key
-/// service, and the event bus connecting micro-services.
+/// anchors, an image registry, the container engine, and the event bus
+/// connecting micro-services.
 pub struct SecureCloud {
     platform: Platform,
     registry: Arc<Registry>,
     config_service: Arc<RwLock<ConfigService>>,
     engine: Engine,
-    key_service: TopicKeyService,
     host: ServiceHost,
     counter_service: CounterService,
     replicated: Vec<ReplicatedKv>,
@@ -125,8 +123,6 @@ impl SecureCloud {
         let platform = Platform::new();
         let mut attestation = AttestationService::new();
         attestation.register_platform(&platform);
-        let mut key_attestation = AttestationService::new();
-        key_attestation.register_platform(&platform);
         let registry = Arc::new(Registry::new());
         let config_service = Arc::new(RwLock::new(ConfigService::new(attestation)));
         let mut engine = Engine::new(
@@ -134,7 +130,7 @@ impl SecureCloud {
             platform.clone(),
             Arc::clone(&config_service),
         );
-        // One registry + virtual-clock trace buffer for the whole platform:
+        // One registry + virtual-clock trace for the whole platform:
         // engine supervision, bus delivery, and every bootstrapped secure
         // runtime report into it.
         let telemetry = Arc::new(Telemetry::new());
@@ -146,7 +142,6 @@ impl SecureCloud {
             registry,
             config_service,
             engine,
-            key_service: TopicKeyService::new(key_attestation),
             host,
             counter_service: CounterService::new(),
             replicated: Vec::new(),
@@ -186,7 +181,7 @@ impl SecureCloud {
     }
 
     /// The platform-wide telemetry: shared metrics registry, virtual
-    /// clock, and trace buffer.
+    /// clock, and trace events.
     #[must_use]
     pub fn telemetry(&self) -> &Arc<Telemetry> {
         &self.telemetry
@@ -200,12 +195,6 @@ impl SecureCloud {
         self.engine.set_fault_injector(Arc::clone(&injector));
         self.host.set_fault_injector(Arc::clone(&injector));
         self.injector = Some(injector);
-    }
-
-    /// The attached fault injector, if any.
-    #[must_use]
-    pub fn fault_injector(&self) -> Option<&Arc<FaultInjector>> {
-        self.injector.as_ref()
     }
 
     /// The platform-wide virtual time in milliseconds.
@@ -248,7 +237,7 @@ impl SecureCloud {
                     // the fault schedule entry that caused it.
                     let cause = if self.causal_tracing {
                         let root = self.telemetry.mint_root();
-                        self.telemetry.event_ctx(
+                        self.telemetry.event(
                             "faults",
                             "enclave_abort_fired",
                             vec![("container", format!("c{container}"))],
@@ -280,6 +269,7 @@ impl SecureCloud {
                         "faults",
                         "syscall_failures_armed",
                         vec![("count", count.to_string())],
+                        TraceContext::none(),
                     );
                 }
                 // The facade owns no broker overlay; returned to the caller.
@@ -323,7 +313,8 @@ impl SecureCloud {
     /// observable no-op instead of a panic or a silent drop.
     fn record_unroutable(&self, kind: &FaultKind) {
         self.telemetry
-            .counter_with(
+            .registry()
+            .counter(
                 "securecloud_faults_unroutable_total",
                 &[("kind", kind.name())],
             )
@@ -332,6 +323,7 @@ impl SecureCloud {
             "faults",
             "unroutable",
             vec![("kind", kind.name().to_string())],
+            TraceContext::none(),
         );
         if let Some(injector) = &self.injector {
             injector.record(format!("fault unroutable: {kind}"));
@@ -370,6 +362,7 @@ impl SecureCloud {
                     "cluster",
                     "service_replica_retired",
                     vec![("container", format!("{id:?}"))],
+                    TraceContext::none(),
                 ),
             }
         }
@@ -449,11 +442,6 @@ impl SecureCloud {
     #[must_use]
     pub fn config_service(&self) -> &Arc<RwLock<ConfigService>> {
         &self.config_service
-    }
-
-    /// The per-topic payload key service.
-    pub fn key_service_mut(&mut self) -> &mut TopicKeyService {
-        &mut self.key_service
     }
 
     /// Publishes a built secure image: pushes it, registers its SCF, and
@@ -700,7 +688,8 @@ mod tests {
         let telemetry = Arc::clone(cloud.telemetry());
         let count = move |kind: &str| {
             telemetry
-                .counter_with("securecloud_faults_unroutable_total", &[("kind", kind)])
+                .registry()
+                .counter("securecloud_faults_unroutable_total", &[("kind", kind)])
                 .value()
         };
         assert_eq!(count("replica-kill"), 1);

@@ -117,17 +117,6 @@ impl Identity {
         }
     }
 
-    /// Reconstructs an identity from a stored secret key.
-    #[must_use]
-    pub fn from_secret(name: &str, secret: SecretKey) -> Self {
-        let public = x25519::public_key(&secret);
-        Identity {
-            name: name.to_string(),
-            secret,
-            public,
-        }
-    }
-
     /// The endpoint's label.
     #[must_use]
     pub fn name(&self) -> &str {

@@ -276,6 +276,7 @@ impl EventBus {
                     ("subscriber", format!("s{}", subscriber.0)),
                     ("reason", reason.to_string()),
                 ],
+                TraceContext::none(),
             );
         }
         dead.push(DeadLetter {
@@ -578,7 +579,7 @@ impl EventBus {
                         // Retroactive leaf span covering publish→ack: the
                         // wait is only known now, at settlement.
                         let leaf = t.mint_child(msg.ctx);
-                        t.event_ctx(
+                        t.event(
                             "eventbus",
                             "publish_to_ack",
                             vec![

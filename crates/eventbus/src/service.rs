@@ -213,7 +213,7 @@ impl ServiceHost {
             // of the message's publish context; untraced messages
             // stay byte-identical to the pre-tracing stream.
             let span = match self.telemetry.as_deref() {
-                Some(t) if !message.ctx.is_none() => Some(t.span_ctx(
+                Some(t) if !message.ctx.is_none() => Some(t.span(
                     "service",
                     "deliver",
                     vec![
@@ -252,7 +252,8 @@ impl ServiceHost {
                         ));
                     }
                     if let Some(t) = &self.telemetry {
-                        t.counter_with("securecloud_service_panics_total", &[("service", name)])
+                        t.registry()
+                            .counter("securecloud_service_panics_total", &[("service", name)])
                             .inc();
                         t.event(
                             "eventbus",
@@ -262,6 +263,7 @@ impl ServiceHost {
                                 ("message", format!("m{}", message.id.0)),
                                 ("attempt", message.attempt.to_string()),
                             ],
+                            TraceContext::none(),
                         );
                     }
                     if registered.consecutive_panics >= self.quarantine_after {
@@ -270,15 +272,17 @@ impl ServiceHost {
                             injector.record(format!("service {name} quarantined"));
                         }
                         if let Some(t) = &self.telemetry {
-                            t.counter_with(
-                                "securecloud_service_quarantines_total",
-                                &[("service", name)],
-                            )
-                            .inc();
+                            t.registry()
+                                .counter(
+                                    "securecloud_service_quarantines_total",
+                                    &[("service", name)],
+                                )
+                                .inc();
                             t.event(
                                 "eventbus",
                                 "service_quarantined",
                                 vec![("service", name.to_string())],
+                                TraceContext::none(),
                             );
                         }
                     }

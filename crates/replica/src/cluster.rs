@@ -20,7 +20,7 @@ use securecloud_faults::{FaultInjector, FaultKind};
 use securecloud_kvstore::{CounterService, StorageConfig};
 use securecloud_sgx::costs::{CostModel, MemoryGeometry};
 use securecloud_sgx::enclave::{Measurement, Platform};
-use securecloud_telemetry::{OwnedSpan, Telemetry, TraceContext};
+use securecloud_telemetry::{Telemetry, TraceContext};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -348,13 +348,12 @@ impl ReplicatedKv {
         parent: TraceContext,
     ) -> Result<(), ReplicaError> {
         let shard = self.map.shard_for(key);
-        let ctx = match &self.telemetry {
-            Some(t) if !parent.is_none() => t.mint_child(parent),
-            None | Some(_) => TraceContext::none(),
-        };
-        let _span = self.telemetry.as_ref().map(|t| {
-            OwnedSpan::open_ctx(
-                t.clone(),
+        let telemetry = self.telemetry.clone();
+        let ctx = telemetry
+            .as_ref()
+            .map_or_else(TraceContext::none, |t| t.mint_child(parent));
+        let _span = telemetry.as_ref().map(|t| {
+            t.span(
                 "replica",
                 "quorum_put",
                 vec![("shard", shard.to_string())],
@@ -384,12 +383,13 @@ impl ReplicatedKv {
     /// [`ShardGroup::get`].
     pub fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, ReplicaError> {
         let shard = self.map.shard_for(key);
-        let _span = self.telemetry.as_ref().map(|t| {
-            OwnedSpan::open_with(
-                t.clone(),
+        let telemetry = self.telemetry.clone();
+        let _span = telemetry.as_ref().map(|t| {
+            t.span(
                 "replica",
                 "quorum_get",
                 vec![("shard", shard.to_string())],
+                TraceContext::none(),
             )
         });
         let result = self

@@ -352,7 +352,7 @@ impl ShardGroup {
             .as_ref()
             .map_or_else(TraceContext::none, |t| t.mint_child(parent));
         let _span = tracer.as_ref().map(|t| {
-            t.span_ctx(
+            t.span(
                 "replica",
                 "quorum_write",
                 vec![("shard", self.shard.to_string())],
@@ -381,7 +381,7 @@ impl ShardGroup {
                 });
             }
             let _replica_span = tracer.as_ref().map(|t| {
-                t.span_ctx(
+                t.span(
                     "replica",
                     "replica_put",
                     vec![("replica", replica.id.to_string())],
@@ -453,6 +453,7 @@ impl ShardGroup {
                 "replica",
                 "replica_killed",
                 vec![("replica", replica.id.to_string())],
+                TraceContext::none(),
             );
         }
         self.update_replication_lag();
@@ -478,6 +479,7 @@ impl ShardGroup {
                 "replica",
                 "replica_stalled",
                 vec![("replica", id.to_string())],
+                TraceContext::none(),
             );
         }
         Some(id)
@@ -499,6 +501,7 @@ impl ShardGroup {
                 "replica",
                 "partitioned",
                 vec![("shard", self.shard.to_string())],
+                TraceContext::none(),
             );
         }
         true
@@ -516,6 +519,7 @@ impl ShardGroup {
                 "replica",
                 "partition_healed",
                 vec![("shard", self.shard.to_string())],
+                TraceContext::none(),
             );
         }
         true
@@ -562,6 +566,7 @@ impl ShardGroup {
                     ("epoch", epoch.to_string()),
                     ("replicas", self.slots.len().to_string()),
                 ],
+                TraceContext::none(),
             );
         }
         self.update_replication_lag();
@@ -638,6 +643,7 @@ impl ShardGroup {
                     ("epoch", epoch.to_string()),
                     ("replicas", self.slots.len().to_string()),
                 ],
+                TraceContext::none(),
             );
         }
         self.update_replication_lag();
@@ -700,6 +706,7 @@ impl ShardGroup {
                     ("epoch", epoch.to_string()),
                     ("replaced", replaced.to_string()),
                 ],
+                TraceContext::none(),
             );
         }
         self.update_replication_lag();
@@ -897,6 +904,7 @@ impl ShardGroup {
                 "replica",
                 "storage_corrupted",
                 vec![("replica", id.to_string()), ("segment", hit.0.to_string())],
+                TraceContext::none(),
             );
         }
         Some(hit)
@@ -933,6 +941,7 @@ impl ShardGroup {
                         ("replica", id.to_string()),
                         ("segments", quarantined.len().to_string()),
                     ],
+                    TraceContext::none(),
                 );
             }
         }

@@ -14,7 +14,7 @@
 //! process, excluding the subtree it came from).
 
 use crate::types::{covers_normalised, Normalised, Publication, SubId, Subscription};
-use securecloud_telemetry::{OwnedSpan, Telemetry};
+use securecloud_telemetry::{Telemetry, TraceContext};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -244,13 +244,15 @@ impl Overlay {
         if self.brokers[failed].failed {
             return;
         }
-        let _recovery_span = self.telemetry.clone().map(|t| {
+        let telemetry = self.telemetry.clone();
+        let _recovery_span = telemetry.as_ref().map(|t| {
             t.event(
                 "scbr",
                 "broker_failed",
                 vec![("broker", format!("b{failed}"))],
+                TraceContext::none(),
             );
-            OwnedSpan::open(t, "scbr", "recovery")
+            t.span("scbr", "recovery", vec![], TraceContext::none())
         });
         self.brokers[failed].failed = true;
         let parent = self.brokers[failed].parent.take();
@@ -397,12 +399,13 @@ impl Overlay {
             "broker {} has failed",
             broker.0
         );
-        let span = self.telemetry.clone().map(|t| {
-            OwnedSpan::open_with(
-                t,
+        let telemetry = self.telemetry.clone();
+        let span = telemetry.as_ref().map(|t| {
+            t.span(
                 "scbr",
                 "publish",
                 vec![("entry_broker", format!("b{}", broker.0))],
+                TraceContext::none(),
             )
         });
         let mut delivered = Vec::new();

@@ -332,7 +332,7 @@ impl SecureRouter {
         // One enclave transition for the whole batch: the AEAD open charge
         // and every match run inside a single ECALL/OCALL pair.
         let _span = match &self.telemetry {
-            Some(t) if !ctx.is_none() => Some(t.span_ctx(
+            Some(t) if !ctx.is_none() => Some(t.span(
                 "scbr",
                 "match_batch",
                 vec![("publications", publications.len().to_string())],

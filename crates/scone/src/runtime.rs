@@ -66,13 +66,6 @@ impl SconeRuntime {
         Ok(SconeRuntime { enclave, scf, fs })
     }
 
-    /// Assembles a runtime directly from parts (used by tests and by the
-    /// container engine after it has already run provisioning itself).
-    #[must_use]
-    pub fn from_parts(enclave: Enclave, scf: Scf, fs: ShieldedFs) -> Self {
-        SconeRuntime { enclave, scf, fs }
-    }
-
     /// Application arguments from the SCF.
     #[must_use]
     pub fn args(&self) -> &[String] {
@@ -285,6 +278,18 @@ mod tests {
             crate::stdio::StreamRole::Consumer,
         );
         assert_eq!(collector.read().unwrap(), b"line");
+
+        // Stdin runs the other way: a feeder holding the SCF's stdin key
+        // writes, and the enclave reads through its shielded stdin.
+        let (feeder_side, enclave_side3) = memory_pair();
+        let mut feeder = crate::stdio::ShieldedStream::new(
+            feeder_side,
+            &runtime.scf().stdio.stdin,
+            crate::stdio::StreamRole::Producer,
+        );
+        feeder.write(b"reload config").unwrap();
+        let mut stdin = runtime.shielded_stdin(enclave_side3);
+        assert_eq!(stdin.read().unwrap(), b"reload config");
     }
 
     #[test]
@@ -308,7 +313,8 @@ mod tests {
         // Every one of those syscalls rode the rings, none the sync hop.
         let opens = |mode| {
             telemetry
-                .counter_with(
+                .registry()
+                .counter(
                     "securecloud_scone_syscalls_total",
                     &[("kind", "open"), ("mode", mode)],
                 )

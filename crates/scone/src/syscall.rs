@@ -41,13 +41,15 @@ struct ShieldTelemetry {
 impl ShieldTelemetry {
     fn record(&self, kind: &'static str, cycles: u64) {
         self.telemetry
-            .counter_with(
+            .registry()
+            .counter(
                 "securecloud_scone_syscalls_total",
                 &[("kind", kind), ("mode", self.mode)],
             )
             .inc();
         self.telemetry
-            .histogram_with(
+            .registry()
+            .histogram(
                 "securecloud_scone_syscall_cycles",
                 &[("kind", kind), ("mode", self.mode)],
             )
@@ -56,7 +58,8 @@ impl ShieldTelemetry {
 
     fn violation(&self, kind: &'static str) {
         self.telemetry
-            .counter_with(
+            .registry()
+            .counter(
                 "securecloud_scone_host_violations_total",
                 &[("kind", kind), ("mode", self.mode)],
             )
@@ -436,7 +439,8 @@ mod tests {
 
     fn violations(telemetry: &Telemetry, kind: &str, mode: &str) -> u64 {
         telemetry
-            .counter_with(
+            .registry()
+            .counter(
                 "securecloud_scone_host_violations_total",
                 &[("kind", kind), ("mode", mode)],
             )
@@ -727,19 +731,22 @@ mod tests {
         // Open parks once, then the 8-write batch parks once and the
         // remaining completions are already serviced.
         let wakes = telemetry
-            .counter_with("securecloud_scone_ring_wakes_total", &[])
+            .registry()
+            .counter("securecloud_scone_ring_wakes_total", &[])
             .value();
         assert_eq!(wakes, 2);
         assert_eq!(
             telemetry
-                .counter_with("securecloud_scone_ring_spurious_wakes_total", &[])
+                .registry()
+                .counter("securecloud_scone_ring_spurious_wakes_total", &[])
                 .value(),
             0,
             "parking wakes exactly when a completion exists"
         );
         assert_eq!(
             telemetry
-                .gauge_with("securecloud_scone_ring_depth", &[])
+                .registry()
+                .gauge("securecloud_scone_ring_depth", &[])
                 .value(),
             0
         );
@@ -812,7 +819,8 @@ mod tests {
         // two shields apart.
         for mode in ["sync", "async"] {
             let calls = telemetry
-                .counter_with(
+                .registry()
+                .counter(
                     "securecloud_scone_syscalls_total",
                     &[("kind", "pwrite"), ("mode", mode)],
                 )

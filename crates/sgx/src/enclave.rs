@@ -213,12 +213,6 @@ impl Enclave {
         self.measurement
     }
 
-    /// Whether this is a debug enclave.
-    #[must_use]
-    pub fn is_debug(&self) -> bool {
-        self.debug
-    }
-
     /// The platform this enclave runs on.
     #[must_use]
     pub fn platform(&self) -> &Platform {

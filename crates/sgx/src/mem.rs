@@ -429,14 +429,6 @@ impl MemorySim {
         self.cycles = 0;
         self.stats = MemStats::default();
     }
-
-    /// Drops all residency state (cold caches), keeping allocations.
-    pub fn flush_residency(&mut self) {
-        self.llc.clear();
-        if let Some(epc) = &mut self.epc {
-            epc.clear();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -728,7 +720,7 @@ mod tests {
                 ("epc_evictions", stats.epc_evictions),
             ] {
                 let name = format!("securecloud_sgx_{series}_total");
-                let counter = telemetry.counter_with(&name, &[("domain", label)]);
+                let counter = telemetry.registry().counter(&name, &[("domain", label)]);
                 assert_eq!(counter.value(), expect, "{name}{{domain={label}}}");
             }
         }

@@ -296,12 +296,6 @@ impl OperatorState {
     pub fn peak_state_bytes(&self) -> u64 {
         self.peak_state_bytes
     }
-
-    /// In-memtable entry count (tiered: excludes flushed segments).
-    #[must_use]
-    pub fn resident_entries(&self) -> usize {
-        self.kv.len()
-    }
 }
 
 #[cfg(test)]

@@ -232,7 +232,7 @@ pub fn analyze(events: &[TraceEvent]) -> CriticalPathReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Telemetry;
+    use crate::{Telemetry, TraceContext};
 
     #[test]
     fn self_time_subtracts_children_and_attributes_per_category() {
@@ -241,10 +241,10 @@ mod tests {
         let root = t.mint_root();
         let child = t.mint_child(root);
         {
-            let _outer = t.span_ctx("bus", "publish_to_ack", vec![], root);
+            let _outer = t.span("bus", "publish_to_ack", vec![], root);
             t.clock().set_at_least_ms(10);
             {
-                let _inner = t.span_ctx("replica", "quorum_write", vec![], child);
+                let _inner = t.span("replica", "quorum_write", vec![], child);
                 t.clock().set_at_least_ms(40);
             }
             t.clock().set_at_least_ms(50);
@@ -275,7 +275,7 @@ mod tests {
         let root = t.mint_root();
         let leaf = t.mint_child(root);
         t.clock().set_at_least_ms(100);
-        t.event_ctx("queue", "wait", vec![("dur_ms", "40".to_string())], leaf);
+        t.event("queue", "wait", vec![("dur_ms", "40".to_string())], leaf);
         let report = analyze(&t.trace_events());
         assert_eq!(report.total_self_ms, 40);
         assert_eq!(report.categories[0].category, "queue");
@@ -284,7 +284,7 @@ mod tests {
     #[test]
     fn untraced_events_and_unmatched_begins_are_ignored() {
         let t = Telemetry::new();
-        t.event("bus", "plain", vec![]);
+        t.event("bus", "plain", vec![], TraceContext::none());
         let report = analyze(&t.trace_events());
         assert_eq!(report, CriticalPathReport::default());
     }

@@ -251,9 +251,9 @@ mod tests {
     #[test]
     fn prometheus_golden() {
         let r = Registry::new();
-        r.counter("securecloud_bus_published_total").add(3);
-        r.gauge("securecloud_bus_dead_letter_depth").set(2);
-        let h = r.histogram_with("securecloud_latency_ms", &[("kind", "ack")]);
+        r.counter("securecloud_bus_published_total", &[]).add(3);
+        r.gauge("securecloud_bus_dead_letter_depth", &[]).set(2);
+        let h = r.histogram("securecloud_latency_ms", &[("kind", "ack")]);
         h.observe(0);
         h.observe(3);
         h.observe(3);
@@ -281,7 +281,7 @@ securecloud_latency_ms_count{kind=\"ack\"} 4
         // u64::MAX under its exact final-bucket bound — not shifted into a
         // neighbouring bucket or collapsed into +Inf only.
         let r = Registry::new();
-        let h = r.histogram("securecloud_extreme_ms");
+        let h = r.histogram("securecloud_extreme_ms", &[]);
         h.observe(0);
         h.observe(u64::MAX);
         let text = prometheus_text(&r);
@@ -325,7 +325,7 @@ securecloud_extreme_ms_count 2
         // exposition format, or one hostile topic name corrupts the whole
         // snapshot.
         let r = Registry::new();
-        r.counter_with(
+        r.counter(
             "securecloud_hostile_total",
             &[("topic", "a\\b\"c\nd"), ("ok", "plain")],
         )

@@ -24,9 +24,26 @@
 //! * shared **streaming statistics** ([`stats`]) — the one Welford and EMA
 //!   implementation the rest of the workspace builds on.
 //!
-//! The [`Telemetry`] facade bundles a clock, a registry, a trace buffer,
+//! The [`Telemetry`] facade bundles a clock, a registry, the trace events,
 //! and a context minter; subsystems receive an `Arc<Telemetry>` (or stay
 //! un-instrumented at zero cost — every integration point is optional).
+//!
+//! ## Recording surface
+//!
+//! One verb per job; the special cases are arguments (`&[]` for no labels,
+//! `vec![]` for no args, [`TraceContext::none()`] for no causal context):
+//!
+//! * [`Registry::counter`], [`Registry::gauge`], [`Registry::histogram`]
+//!   `(name, labels)` get or create a handle (reach them through
+//!   [`Telemetry::registry`]; a [`metric_set!`] declares a subsystem's
+//!   handles once);
+//! * [`Telemetry::span`]`(category, name, args, ctx)` returns a [`Span`]
+//!   guard that emits `Begin` now and `End` when dropped;
+//! * [`Telemetry::event`]`(category, name, args, ctx)` emits an instant.
+//!
+//! A `&mut self` method that keeps its `Arc<Telemetry>` in `self` clones
+//! the `Arc` into a local first and opens the span on the local, so the
+//! guard borrows the local rather than `self`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,23 +63,24 @@ pub use critical_path::{CategoryAttribution, CriticalPathReport};
 pub use metrics::{Counter, Gauge, Histogram, Metric, MetricKey, Registry};
 pub use slo::{BurnAlert, SloEngine, SloSpec};
 pub use stats::{Ema, Welford};
-pub use trace::{Phase, TraceBuffer, TraceEvent};
+pub use trace::{Phase, TraceEvent};
 
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// How many exemplar trace ids each key retains (largest-weight first).
 const EXEMPLARS_PER_KEY: usize = 4;
 
-/// Clock + registry + trace buffer + context minter, bundled for handing
+/// Clock + registry + trace events + context minter, bundled for handing
 /// around the stack.
 #[derive(Debug, Default)]
 pub struct Telemetry {
     clock: VirtualClock,
     registry: Registry,
-    events: TraceBuffer,
+    /// Every trace event, in emission order.
+    events: Mutex<Vec<TraceEvent>>,
     minter: ContextMinter,
     /// Largest-weight exemplar trace ids per key (e.g. slow publish-to-ack
     /// traces), so scaling decisions can cite the traces behind a signal.
@@ -116,36 +134,6 @@ impl Telemetry {
         self.minter.mint_child(parent)
     }
 
-    /// Gets or creates an unlabeled counter.
-    pub fn counter(&self, name: &str) -> Counter {
-        self.registry.counter(name)
-    }
-
-    /// Gets or creates a labeled counter.
-    pub fn counter_with(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
-        self.registry.counter_with(name, labels)
-    }
-
-    /// Gets or creates an unlabeled gauge.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        self.registry.gauge(name)
-    }
-
-    /// Gets or creates a labeled gauge.
-    pub fn gauge_with(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
-        self.registry.gauge_with(name, labels)
-    }
-
-    /// Gets or creates an unlabeled histogram.
-    pub fn histogram(&self, name: &str) -> Histogram {
-        self.registry.histogram(name)
-    }
-
-    /// Gets or creates a labeled histogram.
-    pub fn histogram_with(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
-        self.registry.histogram_with(name, labels)
-    }
-
     fn push(
         &self,
         phase: Phase,
@@ -154,7 +142,7 @@ impl Telemetry {
         args: Vec<(&'static str, String)>,
         ctx: TraceContext,
     ) {
-        self.events.push(TraceEvent {
+        let event = TraceEvent {
             ts_ms: self.clock.now_ms(),
             phase,
             category,
@@ -163,18 +151,15 @@ impl Telemetry {
             trace_id: ctx.trace_id,
             span_id: ctx.span_id,
             parent_span_id: ctx.parent_span_id,
-        });
+        };
+        self.events.lock().expect("trace poisoned").push(event);
     }
 
-    /// Emits an instant event stamped with the current virtual time.
-    pub fn event(&self, category: &'static str, name: &str, args: Vec<(&'static str, String)>) {
-        self.push(Phase::Instant, category, name, args, TraceContext::none());
-    }
-
-    /// Emits an instant event carrying a causal context. An event whose
-    /// args include a `dur_ms` key is treated as a retroactive leaf span by
-    /// the critical-path analyzer (covering `[ts - dur, ts]`).
-    pub fn event_ctx(
+    /// Emits an instant event stamped with the current virtual time; pass
+    /// [`TraceContext::none()`] for an untraced one. An event whose args
+    /// include a `dur_ms` key is treated as a retroactive leaf span by the
+    /// critical-path analyzer (covering `[ts - dur, ts]`).
+    pub fn event(
         &self,
         category: &'static str,
         name: &str,
@@ -194,27 +179,12 @@ impl Telemetry {
         self.push(Phase::FlowFinish, category, name, vec![], ctx);
     }
 
-    /// Opens a span (emits a `Begin` event now, an `End` event on drop).
+    /// Opens a span: emits a `Begin` event carrying `args` now and an `End`
+    /// event when the guard drops. Both repeat `ctx`'s ids, so begin/end
+    /// pairs match by `span_id`; pass [`TraceContext::none()`] for an
+    /// untraced span.
     #[must_use]
-    pub fn span(&self, category: &'static str, name: &str) -> Span<'_> {
-        self.span_with(category, name, vec![])
-    }
-
-    /// Opens a span with annotations on the `Begin` event.
-    #[must_use]
-    pub fn span_with(
-        &self,
-        category: &'static str,
-        name: &str,
-        args: Vec<(&'static str, String)>,
-    ) -> Span<'_> {
-        self.span_ctx(category, name, args, TraceContext::none())
-    }
-
-    /// Opens a span carrying a causal context; the `End` event repeats the
-    /// ids so begin/end pairs match by `span_id`.
-    #[must_use]
-    pub fn span_ctx(
+    pub fn span(
         &self,
         category: &'static str,
         name: &str,
@@ -238,12 +208,7 @@ impl Telemetry {
             return;
         }
         let mut map = self.exemplars.lock().expect("exemplar map poisoned");
-        let entry = map.entry(key).or_default();
-        entry.push((weight, trace_id));
-        // Stable: equal weights keep insertion order, so the retained set
-        // is a pure function of the (deterministic) emission sequence.
-        entry.sort_by_key(|&(weight, _)| std::cmp::Reverse(weight));
-        entry.truncate(EXEMPLARS_PER_KEY);
+        retain_heaviest(map.entry(key).or_default(), [(weight, trace_id)]);
     }
 
     /// The exemplar trace ids recorded under `key`, heaviest first.
@@ -260,7 +225,7 @@ impl Telemetry {
     /// A copy of all trace events in emission order.
     #[must_use]
     pub fn trace_events(&self) -> Vec<TraceEvent> {
-        self.events.events()
+        self.events.lock().expect("trace poisoned").clone()
     }
 
     /// The trace as JSON Lines.
@@ -293,17 +258,28 @@ impl Telemetry {
     /// bundle, and the coordinator absorbs the bundles **in a fixed order**
     /// (e.g. sweep-point index). Events are appended in the other bundle's
     /// emission order with their timestamps offset by this bundle's current
-    /// virtual time; metrics merge per [`Registry::merge_from`]; the clock
-    /// advances past the other bundle's end. Absorbing the same bundles in
-    /// the same order therefore yields byte-identical exports regardless of
-    /// how many workers produced them.
+    /// virtual time; metrics merge per [`Registry::merge_from`]; exemplars
+    /// merge under [`Telemetry::note_exemplar`]'s rule, the other bundle's
+    /// counting as the newer; the clock advances past the other bundle's
+    /// end. Absorbing the same bundles in the same order therefore yields
+    /// byte-identical exports regardless of how many workers produced them.
     pub fn absorb(&self, other: &Telemetry) {
         let base = self.clock.now_ms();
-        for mut event in other.trace_events() {
+        let mut absorbed = other.trace_events();
+        for event in &mut absorbed {
             event.ts_ms += base;
-            self.events.push(event);
         }
+        self.events.lock().expect("trace poisoned").extend(absorbed);
         self.registry.merge_from(other.registry());
+        let theirs = other
+            .exemplars
+            .lock()
+            .expect("exemplar map poisoned")
+            .clone();
+        let mut ours = self.exemplars.lock().expect("exemplar map poisoned");
+        for (key, entries) in theirs {
+            retain_heaviest(ours.entry(key).or_default(), entries);
+        }
         self.clock.set_at_least_ms(base + other.clock.now_ms());
     }
 
@@ -345,80 +321,19 @@ impl Span<'_> {
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        self.telemetry.push(
-            Phase::End,
-            self.category,
-            &std::mem::take(&mut self.name),
-            vec![],
-            self.ctx,
-        );
+        self.telemetry
+            .push(Phase::End, self.category, &self.name, vec![], self.ctx);
     }
 }
 
-/// Like [`Span`] but owning an `Arc<Telemetry>`, for methods that cannot
-/// hold a borrow of the telemetry bundle across the span's lifetime (e.g.
-/// `&mut self` methods that keep telemetry in `self`).
-#[derive(Debug)]
-pub struct OwnedSpan {
-    telemetry: Arc<Telemetry>,
-    category: &'static str,
-    name: String,
-    ctx: TraceContext,
-}
-
-impl OwnedSpan {
-    /// Opens a span (emits `Begin` now, `End` when the guard drops).
-    #[must_use]
-    pub fn open(telemetry: Arc<Telemetry>, category: &'static str, name: &str) -> Self {
-        Self::open_with(telemetry, category, name, vec![])
-    }
-
-    /// Opens a span with annotations on the `Begin` event.
-    #[must_use]
-    pub fn open_with(
-        telemetry: Arc<Telemetry>,
-        category: &'static str,
-        name: &str,
-        args: Vec<(&'static str, String)>,
-    ) -> Self {
-        Self::open_ctx(telemetry, category, name, args, TraceContext::none())
-    }
-
-    /// Opens a span carrying a causal context.
-    #[must_use]
-    pub fn open_ctx(
-        telemetry: Arc<Telemetry>,
-        category: &'static str,
-        name: &str,
-        args: Vec<(&'static str, String)>,
-        ctx: TraceContext,
-    ) -> Self {
-        telemetry.push(Phase::Begin, category, name, args, ctx);
-        OwnedSpan {
-            telemetry,
-            category,
-            name: name.to_string(),
-            ctx,
-        }
-    }
-
-    /// The span's causal context (absent for uninstrumented spans).
-    #[must_use]
-    pub fn ctx(&self) -> TraceContext {
-        self.ctx
-    }
-}
-
-impl Drop for OwnedSpan {
-    fn drop(&mut self) {
-        self.telemetry.push(
-            Phase::End,
-            self.category,
-            &std::mem::take(&mut self.name),
-            vec![],
-            self.ctx,
-        );
-    }
+/// Appends `entries` (oldest first) and keeps the `EXEMPLARS_PER_KEY`
+/// heaviest. The sort is stable, so equal weights keep insertion order and
+/// the retained set is a pure function of the (deterministic) emission
+/// sequence.
+fn retain_heaviest(kept: &mut Vec<(u64, u64)>, entries: impl IntoIterator<Item = (u64, u64)>) {
+    kept.extend(entries);
+    kept.sort_by_key(|&(weight, _)| std::cmp::Reverse(weight));
+    kept.truncate(EXEMPLARS_PER_KEY);
 }
 
 #[cfg(test)]
@@ -430,9 +345,14 @@ mod tests {
         let t = Telemetry::new();
         t.clock().set_at_least_ms(10);
         {
-            let _span = t.span_with("test", "work", vec![("job", "j1".to_string())]);
+            let _span = t.span(
+                "test",
+                "work",
+                vec![("job", "j1".to_string())],
+                TraceContext::none(),
+            );
             t.clock().set_at_least_ms(25);
-            t.event("test", "milestone", vec![]);
+            t.event("test", "milestone", vec![], TraceContext::none());
         }
         let events = t.trace_events();
         assert_eq!(events.len(), 3);
@@ -450,7 +370,7 @@ mod tests {
         let child = t.mint_child(root);
         t.flow_start("bus", "publish", root);
         {
-            let span = t.span_ctx("service", "deliver", vec![], child);
+            let span = t.span("service", "deliver", vec![], child);
             assert_eq!(span.ctx(), child);
         }
         t.flow_finish("bus", "ack", root);
@@ -476,24 +396,55 @@ mod tests {
     }
 
     #[test]
+    fn absorb_merges_exemplars_heaviest_first_oldest_on_ties() {
+        let main = Telemetry::new();
+        for (id, weight) in [(1, 10), (2, 50), (3, 30)] {
+            main.note_exemplar("acks", id, weight);
+        }
+        let worker = Telemetry::new();
+        for (id, weight) in [(4, 30), (5, 60), (6, 5)] {
+            worker.note_exemplar("acks", id, weight);
+        }
+        worker.note_exemplar("stalls", 7, 1);
+        main.absorb(&worker);
+        // The absorbed bundle counts as newer: its weight-30 id follows ours.
+        assert_eq!(main.exemplars("acks"), vec![5, 2, 3, 4]);
+        assert_eq!(main.exemplars("stalls"), vec![7]);
+    }
+
+    #[test]
     fn absorb_merges_metrics_events_and_clock() {
         let main = Telemetry::new();
-        main.counter("securecloud_ops_total").add(3);
+        main.registry().counter("securecloud_ops_total", &[]).add(3);
         main.clock().set_at_least_ms(5);
-        main.event("test", "before", vec![]);
+        main.event("test", "before", vec![], TraceContext::none());
 
         let worker = Telemetry::new();
-        worker.counter("securecloud_ops_total").add(4);
-        worker.gauge("securecloud_depth").set(7);
-        worker.histogram("securecloud_lat_ms").observe(100);
+        worker
+            .registry()
+            .counter("securecloud_ops_total", &[])
+            .add(4);
+        worker.registry().gauge("securecloud_depth", &[]).set(7);
+        worker
+            .registry()
+            .histogram("securecloud_lat_ms", &[])
+            .observe(100);
         worker.clock().set_at_least_ms(2);
-        worker.event("test", "inner", vec![]);
+        worker.event("test", "inner", vec![], TraceContext::none());
 
         main.absorb(&worker);
 
-        assert_eq!(main.counter("securecloud_ops_total").value(), 7);
-        assert_eq!(main.gauge("securecloud_depth").value(), 7);
-        assert_eq!(main.histogram("securecloud_lat_ms").count(), 1);
+        assert_eq!(
+            main.registry()
+                .counter("securecloud_ops_total", &[])
+                .value(),
+            7
+        );
+        assert_eq!(main.registry().gauge("securecloud_depth", &[]).value(), 7);
+        assert_eq!(
+            main.registry().histogram("securecloud_lat_ms", &[]).count(),
+            1
+        );
         let events = main.trace_events();
         assert_eq!(events.len(), 2);
         assert_eq!((events[1].name.as_str(), events[1].ts_ms), ("inner", 7));
@@ -528,8 +479,8 @@ mod tests {
     fn absorb_order_determines_output_identically_across_runs() {
         let build_worker = |n: u64| {
             let t = Telemetry::new();
-            t.counter("securecloud_ops_total").add(n);
-            t.event("test", &format!("point-{n}"), vec![]);
+            t.registry().counter("securecloud_ops_total", &[]).add(n);
+            t.event("test", &format!("point-{n}"), vec![], TraceContext::none());
             t
         };
         let render = |workers: &[Telemetry]| {
@@ -547,8 +498,8 @@ mod tests {
     #[test]
     fn write_report_produces_all_three_files() {
         let t = Telemetry::new();
-        t.counter("securecloud_demo_total").inc();
-        t.event("test", "tick", vec![]);
+        t.registry().counter("securecloud_demo_total", &[]).inc();
+        t.event("test", "tick", vec![], TraceContext::none());
         let dir = std::env::temp_dir().join("securecloud-telemetry-report-test");
         let report = t.write_report(&dir).expect("report");
         for path in [&report.snapshot, &report.trace_jsonl, &report.trace_chrome] {

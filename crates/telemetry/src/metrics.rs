@@ -10,7 +10,7 @@
 //! its `Default` holds standalone handles, so it works with no registry
 //! attached, and it registers in one of two ways:
 //!
-//! * **`shared`** gets or creates every handle ([`Registry::counter_with`],
+//! * **`shared`** gets or creates every handle ([`Registry::counter`],
 //!   …): two sets asking for the same name+labels aggregate together.
 //! * **`adopt_into`** hands the set's own handles to the registry for
 //!   export ([`Registry::adopt`]): the subsystem's view and the exported
@@ -288,48 +288,34 @@ impl Registry {
         metrics.entry(key).or_insert_with(make).clone()
     }
 
-    /// Gets or creates an unlabeled counter.
-    pub fn counter(&self, name: &str) -> Counter {
-        self.counter_with(name, &[])
-    }
-
-    /// Gets or creates a labeled counter. Same name+labels → same handle.
+    /// Gets or creates a counter (`&[]` for no labels). Same name+labels →
+    /// same handle.
     ///
     /// # Panics
     /// Panics if the name is already registered as a different metric type.
-    pub fn counter_with(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
+    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
         match self.get_or_create(name, labels, || Metric::Counter(Counter::new())) {
             Metric::Counter(c) => c,
             other => panic!("metric {name} already registered as {other:?}"),
         }
     }
 
-    /// Gets or creates an unlabeled gauge.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        self.gauge_with(name, &[])
-    }
-
-    /// Gets or creates a labeled gauge.
+    /// Gets or creates a gauge (`&[]` for no labels).
     ///
     /// # Panics
     /// Panics if the name is already registered as a different metric type.
-    pub fn gauge_with(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
+    pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
         match self.get_or_create(name, labels, || Metric::Gauge(Gauge::new())) {
             Metric::Gauge(g) => g,
             other => panic!("metric {name} already registered as {other:?}"),
         }
     }
 
-    /// Gets or creates an unlabeled histogram.
-    pub fn histogram(&self, name: &str) -> Histogram {
-        self.histogram_with(name, &[])
-    }
-
-    /// Gets or creates a labeled histogram.
+    /// Gets or creates a histogram (`&[]` for no labels).
     ///
     /// # Panics
     /// Panics if the name is already registered as a different metric type.
-    pub fn histogram_with(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
+    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
         match self.get_or_create(name, labels, || Metric::Histogram(Histogram::new())) {
             Metric::Histogram(h) => h,
             other => panic!("metric {name} already registered as {other:?}"),
@@ -435,13 +421,13 @@ impl Registry {
 /// metrics.adopt_into(&registry, &[]);
 /// metrics.enqueued.add(3);
 /// assert_eq!(metrics.snapshot(), QueueStats { enqueued: 3 });
-/// assert_eq!(registry.counter("queue_enqueued_total").value(), 3);
+/// assert_eq!(registry.counter("queue_enqueued_total", &[]).value(), 3);
 /// ```
 #[macro_export]
 macro_rules! metric_set {
-    (@shared Counter) => { $crate::Registry::counter_with };
-    (@shared Gauge) => { $crate::Registry::gauge_with };
-    (@shared Histogram) => { $crate::Registry::histogram_with };
+    (@shared Counter) => { $crate::Registry::counter };
+    (@shared Gauge) => { $crate::Registry::gauge };
+    (@shared Histogram) => { $crate::Registry::histogram };
     // The snapshot keeps the counters and skips every other kind.
     (@snapshot $head:tt [$($acc:tt)*] $(#[$doc:meta])* $field:ident: Counter = $name:expr, $($rest:tt)*) => {
         $crate::metric_set!(@snapshot $head [$($acc)* $(#[$doc])* $field,] $($rest)*);
@@ -652,9 +638,9 @@ mod tests {
     #[test]
     fn registry_shares_handles_by_name_and_labels() {
         let r = Registry::new();
-        let a = r.counter_with("hits", &[("kind", "read")]);
-        let b = r.counter_with("hits", &[("kind", "read")]);
-        let other = r.counter_with("hits", &[("kind", "write")]);
+        let a = r.counter("hits", &[("kind", "read")]);
+        let b = r.counter("hits", &[("kind", "read")]);
+        let other = r.counter("hits", &[("kind", "write")]);
         a.add(2);
         b.add(3);
         other.inc();
@@ -788,10 +774,10 @@ mod tests {
     #[test]
     fn snapshot_order_is_deterministic() {
         let r = Registry::new();
-        r.counter("zzz_total");
-        r.counter("aaa_total");
-        r.counter_with("mid_total", &[("b", "2")]);
-        r.counter_with("mid_total", &[("a", "1")]);
+        r.counter("zzz_total", &[]);
+        r.counter("aaa_total", &[]);
+        r.counter("mid_total", &[("b", "2")]);
+        r.counter("mid_total", &[("a", "1")]);
         let names: Vec<String> = r
             .snapshot()
             .into_iter()

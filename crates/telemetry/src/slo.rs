@@ -251,7 +251,7 @@ impl SloEngine {
                     fast_burn_x100: fast.unwrap_or(0),
                     slow_burn_x100: slow.unwrap_or(0),
                 };
-                self.telemetry.event_ctx(
+                self.telemetry.event(
                     "slo",
                     "burn_alert",
                     vec![
@@ -300,7 +300,9 @@ mod tests {
     #[test]
     fn latency_burn_fires_once_per_crossing_and_clears() {
         let telemetry = Arc::new(Telemetry::new());
-        let h = telemetry.histogram("securecloud_test_lat_ms");
+        let h = telemetry
+            .registry()
+            .histogram("securecloud_test_lat_ms", &[]);
         let mut engine = SloEngine::new(telemetry.clone());
         engine.add(SloSpec {
             fast_window_ticks: 2,
@@ -350,8 +352,12 @@ mod tests {
     #[test]
     fn error_ratio_burns_on_failures_and_empty_windows_never_alert() {
         let telemetry = Arc::new(Telemetry::new());
-        let total = telemetry.counter("securecloud_writes_total");
-        let bad = telemetry.counter("securecloud_writes_refused_total");
+        let total = telemetry
+            .registry()
+            .counter("securecloud_writes_total", &[]);
+        let bad = telemetry
+            .registry()
+            .counter("securecloud_writes_refused_total", &[]);
         let mut engine = SloEngine::new(telemetry);
         engine.add(SloSpec {
             fast_window_ticks: 1,

@@ -1,18 +1,16 @@
 //! Structured tracing: spans and instant events stamped with the virtual
 //! clock.
 //!
-//! Events accumulate in an in-memory buffer in emission order. Because
-//! timestamps come from the deterministic simulation clock and instrumented
-//! code runs single-threaded (background helper threads are deliberately
-//! never instrumented), two equal-seed runs produce identical buffers and
-//! therefore byte-identical exported traces.
+//! Events accumulate in the [`Telemetry`](crate::Telemetry) bundle in
+//! emission order. Because timestamps come from the deterministic
+//! simulation clock and instrumented code runs single-threaded (background
+//! helper threads are deliberately never instrumented), two equal-seed runs
+//! produce identical buffers and therefore byte-identical exported traces.
 //!
 //! Events may carry causal identity (`trace_id`/`span_id`/
 //! `parent_span_id`, see [`crate::context::TraceContext`]); `0` means
 //! "no id", which keeps uninstrumented call sites and pre-existing
 //! exporters unchanged.
-
-use std::sync::Mutex;
 
 /// The phase of a trace event, mirroring the chrome `trace_event` phases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,70 +63,22 @@ pub struct TraceEvent {
     pub parent_span_id: u64,
 }
 
-/// The shared trace buffer.
-#[derive(Debug, Default)]
-pub struct TraceBuffer {
-    events: Mutex<Vec<TraceEvent>>,
-}
-
-impl TraceBuffer {
-    /// An empty buffer.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends one event.
-    pub fn push(&self, event: TraceEvent) {
-        self.events
-            .lock()
-            .expect("trace buffer poisoned")
-            .push(event);
-    }
-
-    /// A copy of all events in emission order.
-    #[must_use]
-    pub fn events(&self) -> Vec<TraceEvent> {
-        self.events.lock().expect("trace buffer poisoned").clone()
-    }
-
-    /// Number of buffered events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.lock().expect("trace buffer poisoned").len()
-    }
-
-    /// Whether no events have been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TraceContext;
 
     #[test]
     fn buffer_keeps_emission_order() {
-        let buf = TraceBuffer::new();
+        let telemetry = crate::Telemetry::new();
         for i in 0..3u64 {
-            buf.push(TraceEvent {
-                ts_ms: i,
-                phase: Phase::Instant,
-                category: "test",
-                name: format!("e{i}"),
-                args: vec![],
-                trace_id: 0,
-                span_id: 0,
-                parent_span_id: 0,
-            });
+            telemetry.clock().set_at_least_ms(i);
+            telemetry.event("test", &format!("e{i}"), vec![], TraceContext::none());
         }
-        let events = buf.events();
+        let events = telemetry.trace_events();
         assert_eq!(events.len(), 3);
         assert_eq!(events[0].name, "e0");
-        assert_eq!(events[2].ts_ms, 2);
-        assert!(!buf.is_empty());
+        assert_eq!((events[2].phase, events[2].ts_ms), (Phase::Instant, 2));
     }
 
     #[test]

@@ -43,7 +43,10 @@ fn main() {
 
     // Drive the loop: writes every tick, sustained bus backpressure for
     // the first 10 ticks, then calm. One controller tick per advance.
-    let backpressured = cloud.telemetry().counter(METRIC_BACKPRESSURED);
+    let backpressured = cloud
+        .telemetry()
+        .registry()
+        .counter(METRIC_BACKPRESSURED, &[]);
     let mut acked = Vec::new();
     for tick in 0..40u64 {
         for i in 0..4u64 {

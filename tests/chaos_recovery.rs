@@ -610,7 +610,10 @@ fn run_elastic_scenario(seed: u64) -> ElasticOutcome {
         .attach_cluster_controller(id, ScalingPolicy::default(), 8)
         .unwrap();
 
-    let backpressured = cloud.telemetry().counter(METRIC_BACKPRESSURED);
+    let backpressured = cloud
+        .telemetry()
+        .registry()
+        .counter(METRIC_BACKPRESSURED, &[]);
     let mut acked = Vec::new();
     let mut rejected_writes = 0u64;
     let mut epoch_rollback = false;
