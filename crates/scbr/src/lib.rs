@@ -12,6 +12,8 @@
 //!   substrate of the Figure 3 reproduction),
 //! * [`secure`] — the enclave-hosted router with encrypted subscriptions,
 //!   publications, and per-subscriber notifications,
+//! * [`notify`] — the validated view a subscriber opens a batched
+//!   notification frame into,
 //! * [`workload`] — deterministic workload generation for the benchmarks.
 //!
 //! # Example
@@ -39,6 +41,7 @@
 pub mod broker;
 pub mod engine;
 pub mod index;
+pub mod notify;
 pub mod secure;
 pub mod types;
 pub mod workload;

@@ -9,6 +9,7 @@
 
 use crate::engine::MatchEngine;
 use crate::index::{MatchScratch, PosetIndex};
+use crate::notify::Notifications;
 use crate::types::{Publication, SubId, Subscription};
 use crate::ScbrError;
 use securecloud_crypto::gcm::{AesGcm, SealCtx, NONCE_LEN, TAG_LEN};
@@ -322,7 +323,10 @@ impl SecureRouter {
         // forged or stripped in transit.
         if plain.len() < CONTEXT_WIRE_LEN {
             return Err(ScbrError::Crypto(
-                securecloud_crypto::CryptoError::AuthenticationFailed,
+                securecloud_crypto::CryptoError::Malformed(format!(
+                    "{}-byte batch is shorter than its trace-context header",
+                    plain.len()
+                )),
             ));
         }
         let ctx = TraceContext::decode(&plain[..CONTEXT_WIRE_LEN]).unwrap_or_default();
@@ -519,18 +523,19 @@ impl RouterClient {
         Ok(sealed)
     }
 
-    /// Opens a batched notification frame from the router, returning the
-    /// matched publications in batch order.
+    /// Opens a batched notification frame from the router into a validated
+    /// view of the matched publications, in batch order. Every byte is
+    /// checked here; owned publications are built only as the view is
+    /// consumed.
     ///
     /// # Errors
     ///
-    /// [`ScbrError::Crypto`] on tampering or replay.
-    pub fn open_notification_batch(
-        &mut self,
-        framed: &[u8],
-    ) -> Result<Vec<Publication>, ScbrError> {
+    /// [`ScbrError::Crypto`] on tampering or replay, and on a plaintext
+    /// that is not a canonical publication list
+    /// ([`Notifications::parse`]).
+    pub fn open_notification_batch(&mut self, framed: &[u8]) -> Result<Notifications, ScbrError> {
         let plain = self.link()?.open_frame(framed, b"scbr-notify-batch")?;
-        Vec::<Publication>::from_wire(&plain).map_err(ScbrError::Crypto)
+        Ok(Notifications::parse(plain)?)
     }
 
     /// Opens a notification from the router.
@@ -691,12 +696,10 @@ mod tests {
             .unwrap();
         let notifications = router.publish_sealed_batch(pub_client, &sealed).unwrap();
         assert_eq!(notifications.len(), 1);
-        assert_eq!(
-            subscriber
-                .open_notification_batch(&notifications[0].1)
-                .unwrap(),
-            batch
-        );
+        let opened = subscriber
+            .open_notification_batch(&notifications[0].1)
+            .unwrap();
+        assert_eq!(opened.into_iter().collect::<Vec<_>>(), batch);
         // The router's in-enclave matching span joined the sender's trace —
         // the linkage travelled inside the AEAD frame.
         let events = telemetry.trace_events();
@@ -750,9 +753,15 @@ mod tests {
         assert_eq!(notifications[0].0, alice_id);
         assert_eq!(notifications[1].0, bob_id);
         let for_alice = alice.open_notification_batch(&notifications[0].1).unwrap();
-        assert_eq!(for_alice, vec![publication(1, 50), publication(1, 500)]);
+        assert_eq!(
+            for_alice.into_iter().collect::<Vec<_>>(),
+            vec![publication(1, 50), publication(1, 500)]
+        );
         let for_bob = bob.open_notification_batch(&notifications[1].1).unwrap();
-        assert_eq!(for_bob, vec![publication(1, 500)]);
+        assert_eq!(
+            for_bob.into_iter().collect::<Vec<_>>(),
+            vec![publication(1, 500)]
+        );
     }
 
     /// Frames re-encode the decoded publications; they do not slice the
@@ -815,6 +824,54 @@ mod tests {
             let plain = link.open_frame(frame, b"scbr-notify-batch").unwrap();
             assert_eq!(plain, publications.to_wire());
         }
+    }
+
+    /// A batch too short to hold its trace-context header authenticated
+    /// fine: it is malformed, not forged.
+    #[test]
+    fn a_batch_shorter_than_its_context_header_is_malformed() {
+        let mut router = router();
+        let mut publisher = RouterClient::new();
+        let pub_id = router.register(&publisher.public_key());
+        publisher.complete_exchange(&router.public_key());
+        let mut sealed = vec![0u8; 3];
+        let link = publisher.link().unwrap();
+        link.send.seal_in_place(&mut sealed, b"scbr-pub-batch");
+        assert!(matches!(
+            router.publish_sealed_batch(pub_id, &sealed),
+            Err(ScbrError::Crypto(
+                securecloud_crypto::CryptoError::Malformed(_)
+            ))
+        ));
+    }
+
+    /// The subscriber's view rejects a frame whose publication is not in
+    /// the canonical form the router writes, although its tag verifies.
+    #[test]
+    fn a_non_canonical_notification_frame_is_malformed() {
+        let mut router = router();
+        let mut subscriber = RouterClient::new();
+        router.register(&subscriber.public_key());
+        subscriber.complete_exchange(&router.public_key());
+        let mut body = Vec::new();
+        1u32.encode(&mut body);
+        2u32.encode(&mut body);
+        for key in ["v", "topic"] {
+            key.to_string().encode(&mut body);
+            Value::Int(1).encode(&mut body);
+        }
+        assert!(Vec::<Publication>::from_wire(&body).is_ok());
+        let mut link = subscriber.link.clone().unwrap();
+        std::mem::swap(&mut link.send, &mut link.recv);
+        let framed = link.seal_frame(body.len(), b"scbr-notify-batch", |framed| {
+            framed.extend_from_slice(&body);
+        });
+        assert!(matches!(
+            subscriber.open_notification_batch(&framed),
+            Err(ScbrError::Crypto(
+                securecloud_crypto::CryptoError::Malformed(_)
+            ))
+        ));
     }
 
     #[test]

@@ -21,6 +21,7 @@
 //! accumulators in ascending key order — which is what makes emission
 //! order deterministic.
 
+use std::io::Write;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -139,6 +140,9 @@ pub struct OperatorState {
     kv: SecureKv,
     mem: MemorySim,
     peak_state_bytes: u64,
+    /// The storage key (or drain bounds) of the current call, rewritten in
+    /// place so no event allocates one.
+    key_buf: Vec<u8>,
     /// Stream counters, maintained by the owning operator.
     pub metrics: StateMetrics,
 }
@@ -167,6 +171,7 @@ impl OperatorState {
             ),
             mem: MemorySim::enclave(geometry, CostModel::sgx_v1()),
             peak_state_bytes: 0,
+            key_buf: Vec::new(),
             metrics: StateMetrics::default(),
         }
     }
@@ -195,8 +200,11 @@ impl OperatorState {
         &self.name
     }
 
-    fn storage_key(&self, lane: &str, window_start: u64, key: u64) -> Vec<u8> {
-        format!("{}/{}/{:016x}/{:016x}", self.name, lane, window_start, key).into_bytes()
+    /// Rewrites `key_buf` to `<operator>/<lane>/<window start>`.
+    fn write_window_prefix(&mut self, lane: &str, window_start: u64) {
+        self.key_buf.clear();
+        write!(self.key_buf, "{}/{}/{:016x}", self.name, lane, window_start)
+            .expect("writing to a Vec cannot fail");
     }
 
     /// Folds `value` into the `(window_start, key)` accumulator on `lane`.
@@ -212,8 +220,10 @@ impl OperatorState {
         key: u64,
         value: f64,
     ) -> Result<(), StreamError> {
-        let storage_key = self.storage_key(lane, window_start, key);
-        let stored = self.kv.try_get_ref(&mut self.mem, &storage_key);
+        self.write_window_prefix(lane, window_start);
+        write!(self.key_buf, "/{key:016x}").expect("writing to a Vec cannot fail");
+        let storage_key = &self.key_buf;
+        let stored = self.kv.try_get_ref(&mut self.mem, storage_key);
         let agg = match stored.map_err(sealed_tier)? {
             Some(stored) => {
                 let mut agg = Aggregate::decode(stored)?;
@@ -223,7 +233,7 @@ impl OperatorState {
             None => Aggregate::of(value),
         };
         self.kv
-            .try_put(&mut self.mem, &storage_key, &agg.encode())
+            .try_put(&mut self.mem, storage_key, &agg.encode())
             .map_err(sealed_tier)?;
         self.peak_state_bytes = self.peak_state_bytes.max(self.kv.data_bytes());
         self.metrics.events += 1;
@@ -243,14 +253,18 @@ impl OperatorState {
         lane: &str,
         window_start: u64,
     ) -> Result<Vec<(u64, Aggregate)>, StreamError> {
-        let from = format!("{}/{}/{:016x}/", self.name, lane, window_start).into_bytes();
-        // '0' is the successor of '/' in ASCII, so this bound covers
-        // exactly the keys under the window prefix.
-        let mut to = format!("{}/{}/{:016x}", self.name, lane, window_start).into_bytes();
-        to.push(b'0');
+        // Both bounds in the one buffer: `<prefix>/` then `<prefix>0`. '0'
+        // is the successor of '/' in ASCII, so the range covers exactly the
+        // keys under the window prefix.
+        self.write_window_prefix(lane, window_start);
+        let prefix_len = self.key_buf.len();
+        self.key_buf.push(b'/');
+        self.key_buf.extend_from_within(..prefix_len);
+        self.key_buf.push(b'0');
+        let (from, to) = self.key_buf.split_at(prefix_len + 1);
         let pairs = self
             .kv
-            .try_scan(&mut self.mem, &from, &to)
+            .try_scan(&mut self.mem, from, to)
             .map_err(sealed_tier)?;
         let mut out = Vec::with_capacity(pairs.len());
         for (storage_key, value) in &pairs {
