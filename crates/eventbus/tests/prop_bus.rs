@@ -1,8 +1,177 @@
 //! Property tests for the event bus's at-least-once delivery contract.
 
 use proptest::prelude::*;
-use securecloud_eventbus::bus::EventBus;
-use securecloud_scbr::types::Publication;
+use securecloud_eventbus::bus::{EventBus, Message, SubscriberId};
+use securecloud_eventbus::service::{MicroService, ServiceCtx, ServiceHost};
+use securecloud_faults::{FaultInjector, FaultRates};
+use securecloud_scbr::types::{Op, Predicate, Publication, Subscription, Value};
+use std::collections::BTreeSet;
+use std::sync::{Arc, Mutex, Once};
+
+/// What handlers saw, in order: (service, message id, attempt, attributes).
+type Seen = Vec<(&'static str, u64, u32, Publication)>;
+
+/// The payload of a handler's deliberate panic; the panic hook stays quiet
+/// for it and reports every other panic as usual.
+struct InjectedPanic;
+
+fn quiet_injected_panics() {
+    static HOOK: Once = Once::new();
+    HOOK.call_once(|| {
+        let report = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !info.payload().is::<InjectedPanic>() {
+                report(info);
+            }
+        }));
+    });
+}
+
+/// Records every delivery, then panics on the chosen `(id, attempt)` pairs.
+struct Recorder {
+    name: &'static str,
+    filter: Option<Subscription>,
+    panic_on: Arc<BTreeSet<(u64, u32)>>,
+    seen: Arc<Mutex<Seen>>,
+}
+
+impl MicroService for Recorder {
+    fn name(&self) -> &str {
+        self.name
+    }
+
+    fn subscriptions(&self) -> Vec<(String, Option<Subscription>)> {
+        vec![("t".into(), self.filter.clone())]
+    }
+
+    fn handle(&mut self, message: &Message, _ctx: &mut ServiceCtx) {
+        self.seen.lock().unwrap().push((
+            self.name,
+            message.id.0,
+            message.attempt,
+            message.attributes.clone(),
+        ));
+        if self.panic_on.contains(&(message.id.0, message.attempt)) {
+            std::panic::panic_any(InjectedPanic);
+        }
+    }
+}
+
+/// `ServiceHost::pump_switchless` written from the public fetch/ack/nack
+/// surface: each round fetches one batch per ready subscriber and settles
+/// it message by message (quarantine never trips in the property below).
+fn reference_pump(
+    bus: &mut EventBus,
+    services: &[(SubscriberId, &'static str)],
+    batch: usize,
+    max_rounds: usize,
+    panic_on: &BTreeSet<(u64, u32)>,
+    seen: &mut Seen,
+) {
+    for _ in 0..max_rounds {
+        let ready = bus.ready_subscribers();
+        if ready.is_empty() {
+            break;
+        }
+        let mut round = 0;
+        for subscriber in ready {
+            let Some(&(_, name)) = services.iter().find(|(s, _)| *s == subscriber) else {
+                continue;
+            };
+            for message in bus.fetch_batch(subscriber, batch) {
+                round += 1;
+                seen.push((name, message.id.0, message.attempt, message.attributes));
+                if panic_on.contains(&(message.id.0, message.attempt)) {
+                    bus.nack(subscriber, message.id);
+                } else {
+                    bus.ack(subscriber, message.id);
+                }
+            }
+        }
+        if round == 0 {
+            break;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+    /// The host's delivery loop is the fetch loop: under injected loss and
+    /// duplication, handler panics, lease expiry and any batch size, the
+    /// handlers see the same `(service, id, attempt, attributes)` sequence
+    /// a reference pump over `fetch_batch`/`ack`/`nack` sees, and the bus
+    /// ends with the same stats, dead letters and backlogs.
+    #[test]
+    fn host_delivery_equals_fetch_loop(
+        waves in prop::collection::vec(1u64..6, 1..5),
+        (loss, duplication) in (0u16..300, 0u16..400),
+        batch in prop_oneof![Just(1usize), Just(2usize), Just(8usize), Just(64usize)],
+        panic_on in prop::collection::vec((1u64..24, 1u32..4), 0..10),
+        (max_attempts, threshold, max_rounds, seed) in
+            (prop::option::of(1u32..5), 0i64..12, 1usize..6, any::<u64>()),
+    ) {
+        quiet_injected_panics();
+        let lease = 100;
+        let panic_on: Arc<BTreeSet<(u64, u32)>> = Arc::new(panic_on.into_iter().collect());
+        let filter = Subscription::new(vec![Predicate::new("n", Op::Ge, Value::Int(threshold))]);
+        let injector = || {
+            let injector = Arc::new(FaultInjector::new(seed));
+            injector.set_rates(FaultRates {
+                message_loss_permille: loss,
+                message_duplication_permille: duplication,
+                ..FaultRates::default()
+            });
+            injector
+        };
+
+        let host_seen = Arc::new(Mutex::new(Seen::new()));
+        let mut host = ServiceHost::new(lease);
+        host.set_delivery_batch(batch);
+        host.set_quarantine_after(u32::MAX);
+        host.set_fault_injector(injector());
+        host.bus_mut().set_max_attempts(max_attempts);
+        for (name, filter) in [("all", None), ("filtered", Some(filter.clone()))] {
+            host.register(Box::new(Recorder {
+                name,
+                filter,
+                panic_on: Arc::clone(&panic_on),
+                seen: Arc::clone(&host_seen),
+            }));
+        }
+
+        let mut bus = EventBus::new(lease);
+        bus.set_fault_injector(injector());
+        bus.set_max_attempts(max_attempts);
+        let services = [
+            (bus.subscribe("t", None), "all"),
+            (bus.subscribe("t", Some(filter)), "filtered"),
+        ];
+        let mut reference_seen = Seen::new();
+
+        let mut n = 0i64;
+        for wave in waves {
+            for _ in 0..wave {
+                let attributes = Publication::new().with("n", Value::Int(n));
+                host.bus_mut().publish("t", vec![n as u8], attributes.clone());
+                bus.publish("t", vec![n as u8], attributes);
+                n += 1;
+            }
+            host.pump_switchless(max_rounds);
+            reference_pump(&mut bus, &services, batch, max_rounds, &panic_on, &mut reference_seen);
+            host.bus_mut().advance(lease);
+            bus.advance(lease);
+        }
+        host.pump_switchless(usize::MAX);
+        reference_pump(&mut bus, &services, batch, usize::MAX, &panic_on, &mut reference_seen);
+
+        prop_assert_eq!(&*host_seen.lock().unwrap(), &reference_seen);
+        prop_assert_eq!(host.bus().stats(), bus.stats());
+        prop_assert_eq!(host.bus().dead_letters(), bus.dead_letters());
+        for (subscriber, _) in services {
+            prop_assert_eq!(host.bus().backlog(subscriber), bus.backlog(subscriber));
+        }
+    }
+}
 
 proptest! {
     /// Every published message is eventually delivered at least once to a
