@@ -49,8 +49,8 @@ pub struct SubscriberId(pub u64);
 pub struct Message {
     /// Unique id (stable across redeliveries).
     pub id: MessageId,
-    /// Topic it was published to.
-    pub topic: String,
+    /// Topic it was published to, interned once per topic at subscribe.
+    pub topic: Arc<str>,
     /// Payload bytes (opaque to the bus; typically sealed).
     pub payload: Vec<u8>,
     /// Routable attributes evaluated against content filters.
@@ -146,7 +146,7 @@ pub struct DeadLetter {
 
 #[derive(Debug)]
 struct SubscriberState {
-    topic: String,
+    topic: Arc<str>,
     filter: Option<Subscription>,
     queue: VecDeque<Message>,
     leased: BTreeMap<MessageId, (Message, u64)>, // message, lease expiry
@@ -154,11 +154,16 @@ struct SubscriberState {
     queue_limit: Option<usize>,
 }
 
+/// One delivery of a leased batch. Its consumer borrows the message from
+/// the lease table, unless the delivery owns a copy because a duplicate
+/// twin leased in the same batch displaced its entry.
+pub(crate) type Delivery = (MessageId, Option<Message>);
+
 /// The event bus connecting micro-services (paper Figure 1).
 #[derive(Debug)]
 pub struct EventBus {
     subscribers: BTreeMap<SubscriberId, SubscriberState>,
-    by_topic: HashMap<String, Vec<SubscriberId>>,
+    by_topic: HashMap<Arc<str>, Vec<SubscriberId>>,
     /// Subscribers with at least one waiting (not leased) message. Kept
     /// exact at every queue mutation so event-driven consumers can ask
     /// "who has work?" without polling every queue; BTreeSet iteration
@@ -326,17 +331,22 @@ impl EventBus {
     pub fn subscribe(&mut self, topic: &str, filter: Option<Subscription>) -> SubscriberId {
         let id = SubscriberId(self.next_subscriber);
         self.next_subscriber += 1;
+        let topic = match self.by_topic.get_key_value(topic) {
+            Some((interned, _)) => Arc::clone(interned),
+            None => Arc::from(topic),
+        };
+        let subscribers = self.by_topic.entry(Arc::clone(&topic)).or_default();
+        subscribers.push(id);
         self.subscribers.insert(
             id,
             SubscriberState {
-                topic: topic.to_string(),
+                topic,
                 filter,
                 queue: VecDeque::new(),
                 leased: BTreeMap::new(),
                 queue_limit: None,
             },
         );
-        self.by_topic.entry(topic.to_string()).or_default().push(id);
         id
     }
 
@@ -446,6 +456,8 @@ impl EventBus {
     /// under the caller's causal context and opens its flow. Like
     /// [`EventBus::publish`] it admits unconditionally and cannot fail;
     /// `benchmark/src/workloads/plane.rs:186,316` pins both signatures.
+    /// Each accepting subscriber stores one copy: all but the last get a
+    /// clone, and the last takes the message itself.
     pub fn publish_with_ctx(
         &mut self,
         topic: &str,
@@ -461,48 +473,46 @@ impl EventBus {
                 t.flow_start("eventbus", "publish", ctx);
             }
         }
-        let mut matched = false;
-        let subscriber_ids = self.by_topic.get(topic).cloned().unwrap_or_default();
-        for sub_id in subscriber_ids {
-            let Some(state) = self.subscribers.get_mut(&sub_id) else {
+        let Some((topic, subscriber_ids)) = self.by_topic.get_key_value(topic) else {
+            self.metrics.dropped.inc();
+            return id;
+        };
+        let message = Message {
+            id,
+            topic: Arc::clone(topic),
+            payload,
+            attributes,
+            attempt: 0,
+            published_at_ms: self.now_ms,
+            ctx,
+        };
+        let (attrs, mut last) = (&message.attributes, None);
+        for &sub_id in subscriber_ids {
+            let Some(state) = self.subscribers.get(&sub_id) else {
                 continue;
             };
-            let accepts = state.filter.as_ref().is_none_or(|f| f.matches(&attributes));
-            if accepts {
-                matched = true;
+            if state.filter.as_ref().is_none_or(|f| f.matches(attrs)) {
                 self.ready.insert(sub_id);
-                state.queue.push_back(Message {
-                    id,
-                    topic: topic.to_string(),
-                    payload: payload.clone(),
-                    attributes: attributes.clone(),
-                    attempt: 0,
-                    published_at_ms: self.now_ms,
-                    ctx,
-                });
+                let earlier = last.replace(sub_id);
+                if let Some(state) = earlier.and_then(|s| self.subscribers.get_mut(&s)) {
+                    state.queue.push_back(message.clone());
+                }
             }
         }
-        if !matched {
-            self.metrics.dropped.inc();
+        match last.and_then(|s| self.subscribers.get_mut(&s)) {
+            Some(state) => state.queue.push_back(message),
+            None => self.metrics.dropped.inc(),
         }
         id
     }
 
-    /// Fetches the next message for `subscriber`, leasing it until acked or
-    /// the lease expires.
-    ///
-    /// With a fault injector attached the delivery may be *lost* — the
-    /// lease still starts, so the message comes back via lease expiry (an
-    /// at-least-once loss, never a silent drop) — or *duplicated*, leaving
-    /// an extra copy in the queue for a later fetch.
-    pub fn fetch(&mut self, subscriber: SubscriberId) -> Option<Message> {
+    /// The one lease step of every delivery path: pops, bumps the attempt,
+    /// draws the injector's fate, keeps the ready set exact and moves the
+    /// message into the lease table uncopied. `None` if nothing waits; else
+    /// the id, whether the delivery goes through (a lost one's lease expiry
+    /// redelivers it), and the displaced entry of a duplicate's twin.
+    fn lease(&mut self, subscriber: SubscriberId) -> Option<(MessageId, bool, Option<Message>)> {
         let lease_until = self.now_ms + self.lease_ms;
-        let fate = |id: MessageId, injector: &Option<Arc<FaultInjector>>| {
-            injector
-                .as_ref()
-                .map_or(MessageFate::Deliver, |i| i.message_fate(id.0))
-        };
-        let injector = self.injector.clone();
         let state = self.subscribers.get_mut(&subscriber)?;
         let Some(mut message) = state.queue.pop_front() else {
             // Polled an empty queue: harmless, but the event-driven loop
@@ -511,28 +521,95 @@ impl EventBus {
             return None;
         };
         message.attempt += 1;
-        state
-            .leased
-            .insert(message.id, (message.clone(), lease_until));
-        match fate(message.id, &injector) {
-            MessageFate::Deliver => {}
-            MessageFate::Lose => {
-                // In-flight loss: the subscriber never sees this attempt;
-                // the lease we just took expires and redelivers.
-                if state.queue.is_empty() {
-                    self.ready.remove(&subscriber);
-                }
-                return None;
-            }
-            MessageFate::Duplicate => {
-                state.queue.push_back(message.clone());
-            }
+        let fate = self
+            .injector
+            .as_ref()
+            .map_or(MessageFate::Deliver, |i| i.message_fate(message.id.0));
+        if fate == MessageFate::Duplicate {
+            state.queue.push_back(message.clone());
         }
         if state.queue.is_empty() {
             self.ready.remove(&subscriber);
         }
+        let id = message.id;
+        let displaced = state.leased.insert(id, (message, lease_until));
+        Some((id, fate != MessageFate::Lose, displaced.map(|e| e.0)))
+    }
+
+    fn leased(&self, subscriber: SubscriberId, id: MessageId) -> Option<&Message> {
+        Some(&self.subscribers.get(&subscriber)?.leased.get(&id)?.0)
+    }
+
+    /// Hands one delivery to its consumer and counts it as delivered: the
+    /// owned copy if it has one, else the message borrowed from its lease.
+    pub(crate) fn hand_over<'a>(
+        &'a self,
+        subscriber: SubscriberId,
+        (id, owned): &'a Delivery,
+    ) -> Option<&'a Message> {
+        let message = owned.as_ref().or_else(|| self.leased(subscriber, *id))?;
         self.metrics.delivered.inc();
         Some(message)
+    }
+
+    /// Fetches the next message for `subscriber`, leasing it until acked or
+    /// the lease expires. It returns a copy; the lease keeps the original.
+    ///
+    /// With a fault injector attached the delivery may be *lost* — the
+    /// lease still starts, so the message comes back via lease expiry (an
+    /// at-least-once loss, never a silent drop) — or *duplicated*, leaving
+    /// an extra copy in the queue for a later fetch.
+    pub fn fetch(&mut self, subscriber: SubscriberId) -> Option<Message> {
+        let (id, delivered, _) = self.lease(subscriber)?;
+        if !delivered {
+            return None;
+        }
+        self.hand_over(subscriber, &(id, None)).cloned()
+    }
+
+    /// Leases up to `max` messages as [`EventBus::fetch_batch`] does, but
+    /// copies none: each stays in the lease table for the consumer to
+    /// borrow. Twin rule: when an injected duplicate's lease displaces its
+    /// twin leased earlier in this batch, both deliveries own a copy, each
+    /// as it was when leased, just as two fetches would have returned.
+    pub(crate) fn lease_batch(&mut self, subscriber: SubscriberId, max: usize) -> Vec<Delivery> {
+        let mut batch: Vec<Delivery> = Vec::new();
+        for _ in 0..max {
+            if self.backlog(subscriber) == 0 {
+                break;
+            }
+            let Some((id, delivered, displaced)) = self.lease(subscriber) else {
+                continue;
+            };
+            let owned = displaced.and_then(|twin| {
+                let earlier = batch.iter_mut().find(|(d, o)| *d == id && o.is_none());
+                if let Some((_, slot)) = earlier {
+                    *slot = Some(twin);
+                }
+                self.leased(subscriber, id).cloned()
+            });
+            if delivered {
+                batch.push((id, owned));
+            }
+        }
+        batch
+    }
+
+    /// Puts deliveries their consumer never saw back at the front of the
+    /// queue, in batch order (the order they were waiting in) and with their
+    /// attempt restored, as if they had never been leased. Nothing is
+    /// counted: not as nacked, redelivered or delivered.
+    pub(crate) fn release(&mut self, subscriber: SubscriberId, rest: &[Delivery]) {
+        let Some(state) = self.subscribers.get_mut(&subscriber) else {
+            return;
+        };
+        for (id, _) in rest.iter().rev() {
+            if let Some((mut message, _)) = state.leased.remove(id) {
+                message.attempt -= 1;
+                state.queue.push_front(message);
+                self.ready.insert(subscriber);
+            }
+        }
     }
 
     /// Fetches up to `max` messages for `subscriber` in one call, leasing
@@ -725,6 +802,29 @@ mod tests {
         assert!(bus.ack(a, msg.id));
         assert!(!bus.ack(a, msg.id), "double ack rejected");
         assert_eq!(bus.stats().acked, 1);
+    }
+
+    #[test]
+    fn publish_stores_one_copy_per_accepting_subscriber() {
+        let mut bus = EventBus::new(1000);
+        let a = bus.subscribe("alerts", None);
+        let filtered_out = bus.subscribe(
+            "alerts",
+            Some(Subscription::new(vec![Predicate::new(
+                "severity",
+                Op::Ge,
+                Value::Int(4),
+            )])),
+        );
+        let b = bus.subscribe("alerts", None);
+        let original = attrs("pq", 3);
+        bus.publish("alerts", b"sag".to_vec(), original.clone());
+        let queued = |id| &bus.subscribers[&id].queue;
+        assert_eq!((queued(a).len(), queued(b).len()), (1, 1));
+        assert!(queued(filtered_out).is_empty());
+        assert_eq!(queued(a)[0].attributes, original);
+        assert_eq!(queued(b)[0].attributes, original);
+        assert!(Arc::ptr_eq(&queued(a)[0].topic, &queued(b)[0].topic));
     }
 
     #[test]

@@ -186,9 +186,10 @@ impl ServiceHost {
     ///
     /// A message is acked only if its handler returns normally; a panic is
     /// caught, the message nacked (redelivery or dead-letter per the bus's
-    /// retry budget), and the handler's emitted events discarded. If a
-    /// service trips quarantine mid-batch, the rest of its batch is nacked
-    /// back to the queue immediately rather than waiting out the lease.
+    /// retry budget), and the handler's emitted events discarded. Handlers
+    /// borrow each message from its lease; nothing is copied. If a service
+    /// trips quarantine mid-batch, the rest of its batch, which no handler
+    /// saw, goes back to the front of the queue as if never leased.
     fn deliver_one_subscription(
         &mut self,
         service_idx: usize,
@@ -202,25 +203,28 @@ impl ServiceHost {
             return 0;
         }
         let sub_id = registered.subscriber_ids[sub_pos];
-        let mut batch = self.bus.fetch_batch(sub_id, batch_size).into_iter();
-        for message in batch.by_ref() {
+        let mut batch = self.bus.lease_batch(sub_id, batch_size).into_iter();
+        for delivery in batch.by_ref() {
+            let Some(message) = self.bus.hand_over(sub_id, &delivery) else {
+                continue;
+            };
             processed += 1;
+            let (id, attempt, parent) = (message.id, message.attempt, message.ctx);
             let mut ctx = ServiceCtx::default();
             let force_panic = std::mem::take(&mut registered.panic_next);
-            let service_name = registered.service.name().to_string();
             let service = &mut registered.service;
             // Traced deliveries get a handler span as a causal child
             // of the message's publish context; untraced messages
             // stay byte-identical to the pre-tracing stream.
             let span = match self.telemetry.as_deref() {
-                Some(t) if !message.ctx.is_none() => Some(t.span(
+                Some(t) if !parent.is_none() => Some(t.span(
                     "service",
                     "deliver",
                     vec![
-                        ("service", service_name.clone()),
-                        ("message", format!("m{}", message.id.0)),
+                        ("service", service.name().to_string()),
+                        ("message", format!("m{}", id.0)),
                     ],
-                    t.mint_child(message.ctx),
+                    t.mint_child(parent),
                 )),
                 _ => None,
             };
@@ -228,27 +232,27 @@ impl ServiceHost {
                 if force_panic {
                     panic!("injected service panic");
                 }
-                service.handle(&message, &mut ctx);
+                service.handle(message, &mut ctx);
             }));
             drop(span);
             match outcome {
                 Ok(()) => {
                     registered.consecutive_panics = 0;
-                    self.bus.ack(sub_id, message.id);
+                    self.bus.ack(sub_id, id);
                     outbox.extend(
                         ctx.outbox
                             .drain(..)
-                            .map(|(topic, payload, attrs)| (topic, payload, attrs, message.ctx)),
+                            .map(|(topic, payload, attrs)| (topic, payload, attrs, parent)),
                     );
                 }
                 Err(_) => {
                     registered.consecutive_panics += 1;
-                    self.bus.nack(sub_id, message.id);
+                    self.bus.nack(sub_id, id);
                     let name = registered.service.name();
                     if let Some(injector) = &self.injector {
                         injector.record(format!(
-                            "service {name} panicked on m{} attempt {}",
-                            message.id.0, message.attempt
+                            "service {name} panicked on m{} attempt {attempt}",
+                            id.0
                         ));
                     }
                     if let Some(t) = &self.telemetry {
@@ -260,8 +264,8 @@ impl ServiceHost {
                             "service_panic",
                             vec![
                                 ("service", name.to_string()),
-                                ("message", format!("m{}", message.id.0)),
-                                ("attempt", message.attempt.to_string()),
+                                ("message", format!("m{}", id.0)),
+                                ("attempt", attempt.to_string()),
                             ],
                             TraceContext::none(),
                         );
@@ -292,11 +296,9 @@ impl ServiceHost {
                 break;
             }
         }
-        // A quarantine tripped mid-batch: hand the unprocessed rest
-        // of the batch straight back to the queue.
-        for rest in batch {
-            self.bus.nack(sub_id, rest.id);
-        }
+        // A quarantine tripped mid-batch: the rest goes back untouched, so
+        // the queue is what a batch of one would have left.
+        self.bus.release(sub_id, batch.as_slice());
         processed
     }
 
@@ -572,6 +574,47 @@ mod tests {
         // consumer is quarantined: the pump must terminate, not spin.
         assert!(host.bus().has_ready());
         assert_eq!(host.pump_switchless(100), 0);
+    }
+
+    #[test]
+    fn quarantine_mid_batch_releases_the_unseen_rest() {
+        // Regression: a quarantine tripped by the first message of a batch
+        // used to nack the other three, dead-lettering messages no handler
+        // saw. The rest now goes back untouched, as at batch size one.
+        silence_panics();
+        let run = |batch: usize| {
+            let mut host = ServiceHost::new(1000);
+            let seen = Arc::new(AtomicU64::new(0));
+            host.register(Box::new(Flaky {
+                failures: u32::MAX,
+                seen,
+            }));
+            host.set_delivery_batch(batch);
+            host.set_quarantine_after(1);
+            host.bus_mut().set_max_attempts(Some(1));
+            for i in 0..4u8 {
+                host.bus_mut().publish("work", vec![i], Publication::new());
+            }
+            assert_eq!(host.pump_switchless(10), 1, "one message handled");
+            let stats = host.bus().stats();
+            let dead = host.bus().dead_letters().to_vec();
+            // Fetching what waits shows order and attempts: a first
+            // delivery reads attempt 1.
+            let waiting: Vec<(Vec<u8>, u32)> =
+                std::iter::from_fn(|| host.bus_mut().fetch(SubscriberId(1)))
+                    .map(|m| (m.payload, m.attempt))
+                    .collect();
+            (stats, dead, waiting)
+        };
+        let single = run(1);
+        assert_eq!((single.0.delivered, single.0.nacked), (1, 1));
+        assert_eq!(single.1.len(), 1);
+        assert_eq!(
+            single.2,
+            vec![(vec![1], 1), (vec![2], 1), (vec![3], 1)],
+            "never attempted, in publish order"
+        );
+        assert_eq!(run(4), single);
     }
 
     #[test]

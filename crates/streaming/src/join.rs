@@ -183,7 +183,7 @@ impl MicroService for TwoStreamJoin {
     }
 
     fn handle(&mut self, message: &Message, ctx: &mut ServiceCtx) {
-        if message.topic == self.cfg.flush_in {
+        if *message.topic == *self.cfg.flush_in {
             self.flushes_seen += 1;
             if self.flushes_seen < self.cfg.flush_fan_in {
                 return;
@@ -194,7 +194,7 @@ impl MicroService for TwoStreamJoin {
             self.forward_eos_once(ctx);
             return;
         }
-        let lane = if message.topic == self.cfg.left {
+        let lane = if *message.topic == *self.cfg.left {
             LEFT_LANE
         } else {
             RIGHT_LANE

@@ -208,7 +208,7 @@ impl MicroService for WindowedAggregator {
     }
 
     fn handle(&mut self, message: &Message, ctx: &mut ServiceCtx) {
-        if message.topic == self.cfg.flush_in || is_eos(&message.attributes) {
+        if *message.topic == *self.cfg.flush_in || is_eos(&message.attributes) {
             self.watermark_ms = u64::MAX;
             self.close_ready(ctx);
             if let Some(downstream) = &self.cfg.flush_out {
