@@ -35,7 +35,6 @@ use crate::wire::{Reader, Wire};
 use crate::x25519::{self, PublicKey, SecretKey};
 use crate::CryptoError;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use securecloud_telemetry::{TraceContext, CONTEXT_WIRE_LEN};
 
 /// Byte-frame transport under a [`SecureChannel`].
 pub trait Transport {
@@ -372,90 +371,6 @@ impl<T: Transport> SecureChannel<T> {
         self.transport.send_frame(sealed)
     }
 
-    /// Encrypts and sends one message with a causal [`TraceContext`] carried
-    /// *inside* the sealed record: the 24-byte context header is prepended to
-    /// the plaintext before sealing, so the trace ids are confidentiality- and
-    /// integrity-protected along with the payload. The peer must receive it
-    /// with [`SecureChannel::recv_with_ctx`]; traced and plain records may be
-    /// interleaved freely since each consumes exactly one sequence number.
-    ///
-    /// # Errors
-    ///
-    /// [`CryptoError::TransportClosed`] if the peer is gone.
-    pub fn send_with_ctx(
-        &mut self,
-        plaintext: &[u8],
-        ctx: TraceContext,
-    ) -> Result<(), CryptoError> {
-        let mut sealed =
-            Vec::with_capacity(CONTEXT_WIRE_LEN + plaintext.len() + crate::gcm::TAG_LEN);
-        sealed.extend_from_slice(&ctx.encode());
-        sealed.extend_from_slice(plaintext);
-        self.send.seal_in_place(&mut sealed, &self.transcript);
-        self.transport.send_frame(sealed)
-    }
-
-    /// Receives one record sent by [`SecureChannel::send_with_ctx`] and
-    /// returns the authenticated trace context alongside the payload.
-    ///
-    /// # Errors
-    ///
-    /// [`CryptoError::AuthenticationFailed`] on tampered or replayed records;
-    /// [`CryptoError::Malformed`] if the authenticated plaintext is too short
-    /// to carry a context header; [`CryptoError::TransportClosed`] if the
-    /// peer is gone.
-    pub fn recv_with_ctx(&mut self) -> Result<(TraceContext, Vec<u8>), CryptoError> {
-        let mut sealed = self.transport.recv_frame()?;
-        self.recv.open_in_place(&mut sealed, &self.transcript)?;
-        if sealed.len() < CONTEXT_WIRE_LEN {
-            return Err(CryptoError::Malformed(
-                "traced record shorter than a context header".into(),
-            ));
-        }
-        let ctx = TraceContext::decode(&sealed[..CONTEXT_WIRE_LEN]).unwrap_or_default();
-        Ok((ctx, sealed.split_off(CONTEXT_WIRE_LEN)))
-    }
-
-    /// Encrypts and sends a batch of messages as **one** sealed record: the
-    /// messages are length-prefix framed together (wire `Vec<Vec<u8>>`
-    /// layout) and the concatenation is sealed once — one sequence number,
-    /// one nonce, one GHASH/tag pass — so a batch of N costs a single seal
-    /// instead of N. The peer must receive it with
-    /// [`SecureChannel::recv_batch`]; batch and single records may be
-    /// interleaved freely since each consumes exactly one sequence number.
-    ///
-    /// # Errors
-    ///
-    /// [`CryptoError::TransportClosed`] if the peer is gone.
-    pub fn send_batch(&mut self, messages: &[Vec<u8>]) -> Result<(), CryptoError> {
-        let framed: usize = messages.iter().map(|m| 4 + m.len()).sum();
-        let mut sealed = Vec::with_capacity(4 + framed + crate::gcm::TAG_LEN);
-        (messages.len() as u32).encode(&mut sealed);
-        for message in messages {
-            (message.len() as u32).encode(&mut sealed);
-            sealed.extend_from_slice(message);
-        }
-        self.send.seal_in_place(&mut sealed, &self.transcript);
-        self.transport.send_frame(sealed)
-    }
-
-    /// Receives one batch record sent by [`SecureChannel::send_batch`] and
-    /// returns its messages in order. The record is opened in place (one
-    /// tag check for the whole batch) before the individual messages are
-    /// split out.
-    ///
-    /// # Errors
-    ///
-    /// [`CryptoError::AuthenticationFailed`] on tampered or replayed
-    /// records; [`CryptoError::Malformed`] if the authenticated plaintext
-    /// is not a well-formed batch; [`CryptoError::TransportClosed`] if the
-    /// peer is gone.
-    pub fn recv_batch(&mut self) -> Result<Vec<Vec<u8>>, CryptoError> {
-        let mut sealed = self.transport.recv_frame()?;
-        self.recv.open_in_place(&mut sealed, &self.transcript)?;
-        Vec::<Vec<u8>>::from_wire(&sealed)
-    }
-
     /// Receives and decrypts one message.
     ///
     /// # Errors
@@ -526,88 +441,6 @@ mod tests {
         for i in 0..100u32 {
             assert_eq!(server.recv().unwrap(), i.to_le_bytes());
         }
-    }
-
-    #[test]
-    fn batch_roundtrip_interleaves_with_singles() {
-        let (client, server) = pair_with(ChannelConfig::default(), ChannelConfig::default());
-        let mut client = client.unwrap();
-        let mut server = server.unwrap();
-        let batch: Vec<Vec<u8>> = (0..16u8).map(|i| vec![i; i as usize + 1]).collect();
-        client.send_batch(&batch).unwrap();
-        assert_eq!(server.recv_batch().unwrap(), batch);
-        // One batch record consumed exactly one sequence number: plain
-        // send/recv keeps working either side of it.
-        client.send(b"after").unwrap();
-        assert_eq!(server.recv().unwrap(), b"after");
-        server.send_batch(&[b"reply".to_vec()]).unwrap();
-        assert_eq!(server.send.seq(), 1);
-        assert_eq!(client.recv_batch().unwrap(), vec![b"reply".to_vec()]);
-        // Empty batches and empty messages are legal frames.
-        client.send_batch(&[]).unwrap();
-        assert_eq!(client.send.seq(), 3);
-        assert!(server.recv_batch().unwrap().is_empty());
-        client.send_batch(&[Vec::new(), b"x".to_vec()]).unwrap();
-        assert_eq!(
-            server.recv_batch().unwrap(),
-            vec![Vec::new(), b"x".to_vec()]
-        );
-    }
-
-    #[test]
-    fn traced_roundtrip_interleaves_with_plain() {
-        let (client, server) = pair_with(ChannelConfig::default(), ChannelConfig::default());
-        let mut client = client.unwrap();
-        let mut server = server.unwrap();
-        let ctx = TraceContext {
-            trace_id: 0x1122_3344_5566_7788,
-            span_id: 0x99aa_bbcc_ddee_ff00,
-            parent_span_id: 7,
-        };
-        client.send_with_ctx(b"traced payload", ctx).unwrap();
-        let (got_ctx, payload) = server.recv_with_ctx().unwrap();
-        assert_eq!(got_ctx, ctx);
-        assert_eq!(payload, b"traced payload");
-        // A traced record consumed exactly one sequence number, so plain
-        // traffic keeps flowing either side of it.
-        client.send(b"plain").unwrap();
-        assert_eq!(server.recv().unwrap(), b"plain");
-        // An absent context survives the trip as `TraceContext::none()`, and
-        // empty payloads are legal.
-        server.send_with_ctx(b"", TraceContext::none()).unwrap();
-        let (none_ctx, empty) = client.recv_with_ctx().unwrap();
-        assert!(none_ctx.is_none());
-        assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn traced_record_too_short_is_malformed() {
-        let (client, server) = pair_with(ChannelConfig::default(), ChannelConfig::default());
-        let mut client = client.unwrap();
-        let mut server = server.unwrap();
-        client.send(b"short").unwrap();
-        assert!(matches!(
-            server.recv_with_ctx(),
-            Err(CryptoError::Malformed(_))
-        ));
-    }
-
-    #[test]
-    fn tampered_batch_rejected() {
-        let (client, server) = pair_with(ChannelConfig::default(), ChannelConfig::default());
-        let mut client = client.unwrap();
-        let mut server = server.unwrap();
-        client.send_batch(&[b"a".to_vec(), b"b".to_vec()]).unwrap();
-        let mut frame = server.transport.recv_frame().unwrap();
-        frame[1] ^= 0x80;
-        server.transport.tx.send(frame).ok(); // reinject toward client; open directly instead
-        client.send_batch(&[b"c".to_vec()]).unwrap();
-        let mut frame2 = server.transport.recv_frame().unwrap();
-        frame2[0] ^= 1;
-        assert!(server
-            .recv
-            .open_in_place(&mut frame2, &server.transcript)
-            .is_err());
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! * [`state`] — operator state in the tiered [`SecureKv`] so key
 //!   cardinality can exceed the EPC, every access charged to the
 //!   operator's [`MemorySim`],
-//! * [`operator`] — keyed windowed aggregation as a micro-service,
-//! * [`join`] — a two-stream windowed inner join with per-lane watermarks,
+//! * [`operator`] — the one windowed micro-service: keyed aggregation over
+//!   one input lane, a windowed inner join over two, with per-lane
+//!   watermarks and one end-of-stream protocol,
 //! * [`pipeline`] — the [`StreamPlane`] gluing SCBR ingress/egress to the
 //!   service host, plus the city-scale smart-grid pipelines (real-time
 //!   theft detection and per-feeder power-quality rollups).
@@ -32,14 +33,12 @@ use std::fmt;
 
 use securecloud_scbr::ScbrError;
 
-pub mod join;
 pub mod operator;
 pub mod pipeline;
 pub mod state;
 pub mod window;
 
-pub use join::{JoinConfig, TwoStreamJoin};
-pub use operator::{AggregatorConfig, StreamEvent, WindowedAggregator};
+pub use operator::{AggregatorConfig, JoinConfig, StreamEvent, TwoStreamJoin, WindowedAggregator};
 pub use pipeline::{CityPipelines, CitySpec, StreamPlane};
 pub use state::{Aggregate, OperatorState, SharedState};
 pub use window::WindowSpec;

@@ -8,7 +8,7 @@
 //!                                              EventBus topics (by stream)
 //!                                                         │ pump_switchless
 //!                                                         ▼
-//!                                    WindowedAggregator / TwoStreamJoin
+//!                                    WindowedAggregator (1 or 2 lanes)
 //!                                                         │ results
 //!                                                         ▼
 //!            sink ◀──frames── SecureRouter ◀──seal batch── egress client
@@ -34,10 +34,9 @@ use securecloud_smartgrid::meters::GridSpec;
 use securecloud_smartgrid::quality::{QualitySpec, NOMINAL_VOLTS};
 use securecloud_telemetry::context::ContextMinter;
 
-use crate::join::{JoinConfig, TwoStreamJoin, ATTR_RIGHT};
 use crate::operator::{
-    AggregatorConfig, StreamEvent, WindowedAggregator, ATTR_KEY, ATTR_MAX, ATTR_MIN, ATTR_STREAM,
-    ATTR_VALUE,
+    AggregatorConfig, JoinConfig, StreamEvent, TwoStreamJoin, WindowedAggregator, ATTR_KEY,
+    ATTR_MAX, ATTR_MIN, ATTR_RIGHT, ATTR_STREAM, ATTR_VALUE,
 };
 use crate::state::{OperatorState, SharedState, StateMetrics};
 use crate::window::WindowSpec;
@@ -491,7 +490,7 @@ pub struct CityRunReport {
 pub struct CityPipelines {
     plane: StreamPlane,
     config: CityConfig,
-    states: Vec<(&'static str, SharedState)>,
+    states: Vec<SharedState>,
 }
 
 impl CityPipelines {
@@ -606,11 +605,11 @@ impl CityPipelines {
             plane,
             config,
             states: vec![
-                ("meter-usage", meter_state),
-                ("feeder-reported", reported_state),
-                ("feeder-actual", actual_state),
-                ("loss-join", join_state),
-                ("quality-rollup", quality_state),
+                meter_state,
+                reported_state,
+                actual_state,
+                join_state,
+                quality_state,
             ],
         })
     }
@@ -764,7 +763,7 @@ impl CityPipelines {
     #[must_use]
     pub fn operator_metrics(&self) -> StateMetrics {
         let mut total = StateMetrics::default();
-        for (_, state) in &self.states {
+        for state in &self.states {
             let metrics = state.lock().metrics;
             total.events += metrics.events;
             total.results += metrics.results;
@@ -777,7 +776,7 @@ impl CityPipelines {
     /// Summed simulated cycles across every operator's memory.
     #[must_use]
     pub fn operator_cycles(&self) -> u64 {
-        self.states.iter().map(|(_, s)| s.lock().cycles()).sum()
+        self.states.iter().map(|s| s.lock().cycles()).sum()
     }
 
     /// Summed (EPC faults, host bytes read, host bytes written) across
@@ -787,7 +786,7 @@ impl CityPipelines {
         let mut faults = 0;
         let mut reads = 0;
         let mut writes = 0;
-        for (_, state) in &self.states {
+        for state in &self.states {
             let stats = state.lock().mem_stats();
             faults += stats.epc_faults;
             reads += stats.host_read_bytes;
@@ -796,29 +795,14 @@ impl CityPipelines {
         (faults, reads, writes)
     }
 
-    /// Summed live state bytes across every operator.
-    #[must_use]
-    pub fn state_bytes(&self) -> u64 {
-        self.states
-            .iter()
-            .map(|(_, s)| s.lock().state_bytes())
-            .sum()
-    }
-
     /// Summed high-water state bytes across every operator (closed windows
     /// drain, so this — not the final residue — is what pressed the EPC).
     #[must_use]
     pub fn peak_state_bytes(&self) -> u64 {
         self.states
             .iter()
-            .map(|(_, s)| s.lock().peak_state_bytes())
+            .map(|s| s.lock().peak_state_bytes())
             .sum()
-    }
-
-    /// The meter-keyed operator's state handle (the EPC-pressure witness).
-    #[must_use]
-    pub fn meter_state(&self) -> &SharedState {
-        &self.states[0].1
     }
 }
 

@@ -297,12 +297,6 @@ impl OperatorState {
         self.mem.stats()
     }
 
-    /// Live key/value bytes held in the state store.
-    #[must_use]
-    pub fn state_bytes(&self) -> u64 {
-        self.kv.data_bytes()
-    }
-
     /// High-water mark of live state bytes over the operator's life —
     /// closed windows drain, so the *final* state is near-empty; this is
     /// the number to hold against the usable EPC.
