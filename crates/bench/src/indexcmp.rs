@@ -2,8 +2,10 @@
 //! reduced number of comparisons is required whenever a message must be
 //! matched" (§V-B).
 
+use securecloud_crypto::wire::Wire;
 use securecloud_scbr::engine::MatchEngine;
 use securecloud_scbr::index::{MatchScratch, NaiveIndex, PosetIndex, SubscriptionIndex};
+use securecloud_scbr::notify::PublicationRef;
 use securecloud_scbr::types::{Op, Predicate, Publication, SubId, Subscription, Value};
 use securecloud_scbr::workload::WorkloadSpec;
 use securecloud_sgx::costs::{CostModel, MemoryGeometry};
@@ -111,7 +113,8 @@ pub fn containment_heavy_point(chains: usize, depth: usize, publications: usize)
     }
     // Publications that miss every chain (x = -1): the poset visits only
     // the chain heads, the naive index visits everything.
-    let publication = Publication::new().with("x", Value::Int(-1));
+    let encoded = Publication::new().with("x", Value::Int(-1)).to_wire();
+    let publication = PublicationRef::parse(&encoded).expect("an encoded publication is canonical");
     let visits = |index: &mut dyn SubscriptionIndex| {
         for (i, sub) in database.iter().enumerate() {
             index.insert(SubId(i as u64), sub.clone(), i as u64 * 256);
@@ -120,7 +123,7 @@ pub fn containment_heavy_point(chains: usize, depth: usize, publications: usize)
         let mut visits = 0u64;
         for _ in 0..publications {
             scratch.trace.clear();
-            index.match_publication(&publication, &mut scratch);
+            index.match_publication(publication, &mut scratch);
             visits += scratch.trace.len() as u64;
         }
         visits / publications as u64

@@ -110,8 +110,14 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
-    /// Reads a u32 length prefix and validates it against remaining input.
-    fn length(&mut self) -> Result<usize, CryptoError> {
+    /// Reads a `u32` length prefix and checks it against the remaining
+    /// input, which bounds what a decoder allocates for it.
+    ///
+    /// # Errors
+    ///
+    /// [`CryptoError::Malformed`] if the prefix is truncated or exceeds
+    /// the remaining input.
+    pub fn length(&mut self) -> Result<usize, CryptoError> {
         let len = u32::decode(self)? as usize;
         if len > self.remaining() {
             return Err(CryptoError::Malformed(format!(
@@ -212,13 +218,8 @@ impl<T: Wire> Wire for Vec<T> {
         encode_seq(self, out);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CryptoError> {
-        let len = u32::decode(r)? as usize;
         // Each element takes at least one byte; bound allocation by input.
-        if len > r.remaining() {
-            return Err(CryptoError::Malformed(format!(
-                "sequence length {len} exceeds input"
-            )));
-        }
+        let len = r.length()?;
         T::decode_vec(r, len)
     }
 }
@@ -281,12 +282,7 @@ impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
         }
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CryptoError> {
-        let len = u32::decode(r)? as usize;
-        if len > r.remaining() {
-            return Err(CryptoError::Malformed(format!(
-                "map length {len} exceeds input"
-            )));
-        }
+        let len = r.length()?;
         let mut map = BTreeMap::new();
         for _ in 0..len {
             let k = K::decode(r)?;

@@ -16,7 +16,9 @@
 //! a compact page range. Benchmark E8 quantifies the effect.
 
 use crate::index::{MatchScratch, SubscriptionIndex};
+use crate::notify::PublicationRef;
 use crate::types::{Op, Publication, SubId, Subscription, Value};
+use securecloud_crypto::wire::Wire;
 use securecloud_sgx::mem::{Arena, MemorySim};
 use securecloud_telemetry::Telemetry;
 use std::collections::HashMap;
@@ -151,12 +153,6 @@ impl<I: SubscriptionIndex> MatchEngine<I> {
         self.metrics.snapshot()
     }
 
-    /// The underlying index (diagnostics).
-    #[must_use]
-    pub fn index(&self) -> &I {
-        &self.index
-    }
-
     /// Stores a subscription, charging the write into the arena.
     pub fn subscribe(&mut self, mem: &mut MemorySim, sub: Subscription) -> SubId {
         let bytes = sub.footprint() as u64;
@@ -178,16 +174,19 @@ impl<I: SubscriptionIndex> MatchEngine<I> {
     }
 
     /// Matches a publication against the database, charging every node
-    /// visit (memory reads and predicate evaluations).
+    /// visit (memory reads and predicate evaluations). The index matches
+    /// over the view of the publication's own encoding.
     pub fn publish(&mut self, mem: &mut MemorySim, publication: &Publication) -> Vec<SubId> {
+        let encoded = publication.to_wire();
+        let view = PublicationRef::parse(&encoded).expect("an encoded publication is canonical");
         let mut scratch = MatchScratch::default();
-        self.publish_with(mem, publication, &mut scratch);
+        self.publish_with(mem, view, &mut scratch);
         scratch.matched
     }
 
-    /// [`Self::publish`] for a batch: appends the matching ids to
-    /// `scratch.matched` and reuses the scratch's working memory, so a
-    /// publication allocates nothing once the scratch has grown.
+    /// [`Self::publish`] over a validated view, for a batch: appends the
+    /// matching ids to `scratch.matched` and reuses the scratch's working
+    /// memory, so a publication allocates nothing once the scratch has grown.
     ///
     /// The index first records the visit trace, then the trace is charged:
     /// the same [`MemorySim::touch`] calls in the same order as if each
@@ -197,7 +196,7 @@ impl<I: SubscriptionIndex> MatchEngine<I> {
     pub fn publish_with<'p>(
         &mut self,
         mem: &mut MemorySim,
-        publication: &'p Publication,
+        publication: PublicationRef<'p>,
         scratch: &mut MatchScratch<'p>,
     ) {
         scratch.trace.clear();
@@ -337,8 +336,13 @@ mod tests {
             let p = Publication::new()
                 .with("topic", Value::Int(1))
                 .with("v", Value::Int(9));
+            let encoded = p.to_wire();
             let mut scratch = MatchScratch::default();
-            engine.publish_with(&mut mem, &p, &mut scratch);
+            engine.publish_with(
+                &mut mem,
+                PublicationRef::parse(&encoded).unwrap(),
+                &mut scratch,
+            );
             assert_eq!(scratch.matched.len(), 2);
             let spans: Vec<_> = scratch
                 .trace

@@ -15,15 +15,16 @@
 //! attribute names are interned to dense ids at insertion, every predicate
 //! becomes one 16-byte record in a single flat vector (predicate order
 //! kept), and a node is a 56-byte record pointing at its range of tests. A
-//! publication is resolved once into a slot table indexed by attribute id,
-//! so evaluating a predicate is an array index and a compare. The traversal
-//! appends a [`VisitInfo`] per visited node to a caller-owned trace; what a
-//! visit costs on the simulated clock is the caller's business.
+//! [`PublicationRef`] is resolved once into a slot table indexed by attribute
+//! id, so evaluating a predicate is an array index and a compare. The
+//! traversal appends a [`VisitInfo`] per visited node to a caller-owned
+//! trace; what a visit costs on the simulated clock is the caller's business.
 //!
 //! [`NaiveIndex`] is the linear-scan baseline used for benchmark E6 and as
 //! a correctness oracle in tests; it evaluates the original
-//! [`Subscription`]s.
+//! [`Subscription`]s against an owned [`Publication`].
 
+use crate::notify::{PublicationRef, ValueRef};
 use crate::types::{
     compare, covers_normalised, Normalised, Op, Publication, SubId, Subscription, Value,
 };
@@ -59,7 +60,7 @@ pub struct MatchScratch<'p> {
     /// Ids of the matching subscriptions, in visit order. Appended to.
     pub matched: Vec<SubId>,
     /// The current publication's values by attribute id.
-    slots: Vec<Slot<'p>>,
+    slots: Vec<Option<ValueRef<'p>>>,
     /// Depth-first stack of node indices.
     stack: Vec<u32>,
 }
@@ -68,10 +69,10 @@ pub struct MatchScratch<'p> {
 pub trait SubscriptionIndex {
     /// Inserts a subscription stored at simulated address `offset`.
     fn insert(&mut self, id: SubId, sub: Subscription, offset: u64);
-    /// Matches a publication, appending every visited node to
+    /// Matches the publication `view`, appending every visited node to
     /// `scratch.trace` and the ids of matching subscriptions to
     /// `scratch.matched`.
-    fn match_publication<'p>(&self, publication: &'p Publication, scratch: &mut MatchScratch<'p>);
+    fn match_publication<'p>(&self, view: PublicationRef<'p>, scratch: &mut MatchScratch<'p>);
     /// Number of stored subscriptions.
     fn len(&self) -> usize;
     /// Whether the index is empty.
@@ -115,9 +116,10 @@ impl SubscriptionIndex for NaiveIndex {
         self.entries.push((id, sub, offset, size));
     }
 
-    fn match_publication<'p>(&self, publication: &'p Publication, scratch: &mut MatchScratch<'p>) {
+    fn match_publication<'p>(&self, view: PublicationRef<'p>, scratch: &mut MatchScratch<'p>) {
+        let publication = view.to_publication();
         for (id, sub, offset, size) in &self.entries {
-            let (matched, evaluated) = matches_counted(sub, publication);
+            let (matched, evaluated) = matches_counted(sub, &publication);
             scratch.trace.push(VisitInfo {
                 offset: *offset,
                 size: *size,
@@ -133,16 +135,6 @@ impl SubscriptionIndex for NaiveIndex {
     fn len(&self) -> usize {
         self.entries.len()
     }
-}
-
-/// A publication's value for one interned attribute. `Int` and `Float`
-/// both resolve to the `f64` that [`crate::types::Predicate::eval`]
-/// compares.
-#[derive(Debug, Clone, Copy)]
-enum Slot<'p> {
-    Missing,
-    Num(f64),
-    Str(&'p str),
 }
 
 /// One compiled predicate.
@@ -313,28 +305,26 @@ impl PosetIndex {
         }
     }
 
-    /// Fills `slots` with the publication's value for every interned
-    /// attribute; attributes no subscription names are skipped.
-    fn resolve<'p>(&self, publication: &'p Publication, slots: &mut Vec<Slot<'p>>) {
+    /// Fills `slots` with the value of every interned attribute, in one pass
+    /// over the publication's sorted attributes.
+    fn resolve<'p>(&self, view: PublicationRef<'p>, slots: &mut Vec<Option<ValueRef<'p>>>) {
         slots.clear();
-        slots.resize(self.attrs.len(), Slot::Missing);
-        for (name, value) in &publication.attrs {
+        slots.resize(self.attrs.len(), None);
+        for (name, value) in view.attrs() {
             if let Some(&id) = self.attrs.get(name) {
-                slots[id as usize] = match value {
-                    Value::Int(v) => Slot::Num(*v as f64),
-                    Value::Float(v) => Slot::Num(*v),
-                    Value::Str(s) => Slot::Str(s),
-                };
+                slots[id as usize] = Some(value);
             }
         }
     }
 
-    /// Whether `test` holds for the resolved publication. A missing
-    /// attribute or a string/number mismatch never matches.
-    fn holds(&self, test: Test, slots: &[Slot<'_>]) -> bool {
+    /// Whether `test` holds for the resolved publication (numbers compare as
+    /// `f64`); a missing attribute or a string/number mismatch never matches.
+    fn holds(&self, test: Test, slots: &[Option<ValueRef<'_>>]) -> bool {
+        let number = f64::from_bits(test.operand);
         match slots[test.attr as usize] {
-            Slot::Num(have) if !test.string => compare(test.op, have, f64::from_bits(test.operand)),
-            Slot::Str(have) if test.string => {
+            Some(ValueRef::Int(have)) if !test.string => compare(test.op, have as f64, number),
+            Some(ValueRef::Float(have)) if !test.string => compare(test.op, have, number),
+            Some(ValueRef::Str(have)) if test.string => {
                 compare(test.op, have, self.strings[test.operand as usize].as_str())
             }
             _ => false,
@@ -401,17 +391,17 @@ impl SubscriptionIndex for PosetIndex {
         Self::insert_into_group(&mut self.nodes, &self.norms, roots, idx);
     }
 
-    fn match_publication<'p>(&self, publication: &'p Publication, scratch: &mut MatchScratch<'p>) {
-        self.resolve(publication, &mut scratch.slots);
+    fn match_publication<'p>(&self, view: PublicationRef<'p>, scratch: &mut MatchScratch<'p>) {
+        self.resolve(view, &mut scratch.slots);
         let partition_value = self
             .partition_attr
-            .as_ref()
-            .and_then(|attr| publication.attrs.get(attr));
+            .as_deref()
+            .and_then(|attr| view.get(attr));
         let own_group = match partition_value {
-            Some(Value::Int(v)) => self.int_groups.get(&int_group(*v)),
-            Some(Value::Str(s)) => self.str_groups.get(s.as_str()),
+            Some(ValueRef::Int(v)) => self.int_groups.get(&int_group(v)),
+            Some(ValueRef::Str(s)) => self.str_groups.get(s),
             // No partition value: every group may match.
-            Some(Value::Float(_)) | None => {
+            Some(ValueRef::Float(_)) | None => {
                 for roots in self.int_groups.values().chain(self.str_groups.values()) {
                     self.match_group(roots, scratch);
                 }
@@ -433,6 +423,7 @@ impl SubscriptionIndex for PosetIndex {
 mod tests {
     use super::*;
     use crate::types::{Op, Predicate};
+    use securecloud_crypto::wire::Wire;
 
     fn pred(attr: &str, op: Op, v: i64) -> Predicate {
         Predicate::new(attr, op, Value::Int(v))
@@ -443,8 +434,9 @@ mod tests {
     }
 
     fn visit(index: &impl SubscriptionIndex, p: &Publication) -> (Vec<VisitInfo>, Vec<SubId>) {
+        let encoded = p.to_wire();
         let mut scratch = MatchScratch::default();
-        index.match_publication(p, &mut scratch);
+        index.match_publication(PublicationRef::parse(&encoded).unwrap(), &mut scratch);
         (scratch.trace, scratch.matched)
     }
 

@@ -12,8 +12,8 @@
 //!   substrate of the Figure 3 reproduction),
 //! * [`secure`] — the enclave-hosted router with encrypted subscriptions,
 //!   publications, and per-subscriber notifications,
-//! * [`notify`] — the validated view a subscriber opens a batched
-//!   notification frame into,
+//! * [`notify`] — the one publication parser: the validated view the router
+//!   matches over and a subscriber opens its notifications into,
 //! * [`workload`] — deterministic workload generation for the benchmarks.
 //!
 //! # Example

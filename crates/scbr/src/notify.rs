@@ -1,18 +1,16 @@
-//! Opened notification batches: a validated view over one plaintext.
+//! The one parser of the publication format: a validated, borrowed view.
 //!
-//! A batched notification frame carries a `Vec<Publication>` encoding
-//! (see [`crate::secure::SecureRouter::publish_sealed_batch`]). A
-//! [`Notifications`] keeps the one decrypted buffer plus where each
-//! publication starts. It checks every byte when the frame is opened, so
-//! borrowing from it ([`Notifications::iter`]) never fails, and it builds an
-//! owned [`Publication`] only when a consumer takes one (its
-//! [`IntoIterator`]).
+//! [`PublicationRef::parse`] checks one publication encoding and
+//! [`Notifications::parse`] a `Vec<Publication>` one, every byte once, so
+//! borrowing from the view never fails and an owned [`Publication`] is
+//! built only when a consumer takes one. The router matches over the view
+//! and copies the matches' validated bytes into the notification frames
+//! that subscribers open into the same view.
 //!
-//! The view accepts a subset of what `Vec::<Publication>::from_wire`
-//! accepts: the router re-encodes every match from a decoded map, so a
-//! genuine frame lists each publication's attribute keys in strictly
-//! ascending order, and a frame that does not is rejected rather than
-//! silently folded into a different map.
+//! The view accepts a subset of what the owned `Wire` decoder accepts: every
+//! encoder writes a publication from its `BTreeMap`, so a genuine one lists
+//! its keys in strictly ascending order, and one that does not is rejected
+//! rather than silently folded into a different map.
 
 #![deny(clippy::unwrap_used, clippy::indexing_slicing)]
 
@@ -22,7 +20,7 @@ use securecloud_crypto::CryptoError;
 use std::collections::BTreeMap;
 use std::ops::Range;
 
-/// An attribute value borrowed from an opened batch.
+/// An attribute value borrowed from a view.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ValueRef<'a> {
     /// 64-bit signed integer.
@@ -45,7 +43,7 @@ impl ValueRef<'_> {
     }
 }
 
-/// One publication of an opened batch, borrowed from its plaintext.
+/// One publication, borrowed from its validated encoding.
 #[derive(Debug, Clone, Copy)]
 pub struct PublicationRef<'a> {
     /// The publication's validated encoding: attribute count, then pairs.
@@ -53,11 +51,30 @@ pub struct PublicationRef<'a> {
 }
 
 impl<'a> PublicationRef<'a> {
+    /// Checks every length, UTF-8 string, value tag and key order of one
+    /// publication encoding, and that nothing trails it.
+    ///
+    /// # Errors
+    ///
+    /// [`CryptoError::Malformed`] on every input `Publication::from_wire`
+    /// rejects, and on attribute keys that are not strictly ascending.
+    pub fn parse(bytes: &'a [u8]) -> Result<Self, CryptoError> {
+        let mut r = Reader::new(bytes);
+        check_publication(&mut r)?;
+        check_end(&r).map(|()| PublicationRef { bytes })
+    }
+
+    /// The validated encoding, which a batch frame carries verbatim.
+    #[must_use]
+    pub fn as_bytes(self) -> &'a [u8] {
+        self.bytes
+    }
+
     /// The attributes in ascending key order.
-    fn attrs(self) -> impl Iterator<Item = (&'a str, ValueRef<'a>)> {
+    pub(crate) fn attrs(self) -> impl Iterator<Item = (&'a str, ValueRef<'a>)> {
         let mut r = Reader::new(self.bytes);
         let count = u32::decode(&mut r).map_or(0, |n| n as usize);
-        // `Notifications::parse` walked these bytes already: no read fails.
+        // `check_publication` walked these bytes already: no read fails.
         (0..count).map_while(move |_| read_attr(&mut r, validated_str).ok())
     }
 
@@ -90,8 +107,8 @@ pub struct Notifications {
 }
 
 impl Notifications {
-    /// Walks a `Vec<Publication>` plaintext once, checking every length,
-    /// UTF-8 string, value tag and key order, and that nothing trails it.
+    /// Checks each publication as [`PublicationRef::parse`] does, and that
+    /// nothing trails the last.
     ///
     /// # Errors
     ///
@@ -100,28 +117,14 @@ impl Notifications {
     /// are not strictly ascending.
     pub fn parse(plain: Vec<u8>) -> Result<Self, CryptoError> {
         let mut r = Reader::new(&plain);
-        let count = sequence_len(&mut r)?;
+        let count = r.length()?;
         // A publication takes at least its four-byte attribute count.
         let mut starts = Vec::with_capacity(count.min(r.remaining() / 4));
         for _ in 0..count {
             starts.push(plain.len() - r.remaining());
-            let mut previous: Option<&str> = None;
-            for _ in 0..sequence_len(&mut r)? {
-                let (key, _) = read_attr(&mut r, checked_str)?;
-                if previous.is_some_and(|previous| previous >= key) {
-                    return Err(CryptoError::Malformed(format!(
-                        "attribute key {key:?} out of order"
-                    )));
-                }
-                previous = Some(key);
-            }
+            check_publication(&mut r)?;
         }
-        if r.remaining() != 0 {
-            return Err(CryptoError::Malformed(format!(
-                "{} trailing bytes after decode",
-                r.remaining()
-            )));
-        }
+        check_end(&r)?;
         Ok(Notifications { plain, starts })
     }
 
@@ -187,17 +190,26 @@ impl IntoIterator for Notifications {
     }
 }
 
-/// Reads a `u32` length prefix, bounded by the remaining input as the owned
-/// decoder bounds sequences, maps and strings.
-fn sequence_len(r: &mut Reader<'_>) -> Result<usize, CryptoError> {
-    let len = u32::decode(r)? as usize;
-    if len > r.remaining() {
-        return Err(CryptoError::Malformed(format!(
-            "declared length {len} exceeds {} remaining bytes",
-            r.remaining()
-        )));
+/// Reads one publication: its attribute count, then pairs whose keys are
+/// strictly ascending.
+fn check_publication(r: &mut Reader<'_>) -> Result<(), CryptoError> {
+    let mut previous: Option<&str> = None;
+    for _ in 0..r.length()? {
+        let (key, _) = read_attr(r, checked_str)?;
+        if previous.is_some_and(|previous| previous >= key) {
+            return Err(CryptoError::Malformed(format!("key {key:?} out of order")));
+        }
+        previous = Some(key);
     }
-    Ok(len)
+    Ok(())
+}
+
+/// Fails if anything trails what was parsed.
+fn check_end(r: &Reader<'_>) -> Result<(), CryptoError> {
+    match r.remaining() {
+        0 => Ok(()),
+        n => Err(CryptoError::Malformed(format!("{n} trailing bytes"))),
+    }
 }
 
 /// Reads one `(key, value)` pair as `Publication::decode` lays it out;
@@ -207,7 +219,7 @@ fn read_attr<'a>(
     as_str: fn(&'a [u8]) -> Result<&'a str, CryptoError>,
 ) -> Result<(&'a str, ValueRef<'a>), CryptoError> {
     let string = |r: &mut Reader<'a>| {
-        let len = sequence_len(r)?;
+        let len = r.length()?;
         as_str(r.take(len)?)
     };
     let key = string(r)?;
@@ -225,16 +237,16 @@ fn checked_str(bytes: &[u8]) -> Result<&str, CryptoError> {
     std::str::from_utf8(bytes).map_err(|e| CryptoError::Malformed(format!("invalid utf-8: {e}")))
 }
 
-/// A string [`Notifications::parse`] already checked, so materialising a
-/// batch runs no second UTF-8 pass. Pass it only to
-/// `read_attr` walks over a [`PublicationRef`]'s bytes: any other input
-/// breaks the `SAFETY` argument below.
+/// A string [`check_publication`] already checked, so reading a view runs
+/// no second UTF-8 pass. Pass it only to `read_attr` walks over a
+/// [`PublicationRef`]'s bytes: any other input breaks the `SAFETY` argument
+/// below.
 #[allow(clippy::unnecessary_wraps)]
 fn validated_str(bytes: &[u8]) -> Result<&str, CryptoError> {
     debug_assert!(std::str::from_utf8(bytes).is_ok());
-    // SAFETY: `bytes` is a string span of a `Notifications` plaintext, which
-    // is never mutated after `parse` and is read back by the same
-    // `read_attr` walk that ran `checked_str` on exactly this span.
+    // SAFETY: a `PublicationRef` is built only over bytes `check_publication`
+    // accepted, which it borrows immutably, and they are read back by the
+    // same `read_attr` walk that ran `checked_str` on exactly this span.
     Ok(unsafe { std::str::from_utf8_unchecked(bytes) })
 }
 

@@ -168,16 +168,18 @@ mod tests {
     #[test]
     fn workload_produces_matches() {
         use crate::index::{MatchScratch, NaiveIndex, SubscriptionIndex};
+        use crate::notify::PublicationRef;
         use crate::types::SubId;
+        use securecloud_crypto::wire::Wire;
         let spec = WorkloadSpec::fig3();
         let mut index = NaiveIndex::new();
         for (i, sub) in spec.subscriptions(2000).into_iter().enumerate() {
             index.insert(SubId(i as u64), sub, i as u64 * 256);
         }
-        let publications = spec.publications(50);
+        let encoded: Vec<Vec<u8>> = spec.publications(50).iter().map(Wire::to_wire).collect();
         let mut scratch = MatchScratch::default();
-        for publication in &publications {
-            index.match_publication(publication, &mut scratch);
+        for publication in &encoded {
+            index.match_publication(PublicationRef::parse(publication).unwrap(), &mut scratch);
         }
         let total_matches = scratch.matched.len();
         // ~2000/64 subs per topic, ~30-50% match within topic.

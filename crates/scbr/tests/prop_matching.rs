@@ -5,8 +5,10 @@ mod common;
 
 use common::arb_value;
 use proptest::prelude::*;
+use securecloud_crypto::wire::Wire;
 use securecloud_scbr::broker::{BrokerId, Overlay};
 use securecloud_scbr::index::{MatchScratch, NaiveIndex, PosetIndex, SubscriptionIndex, VisitInfo};
+use securecloud_scbr::notify::PublicationRef;
 use securecloud_scbr::types::{Op, Predicate, Publication, SubId, Subscription, Value};
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -44,13 +46,15 @@ fn arb_publication() -> impl Strategy<Value = Publication> {
     })
 }
 
-/// One matching pass: the visit trace and the match list.
+/// One matching pass over the view of the publication's encoding: the
+/// visit trace and the match list.
 fn visit(
     index: &impl SubscriptionIndex,
     publication: &Publication,
 ) -> (Vec<VisitInfo>, Vec<SubId>) {
+    let encoded = publication.to_wire();
     let mut scratch = MatchScratch::default();
-    index.match_publication(publication, &mut scratch);
+    index.match_publication(PublicationRef::parse(&encoded).unwrap(), &mut scratch);
     (scratch.trace, scratch.matched)
 }
 
@@ -166,7 +170,6 @@ proptest! {
         sub in arb_subscription(),
         publication in arb_publication(),
     ) {
-        use securecloud_crypto::wire::Wire;
         let (sub, publication) = (sub.to_wire(), publication.to_wire());
         prop_assert_eq!(Subscription::from_wire(&sub).unwrap().to_wire(), sub);
         prop_assert_eq!(Publication::from_wire(&publication).unwrap().to_wire(), publication);

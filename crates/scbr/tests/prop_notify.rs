@@ -1,10 +1,12 @@
-//! `Notifications`, the view a sealed notification batch opens into, is the
-//! only notification-batch decoder. It must accept exactly the plaintexts
-//! the owned decoder `Vec::<Publication>::from_wire` accepts *and* that are
-//! already in the canonical form the router writes (strictly ascending keys
-//! per publication), with the same contents, and reject the rest without
-//! panicking — batch plaintext is authenticated, but a decoder reachable
-//! from host bytes does not get to rely on that.
+//! `PublicationRef` and `Notifications` are the only decoders of the
+//! publication format outside tests: the router parses sealed publications
+//! with them, and a subscriber its notifications. Each must accept exactly
+//! the plaintexts the owned decoder (`Publication::from_wire`, or
+//! `Vec::<Publication>::from_wire` for a batch) accepts *and* that are
+//! already in canonical form (strictly ascending keys per publication), with
+//! the same contents, and reject the rest without panicking — the plaintext
+//! is authenticated, but a decoder reachable from host bytes does not get to
+//! rely on that.
 //!
 //! Contents are compared as wire bytes: `Value::Float(NaN)` is not equal to
 //! itself, but its encoding is.
@@ -39,6 +41,42 @@ fn encode_pairs(pairs: &[(String, Value)], out: &mut Vec<u8>) {
     }
 }
 
+/// Every attribute of `want` reads back through `view`, and nothing else.
+fn assert_same_contents(view: PublicationRef<'_>, want: &Publication) {
+    for (key, value) in &want.attrs {
+        let got = view.get(key).map(|v| v.to_value().to_wire());
+        assert_eq!(got, Some(value.to_wire()));
+    }
+    assert!(view.get("absent").is_none());
+}
+
+/// `Ok` exactly when the owned decoder accepts one publication's `bytes`
+/// and re-encodes it to the same bytes, with the same contents through the
+/// view, which hands back exactly those bytes.
+fn assert_single_view_matches_owned_decoder(bytes: &[u8]) {
+    let owned = Publication::from_wire(bytes);
+    let canonical = owned.as_ref().is_ok_and(|owned| owned.to_wire() == bytes);
+    match (PublicationRef::parse(bytes), &owned) {
+        (Ok(view), Ok(owned)) => {
+            assert!(
+                canonical,
+                "view accepted a non-canonical publication {bytes:02x?}"
+            );
+            assert_eq!(view.as_bytes(), bytes);
+            assert_eq!(view.to_publication().to_wire(), bytes);
+            assert_same_contents(view, owned);
+        }
+        (Err(_), Ok(_)) => assert!(
+            !canonical,
+            "view rejected a canonical publication {bytes:02x?}"
+        ),
+        (Err(_), Err(_)) => {}
+        (Ok(_), Err(e)) => {
+            panic!("view accepted what the owned decoder rejects ({e}): {bytes:02x?}")
+        }
+    }
+}
+
 /// `Ok` exactly when the owned decoder accepts `plain` and re-encodes it to
 /// the same bytes, with the same contents through both the borrowed and
 /// the owned side of the view.
@@ -56,11 +94,7 @@ fn assert_view_matches_owned_decoder(plain: &[u8]) {
                 view.iter().map(PublicationRef::to_publication).collect();
             assert_eq!(borrowed.to_wire(), plain);
             for (publication, want) in view.iter().zip(owned) {
-                for (key, value) in &want.attrs {
-                    let got = publication.get(key).map(|v| v.to_value().to_wire());
-                    assert_eq!(got, Some(value.to_wire()));
-                }
-                assert!(publication.get("absent").is_none());
+                assert_same_contents(publication, want);
             }
             let materialised: Vec<Publication> = view.into_iter().collect();
             assert_eq!(materialised.to_wire(), plain);
@@ -80,6 +114,9 @@ proptest! {
     fn view_equals_owned_decoder_on_canonical_batches(
         publications in prop::collection::vec(arb_publication(), 0..12),
     ) {
+        for publication in &publications {
+            assert_single_view_matches_owned_decoder(&publication.to_wire());
+        }
         let plain = publications.to_wire();
         assert_view_matches_owned_decoder(&plain);
         let view = Notifications::parse(plain).expect("an encoded batch parses");
@@ -94,16 +131,23 @@ proptest! {
         keep in any::<u16>(),
         extra in prop::collection::vec(any::<u8>(), 0..3),
     ) {
-        let mut plain = publications.to_wire();
-        for (at, byte) in edits {
-            let at = usize::from(at) % plain.len();
-            plain[at] = byte;
+        // The whole batch, and its first publication on its own.
+        let batch = (publications.to_wire(), assert_view_matches_owned_decoder as fn(&[u8]));
+        let single = (
+            publications[0].to_wire(),
+            assert_single_view_matches_owned_decoder as fn(&[u8]),
+        );
+        for (mut plain, check) in [batch, single] {
+            for &(at, byte) in &edits {
+                let at = usize::from(at) % plain.len();
+                plain[at] = byte;
+            }
+            check(&plain);
+            plain.truncate(usize::from(keep) % (plain.len() + 1));
+            check(&plain);
+            plain.extend_from_slice(&extra);
+            check(&plain);
         }
-        assert_view_matches_owned_decoder(&plain);
-        plain.truncate(usize::from(keep) % (plain.len() + 1));
-        assert_view_matches_owned_decoder(&plain);
-        plain.extend_from_slice(&extra);
-        assert_view_matches_owned_decoder(&plain);
     }
 
     #[test]
@@ -112,9 +156,13 @@ proptest! {
         duplicate in any::<u16>(),
     ) {
         let ascending = pairs.windows(2).all(|w| w[0].0 < w[1].0);
+        let mut single = Vec::new();
+        encode_pairs(&pairs, &mut single);
+        assert_single_view_matches_owned_decoder(&single);
+        prop_assert_eq!(PublicationRef::parse(&single).is_ok(), ascending);
         let mut plain = Vec::new();
         1u32.encode(&mut plain);
-        encode_pairs(&pairs, &mut plain);
+        plain.extend_from_slice(&single);
         assert_view_matches_owned_decoder(&plain);
         prop_assert_eq!(Notifications::parse(plain).is_ok(), ascending);
 
@@ -122,9 +170,13 @@ proptest! {
         let mut repeated = pairs.clone();
         let again = repeated[usize::from(duplicate) % pairs.len()].clone();
         repeated.insert(usize::from(duplicate) % (pairs.len() + 1), again);
+        let mut single = Vec::new();
+        encode_pairs(&repeated, &mut single);
+        prop_assert!(Publication::from_wire(&single).is_ok());
+        prop_assert!(PublicationRef::parse(&single).is_err());
         let mut plain = Vec::new();
         1u32.encode(&mut plain);
-        encode_pairs(&repeated, &mut plain);
+        plain.extend_from_slice(&single);
         prop_assert!(Vec::<Publication>::from_wire(&plain).is_ok());
         prop_assert!(Notifications::parse(plain).is_err());
     }

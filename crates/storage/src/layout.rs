@@ -181,12 +181,12 @@ impl Block {
         let mut r = Reader::new(&plain);
         // The span of a length-prefixed string, as `Vec::<u8>::decode` reads it.
         let span = |r: &mut Reader<'_>| -> Result<(u32, u32), CryptoError> {
-            let len = sequence_len(r)?;
+            let len = r.length()?;
             let at = plain.len() - r.remaining();
             r.take(len)?;
             Ok((at as u32, len as u32))
         };
-        let count = sequence_len(&mut r)?;
+        let count = r.length()?;
         // A record takes at least five bytes; bound allocation by input.
         let mut slots = Vec::with_capacity(count.min(r.remaining() / 5));
         for _ in 0..count {
@@ -245,18 +245,6 @@ impl Block {
     fn bytes(&self, at: u32, len: u32) -> &[u8] {
         &self.plain[at as usize..][..len as usize]
     }
-}
-
-/// Reads a sequence's `u32` length prefix, bounded by the remaining input
-/// as `Vec::<T>::decode` bounds it.
-fn sequence_len(r: &mut Reader<'_>) -> Result<usize, CryptoError> {
-    let len = u32::decode(r)? as usize;
-    if len > r.remaining() {
-        return Err(CryptoError::Malformed(format!(
-            "sequence length {len} exceeds input"
-        )));
-    }
-    Ok(len)
 }
 
 /// Key range and cardinality of one sealed block, kept in the manifest so
