@@ -364,14 +364,11 @@ impl AesGcm {
         buf: &mut Vec<u8>,
         aad: &[u8],
     ) -> Result<(), CryptoError> {
-        if buf.len() < TAG_LEN {
-            return Err(CryptoError::AuthenticationFailed);
-        }
-        let split = buf.len() - TAG_LEN;
-        let (ciphertext, tag) = buf.split_at_mut(split);
-        let tag: [u8; TAG_LEN] = (&*tag).try_into().expect("tag suffix");
-        self.open_in_place_detached(nonce, ciphertext, &tag, aad)?;
-        buf.truncate(split);
+        let (ciphertext, tag) = buf
+            .split_last_chunk_mut::<TAG_LEN>()
+            .ok_or(CryptoError::AuthenticationFailed)?;
+        self.open_in_place_detached(nonce, ciphertext, tag, aad)?;
+        buf.truncate(buf.len() - TAG_LEN);
         Ok(())
     }
 
@@ -403,14 +400,45 @@ impl AesGcm {
         sealed: &[u8],
         aad: &[u8],
     ) -> Result<Vec<u8>, CryptoError> {
-        if sealed.len() < TAG_LEN {
-            return Err(CryptoError::AuthenticationFailed);
-        }
-        let (ciphertext, tag) = sealed.split_at(sealed.len() - TAG_LEN);
-        let tag: [u8; TAG_LEN] = tag.try_into().expect("tag suffix");
+        let (ciphertext, tag) = sealed
+            .split_last_chunk::<TAG_LEN>()
+            .ok_or(CryptoError::AuthenticationFailed)?;
         let mut out = ciphertext.to_vec();
-        self.open_in_place_detached(nonce, &mut out, &tag, aad)?;
+        self.open_in_place_detached(nonce, &mut out, tag, aad)?;
         Ok(out)
+    }
+
+    /// Seals a self-describing envelope, `nonce || ciphertext || tag`, for
+    /// blobs whose reader cannot derive the nonce (random or committed). One
+    /// exactly-sized buffer: `fill` appends the `body_len` plaintext bytes,
+    /// which are then sealed in place.
+    #[must_use]
+    pub fn seal_envelope(
+        &self,
+        nonce: &[u8; NONCE_LEN],
+        aad: &[u8],
+        body_len: usize,
+        fill: impl FnOnce(&mut Vec<u8>),
+    ) -> Vec<u8> {
+        let mut out = Vec::with_capacity(NONCE_LEN + body_len + TAG_LEN);
+        out.extend_from_slice(nonce);
+        fill(&mut out);
+        let tag = self.seal_in_place_detached(nonce, &mut out[NONCE_LEN..], aad);
+        out.extend_from_slice(&tag);
+        out
+    }
+
+    /// Opens an envelope sealed by [`AesGcm::seal_envelope`].
+    ///
+    /// # Errors
+    ///
+    /// [`CryptoError::AuthenticationFailed`] if `sealed` is shorter than a
+    /// nonce plus a tag or does not verify.
+    pub fn open_envelope(&self, sealed: &[u8], aad: &[u8]) -> Result<Vec<u8>, CryptoError> {
+        let (nonce, body) = sealed
+            .split_first_chunk::<NONCE_LEN>()
+            .ok_or(CryptoError::AuthenticationFailed)?;
+        self.open(nonce, body, aad)
     }
 }
 
@@ -453,9 +481,8 @@ impl SealCtx {
         self.seq
     }
 
-    /// The nonce of the next record, for framings that carry it in clear.
-    #[must_use]
-    pub fn next_nonce(&self) -> [u8; NONCE_LEN] {
+    /// The nonce of the next record.
+    fn next_nonce(&self) -> [u8; NONCE_LEN] {
         nonce_from_seq(self.domain, self.seq)
     }
 

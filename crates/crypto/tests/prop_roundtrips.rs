@@ -5,7 +5,7 @@ use securecloud_crypto::gcm::AesGcm;
 use securecloud_crypto::hmac::HmacSha256;
 use securecloud_crypto::sha256::Sha256;
 use securecloud_crypto::wire::Wire;
-use securecloud_crypto::{ct_eq, hex, unhex};
+use securecloud_crypto::{ct_eq, hex, unhex, CryptoError};
 
 proptest! {
     /// Sealing then opening under the same key/nonce/aad is the identity.
@@ -37,6 +37,41 @@ proptest! {
         let idx = flip_byte % sealed.len();
         sealed[idx] ^= 1 << flip_bit;
         prop_assert!(cipher.open(&nonce, &sealed, b"").is_err());
+    }
+
+    /// The one decoder of self-describing `nonce || ct || tag` blobs (the
+    /// sealed manifest, protection file, snapshot, bus payload and enclave
+    /// seal): it returns the body, the sealer fills an exactly-sized buffer,
+    /// and every truncation, an appended byte, or a flipped bit is an
+    /// authentication failure, never a panic.
+    #[test]
+    fn envelope_roundtrips_and_rejects_damage(
+        key in prop::array::uniform16(any::<u8>()),
+        nonce in prop::array::uniform12(any::<u8>()),
+        aad in prop::collection::vec(any::<u8>(), 0..65),
+        body in prop::collection::vec(any::<u8>(), 0..1101),
+        flips in prop::collection::vec((any::<usize>(), 0u8..8), 1..17),
+    ) {
+        let cipher = AesGcm::new(&key);
+        let sealed = cipher.seal_envelope(&nonce, &aad, body.len(), |out| {
+            out.extend_from_slice(&body);
+        });
+        prop_assert_eq!(sealed.len(), 12 + body.len() + 16);
+        prop_assert_eq!(sealed.capacity(), sealed.len());
+        prop_assert_eq!(cipher.open_envelope(&sealed, &aad), Ok(body));
+
+        let refused = Err(CryptoError::AuthenticationFailed);
+        for cut in 0..sealed.len() {
+            prop_assert_eq!(cipher.open_envelope(&sealed[..cut], &aad), refused.clone());
+        }
+        let mut longer = sealed.clone();
+        longer.push(0);
+        prop_assert_eq!(cipher.open_envelope(&longer, &aad), refused.clone());
+        for (at, bit) in flips {
+            let mut bad = sealed.clone();
+            bad[at % sealed.len()] ^= 1 << bit;
+            prop_assert_eq!(cipher.open_envelope(&bad, &aad), refused.clone());
+        }
     }
 
     /// Incremental hashing over arbitrary splits equals one-shot hashing.

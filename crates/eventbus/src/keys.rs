@@ -6,7 +6,7 @@
 //! [`TopicKeyService`] exclusively to enclaves whose quote verifies and
 //! whose measurement is on the topic's ACL.
 
-use securecloud_crypto::gcm::{AesGcm, NONCE_LEN};
+use securecloud_crypto::gcm::AesGcm;
 use securecloud_crypto::CryptoError;
 use securecloud_sgx::attest::{AttestationService, Quote};
 use securecloud_sgx::enclave::Measurement;
@@ -97,13 +97,16 @@ impl TopicKeyService {
     }
 }
 
+/// Associated data of every sealed bus payload.
+const PAYLOAD_AAD: &[u8] = b"securecloud bus payload";
+
 /// Seals a payload under a topic key (random nonce prefix).
 #[must_use]
 pub fn seal_payload(key: &[u8; 16], payload: &[u8]) -> Vec<u8> {
-    let nonce: [u8; NONCE_LEN] = securecloud_crypto::random_array();
-    let mut out = nonce.to_vec();
-    out.extend_from_slice(&AesGcm::new(key).seal(&nonce, payload, b"securecloud bus payload"));
-    out
+    let nonce = securecloud_crypto::random_array();
+    AesGcm::new(key).seal_envelope(&nonce, PAYLOAD_AAD, payload.len(), |out| {
+        out.extend_from_slice(payload);
+    })
 }
 
 /// Opens a payload sealed with [`seal_payload`].
@@ -112,12 +115,7 @@ pub fn seal_payload(key: &[u8; 16], payload: &[u8]) -> Vec<u8> {
 ///
 /// [`CryptoError::AuthenticationFailed`] on tampering or a wrong key.
 pub fn open_payload(key: &[u8; 16], sealed: &[u8]) -> Result<Vec<u8>, CryptoError> {
-    if sealed.len() < NONCE_LEN {
-        return Err(CryptoError::AuthenticationFailed);
-    }
-    let (nonce, body) = sealed.split_at(NONCE_LEN);
-    let nonce: [u8; NONCE_LEN] = nonce.try_into().expect("split size");
-    AesGcm::new(key).open(&nonce, body, b"securecloud bus payload")
+    AesGcm::new(key).open_envelope(sealed, PAYLOAD_AAD)
 }
 
 #[cfg(test)]
@@ -183,8 +181,9 @@ mod tests {
         let key = [3u8; 16];
         let sealed = seal_payload(&key, b"reading: 42");
         assert_eq!(open_payload(&key, &sealed).unwrap(), b"reading: 42");
+        // The first ciphertext byte, past the 12-byte nonce.
         let mut bad = sealed.clone();
-        bad[NONCE_LEN] ^= 1;
+        bad[12] ^= 1;
         assert!(open_payload(&key, &bad).is_err());
         assert!(open_payload(&[4u8; 16], &sealed).is_err());
         assert!(open_payload(&key, &sealed[..4]).is_err());

@@ -8,7 +8,7 @@
 //! reads fall through to verified block page-ins — so working sets far
 //! beyond the EPC stay serviceable at honest simulated cost.
 
-use securecloud_crypto::gcm::{AesGcm, NONCE_LEN, TAG_LEN};
+use securecloud_crypto::gcm::AesGcm;
 use securecloud_crypto::wire::Wire;
 use securecloud_crypto::CryptoError;
 use securecloud_sgx::mem::{Arena, MemorySim};
@@ -138,6 +138,9 @@ pub struct SecureKv {
 }
 
 const ARENA_CHUNK: u64 = 1 << 20;
+
+/// Associated data of a sealed whole-store snapshot.
+const SNAPSHOT_AAD: &[u8] = b"securecloud kv snapshot";
 
 impl Default for SecureKv {
     fn default() -> Self {
@@ -566,29 +569,22 @@ impl SecureKv {
             self.storage.is_none(),
             "whole-store snapshots are for in-memory stores; tiered stores use incremental_snapshot()"
         );
-        // One exactly-shaped buffer: nonce, then the wire body encoded
-        // straight from the map (no intermediate Vec<Pair> clone), sealed in
-        // place, tag appended. The layout must stay byte-identical to
+        // The wire body is encoded straight from the map (no intermediate
+        // Vec<Pair> clone). The layout must stay byte-identical to
         // `(self.version, pairs).to_wire()` — `restore` decodes it as
         // `(u64, Vec<Pair>)`.
-        let nonce: [u8; NONCE_LEN] = securecloud_crypto::random_array();
-        let mut sealed =
-            Vec::with_capacity(NONCE_LEN + 12 + self.bytes as usize + 8 * self.map.len() + TAG_LEN);
-        sealed.extend_from_slice(&nonce);
-        self.version.encode(&mut sealed);
-        (self.map.len() as u32).encode(&mut sealed);
-        for (k, e) in &self.map {
-            (k.len() as u32).encode(&mut sealed);
-            sealed.extend_from_slice(k);
-            (e.value.len() as u32).encode(&mut sealed);
-            sealed.extend_from_slice(&e.value);
-        }
-        let tag = AesGcm::new(key).seal_in_place_detached(
-            &nonce,
-            &mut sealed[NONCE_LEN..],
-            b"securecloud kv snapshot",
-        );
-        sealed.extend_from_slice(&tag);
+        let nonce = securecloud_crypto::random_array();
+        let body_len = 12 + self.bytes as usize + 8 * self.map.len();
+        let sealed = AesGcm::new(key).seal_envelope(&nonce, SNAPSHOT_AAD, body_len, |out| {
+            self.version.encode(out);
+            (self.map.len() as u32).encode(out);
+            for (k, e) in &self.map {
+                (k.len() as u32).encode(out);
+                out.extend_from_slice(k);
+                (e.value.len() as u32).encode(out);
+                out.extend_from_slice(&e.value);
+            }
+        });
         // Record the snapshot version in the trusted counter (monotone, so
         // a lagging replica cannot regress a sibling's newer record).
         counters.advance_to(counter_name, self.version);
@@ -612,12 +608,7 @@ impl SecureKv {
         counters: &CounterService,
         counter_name: &str,
     ) -> Result<Self, KvError> {
-        if sealed.len() < NONCE_LEN {
-            return Err(KvError::Crypto(CryptoError::AuthenticationFailed));
-        }
-        let (nonce, body) = sealed.split_at(NONCE_LEN);
-        let nonce: [u8; NONCE_LEN] = nonce.try_into().expect("split size");
-        let plain = AesGcm::new(key).open(&nonce, body, b"securecloud kv snapshot")?;
+        let plain = AesGcm::new(key).open_envelope(sealed, SNAPSHOT_AAD)?;
         let (version, pairs): (u64, Vec<Pair>) = Wire::from_wire(&plain)?;
         let expected = counters.read(counter_name);
         if version < expected {
@@ -726,10 +717,9 @@ mod tests {
         kv.try_put(&mut m, b"", b"empty key").unwrap();
         kv.try_put(&mut m, b"mid", b"").unwrap();
         let snapshot = kv.snapshot(&key, &counters, "layout");
-        let (nonce, body) = snapshot.sealed.split_at(NONCE_LEN);
-        let nonce: [u8; NONCE_LEN] = nonce.try_into().unwrap();
+        assert_eq!(snapshot.sealed.capacity(), snapshot.sealed.len());
         let plain = AesGcm::new(&key)
-            .open(&nonce, body, b"securecloud kv snapshot")
+            .open_envelope(&snapshot.sealed, SNAPSHOT_AAD)
             .unwrap();
         let pairs: Vec<Pair> = kv
             .map
@@ -747,8 +737,9 @@ mod tests {
         let mut kv = SecureKv::new();
         kv.try_put(&mut m, b"x", b"1").unwrap();
         let snapshot = kv.snapshot(&key, &counters, "c");
+        // A ciphertext byte, past the 12-byte nonce.
         let mut bad = snapshot.sealed.clone();
-        bad[NONCE_LEN + 2] ^= 1;
+        bad[14] ^= 1;
         assert!(matches!(
             SecureKv::restore(&mut m, &key, &bad, &counters, "c"),
             Err(KvError::Crypto(_))

@@ -50,6 +50,11 @@ use std::sync::Mutex;
 pub type Record = (Vec<u8>, Vec<u8>);
 
 /// User map function.
+///
+/// A re-executed map task seals each shuffle chunk under the job key with
+/// the same `(reducer, task)` nonce as the attempt before it, so `map` must
+/// be deterministic: the same records must emit the same pairs, or two
+/// different plaintexts would share one keystream.
 pub trait Mapper: Sync {
     /// Maps one record, emitting intermediate pairs.
     fn map(&self, key: &[u8], value: &[u8], emit: &mut dyn FnMut(Vec<u8>, Vec<u8>));

@@ -12,7 +12,7 @@ use crate::index::{MatchScratch, PosetIndex};
 use crate::notify::{Notifications, PublicationRef};
 use crate::types::{Publication, SubId, Subscription};
 use crate::ScbrError;
-use securecloud_crypto::gcm::{AesGcm, SealCtx, NONCE_LEN, TAG_LEN};
+use securecloud_crypto::gcm::{AesGcm, SealCtx, TAG_LEN};
 use securecloud_crypto::hmac::hkdf;
 use securecloud_crypto::wire::{encode_seq, Wire};
 use securecloud_crypto::x25519::{self, PublicKey, SecretKey};
@@ -55,36 +55,6 @@ impl Link {
             .open_in_place(&mut plain, aad)
             .map_err(ScbrError::Crypto)?;
         Ok(plain)
-    }
-
-    /// Seals the next `nonce || ciphertext || tag` frame in one
-    /// exactly-sized buffer; `fill` appends the `body_len` plaintext bytes.
-    fn seal_frame(
-        &mut self,
-        body_len: usize,
-        aad: &[u8],
-        fill: impl FnOnce(&mut Vec<u8>),
-    ) -> Vec<u8> {
-        let mut framed = Vec::with_capacity(NONCE_LEN + body_len + TAG_LEN);
-        framed.extend_from_slice(&self.send.next_nonce());
-        fill(&mut framed);
-        let tag = self
-            .send
-            .seal_in_place_detached(&mut framed[NONCE_LEN..], aad);
-        framed.extend_from_slice(&tag);
-        framed
-    }
-
-    /// Opens the next frame sealed by the peer's [`Link::seal_frame`].
-    fn open_frame(&mut self, framed: &[u8], aad: &[u8]) -> Result<Vec<u8>, ScbrError> {
-        if framed.len() < NONCE_LEN
-            || !securecloud_crypto::ct_eq(&framed[..NONCE_LEN], &self.recv.next_nonce())
-        {
-            return Err(ScbrError::Crypto(
-                securecloud_crypto::CryptoError::AuthenticationFailed,
-            ));
-        }
-        self.open(&framed[NONCE_LEN..], aad)
     }
 }
 
@@ -236,8 +206,10 @@ impl SecureRouter {
             .ok_or(ScbrError::UnknownSubscription(sub_id))
     }
 
-    /// Seals the next notification frame for `owner`, charging its AEAD work
-    /// to the enclave; `fill` appends the `body_len` plaintext bytes.
+    /// Seals the next notification frame for `owner` as `ct || tag` in one
+    /// exactly-sized buffer (the nonce is the link's next sequence number),
+    /// charging its AEAD work to the enclave; `fill` appends the `body_len`
+    /// plaintext bytes.
     fn seal_notification(
         &mut self,
         owner: ClientId,
@@ -249,7 +221,9 @@ impl SecureRouter {
             .clients
             .get_mut(&owner)
             .ok_or(ScbrError::UnknownClient(owner))?;
-        let framed = link.seal_frame(body_len, aad, fill);
+        let mut framed = Vec::with_capacity(body_len + TAG_LEN);
+        fill(&mut framed);
+        link.send.seal_in_place(&mut framed, aad);
         self.enclave
             .memory()
             .charge_cycles(body_len as u64 * AEAD_CYCLES_PER_BYTE);
@@ -522,7 +496,7 @@ impl RouterClient {
     /// that is not a canonical publication list
     /// ([`Notifications::parse`]).
     pub fn open_notification_batch(&mut self, framed: &[u8]) -> Result<Notifications, ScbrError> {
-        let plain = self.link()?.open_frame(framed, b"scbr-notify-batch")?;
+        let plain = self.link()?.open(framed, b"scbr-notify-batch")?;
         Ok(Notifications::parse(plain)?)
     }
 
@@ -533,7 +507,7 @@ impl RouterClient {
     /// [`ScbrError::Crypto`] on tampering or replay, and on a plaintext
     /// that is not one canonical publication ([`PublicationRef::parse`]).
     pub fn open_notification(&mut self, framed: &[u8]) -> Result<Publication, ScbrError> {
-        let plain = self.link()?.open_frame(framed, b"scbr-notify")?;
+        let plain = self.link()?.open(framed, b"scbr-notify")?;
         Ok(PublicationRef::parse(&plain)?.to_publication())
     }
 }
@@ -875,17 +849,50 @@ mod tests {
             Value::Int(1).encode(&mut body);
         }
         assert!(Vec::<Publication>::from_wire(&body).is_ok());
+        // The subscriber's link with its directions swapped is the router's.
         let mut link = subscriber.link.clone().unwrap();
         std::mem::swap(&mut link.send, &mut link.recv);
-        let framed = link.seal_frame(body.len(), b"scbr-notify-batch", |framed| {
-            framed.extend_from_slice(&body);
-        });
+        link.send.seal_in_place(&mut body, b"scbr-notify-batch");
         assert!(matches!(
-            subscriber.open_notification_batch(&framed),
+            subscriber.open_notification_batch(&body),
             Err(ScbrError::Crypto(
                 securecloud_crypto::CryptoError::Malformed(_)
             ))
         ));
+    }
+
+    /// A frame's nonce is the link's next sequence number, known to both
+    /// sides: a frame opened early or replayed fails its tag, and a failed
+    /// open spends nothing, so the in-order frames still open afterwards.
+    #[test]
+    fn notification_frames_open_only_in_order() {
+        let mut router = router();
+        let mut subscriber = RouterClient::new();
+        let mut publisher = RouterClient::new();
+        let sub_id = router.register(&subscriber.public_key());
+        let pub_id = router.register(&publisher.public_key());
+        subscriber.complete_exchange(&router.public_key());
+        publisher.complete_exchange(&router.public_key());
+        let sealed = subscriber.seal_subscription(&sub(1, 0)).unwrap();
+        router.subscribe_sealed(sub_id, &sealed).unwrap();
+        let sent: Vec<Publication> = (1..=3).map(|v| publication(1, v)).collect();
+        let mut frames = Vec::new();
+        for p in &sent {
+            let sealed = publisher.seal_publication(p).unwrap();
+            let routed = router.publish_sealed(pub_id, &sealed).unwrap();
+            frames.extend(routed.into_iter().map(|(_, frame)| frame));
+        }
+        assert_eq!(frames.len(), 3);
+        let refused = Err(ScbrError::Crypto(
+            securecloud_crypto::CryptoError::AuthenticationFailed,
+        ));
+        let mut open = |i: usize| subscriber.open_notification(&frames[i]);
+        // Frame 2 before frame 1, then frame 1 replayed once it has opened.
+        assert_eq!(open(1), refused);
+        assert_eq!(open(0), Ok(sent[0].clone()));
+        assert_eq!(open(0), refused);
+        assert_eq!(open(1), Ok(sent[1].clone()));
+        assert_eq!(open(2), Ok(sent[2].clone()));
     }
 
     #[test]

@@ -16,10 +16,10 @@
 use crate::hostos::{Syscall, SyscallRet};
 use crate::syscall::Shield;
 use crate::SconeError;
-use securecloud_crypto::gcm::{AesGcm, NONCE_LEN, TAG_LEN};
+use securecloud_crypto::gcm::{nonce_from_seq, AesGcm, TAG_LEN};
+use securecloud_crypto::impl_wire_struct;
 use securecloud_crypto::sha256::Sha256;
 use securecloud_crypto::wire::Wire;
-use securecloud_crypto::{impl_wire_struct, CryptoError};
 use securecloud_sgx::mem::MemorySim;
 use securecloud_telemetry::Telemetry;
 use std::collections::BTreeMap;
@@ -30,6 +30,9 @@ pub const CHUNK_SIZE: usize = 4096;
 
 /// AEAD cost charged per plaintext byte (software AES in-enclave).
 const AEAD_CYCLES_PER_BYTE: u64 = 2;
+
+/// Associated data of the sealed protection file.
+const PROTECTION_AAD: &[u8] = b"securecloud fs-protection v1";
 
 /// Authenticated metadata for one chunk of a shielded file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,14 +89,11 @@ impl FsProtection {
     /// (untrusted) image.
     #[must_use]
     pub fn seal(&self, key: &[u8; 16]) -> Vec<u8> {
-        let nonce: [u8; NONCE_LEN] = securecloud_crypto::random_array();
-        let mut out = nonce.to_vec();
-        out.extend_from_slice(&AesGcm::new(key).seal(
-            &nonce,
-            &self.to_wire(),
-            b"securecloud fs-protection v1",
-        ));
-        out
+        let body = self.to_wire();
+        let nonce = securecloud_crypto::random_array();
+        AesGcm::new(key).seal_envelope(&nonce, PROTECTION_AAD, body.len(), |out| {
+            out.extend_from_slice(&body);
+        })
     }
 
     /// Decrypts a sealed protection structure.
@@ -102,13 +102,8 @@ impl FsProtection {
     ///
     /// [`SconeError::Crypto`] on tampering or a wrong key.
     pub fn open_sealed(key: &[u8; 16], sealed: &[u8]) -> Result<Self, SconeError> {
-        if sealed.len() < NONCE_LEN {
-            return Err(SconeError::Crypto(CryptoError::AuthenticationFailed));
-        }
-        let (nonce, body) = sealed.split_at(NONCE_LEN);
-        let nonce: [u8; NONCE_LEN] = nonce.try_into().expect("split size");
         let plain = AesGcm::new(key)
-            .open(&nonce, body, b"securecloud fs-protection v1")
+            .open_envelope(sealed, PROTECTION_AAD)
             .map_err(SconeError::Crypto)?;
         FsProtection::from_wire(&plain).map_err(SconeError::Crypto)
     }
@@ -154,13 +149,6 @@ impl FsProtection {
         }
         FsProtection::from_wire(body).map_err(SconeError::Crypto)
     }
-}
-
-fn chunk_nonce(chunk_index: u32, version: u64) -> [u8; NONCE_LEN] {
-    let mut nonce = [0u8; NONCE_LEN];
-    nonce[..4].copy_from_slice(&chunk_index.to_be_bytes());
-    nonce[4..].copy_from_slice(&version.to_be_bytes());
-    nonce
 }
 
 fn chunk_path(path: &str, chunk_index: usize) -> String {
@@ -421,7 +409,7 @@ impl ShieldedFs {
                 "chunk {chunk_index} of {path} does not match recorded MAC (tampered or rolled back)"
             )));
         }
-        let nonce = chunk_nonce(chunk_index as u32, chunk_meta.version);
+        let nonce = nonce_from_seq(chunk_index as u32, chunk_meta.version);
         let aad = chunk_aad(path, chunk_index, chunk_meta.version);
         mem.charge_cycles(sealed.len() as u64 * AEAD_CYCLES_PER_BYTE);
         AesGcm::new(&key).open(&nonce, &sealed, &aad).map_err(|_| {
@@ -447,7 +435,7 @@ impl ShieldedFs {
         // and the retry must not seal other plaintext under the same nonce.
         meta.writes += 1;
         let version = meta.writes;
-        let nonce = chunk_nonce(chunk_index as u32, version);
+        let nonce = nonce_from_seq(chunk_index as u32, version);
         let aad = chunk_aad(path, chunk_index, version);
         mem.charge_cycles(plain.len() as u64 * AEAD_CYCLES_PER_BYTE);
         let sealed = AesGcm::new(&meta.key).seal(&nonce, plain, &aad);

@@ -12,7 +12,7 @@ use crate::attest::{Quote, Report, REPORT_DATA_LEN};
 use crate::costs::{CostModel, MemoryGeometry};
 use crate::mem::MemorySim;
 use crate::SgxError;
-use securecloud_crypto::gcm::{AesGcm, NONCE_LEN};
+use securecloud_crypto::gcm::AesGcm;
 use securecloud_crypto::hmac::{hkdf, HmacSha256};
 use securecloud_crypto::sha256::Sha256;
 use securecloud_telemetry::Telemetry;
@@ -339,10 +339,10 @@ impl Enclave {
     #[must_use]
     pub fn seal(&self, plaintext: &[u8], aad: &[u8]) -> Vec<u8> {
         let key = self.platform.seal_key_for(&self.measurement);
-        let nonce: [u8; NONCE_LEN] = securecloud_crypto::random_array();
-        let mut out = nonce.to_vec();
-        out.extend_from_slice(&AesGcm::new(&key).seal(&nonce, plaintext, aad));
-        out
+        let nonce = securecloud_crypto::random_array();
+        AesGcm::new(&key).seal_envelope(&nonce, aad, plaintext.len(), |out| {
+            out.extend_from_slice(plaintext);
+        })
     }
 
     /// Unseals data produced by [`Enclave::seal`] under the same identity.
@@ -352,16 +352,9 @@ impl Enclave {
     /// [`SgxError::Crypto`] if the blob is malformed, was sealed by a
     /// different measurement or platform, or was tampered with.
     pub fn unseal(&self, sealed: &[u8], aad: &[u8]) -> Result<Vec<u8>, SgxError> {
-        if sealed.len() < NONCE_LEN {
-            return Err(SgxError::Crypto(
-                securecloud_crypto::CryptoError::AuthenticationFailed,
-            ));
-        }
-        let (nonce, body) = sealed.split_at(NONCE_LEN);
-        let nonce: [u8; NONCE_LEN] = nonce.try_into().expect("split size");
         let key = self.platform.seal_key_for(&self.measurement);
         AesGcm::new(&key)
-            .open(&nonce, body, aad)
+            .open_envelope(sealed, aad)
             .map_err(SgxError::Crypto)
     }
 

@@ -9,7 +9,7 @@
 //! only with a format-version bump in [`crate::StoreKeys`]'s salt.
 
 use crate::{StorageError, StoreKeys};
-use securecloud_crypto::gcm::{nonce_from_seq, AesGcm, NONCE_LEN, TAG_LEN};
+use securecloud_crypto::gcm::{nonce_from_seq, AesGcm, TAG_LEN};
 use securecloud_crypto::impl_wire_struct;
 use securecloud_crypto::wire::{encode_seq, Reader, Wire};
 use securecloud_crypto::CryptoError;
@@ -435,24 +435,16 @@ pub fn wal_tag(sealed: &[u8]) -> Result<[u8; TAG_LEN], StorageError> {
 /// the nonce derived from the (never reused) commit epoch.
 #[must_use]
 pub fn seal_manifest(keys: &StoreKeys, manifest: &Manifest) -> Vec<u8> {
-    let cipher = AesGcm::new(&keys.manifest_key());
+    let body = manifest.to_wire();
     let nonce = nonce_from_seq(MANIFEST_NONCE_DOMAIN, manifest.epoch);
-    let mut out = nonce.to_vec();
-    let mut body = manifest.to_wire();
-    cipher.seal_in_place(&nonce, &mut body, MANIFEST_AAD);
-    out.extend_from_slice(&body);
-    out
+    AesGcm::new(&keys.manifest_key()).seal_envelope(&nonce, MANIFEST_AAD, body.len(), |out| {
+        out.extend_from_slice(&body);
+    })
 }
 
 /// Opens a sealed manifest blob.
 pub fn open_manifest(keys: &StoreKeys, sealed: &[u8]) -> Result<Manifest, StorageError> {
-    if sealed.len() < NONCE_LEN + TAG_LEN {
-        return Err(StorageError::Corrupt("manifest blob too short".into()));
-    }
-    let cipher = AesGcm::new(&keys.manifest_key());
-    let nonce: [u8; NONCE_LEN] = sealed[..NONCE_LEN].try_into().expect("sized slice");
-    let mut body = sealed[NONCE_LEN..].to_vec();
-    cipher.open_in_place(&nonce, &mut body, MANIFEST_AAD)?;
+    let body = AesGcm::new(&keys.manifest_key()).open_envelope(sealed, MANIFEST_AAD)?;
     Manifest::from_wire(&body).map_err(StorageError::Crypto)
 }
 
@@ -555,6 +547,10 @@ mod tests {
         let last = bad.len() - 1;
         bad[last] ^= 0x80;
         assert!(open_manifest(&keys(), &bad).is_err());
-        assert!(open_manifest(&keys(), &sealed[..10]).is_err());
+        // Shorter than a nonce plus a tag: unauthenticated, like any damage.
+        assert_eq!(
+            open_manifest(&keys(), &sealed[..27]),
+            Err(StorageError::Crypto(CryptoError::AuthenticationFailed))
+        );
     }
 }
