@@ -43,7 +43,7 @@ pub struct ScalingPolicy {
     pub lag_high: u64,
     /// Publish-to-ack p99 upper bound (ms) that breaches.
     pub p99_high_ms: u64,
-    /// Backpressure errors *per tick* (counter delta) that breach.
+    /// Backpressure *per tick* (counter delta; load drivers feed it) that breaches.
     pub backpressure_high: u64,
     /// Dead-letter-queue depth that breaches.
     pub dlq_high: i64,
@@ -136,7 +136,7 @@ pub struct Signals {
     /// but a future low threshold would have made it one) nor block calm
     /// (a deployment that never publishes must still be able to drain).
     pub p99_ms: Option<u64>,
-    /// Bus backpressure errors since the previous tick.
+    /// Backpressure reported since the previous tick.
     pub backpressure_delta: u64,
     /// Bus dead-letter-queue depth.
     pub dlq_depth: i64,

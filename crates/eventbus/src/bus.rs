@@ -24,12 +24,11 @@ use securecloud_faults::{FaultInjector, MessageFate};
 use securecloud_scbr::types::{Publication, Subscription};
 use securecloud_telemetry::{Telemetry, TraceContext};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-use std::fmt;
 use std::sync::Arc;
 
-/// Registry name of the backpressure-refusal counter. Exported so scaling
-/// policies can look up the bus's live handle instead of repeating the
-/// string.
+/// Registry name of the backpressure counter. The bus admits every
+/// publication and never adds to it; a load driver reports overload here,
+/// and scaling policies look up the live handle by this name.
 pub const METRIC_BACKPRESSURED: &str = "securecloud_bus_backpressured_total";
 /// Registry name of the dead-letter-queue depth gauge.
 pub const METRIC_DEAD_LETTER_DEPTH: &str = "securecloud_bus_dead_letter_depth";
@@ -66,42 +65,6 @@ pub struct Message {
     pub ctx: TraceContext,
 }
 
-/// Why a publication (or batch) was refused admission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum PublishError {
-    /// Admitting the publication would push a matching subscriber's queue
-    /// past its configured depth limit. Nothing was enqueued — admission is
-    /// all-or-nothing, so the publisher can retry the whole batch after
-    /// draining.
-    Backpressure {
-        /// The subscriber whose queue is full.
-        subscriber: SubscriberId,
-        /// Its current queue depth.
-        depth: usize,
-        /// The configured limit it would exceed.
-        limit: usize,
-    },
-}
-
-impl fmt::Display for PublishError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PublishError::Backpressure {
-                subscriber,
-                depth,
-                limit,
-            } => write!(
-                f,
-                "backpressure: subscriber s{} queue depth {depth} would exceed limit {limit}",
-                subscriber.0
-            ),
-        }
-    }
-}
-
-impl std::error::Error for PublishError {}
-
 securecloud_telemetry::metric_set! {
     /// The bus's live metric handles, behind [`EventBus::stats`].
     struct BusMetrics {
@@ -120,7 +83,7 @@ securecloud_telemetry::metric_set! {
         dead_lettered: Counter = "securecloud_bus_dead_lettered_total",
         /// Negative acknowledgements received.
         nacked: Counter = "securecloud_bus_nacked_total",
-        /// Publications (or whole batches) refused for backpressure.
+        /// Overload reported by load drivers; the bus itself never refuses.
         backpressured: Counter = METRIC_BACKPRESSURED,
         /// Fetches that polled an empty queue (event-driven consumers keep
         /// this at zero by consulting [`EventBus::ready_subscribers`]).
@@ -150,8 +113,6 @@ struct SubscriberState {
     filter: Option<Subscription>,
     queue: VecDeque<Message>,
     leased: BTreeMap<MessageId, (Message, u64)>, // message, lease expiry
-    /// Per-subscriber queue-depth cap; overrides the bus-wide default.
-    queue_limit: Option<usize>,
 }
 
 /// One delivery of a leased batch. Its consumer borrows the message from
@@ -175,9 +136,6 @@ pub struct EventBus {
     next_message: u64,
     metrics: BusMetrics,
     max_attempts: Option<u32>,
-    /// Bus-wide default queue-depth limit enforced by `publish_batch`'s
-    /// admission check. `None` = unbounded.
-    queue_limit: Option<usize>,
     dead: Vec<DeadLetter>,
     injector: Option<Arc<FaultInjector>>,
     telemetry: Option<Arc<Telemetry>>,
@@ -197,7 +155,6 @@ impl EventBus {
             next_message: 1,
             metrics: BusMetrics::default(),
             max_attempts: None,
-            queue_limit: None,
             dead: Vec::new(),
             injector: None,
             telemetry: None,
@@ -224,28 +181,6 @@ impl EventBus {
     /// delivery (lose / duplicate / deliver).
     pub fn set_fault_injector(&mut self, injector: Arc<FaultInjector>) {
         self.injector = Some(injector);
-    }
-
-    /// Sets the bus-wide default queue-depth limit [`EventBus::publish_batch`]
-    /// enforces. `None` (the default) admits everything.
-    pub fn set_queue_limit(&mut self, limit: Option<usize>) {
-        self.queue_limit = limit;
-    }
-
-    /// Overrides the queue-depth limit for one subscriber (takes precedence
-    /// over the bus-wide default). Returns whether the subscriber exists.
-    pub fn set_subscriber_queue_limit(
-        &mut self,
-        subscriber: SubscriberId,
-        limit: Option<usize>,
-    ) -> bool {
-        match self.subscribers.get_mut(&subscriber) {
-            Some(state) => {
-                state.queue_limit = limit;
-                true
-            }
-            None => false,
-        }
     }
 
     /// The dead-letter queue, in parking order.
@@ -344,7 +279,6 @@ impl EventBus {
                 filter,
                 queue: VecDeque::new(),
                 leased: BTreeMap::new(),
-                queue_limit: None,
             },
         );
         id
@@ -376,8 +310,7 @@ impl EventBus {
 
     /// Publishes to `topic` under a fresh root context (when telemetry is
     /// attached), fanning out to every subscriber whose filter accepts
-    /// `attributes`. Returns the message id. No admission control: see
-    /// [`EventBus::publish_with_ctx`].
+    /// `attributes`. Returns the message id.
     pub fn publish(&mut self, topic: &str, payload: Vec<u8>, attributes: Publication) -> MessageId {
         let ctx = self
             .telemetry
@@ -386,75 +319,9 @@ impl EventBus {
         self.publish_with_ctx(topic, payload, attributes, ctx)
     }
 
-    /// Publishes a batch of `(payload, attributes)` pairs to `topic` with
-    /// all-or-nothing admission: either every message is enqueued (ids
-    /// returned in batch order, assigned consecutively) or — if admitting
-    /// the whole batch would push any matching subscriber past its
-    /// queue-depth limit — nothing is, and the publisher gets a typed
-    /// backpressure error to retry after draining. A single message is a
-    /// batch of one.
-    ///
-    /// With `ctx` the messages join the caller's trace (a service reacting
-    /// to a delivery publishes downstream work under a child context);
-    /// without, each message starts a trace of its own. Once admitted, a
-    /// batch of N is observably identical to N [`EventBus::publish`] (or
-    /// [`EventBus::publish_with_ctx`]) calls: same fan-out, same
-    /// per-message published/dropped accounting, same ordering.
-    ///
-    /// # Errors
-    /// [`PublishError::Backpressure`] when a matching subscriber cannot
-    /// absorb its share of the batch.
-    pub fn publish_batch(
-        &mut self,
-        topic: &str,
-        batch: Vec<(Vec<u8>, Publication)>,
-        ctx: Option<TraceContext>,
-    ) -> Result<Vec<MessageId>, PublishError> {
-        let attrs: Vec<&Publication> = batch.iter().map(|(_, a)| a).collect();
-        self.admit(topic, &attrs)?;
-        Ok(batch
-            .into_iter()
-            .map(|(payload, attributes)| match ctx {
-                Some(ctx) => self.publish_with_ctx(topic, payload, attributes, ctx),
-                None => self.publish(topic, payload, attributes),
-            })
-            .collect())
-    }
-
-    /// Checks that every matching subscriber can absorb its share of a
-    /// batch with the given attribute sets, against its queue-depth limit
-    /// (per-subscriber override, else the bus-wide default). Charges the
-    /// backpressure counter on refusal.
-    fn admit(&self, topic: &str, batch: &[&Publication]) -> Result<(), PublishError> {
-        let Some(sub_ids) = self.by_topic.get(topic) else {
-            return Ok(());
-        };
-        for &sub_id in sub_ids {
-            let Some(state) = self.subscribers.get(&sub_id) else {
-                continue;
-            };
-            let Some(limit) = state.queue_limit.or(self.queue_limit) else {
-                continue;
-            };
-            let incoming = batch
-                .iter()
-                .filter(|attrs| state.filter.as_ref().is_none_or(|f| f.matches(attrs)))
-                .count();
-            if incoming > 0 && state.queue.len() + incoming > limit {
-                self.metrics.backpressured.inc();
-                return Err(PublishError::Backpressure {
-                    subscriber: sub_id,
-                    depth: state.queue.len(),
-                    limit,
-                });
-            }
-        }
-        Ok(())
-    }
-
     /// The fan-out every publication goes through: enqueues one message
-    /// under the caller's causal context and opens its flow. Like
-    /// [`EventBus::publish`] it admits unconditionally and cannot fail;
+    /// under the caller's causal context and opens its flow. The bus admits
+    /// every publication, so neither publish verb can fail;
     /// `benchmark/src/workloads/plane.rs:186,316` pins both signatures.
     /// Each accepting subscriber stores one copy: all but the last get a
     /// clone, and the last takes the message itself.
@@ -629,15 +496,6 @@ impl EventBus {
             }
         }
         out
-    }
-
-    /// Acknowledges a batch of leased messages; returns how many were
-    /// actually leased (each ack is identical to [`EventBus::ack`]).
-    pub fn ack_batch(&mut self, subscriber: SubscriberId, messages: &[MessageId]) -> usize {
-        messages
-            .iter()
-            .filter(|&&id| self.ack(subscriber, id))
-            .count()
     }
 
     /// Acknowledges a leased message; returns whether it was leased.
@@ -1026,56 +884,6 @@ mod tests {
     }
 
     #[test]
-    fn publish_batch_matches_n_single_publishes() {
-        // Same inputs through publish_batch and N publishes: identical
-        // fan-out, ids, delivery order, contexts and stats — whether each
-        // message roots its own trace or all join the caller's.
-        let filter = Subscription::new(vec![Predicate::new("severity", Op::Ge, Value::Int(3))]);
-        let inputs: Vec<(Vec<u8>, Publication)> =
-            (0..6).map(|i| (vec![i as u8], attrs("pq", i))).collect();
-        let traced_bus = || {
-            let mut bus = EventBus::new(1000);
-            let telemetry = Arc::new(Telemetry::new());
-            telemetry.set_trace_seed(7);
-            bus.set_telemetry(telemetry);
-            bus
-        };
-        let parent = TraceContext {
-            trace_id: 0xfeed,
-            span_id: 0xbeef,
-            parent_span_id: 0,
-        };
-        for ctx in [None, Some(parent)] {
-            let mut single = traced_bus();
-            let s1 = single.subscribe("t", Some(filter.clone()));
-            let mut single_ids = Vec::new();
-            for (payload, attributes) in inputs.clone() {
-                single_ids.push(match ctx {
-                    Some(ctx) => single.publish_with_ctx("t", payload, attributes, ctx),
-                    None => single.publish("t", payload, attributes),
-                });
-            }
-
-            let mut batched = traced_bus();
-            let s2 = batched.subscribe("t", Some(filter.clone()));
-            let batch_ids = batched.publish_batch("t", inputs.clone(), ctx).unwrap();
-
-            assert_eq!(single_ids, batch_ids);
-            assert_eq!(single.stats(), batched.stats());
-            assert_eq!(single.backlog(s1), batched.backlog(s2));
-            loop {
-                let a = single.fetch(s1);
-                let b = batched.fetch(s2);
-                assert_eq!(a, b);
-                let Some(m) = a else { break };
-                assert_eq!(ctx.is_some(), m.ctx == parent, "caller's context kept");
-                assert_eq!(single.ack(s1, m.id), batched.ack(s2, m.id));
-            }
-            assert_eq!(single.stats(), batched.stats());
-        }
-    }
-
-    #[test]
     fn fetch_batch_leases_and_ack_batch_settles() {
         let mut bus = EventBus::new(1000);
         let s = bus.subscribe("t", None);
@@ -1085,79 +893,14 @@ mod tests {
         let first = bus.fetch_batch(s, 3);
         assert_eq!(first.len(), 3);
         assert_eq!(bus.backlog(s), 2);
-        let ids: Vec<MessageId> = first.iter().map(|m| m.id).collect();
-        assert_eq!(bus.ack_batch(s, &ids), 3);
-        assert_eq!(bus.ack_batch(s, &ids), 0, "double ack rejected");
+        assert!(first.iter().all(|m| bus.ack(s, m.id)));
+        assert!(
+            !first.iter().any(|m| bus.ack(s, m.id)),
+            "double ack rejected"
+        );
         let rest = bus.fetch_batch(s, 10);
         assert_eq!(rest.len(), 2, "short batch when the queue drains");
         assert_eq!(bus.stats().delivered, 5);
-    }
-
-    #[test]
-    fn backpressure_refuses_whole_batch() {
-        let mut bus = EventBus::new(1000);
-        bus.set_queue_limit(Some(4));
-        let s = bus.subscribe("t", None);
-        bus.publish("t", b"seed".to_vec(), Publication::new());
-        let batch: Vec<(Vec<u8>, Publication)> =
-            (0..4).map(|i| (vec![i], Publication::new())).collect();
-        let err = bus.publish_batch("t", batch.clone(), None).unwrap_err();
-        assert_eq!(
-            err,
-            PublishError::Backpressure {
-                subscriber: s,
-                depth: 1,
-                limit: 4
-            }
-        );
-        assert_eq!(bus.backlog(s), 1, "all-or-nothing: nothing was enqueued");
-        assert_eq!(bus.stats().published, 1, "refused batch not counted");
-        assert_eq!(bus.stats().backpressured, 1);
-        assert!(err.to_string().contains("backpressure"));
-        // Drain one message and the same batch fits exactly.
-        let m = bus.fetch(s).unwrap();
-        bus.ack(s, m.id);
-        assert_eq!(bus.publish_batch("t", batch, None).unwrap().len(), 4);
-        assert_eq!(bus.backlog(s), 4);
-    }
-
-    #[test]
-    fn publish_batch_enforces_per_subscriber_override() {
-        let one = |payload: &[u8], attributes| vec![(payload.to_vec(), attributes)];
-        let mut bus = EventBus::new(1000);
-        bus.set_queue_limit(Some(10));
-        let tight = bus.subscribe("t", None);
-        let roomy = bus.subscribe("t", None);
-        assert!(bus.set_subscriber_queue_limit(tight, Some(1)));
-        assert!(!bus.set_subscriber_queue_limit(SubscriberId(99), Some(1)));
-        bus.publish_batch("t", one(b"a", Publication::new()), None)
-            .unwrap();
-        let err = bus
-            .publish_batch("t", one(b"b", Publication::new()), None)
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            PublishError::Backpressure {
-                subscriber,
-                depth: 1,
-                limit: 1
-            } if subscriber == tight
-        ));
-        assert_eq!(bus.backlog(roomy), 1, "refusal enqueues to no one");
-        // A filtered-out subscriber at its limit never backpressures.
-        let mut filtered_bus = EventBus::new(1000);
-        let filtered = filtered_bus.subscribe(
-            "t",
-            Some(Subscription::new(vec![Predicate::new(
-                "severity",
-                Op::Ge,
-                Value::Int(4),
-            )])),
-        );
-        filtered_bus.set_subscriber_queue_limit(filtered, Some(0));
-        filtered_bus
-            .publish_batch("t", one(b"minor", attrs("pq", 1)), None)
-            .unwrap();
     }
 
     #[test]
@@ -1181,6 +924,10 @@ mod tests {
         assert_eq!(report.traces, 1);
         assert_eq!(report.total_self_ms, 25, "queue wait attributed causally");
         assert_eq!(report.categories[0].category, "eventbus");
+        // A caller's context is kept, not replaced by a fresh root.
+        let child = telemetry.mint_child(m.ctx);
+        bus.publish_with_ctx("t", b"y".to_vec(), Publication::new(), child);
+        assert_eq!(bus.fetch(s).unwrap().ctx, child);
     }
 
     #[test]

@@ -177,6 +177,24 @@ mod tests {
     }
 
     #[test]
+    fn debug_enclave_denied() {
+        let (platform, mut service, measurement) = world();
+        service.grant("meters", measurement);
+        // Same code, so the measurement is attested and on the topic's ACL.
+        let debug = platform
+            .launch(EnclaveConfig {
+                debug: true,
+                ..EnclaveConfig::new("svc", b"service code")
+            })
+            .unwrap();
+        assert_eq!(debug.measurement(), measurement);
+        assert!(matches!(
+            service.key_for("meters", &debug.quote(b"")),
+            Err(KeyServiceError::Attestation(SgxError::AttestationFailed(_)))
+        ));
+    }
+
+    #[test]
     fn payload_roundtrip_and_tampering() {
         let key = [3u8; 16];
         let sealed = seal_payload(&key, b"reading: 42");

@@ -217,6 +217,7 @@ mod tests {
     use super::*;
     use securecloud_crypto::channel::memory_pair;
     use securecloud_sgx::enclave::{EnclaveConfig, Platform};
+    use securecloud_sgx::SgxError;
     use std::thread;
 
     fn scf_fixture() -> Scf {
@@ -327,6 +328,33 @@ mod tests {
         let err = fetch_scf(&mut rogue, &identity, client_t, key);
         assert!(err.is_err());
         assert!(server.join().unwrap().is_err());
+    }
+
+    #[test]
+    fn debug_enclave_is_refused() {
+        let Setup {
+            platform,
+            enclave,
+            service,
+        } = setup();
+        // Same code, so its measurement is allowlisted and has an SCF.
+        let mut debug = platform
+            .launch(EnclaveConfig {
+                debug: true,
+                ..EnclaveConfig::new("app", b"application code")
+            })
+            .unwrap();
+        assert_eq!(debug.measurement(), enclave.measurement());
+        let (client_t, server_t) = memory_pair();
+        let key = service.public_key();
+        let server = thread::spawn(move || service.serve_one(server_t));
+        let identity = Identity::generate("debug-channel");
+        let err = fetch_scf(&mut debug, &identity, client_t, key);
+        assert!(matches!(err, Err(SconeError::Config(_))));
+        assert!(matches!(
+            server.join().unwrap(),
+            Err(SconeError::Sgx(SgxError::AttestationFailed(_)))
+        ));
     }
 
     #[test]

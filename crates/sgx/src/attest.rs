@@ -4,8 +4,9 @@
 //! quoting enclave and the resulting quote is verified by Intel's
 //! attestation service (IAS). Here the [`AttestationService`] plays the
 //! role of IAS for a set of registered platforms: it shares each platform's
-//! quote key (as Intel shares EPID group keys) and applies a verification
-//! policy — allowed measurements and a debug-enclave switch.
+//! quote key (as Intel shares EPID group keys) and applies one fixed
+//! policy: the measurement must be on the allowlist, and debug enclaves are
+//! refused. Neither check can be switched off.
 
 use crate::enclave::{Measurement, Platform};
 use crate::SgxError;
@@ -122,8 +123,6 @@ impl Quote {
 pub struct AttestationService {
     platform_keys: Vec<[u8; 32]>,
     allowed: HashSet<Measurement>,
-    allow_any_measurement: bool,
-    allow_debug: bool,
 }
 
 impl AttestationService {
@@ -144,18 +143,8 @@ impl AttestationService {
         self.allowed.insert(measurement);
     }
 
-    /// Accepts any measurement (useful in development; discouraged).
-    pub fn allow_any_measurement(&mut self) {
-        self.allow_any_measurement = true;
-    }
-
-    /// Accepts debug enclaves (useful in development; discouraged).
-    pub fn allow_debug(&mut self) {
-        self.allow_debug = true;
-    }
-
     /// Verifies a quote: signature against every registered platform,
-    /// then the measurement and debug policy.
+    /// then the debug check and the measurement allowlist.
     ///
     /// # Errors
     ///
@@ -171,12 +160,12 @@ impl AttestationService {
                 "quote not signed by a registered platform".into(),
             ));
         }
-        if quote.report.debug && !self.allow_debug {
+        if quote.report.debug {
             return Err(SgxError::AttestationFailed(
                 "debug enclaves are not accepted".into(),
             ));
         }
-        if !self.allow_any_measurement && !self.allowed.contains(&quote.report.measurement) {
+        if !self.allowed.contains(&quote.report.measurement) {
             return Err(SgxError::AttestationFailed(format!(
                 "measurement {} is not in the allowlist",
                 quote.report.measurement.to_hex()
@@ -249,30 +238,32 @@ mod tests {
     }
 
     #[test]
-    fn unlisted_measurement_rejected_unless_any_allowed() {
-        let (platform, _enclave, mut service) = setup();
+    fn unlisted_measurement_rejected() {
+        let (platform, _enclave, service) = setup();
         let other = platform
             .launch(EnclaveConfig::new("other", b"other code"))
             .unwrap();
-        let quote = other.quote(b"");
-        assert!(service.verify(&quote).is_err());
-        service.allow_any_measurement();
-        assert!(service.verify(&quote).is_ok());
+        assert!(matches!(
+            service.verify(&other.quote(b"")),
+            Err(SgxError::AttestationFailed(_))
+        ));
     }
 
     #[test]
-    fn debug_enclave_policy() {
-        let (platform, _enclave, mut service) = setup();
+    fn debug_enclave_refused_even_when_allowlisted() {
+        let (platform, enclave, service) = setup();
+        // Same code, so the same measurement `setup` put on the allowlist.
         let debug_enclave = platform
             .launch(EnclaveConfig {
                 debug: true,
                 ..EnclaveConfig::new("dbg", b"trusted code")
             })
             .unwrap();
-        let quote = debug_enclave.quote(b"");
-        assert!(service.verify(&quote).is_err());
-        service.allow_debug();
-        assert!(service.verify(&quote).is_ok());
+        assert_eq!(debug_enclave.measurement(), enclave.measurement());
+        assert!(matches!(
+            service.verify(&debug_enclave.quote(b"")),
+            Err(SgxError::AttestationFailed(_))
+        ));
     }
 
     #[test]

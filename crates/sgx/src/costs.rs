@@ -14,8 +14,9 @@
 
 use std::time::Duration;
 
-/// Cycle costs for simulated events. Construct via [`CostModel::sgx_v1`] or
-/// the builder-style `with_*` methods.
+/// Cycle costs for simulated events. Construct via [`CostModel::sgx_v1`];
+/// override a field with struct-update syntax
+/// (`CostModel { epc_fault_cycles: 99, ..CostModel::sgx_v1() }`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     /// Clock frequency used to convert cycles to wall time, in GHz.
@@ -89,29 +90,6 @@ impl CostModel {
             host_io_per_kib_cycles: 0,
             ring_slot_cycles: 0,
         }
-    }
-
-    /// Returns a copy with a different EPC fault cost.
-    #[must_use]
-    pub fn with_epc_fault_cycles(mut self, cycles: u64) -> Self {
-        self.epc_fault_cycles = cycles;
-        self
-    }
-
-    /// Returns a copy with a different transition cost (applied to both
-    /// directions).
-    #[must_use]
-    pub fn with_transition_cycles(mut self, cycles: u64) -> Self {
-        self.ecall_cycles = cycles;
-        self.ocall_cycles = cycles;
-        self
-    }
-
-    /// Returns a copy with a different ring-slot (switchless) cost.
-    #[must_use]
-    pub fn with_ring_slot_cycles(mut self, cycles: u64) -> Self {
-        self.ring_slot_cycles = cycles;
-        self
     }
 
     /// The cost of one full enclave transition round trip (exit + re-enter,
@@ -233,19 +211,6 @@ mod tests {
             ..CostModel::sgx_v1()
         };
         assert_eq!(c.cycles_to_duration(2_000_000), Duration::from_micros(1000));
-    }
-
-    #[test]
-    fn builders_override_fields() {
-        let c = CostModel::sgx_v1()
-            .with_epc_fault_cycles(99)
-            .with_transition_cycles(7)
-            .with_ring_slot_cycles(3);
-        assert_eq!(c.epc_fault_cycles, 99);
-        assert_eq!(c.ecall_cycles, 7);
-        assert_eq!(c.ocall_cycles, 7);
-        assert_eq!(c.ring_slot_cycles, 3);
-        assert_eq!(c.transition_pair(), 14);
     }
 
     #[test]

@@ -367,14 +367,10 @@ pub fn open_block(
 /// The GCM tag of a sealed block (its trailing [`TAG_LEN`] bytes) — the
 /// leaf the integrity tree is built over.
 pub fn block_tag(sealed: &[u8]) -> Result<[u8; TAG_LEN], StorageError> {
-    if sealed.len() < TAG_LEN {
-        return Err(StorageError::Corrupt(
-            "sealed block shorter than tag".into(),
-        ));
-    }
-    Ok(sealed[sealed.len() - TAG_LEN..]
-        .try_into()
-        .expect("sized slice"))
+    sealed
+        .split_last_chunk::<TAG_LEN>()
+        .map(|(_, tag)| *tag)
+        .ok_or_else(|| StorageError::Corrupt("sealed block shorter than tag".into()))
 }
 
 /// AAD chaining a WAL record to its predecessor's tag.
@@ -421,14 +417,10 @@ pub fn open_wal_record(
 
 /// The chain tag of a sealed WAL record (its trailing [`TAG_LEN`] bytes).
 pub fn wal_tag(sealed: &[u8]) -> Result<[u8; TAG_LEN], StorageError> {
-    if sealed.len() < TAG_LEN {
-        return Err(StorageError::Corrupt(
-            "sealed WAL record shorter than tag".into(),
-        ));
-    }
-    Ok(sealed[sealed.len() - TAG_LEN..]
-        .try_into()
-        .expect("sized slice"))
+    sealed
+        .split_last_chunk::<TAG_LEN>()
+        .map(|(_, tag)| *tag)
+        .ok_or_else(|| StorageError::Corrupt("sealed WAL record shorter than tag".into()))
 }
 
 /// Seals the manifest under the manifest key: `nonce || ct || tag`, with

@@ -61,7 +61,7 @@ fn main() {
             }
         }
         if tick < 10 {
-            backpressured.add(20); // the bus is rejecting batches
+            backpressured.add(20); // the load driver reports overload
         }
         cloud.advance(250);
     }
