@@ -8,7 +8,8 @@
 //! 2. **Repair** — kill stalled replicas (grey failures fenced by the
 //!    replica layer) and fail over every degraded group, so a node kill
 //!    that lands mid-scale-up converges back to the desired state;
-//! 3. **Decide** — advance breach/calm streaks per shard against the
+//! 3. **Decide** — advance the breach/calm streaks of every shard and of
+//!    the service fleet (one hysteresis type serves both) against the
 //!    [`ScalingPolicy`] and scale up/down through the attestation-gated
 //!    membership paths, honouring cooldowns and the drain-refusal check;
 //! 4. **Place** — reconcile every resident replica onto the simulated
@@ -28,6 +29,7 @@ use securecloud_genpack::schedulers::{GenPackScheduler, Scheduler};
 use securecloud_replica::{ReplicaError, ReplicatedKv, ShardId, METRIC_REPLICATION_LAG};
 use securecloud_telemetry::{Counter, Gauge, Histogram, SloEngine, Telemetry, TraceContext};
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 /// CPU/memory footprint the controller books per replica enclave when
@@ -39,10 +41,10 @@ const REPLICA_DEMAND: Demand = Demand {
     mem: 2048,
 };
 
-/// Per-shard controller state: the desired replica count plus the
-/// hysteresis streaks and cooldown clocks that damp it.
+/// One scaling target (a shard group or the service fleet): its desired
+/// size plus the hysteresis streaks and cooldown clocks that damp it.
 #[derive(Debug, Clone)]
-struct ShardState {
+struct Hysteresis {
     desired: usize,
     breach_streak: u32,
     calm_streak: u32,
@@ -50,14 +52,64 @@ struct ShardState {
     last_down_ms: Option<u64>,
 }
 
-impl ShardState {
+/// The direction [`Hysteresis::step`] moved a target's desired size.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Scale {
+    Up,
+    Down,
+}
+
+impl Hysteresis {
     fn new(desired: usize) -> Self {
-        ShardState {
+        Hysteresis {
             desired,
             breach_streak: 0,
             calm_streak: 0,
             last_up_ms: None,
             last_down_ms: None,
+        }
+    }
+
+    /// Advances the streaks by one tick's verdict: a breach or a calm tick
+    /// extends its own streak and clears the other, the dead band clears
+    /// both.
+    fn observe(&mut self, signals: &Signals, policy: &ScalingPolicy) {
+        let breach = signals.breaches(policy);
+        let calm = !breach && signals.is_calm(policy);
+        self.breach_streak = if breach { self.breach_streak + 1 } else { 0 };
+        self.calm_streak = if calm { self.calm_streak + 1 } else { 0 };
+    }
+
+    /// Moves the desired size one step within `bounds` once a streak is
+    /// long enough and its direction's cooldown has passed, restarting that
+    /// streak and cooldown. A blocked step keeps the streak for a later tick.
+    fn step(
+        &mut self,
+        now_ms: u64,
+        policy: &ScalingPolicy,
+        bounds: RangeInclusive<usize>,
+    ) -> Option<Scale> {
+        let ready = |last: Option<u64>, cooldown_ms: u64| {
+            last.is_none_or(|last| now_ms.saturating_sub(last) >= cooldown_ms)
+        };
+        if self.breach_streak >= policy.up_streak
+            && self.desired < *bounds.end()
+            && ready(self.last_up_ms, policy.up_cooldown_ms)
+        {
+            self.desired += 1;
+            self.breach_streak = 0;
+            self.last_up_ms = Some(now_ms);
+            Some(Scale::Up)
+        } else if self.calm_streak >= policy.down_streak
+            && self.desired > *bounds.start()
+            && ready(self.last_down_ms, policy.down_cooldown_ms)
+        {
+            self.desired -= 1;
+            self.calm_streak = 0;
+            self.last_down_ms = Some(now_ms);
+            Some(Scale::Down)
+        } else {
+            None
         }
     }
 }
@@ -100,13 +152,9 @@ pub struct ClusterController {
     publish_to_ack: Histogram,
     last_backpressured: u64,
     lag_gauges: BTreeMap<u32, Gauge>,
-    shards: BTreeMap<u32, ShardState>,
-    // Service-fleet hysteresis (bus signals only; no per-shard lag).
-    desired_services: u32,
-    service_breach_streak: u32,
-    service_calm_streak: u32,
-    service_last_up_ms: Option<u64>,
-    service_last_down_ms: Option<u64>,
+    shards: BTreeMap<u32, Hysteresis>,
+    // The service fleet scales on the bus signals alone (no per-shard lag).
+    services: Hysteresis,
     // Data-center placement model.
     placement: Cluster,
     scheduler: GenPackScheduler,
@@ -146,7 +194,6 @@ impl ClusterController {
         servers: usize,
     ) -> Result<Self, crate::PolicyError> {
         policy.validate()?;
-        let desired_services = policy.min_service_replicas;
         let registry = telemetry.registry();
         Ok(ClusterController {
             backpressured: registry.counter(METRIC_BACKPRESSURED, &[]),
@@ -155,11 +202,7 @@ impl ClusterController {
             last_backpressured: 0,
             lag_gauges: BTreeMap::new(),
             shards: BTreeMap::new(),
-            desired_services,
-            service_breach_streak: 0,
-            service_calm_streak: 0,
-            service_last_up_ms: None,
-            service_last_down_ms: None,
+            services: Hysteresis::new(policy.min_service_replicas as usize),
             placement: Cluster::new(servers, ServerSpec::typical()),
             scheduler: GenPackScheduler::new(),
             placed: BTreeSet::new(),
@@ -217,7 +260,7 @@ impl ClusterController {
     /// Bus-facing service replicas the controller currently wants.
     #[must_use]
     pub fn desired_service_replicas(&self) -> u32 {
-        self.desired_services
+        self.services.desired as u32
     }
 
     /// The data-center placement model (power, utilisation, parked nodes).
@@ -256,7 +299,6 @@ impl ClusterController {
     pub fn tick(&mut self, now_ms: u64, kv: &mut ReplicatedKv) -> ControllerReport {
         let mut report = ControllerReport {
             now_ms,
-            desired_service_replicas: self.desired_services,
             ..ControllerReport::default()
         };
 
@@ -290,6 +332,13 @@ impl ClusterController {
         for line in &slo_lines {
             self.decide(now_ms, line);
         }
+        let bus = Signals {
+            lag: 0,
+            p99_ms,
+            backpressure_delta,
+            dlq_depth,
+            slo_breach,
+        };
 
         let shard_count = kv.shard_map().shards();
 
@@ -331,28 +380,12 @@ impl ClusterController {
 
         // Per-shard scaling decisions.
         for index in 0..shard_count {
-            self.tick_shard(
-                now_ms,
-                kv,
-                ShardId(index),
-                p99_ms,
-                backpressure_delta,
-                dlq_depth,
-                slo_breach,
-                &mut report,
-            );
+            self.tick_shard(now_ms, kv, ShardId(index), bus, &mut report);
         }
 
         // Service-fleet sizing from the bus signals alone.
-        self.tick_services(
-            now_ms,
-            p99_ms,
-            backpressure_delta,
-            dlq_depth,
-            slo_breach,
-            &mut report,
-        );
-        report.desired_service_replicas = self.desired_services;
+        self.tick_services(now_ms, &bus);
+        report.desired_service_replicas = self.desired_service_replicas();
 
         // Reconcile placement and let GenPack consolidate.
         self.reconcile_placement(now_ms, kv, shard_count, &mut report);
@@ -387,16 +420,12 @@ impl ClusterController {
         );
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn tick_shard(
         &mut self,
         now_ms: u64,
         kv: &mut ReplicatedKv,
         shard: ShardId,
-        p99_ms: Option<u64>,
-        backpressure_delta: u64,
-        dlq_depth: i64,
-        slo_breach: bool,
+        bus: Signals,
         report: &mut ControllerReport,
     ) {
         let Some(group) = kv.group(shard) else {
@@ -413,29 +442,17 @@ impl ClusterController {
         }
         let observed = group.replication_factor();
         let telemetry = Arc::clone(&self.telemetry);
-        let lag = self.lag_of(shard, &telemetry);
         let signals = Signals {
-            lag,
-            p99_ms,
-            backpressure_delta,
-            dlq_depth,
-            slo_breach,
+            lag: self.lag_of(shard, &telemetry),
+            ..bus
         };
-        let policy = self.policy.clone();
-        let state = self.shards.entry(shard.0).or_insert_with(|| {
-            ShardState::new(observed.clamp(policy.min_replicas, policy.max_replicas))
-        });
-
-        if signals.breaches(&policy) {
-            state.breach_streak += 1;
-            state.calm_streak = 0;
-        } else if signals.is_calm(&policy) {
-            state.calm_streak += 1;
-            state.breach_streak = 0;
-        } else {
-            state.breach_streak = 0;
-            state.calm_streak = 0;
-        }
+        let policy = &self.policy;
+        let bounds = policy.min_replicas..=policy.max_replicas;
+        let state = self
+            .shards
+            .entry(shard.0)
+            .or_insert_with(|| Hysteresis::new(observed.clamp(*bounds.start(), *bounds.end())));
+        state.observe(&signals, policy);
 
         // Desired-state reconciliation first: if a previous scale-up was
         // undone by a fault (kill mid-scale-up leaves a vacancy that
@@ -463,50 +480,31 @@ impl ClusterController {
             return;
         }
 
-        let up_ready = state
-            .last_up_ms
-            .is_none_or(|last| now_ms.saturating_sub(last) >= policy.up_cooldown_ms);
-        let down_ready = state
-            .last_down_ms
-            .is_none_or(|last| now_ms.saturating_sub(last) >= policy.down_cooldown_ms);
-
-        if state.breach_streak >= policy.up_streak
-            && state.desired < policy.max_replicas
-            && up_ready
-        {
-            state.desired += 1;
-            let want = state.desired;
-            state.breach_streak = 0;
-            state.last_up_ms = Some(now_ms);
-            match kv.scale_up(shard) {
+        let Some(scale) = state.step(now_ms, policy, bounds) else {
+            return;
+        };
+        let want = state.desired;
+        match scale {
+            Scale::Up => match kv.scale_up(shard) {
                 Ok(replica) => {
                     report.scaled_up += 1;
-                    let p99 = Self::fmt_p99(p99_ms);
+                    let p99 = Self::fmt_p99(signals.p99_ms);
                     self.decide(
                         now_ms,
                         &format!(
-                            "scale-up shard {shard} -> n={want} (lag={lag} p99={p99} \
-                             bp={backpressure_delta} dlq={dlq_depth}): admitted {replica}"
+                            "scale-up shard {shard} -> n={want} (lag={} p99={p99} bp={} \
+                             dlq={}): admitted {replica}",
+                            signals.lag, signals.backpressure_delta, signals.dlq_depth
                         ),
                     );
                     self.note_scale_up_cause(&format!("shard {shard}"));
                 }
                 Err(err) => {
-                    if let Some(state) = self.shards.get_mut(&shard.0) {
-                        state.desired -= 1;
-                    }
+                    state.desired -= 1;
                     self.decide(now_ms, &format!("scale-up shard {shard} failed: {err}"));
                 }
-            }
-        } else if state.calm_streak >= policy.down_streak
-            && state.desired > policy.min_replicas
-            && down_ready
-        {
-            state.desired -= 1;
-            let want = state.desired;
-            state.calm_streak = 0;
-            state.last_down_ms = Some(now_ms);
-            match kv.scale_down(shard) {
+            },
+            Scale::Down => match kv.scale_down(shard) {
                 Ok(drained) => {
                     report.scaled_down += 1;
                     let who = drained.map_or_else(
@@ -518,81 +516,44 @@ impl ClusterController {
                         &format!("scale-down shard {shard} -> n={want}: drained {who}"),
                     );
                 }
-                Err(err @ ReplicaError::DrainRefused { .. }) => {
-                    report.drains_refused += 1;
-                    if let Some(state) = self.shards.get_mut(&shard.0) {
-                        state.desired += 1;
-                    }
-                    self.decide(now_ms, &format!("scale-down shard {shard} refused: {err}"));
-                }
                 Err(err) => {
-                    if let Some(state) = self.shards.get_mut(&shard.0) {
-                        state.desired += 1;
-                    }
-                    self.decide(now_ms, &format!("scale-down shard {shard} failed: {err}"));
+                    state.desired += 1;
+                    let verdict = if matches!(err, ReplicaError::DrainRefused { .. }) {
+                        report.drains_refused += 1;
+                        "refused"
+                    } else {
+                        "failed"
+                    };
+                    self.decide(
+                        now_ms,
+                        &format!("scale-down shard {shard} {verdict}: {err}"),
+                    );
                 }
-            }
+            },
         }
     }
 
-    fn tick_services(
-        &mut self,
-        now_ms: u64,
-        p99_ms: Option<u64>,
-        backpressure_delta: u64,
-        dlq_depth: i64,
-        slo_breach: bool,
-        _report: &mut ControllerReport,
-    ) {
-        let signals = Signals {
-            lag: 0,
-            p99_ms,
-            backpressure_delta,
-            dlq_depth,
-            slo_breach,
+    fn tick_services(&mut self, now_ms: u64, bus: &Signals) {
+        let policy = &self.policy;
+        self.services.observe(bus, policy);
+        let bounds = policy.min_service_replicas as usize..=policy.max_service_replicas as usize;
+        let Some(scale) = self.services.step(now_ms, policy, bounds) else {
+            return;
         };
-        if signals.breaches(&self.policy) {
-            self.service_breach_streak += 1;
-            self.service_calm_streak = 0;
-        } else if signals.is_calm(&self.policy) {
-            self.service_calm_streak += 1;
-            self.service_breach_streak = 0;
-        } else {
-            self.service_breach_streak = 0;
-            self.service_calm_streak = 0;
-        }
-        let up_ready = self
-            .service_last_up_ms
-            .is_none_or(|last| now_ms.saturating_sub(last) >= self.policy.up_cooldown_ms);
-        let down_ready = self
-            .service_last_down_ms
-            .is_none_or(|last| now_ms.saturating_sub(last) >= self.policy.down_cooldown_ms);
-        if self.service_breach_streak >= self.policy.up_streak
-            && self.desired_services < self.policy.max_service_replicas
-            && up_ready
-        {
-            self.desired_services += 1;
-            self.service_breach_streak = 0;
-            self.service_last_up_ms = Some(now_ms);
-            let want = self.desired_services;
-            let p99 = Self::fmt_p99(p99_ms);
-            self.decide(
-                now_ms,
-                &format!(
-                    "scale-up services -> {want} (p99={p99} \
-                     bp={backpressure_delta} dlq={dlq_depth})"
-                ),
-            );
-            self.note_scale_up_cause("services");
-        } else if self.service_calm_streak >= self.policy.down_streak
-            && self.desired_services > self.policy.min_service_replicas
-            && down_ready
-        {
-            self.desired_services -= 1;
-            self.service_calm_streak = 0;
-            self.service_last_down_ms = Some(now_ms);
-            let want = self.desired_services;
-            self.decide(now_ms, &format!("scale-down services -> {want}"));
+        let want = self.services.desired;
+        match scale {
+            Scale::Up => {
+                let p99 = Self::fmt_p99(bus.p99_ms);
+                self.decide(
+                    now_ms,
+                    &format!(
+                        "scale-up services -> {want} (p99={p99} bp={} dlq={})",
+                        bus.backpressure_delta, bus.dlq_depth
+                    ),
+                );
+                self.note_scale_up_cause("services");
+            }
+            Scale::Down => self.decide(now_ms, &format!("scale-down services -> {want}")),
         }
     }
 

@@ -51,10 +51,12 @@ pub type Record = (Vec<u8>, Vec<u8>);
 
 /// User map function.
 ///
-/// A re-executed map task seals each shuffle chunk under the job key with
-/// the same `(reducer, task)` nonce as the attempt before it, so `map` must
-/// be deterministic: the same records must emit the same pairs, or two
-/// different plaintexts would share one keystream.
+/// A map task seals each shuffle chunk under the job key, drawn afresh per
+/// run, with the nonce `(reducer, task)`. Every step of a task that can fail
+/// (the injected failure, the enclave launch, the `ecall` that runs `map`)
+/// returns before the seal loop, and the seal loop cannot fail, so a failed
+/// attempt has sealed nothing: each nonce is sealed once per job, whether
+/// or not `map` is deterministic.
 pub trait Mapper: Sync {
     /// Maps one record, emitting intermediate pairs.
     fn map(&self, key: &[u8], value: &[u8], emit: &mut dyn FnMut(Vec<u8>, Vec<u8>));
@@ -388,6 +390,8 @@ impl MapReduceRunner {
         stats.pairs_emitted += emitted;
 
         // Seal each non-empty partition; nonce binds (reducer, mapper task).
+        // Every fallible step must stay above this loop: a retry after a
+        // seal would seal the same nonce a second time.
         let sealed: Vec<Option<Vec<u8>>> = partitions
             .into_iter()
             .enumerate()
@@ -521,6 +525,33 @@ mod tests {
         assert_eq!(result.stats.retries, 1);
         assert_eq!(runner.injector().tripped(), 1);
         assert_eq!(counts(&result)["the"], 3, "result unchanged by retry");
+    }
+
+    #[test]
+    fn a_retried_map_task_maps_and_seals_once() {
+        let calls = AtomicU64::new(0);
+        let counting = FnMapper(
+            |k: &[u8], v: &[u8], emit: &mut dyn FnMut(Vec<u8>, Vec<u8>)| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                word_mapper().map(k, v, emit);
+            },
+        );
+        let input = word_count_input();
+        let clean = MapReduceRunner::new(Platform::new())
+            .run(&JobConfig::default(), &input, &counting, &count_reducer())
+            .unwrap();
+        calls.store(0, Ordering::Relaxed);
+        let runner = MapReduceRunner::new(Platform::new());
+        runner.injector().fail_map_task(0, 2);
+        let retried = runner
+            .run(&JobConfig::default(), &input, &counting, &count_reducer())
+            .unwrap();
+        // Both failed attempts returned before `map` ran, hence before any
+        // seal: the mapper saw each record once.
+        assert_eq!(calls.load(Ordering::Relaxed), input.len() as u64);
+        assert_eq!(retried.stats.retries, 2);
+        assert_eq!(retried.output, clean.output);
+        assert_eq!(retried.stats.pairs_emitted, clean.stats.pairs_emitted);
     }
 
     #[test]

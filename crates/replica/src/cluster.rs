@@ -202,6 +202,13 @@ pub struct ReplicaStats {
     pub epochs: Vec<u64>,
 }
 
+/// The group serving `shard`, or [`ReplicaError::UnknownShard`].
+fn group_mut(groups: &mut [ShardGroup], shard: ShardId) -> Result<&mut ShardGroup, ReplicaError> {
+    groups
+        .get_mut(shard.0 as usize)
+        .ok_or(ReplicaError::UnknownShard(shard))
+}
+
 /// A sharded, quorum-replicated secure KV store.
 ///
 /// ```
@@ -360,11 +367,12 @@ impl ReplicatedKv {
                 ctx,
             )
         });
-        let result = self
-            .groups
-            .get_mut(shard.0 as usize)
-            .ok_or(ReplicaError::UnknownShard(shard))?
-            .put_traced(key, value, ctx);
+        let group = group_mut(&mut self.groups, shard)?;
+        let live = group.live();
+        let result = group.put_traced(key, value, ctx);
+        // A replica whose store refused the write was retired by the group.
+        let retired = live - group.live();
+        self.metrics.replicas_killed.add(retired as u64);
         match &result {
             Ok(()) => self.metrics.puts.inc(),
             Err(ReplicaError::QuorumLost { .. }) => self.metrics.quorum_failures.inc(),
@@ -392,11 +400,7 @@ impl ReplicatedKv {
                 TraceContext::none(),
             )
         });
-        let result = self
-            .groups
-            .get_mut(shard.0 as usize)
-            .ok_or(ReplicaError::UnknownShard(shard))?
-            .get(key);
+        let result = group_mut(&mut self.groups, shard)?.get(key);
         match &result {
             Ok(_) => self.metrics.gets.inc(),
             Err(ReplicaError::QuorumLost { .. }) => self.metrics.quorum_failures.inc(),
@@ -444,11 +448,7 @@ impl ReplicatedKv {
     /// remains to snapshot from, or admission/restore errors from the
     /// provisioning path.
     pub fn scale_up(&mut self, shard: ShardId) -> Result<ReplicaId, ReplicaError> {
-        let group = self
-            .groups
-            .get_mut(shard.0 as usize)
-            .ok_or(ReplicaError::UnknownShard(shard))?;
-        let admitted = group.expand(&mut self.provisioning)?;
+        let admitted = group_mut(&mut self.groups, shard)?.expand(&mut self.provisioning)?;
         self.metrics.scale_ups.inc();
         Ok(admitted)
     }
@@ -464,11 +464,7 @@ impl ReplicatedKv {
     /// would leave fewer responsive replicas than the post-drain majority —
     /// the group is left untouched, so no acknowledged write is put at risk.
     pub fn scale_down(&mut self, shard: ShardId) -> Result<Option<ReplicaId>, ReplicaError> {
-        let group = self
-            .groups
-            .get_mut(shard.0 as usize)
-            .ok_or(ReplicaError::UnknownShard(shard))?;
-        let drained = group.decommission_last()?;
+        let drained = group_mut(&mut self.groups, shard)?.decommission_last()?;
         self.metrics.scale_downs.inc();
         Ok(drained)
     }
@@ -828,6 +824,34 @@ mod tests {
             .apply_fault(&FaultKind::StorageCorruptBlock { shard: 0, slot: 0 }, 0)
             .unwrap();
         assert_eq!(unroutable, FaultApplication::Unroutable);
+    }
+
+    #[test]
+    fn a_store_that_refuses_a_write_counts_as_a_killed_replica() {
+        let mut kv = ReplicatedKv::deploy(
+            ReplicaConfig {
+                storage: Some(StorageConfig {
+                    block_bytes: 256,
+                    flush_bytes: 1024,
+                    cache_blocks: 2,
+                    compact_at_segments: 4,
+                }),
+                ..tiny_config()
+            },
+            &Platform::new(),
+            &CounterService::new(),
+        )
+        .unwrap();
+        let key = (0..64u32)
+            .map(|i| format!("probe/{i:03}").into_bytes())
+            .find(|k| kv.shard_of(k) == ShardId(0))
+            .expect("some probe key routes to shard 0");
+        kv.groups[0].fail_store_after(1, 0);
+        kv.put(&key, b"acked").unwrap();
+        let stats = kv.stats();
+        assert_eq!(stats.replicas_killed, 1);
+        assert_eq!(stats.live_replicas, 5);
+        assert_eq!(kv.get(&key).unwrap(), Some(b"acked".to_vec()));
     }
 
     #[test]

@@ -8,12 +8,19 @@
 //!
 //! ## Quorum rules
 //!
-//! A write goes to **every** live replica and is acknowledged only when at
-//! least [`WriteQuorum`](crate::cluster::WriteQuorum) replicas are live to
-//! take it; with `w > n/2` this means every acknowledged write is on a
+//! A write goes to **every** responsive replica and is acknowledged only
+//! when at least [`WriteQuorum`](crate::cluster::WriteQuorum) replicas
+//! applied it; with `w > n/2` this means every acknowledged write is on a
 //! majority, so it survives any minority of replica crashes. A read
 //! requires `n - w + 1` live replicas (the read quorum overlapping every
 //! write quorum) and returns the freshest copy.
+//!
+//! The tiered replicas of a group seal their WAL records under one key
+//! derived from the group key, with the record's seq as the nonce, so the
+//! group must keep one write history: two replicas that sealed different
+//! records at one seq would reuse a nonce. The epoch check therefore runs
+//! before any replica applies a write, and a replica whose store refuses a
+//! write is retired rather than left in its slot.
 //!
 //! ## Epochs and rollback protection
 //!
@@ -316,15 +323,18 @@ impl ShardGroup {
                 .sum::<u64>()
     }
 
-    /// Quorum write: every live replica takes the write; acknowledged only
-    /// if at least the write quorum is live.
+    /// Quorum write: every responsive replica takes the write; acknowledged
+    /// only if at least the write quorum applied it. A replica whose store
+    /// refuses the write is retired as [`ShardGroup::kill`] retires one.
     ///
     /// # Errors
     ///
-    /// * [`ReplicaError::QuorumLost`] — fewer live replicas than the write
-    ///   quorum; the write is not applied anywhere.
+    /// * [`ReplicaError::QuorumLost`] — fewer responsive replicas than the
+    ///   write quorum (the write is not applied anywhere), or fewer than the
+    ///   write quorum applied it.
     /// * [`ReplicaError::StaleEpoch`] — a replica missed a membership
-    ///   change (defensive; the group keeps epochs in lockstep).
+    ///   change (defensive; the group keeps epochs in lockstep); checked
+    ///   before any replica applies the write.
     pub fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), ReplicaError> {
         self.put_traced(key, value, TraceContext::none())
     }
@@ -359,27 +369,22 @@ impl ShardGroup {
                 quorum_ctx,
             )
         });
-        if self.partitioned {
-            return Err(ReplicaError::Partitioned { shard: self.shard });
-        }
-        let responsive = self.responsive();
-        if responsive < self.write_quorum {
-            return Err(ReplicaError::QuorumLost {
-                shard: self.shard,
-                needed: self.write_quorum,
-                live: responsive,
+        self.check_quorum(self.write_quorum)?;
+        let epoch = self.epoch();
+        let mut responsive = self.slots.iter().flatten().filter(|r| !r.stalled);
+        if let Some(stale) = responsive.find(|r| r.epoch != epoch) {
+            return Err(ReplicaError::StaleEpoch {
+                replica: stale.id,
+                have: stale.epoch,
+                want: epoch,
             });
         }
-        let epoch = self.epoch();
         let before = self.cycles();
-        for replica in self.slots.iter_mut().flatten().filter(|r| !r.stalled) {
-            if replica.epoch != epoch {
-                return Err(ReplicaError::StaleEpoch {
-                    replica: replica.id,
-                    have: replica.epoch,
-                    want: epoch,
-                });
-            }
+        let (mut applied, mut refused, mut failed) = (0, Vec::new(), None);
+        for (slot, entry) in self.slots.iter_mut().enumerate() {
+            let Some(replica) = entry.as_mut().filter(|r| !r.stalled) else {
+                continue;
+            };
             let _replica_span = tracer.as_ref().map(|t| {
                 t.span(
                     "replica",
@@ -388,10 +393,50 @@ impl ShardGroup {
                     t.mint_child(quorum_ctx),
                 )
             });
-            replica.call(|kv, mem| kv.try_put(mem, key, value))?;
+            // A store that refused a write must be discarded: it may have
+            // sealed the record's WAL seq under the shared group key, and
+            // its next write would seal that seq again.
+            match replica.call(|kv, mem| kv.try_put(mem, key, value)) {
+                Ok(_) => applied += 1,
+                Err(ReplicaError::Store { .. }) => refused.push(slot),
+                Err(err) => {
+                    failed = Some(err);
+                    break;
+                }
+            }
+        }
+        for slot in refused {
+            self.kill(slot, "store refused a write");
+        }
+        if let Some(err) = failed {
+            return Err(err);
+        }
+        if applied < self.write_quorum {
+            return Err(ReplicaError::QuorumLost {
+                shard: self.shard,
+                needed: self.write_quorum,
+                live: applied,
+            });
         }
         self.metrics.put_cycles.observe(self.cycles() - before);
         self.update_replication_lag();
+        Ok(())
+    }
+
+    /// Refuses a quorum operation while the group is partitioned or has
+    /// fewer than `needed` responsive replicas.
+    fn check_quorum(&self, needed: usize) -> Result<(), ReplicaError> {
+        if self.partitioned {
+            return Err(ReplicaError::Partitioned { shard: self.shard });
+        }
+        let live = self.responsive();
+        if live < needed {
+            return Err(ReplicaError::QuorumLost {
+                shard: self.shard,
+                needed,
+                live,
+            });
+        }
         Ok(())
     }
 
@@ -403,18 +448,8 @@ impl ShardGroup {
     /// [`ReplicaError::QuorumLost`] — fewer live replicas than the read
     /// quorum.
     pub fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, ReplicaError> {
-        if self.partitioned {
-            return Err(ReplicaError::Partitioned { shard: self.shard });
-        }
         let read_quorum = self.slots.len() - self.write_quorum + 1;
-        let responsive = self.responsive();
-        if responsive < read_quorum {
-            return Err(ReplicaError::QuorumLost {
-                shard: self.shard,
-                needed: read_quorum,
-                live: responsive,
-            });
-        }
+        self.check_quorum(read_quorum)?;
         let before = self.cycles();
         let mut freshest: Option<(u64, Option<Vec<u8>>)> = None;
         for replica in self
@@ -443,21 +478,12 @@ impl ShardGroup {
     /// vacant. Returns the killed replica's id, or `None` if the slot is
     /// already vacant or out of range.
     pub fn kill(&mut self, slot: usize, reason: &str) -> Option<ReplicaId> {
-        let mut replica = self.slots.get_mut(slot)?.take()?;
-        replica.enclave.abort(reason);
-        self.retired_cycles += replica.enclave.memory_view().cycles();
-        self.retired_epc_faults += replica.enclave.memory_view().stats().epc_faults;
-        self.record(format!("replica {} killed: {reason}", replica.id));
-        if let Some(t) = &self.telemetry {
-            t.event(
-                "replica",
-                "replica_killed",
-                vec![("replica", replica.id.to_string())],
-                TraceContext::none(),
-            );
-        }
+        let replica = self.slots.get_mut(slot)?.take()?;
+        let id = self.retire(replica, reason);
+        self.record(format!("replica {id} killed: {reason}"));
+        self.event("replica_killed", vec![("replica", id.to_string())]);
         self.update_replication_lag();
-        Some(replica.id)
+        Some(id)
     }
 
     /// Stalls the replica in `slot`: it stays resident but stops taking
@@ -474,14 +500,7 @@ impl ShardGroup {
         self.record(format!(
             "replica {id} stalled: degraded, fenced out of quorums"
         ));
-        if let Some(t) = &self.telemetry {
-            t.event(
-                "replica",
-                "replica_stalled",
-                vec![("replica", id.to_string())],
-                TraceContext::none(),
-            );
-        }
+        self.event("replica_stalled", vec![("replica", id.to_string())]);
         Some(id)
     }
 
@@ -496,14 +515,7 @@ impl ShardGroup {
         }
         self.partitioned = true;
         self.record(format!("shard {} partitioned from clients", self.shard));
-        if let Some(t) = &self.telemetry {
-            t.event(
-                "replica",
-                "partitioned",
-                vec![("shard", self.shard.to_string())],
-                TraceContext::none(),
-            );
-        }
+        self.event("partitioned", vec![("shard", self.shard.to_string())]);
         true
     }
 
@@ -514,14 +526,7 @@ impl ShardGroup {
         }
         self.partitioned = false;
         self.record(format!("shard {} partition healed", self.shard));
-        if let Some(t) = &self.telemetry {
-            t.event(
-                "replica",
-                "partition_healed",
-                vec![("shard", self.shard.to_string())],
-                TraceContext::none(),
-            );
-        }
+        self.event("partition_healed", vec![("shard", self.shard.to_string())]);
         true
     }
 
@@ -548,28 +553,8 @@ impl ShardGroup {
         self.slots.push(None);
         let id = self.adopt_replacement(slot, provisioning, &snapshot)?;
         self.write_quorum = self.slots.len() / 2 + 1;
-        for replica in self.slots.iter_mut().flatten().filter(|r| !r.stalled) {
-            replica.epoch = epoch;
-        }
-        self.record(format!(
-            "shard {} scale-up epoch {epoch}: replica {id} admitted, n={} w={}",
-            self.shard,
-            self.slots.len(),
-            self.write_quorum
-        ));
-        if let Some(t) = &self.telemetry {
-            t.event(
-                "replica",
-                "scale_up",
-                vec![
-                    ("shard", self.shard.to_string()),
-                    ("epoch", epoch.to_string()),
-                    ("replicas", self.slots.len().to_string()),
-                ],
-                TraceContext::none(),
-            );
-        }
-        self.update_replication_lag();
+        let change = format!("scale-up epoch {epoch}: replica {id} admitted");
+        self.resized(epoch, "scale_up", &change);
         Ok(id)
     }
 
@@ -610,44 +595,38 @@ impl ShardGroup {
         // Membership change: the epoch fences the drained replica out.
         let epoch = self.counters.increment(&self.epoch_counter);
         self.write_quorum = new_w;
-        let id = removed.map(|mut replica| {
-            replica.enclave.abort("decommissioned (drained)");
-            self.retired_cycles += replica.enclave.memory_view().cycles();
-            self.retired_epc_faults += replica.enclave.memory_view().stats().epc_faults;
-            replica.id
-        });
+        let id = removed.map(|replica| self.retire(replica, "decommissioned (drained)"));
+        let change = match id {
+            Some(id) => {
+                format!("scale-down epoch {epoch}: replica {id} drained and decommissioned")
+            }
+            None => format!("scale-down epoch {epoch}: vacant slot retired"),
+        };
+        self.resized(epoch, "scale_down", &change);
+        Ok(id)
+    }
+
+    /// Finishes a resize at `epoch`: moves every responsive replica to it,
+    /// records `change` with the new size and write quorum, and emits the
+    /// `event`.
+    fn resized(&mut self, epoch: u64, event: &str, change: &str) {
         for replica in self.slots.iter_mut().flatten().filter(|r| !r.stalled) {
             replica.epoch = epoch;
         }
-        match id {
-            Some(id) => self.record(format!(
-                "shard {} scale-down epoch {epoch}: replica {id} drained and \
-                 decommissioned, n={} w={}",
-                self.shard,
-                self.slots.len(),
-                self.write_quorum
-            )),
-            None => self.record(format!(
-                "shard {} scale-down epoch {epoch}: vacant slot retired, n={} w={}",
-                self.shard,
-                self.slots.len(),
-                self.write_quorum
-            )),
-        }
-        if let Some(t) = &self.telemetry {
-            t.event(
-                "replica",
-                "scale_down",
-                vec![
-                    ("shard", self.shard.to_string()),
-                    ("epoch", epoch.to_string()),
-                    ("replicas", self.slots.len().to_string()),
-                ],
-                TraceContext::none(),
-            );
-        }
+        let (shard, n) = (self.shard, self.slots.len());
+        self.record(format!(
+            "shard {shard} {change}, n={n} w={}",
+            self.write_quorum
+        ));
+        self.event(
+            event,
+            vec![
+                ("shard", shard.to_string()),
+                ("epoch", epoch.to_string()),
+                ("replicas", n.to_string()),
+            ],
+        );
         self.update_replication_lag();
-        Ok(id)
     }
 
     /// Repairs every vacant slot: bumps the trusted epoch, streams a
@@ -697,18 +676,14 @@ impl ShardGroup {
         for replica in self.slots.iter_mut().flatten().filter(|r| !r.stalled) {
             replica.epoch = epoch;
         }
-        if let Some(t) = &self.telemetry {
-            t.event(
-                "replica",
-                "failover",
-                vec![
-                    ("shard", self.shard.to_string()),
-                    ("epoch", epoch.to_string()),
-                    ("replaced", replaced.to_string()),
-                ],
-                TraceContext::none(),
-            );
-        }
+        self.event(
+            "failover",
+            vec![
+                ("shard", self.shard.to_string()),
+                ("epoch", epoch.to_string()),
+                ("replaced", replaced.to_string()),
+            ],
+        );
         self.update_replication_lag();
         Ok(replaced)
     }
@@ -899,14 +874,10 @@ impl ShardGroup {
             "replica {id} host storage corrupted: segment {} block {}",
             hit.0, hit.1
         ));
-        if let Some(t) = &self.telemetry {
-            t.event(
-                "replica",
-                "storage_corrupted",
-                vec![("replica", id.to_string()), ("segment", hit.0.to_string())],
-                TraceContext::none(),
-            );
-        }
+        self.event(
+            "storage_corrupted",
+            vec![("replica", id.to_string()), ("segment", hit.0.to_string())],
+        );
         Some(hit)
     }
 
@@ -933,17 +904,13 @@ impl ShardGroup {
             self.record(format!(
                 "replica {id} scrub quarantined segment(s) {quarantined:?}"
             ));
-            if let Some(t) = &self.telemetry {
-                t.event(
-                    "replica",
-                    "storage_quarantined",
-                    vec![
-                        ("replica", id.to_string()),
-                        ("segments", quarantined.len().to_string()),
-                    ],
-                    TraceContext::none(),
-                );
-            }
+            self.event(
+                "storage_quarantined",
+                vec![
+                    ("replica", id.to_string()),
+                    ("segments", quarantined.len().to_string()),
+                ],
+            );
         }
         Ok(quarantined)
     }
@@ -957,9 +924,27 @@ impl ShardGroup {
         self.metrics.replication_lag.set(lag as i64);
     }
 
+    /// Aborts a departing replica's enclave and keeps its cycles and EPC
+    /// faults in the group's totals.
+    fn retire(&mut self, mut replica: Replica, reason: &str) -> ReplicaId {
+        replica.enclave.abort(reason);
+        let memory = replica.enclave.memory_view();
+        self.retired_cycles += memory.cycles();
+        self.retired_epc_faults += memory.stats().epc_faults;
+        replica.id
+    }
+
+    /// Appends one line to the fault injector's trace.
     fn record(&self, line: String) {
         if let Some(injector) = &self.injector {
             injector.record(line);
+        }
+    }
+
+    /// Emits one `replica` telemetry event.
+    fn event(&self, name: &str, args: Vec<(&'static str, String)>) {
+        if let Some(t) = &self.telemetry {
+            t.event("replica", name, args, TraceContext::none());
         }
     }
 
@@ -967,6 +952,15 @@ impl ShardGroup {
     fn force_epoch(&mut self, slot: usize, epoch: u64) {
         if let Some(replica) = self.slots.get_mut(slot).and_then(Option::as_mut) {
             replica.epoch = epoch;
+        }
+    }
+
+    /// Makes `slot`'s sealed tier fail after `writes` more host writes.
+    #[cfg(test)]
+    pub(crate) fn fail_store_after(&mut self, slot: usize, writes: u64) {
+        let replica = self.slots.get_mut(slot).and_then(Option::as_mut);
+        if let Some(engine) = replica.and_then(|r| r.kv.storage_mut()) {
+            engine.fail_after_host_writes(Some(writes));
         }
     }
 }
@@ -1109,6 +1103,32 @@ mod tests {
             ),
             "{err}"
         );
+        // The epoch is checked before any replica applies the write, so the
+        // replicas ahead of the stale one did not take it either.
+        let versions = g.replica_versions();
+        assert!(versions.windows(2).all(|w| w[0] == w[1]), "{versions:?}");
+    }
+
+    #[test]
+    fn a_refused_write_retires_the_replica_and_keeps_one_history() {
+        let (mut g, mut prov, _counters) = tiered_group();
+        g.put(b"before", b"refusal").unwrap();
+        g.fail_store_after(1, 0);
+        // Slot 1's store refuses; slots 0 and 2 still apply the write, which
+        // meets the write quorum of 2.
+        g.put(b"k", b"v").unwrap();
+        let slots: Vec<u32> = g.live_replica_ids().iter().map(|id| id.slot).collect();
+        assert_eq!(slots, vec![0, 2], "the refusing replica was retired");
+        let versions = g.replica_versions();
+        assert!(versions.windows(2).all(|w| w[0] == w[1]), "{versions:?}");
+        assert_eq!(g.failover(&mut prov).unwrap(), 1);
+        assert_eq!(g.live(), 3);
+        for replica in g.slots.iter_mut().flatten() {
+            let value = replica
+                .call(|kv, mem| Ok(kv.try_get_ref(mem, b"k")?.map(<[u8]>::to_vec)))
+                .unwrap();
+            assert_eq!(value, Some(b"v".to_vec()), "{}", replica.id);
+        }
     }
 
     #[test]
