@@ -118,7 +118,7 @@ pub fn run_point(db_mb: u64, publications: usize, telemetry: Option<&Telemetry>)
             MemoryGeometry::sgx_v1(),
             CostModel::sgx_v1(),
             enclave,
-            Layout::ArrivalOrder,
+            Layout::Inline,
             telemetry,
         )
     };
@@ -197,8 +197,9 @@ pub struct OptimisedPoint {
     pub faults_per_pub: u64,
 }
 
-/// E8: the paper's future-work directions quantified — a topic-clustered
-/// arena layout ("optimise our data structures to avoid paging") and a
+/// E8: the paper's future-work directions quantified — match records
+/// stored apart from the payloads ("optimise our data structures to avoid
+/// paging", [`Layout::Split`]) and a
 /// larger-EPC platform (SGX2-class hardware) — against the measured
 /// baseline, at one past-EPC database size.
 #[must_use]
@@ -220,28 +221,24 @@ pub fn optimisations(db_mb: u64, publications: usize) -> Vec<OptimisedPoint> {
     };
     // Each variant is compared against a native run on the *same*
     // geometry, so larger-LLC platforms do not skew the ratio.
-    let native_v1 = run(MemoryGeometry::sgx_v1(), false, Layout::ArrivalOrder);
-    let native_v2 = run(MemoryGeometry::sgx_v2(), false, Layout::ArrivalOrder);
+    let native_v1 = run(MemoryGeometry::sgx_v1(), false, Layout::Inline);
+    let native_v2 = run(MemoryGeometry::sgx_v2(), false, Layout::Inline);
     let variants: Vec<(&'static str, MemoryGeometry, Layout)> = vec![
         (
-            "baseline (arrival order, SGX1)",
+            "baseline (inline, SGX1)",
             MemoryGeometry::sgx_v1(),
-            Layout::ArrivalOrder,
+            Layout::Inline,
         ),
         (
-            "clustered layout, SGX1",
+            "split layout, SGX1",
             MemoryGeometry::sgx_v1(),
-            Layout::Clustered("topic".into()),
+            Layout::Split,
         ),
+        ("inline, SGX2 EPC", MemoryGeometry::sgx_v2(), Layout::Inline),
         (
-            "arrival order, SGX2 EPC",
+            "split layout, SGX2 EPC",
             MemoryGeometry::sgx_v2(),
-            Layout::ArrivalOrder,
-        ),
-        (
-            "clustered layout, SGX2 EPC",
-            MemoryGeometry::sgx_v2(),
-            Layout::Clustered("topic".into()),
+            Layout::Split,
         ),
     ];
     variants

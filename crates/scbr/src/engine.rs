@@ -6,39 +6,37 @@
 //! a native-domain and an enclave-domain simulator is how benchmark E1
 //! regenerates the paper's Figure 3.
 //!
-//! Two [`Layout`] policies are available. [`Layout::ArrivalOrder`] packs
-//! subscriptions in arrival order — a topic's subscribers end up scattered
-//! across the whole arena, so a matching pass touches many pages.
-//! [`Layout::Clustered`] implements the paper's stated future work ("we
-//! intend to optimise our data structures to avoid paging and cache
-//! misses"): subscriptions sharing an equality value on the cluster
-//! attribute are packed into dedicated chunks, so a matching pass touches
-//! a compact page range. Benchmark E8 quantifies the effect.
+//! Two [`Layout`] policies are available. [`Layout::Inline`] stores each
+//! subscription's record in one piece, in arrival order: the baseline the
+//! paper measured, and what [`MatchEngine::new`] builds. [`Layout::Split`]
+//! implements the paper's stated future work ("we intend to optimise our
+//! data structures to avoid paging and cache misses"): it stores each
+//! subscription's *match record* (header and predicates) densely in
+//! arrival order and its payload, which matching never reads, in an arena
+//! of its own, so the pages a matching pass touches hold only match
+//! records. The sealed router builds its engine with it. Benchmark E8
+//! quantifies the effect.
 
 use crate::index::{MatchScratch, SubscriptionIndex};
 use crate::notify::PublicationRef;
-use crate::types::{Op, Publication, SubId, Subscription, Value};
+use crate::types::{Publication, SubId, Subscription};
 use securecloud_crypto::wire::Wire;
 use securecloud_sgx::mem::{Arena, MemorySim};
 use securecloud_telemetry::Telemetry;
-use std::collections::HashMap;
 
 /// Arena chunk size: subscriptions are packed into these.
 const ARENA_CHUNK_BYTES: u64 = 1 << 20;
 
-/// Per-cluster arena chunk size (smaller, to bound waste across many
-/// clusters).
-const CLUSTER_CHUNK_BYTES: u64 = 128 << 10;
-
 /// Memory layout policy for the subscription arena.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Layout {
-    /// Pack subscriptions in arrival order (the baseline the paper
-    /// measured).
-    ArrivalOrder,
-    /// Pack subscriptions clustered by their equality predicate on the
-    /// given attribute (the paper's proposed paging optimisation).
-    Clustered(String),
+    /// Each subscription's record, payload included, in one piece in
+    /// arrival order (the baseline the paper measured).
+    Inline,
+    /// Match records in arrival order in one arena, payloads in a second
+    /// one; a subscription without a payload is laid out as under
+    /// [`Layout::Inline`].
+    Split,
 }
 
 /// Bytes of a node actually read while evaluating its predicates (header +
@@ -70,25 +68,20 @@ securecloud_telemetry::metric_set! {
 pub struct MatchEngine<I> {
     index: I,
     layout: Layout,
+    /// Match records (whole records under [`Layout::Inline`]).
     arena: Arena,
-    cluster_arenas: HashMap<ClusterKey, Arena>,
+    /// Payloads under [`Layout::Split`].
+    payloads: Arena,
     db_bytes: u64,
     next_id: u64,
     metrics: EngineMetrics,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum ClusterKey {
-    Int(i64),
-    Str(String),
-    General,
-}
-
 impl<I: SubscriptionIndex> MatchEngine<I> {
-    /// Creates an engine over `index` with arrival-order layout.
+    /// Creates an engine over `index` with the [`Layout::Inline`] baseline.
     #[must_use]
     pub fn new(index: I) -> Self {
-        Self::with_layout(index, Layout::ArrivalOrder)
+        Self::with_layout(index, Layout::Inline)
     }
 
     /// Creates an engine with an explicit arena [`Layout`].
@@ -98,7 +91,7 @@ impl<I: SubscriptionIndex> MatchEngine<I> {
             index,
             layout,
             arena: Arena::new(ARENA_CHUNK_BYTES),
-            cluster_arenas: HashMap::new(),
+            payloads: Arena::new(ARENA_CHUNK_BYTES),
             db_bytes: 0,
             next_id: 0,
             metrics: EngineMetrics::default(),
@@ -111,22 +104,6 @@ impl<I: SubscriptionIndex> MatchEngine<I> {
     pub fn set_telemetry(&mut self, telemetry: &Telemetry, domain: &str) {
         self.metrics
             .adopt_into(telemetry.registry(), &[("domain", domain)]);
-    }
-
-    fn cluster_key(&self, sub: &Subscription) -> ClusterKey {
-        let Layout::Clustered(attr) = &self.layout else {
-            return ClusterKey::General;
-        };
-        for p in &sub.predicates {
-            if &p.attr == attr && p.op == Op::Eq {
-                match &p.value {
-                    Value::Int(v) => return ClusterKey::Int(*v),
-                    Value::Str(s) => return ClusterKey::Str(s.clone()),
-                    Value::Float(_) => {}
-                }
-            }
-        }
-        ClusterKey::General
     }
 
     /// The subscription database footprint in bytes.
@@ -153,18 +130,21 @@ impl<I: SubscriptionIndex> MatchEngine<I> {
         self.metrics.snapshot()
     }
 
-    /// Stores a subscription, charging the write into the arena.
-    pub fn subscribe(&mut self, mem: &mut MemorySim, sub: Subscription) -> SubId {
+    /// Stores a subscription, charging the write of every byte of it into
+    /// the arenas. Under [`Layout::Split`] the index keeps the match record
+    /// only, so a visit reads at most that record.
+    pub fn subscribe(&mut self, mem: &mut MemorySim, mut sub: Subscription) -> SubId {
         let bytes = sub.footprint() as u64;
-        let arena = match self.layout {
-            Layout::ArrivalOrder => &mut self.arena,
-            Layout::Clustered(_) => self
-                .cluster_arenas
-                .entry(self.cluster_key(&sub))
-                .or_insert_with(|| Arena::new(CLUSTER_CHUNK_BYTES)),
+        let payload = match self.layout {
+            Layout::Inline => 0,
+            Layout::Split => std::mem::take(&mut sub.payload).len() as u64,
         };
-        let offset = arena.alloc(mem, bytes);
-        mem.touch(offset, bytes as usize);
+        let offset = self.arena.alloc(mem, bytes - payload);
+        mem.touch(offset, (bytes - payload) as usize);
+        if payload > 0 {
+            let at = self.payloads.alloc(mem, payload);
+            mem.touch(at, payload as usize);
+        }
         mem.charge_ops(sub.predicates.len() as u64 + 4);
         self.db_bytes += bytes;
         let id = SubId(self.next_id);
@@ -300,37 +280,23 @@ mod tests {
     }
 
     #[test]
-    fn clustered_layout_matches_same_results() {
-        let mut mem_a = native_mem();
-        let mut mem_b = native_mem();
-        let mut arrival = MatchEngine::new(PosetIndex::with_partition_attr("topic"));
-        let mut clustered = MatchEngine::with_layout(
-            PosetIndex::with_partition_attr("topic"),
-            Layout::Clustered("topic".into()),
+    fn split_layout_matches_inline() {
+        let (inline_stats, inline) = replay_fixed_trace(&mut native_mem(), Layout::Inline);
+        let (split_stats, split) = replay_fixed_trace(&mut native_mem(), Layout::Split);
+        assert_eq!(
+            split, inline,
+            "layout must not change matches or their order"
         );
-        for i in 0..300 {
-            arrival.subscribe(&mut mem_a, sub(i % 7, i));
-            clustered.subscribe(&mut mem_b, sub(i % 7, i));
-        }
-        for v in [5i64, 100, 250] {
-            let p = Publication::new()
-                .with("topic", Value::Int(2))
-                .with("v", Value::Int(v));
-            let mut a = arrival.publish(&mut mem_a, &p);
-            let mut b = clustered.publish(&mut mem_b, &p);
-            a.sort();
-            b.sort();
-            assert_eq!(a, b, "layout must not change matching semantics");
-        }
+        assert_eq!(split_stats, inline_stats);
     }
 
     #[test]
     fn oversized_subscription_gets_a_region_of_its_own() {
-        for layout in [Layout::ArrivalOrder, Layout::Clustered("topic".into())] {
+        for layout in [Layout::Inline, Layout::Split] {
             let mut mem = native_mem();
             let mut engine =
-                MatchEngine::with_layout(PosetIndex::with_partition_attr("topic"), layout.clone());
-            // 1.5 MiB: larger than a chunk of either layout.
+                MatchEngine::with_layout(PosetIndex::with_partition_attr("topic"), layout);
+            // 1.5 MiB: larger than a chunk (of the payload arena when split).
             engine.subscribe(&mut mem, sub(1, 0).with_payload(vec![0u8; 3 << 19]));
             engine.subscribe(&mut mem, sub(1, 5));
             let p = Publication::new()
@@ -358,9 +324,9 @@ mod tests {
     }
 
     #[test]
-    fn clustered_layout_reduces_epc_faults() {
-        // A DB larger than a tiny EPC: matching one topic touches scattered
-        // pages under arrival order but a compact range under clustering.
+    fn split_layout_cuts_epc_faults() {
+        // A DB larger than a tiny EPC whose match records alone fit it:
+        // matching pages under the inline layout and not once split.
         let geometry = securecloud_sgx::costs::MemoryGeometry {
             line_bytes: 64,
             llc_bytes: 64 << 10,
@@ -372,8 +338,8 @@ mod tests {
             let mut mem = MemorySim::enclave(geometry, CostModel::sgx_v1());
             let mut engine =
                 MatchEngine::with_layout(PosetIndex::with_partition_attr("topic"), layout);
-            for i in 0..8_000i64 {
-                engine.subscribe(&mut mem, sub(i % 16, i));
+            for i in 0..5_000i64 {
+                engine.subscribe(&mut mem, sub(i % 16, i).with_payload(vec![0u8; 256]));
             }
             // High values match (and therefore traverse) the entire
             // containment chain of the topic.
@@ -393,23 +359,23 @@ mod tests {
             }
             mem.stats().epc_faults
         };
-        let arrival_faults = run(Layout::ArrivalOrder);
-        let clustered_faults = run(Layout::Clustered("topic".into()));
+        let inline_faults = run(Layout::Inline);
+        let split_faults = run(Layout::Split);
         assert!(
-            clustered_faults * 3 < arrival_faults,
-            "clustering should cut faults: arrival {arrival_faults}, clustered {clustered_faults}"
+            split_faults * 10 < inline_faults,
+            "splitting should cut faults: inline {inline_faults}, split {split_faults}"
         );
     }
 
     /// 2 000 subscriptions (fig3 database plus string-keyed, float and
     /// general-group ones) and 64 publications (fig3 stream plus string
     /// topics, unmatched topics and publications without a topic, which
-    /// visit every group). Returns an FNV-1a digest of the match lists in
-    /// the order `publish` returned them.
-    fn replay_fixed_trace(mem: &mut MemorySim) -> (EngineStats, u64) {
+    /// visit every group), under `layout`. Returns the match lists in the
+    /// order `publish` returned them.
+    fn replay_fixed_trace(mem: &mut MemorySim, layout: Layout) -> (EngineStats, Vec<Vec<SubId>>) {
         use crate::workload::WorkloadSpec;
         let spec = WorkloadSpec::fig3();
-        let mut engine = MatchEngine::new(PosetIndex::with_partition_attr("topic"));
+        let mut engine = MatchEngine::with_layout(PosetIndex::with_partition_attr("topic"), layout);
         for (i, s) in spec.subscriptions(1_900).into_iter().enumerate() {
             engine.subscribe(mem, s);
             if i % 19 != 0 {
@@ -448,14 +414,55 @@ mod tests {
                 _ => base.with("topic", Value::Int(1_000 + i)),
             });
         }
+        let matches = publications
+            .iter()
+            .map(|publication| engine.publish(mem, publication))
+            .collect();
+        (engine.stats(), matches)
+    }
+
+    /// FNV-1a over the match lists, each closed by a `u64::MAX` marker.
+    fn match_digest(matches: &[Vec<SubId>]) -> u64 {
         let mut digest = 0xcbf2_9ce4_8422_2325u64;
-        for publication in &publications {
-            for id in engine.publish(mem, publication) {
+        for ids in matches {
+            for id in ids {
                 digest = (digest ^ id.0).wrapping_mul(0x0000_0100_0000_01b3);
             }
             digest = (digest ^ u64::MAX).wrapping_mul(0x0000_0100_0000_01b3);
         }
-        (engine.stats(), digest)
+        digest
+    }
+
+    /// Replays the fixed trace under `layout` on a geometry whose usable EPC
+    /// (384 KiB) is below the ~570 KiB database, and checks the pinned
+    /// charges of the native and the enclave run. The engine counters and
+    /// the match order are the same under every layout.
+    fn check_fixed_trace(layout: Layout, native: (u64, MemStats), enclave: (u64, MemStats)) {
+        let geometry = MemoryGeometry {
+            line_bytes: 64,
+            llc_bytes: 64 << 10,
+            page_bytes: 4096,
+            epc_total_bytes: 512 << 10,
+            epc_reserved_bytes: 128 << 10,
+        };
+        for (mut mem, (cycles, mem_stats)) in [
+            (MemorySim::native(geometry, CostModel::sgx_v1()), native),
+            (MemorySim::enclave(geometry, CostModel::sgx_v1()), enclave),
+        ] {
+            let (engine_stats, matches) = replay_fixed_trace(&mut mem, layout);
+            assert_eq!(
+                engine_stats,
+                EngineStats {
+                    publications: 64,
+                    matches: 1_222,
+                    nodes_visited: 4_571,
+                    predicates_evaluated: 7_535,
+                }
+            );
+            assert_eq!(match_digest(&matches), 0x39be_76c8_37b5_ed16, "match order");
+            assert_eq!(mem.cycles(), cycles, "{layout:?}");
+            assert_eq!(mem.stats(), mem_stats, "{layout:?}");
+        }
     }
 
     /// Zero-drift pin: simulated charges, engine counters and match order of
@@ -464,14 +471,6 @@ mod tests {
     /// a change to the cost model or to the traversal order.
     #[test]
     fn fixed_trace_charges_are_pinned() {
-        // Usable EPC (384 KiB) below the ~570 KiB database, so matching pages.
-        let geometry = MemoryGeometry {
-            line_bytes: 64,
-            llc_bytes: 64 << 10,
-            page_bytes: 4096,
-            epc_total_bytes: 512 << 10,
-            epc_reserved_bytes: 128 << 10,
-        };
         let pin = |epc_faults, epc_evictions| MemStats {
             line_accesses: 25_504,
             cache_hits: 6_586,
@@ -482,32 +481,33 @@ mod tests {
             bytes_allocated: 1 << 20,
             ..MemStats::default()
         };
-        for (mut mem, cycles, mem_stats) in [
-            (
-                MemorySim::native(geometry, CostModel::sgx_v1()),
-                4_716_208,
-                pin(0, 0),
-            ),
-            (
-                MemorySim::enclave(geometry, CostModel::sgx_v1()),
-                38_081_608,
-                pin(1_420, 1_324),
-            ),
-        ] {
-            let (engine_stats, digest) = replay_fixed_trace(&mut mem);
-            assert_eq!(
-                engine_stats,
-                EngineStats {
-                    publications: 64,
-                    matches: 1_222,
-                    nodes_visited: 4_571,
-                    predicates_evaluated: 7_535,
-                }
-            );
-            assert_eq!(digest, 0x39be_76c8_37b5_ed16, "match order");
-            assert_eq!(mem.cycles(), cycles);
-            assert_eq!(mem.stats(), mem_stats);
-        }
+        check_fixed_trace(
+            Layout::Inline,
+            (4_716_208, pin(0, 0)),
+            (38_081_608, pin(1_420, 1_324)),
+        );
+    }
+
+    /// The same trace under [`Layout::Split`], captured when the layout was
+    /// added: the same visits, over match records packed apart from the
+    /// payloads, fault on about a seventh of the pages in the enclave.
+    #[test]
+    fn split_fixed_trace_charges_are_pinned() {
+        let pin = |epc_faults, epc_evictions| MemStats {
+            line_accesses: 26_048,
+            cache_hits: 7_951,
+            llc_misses: 18_097,
+            epc_faults,
+            epc_evictions,
+            compute_ops: 21_998,
+            bytes_allocated: 2 << 20,
+            ..MemStats::default()
+        };
+        check_fixed_trace(
+            Layout::Split,
+            (4_562_928, pin(0, 0)),
+            (13_794_528, pin(195, 99)),
+        );
     }
 
     #[test]

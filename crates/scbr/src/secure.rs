@@ -7,7 +7,7 @@
 //! publications; the router decrypts them only inside the enclave, matches,
 //! and re-encrypts notifications per subscriber.
 
-use crate::engine::MatchEngine;
+use crate::engine::{Layout, MatchEngine};
 use crate::index::{MatchScratch, PosetIndex};
 use crate::notify::{Notifications, PublicationRef};
 use crate::types::{Publication, SubId, Subscription};
@@ -84,7 +84,9 @@ impl std::fmt::Debug for SecureRouter {
 
 impl SecureRouter {
     /// Creates a router inside `enclave`, partitioning its index on
-    /// `partition_attr` if given.
+    /// `partition_attr` if given. Its engine keeps subscription payloads
+    /// apart from the match records ([`Layout::Split`]): fan-out reads
+    /// `owners`, never a payload.
     #[must_use]
     pub fn new(enclave: Enclave, partition_attr: Option<&str>) -> Self {
         let (secret, public) = x25519::keypair();
@@ -94,7 +96,7 @@ impl SecureRouter {
         };
         SecureRouter {
             enclave,
-            engine: MatchEngine::new(index),
+            engine: MatchEngine::with_layout(index, Layout::Split),
             secret,
             public,
             clients: HashMap::new(),

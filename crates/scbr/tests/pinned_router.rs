@@ -135,7 +135,7 @@ fn run(switchless: bool) -> Outcome {
 /// The call plane changes the transition charges and nothing else.
 #[test]
 fn router_charges_and_deliveries_are_pinned_on_both_call_planes() {
-    for (switchless, cycles) in [(false, 266_179_674), (true, 265_046_714)] {
+    for (switchless, cycles) in [(false, 84_895_546), (true, 83_762_586)] {
         let want = Outcome {
             cycles,
             engine: EngineStats {
@@ -145,11 +145,11 @@ fn router_charges_and_deliveries_are_pinned_on_both_call_planes() {
                 predicates_evaluated: 69_160,
             },
             mem: MemStats {
-                line_accesses: 136_186,
-                cache_hits: 34_706,
-                llc_misses: 101_480,
-                epc_faults: 10_321,
-                epc_evictions: 9_937,
+                line_accesses: 139_953,
+                cache_hits: 44_940,
+                llc_misses: 95_013,
+                epc_faults: 1_186,
+                epc_evictions: 802,
                 compute_ops: 140_101,
                 bytes_allocated: 4 << 20,
                 ..MemStats::default()
