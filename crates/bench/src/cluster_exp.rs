@@ -18,6 +18,7 @@ use securecloud::cluster::ScalingPolicy;
 use securecloud::eventbus::bus::METRIC_BACKPRESSURED;
 use securecloud::faults::{FaultInjector, FaultKind, FaultPlan};
 use securecloud::replica::{ReplicaConfig, ReplicationFactor, WriteQuorum};
+use securecloud::telemetry::{fnv1a, FNV_OFFSET};
 use securecloud::SecureCloud;
 use std::sync::Arc;
 
@@ -101,18 +102,6 @@ pub struct ClusterPoint {
     /// The full decision trace — the byte-identical determinism
     /// artifact (digested as `trace_fnv` in the JSON report).
     pub decision_trace: String,
-}
-
-/// FNV-1a digest of a decision trace, recorded so two report files can
-/// be compared for determinism without shipping the full traces.
-#[must_use]
-pub fn trace_fnv(trace: &str) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for byte in trace.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// The seeded fault schedule: kills aimed at the very replicas the load
@@ -312,8 +301,12 @@ pub fn report(ctx: &Ctx) -> Vec<Report> {
                 List(p.epochs.iter().map(|&e| e.into()).collect())
             }),
             Column::new("decisions", 9, |p| p.decisions.into()),
-            Column::table("trace fnv", 18, |p| Hex(trace_fnv(&p.decision_trace))),
-            Column::json("trace_fnv", |p| trace_fnv(&p.decision_trace).into()),
+            Column::table("trace fnv", 18, |p| {
+                Hex(fnv1a(FNV_OFFSET, p.decision_trace.as_bytes()))
+            }),
+            Column::json("trace_fnv", |p| {
+                fnv1a(FNV_OFFSET, p.decision_trace.as_bytes()).into()
+            }),
         ],
     );
     vec![Report {

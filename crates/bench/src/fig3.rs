@@ -203,7 +203,7 @@ pub struct OptimisedPoint {
 /// larger-EPC platform (SGX2-class hardware) — against the measured
 /// baseline, at one past-EPC database size.
 #[must_use]
-pub fn optimisations(db_mb: u64, publications: usize) -> Vec<OptimisedPoint> {
+fn optimisations(db_mb: u64, publications: usize) -> Vec<OptimisedPoint> {
     let spec = WorkloadSpec::fig3();
     let costs = CostModel::sgx_v1();
     let run = |geometry: MemoryGeometry, enclave: bool, layout: Layout| {
@@ -297,7 +297,7 @@ pub struct CacheRegime {
 /// inside the EPC but beyond the LLC (MEE overhead only — "limited"), and
 /// one beyond the EPC (paging — "more critical").
 #[must_use]
-pub fn cache_vs_swap(publications: usize) -> Vec<CacheRegime> {
+fn cache_vs_swap(publications: usize) -> Vec<CacheRegime> {
     [
         ("fits LLC", 4u64),
         ("fits EPC, misses LLC", 48),

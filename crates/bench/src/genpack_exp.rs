@@ -137,7 +137,7 @@ pub struct ChurnPoint {
 
 /// Sweeps churn rates at a fixed cluster size.
 #[must_use]
-pub fn churn_sweep(churns: &[f64], servers: usize, hours: u64) -> Vec<ChurnPoint> {
+fn churn_sweep(churns: &[f64], servers: usize, hours: u64) -> Vec<ChurnPoint> {
     churns
         .iter()
         .map(|&churn_per_hour| {

@@ -99,7 +99,7 @@ pub fn sweep(sub_counts: &[usize], publications: usize) -> Vec<IndexPoint> {
 /// publication for naive vs poset *without* topic partitioning, isolating
 /// the containment effect itself.
 #[must_use]
-pub fn containment_heavy_point(chains: usize, depth: usize, publications: usize) -> (u64, u64) {
+fn containment_heavy_point(chains: usize, depth: usize, publications: usize) -> (u64, u64) {
     let mut database = Vec::new();
     for chain in 0..chains {
         let base = (chain as i64) * 1000;

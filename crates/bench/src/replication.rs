@@ -188,7 +188,7 @@ pub struct FailoverStreamComparison {
 impl FailoverStreamComparison {
     /// whole / incremental stream-size ratio.
     #[must_use]
-    pub fn shrink_factor(&self) -> f64 {
+    fn shrink_factor(&self) -> f64 {
         self.whole_bytes as f64 / self.incremental_bytes.max(1) as f64
     }
 }
@@ -196,7 +196,7 @@ impl FailoverStreamComparison {
 /// Runs the same kill-plus-failover against an in-memory and a tiered
 /// single-shard deployment and compares the bytes each streamed.
 #[must_use]
-pub fn failover_stream_comparison(workload: &ReplicationWorkload) -> FailoverStreamComparison {
+fn failover_stream_comparison(workload: &ReplicationWorkload) -> FailoverStreamComparison {
     let streamed = |storage: Option<StorageConfig>| -> u64 {
         let config = ReplicaConfig {
             shards: 1,

@@ -3,7 +3,7 @@
 //! An experiment declares a [`Report`] once — heading, summary lines, meta
 //! key–values, and one [`Column`] list that says, per column, what the
 //! console table shows and what the JSON row records — and both outputs
-//! derive from that declaration: [`Report::to_text`] is the table recorded
+//! derive from that declaration: `Report::to_text` is the table recorded
 //! in EXPERIMENTS.md, [`Report::to_json`] the `BENCH_<name>.json` document
 //! CI compares against the baselines committed at the repository root.
 //! JSON is hand-rendered (the workspace carries no serde) and, for the
@@ -241,7 +241,7 @@ impl Report {
     /// The console rendering: heading, summary, the table over the columns
     /// that have a header, and footer, each followed by a blank line.
     #[must_use]
-    pub fn to_text(&self) -> String {
+    fn to_text(&self) -> String {
         let mut out = format!("{}\n\n", self.heading);
         if !self.summary.is_empty() {
             let _ = write!(out, "{}\n\n", self.summary);

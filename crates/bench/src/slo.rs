@@ -19,7 +19,6 @@
 //! streams at any `--jobs N` (pinned by `tests/parallel_determinism.rs`
 //! and the recorded `*_fnv` digests in `BENCH_slo.json`).
 
-use crate::cluster_exp::trace_fnv;
 use securecloud::cluster::ScalingPolicy;
 use securecloud::containers::build::SecureImageBuilder;
 use securecloud::containers::engine::{RestartPolicy, SupervisionConfig};
@@ -28,7 +27,7 @@ use securecloud::eventbus::service::{MicroService, ServiceCtx};
 use securecloud::faults::{FaultInjector, FaultKind, FaultPlan};
 use securecloud::replica::{ReplicaConfig, ReplicationFactor, WriteQuorum};
 use securecloud::scbr::types::{Publication, Subscription};
-use securecloud::telemetry::{CategoryAttribution, SloEngine, SloSpec};
+use securecloud::telemetry::{fnv1a, CategoryAttribution, SloEngine, SloSpec, FNV_OFFSET};
 use securecloud::SecureCloud;
 use std::sync::Arc;
 
@@ -306,7 +305,7 @@ fn run_cell(seed: u64, config: &SloConfig) -> SloPoint {
     }
 
     let report = telemetry.critical_path();
-    let trace_events_fnv = trace_fnv(&telemetry.trace_jsonl());
+    let trace_events_fnv = fnv1a(FNV_OFFSET, telemetry.trace_jsonl().as_bytes());
     let alerts = cloud
         .cluster_controller()
         .expect("controller attached")
@@ -393,7 +392,7 @@ impl SloReport {
     /// The concatenated critical-path reports and alert streams, one
     /// section per seed — the human-readable artifact CI uploads.
     #[must_use]
-    pub fn critical_path_document(&self) -> String {
+    fn critical_path_document(&self) -> String {
         let mut out = String::new();
         for p in &self.points {
             out.push_str(&format!("== seed {:#x} ==\n", p.seed));
@@ -440,10 +439,14 @@ fn declare(swept: &SloReport) -> Report {
             Column::table("traces", 7, |p| p.traces.into()),
             Column::new("decisions", 9, |p| p.decisions.into()),
             Column::json("critical_path_fnv", |p| {
-                trace_fnv(&p.critical_path_text).into()
+                fnv1a(FNV_OFFSET, p.critical_path_text.as_bytes()).into()
             }),
-            Column::json("alert_fnv", |p| trace_fnv(&p.alert_stream).into()),
-            Column::json("decision_fnv", |p| trace_fnv(&p.decision_trace).into()),
+            Column::json("alert_fnv", |p| {
+                fnv1a(FNV_OFFSET, p.alert_stream.as_bytes()).into()
+            }),
+            Column::json("decision_fnv", |p| {
+                fnv1a(FNV_OFFSET, p.decision_trace.as_bytes()).into()
+            }),
             Column::table("trace fnv", 18, |p| Hex(p.trace_events_fnv)),
             Column::json("trace_events_fnv", |p| p.trace_events_fnv.into()),
             Column::json("categories", |p| {

@@ -139,7 +139,7 @@ pub struct WindowPoint {
 
 /// Sweeps the async in-flight window for 64-byte writes.
 #[must_use]
-pub fn window_sweep(windows: &[usize], calls: usize) -> Vec<WindowPoint> {
+fn window_sweep(windows: &[usize], calls: usize) -> Vec<WindowPoint> {
     let point = |&window: &usize| {
         let mut shield = Shield::threaded(Arc::new(MemHost::new()));
         let mut mem = enclave_mem();

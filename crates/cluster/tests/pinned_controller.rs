@@ -26,7 +26,7 @@ use securecloud_faults::FaultInjector;
 use securecloud_kvstore::CounterService;
 use securecloud_replica::{ReplicaConfig, ReplicatedKv, ReplicationFactor, ShardId, WriteQuorum};
 use securecloud_sgx::enclave::Platform;
-use securecloud_telemetry::Telemetry;
+use securecloud_telemetry::{fnv1a, Telemetry, FNV_OFFSET};
 use std::sync::Arc;
 
 const TICK_MS: u64 = 700;
@@ -34,12 +34,7 @@ const TICKS: u64 = 48;
 
 /// Length and FNV-1a digest of a text artifact.
 fn digest(text: &str) -> (usize, u64) {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for byte in text.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (text.len(), hash)
+    (text.len(), fnv1a(FNV_OFFSET, text.as_bytes()))
 }
 
 /// Everything the scripted run leaves behind.

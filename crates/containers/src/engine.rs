@@ -148,7 +148,7 @@ impl Container {
 
     /// Whether this container hosts an enclave.
     #[must_use]
-    pub fn is_secure(&self) -> bool {
+    fn is_secure(&self) -> bool {
         self.runtime.is_some()
     }
 
@@ -173,18 +173,6 @@ impl Container {
     #[must_use]
     pub fn restarts(&self) -> u32 {
         self.restarts
-    }
-
-    /// Virtual time of the next scheduled restart, while in backoff.
-    #[must_use]
-    pub fn restart_due_ms(&self) -> Option<u64> {
-        self.restart_due_ms
-    }
-
-    /// The most recent fault that took this container down.
-    #[must_use]
-    pub fn last_fault(&self) -> Option<&str> {
-        self.last_fault.as_deref()
     }
 
     /// Resource usage snapshot.
@@ -427,16 +415,6 @@ impl Engine {
         }
     }
 
-    /// Creates and starts a container by `name:tag`.
-    ///
-    /// # Errors
-    ///
-    /// See [`Engine::run`].
-    pub fn run_by_reference(&mut self, reference: &str) -> Result<ContainerId, ContainerError> {
-        let id = self.registry.resolve(reference)?;
-        self.run(id)
-    }
-
     /// Stops a container administratively. For secure containers the
     /// enclave is destroyed. No restart is scheduled, whatever the policy.
     ///
@@ -677,14 +655,6 @@ impl Engine {
         self.containers.get_mut(&id)
     }
 
-    /// Ids of all managed containers.
-    #[must_use]
-    pub fn container_ids(&self) -> Vec<ContainerId> {
-        let mut ids: Vec<_> = self.containers.keys().copied().collect();
-        ids.sort_by_key(|id| id.0);
-        ids
-    }
-
     /// The engine's platform (for attestation wiring in tests).
     #[must_use]
     pub fn platform(&self) -> &Platform {
@@ -790,10 +760,6 @@ mod tests {
             Err(ContainerError::ImageNotFound(_))
         ));
         assert!(matches!(
-            engine.run_by_reference("ghost:latest"),
-            Err(ContainerError::ImageNotFound(_))
-        ));
-        assert!(matches!(
             engine.stop(ContainerId(404)),
             Err(ContainerError::ContainerNotFound(_))
         ));
@@ -838,7 +804,9 @@ mod tests {
         let image_id = engine.deploy(built_image());
         let a = engine.run(image_id).unwrap();
         let b = engine.run(image_id).unwrap();
-        assert_eq!(engine.container_ids(), vec![a, b]);
+        let mut ids: Vec<_> = engine.containers.keys().copied().collect();
+        ids.sort_by_key(|id| id.0);
+        assert_eq!(ids, vec![a, b]);
     }
 
     fn supervised(policy: RestartPolicy) -> SupervisionConfig {
@@ -859,7 +827,7 @@ mod tests {
         engine.abort(cid, "machine fault").unwrap();
         let container = engine.container(cid).unwrap();
         assert_eq!(container.health(), ContainerHealth::Failed);
-        assert_eq!(container.last_fault(), Some("machine fault"));
+        assert_eq!(container.last_fault.as_deref(), Some("machine fault"));
         engine.advance(1_000_000);
         assert_eq!(
             engine.container(cid).unwrap().state(),
@@ -883,7 +851,7 @@ mod tests {
         {
             let container = engine.container_mut(cid).unwrap();
             assert_eq!(container.health(), ContainerHealth::Backoff);
-            assert_eq!(container.restart_due_ms(), Some(100), "base backoff");
+            assert_eq!(container.restart_due_ms, Some(100), "base backoff");
             let runtime = container.runtime_mut().unwrap();
             assert!(runtime.enclave().is_aborted());
         }
@@ -923,7 +891,7 @@ mod tests {
             engine.abort(cid, "crash loop").unwrap();
             let container = engine.container(cid).unwrap();
             assert_eq!(container.health(), ContainerHealth::Backoff);
-            let due = container.restart_due_ms().unwrap();
+            let due = container.restart_due_ms.unwrap();
             expected_delays.push(due - engine.now_ms());
             engine.advance(due - engine.now_ms());
             assert_eq!(
@@ -937,7 +905,7 @@ mod tests {
         engine.abort(cid, "crash loop").unwrap();
         let container = engine.container(cid).unwrap();
         assert_eq!(container.health(), ContainerHealth::Quarantined);
-        assert_eq!(container.restart_due_ms(), None);
+        assert_eq!(container.restart_due_ms, None);
         engine.advance(1_000_000);
         assert_eq!(
             engine.container(cid).unwrap().health(),
@@ -961,7 +929,7 @@ mod tests {
             let mut delays = Vec::new();
             for _ in 0..4 {
                 engine.abort(cid, "x").unwrap();
-                let due = engine.container(cid).unwrap().restart_due_ms().unwrap();
+                let due = engine.container(cid).unwrap().restart_due_ms.unwrap();
                 delays.push(due - engine.now_ms());
                 engine.advance(due - engine.now_ms());
             }
@@ -990,7 +958,7 @@ mod tests {
             .unwrap();
         let cause = telemetry.mint_root();
         engine.abort_traced(cid, "injected fault", cause).unwrap();
-        let due = engine.container(cid).unwrap().restart_due_ms().unwrap();
+        let due = engine.container(cid).unwrap().restart_due_ms.unwrap();
         engine.advance(due - engine.now_ms());
         assert_eq!(
             engine.container(cid).unwrap().health(),

@@ -62,15 +62,6 @@ impl Registry {
             .ok_or_else(|| ContainerError::ImageNotFound(reference.to_string()))
     }
 
-    /// Fetches by `name:tag` (resolve + pull).
-    ///
-    /// # Errors
-    ///
-    /// [`ContainerError::ImageNotFound`] if either step fails.
-    pub fn pull_by_reference(&self, reference: &str) -> Result<Image, ContainerError> {
-        self.pull(self.resolve(reference)?)
-    }
-
     /// Number of stored images.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -85,6 +76,8 @@ impl Registry {
 
     /// Adversarial hook: repoints a tag at a different image (registry
     /// compromise / malicious mirror).
+    // Needed by `tests::tag_repointing_changes_resolution_not_content`.
+    #[doc(hidden)]
     pub fn repoint_tag(&self, reference: &str, id: ImageId) {
         self.tags.write().insert(reference.to_string(), id);
     }
@@ -102,7 +95,10 @@ mod tests {
             Image::new("svc", "v1", b"bin").with_layer(Layer::new().with_file("/etc/app", b"conf"));
         let id = registry.push(image.clone());
         assert_eq!(registry.pull(id).unwrap(), image);
-        assert_eq!(registry.pull_by_reference("svc:v1").unwrap(), image);
+        assert_eq!(
+            registry.pull(registry.resolve("svc:v1").unwrap()).unwrap(),
+            image
+        );
         assert_eq!(registry.len(), 1);
     }
 
@@ -110,7 +106,7 @@ mod tests {
     fn unknown_lookups_fail() {
         let registry = Registry::new();
         assert!(matches!(
-            registry.pull_by_reference("nope:latest"),
+            registry.resolve("nope:latest"),
             Err(ContainerError::ImageNotFound(_))
         ));
         assert!(registry.pull(ImageId([0u8; 32])).is_err());
@@ -125,7 +121,10 @@ mod tests {
         let evil_id = registry.push(evil.clone());
         registry.repoint_tag("svc:v1", evil_id);
         // Tag now lies, but content addressing is immutable.
-        assert_eq!(registry.pull_by_reference("svc:v1").unwrap(), evil);
+        assert_eq!(
+            registry.pull(registry.resolve("svc:v1").unwrap()).unwrap(),
+            evil
+        );
         assert_eq!(registry.pull(good_id).unwrap(), good);
     }
 

@@ -61,7 +61,7 @@ pub use securecloud_telemetry as telemetry;
 
 use cluster::{ClusterController, PolicyError, ScalingPolicy};
 use containers::build::BuiltImage;
-use containers::engine::{ContainerHealth, ContainerId, Engine, SupervisionConfig};
+use containers::engine::{ContainerId, Engine};
 use containers::image::ImageId;
 use containers::registry::Registry;
 use containers::ContainerError;
@@ -92,8 +92,6 @@ pub struct SecureCloud {
     counter_service: CounterService,
     replicated: Vec<ReplicatedKv>,
     controller: Option<(ReplicatedKvId, ClusterController)>,
-    elastic_image: Option<ImageId>,
-    elastic_fleet: Vec<ContainerId>,
     sim_now_ms: u64,
     injector: Option<Arc<FaultInjector>>,
     telemetry: Arc<Telemetry>,
@@ -146,8 +144,6 @@ impl SecureCloud {
             counter_service: CounterService::new(),
             replicated: Vec::new(),
             controller: None,
-            elastic_image: None,
-            elastic_fleet: Vec::new(),
             sim_now_ms: 0,
             injector: None,
             telemetry,
@@ -303,8 +299,7 @@ impl SecureCloud {
         for kv in &mut self.replicated {
             kv.advance_to(self.sim_now_ms);
         }
-        // Let the elastic controller observe and act, then reconcile the
-        // bus-facing service fleet it sized.
+        // Let the elastic controller observe and act.
         self.tick_controller();
         events
     }
@@ -337,58 +332,14 @@ impl SecureCloud {
         let Some(kv) = self.replicated.get_mut(target.0) else {
             return;
         };
-        let report = controller.tick(self.sim_now_ms, kv);
-        self.reconcile_elastic_fleet(report.desired_service_replicas);
-    }
-
-    /// Converges the elastic service fleet on `desired` replicas.
-    /// Containers in restart backoff count as present — the engine's
-    /// supervisor owns their recovery, and double-provisioning a replica
-    /// that is about to restart is exactly the flapping this avoids.
-    /// Quarantined/failed containers are retired and replaced.
-    fn reconcile_elastic_fleet(&mut self, desired: u32) {
-        let Some(image) = self.elastic_image else {
-            return;
-        };
-        let mut present = Vec::new();
-        for id in std::mem::take(&mut self.elastic_fleet) {
-            match self
-                .engine
-                .container(id)
-                .map(containers::engine::Container::health)
-            {
-                Some(ContainerHealth::Running | ContainerHealth::Backoff) => present.push(id),
-                _ => self.telemetry.event(
-                    "cluster",
-                    "service_replica_retired",
-                    vec![("container", format!("{id:?}"))],
-                    TraceContext::none(),
-                ),
-            }
-        }
-        self.elastic_fleet = present;
-        while (self.elastic_fleet.len() as u32) < desired {
-            match self
-                .engine
-                .run_supervised(image, SupervisionConfig::default())
-            {
-                Ok(id) => self.elastic_fleet.push(id),
-                Err(_) => break,
-            }
-        }
-        while (self.elastic_fleet.len() as u32) > desired {
-            let Some(id) = self.elastic_fleet.pop() else {
-                break;
-            };
-            let _ = self.engine.stop(id);
-        }
+        // The controller records its decisions; the platform runs no service
+        // fleet for the report to size.
+        let _ = controller.tick(self.sim_now_ms, kv);
     }
 
     /// Attaches the elastic cluster controller: each [`SecureCloud::advance`]
     /// it observes the platform telemetry, repairs and scales `target`'s
-    /// shard groups through the attestation-gated membership paths, and
-    /// sizes the elastic service fleet (see
-    /// [`SecureCloud::set_elastic_service_image`]).
+    /// shard groups through the attestation-gated membership paths.
     ///
     /// # Errors
     ///
@@ -411,18 +362,6 @@ impl SecureCloud {
     #[must_use]
     pub fn cluster_controller(&self) -> Option<&ClusterController> {
         self.controller.as_ref().map(|(_, c)| c)
-    }
-
-    /// Sets the image the controller-managed service fleet runs. New
-    /// replicas start supervised, so abnormal exits restart with backoff.
-    pub fn set_elastic_service_image(&mut self, image: ImageId) {
-        self.elastic_image = Some(image);
-    }
-
-    /// Containers currently in the controller-managed service fleet.
-    #[must_use]
-    pub fn elastic_fleet(&self) -> &[ContainerId] {
-        &self.elastic_fleet
     }
 
     /// The underlying (simulated) SGX platform.
@@ -489,13 +428,6 @@ impl SecureCloud {
     /// Mutable engine access.
     pub fn engine_mut(&mut self) -> &mut Engine {
         &mut self.engine
-    }
-
-    /// The platform's trusted monotonic counter service (rollback
-    /// protection for KV snapshots and replica-group epochs).
-    #[must_use]
-    pub fn counter_service(&self) -> &CounterService {
-        &self.counter_service
     }
 
     /// Deploys a sharded, quorum-replicated secure KV store on this
@@ -750,7 +682,6 @@ mod tests {
 
     #[test]
     fn attached_controller_repairs_and_sizes_the_service_fleet() {
-        use containers::build::SecureImageBuilder;
         use faults::FaultPlan;
 
         let mut cloud = SecureCloud::new();
@@ -762,11 +693,6 @@ mod tests {
                 ..ReplicaConfig::default()
             })
             .unwrap();
-        let built = SecureImageBuilder::new("elastic-svc", "v1", b"svc code")
-            .build()
-            .unwrap();
-        let image = cloud.deploy_image(built);
-        cloud.set_elastic_service_image(image);
         cloud
             .attach_cluster_controller(id, ScalingPolicy::default(), 8)
             .unwrap();
@@ -778,9 +704,9 @@ mod tests {
         let kv = cloud.replicated_kv(id).unwrap();
         assert_eq!(kv.stats().replicas_stalled, 0);
         assert_eq!(kv.live_replicas(), 3);
-        // The fleet converged on the policy's service floor.
-        assert_eq!(cloud.elastic_fleet().len(), 1);
+        // The controller sized the service fleet at the policy's floor.
         let controller = cloud.cluster_controller().unwrap();
+        assert_eq!(controller.desired_service_replicas(), 1);
         assert!(controller
             .decisions()
             .iter()

@@ -24,7 +24,6 @@ const NR: usize = 10;
 
 struct Tables {
     sbox: [u8; 256],
-    inv_sbox: [u8; 256],
     /// Encryption T-tables. `te[0][x]` packs `(2s, s, s, 3s)` big-endian for
     /// `s = sbox[x]`; `te[1..4]` are byte rotations so each state byte indexes
     /// its own table.
@@ -61,7 +60,6 @@ fn tables() -> &'static Tables {
             }
         }
         let mut sbox = [0u8; 256];
-        let mut inv_sbox = [0u8; 256];
         for x in 0..256usize {
             let i = inv[x];
             let s = i
@@ -71,7 +69,6 @@ fn tables() -> &'static Tables {
                 ^ i.rotate_left(4)
                 ^ 0x63;
             sbox[x] = s;
-            inv_sbox[s as usize] = x as u8;
         }
         let mut te = [[0u32; 256]; 4];
         for x in 0..256usize {
@@ -84,21 +81,21 @@ fn tables() -> &'static Tables {
             te[2][x] = word.rotate_right(16);
             te[3][x] = word.rotate_right(24);
         }
-        Tables { sbox, inv_sbox, te }
+        Tables { sbox, te }
     })
 }
 
-/// An expanded AES-128 key, usable for block encryption and decryption.
+/// An expanded AES-128 key, usable for block encryption (GCM's counter
+/// mode never decrypts a block).
 ///
 /// ```
 /// use securecloud_crypto::aes::Aes128;
 ///
-/// let aes = Aes128::new(&[0u8; 16]);
-/// let mut block = *b"0123456789abcdef";
-/// let original = block;
-/// aes.encrypt_block(&mut block);
-/// aes.decrypt_block(&mut block);
-/// assert_eq!(block, original);
+/// // FIPS-197 Appendix C.1.
+/// let key: [u8; 16] = core::array::from_fn(|i| i as u8);
+/// let mut block: [u8; 16] = core::array::from_fn(|i| (i as u8) * 0x11);
+/// Aes128::new(&key).encrypt_block(&mut block);
+/// assert_eq!(block[..4], [0x69, 0xc4, 0xe0, 0xd8]);
 /// ```
 #[derive(Clone)]
 pub struct Aes128 {
@@ -223,43 +220,13 @@ impl Aes128 {
         shift_rows(block);
         add_round_key(block, &self.round_keys[NR]);
     }
-
-    /// Decrypts one 16-byte block in place.
-    pub fn decrypt_block(&self, block: &mut [u8; 16]) {
-        let t = tables();
-        add_round_key(block, &self.round_keys[NR]);
-        inv_shift_rows(block);
-        sub_bytes(block, &t.inv_sbox);
-        for round in (1..NR).rev() {
-            add_round_key(block, &self.round_keys[round]);
-            inv_mix_columns(block);
-            inv_shift_rows(block);
-            sub_bytes(block, &t.inv_sbox);
-        }
-        add_round_key(block, &self.round_keys[0]);
-    }
-
-    /// Encrypts `buf` in CTR mode with the given 16-byte initial counter
-    /// block; the same call decrypts.
-    ///
-    /// The counter is incremented over the full 128 bits, big-endian.
-    /// Keystream blocks are generated `CTR_BATCH` at a time and XORed in as
-    /// whole words.
-    pub fn ctr_xor(&self, counter0: &[u8; 16], buf: &mut [u8]) {
-        let mut counter = *counter0;
-        ctr_stream(self, buf, move || {
-            let block = counter;
-            increment_be(&mut counter);
-            block
-        });
-    }
 }
 
 /// Keystream blocks generated per batch before XORing into the message.
 pub(crate) const CTR_BATCH: usize = 8;
 
-/// Shared CTR engine: `next_counter` yields successive counter blocks (the
-/// increment rule differs between raw CTR and GCM's 32-bit GCTR), and the
+/// Shared CTR engine: `next_counter` yields successive counter blocks (GCM's
+/// GCTR increments the low 32 bits only), and the
 /// keystream is produced in batches of [`CTR_BATCH`] encryptions then XORed
 /// into `buf` word-wise.
 #[inline]
@@ -286,23 +253,13 @@ pub(crate) fn ctr_stream(aes: &Aes128, buf: &mut [u8], mut next_counter: impl Fn
 /// XORs `src` into `dst` sixteen bytes (one `u128`) at a time.
 /// `dst.len()` must equal `src.len()` and be a multiple of 16.
 #[inline]
-pub(crate) fn xor_words(dst: &mut [u8], src: &[u8]) {
+fn xor_words(dst: &mut [u8], src: &[u8]) {
     debug_assert_eq!(dst.len(), src.len());
     debug_assert_eq!(dst.len() % 16, 0);
     for (d, s) in dst.chunks_exact_mut(16).zip(src.chunks_exact(16)) {
         let x = u128::from_ne_bytes(d.as_ref().try_into().expect("16-byte lane"))
             ^ u128::from_ne_bytes(s.try_into().expect("16-byte lane"));
         d.copy_from_slice(&x.to_ne_bytes());
-    }
-}
-
-#[inline]
-fn increment_be(counter: &mut [u8; 16]) {
-    for byte in counter.iter_mut().rev() {
-        *byte = byte.wrapping_add(1);
-        if *byte != 0 {
-            break;
-        }
     }
 }
 
@@ -328,15 +285,6 @@ fn shift_rows(state: &mut [u8; 16]) {
     }
 }
 
-fn inv_shift_rows(state: &mut [u8; 16]) {
-    for r in 1..4 {
-        let row = [state[r], state[4 + r], state[8 + r], state[12 + r]];
-        for c in 0..4 {
-            state[4 * c + r] = row[(c + 4 - r) % 4];
-        }
-    }
-}
-
 fn mix_columns(state: &mut [u8; 16]) {
     for c in 0..4 {
         let col: [u8; 4] = state[4 * c..4 * c + 4].try_into().expect("column");
@@ -347,24 +295,30 @@ fn mix_columns(state: &mut [u8; 16]) {
     }
 }
 
-fn inv_mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col: [u8; 4] = state[4 * c..4 * c + 4].try_into().expect("column");
-        state[4 * c] =
-            gf_mul(col[0], 14) ^ gf_mul(col[1], 11) ^ gf_mul(col[2], 13) ^ gf_mul(col[3], 9);
-        state[4 * c + 1] =
-            gf_mul(col[0], 9) ^ gf_mul(col[1], 14) ^ gf_mul(col[2], 11) ^ gf_mul(col[3], 13);
-        state[4 * c + 2] =
-            gf_mul(col[0], 13) ^ gf_mul(col[1], 9) ^ gf_mul(col[2], 14) ^ gf_mul(col[3], 11);
-        state[4 * c + 3] =
-            gf_mul(col[0], 11) ^ gf_mul(col[1], 13) ^ gf_mul(col[2], 9) ^ gf_mul(col[3], 14);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{hex, unhex};
+
+    /// Raw CTR mode (SP 800-38A: the counter is incremented over the full
+    /// 128 bits, big-endian) over the shared engine; the same call decrypts.
+    fn ctr_xor(aes: &Aes128, counter0: &[u8; 16], buf: &mut [u8]) {
+        let mut counter = *counter0;
+        ctr_stream(aes, buf, move || {
+            let block = counter;
+            increment_be(&mut counter);
+            block
+        });
+    }
+
+    fn increment_be(counter: &mut [u8; 16]) {
+        for byte in counter.iter_mut().rev() {
+            *byte = byte.wrapping_add(1);
+            if *byte != 0 {
+                break;
+            }
+        }
+    }
 
     #[test]
     fn fips197_known_answer() {
@@ -379,8 +333,6 @@ mod tests {
         let aes = Aes128::new(&key);
         aes.encrypt_block(&mut block);
         assert_eq!(hex(&block), "69c4e0d86a7b0430d8cdb78070b4c55a");
-        aes.decrypt_block(&mut block);
-        assert_eq!(hex(&block), "00112233445566778899aabbccddeeff");
     }
 
     #[test]
@@ -390,8 +342,10 @@ mod tests {
         assert_eq!(t.sbox[0x01], 0x7c);
         assert_eq!(t.sbox[0x53], 0xed);
         assert_eq!(t.sbox[0xff], 0x16);
-        for x in 0..256 {
-            assert_eq!(t.inv_sbox[t.sbox[x] as usize] as usize, x);
+        // A permutation: every byte is the image of exactly one byte.
+        let mut seen = [false; 256];
+        for &s in &t.sbox {
+            assert!(!std::mem::replace(&mut seen[s as usize], true));
         }
     }
 
@@ -412,7 +366,7 @@ mod tests {
             "f69f2445df4f9b17ad2b417be66c3710"
         ))
         .unwrap();
-        Aes128::new(&key).ctr_xor(&counter, &mut data);
+        ctr_xor(&Aes128::new(&key), &counter, &mut data);
         assert_eq!(
             hex(&data),
             concat!(
@@ -430,11 +384,11 @@ mod tests {
         for len in [0usize, 1, 15, 16, 17, 100] {
             let mut data: Vec<u8> = (0..len as u8).collect();
             let original = data.clone();
-            aes.ctr_xor(&[0u8; 16], &mut data);
+            ctr_xor(&aes, &[0u8; 16], &mut data);
             if len > 0 {
                 assert_ne!(data, original);
             }
-            aes.ctr_xor(&[0u8; 16], &mut data);
+            ctr_xor(&aes, &[0u8; 16], &mut data);
             assert_eq!(data, original, "length {len}");
         }
     }

@@ -396,12 +396,6 @@ impl<T: Transport> SecureChannel<T> {
     pub fn peer_attestation(&self) -> &[u8] {
         &self.peer_payload
     }
-
-    /// The handshake transcript hash (unique per session).
-    #[must_use]
-    pub fn session_id(&self) -> [u8; 32] {
-        self.transcript
-    }
 }
 
 #[cfg(test)]
@@ -433,7 +427,7 @@ mod tests {
         assert_eq!(server.recv().unwrap(), b"hello");
         server.send(b"world").unwrap();
         assert_eq!(client.recv().unwrap(), b"world");
-        assert_eq!(client.session_id(), server.session_id());
+        assert_eq!(client.transcript, server.transcript);
         // Many messages: sequence numbers advance consistently.
         for i in 0..100u32 {
             client.send(&i.to_le_bytes()).unwrap();
@@ -516,7 +510,7 @@ mod tests {
     fn sessions_have_distinct_keys() {
         let (c1, _s1) = pair_with(ChannelConfig::default(), ChannelConfig::default());
         let (c2, _s2) = pair_with(ChannelConfig::default(), ChannelConfig::default());
-        assert_ne!(c1.unwrap().session_id(), c2.unwrap().session_id());
+        assert_ne!(c1.unwrap().transcript, c2.unwrap().transcript);
     }
 
     #[test]

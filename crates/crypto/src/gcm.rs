@@ -17,8 +17,8 @@
 //! which the property tests pin on arbitrary inputs.
 //!
 //! Sealing is zero-copy at the core: [`AesGcm::seal_in_place_detached`] and
-//! [`AesGcm::open_in_place_detached`] transform a caller-owned buffer, and
-//! the allocating [`AesGcm::seal`]/[`AesGcm::open`] are thin wrappers.
+//! its opening counterpart transform a caller-owned buffer, and the
+//! allocating [`AesGcm::seal`]/[`AesGcm::open`] are thin wrappers.
 
 use std::sync::OnceLock;
 
@@ -327,7 +327,7 @@ impl AesGcm {
     ///
     /// [`CryptoError::AuthenticationFailed`] if the tag does not verify; the
     /// buffer is left encrypted (no plaintext is released).
-    pub fn open_in_place_detached(
+    fn open_in_place_detached(
         &self,
         nonce: &[u8; NONCE_LEN],
         buf: &mut [u8],
@@ -387,8 +387,8 @@ impl AesGcm {
     /// Decrypts `sealed` (as produced by [`AesGcm::seal`]) and returns the
     /// plaintext.
     ///
-    /// Thin wrapper over [`AesGcm::open_in_place_detached`] that pays one
-    /// allocation for the output buffer.
+    /// Thin wrapper over the in-place open that pays one allocation for the
+    /// output buffer.
     ///
     /// # Errors
     ///

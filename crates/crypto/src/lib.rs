@@ -141,17 +141,12 @@ pub fn unhex(s: &str) -> Result<Vec<u8>, CryptoError> {
         .collect()
 }
 
-/// Fills `buf` with bytes from the thread-local CSPRNG.
-pub fn random_bytes(buf: &mut [u8]) {
-    use rand::RngCore;
-    rand::thread_rng().fill_bytes(buf);
-}
-
-/// Returns a fresh random array, convenience over [`random_bytes`].
+/// Returns a fresh array of bytes from the thread-local CSPRNG.
 #[must_use]
 pub fn random_array<const N: usize>() -> [u8; N] {
+    use rand::RngCore;
     let mut out = [0u8; N];
-    random_bytes(&mut out);
+    rand::thread_rng().fill_bytes(&mut out);
     out
 }
 

@@ -27,7 +27,7 @@ pub fn aes_encrypt_block(aes: &Aes128, block: &mut [u8; 16]) {
 /// Carry-less multiplication in GF(2^128) with GCM's reflected bit order,
 /// one shift/XOR iteration per bit (the loop the windowed table replaces).
 #[must_use]
-pub fn gf128_mul(x: u128, y: u128) -> u128 {
+fn gf128_mul(x: u128, y: u128) -> u128 {
     const R: u128 = 0xe1 << 120;
     let mut z = 0u128;
     let mut v = y;
@@ -57,7 +57,7 @@ fn hash_key(key: &[u8; 16]) -> u128 {
 }
 
 /// GHASH of `aad || ciphertext || lengths` under the hash key derived from
-/// `key`, using the bit-by-bit [`gf128_mul`].
+/// `key`, using the bit-by-bit `gf128_mul`.
 #[must_use]
 pub fn ghash(key: &[u8; 16], aad: &[u8], ciphertext: &[u8]) -> [u8; 16] {
     let h = hash_key(key);

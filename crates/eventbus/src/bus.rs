@@ -109,7 +109,6 @@ pub struct DeadLetter {
 
 #[derive(Debug)]
 struct SubscriberState {
-    topic: Arc<str>,
     filter: Option<Subscription>,
     queue: VecDeque<Message>,
     leased: BTreeMap<MessageId, (Message, u64)>, // message, lease expiry
@@ -189,12 +188,6 @@ impl EventBus {
         &self.dead
     }
 
-    /// Drains the dead-letter queue (e.g. to reprocess after a fix).
-    pub fn take_dead_letters(&mut self) -> Vec<DeadLetter> {
-        self.metrics.dead_letter_depth.set(0);
-        std::mem::take(&mut self.dead)
-    }
-
     /// Parks a message in the dead-letter queue, with metrics and a trace
     /// event.
     fn dead_letter(
@@ -270,28 +263,16 @@ impl EventBus {
             Some((interned, _)) => Arc::clone(interned),
             None => Arc::from(topic),
         };
-        let subscribers = self.by_topic.entry(Arc::clone(&topic)).or_default();
-        subscribers.push(id);
+        self.by_topic.entry(topic).or_default().push(id);
         self.subscribers.insert(
             id,
             SubscriberState {
-                topic,
                 filter,
                 queue: VecDeque::new(),
                 leased: BTreeMap::new(),
             },
         );
         id
-    }
-
-    /// Removes a subscriber; its queued and leased messages are dropped.
-    pub fn unsubscribe(&mut self, id: SubscriberId) {
-        if let Some(state) = self.subscribers.remove(&id) {
-            if let Some(list) = self.by_topic.get_mut(&state.topic) {
-                list.retain(|&s| s != id);
-            }
-        }
-        self.ready.remove(&id);
     }
 
     /// Subscribers with at least one waiting (not leased) message, in
@@ -736,16 +717,6 @@ mod tests {
     }
 
     #[test]
-    fn unsubscribe_stops_delivery() {
-        let mut bus = EventBus::new(1000);
-        let s = bus.subscribe("t", None);
-        bus.unsubscribe(s);
-        bus.publish("t", b"x".to_vec(), Publication::new());
-        assert_eq!(bus.fetch(s), None);
-        assert_eq!(bus.stats().dropped, 1);
-    }
-
-    #[test]
     fn ordering_preserved_within_subscriber() {
         let mut bus = EventBus::new(1000);
         let s = bus.subscribe("t", None);
@@ -781,8 +752,6 @@ mod tests {
         assert_eq!(dead[0].reason, "nack");
         assert_eq!(bus.stats().dead_lettered, 1);
         assert_eq!(bus.stats().redelivered, 2, "only the first two requeued");
-        assert_eq!(bus.take_dead_letters().len(), 1);
-        assert!(bus.dead_letters().is_empty());
     }
 
     #[test]
@@ -966,10 +935,6 @@ mod tests {
         drop(m);
         bus.advance(100);
         assert_eq!(bus.ready_subscribers(), vec![a, b]);
-
-        // Unsubscribing removes the subscriber from the ready set.
-        bus.unsubscribe(b);
-        assert_eq!(bus.ready_subscribers(), vec![a]);
     }
 
     #[test]

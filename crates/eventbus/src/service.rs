@@ -146,29 +146,6 @@ impl ServiceHost {
         false
     }
 
-    /// Names of currently quarantined services, in registration order.
-    #[must_use]
-    pub fn quarantined_services(&self) -> Vec<&str> {
-        self.services
-            .iter()
-            .filter(|r| r.quarantined)
-            .map(|r| r.service.name())
-            .collect()
-    }
-
-    /// Lifts a service's quarantine (operator intervention); returns
-    /// whether the service existed and was quarantined.
-    pub fn release_quarantine(&mut self, service: &str) -> bool {
-        for registered in &mut self.services {
-            if registered.service.name() == service && registered.quarantined {
-                registered.quarantined = false;
-                registered.consecutive_panics = 0;
-                return true;
-            }
-        }
-        false
-    }
-
     /// Direct bus access (publishing external events, reading stats).
     pub fn bus_mut(&mut self) -> &mut EventBus {
         &mut self.bus
@@ -514,6 +491,11 @@ mod tests {
         std::panic::set_hook(Box::new(|_| {}));
     }
 
+    fn quarantined(host: &ServiceHost) -> Vec<&str> {
+        let services = host.services.iter().filter(|r| r.quarantined);
+        services.map(|r| r.service.name()).collect()
+    }
+
     #[test]
     fn panicking_handler_is_nacked_and_retried() {
         silence_panics();
@@ -533,7 +515,7 @@ mod tests {
         // The panicked attempt's emissions were discarded: only the
         // successful attempt published to "done" (which has no subscriber).
         assert_eq!(host.bus().stats().published, 2);
-        assert!(host.quarantined_services().is_empty());
+        assert!(quarantined(&host).is_empty());
     }
 
     #[test]
@@ -549,13 +531,9 @@ mod tests {
         host.bus_mut().publish("work", vec![], Publication::new());
         let processed = host.pump_switchless(50);
         assert_eq!(processed, 3, "quarantined after 3 consecutive panics");
-        assert_eq!(host.quarantined_services(), vec!["flaky"]);
-        // The message stays queued for when the service is released.
+        assert_eq!(quarantined(&host), vec!["flaky"]);
         host.bus_mut().publish("work", vec![], Publication::new());
         assert_eq!(host.pump_switchless(10), 0, "quarantined service skipped");
-        assert!(host.release_quarantine("flaky"));
-        assert!(!host.release_quarantine("flaky"), "already released");
-        assert!(host.pump_switchless(50) > 0);
     }
 
     #[test]
@@ -569,7 +547,7 @@ mod tests {
         host.bus_mut().publish("work", vec![], Publication::new());
         let processed = host.pump_switchless(100);
         assert_eq!(processed, 3, "quarantined after 3 consecutive panics");
-        assert_eq!(host.quarantined_services(), vec!["flaky"]);
+        assert_eq!(quarantined(&host), vec!["flaky"]);
         // The message is still ready (requeued by the nacks) but its only
         // consumer is quarantined: the pump must terminate, not spin.
         assert!(host.bus().has_ready());

@@ -53,7 +53,7 @@ impl DetRng {
     }
 
     /// Returns `true` with probability `permille`/1000.
-    pub fn chance_permille(&mut self, permille: u16) -> bool {
+    fn chance_permille(&mut self, permille: u16) -> bool {
         self.below(1000) < u64::from(permille)
     }
 }

@@ -181,7 +181,7 @@ impl Cluster {
 
     /// Remaining CPU by *actual* observed usage (what GenPack packs on).
     #[must_use]
-    pub fn cpu_free_actual(&self, id: ServerId) -> f64 {
+    fn cpu_free_actual(&self, id: ServerId) -> f64 {
         let s = self.server(id);
         if s.state == PowerState::Parked {
             return 0.0;
@@ -255,27 +255,6 @@ impl Cluster {
         Some(server)
     }
 
-    /// Migrates `job` to `target`. Returns `false` (and leaves the job in
-    /// place) if it does not fit by declared request.
-    pub fn migrate(&mut self, job: JobId, target: ServerId) -> bool {
-        let Some(&source) = self.placements.get(&job) else {
-            return false;
-        };
-        if source == target {
-            return false;
-        }
-        let Some(demand) = self.server(source).jobs.get(&job).copied() else {
-            return false;
-        };
-        if !self.fits(target, demand) {
-            return false;
-        }
-        self.server_mut(source).jobs.remove(&job);
-        self.server_mut(target).jobs.insert(job, demand);
-        self.placements.insert(job, target);
-        true
-    }
-
     /// Migrates `job` to `target`, admitting by *observed actual* CPU
     /// (monitored packing) rather than declared requests. Returns `false`
     /// if it does not fit.
@@ -318,7 +297,7 @@ impl Cluster {
 
     /// Instantaneous power draw of `id`, in watts.
     #[must_use]
-    pub fn server_power(&self, id: ServerId) -> f64 {
+    fn server_power(&self, id: ServerId) -> f64 {
         let s = self.server(id);
         match s.state {
             PowerState::Parked => 0.0,
@@ -456,20 +435,20 @@ mod tests {
     fn migration_moves_load() {
         let mut cluster = Cluster::new(2, ServerSpec::typical());
         cluster.place(JobId(1), ServerId(0), demand(4.0, 100));
-        assert!(cluster.migrate(JobId(1), ServerId(1)));
+        assert!(cluster.migrate_actual(JobId(1), ServerId(1)));
         assert_eq!(cluster.placement(JobId(1)), Some(ServerId(1)));
         assert_eq!(cluster.jobs_on(ServerId(0)), vec![]);
         // Migration to the same server is a no-op failure.
-        assert!(!cluster.migrate(JobId(1), ServerId(1)));
+        assert!(!cluster.migrate_actual(JobId(1), ServerId(1)));
         // Migration that does not fit fails and leaves placement intact.
-        cluster.place(JobId(2), ServerId(0), demand(15.0, 100));
+        cluster.place(JobId(2), ServerId(0), demand(25.0, 100));
         assert!(
-            !cluster.migrate(JobId(2), ServerId(1)),
-            "15 requested cores cannot join the 4 already on server 1"
+            !cluster.migrate_actual(JobId(2), ServerId(1)),
+            "15 actual cores cannot join the 2.4 already on server 1"
         );
         let big = JobId(3);
         cluster.place(big, ServerId(1), demand(10.0, 100));
-        assert!(!cluster.migrate(big, ServerId(0)));
+        assert!(!cluster.migrate_actual(big, ServerId(0)));
         assert_eq!(cluster.placement(big), Some(ServerId(1)));
     }
 

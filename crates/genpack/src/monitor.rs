@@ -67,13 +67,6 @@ impl UsageMonitor {
         self.estimates.get(&job).map(Ema::mean)
     }
 
-    /// A conservative capacity estimate: mean plus `sigmas` standard
-    /// deviations (what a careful packer reserves).
-    #[must_use]
-    pub fn estimate_with_headroom(&self, job: JobId, sigmas: f64) -> Option<f64> {
-        self.estimates.get(&job).map(|e| e.headroom(sigmas))
-    }
-
     /// Whether the job's usage has been *learned*: enough samples and a
     /// coefficient of variation below the stability threshold.
     #[must_use]
@@ -141,10 +134,8 @@ mod tests {
             monitor.observe(JobId(1), if i % 2 == 0 { 1.0 } else { 9.0 });
         }
         assert!(!monitor.is_stable(JobId(1)));
-        // Headroom estimate exceeds the mean.
-        let mean = monitor.estimate(JobId(1)).unwrap();
-        let padded = monitor.estimate_with_headroom(JobId(1), 2.0).unwrap();
-        assert!(padded > mean + 1.0);
+        // Two standard deviations of headroom exceed one core.
+        assert!(monitor.estimates[&JobId(1)].stddev() > 0.5);
     }
 
     #[test]

@@ -1057,13 +1057,11 @@ mod tests {
         assert_eq!(m.stats().epc_faults, faults + 2);
     }
 
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    use securecloud_telemetry::{fnv1a, FNV_OFFSET};
 
     /// FNV-1a over `bytes`, then a separator so adjacent items cannot merge.
     fn fnv(digest: &mut u64, bytes: &[u8]) {
-        for b in bytes.iter().chain(&[0xff]) {
-            *digest = (*digest ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        *digest = fnv1a(fnv1a(*digest, bytes), &[0xff]);
     }
 
     /// FNV digest of everything the host holds: manifest, WAL, sealed blocks.

@@ -288,7 +288,7 @@ impl ShardGroup {
 
     /// Store versions of the live replicas, by slot order.
     #[must_use]
-    pub fn replica_versions(&self) -> Vec<u64> {
+    fn replica_versions(&self) -> Vec<u64> {
         self.slots
             .iter()
             .flatten()

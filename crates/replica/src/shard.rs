@@ -9,18 +9,7 @@
 //! reshuffling everything.
 
 use crate::ShardId;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over `bytes`, continuing from `state`.
-fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        state ^= u64::from(b);
-        state = state.wrapping_mul(FNV_PRIME);
-    }
-    state
-}
+use securecloud_telemetry::{fnv1a, FNV_OFFSET};
 
 /// SplitMix64-style finalizer. FNV-1a alone has weak avalanche on the
 /// short inputs used here (sequential keys and ring-point indices land in

@@ -216,16 +216,6 @@ impl Overlay {
         self.metrics.snapshot()
     }
 
-    /// Whether `broker` has failed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `broker` is out of range.
-    #[must_use]
-    pub fn is_failed(&self, broker: BrokerId) -> bool {
-        self.brokers[broker.0].failed
-    }
-
     /// Fails a broker: its local subscriptions are lost with it, its
     /// children are re-parented (to its parent, or — for a failed root —
     /// under the first child, which is promoted to root), and each orphaned
@@ -598,7 +588,7 @@ mod tests {
         assert_eq!(o.stats().recovery_forwards, 0);
 
         o.fail_broker(BrokerId(1));
-        assert!(o.is_failed(BrokerId(1)));
+        assert!(o.brokers[1].failed);
         // Leaf 2 is re-parented under the root; its interest was re-sent.
         assert!(o.stats().recovery_forwards > 0);
 

@@ -215,13 +215,6 @@ impl PosetIndex {
         }
     }
 
-    /// Total root count across groups (diagnostics).
-    #[must_use]
-    pub fn root_count(&self) -> usize {
-        let keyed = self.int_groups.values().chain(self.str_groups.values());
-        keyed.map(Vec::len).sum::<usize>() + self.general.len()
-    }
-
     /// Appends `sub`'s predicates to the flat test vector and returns their
     /// range.
     fn compile(&mut self, sub: &Subscription) -> (u32, u32) {
@@ -466,7 +459,8 @@ mod tests {
         index.insert(SubId(3), sub(vec![pred("x", Op::Ge, 90)]), 128);
         // Unrelated root.
         index.insert(SubId(4), sub(vec![pred("y", Op::Eq, 1)]), 192);
-        assert_eq!(index.root_count(), 2);
+        let keyed = index.int_groups.values().chain(index.str_groups.values());
+        assert_eq!(keyed.map(Vec::len).sum::<usize>() + index.general.len(), 2);
 
         // x = -5: broad fails => subtree pruned; visit only the 2 roots.
         let (visits, matched) = visit(&index, &Publication::new().with("x", Value::Int(-5)));

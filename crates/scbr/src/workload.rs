@@ -108,13 +108,6 @@ impl WorkloadSpec {
             })
             .collect()
     }
-
-    /// Mean subscription footprint in bytes (diagnostics; sampled).
-    #[must_use]
-    pub fn mean_footprint(&self) -> f64 {
-        let sample = self.subscriptions(256);
-        sample.iter().map(|s| s.footprint() as f64).sum::<f64>() / sample.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -192,7 +185,8 @@ mod tests {
     #[test]
     fn mean_footprint_reasonable() {
         let spec = WorkloadSpec::fig3();
-        let mean = spec.mean_footprint();
+        let sample = spec.subscriptions(256);
+        let mean = sample.iter().map(|s| s.footprint() as f64).sum::<f64>() / sample.len() as f64;
         assert!(mean > 200.0 && mean < 400.0, "mean footprint {mean}");
     }
 }

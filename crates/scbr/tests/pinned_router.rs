@@ -16,6 +16,7 @@ use securecloud_scbr::workload::WorkloadSpec;
 use securecloud_sgx::costs::MemoryGeometry;
 use securecloud_sgx::enclave::{EnclaveConfig, Platform};
 use securecloud_sgx::mem::MemStats;
+use securecloud_telemetry::{fnv1a, FNV_OFFSET};
 use std::collections::HashMap;
 
 const SUBSCRIBERS: usize = 4;
@@ -40,9 +41,7 @@ struct Fnv(u64);
 
 impl Fnv {
     fn eat(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.0 = fnv1a(self.0, bytes);
     }
 
     /// One opened frame: who opened it, then its publications re-encoded.
@@ -99,7 +98,7 @@ fn run(switchless: bool) -> Outcome {
     let publications = spec.publications(BATCHES.len() * BATCHED + SINGLES);
     let (batched, singles) = publications.split_at(BATCHES.len() * BATCHED);
     let mut frames = [0u64; SUBSCRIBERS];
-    let mut digest = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut digest = Fnv(FNV_OFFSET);
     for (size, publications) in BATCHES.into_iter().zip(batched.chunks(BATCHED)) {
         for batch in publications.chunks(size) {
             let sealed = publisher.seal_publication_batch(batch).unwrap();

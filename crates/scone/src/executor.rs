@@ -82,6 +82,9 @@ impl EnclaveHandle {
     }
 
     /// Cooperatively yields to the other tasks once.
+    // Needed by `tests::yield_now_round_robins`: no shielded program yields
+    // without a syscall, so only the scheduler tests force a switch.
+    #[doc(hidden)]
     #[must_use]
     pub fn yield_now(&self) -> YieldNow {
         YieldNow { yielded: false }
@@ -114,7 +117,8 @@ impl Future for SyscallFuture {
     }
 }
 
-/// Future for [`EnclaveHandle::yield_now`].
+/// Future for `EnclaveHandle::yield_now`.
+#[doc(hidden)]
 pub struct YieldNow {
     yielded: bool,
 }

@@ -113,42 +113,6 @@ impl FsProtection {
     pub fn digest(sealed: &[u8]) -> [u8; 32] {
         Sha256::digest(sealed)
     }
-
-    /// Signs (but does not encrypt) the protection structure. Per §V-A of
-    /// the paper, an image creator who wants to allow further
-    /// customisation "would only sign the FS protection file, but not
-    /// encrypt it. This way, the image's integrity is ensured" — the
-    /// customiser can read and extend the metadata, then seal the final
-    /// result themselves.
-    #[must_use]
-    pub fn sign(&self, key: &[u8; 32]) -> Vec<u8> {
-        let body = self.to_wire();
-        let tag = securecloud_crypto::hmac::HmacSha256::mac(key, &body);
-        let mut out = body;
-        out.extend_from_slice(&tag);
-        out
-    }
-
-    /// Verifies and decodes a signed (plaintext) protection structure.
-    ///
-    /// # Errors
-    ///
-    /// [`SconeError::Tampered`] if the signature does not verify,
-    /// [`SconeError::Crypto`] if the body does not decode.
-    pub fn open_signed(key: &[u8; 32], signed: &[u8]) -> Result<Self, SconeError> {
-        if signed.len() < 32 {
-            return Err(SconeError::Tampered(
-                "signed protection file too short".into(),
-            ));
-        }
-        let (body, tag) = signed.split_at(signed.len() - 32);
-        if !securecloud_crypto::hmac::HmacSha256::verify(key, body, tag) {
-            return Err(SconeError::Tampered(
-                "protection file signature does not verify".into(),
-            ));
-        }
-        FsProtection::from_wire(body).map_err(SconeError::Crypto)
-    }
 }
 
 fn chunk_path(path: &str, chunk_index: usize) -> String {
@@ -797,47 +761,6 @@ mod tests {
         let mut bad = sealed.clone();
         bad[20] ^= 1;
         assert!(FsProtection::open_sealed(&key, &bad).is_err());
-    }
-
-    #[test]
-    fn signed_protection_supports_customisation() {
-        // Base image creator signs (integrity only, readable metadata).
-        let (host, mut fs, mut mem) = setup();
-        fs.create("/base/app").unwrap();
-        fs.write(&mut mem, "/base/app", 0, b"base layer").unwrap();
-        let base_protection = fs.into_protection();
-        let signing_key: [u8; 32] = securecloud_crypto::random_array();
-        let signed = base_protection.sign(&signing_key);
-
-        // The customiser verifies integrity, reads the metadata, and adds
-        // their own protected file on top.
-        let reopened = FsProtection::open_signed(&signing_key, &signed).unwrap();
-        assert_eq!(reopened, base_protection);
-        let mut fs2 = ShieldedFs::mount(Shield::sync(host), reopened);
-        fs2.create("/custom/extra").unwrap();
-        fs2.write(&mut mem, "/custom/extra", 0, b"customised")
-            .unwrap();
-        // Base content still reads through the customised mount.
-        assert_eq!(
-            fs2.read(&mut mem, "/base/app", 0, 10).unwrap(),
-            b"base layer"
-        );
-        // The customiser seals the final protection file themselves.
-        let final_key: [u8; 16] = securecloud_crypto::random_array();
-        let sealed = fs2.into_protection().seal(&final_key);
-        assert!(FsProtection::open_sealed(&final_key, &sealed).is_ok());
-
-        // Tampering with the signed blob is caught.
-        let mut bad = signed.clone();
-        bad[3] ^= 1;
-        assert!(matches!(
-            FsProtection::open_signed(&signing_key, &bad),
-            Err(SconeError::Tampered(_))
-        ));
-        // Wrong key is caught.
-        let wrong: [u8; 32] = securecloud_crypto::random_array();
-        assert!(FsProtection::open_signed(&wrong, &signed).is_err());
-        assert!(FsProtection::open_signed(&signing_key, &signed[..16]).is_err());
     }
 
     #[test]

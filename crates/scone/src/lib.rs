@@ -12,7 +12,6 @@
 //!   rings.
 //! * [`fshield`] — transparent encryption/authentication of file data with
 //!   an *FS protection file* holding per-file keys and chunk MACs.
-//! * [`stdio`] — encrypted standard I/O streams.
 //! * [`rings`] — shared-memory submission/completion rings: the switchless
 //!   transport, SPSC slots in untrusted memory serviced by the host
 //!   without any enclave transition.
@@ -32,7 +31,6 @@ pub mod hostos;
 pub mod rings;
 pub mod runtime;
 pub mod scf;
-pub mod stdio;
 pub mod syscall;
 
 use securecloud_crypto::CryptoError;

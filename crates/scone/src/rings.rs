@@ -318,12 +318,6 @@ impl SyscallRings {
         Ok(())
     }
 
-    /// Pops one completion without blocking.
-    #[must_use]
-    pub fn try_pop_completion(&mut self) -> Option<CompletionEntry> {
-        self.comp_cons.try_pop()
-    }
-
     /// Pops one completion, parking until the host produces one. The caller
     /// must have at least one submission outstanding.
     pub fn pop_completion(&mut self) -> (CompletionEntry, ParkReport) {
@@ -422,7 +416,7 @@ mod tests {
             .unwrap();
         // Nothing serviced yet: the host runs only when the enclave parks.
         assert_eq!(host.call_count(), 0);
-        assert!(rings.try_pop_completion().is_none());
+        assert!(rings.comp_cons.try_pop().is_none());
         let (entry, report) = rings.pop_completion();
         assert_eq!(entry.id, 0);
         assert!(matches!(entry.ret, SyscallRet::Fd(_)));

@@ -14,7 +14,6 @@
 
 use crate::fshield::{FsProtection, ShieldedFs};
 use crate::scf::{fetch_scf, Scf};
-use crate::stdio::{ShieldedStream, StreamRole};
 use crate::syscall::Shield;
 use crate::SconeError;
 use securecloud_crypto::channel::{Identity, Transport};
@@ -155,21 +154,6 @@ impl SconeRuntime {
     pub fn elapsed(&mut self) -> Duration {
         self.enclave.memory().elapsed()
     }
-
-    /// Wraps `transport` as the container's shielded stdout: everything
-    /// written is encrypted under the SCF's stdout key, so the log
-    /// collector at the other end must hold the same SCF-provisioned key.
-    #[must_use]
-    pub fn shielded_stdout<T: Transport>(&self, transport: T) -> ShieldedStream<T> {
-        ShieldedStream::new(transport, &self.scf.stdio.stdout, StreamRole::Producer)
-    }
-
-    /// Wraps `transport` as the container's shielded stdin (consumer side
-    /// inside the enclave).
-    #[must_use]
-    pub fn shielded_stdin<T: Transport>(&self, transport: T) -> ShieldedStream<T> {
-        ShieldedStream::new(transport, &self.scf.stdio.stdin, StreamRole::Consumer)
-    }
 }
 
 #[cfg(test)]
@@ -177,7 +161,7 @@ mod tests {
     use super::*;
     use crate::fshield::FsProtection;
     use crate::hostos::MemHost;
-    use crate::scf::{ConfigService, StdioKeys};
+    use crate::scf::ConfigService;
     use securecloud_crypto::channel::memory_pair;
     use securecloud_sgx::attest::AttestationService;
     use securecloud_sgx::enclave::{EnclaveConfig, Platform};
@@ -211,7 +195,6 @@ mod tests {
             env: BTreeMap::from([("MODE".into(), "prod".into())]),
             fs_protection_key: fs_key,
             fs_protection_digest: FsProtection::digest(&sealed_protection),
-            stdio: StdioKeys::generate(),
         };
         let mut attestation = AttestationService::new();
         attestation.register_platform(&platform);
@@ -244,52 +227,6 @@ mod tests {
         runtime.write_file("/app/state", 0, b"counter=1").unwrap();
         assert_eq!(runtime.read_file("/app/state", 0, 9).unwrap(), b"counter=1");
         assert!(runtime.elapsed() > Duration::ZERO);
-    }
-
-    #[test]
-    fn shielded_stdio_uses_scf_keys() {
-        let (_platform, enclave, service, host, sealed_protection) = build_world();
-        let (client_t, server_t) = memory_pair();
-        let service_key = service.public_key();
-        // Keep a copy of the SCF's stdout key via a second registration
-        // path: the collector receives the key out of band (it is the image
-        // owner). Here we read it back from the provisioned runtime.
-        let server = thread::spawn(move || service.serve_one(server_t));
-        let shield = Shield::sync(host);
-        let runtime =
-            SconeRuntime::bootstrap(enclave, client_t, service_key, shield, &sealed_protection)
-                .unwrap();
-        server.join().unwrap().unwrap();
-        let stdout_key = runtime.scf().stdio.stdout;
-
-        let (enclave_side, collector_side) = memory_pair();
-        let mut stdout = runtime.shielded_stdout(enclave_side);
-        stdout.write(b"audit: processed 42 readings").unwrap();
-        // The host sees ciphertext frames only.
-        let raw = collector_side.recv_frame().unwrap();
-        assert!(!raw.windows(5).any(|w| w == b"audit"));
-        // The collector holding the SCF key decrypts.
-        let (enclave_side2, collector_side2) = memory_pair();
-        let mut stdout2 = runtime.shielded_stdout(enclave_side2);
-        stdout2.write(b"line").unwrap();
-        let mut collector = crate::stdio::ShieldedStream::new(
-            collector_side2,
-            &stdout_key,
-            crate::stdio::StreamRole::Consumer,
-        );
-        assert_eq!(collector.read().unwrap(), b"line");
-
-        // Stdin runs the other way: a feeder holding the SCF's stdin key
-        // writes, and the enclave reads through its shielded stdin.
-        let (feeder_side, enclave_side3) = memory_pair();
-        let mut feeder = crate::stdio::ShieldedStream::new(
-            feeder_side,
-            &runtime.scf().stdio.stdin,
-            crate::stdio::StreamRole::Producer,
-        );
-        feeder.write(b"reload config").unwrap();
-        let mut stdin = runtime.shielded_stdin(enclave_side3);
-        assert_eq!(stdin.read().unwrap(), b"reload config");
     }
 
     #[test]

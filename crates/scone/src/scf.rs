@@ -6,6 +6,8 @@
 //! well as environment variables. Only an enclave whose identity has been
 //! verified can access the SCF, which is received through a TLS-protected
 //! connection that is established during enclave startup."*
+//! No workload here shields its standard I/O, so [`Scf`] carries no stream
+//! keys.
 //!
 //! The [`ConfigService`] holds SCFs keyed by enclave measurement and
 //! releases one only after verifying the requesting enclave's quote — with
@@ -21,35 +23,6 @@ use securecloud_sgx::attest::{AttestationService, Quote};
 use securecloud_sgx::enclave::{Enclave, Measurement};
 use std::collections::{BTreeMap, HashMap};
 
-/// Symmetric keys protecting the standard I/O streams.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StdioKeys {
-    /// Key for the stdin stream.
-    pub stdin: [u8; 16],
-    /// Key for the stdout stream.
-    pub stdout: [u8; 16],
-    /// Key for the stderr stream.
-    pub stderr: [u8; 16],
-}
-
-impl_wire_struct!(StdioKeys {
-    stdin,
-    stdout,
-    stderr
-});
-
-impl StdioKeys {
-    /// Generates three fresh random keys.
-    #[must_use]
-    pub fn generate() -> Self {
-        StdioKeys {
-            stdin: securecloud_crypto::random_array(),
-            stdout: securecloud_crypto::random_array(),
-            stderr: securecloud_crypto::random_array(),
-        }
-    }
-}
-
 /// A startup configuration file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Scf {
@@ -61,22 +34,19 @@ pub struct Scf {
     pub fs_protection_key: [u8; 16],
     /// Expected hash of the sealed FS protection file (integrity pin).
     pub fs_protection_digest: [u8; 32],
-    /// Standard I/O stream keys.
-    pub stdio: StdioKeys,
 }
 
 impl_wire_struct!(Scf {
     args,
     env,
     fs_protection_key,
-    fs_protection_digest,
-    stdio
+    fs_protection_digest
 });
 
 /// The binding an enclave must put in its quote's report data: the hash of
 /// the channel public key it will use to receive the SCF.
 #[must_use]
-pub fn channel_binding(channel_key: &PublicKey) -> [u8; 32] {
+fn channel_binding(channel_key: &PublicKey) -> [u8; 32] {
     let mut h = Sha256::new();
     h.update(b"securecloud scf channel binding v1");
     h.update(channel_key);
@@ -226,7 +196,6 @@ mod tests {
             env: BTreeMap::from([("REGION".to_string(), "eu-central".to_string())]),
             fs_protection_key: securecloud_crypto::random_array(),
             fs_protection_digest: [7u8; 32],
-            stdio: StdioKeys::generate(),
         }
     }
 
@@ -283,7 +252,6 @@ mod tests {
             env: BTreeMap::from([("REGION".to_string(), "eu-central".to_string())]),
             fs_protection_key: scf.fs_protection_key,
             fs_protection_digest: [7u8; 32],
-            stdio: scf.stdio.clone(),
         }
     }
 

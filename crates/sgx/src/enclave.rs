@@ -173,7 +173,6 @@ securecloud_telemetry::metric_set! {
     /// Shared-registry counters for enclave transitions.
     struct EnclaveMetrics {
         ecalls: Counter = METRIC_ECALLS,
-        ocalls: Counter = "securecloud_sgx_ocalls_total",
         switchless_calls: Counter = "securecloud_sgx_switchless_calls_total",
         transition_cycles: Counter = "securecloud_sgx_transition_cycles_total",
         aborts: Counter = "securecloud_sgx_enclave_aborts_total",
@@ -219,11 +218,16 @@ impl Enclave {
         &self.platform
     }
 
-    /// Attaches shared telemetry: ECALL/OCALL transitions and transition
+    /// Attaches shared telemetry: ECALL transitions and transition
     /// cycles are counted platform-wide, and the enclave's memory simulator
     /// mirrors its paging/decrypt counters into the registry.
     pub fn set_telemetry(&mut self, telemetry: &Telemetry) {
         self.metrics = Some(EnclaveMetrics::shared(telemetry.registry(), &[]));
+        // No enclave makes an OCALL of its own; the series is still exported
+        // (at 0) because `tests/telemetry_determinism.rs` pins the export.
+        telemetry
+            .registry()
+            .counter("securecloud_sgx_ocalls_total", &[]);
         self.mem.set_telemetry(telemetry);
     }
 
@@ -276,25 +280,6 @@ impl Enclave {
         let result = body(&mut self.mem);
         self.mem.charge_cycles(slot);
         Ok(result)
-    }
-
-    /// Performs an OCALL from inside the enclave: charges the exit/re-enter
-    /// round trip and runs `body` outside (no enclave memory access).
-    ///
-    /// # Errors
-    ///
-    /// [`SgxError::Destroyed`] if the enclave has been destroyed.
-    pub fn ocall<R>(&mut self, body: impl FnOnce() -> R) -> Result<R, SgxError> {
-        if self.destroyed {
-            return Err(SgxError::Destroyed);
-        }
-        let cost = self.mem.costs().transition_pair();
-        if let Some(m) = &self.metrics {
-            m.ocalls.inc();
-            m.transition_cycles.add(cost);
-        }
-        self.mem.charge_cycles(cost);
-        Ok(body())
     }
 
     /// Direct access to the enclave's memory simulator, for long-running
@@ -386,12 +371,6 @@ impl Enclave {
     pub fn is_aborted(&self) -> bool {
         self.abort_reason.is_some()
     }
-
-    /// The abort reason, if the enclave aborted.
-    #[must_use]
-    pub fn abort_reason(&self) -> Option<&str> {
-        self.abort_reason.as_deref()
-    }
 }
 
 #[cfg(test)]
@@ -461,7 +440,6 @@ mod tests {
         enclave.destroy();
         assert!(enclave.is_destroyed());
         assert!(matches!(enclave.ecall(|_| ()), Err(SgxError::Destroyed)));
-        assert!(matches!(enclave.ocall(|| ()), Err(SgxError::Destroyed)));
     }
 
     #[test]
@@ -472,7 +450,7 @@ mod tests {
         enclave.abort("fault injection");
         assert!(enclave.is_aborted());
         assert!(enclave.is_destroyed());
-        assert_eq!(enclave.abort_reason(), Some("fault injection"));
+        assert_eq!(enclave.abort_reason.as_deref(), Some("fault injection"));
         assert!(matches!(enclave.ecall(|_| ()), Err(SgxError::Destroyed)));
         // A plain destroy is not an abort.
         let mut other = platform.launch(test_config("u", b"code")).unwrap();

@@ -63,17 +63,6 @@ impl Region {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
-
-    /// Address of `offset` bytes into the region.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `offset` is out of bounds.
-    #[must_use]
-    pub fn addr(&self, offset: u64) -> u64 {
-        assert!(offset < self.len.max(1), "offset {offset} out of region");
-        self.base + offset
-    }
 }
 
 /// A chunked bump allocator over simulated memory: entries are packed back

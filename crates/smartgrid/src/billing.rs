@@ -37,7 +37,7 @@ impl Default for Tariff {
 impl Tariff {
     /// Whether second-of-day `t` falls in the peak window.
     #[must_use]
-    pub fn is_peak(&self, t_secs: u64) -> bool {
+    fn is_peak(&self, t_secs: u64) -> bool {
         let hour = (t_secs / 3600) % 24;
         hour >= self.peak_start_hour && hour < self.peak_end_hour
     }
@@ -131,6 +131,8 @@ pub fn compute_bills(
 }
 
 /// Sequential reference (for tests and cross-checks).
+// Needed by `tests::mapreduce_matches_reference`.
+#[doc(hidden)]
 #[must_use]
 pub fn compute_bills_reference(
     traces: &[MeterTrace],

@@ -13,17 +13,6 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// One meter reading.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MeterReading {
-    /// Meter identifier.
-    pub meter: u64,
-    /// Seconds since trace start.
-    pub t: u64,
-    /// Reported power draw in watts.
-    pub watts: f64,
-}
-
 /// A full per-household trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MeterTrace {
@@ -172,23 +161,6 @@ impl Household {
     }
 }
 
-/// Flattens traces into a reading stream ordered by time then meter.
-#[must_use]
-pub fn reading_stream(traces: &[MeterTrace], interval_secs: u64) -> Vec<MeterReading> {
-    let samples = traces.first().map_or(0, |t| t.reported.len());
-    let mut out = Vec::with_capacity(samples * traces.len());
-    for i in 0..samples {
-        for trace in traces {
-            out.push(MeterReading {
-                meter: trace.meter,
-                t: i as u64 * interval_secs,
-                watts: trace.reported[i],
-            });
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,18 +260,5 @@ mod tests {
         for trace in &traces {
             assert_eq!(trace.actual.len(), 120);
         }
-    }
-
-    #[test]
-    fn stream_ordering() {
-        let spec = GridSpec {
-            households: 3,
-            duration_secs: 120,
-            interval_secs: 30,
-            ..GridSpec::default()
-        };
-        let stream = reading_stream(&spec.generate(), spec.interval_secs);
-        assert_eq!(stream.len(), 3 * 4);
-        assert!(stream.windows(2).all(|w| w[0].t <= w[1].t));
     }
 }

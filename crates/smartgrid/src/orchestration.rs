@@ -97,7 +97,7 @@ impl Orchestrator {
 
     /// Judges one sample, updating the model. Anomalous samples are *not*
     /// absorbed into the model (they would inflate the variance).
-    pub fn judge(&mut self, service: &str, latency_ms: f64) -> Option<Anomaly> {
+    fn judge(&mut self, service: &str, latency_ms: f64) -> Option<Anomaly> {
         let stats = self.stats.entry(service.to_string()).or_default();
         if stats.count() >= self.warmup && stats.stddev() > 0.0 {
             let sigma = (latency_ms - stats.mean()).abs() / stats.stddev();

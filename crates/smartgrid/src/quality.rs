@@ -271,7 +271,6 @@ pub const PQ_EVENTS_TOPIC: &str = "grid/pq-events";
 pub struct QualityMonitorService {
     detector: QualityDetector,
     samples_seen: usize,
-    events_emitted: usize,
 }
 
 impl QualityMonitorService {
@@ -279,12 +278,6 @@ impl QualityMonitorService {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Events emitted so far.
-    #[must_use]
-    pub fn events_emitted(&self) -> usize {
-        self.events_emitted
     }
 }
 
@@ -309,7 +302,6 @@ impl securecloud_eventbus::service::MicroService for QualityMonitorService {
         let index = self.samples_seen;
         self.samples_seen += 1;
         if let Some(event) = self.detector.observe(index, *volts) {
-            self.events_emitted += 1;
             let kind = match event.kind {
                 FaultKind::Sag => "sag",
                 FaultKind::Swell => "swell",

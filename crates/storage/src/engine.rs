@@ -90,12 +90,6 @@ impl IncrementalSnapshot {
     pub fn trusted_bytes(&self) -> u64 {
         self.disk.trusted_stream_bytes()
     }
-
-    /// Total sealed bytes including segments.
-    #[must_use]
-    pub fn total_bytes(&self) -> u64 {
-        self.disk.bytes()
-    }
 }
 
 /// One live segment: manifest metadata plus the sealing cipher and, once
@@ -342,12 +336,6 @@ impl StorageEngine {
         self.manifest_version + (self.wal_next_seq - self.wal_start_seq)
     }
 
-    /// WAL records not yet folded into a segment.
-    #[must_use]
-    pub fn wal_pending(&self) -> u64 {
-        self.wal_next_seq - self.wal_start_seq
-    }
-
     /// Live segment count.
     #[must_use]
     pub fn segment_count(&self) -> usize {
@@ -356,7 +344,7 @@ impl StorageEngine {
 
     /// Total sealed blocks across live segments.
     #[must_use]
-    pub fn block_count(&self) -> u64 {
+    fn block_count(&self) -> u64 {
         self.segments
             .iter()
             .map(|s| s.meta.blocks.len() as u64)
@@ -1030,7 +1018,7 @@ mod tests {
         }
         e.flush(&mut m, &sorted_puts(0..50)).unwrap();
         assert_eq!(e.version(), 50);
-        assert_eq!(e.wal_pending(), 0);
+        assert_eq!(e.wal_next_seq - e.wal_start_seq, 0);
         assert_eq!(e.segment_count(), 1);
         assert!(e.block_count() > 1, "multiple blocks at 256 B blocks");
         let host_reads_before = m.stats().host_reads;
@@ -1298,7 +1286,7 @@ mod tests {
         }
         let new = e.export();
         assert!(new.version > old.version);
-        assert!(new.trusted_bytes() < new.total_bytes());
+        assert!(new.trusted_bytes() < new.disk.bytes());
         // The old export is now below the floor.
         let err = StorageEngine::open(
             &mut mem(),

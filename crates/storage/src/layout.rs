@@ -320,7 +320,7 @@ impl_wire_struct!(Manifest {
 /// AAD binding a block to its `(segment, index)` position: the prefix,
 /// then the `(u64, u32)` wire tuple.
 #[must_use]
-pub fn block_aad(segment: u64, index: u32) -> [u8; BLOCK_AAD.len() + 12] {
+fn block_aad(segment: u64, index: u32) -> [u8; BLOCK_AAD.len() + 12] {
     let mut aad = [0u8; BLOCK_AAD.len() + 12];
     aad[..BLOCK_AAD.len()].copy_from_slice(BLOCK_AAD);
     aad[BLOCK_AAD.len()..][..8].copy_from_slice(&segment.to_le_bytes());
@@ -375,7 +375,7 @@ pub fn block_tag(sealed: &[u8]) -> Result<[u8; TAG_LEN], StorageError> {
 
 /// AAD chaining a WAL record to its predecessor's tag.
 #[must_use]
-pub fn wal_aad(seq: u64, prev_tag: &[u8; TAG_LEN]) -> [u8; WAL_AAD.len() + 8 + TAG_LEN] {
+fn wal_aad(seq: u64, prev_tag: &[u8; TAG_LEN]) -> [u8; WAL_AAD.len() + 8 + TAG_LEN] {
     let mut aad = [0u8; WAL_AAD.len() + 8 + TAG_LEN];
     aad[..WAL_AAD.len()].copy_from_slice(WAL_AAD);
     aad[WAL_AAD.len()..][..8].copy_from_slice(&seq.to_le_bytes());

@@ -79,13 +79,13 @@ pub const ATTR_EOS: &str = "eos";
 
 /// An end-of-stream marker publication.
 #[must_use]
-pub fn eos_marker() -> Publication {
+fn eos_marker() -> Publication {
     Publication::new().with(ATTR_EOS, Value::Int(1))
 }
 
 /// Whether a publication is an end-of-stream marker.
 #[must_use]
-pub fn is_eos(p: &Publication) -> bool {
+fn is_eos(p: &Publication) -> bool {
     p.attrs.contains_key(ATTR_EOS)
 }
 

@@ -810,13 +810,8 @@ impl CityPipelines {
 /// mean byte-identical streaming output.
 #[must_use]
 pub fn results_digest(results: &[Publication]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut hash = securecloud_telemetry::FNV_OFFSET;
+    let mut eat = |bytes: &[u8]| hash = securecloud_telemetry::fnv1a(hash, bytes);
     for result in results {
         for (attr, value) in &result.attrs {
             eat(attr.as_bytes());

@@ -82,33 +82,15 @@ impl WindowSpec {
         self
     }
 
-    /// Window length, milliseconds.
-    #[must_use]
-    pub fn size_ms(&self) -> u64 {
-        self.size_ms
-    }
-
     /// Window advance, milliseconds (equals the size for tumbling windows).
     #[must_use]
     pub fn stride_ms(&self) -> u64 {
         self.stride_ms
     }
 
-    /// Allowed lateness, milliseconds.
-    #[must_use]
-    pub fn lateness_ms(&self) -> u64 {
-        self.lateness_ms
-    }
-
-    /// Whether this is a tumbling (non-overlapping) spec.
-    #[must_use]
-    pub fn is_tumbling(&self) -> bool {
-        self.stride_ms == self.size_ms
-    }
-
     /// How many windows an event far from the time origin belongs to.
     #[must_use]
-    pub fn windows_per_event(&self) -> u64 {
+    fn windows_per_event(&self) -> u64 {
         self.size_ms / self.stride_ms
     }
 
@@ -168,10 +150,10 @@ mod tests {
         assert!(WindowSpec::sliding(60, 120).is_err());
         assert!(WindowSpec::sliding(90, 60).is_err(), "stride must divide");
         let w = WindowSpec::tumbling(60_000).unwrap();
-        assert!(w.is_tumbling());
+        assert_eq!(w.stride_ms, w.size_ms);
         assert_eq!(w.windows_per_event(), 1);
         let s = WindowSpec::sliding(120_000, 60_000).unwrap();
-        assert!(!s.is_tumbling());
+        assert_ne!(s.stride_ms, s.size_ms);
         assert_eq!(s.windows_per_event(), 2);
     }
 

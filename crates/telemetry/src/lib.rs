@@ -73,6 +73,19 @@ use std::sync::Mutex;
 /// How many exemplar trace ids each key retains (largest-weight first).
 const EXEMPLARS_PER_KEY: usize = 4;
 
+/// The 64-bit FNV-1a offset basis: the state [`fnv1a`] starts from.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// 64-bit FNV-1a over `bytes`, continuing from `state`: the one unseeded
+/// digest behind shard routing and every pinned run digest.
+#[inline]
+#[must_use]
+pub fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(state, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// Clock + registry + trace events + context minter, bundled for handing
 /// around the stack.
 #[derive(Debug, Default)]
@@ -339,6 +352,18 @@ fn retain_heaviest(kept: &mut Vec<(u64, u64)>, entries: impl IntoIterator<Item =
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        assert_eq!(fnv1a(FNV_OFFSET, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(FNV_OFFSET, b"foobar"), 0x8594_4171_f739_67e8);
+        // A continued state is one pass over the concatenation.
+        assert_eq!(
+            fnv1a(fnv1a(FNV_OFFSET, b"foo"), b"bar"),
+            fnv1a(FNV_OFFSET, b"foobar")
+        );
+    }
 
     #[test]
     fn span_emits_begin_and_end_with_virtual_timestamps() {

@@ -147,7 +147,7 @@ impl Histogram {
 
     /// The bucket index a value lands in: the value's bit length.
     #[must_use]
-    pub fn bucket_index(value: u64) -> usize {
+    fn bucket_index(value: u64) -> usize {
         (u64::BITS - value.leading_zeros()) as usize
     }
 

@@ -127,13 +127,6 @@ impl Ema {
     pub fn stddev(&self) -> f64 {
         self.variance.sqrt()
     }
-
-    /// `mean + sigmas * stddev` — a headroom estimate over the smoothed
-    /// distribution, as used by GenPack's resource monitor.
-    #[must_use]
-    pub fn headroom(&self, sigmas: f64) -> f64 {
-        self.mean + sigmas * self.stddev()
-    }
 }
 
 #[cfg(test)]
@@ -180,7 +173,7 @@ mod tests {
         // delta = 8, mean = 0 + 0.5*8 = 4, var = 0.5 * (0 + 0.5*64) = 16.
         assert!((e.mean() - 4.0).abs() < 1e-12);
         assert!((e.variance() - 16.0).abs() < 1e-12);
-        assert!((e.headroom(2.0) - (4.0 + 2.0 * 4.0)).abs() < 1e-12);
+        assert!((e.stddev() - 4.0).abs() < 1e-12);
     }
 
     #[test]

@@ -480,9 +480,7 @@ fn run_replica_scenario(seed: u64) -> ReplicaOutcome {
 
 /// FNV-1a of an export; pinned beside its length below.
 fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
+    securecloud::telemetry::fnv1a(securecloud::telemetry::FNV_OFFSET, text.as_bytes())
 }
 
 /// The replica run's Prometheus text, JSONL trace and chrome trace, pinned
