@@ -19,6 +19,11 @@
 //! [`StorageEngine::fail_after_host_writes`] fires a deterministic
 //! [`StorageError::CrashInjected`] before the Nth host write to drive the
 //! crash-recovery property tests.
+//!
+//! A failed host write poisons the engine: every later mutation returns
+//! [`StorageError::Poisoned`]. The failed write may have sealed bytes the
+//! host never took, so the engine seals nothing more under its keys; only a
+//! reopen from the host disk continues.
 
 use crate::disk::{HostDisk, HostSegment, SealedWalRecord};
 use crate::layout::{
@@ -144,6 +149,8 @@ pub struct StorageEngine {
     /// Test hook: `Some(n)` makes the (n+1)-th host write fail with
     /// [`StorageError::CrashInjected`] before any bytes land.
     fail_after_host_writes: Option<u64>,
+    /// Set by a failed host write; every later mutation is refused.
+    poisoned: bool,
 }
 
 impl StorageEngine {
@@ -181,6 +188,7 @@ impl StorageEngine {
             cache_region: None,
             stats: StorageStats::default(),
             fail_after_host_writes: None,
+            poisoned: false,
         }
     }
 
@@ -319,6 +327,7 @@ impl StorageEngine {
                 ..StorageStats::default()
             },
             fail_after_host_writes: None,
+            poisoned: false,
         };
         Ok((
             engine,
@@ -380,18 +389,29 @@ impl StorageEngine {
 
     /// Arms (or disarms) the crash hook: with `Some(n)`, the `n+1`-th
     /// subsequent host write fails with [`StorageError::CrashInjected`]
-    /// before any bytes land. After a crash fires the engine must be
-    /// discarded and reopened from a clone of the disk.
+    /// before any bytes land. After a crash fires the engine is poisoned
+    /// and must be reopened from a clone of the disk.
     pub fn fail_after_host_writes(&mut self, writes: Option<u64>) {
         self.fail_after_host_writes = writes;
     }
 
+    /// The gate of every host write: fires the armed crash hook, and
+    /// poisons the engine when it does.
     fn maybe_crash(&mut self) -> Result<(), StorageError> {
         if let Some(n) = &mut self.fail_after_host_writes {
             if *n == 0 {
+                self.poisoned = true;
                 return Err(StorageError::CrashInjected);
             }
             *n -= 1;
+        }
+        Ok(())
+    }
+
+    /// The gate of every mutation: refuses once a host write has failed.
+    fn check_live(&self) -> Result<(), StorageError> {
+        if self.poisoned {
+            return Err(StorageError::Poisoned);
         }
         Ok(())
     }
@@ -401,12 +421,14 @@ impl StorageEngine {
     ///
     /// # Errors
     ///
-    /// [`StorageError::CrashInjected`] if the crash hook fires.
+    /// [`StorageError::CrashInjected`] if the crash hook fires;
+    /// [`StorageError::Poisoned`] after an earlier failed host write.
     pub fn append<'a>(
         &mut self,
         mem: &mut MemorySim,
         record: impl Into<RecordRef<'a>>,
     ) -> Result<(), StorageError> {
+        self.check_live()?;
         let seq = self.wal_next_seq;
         let sealed = seal_wal_record(&self.wal_cipher, seq, &self.wal_prev_tag, record.into());
         let tag = wal_tag(&sealed)?;
@@ -428,9 +450,9 @@ impl StorageEngine {
     ///
     /// # Errors
     ///
-    /// [`StorageError::CrashInjected`] mid-commit (the engine must then
-    /// be discarded), or an integrity error surfaced by a triggered
-    /// compaction.
+    /// [`StorageError::CrashInjected`] mid-commit (the engine is then
+    /// poisoned), [`StorageError::Poisoned`] after an earlier failed host
+    /// write, or an integrity error surfaced by a triggered compaction.
     ///
     /// # Panics
     ///
@@ -445,6 +467,7 @@ impl StorageEngine {
             records.windows(2).all(|w| w[0].key < w[1].key),
             "flush records must be sorted by unique key"
         );
+        self.check_live()?;
         if records.is_empty() {
             return Ok(());
         }
@@ -473,9 +496,11 @@ impl StorageEngine {
     ///
     /// # Errors
     ///
-    /// [`StorageError::CrashInjected`] mid-commit, or a non-integrity
-    /// error reading the host.
+    /// [`StorageError::CrashInjected`] mid-commit,
+    /// [`StorageError::Poisoned`] after an earlier failed host write, or a
+    /// non-integrity error reading the host.
     pub fn compact(&mut self, mem: &mut MemorySim) -> Result<(), StorageError> {
+        self.check_live()?;
         if self.segments.len() < 2 {
             return Ok(());
         }
@@ -852,9 +877,11 @@ impl StorageEngine {
     ///
     /// # Errors
     ///
-    /// [`StorageError::CrashInjected`] mid-commit, or a non-integrity
-    /// host error.
+    /// [`StorageError::CrashInjected`] mid-commit,
+    /// [`StorageError::Poisoned`] after an earlier failed host write, or a
+    /// non-integrity host error.
     pub fn scrub(&mut self, mem: &mut MemorySim) -> Result<Vec<u64>, StorageError> {
+        self.check_live()?;
         let mut quarantined = Vec::new();
         for si in 0..self.segments.len() {
             self.segments[si].tags = None;
@@ -1333,6 +1360,50 @@ mod tests {
         .unwrap();
         assert_eq!(report.recovered_version, 0);
         assert_eq!(e2.version(), 0);
+    }
+
+    #[test]
+    fn a_failed_commit_poisons_the_engine() {
+        let counters = CounterService::new();
+        let mut e = engine(&counters, "t12");
+        let mut m = mem();
+        for i in 0..20 {
+            e.append(&mut m, &put(i)).unwrap();
+        }
+        e.flush(&mut m, &sorted_puts(0..20)).unwrap();
+        for i in 20..30 {
+            e.append(&mut m, &put(i)).unwrap();
+        }
+        e.fail_after_host_writes(Some(0));
+        assert_eq!(e.append(&mut m, &put(30)), Err(StorageError::CrashInjected));
+        // The host would take the next write; the engine refuses it, so the
+        // seq the failed append sealed is never sealed again.
+        e.fail_after_host_writes(None);
+        let disk = e.disk().clone();
+        assert_eq!(e.append(&mut m, &put(30)), Err(StorageError::Poisoned));
+        assert_eq!(
+            e.flush(&mut m, &sorted_puts(20..31)),
+            Err(StorageError::Poisoned)
+        );
+        assert_eq!(e.compact(&mut m), Err(StorageError::Poisoned));
+        assert_eq!(e.scrub(&mut m), Err(StorageError::Poisoned));
+        assert_eq!(e.disk(), &disk, "nothing reached the host");
+        // Reads stay served; the reopened engine takes writes again.
+        assert_eq!(
+            e.lookup(&mut m, b"key0003").unwrap(),
+            Some(Some(vec![3u8; 40]))
+        );
+        let (mut e2, report) = StorageEngine::open(
+            &mut mem(),
+            e.config().clone(),
+            StoreKeys::new([1u8; 16]),
+            counters.clone(),
+            "t12",
+            disk,
+        )
+        .unwrap();
+        assert_eq!(report.recovered_version, 30);
+        e2.append(&mut m, &put(30)).unwrap();
     }
 
     proptest::proptest! {

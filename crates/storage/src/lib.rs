@@ -70,6 +70,11 @@ pub enum StorageError {
     /// [`StorageEngine::fail_after_host_writes`]); the in-memory store must
     /// be discarded and reopened from the host disk.
     CrashInjected,
+    /// An earlier host write of this engine failed, so it refuses every
+    /// later mutation: the failed write may have left sealed bytes the host
+    /// never took, and sealing again could reuse their nonces. Discard the
+    /// engine and reopen it from the host disk.
+    Poisoned,
 }
 
 impl fmt::Display for StorageError {
@@ -90,6 +95,7 @@ impl fmt::Display for StorageError {
             },
             StorageError::Corrupt(what) => write!(f, "corrupt host structure: {what}"),
             StorageError::CrashInjected => write!(f, "injected crash point fired"),
+            StorageError::Poisoned => write!(f, "engine poisoned by an earlier failed host write"),
         }
     }
 }
