@@ -8,8 +8,15 @@
 //! that panics on several consecutive deliveries is **quarantined** — it
 //! stops receiving messages until an operator intervenes, the same
 //! containment the container engine applies to crash-looping enclaves.
+//!
+//! The host delivers each subscription in leased batches, and tells the
+//! handler of a batch's last message so ([`ServiceCtx::end_of_batch`]). A
+//! handler that stages state there commits it once per batch; it holds its
+//! acks ([`ServiceCtx::hold_ack`]) so that the host acks each message only
+//! after the batch's last handler has returned, behind the commit that made
+//! it durable.
 
-use crate::bus::{EventBus, Message, SubscriberId};
+use crate::bus::{EventBus, Message, MessageId, SubscriberId};
 use securecloud_faults::FaultInjector;
 use securecloud_scbr::types::{Publication, Subscription};
 use securecloud_telemetry::{Telemetry, TraceContext};
@@ -20,12 +27,30 @@ use std::sync::Arc;
 #[derive(Debug, Default)]
 pub struct ServiceCtx {
     outbox: Vec<(String, Vec<u8>, Publication)>,
+    end_of_batch: bool,
+    hold_ack: bool,
 }
 
 impl ServiceCtx {
     /// Emits a new event to `topic`.
     pub fn emit(&mut self, topic: &str, payload: Vec<u8>, attributes: Publication) {
         self.outbox.push((topic.to_string(), payload, attributes));
+    }
+
+    /// Whether this message is the last of the batch the host leased: the
+    /// point where a handler that stages state commits it. Every batch has
+    /// exactly one, at every delivery batch size.
+    #[must_use]
+    pub fn end_of_batch(&self) -> bool {
+        self.end_of_batch
+    }
+
+    /// Holds this message's ack until the batch's last handler has
+    /// returned, so it follows the commit made at
+    /// [`ServiceCtx::end_of_batch`]. A handler that panics is nacked all the
+    /// same.
+    pub fn hold_ack(&mut self) {
+        self.hold_ack = true;
     }
 }
 
@@ -60,6 +85,9 @@ pub struct ServiceHost {
     delivery_batch: usize,
     injector: Option<Arc<FaultInjector>>,
     telemetry: Option<Arc<Telemetry>>,
+    /// Acks held by their handlers until the current batch ends (one
+    /// buffer, reused by every batch).
+    held_acks: Vec<MessageId>,
 }
 
 impl std::fmt::Debug for ServiceHost {
@@ -81,6 +109,7 @@ impl ServiceHost {
             delivery_batch: 1,
             injector: None,
             telemetry: None,
+            held_acks: Vec::new(),
         }
     }
 
@@ -161,12 +190,14 @@ impl ServiceHost {
     /// `(service, subscription)` pair; returns the number processed
     /// (including attempts whose handler panicked).
     ///
-    /// A message is acked only if its handler returns normally; a panic is
-    /// caught, the message nacked (redelivery or dead-letter per the bus's
-    /// retry budget), and the handler's emitted events discarded. Handlers
-    /// borrow each message from its lease; nothing is copied. If a service
-    /// trips quarantine mid-batch, the rest of its batch, which no handler
-    /// saw, goes back to the front of the queue as if never leased.
+    /// A message is acked only if its handler returns normally: at once, or
+    /// after the batch's last handler if the handler held its ack. A panic
+    /// is caught, the message nacked (redelivery or dead-letter per the
+    /// bus's retry budget), and the handler's emitted events discarded.
+    /// Handlers borrow each message from its lease; nothing is copied. If a
+    /// service trips quarantine mid-batch, the acks held so far are
+    /// released, and the rest of its batch, which no handler saw, goes back
+    /// to the front of the queue as if never leased.
     fn deliver_one_subscription(
         &mut self,
         service_idx: usize,
@@ -181,13 +212,16 @@ impl ServiceHost {
         }
         let sub_id = registered.subscriber_ids[sub_pos];
         let mut batch = self.bus.lease_batch(sub_id, batch_size).into_iter();
-        for delivery in batch.by_ref() {
+        while let Some(delivery) = batch.next() {
             let Some(message) = self.bus.hand_over(sub_id, &delivery) else {
                 continue;
             };
             processed += 1;
             let (id, attempt, parent) = (message.id, message.attempt, message.ctx);
-            let mut ctx = ServiceCtx::default();
+            let mut ctx = ServiceCtx {
+                end_of_batch: batch.as_slice().is_empty(),
+                ..ServiceCtx::default()
+            };
             let force_panic = std::mem::take(&mut registered.panic_next);
             let service = &mut registered.service;
             // Traced deliveries get a handler span as a causal child
@@ -215,7 +249,11 @@ impl ServiceHost {
             match outcome {
                 Ok(()) => {
                     registered.consecutive_panics = 0;
-                    self.bus.ack(sub_id, id);
+                    if ctx.hold_ack {
+                        self.held_acks.push(id);
+                    } else {
+                        self.bus.ack(sub_id, id);
+                    }
                     outbox.extend(
                         ctx.outbox
                             .drain(..)
@@ -272,6 +310,9 @@ impl ServiceHost {
             if registered.quarantined {
                 break;
             }
+        }
+        for id in self.held_acks.drain(..) {
+            self.bus.ack(sub_id, id);
         }
         // A quarantine tripped mid-batch: the rest goes back untouched, so
         // the queue is what a batch of one would have left.
@@ -593,6 +634,145 @@ mod tests {
             "never attempted, in publish order"
         );
         assert_eq!(run(4), single);
+    }
+
+    /// `(payload, end_of_batch)` of every message a [`Staging`] handled.
+    type StagingLog = Arc<std::sync::Mutex<Vec<(u8, bool)>>>;
+
+    /// Stages every message it handles: logs it, holds its ack, and panics
+    /// on `panic_on` (`panics` more times).
+    struct Staging {
+        log: StagingLog,
+        panic_on: u8,
+        panics: u32,
+    }
+    impl MicroService for Staging {
+        fn name(&self) -> &str {
+            "staging"
+        }
+        fn subscriptions(&self) -> Vec<(String, Option<Subscription>)> {
+            vec![("work".into(), None)]
+        }
+        fn handle(&mut self, message: &Message, ctx: &mut ServiceCtx) {
+            ctx.hold_ack();
+            if message.payload[0] == self.panic_on && self.panics > 0 {
+                self.panics -= 1;
+                panic!("staging failure");
+            }
+            let entry = (message.payload[0], ctx.end_of_batch());
+            self.log.lock().unwrap().push(entry);
+        }
+    }
+
+    /// A host running [`Staging`] at `batch` over payloads `0..messages`.
+    fn staging_host(
+        batch: usize,
+        messages: u8,
+        panic_on: u8,
+        panics: u32,
+    ) -> (ServiceHost, StagingLog) {
+        let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let mut host = ServiceHost::new(1000);
+        host.set_delivery_batch(batch);
+        host.register(Box::new(Staging {
+            log: log.clone(),
+            panic_on,
+            panics,
+        }));
+        for i in 0..messages {
+            host.bus_mut().publish("work", vec![i], Publication::new());
+        }
+        (host, log)
+    }
+
+    #[test]
+    fn end_of_batch_closes_every_leased_batch_once_and_acks_follow_it() {
+        use securecloud_telemetry::trace::Phase;
+        for batch in [1usize, 3, 4, 8] {
+            let (mut host, log) = staging_host(batch, 0, u8::MAX, 0);
+            let telemetry = Arc::new(Telemetry::new());
+            host.set_telemetry(telemetry.clone());
+            for i in 0..7u8 {
+                host.bus_mut().publish("work", vec![i], Publication::new());
+            }
+            assert_eq!(host.pump_switchless(100), 7);
+            assert_eq!(host.bus().stats().acked, 7);
+            let ends: Vec<u8> = log
+                .lock()
+                .unwrap()
+                .iter()
+                .filter(|e| e.1)
+                .map(|e| e.0)
+                .collect();
+            let want: Vec<u8> = (0..7u8)
+                .filter(|&i| (usize::from(i) + 1) % batch == 0 || i == 6)
+                .collect();
+            assert_eq!(ends, want, "batch {batch}: one end per leased batch");
+            // Every held ack lands after the last handler of its batch.
+            let order: String = telemetry
+                .trace_events()
+                .iter()
+                .filter_map(|e| match (e.name.as_str(), e.phase) {
+                    ("deliver", Phase::Begin) => Some('d'),
+                    ("publish_to_ack", _) => Some('a'),
+                    _ => None,
+                })
+                .collect();
+            let want: String = (0..7)
+                .step_by(batch)
+                .map(|start| {
+                    let n = batch.min(7 - start);
+                    "d".repeat(n) + &"a".repeat(n)
+                })
+                .collect();
+            assert_eq!(order, want, "batch {batch}");
+        }
+    }
+
+    #[test]
+    fn a_panic_mid_batch_nacks_only_its_own_message() {
+        silence_panics();
+        let (mut host, log) = staging_host(4, 4, 1, 1);
+        assert_eq!(host.pump_switchless(1), 4, "one leased batch");
+        let stats = host.bus().stats();
+        assert_eq!((stats.acked, stats.nacked), (3, 1));
+        assert_eq!(
+            *log.lock().unwrap(),
+            vec![(0, false), (2, false), (3, true)],
+            "the batch still ends at its last message"
+        );
+        assert_eq!(host.pump_switchless(10), 1, "the nacked message retries");
+        let stats = host.bus().stats();
+        assert_eq!((stats.acked, stats.nacked, stats.redelivered), (4, 1, 1));
+        assert_eq!(log.lock().unwrap().last(), Some(&(1, true)));
+        assert!(host.bus().dead_letters().is_empty());
+    }
+
+    #[test]
+    fn a_quarantine_mid_batch_releases_held_acks_and_the_unseen_rest() {
+        silence_panics();
+        let run = |batch: usize| {
+            let (mut host, log) = staging_host(batch, 4, 1, u32::MAX);
+            host.set_quarantine_after(1);
+            host.pump_switchless(10);
+            assert_eq!(quarantined(&host), vec!["staging"]);
+            let stats = host.bus().stats();
+            let waiting: Vec<(Vec<u8>, u32)> =
+                std::iter::from_fn(|| host.bus_mut().fetch(SubscriberId(1)))
+                    .map(|m| (m.payload, m.attempt))
+                    .collect();
+            let seen: Vec<u8> = log.lock().unwrap().iter().map(|e| e.0).collect();
+            (stats, waiting, seen)
+        };
+        let (stats, waiting, seen) = run(4);
+        assert_eq!((stats.delivered, stats.acked, stats.nacked), (2, 1, 1));
+        assert_eq!(seen, vec![0], "the held ack of message 0 was released");
+        assert_eq!(
+            waiting,
+            vec![(vec![2], 1), (vec![3], 1), (vec![1], 2)],
+            "the unseen rest first, never attempted; the nacked one behind"
+        );
+        assert_eq!(run(1), (stats, waiting, seen), "as at batch size one");
     }
 
     #[test]

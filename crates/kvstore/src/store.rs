@@ -7,6 +7,11 @@
 //! touches the memtable, full memtables flush to sealed segments, and
 //! reads fall through to verified block page-ins — so working sets far
 //! beyond the EPC stay serviceable at honest simulated cost.
+//!
+//! A caller that applies many mutations at once can open a *write group*
+//! ([`SecureKv::open_group`]): its mutations seal and stage their WAL
+//! records, and [`SecureKv::commit_group`] writes them to the host in one
+//! transfer. Outside a group every mutation is its own host write.
 
 use securecloud_crypto::gcm::AesGcm;
 use securecloud_crypto::wire::Wire;
@@ -135,6 +140,9 @@ pub struct SecureKv {
     arena: Arena,
     /// The sealed on-host tier (tiered mode only).
     storage: Option<Box<StorageEngine>>,
+    /// Whether the caller's write group is open: mutations stage their WAL
+    /// records until [`SecureKv::commit_group`].
+    group_open: bool,
 }
 
 const ARENA_CHUNK: u64 = 1 << 20;
@@ -151,6 +159,7 @@ impl Default for SecureKv {
             metrics: KvMetrics::default(),
             arena: Arena::new(ARENA_CHUNK),
             storage: None,
+            group_open: false,
         }
     }
 }
@@ -323,6 +332,42 @@ impl SecureKv {
         (!previous.dead).then_some(previous.value)
     }
 
+    /// Opens a write group: until [`SecureKv::commit_group`], each put and
+    /// delete of a tiered store seals its WAL record and stages it in
+    /// enclave memory instead of writing it to the host. Reads see staged
+    /// mutations at once; none is durable, or counted by the trusted version
+    /// floor, before the commit. A memtable flush commits what is staged
+    /// before it. Opening an open group does nothing.
+    pub fn open_group(&mut self) {
+        self.group_open = true;
+    }
+
+    /// Writes every staged WAL record to the host in one transfer, advances
+    /// the trusted version floor past them, and closes the group.
+    ///
+    /// # Errors
+    ///
+    /// [`KvError::Storage`] — the host write failed, losing the whole group;
+    /// the store must then be discarded and reopened from its disk.
+    pub fn commit_group(&mut self, mem: &mut MemorySim) -> Result<(), KvError> {
+        self.group_open = false;
+        if let Some(engine) = self.storage.as_mut() {
+            engine.commit(mem)?;
+        }
+        Ok(())
+    }
+
+    /// WAL-logs one mutation of a tiered store: staged in an open group,
+    /// written at once outside one.
+    fn log(&mut self, mem: &mut MemorySim, record: RecordRef<'_>) -> Result<(), KvError> {
+        match self.storage.as_mut() {
+            Some(engine) if self.group_open => engine.stage(mem, record)?,
+            Some(engine) => engine.append(mem, record)?,
+            None => {}
+        }
+        Ok(())
+    }
+
     /// [`SecureKv::try_put`], panicking on a storage-tier failure. Pinned by
     /// `benchmark/src/probes.rs:145`; product code calls `try_put`.
     pub fn put(&mut self, mem: &mut MemorySim, key: &[u8], value: &[u8]) -> Option<Vec<u8>> {
@@ -330,7 +375,8 @@ impl SecureKv {
             .expect("tiered storage failure on put; reopen the store")
     }
 
-    /// Inserts or updates `key`: WAL-logs first (tiered mode), then updates
+    /// Inserts or updates `key`: WAL-logs first (tiered mode; staged in an
+    /// open write group), then updates
     /// the memtable, flushing it to a sealed segment when full. Returns the
     /// previous value *from the in-EPC tier* — a key only present in sealed
     /// segments reads back as `None` here, keeping the write path free of
@@ -347,9 +393,7 @@ impl SecureKv {
         value: &[u8],
     ) -> Result<Option<Vec<u8>>, KvError> {
         let value = Some(value);
-        if let Some(engine) = self.storage.as_mut() {
-            engine.append(mem, RecordRef { key, value })?;
-        }
+        self.log(mem, RecordRef { key, value })?;
         let previous = self.memtable_put(mem, key, value);
         self.version += 1;
         self.metrics.puts.inc();
@@ -437,8 +481,7 @@ impl SecureKv {
                 }
             }
         };
-        let engine = self.storage.as_mut().expect("tiered mode checked");
-        engine.append(mem, RecordRef { key, value: None })?;
+        self.log(mem, RecordRef { key, value: None })?;
         self.memtable_put(mem, key, None);
         self.version += 1;
         self.metrics.deletes.inc();

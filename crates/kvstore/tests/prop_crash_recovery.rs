@@ -6,7 +6,10 @@
 //! replay must reconstruct the exact state an uninterrupted run reaches:
 //! same version, byte-identical scan. A second property pins the rollback
 //! fence: restarting from *any* stale copy of the disk is rejected once
-//! the trusted version floor has moved past it.
+//! the trusted version floor has moved past it. Two more cover write
+//! groups: a crash at a group's commit loses that group whole and nothing
+//! before it, and grouped writes leave the host the bytes one-by-one
+//! writes leave.
 
 use proptest::prelude::*;
 use securecloud_kvstore::{
@@ -55,6 +58,28 @@ fn apply(kv: &mut SecureKv, m: &mut MemorySim, op: &Op) -> Result<(), KvError> {
     match op {
         Op::Put(k, v) => kv.try_put(m, &key(*k), v).map(|_| ()),
         Op::Delete(k) => kv.try_delete(m, &key(*k)).map(|_| ()),
+    }
+}
+
+/// Applies `group` inside one write group and commits it.
+fn apply_group(kv: &mut SecureKv, m: &mut MemorySim, group: &[Op]) -> Result<(), KvError> {
+    kv.open_group();
+    for op in group {
+        apply(kv, m, op)?;
+    }
+    kv.commit_group(m)
+}
+
+fn groups_strategy() -> impl Strategy<Value = Vec<Vec<Op>>> {
+    proptest::collection::vec(proptest::collection::vec(op_strategy(), 1..8), 1..10)
+}
+
+/// A memtable budget no test sequence reaches: the group commits are the
+/// only host writes.
+fn roomy_config() -> StorageConfig {
+    StorageConfig {
+        flush_bytes: 1 << 20,
+        ..tiny_config()
     }
 }
 
@@ -135,6 +160,93 @@ proptest! {
         prop_assert_eq!(kv.version(), want_version);
         let got_state = kv.try_scan(&mut cm, b"", b"~").expect("recovered scan");
         prop_assert_eq!(got_state, want_state);
+    }
+
+    /// Groups are all or nothing: killed at the commit of group `n`, the
+    /// store reopens to exactly the state after groups `0..n`, and replaying
+    /// group `n` onward reaches the uninterrupted state.
+    #[test]
+    fn a_crash_at_a_group_commit_recovers_the_committed_prefix(
+        groups in groups_strategy(),
+        kill_at in 0u64..12,
+    ) {
+        let store = |counters: &CounterService| {
+            SecureKv::tiered(roomy_config(), StoreKeys::new([7u8; 16]), counters.clone(), "prop/group")
+        };
+        // Reference states after each prefix of groups.
+        let mut rm = mem();
+        let mut reference = store(&CounterService::new());
+        let mut prefix_states = vec![(0, Vec::new())];
+        for group in &groups {
+            apply_group(&mut reference, &mut rm, group).expect("uninterrupted run");
+            let scan = reference.try_scan(&mut rm, b"", b"~").expect("reference scan");
+            prefix_states.push((reference.version(), scan));
+        }
+
+        let mut cm = mem();
+        let counters = CounterService::new();
+        let mut kv = store(&counters);
+        kv.storage_mut().expect("tiered").fail_after_host_writes(Some(kill_at));
+        let mut crashed_at = None;
+        for (n, group) in groups.iter().enumerate() {
+            match apply_group(&mut kv, &mut cm, group) {
+                Ok(()) => {}
+                Err(KvError::Storage(StorageError::CrashInjected)) => {
+                    crashed_at = Some(n);
+                    break;
+                }
+                Err(e) => prop_assert!(false, "unexpected error: {e}"),
+            }
+        }
+        // The memtable never flushes, so only a commit can have crashed.
+        let Some(n) = crashed_at else {
+            return Ok(()); // the budget outlasted the workload
+        };
+        let disk = kv.storage().expect("tiered").disk().clone();
+        drop(kv);
+        let (mut kv, _) = SecureKv::reopen(
+            &mut cm,
+            roomy_config(),
+            StoreKeys::new([7u8; 16]),
+            counters,
+            "prop/group",
+            disk,
+        )
+        .expect("post-crash reopen");
+        let (want_version, want_state) = &prefix_states[n];
+        prop_assert_eq!(kv.version(), *want_version);
+        prop_assert_eq!(&kv.try_scan(&mut cm, b"", b"~").expect("recovered scan"), want_state);
+        for group in &groups[n..] {
+            apply_group(&mut kv, &mut cm, group).expect("replay after recovery");
+        }
+        let (final_version, final_state) = prefix_states.last().expect("the empty prefix");
+        prop_assert_eq!(kv.version(), *final_version);
+        prop_assert_eq!(&kv.try_scan(&mut cm, b"", b"~").expect("final scan"), final_state);
+    }
+
+    /// Grouping changes how many host writes carry the WAL, not what it
+    /// holds: through flushes and compactions, grouped and one-by-one
+    /// writes leave the same sealed bytes on the host, byte for byte.
+    #[test]
+    fn grouped_and_one_by_one_writes_leave_the_same_disk(groups in groups_strategy()) {
+        let store = || {
+            SecureKv::tiered(tiny_config(), StoreKeys::new([5u8; 16]), CounterService::new(), "prop/same")
+        };
+        let (mut m1, mut m2) = (mem(), mem());
+        let (mut one_by_one, mut grouped) = (store(), store());
+        for group in &groups {
+            for op in group {
+                apply(&mut one_by_one, &mut m1, op).expect("one-by-one run");
+            }
+            apply_group(&mut grouped, &mut m2, group).expect("grouped run");
+        }
+        let (e1, e2) = (one_by_one.storage().expect("tiered"), grouped.storage().expect("tiered"));
+        prop_assert_eq!(&e2.disk().wal, &e1.disk().wal);
+        prop_assert_eq!(e2.disk(), e1.disk());
+        prop_assert_eq!(e2.version(), e1.version());
+        let (s1, s2) = (m1.stats(), m2.stats());
+        prop_assert_eq!(s2.host_write_bytes, s1.host_write_bytes);
+        prop_assert!(s2.host_writes <= s1.host_writes);
     }
 
     /// However much history separates the copy from the present, a

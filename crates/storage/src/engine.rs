@@ -10,7 +10,7 @@
 //!
 //! # Crash safety
 //!
-//! Host writes happen in a fixed order (WAL append; segment blocks; then
+//! Host writes happen in a fixed order (WAL commit; segment blocks; then
 //! the manifest as the single atomic commit point; then WAL truncation
 //! and segment GC). A crash at any point leaves either the old manifest
 //! (plus a longer WAL and possibly orphan segments, both handled at
@@ -19,6 +19,15 @@
 //! [`StorageEngine::fail_after_host_writes`] fires a deterministic
 //! [`StorageError::CrashInjected`] before the Nth host write to drive the
 //! crash-recovery property tests.
+//!
+//! # Group commit
+//!
+//! A WAL record is sealed and chained when it is *staged*
+//! ([`StorageEngine::stage`]) and written when its group is *committed*
+//! ([`StorageEngine::commit`]): one host transfer for every staged record,
+//! after which the trusted version floor moves past them. A crash at the
+//! commit loses the whole group and nothing before it. [`StorageEngine::append`]
+//! is the group of one.
 //!
 //! A failed host write poisons the engine: every later mutation returns
 //! [`StorageError::Poisoned`]. The failed write may have sealed bytes the
@@ -137,8 +146,11 @@ pub struct StorageEngine {
     manifest_epoch: u64,
     wal_start_seq: u64,
     wal_next_seq: u64,
-    /// Chain tag of the last appended WAL record.
+    /// Chain tag of the last committed WAL record.
     wal_prev_tag: [u8; TAG_LEN],
+    /// Sealed WAL records past `wal_next_seq`, in enclave memory until the
+    /// next commit writes them.
+    staged: Vec<SealedWalRecord>,
     /// Chain anchor for `wal_start_seq` (tag of the last *folded* record).
     wal_anchor_tag: [u8; TAG_LEN],
     /// Decrypted-block cache, least recently used first.
@@ -182,6 +194,7 @@ impl StorageEngine {
             wal_start_seq: 0,
             wal_next_seq: 0,
             wal_prev_tag: WAL_GENESIS_TAG,
+            staged: Vec::new(),
             wal_anchor_tag: WAL_GENESIS_TAG,
             cache: Vec::new(),
             free_slots: (0..cap).rev().collect(),
@@ -318,6 +331,7 @@ impl StorageEngine {
             wal_start_seq: manifest.wal_start_seq,
             wal_next_seq: next_seq,
             wal_prev_tag: prev_tag,
+            staged: Vec::new(),
             wal_anchor_tag: manifest.wal_anchor_tag,
             cache: Vec::new(),
             free_slots: (0..cap).rev().collect(),
@@ -339,7 +353,8 @@ impl StorageEngine {
         ))
     }
 
-    /// Store version: mutations folded into segments plus the WAL tail.
+    /// Store version: mutations folded into segments plus the committed WAL
+    /// tail (staged records count from their commit on).
     #[must_use]
     pub fn version(&self) -> u64 {
         self.manifest_version + (self.wal_next_seq - self.wal_start_seq)
@@ -416,37 +431,74 @@ impl StorageEngine {
         Ok(())
     }
 
-    /// Appends one mutation to the sealed WAL (the durability point of a
-    /// put/delete) and advances the trusted version floor.
+    /// Seals one mutation as the next WAL record and stages it in enclave
+    /// memory: it gets the seq, nonce and chain tag an append would give
+    /// it, but reaches the host only at the next [`StorageEngine::commit`].
     ///
     /// # Errors
     ///
-    /// [`StorageError::CrashInjected`] if the crash hook fires;
     /// [`StorageError::Poisoned`] after an earlier failed host write.
-    pub fn append<'a>(
+    pub fn stage<'a>(
         &mut self,
         mem: &mut MemorySim,
         record: impl Into<RecordRef<'a>>,
     ) -> Result<(), StorageError> {
         self.check_live()?;
-        let seq = self.wal_next_seq;
-        let sealed = seal_wal_record(&self.wal_cipher, seq, &self.wal_prev_tag, record.into());
-        let tag = wal_tag(&sealed)?;
+        let (seq, prev_tag) = match self.staged.last() {
+            Some(last) => (last.seq + 1, wal_tag(&last.sealed)?),
+            None => (self.wal_next_seq, self.wal_prev_tag),
+        };
+        let sealed = seal_wal_record(&self.wal_cipher, seq, &prev_tag, record.into());
         mem.charge_ops(2 + sealed.len() as u64 / 64);
+        self.staged.push(SealedWalRecord { seq, sealed });
+        Ok(())
+    }
+
+    /// Writes every staged record to the WAL in one host transfer (the
+    /// durability point of their puts and deletes), then advances the
+    /// trusted version floor past them. A no-op when nothing is staged.
+    ///
+    /// # Errors
+    ///
+    /// [`StorageError::CrashInjected`] if the crash hook fires: the whole
+    /// group is lost and the engine poisoned; [`StorageError::Poisoned`]
+    /// after an earlier failed host write.
+    pub fn commit(&mut self, mem: &mut MemorySim) -> Result<(), StorageError> {
+        self.check_live()?;
+        let Some(last) = self.staged.last() else {
+            return Ok(());
+        };
+        let tag = wal_tag(&last.sealed)?;
         self.maybe_crash()?;
-        mem.charge_host_write(8 + sealed.len() as u64);
-        self.disk.wal.push(SealedWalRecord { seq, sealed });
-        self.wal_next_seq = seq + 1;
+        mem.charge_host_write(self.staged.iter().map(|r| 8 + r.sealed.len() as u64).sum());
+        self.wal_next_seq += self.staged.len() as u64;
         self.wal_prev_tag = tag;
-        self.stats.wal_appends += 1;
+        self.stats.wal_appends += self.staged.len() as u64;
+        self.disk.wal.append(&mut self.staged);
         self.counters
             .advance_to(&self.version_counter, self.version());
         Ok(())
     }
 
-    /// Seals `records` (the drained memtable: sorted, unique keys, with
-    /// tombstones) into a new segment, commits a manifest folding in the
-    /// WAL, then compacts if the segment count crossed the threshold.
+    /// Stages one mutation and commits: the group of one, committing any
+    /// records staged before it in the same host transfer.
+    ///
+    /// # Errors
+    ///
+    /// As [`StorageEngine::stage`] and [`StorageEngine::commit`].
+    pub fn append<'a>(
+        &mut self,
+        mem: &mut MemorySim,
+        record: impl Into<RecordRef<'a>>,
+    ) -> Result<(), StorageError> {
+        self.stage(mem, record)?;
+        self.commit(mem)
+    }
+
+    /// Commits the staged WAL records, then seals `records` (the drained
+    /// memtable: sorted, unique keys, with tombstones) into a new segment,
+    /// commits a manifest folding in the WAL, and compacts if the segment
+    /// count crossed the threshold.
     ///
     /// # Errors
     ///
@@ -467,7 +519,7 @@ impl StorageEngine {
             records.windows(2).all(|w| w[0].key < w[1].key),
             "flush records must be sorted by unique key"
         );
-        self.check_live()?;
+        self.commit(mem)?;
         if records.is_empty() {
             return Ok(());
         }
@@ -1363,6 +1415,45 @@ mod tests {
     }
 
     #[test]
+    fn a_group_commit_writes_what_appends_write_in_one_transfer() {
+        let counters = CounterService::new();
+        let (mut one_by_one, mut grouped) = (engine(&counters, "g1"), engine(&counters, "g2"));
+        let (mut m1, mut m2) = (mem(), mem());
+        for i in 0..6 {
+            one_by_one.append(&mut m1, &put(i)).unwrap();
+        }
+        for i in 0..6 {
+            grouped.stage(&mut m2, &put(i)).unwrap();
+        }
+        // Staged records are neither on the host nor counted yet.
+        assert!(grouped.disk().wal.is_empty());
+        assert_eq!(
+            (grouped.version(), counters.read("g2/storage-version")),
+            (0, 0)
+        );
+        grouped.commit(&mut m2).unwrap();
+        assert_eq!(
+            grouped.disk(),
+            one_by_one.disk(),
+            "same seqs, nonces and tags"
+        );
+        assert_eq!(
+            (grouped.version(), counters.read("g2/storage-version")),
+            (6, 6)
+        );
+        assert_eq!(grouped.stats(), one_by_one.stats());
+        let (s1, s2) = (m1.stats(), m2.stats());
+        assert_eq!((s1.host_writes, s2.host_writes), (6, 1));
+        assert_eq!(s1.host_write_bytes, s2.host_write_bytes);
+        assert!(m2.cycles() < m1.cycles());
+        // A flush commits what is staged before it seals the segment.
+        grouped.stage(&mut m2, &put(6)).unwrap();
+        grouped.flush(&mut m2, &sorted_puts(0..7)).unwrap();
+        assert_eq!(grouped.version(), 7);
+        assert_eq!(grouped.stats().wal_appends, 7);
+    }
+
+    #[test]
     fn a_failed_commit_poisons_the_engine() {
         let counters = CounterService::new();
         let mut e = engine(&counters, "t12");
@@ -1381,6 +1472,8 @@ mod tests {
         e.fail_after_host_writes(None);
         let disk = e.disk().clone();
         assert_eq!(e.append(&mut m, &put(30)), Err(StorageError::Poisoned));
+        assert_eq!(e.stage(&mut m, &put(30)), Err(StorageError::Poisoned));
+        assert_eq!(e.commit(&mut m), Err(StorageError::Poisoned));
         assert_eq!(
             e.flush(&mut m, &sorted_puts(20..31)),
             Err(StorageError::Poisoned)

@@ -39,6 +39,14 @@
 //!   sealed, every window has closed and the operator forwards one marker
 //!   to `flush_out`.
 //!
+//! ## Durability
+//!
+//! Every fold and drain stages its state write. The operator holds the ack
+//! of each message it handles ([`ServiceCtx::hold_ack`]) and commits the
+//! staged writes once, on the last message of each delivery batch
+//! ([`ServiceCtx::end_of_batch`]); the host then releases the held acks,
+//! so no message is acked before the write it caused is durable.
+//!
 //! `flush_out` should name the operator's own *output* topic: because the
 //! bus is FIFO per topic, a marker riding the data topic can never
 //! overtake the flushed results, whereas a token on a separate control
@@ -345,50 +353,9 @@ impl WindowedAggregator {
             }
         }
     }
-}
 
-/// The two-lane [`WindowedAggregator`], built under its own name.
-pub enum TwoStreamJoin {}
-
-impl TwoStreamJoin {
-    /// Builds the windowed inner join of `cfg.left` and `cfg.right` over
-    /// shared tiered state.
-    #[must_use]
-    #[allow(clippy::new_ret_no_self)] // the one windowed operator type
-    pub fn new(cfg: JoinConfig, state: SharedState) -> WindowedAggregator {
-        WindowedAggregator {
-            name: cfg.name,
-            lanes: vec![Lane::new(cfg.left, "l"), Lane::new(cfg.right, "r")],
-            key_attr: ATTR_KEY.into(),
-            output: cfg.output,
-            output_stream: cfg.output_stream,
-            windows: cfg.windows,
-            flush_in: cfg.flush_in,
-            flush_fan_in: cfg.flush_fan_in,
-            flush_out: cfg.flush_out,
-            state,
-            flushes_seen: 0,
-            eos_forwarded: false,
-            open: BTreeSet::new(),
-        }
-    }
-}
-
-impl MicroService for WindowedAggregator {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn subscriptions(&self) -> Vec<(String, Option<Subscription>)> {
-        self.lanes
-            .iter()
-            .map(|lane| &lane.topic)
-            .chain([&self.flush_in])
-            .map(|topic| (topic.clone(), None))
-            .collect()
-    }
-
-    fn handle(&mut self, message: &Message, ctx: &mut ServiceCtx) {
+    /// Folds one message into state, closing every window it closes.
+    fn apply(&mut self, message: &Message, ctx: &mut ServiceCtx) {
         if *message.topic == *self.flush_in {
             self.flushes_seen += 1;
             if self.flushes_seen >= self.flush_fan_in {
@@ -440,6 +407,59 @@ impl MicroService for WindowedAggregator {
         let lane = &mut self.lanes[lane];
         lane.watermark_ms = lane.watermark_ms.max(event.t_ms);
         self.close_ready(ctx);
+    }
+}
+
+/// The two-lane [`WindowedAggregator`], built under its own name.
+pub enum TwoStreamJoin {}
+
+impl TwoStreamJoin {
+    /// Builds the windowed inner join of `cfg.left` and `cfg.right` over
+    /// shared tiered state.
+    #[must_use]
+    #[allow(clippy::new_ret_no_self)] // the one windowed operator type
+    pub fn new(cfg: JoinConfig, state: SharedState) -> WindowedAggregator {
+        WindowedAggregator {
+            name: cfg.name,
+            lanes: vec![Lane::new(cfg.left, "l"), Lane::new(cfg.right, "r")],
+            key_attr: ATTR_KEY.into(),
+            output: cfg.output,
+            output_stream: cfg.output_stream,
+            windows: cfg.windows,
+            flush_in: cfg.flush_in,
+            flush_fan_in: cfg.flush_fan_in,
+            flush_out: cfg.flush_out,
+            state,
+            flushes_seen: 0,
+            eos_forwarded: false,
+            open: BTreeSet::new(),
+        }
+    }
+}
+
+impl MicroService for WindowedAggregator {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn subscriptions(&self) -> Vec<(String, Option<Subscription>)> {
+        self.lanes
+            .iter()
+            .map(|lane| &lane.topic)
+            .chain([&self.flush_in])
+            .map(|topic| (topic.clone(), None))
+            .collect()
+    }
+
+    fn handle(&mut self, message: &Message, ctx: &mut ServiceCtx) {
+        ctx.hold_ack();
+        self.apply(message, ctx);
+        if ctx.end_of_batch() {
+            let mut state = self.state.lock();
+            if state.commit().is_err() {
+                state.metrics.malformed += 1;
+            }
+        }
     }
 }
 
@@ -510,6 +530,25 @@ mod tests {
         assert_eq!(sums, vec![(1, 6.0), (2, 3.0)], "key-ordered sums");
         assert_eq!(state.lock().metrics.events, 4);
         assert_eq!(state.lock().metrics.results, 2);
+    }
+
+    #[test]
+    fn state_commits_once_per_delivery_batch() {
+        for (batch, writes) in [(1, 8), (3, 3), (8, 1)] {
+            let (agg, state) = aggregator(WindowSpec::tumbling(60_000).unwrap());
+            let mut host = ServiceHost::new(60_000);
+            host.set_delivery_batch(batch);
+            host.register(Box::new(agg));
+            for key in 0..8 {
+                host.bus_mut()
+                    .publish("in", Vec::new(), event(key, 1_000, 1.0));
+            }
+            host.pump_switchless(64);
+            let state = state.lock();
+            assert_eq!(state.metrics.events, 8);
+            assert_eq!(state.mem_stats().host_writes, writes, "batch {batch}");
+            assert_eq!(host.bus().stats().acked, 8);
+        }
     }
 
     #[test]

@@ -20,6 +20,11 @@
 //! numeric order, so `scan(prefix, prefix + '0')` yields a closed window's
 //! accumulators in ascending key order — which is what makes emission
 //! order deterministic.
+//!
+//! Folds and drains write inside the store's write group: their WAL
+//! records are sealed and staged in enclave memory, and
+//! [`OperatorState::commit`] writes them to the host in one transfer. The
+//! owning operator commits once per bus delivery batch.
 
 use std::io::Write;
 use std::sync::Arc;
@@ -207,7 +212,8 @@ impl OperatorState {
             .expect("writing to a Vec cannot fail");
     }
 
-    /// Folds `value` into the `(window_start, key)` accumulator on `lane`.
+    /// Folds `value` into the `(window_start, key)` accumulator on `lane`,
+    /// staging the write until the next [`OperatorState::commit`].
     ///
     /// # Errors
     ///
@@ -222,6 +228,7 @@ impl OperatorState {
     ) -> Result<(), StreamError> {
         self.write_window_prefix(lane, window_start);
         write!(self.key_buf, "/{key:016x}").expect("writing to a Vec cannot fail");
+        self.kv.open_group();
         let storage_key = &self.key_buf;
         let stored = self.kv.try_get_ref(&mut self.mem, storage_key);
         let agg = match stored.map_err(sealed_tier)? {
@@ -242,7 +249,8 @@ impl OperatorState {
 
     /// Drains a closed window on `lane`: returns `(key, accumulator)` in
     /// ascending key order and deletes the entries, so state stays bounded
-    /// by the number of *open* windows.
+    /// by the number of *open* windows. The deletes stage until the next
+    /// [`OperatorState::commit`].
     ///
     /// # Errors
     ///
@@ -266,6 +274,7 @@ impl OperatorState {
             .kv
             .try_scan(&mut self.mem, from, to)
             .map_err(sealed_tier)?;
+        self.kv.open_group();
         let mut out = Vec::with_capacity(pairs.len());
         for (storage_key, value) in &pairs {
             let hex = storage_key
@@ -283,6 +292,17 @@ impl OperatorState {
         }
         self.metrics.results += out.len() as u64;
         Ok(out)
+    }
+
+    /// Makes every staged fold and drain durable: one host write for the
+    /// whole group.
+    ///
+    /// # Errors
+    ///
+    /// [`StreamError::CorruptState`] if the host write failed; the staged
+    /// writes are then lost and the state refuses every later write.
+    pub fn commit(&mut self) -> Result<(), StreamError> {
+        self.kv.commit_group(&mut self.mem).map_err(sealed_tier)
     }
 
     /// Simulated cycles charged to this operator so far.
