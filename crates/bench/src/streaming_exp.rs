@@ -288,7 +288,15 @@ mod tests {
             tight.faults_per_kevent,
             roomy.faults_per_kevent
         );
-        assert!(tight.cycles_per_event > roomy.cycles_per_event);
+        // The knee is a margin, not a tie-break: the tight EPC costs at
+        // least 10 % more cycles per event (1.29x on this city; 1.03x when
+        // a host write per state record hid it).
+        assert!(
+            tight.cycles_per_event >= 1.10 * roomy.cycles_per_event,
+            "no knee: {:.0} vs {:.0} cycles/event",
+            tight.cycles_per_event,
+            roomy.cycles_per_event
+        );
     }
 
     #[test]

@@ -376,11 +376,10 @@ impl SecureKv {
     }
 
     /// Inserts or updates `key`: WAL-logs first (tiered mode; staged in an
-    /// open write group), then updates
-    /// the memtable, flushing it to a sealed segment when full. Returns the
-    /// previous value *from the in-EPC tier* — a key only present in sealed
-    /// segments reads back as `None` here, keeping the write path free of
-    /// host IO.
+    /// open write group), then updates the memtable, flushing it to a
+    /// sealed segment when full. Returns the previous value *from the in-EPC
+    /// tier* — a key only present in sealed segments reads back as `None`
+    /// here, keeping the write path free of host IO.
     ///
     /// # Errors
     ///
