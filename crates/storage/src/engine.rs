@@ -997,7 +997,7 @@ impl StorageEngine {
 
     /// Captures a consistent copy of the store for streaming to a new
     /// replica and advances the trusted version floor to fence out any
-    /// older export.
+    /// older export. Staged records are not part of it until committed.
     #[must_use]
     pub fn export(&self) -> IncrementalSnapshot {
         self.counters
