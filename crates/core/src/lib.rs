@@ -203,7 +203,8 @@ impl SecureCloud {
     /// restarts containers whose backoff elapsed, the event bus expires
     /// leases (redelivering unacked messages), and any planned faults that
     /// came due are fired — enclave aborts go to the engine, service panics
-    /// arm the service host, syscall failures arm the injector itself.
+    /// arm the service host, syscall and map-task failures arm the injector
+    /// itself, and the replica kinds go to the replicated deployments.
     ///
     /// Returns the fault events that fired so callers can apply the kinds
     /// the facade does not own (e.g. [`FaultKind::BrokerFail`] against an
@@ -268,15 +269,20 @@ impl SecureCloud {
                         TraceContext::none(),
                     );
                 }
-                // The facade owns no broker overlay; returned to the caller.
-                FaultKind::BrokerFail { .. } => {}
+                // The facade owns no broker overlay and no map/reduce
+                // runner: a broker failure is returned to the caller, and
+                // the injector armed a map-task failure itself for the
+                // runners that hold it.
+                FaultKind::BrokerFail { .. } | FaultKind::MapTaskFail { .. } => {}
                 FaultKind::ReplicaKill { .. }
                 | FaultKind::ReplicaStall { .. }
                 | FaultKind::StorageCorruptBlock { .. }
-                | FaultKind::NetworkPartition { .. } => {
+                | FaultKind::NetworkPartition { .. }
+                | FaultKind::StoreRefusesWrite { .. } => {
                     // Every replicated deployment gets a shot at the event;
                     // the one owning the shard applies it (kill + failover,
-                    // stall fencing, or partition until the heal deadline).
+                    // stall fencing, partition until the heal deadline, or
+                    // arming a store to refuse a write).
                     // Failover errors (e.g. no survivors) are already in
                     // the trace. If no deployment could route the event,
                     // count it: the target no longer exists.
@@ -292,7 +298,6 @@ impl SecureCloud {
                         self.record_unroutable(&event.kind);
                     }
                 }
-                _ => {}
             }
         }
         // Heal partitions whose deadline passed on the virtual clock.
@@ -476,13 +481,6 @@ impl SecureCloud {
         &mut self.host
     }
 
-    /// Sets how many bus messages each service may consume per delivery
-    /// step (fetched as one lease batch; delivery semantics are unchanged).
-    /// See [`ServiceHost::set_delivery_batch`].
-    pub fn set_delivery_batch(&mut self, batch: usize) {
-        self.host.set_delivery_batch(batch);
-    }
-
     /// Pumps bus deliveries ([`ServiceHost::pump_switchless`]) until quiet
     /// or for `max_steps` rounds; returns messages processed.
     pub fn run_services(&mut self, max_steps: usize) -> usize {
@@ -606,7 +604,15 @@ mod tests {
                     heal_after_ms: 50,
                 },
             )
-            .at(40, FaultKind::EnclaveAbort { container: 99 });
+            .at(40, FaultKind::EnclaveAbort { container: 99 })
+            .at(
+                50,
+                FaultKind::StoreRefusesWrite {
+                    shard: 9,
+                    slot: 0,
+                    after_writes: 0,
+                },
+            );
         let injector = Arc::new(FaultInjector::with_plan(3, plan));
         cloud.set_fault_injector(Arc::clone(&injector));
         cloud
@@ -616,7 +622,7 @@ mod tests {
             })
             .unwrap();
         let events = cloud.advance(100);
-        assert_eq!(events.len(), 4, "all four faults fired");
+        assert_eq!(events.len(), 5, "all five faults fired");
         let telemetry = Arc::clone(cloud.telemetry());
         let count = move |kind: &str| {
             telemetry
@@ -628,13 +634,14 @@ mod tests {
         assert_eq!(count("replica-stall"), 1);
         assert_eq!(count("network-partition"), 1);
         assert_eq!(count("enclave-abort"), 1);
+        assert_eq!(count("store-refuses-write"), 1);
         assert!(
             injector
                 .trace()
                 .iter()
                 .filter(|line| line.contains("fault unroutable"))
                 .count()
-                == 4,
+                == 5,
             "unroutable faults recorded in the deterministic trace"
         );
         // A routable fault does not touch the counter.

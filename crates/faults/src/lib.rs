@@ -60,7 +60,6 @@ impl DetRng {
 
 /// What the injector can break.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
 pub enum FaultKind {
     /// Abort the enclave backing a container (by engine container id).
     EnclaveAbort {
@@ -121,6 +120,25 @@ pub enum FaultKind {
         /// partition heals.
         heal_after_ms: u64,
     },
+    /// Make one map task of a map/reduce job fail its next `times`
+    /// attempts; the runner re-executes it within its retry budget.
+    MapTaskFail {
+        /// Map task index within the job.
+        task: usize,
+        /// Number of consecutive attempts to fail.
+        times: u32,
+    },
+    /// Make one replica's sealed storage tier refuse the host write after
+    /// the next `after_writes`: the write fails, and the group retires the
+    /// replica as it would a killed one.
+    StoreRefusesWrite {
+        /// Shard group index.
+        shard: u32,
+        /// Replica slot within the group.
+        slot: u32,
+        /// Host writes that still succeed before the refusal.
+        after_writes: u64,
+    },
 }
 
 impl FaultKind {
@@ -137,6 +155,8 @@ impl FaultKind {
             FaultKind::ReplicaStall { .. } => "replica-stall",
             FaultKind::StorageCorruptBlock { .. } => "storage-corrupt-block",
             FaultKind::NetworkPartition { .. } => "network-partition",
+            FaultKind::MapTaskFail { .. } => "map-task-fail",
+            FaultKind::StoreRefusesWrite { .. } => "store-refuses-write",
         }
     }
 }
@@ -162,6 +182,17 @@ impl std::fmt::Display for FaultKind {
                 heal_after_ms,
             } => {
                 write!(f, "network-partition s{group} heal+{heal_after_ms}ms")
+            }
+            FaultKind::MapTaskFail { task, times } => write!(f, "map-task-fail t{task} x{times}"),
+            FaultKind::StoreRefusesWrite {
+                shard,
+                slot,
+                after_writes,
+            } => {
+                write!(
+                    f,
+                    "store-refuses-write s{shard}/r{slot} after {after_writes}"
+                )
             }
         }
     }
@@ -234,6 +265,8 @@ struct InjectorState {
     pending: Vec<FaultEvent>, // sorted descending by time; popped from the back
     rates: FaultRates,
     forced_syscall_failures: u32,
+    /// Armed `(map task index, failures left)` pairs, in arming order.
+    forced_map_task_failures: Vec<(usize, u32)>,
     trace: Vec<String>,
     now_ms: u64,
 }
@@ -270,6 +303,7 @@ impl FaultInjector {
                 pending,
                 rates: FaultRates::default(),
                 forced_syscall_failures: 0,
+                forced_map_task_failures: Vec::new(),
                 trace: Vec::new(),
                 now_ms: 0,
             }),
@@ -288,9 +322,11 @@ impl FaultInjector {
     }
 
     /// Advances the injector clock to `now_ms` and returns the events that
-    /// became due, in schedule order. `SyscallFail` events are consumed
-    /// internally (arming [`FaultInjector::syscall_should_fail`]) but are
-    /// still returned for visibility.
+    /// became due, in schedule order. `SyscallFail` and `MapTaskFail`
+    /// events are consumed internally (arming
+    /// [`FaultInjector::syscall_should_fail`] and
+    /// [`FaultInjector::map_task_should_fail`]) but are still returned for
+    /// visibility.
     pub fn advance_to(&self, now_ms: u64) -> Vec<FaultEvent> {
         let mut state = self.lock();
         state.now_ms = state.now_ms.max(now_ms);
@@ -301,8 +337,12 @@ impl FaultInjector {
             .is_some_and(|event| event.at_ms <= now_ms)
         {
             let event = state.pending.pop().expect("checked non-empty");
-            if let FaultKind::SyscallFail { count } = event.kind {
-                state.forced_syscall_failures += count;
+            match event.kind {
+                FaultKind::SyscallFail { count } => state.forced_syscall_failures += count,
+                FaultKind::MapTaskFail { task, times } => {
+                    state.forced_map_task_failures.push((task, times));
+                }
+                _ => {}
             }
             let line = format!("t={} fire {}", event.at_ms, event.kind);
             state.trace.push(line);
@@ -354,6 +394,26 @@ impl FaultInjector {
             state.trace.push(line);
         }
         fail
+    }
+
+    /// Whether this attempt of map task `task` should fail, consuming one
+    /// failure armed by a [`FaultKind::MapTaskFail`]. Draws no random
+    /// number: a task with nothing armed simply runs.
+    pub fn map_task_should_fail(&self, task: usize) -> bool {
+        let state = &mut *self.lock();
+        let armed = state
+            .forced_map_task_failures
+            .iter_mut()
+            .find(|(armed_task, left)| *armed_task == task && *left > 0);
+        match armed {
+            Some((_, left)) => {
+                *left -= 1;
+                let line = format!("t={} map-task t{task} forced-fail", state.now_ms);
+                state.trace.push(line);
+                true
+            }
+            None => false,
+        }
     }
 
     /// Appends a free-form line to the trace (subsystems record recovery
@@ -425,6 +485,56 @@ mod tests {
         assert!(injector.syscall_should_fail());
         assert!(injector.syscall_should_fail());
         assert!(!injector.syscall_should_fail());
+    }
+
+    #[test]
+    fn map_task_fail_events_arm_per_task_counts() {
+        let kind = FaultKind::MapTaskFail { task: 2, times: 2 };
+        assert_eq!(kind.name(), "map-task-fail");
+        let injector = FaultInjector::with_plan(0, FaultPlan::new().at(10, kind));
+        assert!(!injector.map_task_should_fail(2), "not armed before t=10");
+        injector.advance_to(10);
+        assert!(!injector.map_task_should_fail(1), "other tasks run");
+        assert!(injector.map_task_should_fail(2));
+        assert!(injector.map_task_should_fail(2));
+        assert!(!injector.map_task_should_fail(2));
+        assert_eq!(
+            injector.trace(),
+            vec![
+                "t=10 fire map-task-fail t2 x2",
+                "t=10 map-task t2 forced-fail",
+                "t=10 map-task t2 forced-fail",
+            ]
+        );
+    }
+
+    #[test]
+    fn planning_only_the_new_kinds_leaves_sampled_answers_unchanged() {
+        let answers = |plan: FaultPlan| {
+            let injector = FaultInjector::with_plan(21, plan);
+            injector.set_rates(FaultRates {
+                message_loss_permille: 150,
+                message_duplication_permille: 150,
+                syscall_failure_permille: 150,
+            });
+            (0..40u64)
+                .map(|step| {
+                    injector.advance_to(step * 10);
+                    (injector.message_fate(step), injector.syscall_should_fail())
+                })
+                .collect::<Vec<_>>()
+        };
+        let refusal = FaultKind::StoreRefusesWrite {
+            shard: 1,
+            slot: 2,
+            after_writes: 4,
+        };
+        assert_eq!(refusal.name(), "store-refuses-write");
+        assert_eq!(refusal.to_string(), "store-refuses-write s1/r2 after 4");
+        let planned = FaultPlan::new()
+            .at(0, FaultKind::MapTaskFail { task: 0, times: 3 })
+            .at(50, refusal);
+        assert_eq!(answers(FaultPlan::new()), answers(planned));
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //!
 //! Mappers and reducers execute inside simulated enclaves; the shuffle —
 //! the only stage whose data rests on untrusted storage — is encrypted and
-//! authenticated per partition chunk. Worker failures are injected for
-//! testing and handled by deterministic re-execution, MapReduce's classic
+//! authenticated per partition chunk. Worker failures are planned as
+//! `FaultKind::MapTaskFail` events of the platform's fault injector and
+//! handled by deterministic re-execution, MapReduce's classic
 //! fault-tolerance story.
 //!
 //! # Example
@@ -37,14 +38,14 @@ use securecloud_crypto::gcm::{nonce_from_seq, AesGcm};
 use securecloud_crypto::sha256::Sha256;
 use securecloud_crypto::wire::Wire;
 use securecloud_crypto::CryptoError;
+use securecloud_faults::FaultInjector;
 use securecloud_sgx::enclave::{EnclaveConfig, Platform};
 use securecloud_sgx::SgxError;
 use securecloud_telemetry::stats::Welford;
 use std::collections::BTreeMap;
 use std::error::Error as StdError;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::Arc;
 
 /// A key-value input/output record.
 pub type Record = (Vec<u8>, Vec<u8>);
@@ -180,53 +181,11 @@ pub fn partition_for(key: &[u8], reducers: usize) -> usize {
     (x % reducers.max(1) as u64) as usize
 }
 
-/// Fault injection: makes chosen map tasks fail on their first attempt(s).
-#[derive(Debug, Default)]
-pub struct FailureInjector {
-    /// For each map task index, how many initial attempts should fail.
-    failures: Mutex<BTreeMap<usize, u32>>,
-    tripped: AtomicU64,
-}
-
-impl FailureInjector {
-    /// Creates a no-op injector.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Makes map task `task` fail its first `times` attempts.
-    pub fn fail_map_task(&self, task: usize, times: u32) {
-        self.failures
-            .lock()
-            .expect("poison-free")
-            .insert(task, times);
-    }
-
-    fn should_fail(&self, task: usize) -> bool {
-        let mut failures = self.failures.lock().expect("poison-free");
-        match failures.get_mut(&task) {
-            Some(remaining) if *remaining > 0 => {
-                *remaining -= 1;
-                self.tripped.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// How many failures actually triggered.
-    #[must_use]
-    pub fn tripped(&self) -> u64 {
-        self.tripped.load(Ordering::Relaxed)
-    }
-}
-
 /// The job runner: owns the platform on which worker enclaves launch.
 #[derive(Debug)]
 pub struct MapReduceRunner {
     platform: Platform,
-    injector: FailureInjector,
+    injector: Option<Arc<FaultInjector>>,
 }
 
 impl MapReduceRunner {
@@ -235,14 +194,16 @@ impl MapReduceRunner {
     pub fn new(platform: Platform) -> Self {
         MapReduceRunner {
             platform,
-            injector: FailureInjector::new(),
+            injector: None,
         }
     }
 
-    /// Access to the failure injector (tests, chaos benchmarks).
-    #[must_use]
-    pub fn injector(&self) -> &FailureInjector {
-        &self.injector
+    /// Attaches a fault injector: each map-task attempt asks it whether a
+    /// planned [`FaultKind::MapTaskFail`] fails that attempt.
+    ///
+    /// [`FaultKind::MapTaskFail`]: securecloud_faults::FaultKind::MapTaskFail
+    pub fn set_fault_injector(&mut self, injector: Arc<FaultInjector>) {
+        self.injector = Some(injector);
     }
 
     /// Runs a job to completion.
@@ -363,7 +324,11 @@ impl MapReduceRunner {
         stats: &mut JobStats,
         task_cycle_stats: &mut Welford,
     ) -> Result<Vec<Option<Vec<u8>>>, TaskFault> {
-        if self.injector.should_fail(task) {
+        if self
+            .injector
+            .as_ref()
+            .is_some_and(|injector| injector.map_task_should_fail(task))
+        {
             return Err(TaskFault);
         }
         let mut enclave = self
@@ -417,6 +382,19 @@ struct TaskFault;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use securecloud_faults::{FaultKind, FaultPlan};
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// A runner whose injector has armed `times` failures of map task
+    /// `task`.
+    fn runner_failing(task: usize, times: u32) -> MapReduceRunner {
+        let plan = FaultPlan::new().at(0, FaultKind::MapTaskFail { task, times });
+        let injector = Arc::new(FaultInjector::with_plan(0, plan));
+        injector.advance_to(0);
+        let mut runner = MapReduceRunner::new(Platform::new());
+        runner.set_fault_injector(injector);
+        runner
+    }
 
     fn word_count_input() -> Vec<Record> {
         vec![
@@ -512,8 +490,7 @@ mod tests {
 
     #[test]
     fn failure_injection_retries_and_recovers() {
-        let runner = MapReduceRunner::new(Platform::new());
-        runner.injector().fail_map_task(0, 1);
+        let runner = runner_failing(0, 1);
         let result = runner
             .run(
                 &JobConfig::default(),
@@ -523,7 +500,6 @@ mod tests {
             )
             .unwrap();
         assert_eq!(result.stats.retries, 1);
-        assert_eq!(runner.injector().tripped(), 1);
         assert_eq!(counts(&result)["the"], 3, "result unchanged by retry");
     }
 
@@ -541,9 +517,7 @@ mod tests {
             .run(&JobConfig::default(), &input, &counting, &count_reducer())
             .unwrap();
         calls.store(0, Ordering::Relaxed);
-        let runner = MapReduceRunner::new(Platform::new());
-        runner.injector().fail_map_task(0, 2);
-        let retried = runner
+        let retried = runner_failing(0, 2)
             .run(&JobConfig::default(), &input, &counting, &count_reducer())
             .unwrap();
         // Both failed attempts returned before `map` ran, hence before any
@@ -556,9 +530,7 @@ mod tests {
 
     #[test]
     fn exhausted_retries_fail_job() {
-        let runner = MapReduceRunner::new(Platform::new());
-        runner.injector().fail_map_task(0, 10);
-        let err = runner.run(
+        let err = runner_failing(0, 10).run(
             &JobConfig {
                 max_retries: 2,
                 ..JobConfig::default()

@@ -2,11 +2,13 @@
 //! failure injection, and equal a sequential reference computation.
 
 use proptest::prelude::*;
+use securecloud_faults::{FaultInjector, FaultKind, FaultPlan};
 use securecloud_mapreduce::{
     partition_for, FnMapper, FnReducer, JobConfig, MapReduceRunner, Record,
 };
 use securecloud_sgx::enclave::Platform;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 fn word_count_reference(input: &[Record]) -> BTreeMap<Vec<u8>, u64> {
     let mut counts = BTreeMap::new();
@@ -23,10 +25,13 @@ fn run_word_count(
     mappers: usize,
     reducers: usize,
     fail_task: Option<usize>,
-) -> BTreeMap<Vec<u8>, u64> {
-    let runner = MapReduceRunner::new(Platform::new());
+) -> (BTreeMap<Vec<u8>, u64>, u64) {
+    let mut runner = MapReduceRunner::new(Platform::new());
     if let Some(task) = fail_task {
-        runner.injector().fail_map_task(task, 1);
+        let plan = FaultPlan::new().at(0, FaultKind::MapTaskFail { task, times: 1 });
+        let injector = Arc::new(FaultInjector::with_plan(0, plan));
+        injector.advance_to(0);
+        runner.set_fault_injector(injector);
     }
     let result = runner
         .run(
@@ -53,11 +58,12 @@ fn run_word_count(
             }),
         )
         .expect("job completes");
-    result
+    let counts = result
         .output
         .into_iter()
         .map(|(k, v)| (k, u64::from_le_bytes(v.as_slice().try_into().unwrap())))
-        .collect()
+        .collect();
+    (counts, result.stats.retries)
 }
 
 fn arb_input() -> impl Strategy<Value = Vec<Record>> {
@@ -86,19 +92,25 @@ proptest! {
         mappers in 1usize..6,
         reducers in 1usize..5,
     ) {
-        let got = run_word_count(&input, mappers, reducers, None);
+        let (got, retries) = run_word_count(&input, mappers, reducers, None);
         prop_assert_eq!(got, word_count_reference(&input));
+        prop_assert_eq!(retries, 0);
     }
 
-    /// An injected worker failure (with retries available) never changes
-    /// the result.
+    /// A planned worker failure (with retries available) fires once and
+    /// never changes the result.
     #[test]
     fn failure_transparent(
         input in arb_input(),
-        fail_task in 0usize..4,
+        fail_pick in 0usize..4,
     ) {
-        let clean = run_word_count(&input, 4, 2, None);
-        let faulty = run_word_count(&input, 4, 2, Some(fail_task));
+        // The runner cuts the input into chunks of `len / mappers` records,
+        // rounded up; the planned failure hits one of the tasks that exist.
+        let tasks = input.chunks(input.len().div_ceil(4).max(1)).count();
+        prop_assume!(tasks > 0);
+        let (clean, _) = run_word_count(&input, 4, 2, None);
+        let (faulty, retries) = run_word_count(&input, 4, 2, Some(fail_pick % tasks));
+        prop_assert_eq!(retries, 1);
         prop_assert_eq!(clean, faulty);
     }
 

@@ -6,11 +6,13 @@
 //! translates fault-injector events into recovery actions:
 //! [`FaultKind::ReplicaKill`] becomes kill + re-attested failover,
 //! [`FaultKind::ReplicaStall`] fences a replica out of quorums (grey
-//! failure), and [`FaultKind::NetworkPartition`] cuts a shard group off
+//! failure), [`FaultKind::NetworkPartition`] cuts a shard group off
 //! from its clients until the heal deadline passes on the virtual clock
-//! ([`ReplicatedKv::advance_to`]). Events whose target no longer exists
-//! report as [`FaultApplication::Unroutable`] so the platform can count
-//! them instead of panicking or dropping them silently.
+//! ([`ReplicatedKv::advance_to`]), and [`FaultKind::StoreRefusesWrite`]
+//! arms a replica's sealed tier to refuse a host write. Events whose
+//! target no longer exists report as [`FaultApplication::Unroutable`] so
+//! the platform can count them instead of panicking or dropping them
+//! silently.
 
 use crate::group::ShardGroup;
 use crate::provision::ProvisioningService;
@@ -530,10 +532,14 @@ impl ReplicatedKv {
     /// * [`FaultKind::StorageCorruptBlock`] — a seeded bit flips in one
     ///   sealed block on the replica's untrusted host disk; the integrity
     ///   scrub detects it, quarantines the segment, and the replica is
-    ///   killed and failed over (survivors hold every acknowledged write).
+    ///   killed and failed over (survivors hold every acknowledged write);
+    /// * [`FaultKind::StoreRefusesWrite`] — the replica's sealed tier
+    ///   refuses the host write after the next `after_writes`; the write
+    ///   that meets the refusal retires the replica as a kill would.
     ///
     /// Replica-family events whose target no longer exists (shard out of
-    /// range, vacant or already-stalled slot) report
+    /// range, vacant or already-stalled slot, or an untiered group for the
+    /// storage kinds) report
     /// [`FaultApplication::Unroutable`] — a counted no-op. Events for other
     /// subsystems report [`FaultApplication::Ignored`].
     ///
@@ -590,7 +596,26 @@ impl ReplicatedKv {
                 self.fail_over()?;
                 Ok(FaultApplication::Applied)
             }
-            _ => Ok(FaultApplication::Ignored),
+            FaultKind::StoreRefusesWrite {
+                shard,
+                slot,
+                after_writes,
+            } => {
+                let armed = self
+                    .groups
+                    .get_mut(*shard as usize)
+                    .is_some_and(|group| group.fail_store_after(*slot as usize, *after_writes));
+                if armed {
+                    Ok(FaultApplication::Applied)
+                } else {
+                    Ok(FaultApplication::Unroutable)
+                }
+            }
+            FaultKind::EnclaveAbort { .. }
+            | FaultKind::ServicePanic { .. }
+            | FaultKind::BrokerFail { .. }
+            | FaultKind::SyscallFail { .. }
+            | FaultKind::MapTaskFail { .. } => Ok(FaultApplication::Ignored),
         }
     }
 
@@ -846,7 +871,15 @@ mod tests {
             .map(|i| format!("probe/{i:03}").into_bytes())
             .find(|k| kv.shard_of(k) == ShardId(0))
             .expect("some probe key routes to shard 0");
-        kv.groups[0].fail_store_after(1, 0);
+        let refusal = FaultKind::StoreRefusesWrite {
+            shard: 0,
+            slot: 1,
+            after_writes: 0,
+        };
+        assert_eq!(
+            kv.apply_fault(&refusal, 0).unwrap(),
+            FaultApplication::Applied
+        );
         kv.put(&key, b"acked").unwrap();
         let stats = kv.stats();
         assert_eq!(stats.replicas_killed, 1);
@@ -864,6 +897,10 @@ mod tests {
                 },
                 0,
             )
+            .unwrap();
+        assert_eq!(handled, FaultApplication::Ignored);
+        let handled = kv
+            .apply_fault(&FaultKind::MapTaskFail { task: 0, times: 1 }, 0)
             .unwrap();
         assert_eq!(handled, FaultApplication::Ignored);
         // Unknown shard: a counted no-op, not an error or a panic.
@@ -885,6 +922,22 @@ mod tests {
             )
             .unwrap();
         assert_eq!(unroutable, FaultApplication::Unroutable);
+        // A store refusal needs a sealed tier on an existing shard: neither
+        // a missing shard nor this untiered group can arm one.
+        for shard in [9, 0] {
+            let unroutable = kv
+                .apply_fault(
+                    &FaultKind::StoreRefusesWrite {
+                        shard,
+                        slot: 0,
+                        after_writes: 0,
+                    },
+                    0,
+                )
+                .unwrap();
+            assert_eq!(unroutable, FaultApplication::Unroutable, "shard {shard}");
+        }
+        kv.put(b"after", b"refusals").unwrap();
         assert_eq!(kv.stats().replicas_killed, 0, "nothing was actually hit");
     }
 

@@ -956,12 +956,15 @@ impl ShardGroup {
     }
 
     /// Makes `slot`'s sealed tier fail after `writes` more host writes.
-    #[cfg(test)]
-    pub(crate) fn fail_store_after(&mut self, slot: usize, writes: u64) {
+    /// Returns `false`, arming nothing, when the slot is vacant or the
+    /// group has no storage tier.
+    pub(crate) fn fail_store_after(&mut self, slot: usize, writes: u64) -> bool {
         let replica = self.slots.get_mut(slot).and_then(Option::as_mut);
-        if let Some(engine) = replica.and_then(|r| r.kv.storage_mut()) {
-            engine.fail_after_host_writes(Some(writes));
-        }
+        let Some(engine) = replica.and_then(|r| r.kv.storage_mut()) else {
+            return false;
+        };
+        engine.fail_after_host_writes(Some(writes));
+        true
     }
 }
 
@@ -1113,7 +1116,7 @@ mod tests {
     fn a_refused_write_retires_the_replica_and_keeps_one_history() {
         let (mut g, mut prov, _counters) = tiered_group();
         g.put(b"before", b"refusal").unwrap();
-        g.fail_store_after(1, 0);
+        assert!(g.fail_store_after(1, 0));
         // Slot 1's store refuses; slots 0 and 2 still apply the write, which
         // meets the write quorum of 2.
         g.put(b"k", b"v").unwrap();

@@ -259,65 +259,6 @@ pub fn run_detector(trace: &VoltageTrace, detector: &mut QualityDetector) -> Det
     }
 }
 
-/// Topic on which raw voltage samples are published.
-pub const VOLTAGE_TOPIC: &str = "grid/voltage";
-/// Topic on which confirmed power-quality events are published.
-pub const PQ_EVENTS_TOPIC: &str = "grid/pq-events";
-
-/// The power-quality monitor as a bus micro-service: consumes voltage
-/// samples, emits confirmed sag/swell events (which the orchestrator or a
-/// protection service can act on).
-#[derive(Debug, Default)]
-pub struct QualityMonitorService {
-    detector: QualityDetector,
-    samples_seen: usize,
-}
-
-impl QualityMonitorService {
-    /// Creates the service with default detector thresholds.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl securecloud_eventbus::service::MicroService for QualityMonitorService {
-    fn name(&self) -> &str {
-        "pq-monitor"
-    }
-
-    fn subscriptions(&self) -> Vec<(String, Option<securecloud_scbr::types::Subscription>)> {
-        vec![(VOLTAGE_TOPIC.to_string(), None)]
-    }
-
-    fn handle(
-        &mut self,
-        message: &securecloud_eventbus::bus::Message,
-        ctx: &mut securecloud_eventbus::service::ServiceCtx,
-    ) {
-        use securecloud_scbr::types::{Publication, Value};
-        let Some(Value::Float(volts)) = message.attributes.attrs.get("volts") else {
-            return;
-        };
-        let index = self.samples_seen;
-        self.samples_seen += 1;
-        if let Some(event) = self.detector.observe(index, *volts) {
-            let kind = match event.kind {
-                FaultKind::Sag => "sag",
-                FaultKind::Swell => "swell",
-            };
-            ctx.emit(
-                PQ_EVENTS_TOPIC,
-                format!("{kind} at sample {index}: {volts:.1} V").into_bytes(),
-                Publication::new()
-                    .with("kind", Value::Str(kind.to_string()))
-                    .with("sample", Value::Int(index as i64))
-                    .with("volts", Value::Float(*volts)),
-            );
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -384,41 +325,6 @@ mod tests {
             assert!(detector.observe(i, 280.0).is_none());
         }
         assert_eq!(detector.observe(9, 280.0).unwrap().kind, FaultKind::Swell);
-    }
-
-    #[test]
-    fn quality_service_emits_events_on_bus() {
-        use securecloud_eventbus::service::ServiceHost;
-        use securecloud_scbr::types::{Publication, Value};
-        let mut host = ServiceHost::new(1_000);
-        host.register(Box::new(QualityMonitorService::new()));
-        let alerts = host.bus_mut().subscribe(PQ_EVENTS_TOPIC, None);
-        let trace = QualitySpec {
-            samples: 3_000,
-            faults: 3,
-            seed: 5,
-            ..QualitySpec::default()
-        }
-        .generate();
-        for &v in &trace.samples {
-            host.bus_mut().publish(
-                VOLTAGE_TOPIC,
-                Vec::new(),
-                Publication::new().with("volts", Value::Float(v)),
-            );
-        }
-        host.pump_switchless(5_000);
-        let events = host.bus_mut().backlog(alerts);
-        assert!(
-            events >= trace.faults.len().saturating_sub(1),
-            "expected events for ~{} faults, saw {events}",
-            trace.faults.len()
-        );
-        // Alerts are structured and decodable.
-        let bus = host.bus_mut();
-        let msg = bus.fetch(alerts).unwrap();
-        assert!(msg.attributes.attrs.contains_key("kind"));
-        assert!(msg.attributes.attrs.contains_key("sample"));
     }
 
     #[test]

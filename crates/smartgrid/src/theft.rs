@@ -37,6 +37,8 @@ pub struct TheftReport {
     pub loss_fraction: f64,
     /// Meters ranked most-suspicious first.
     pub ranked: Vec<Suspicion>,
+    /// Map-task re-executions across both jobs.
+    pub retries: u64,
 }
 
 /// Normalises a series to zero mean, unit variance (z-scores).
@@ -234,6 +236,7 @@ pub fn detect_theft(
             0.0
         },
         ranked,
+        retries: sums.stats.retries + scores.stats.retries,
     })
 }
 
@@ -241,7 +244,9 @@ pub fn detect_theft(
 mod tests {
     use super::*;
     use crate::meters::GridSpec;
+    use securecloud_faults::{FaultInjector, FaultKind, FaultPlan};
     use securecloud_sgx::enclave::Platform;
+    use std::sync::Arc;
 
     fn spec() -> GridSpec {
         GridSpec {
@@ -371,11 +376,16 @@ mod tests {
         };
         let traces = spec.generate();
         let feeder = GridSpec::feeder_totals(&traces);
-        let runner = MapReduceRunner::new(Platform::new());
-        runner.injector().fail_map_task(0, 1);
+        let plan = FaultPlan::new().at(0, FaultKind::MapTaskFail { task: 0, times: 1 });
+        let injector = Arc::new(FaultInjector::with_plan(0, plan));
+        injector.advance_to(0);
+        let mut runner = MapReduceRunner::new(Platform::new());
+        runner.set_fault_injector(injector);
         let report = detect_theft(&runner, &traces, &feeder).unwrap();
+        assert_eq!(report.retries, 1, "the planned failure fired once");
         let clean_runner = MapReduceRunner::new(Platform::new());
         let clean = detect_theft(&clean_runner, &traces, &feeder).unwrap();
+        assert_eq!(clean.retries, 0);
         assert_eq!(report.ranked, clean.ranked, "retry must not change results");
     }
 }

@@ -4,6 +4,7 @@
 use securecloud::containers::build::SecureImageBuilder;
 use securecloud::eventbus::bus::Message;
 use securecloud::eventbus::service::{MicroService, ServiceCtx};
+use securecloud::faults::{FaultInjector, FaultKind, FaultPlan};
 use securecloud::kvstore::{CounterService, SecureKv};
 use securecloud::mapreduce::MapReduceRunner;
 use securecloud::scbr::types::{Op, Predicate, Publication, Subscription, Value};
@@ -14,6 +15,7 @@ use securecloud::smartgrid::orchestration::{
 };
 use securecloud::smartgrid::theft::detect_theft;
 use securecloud::SecureCloud;
+use std::sync::Arc;
 
 #[test]
 fn secure_microservice_lifecycle() {
@@ -176,10 +178,14 @@ fn theft_pipeline_over_generated_grid() {
     };
     let traces = spec.generate();
     let feeder = GridSpec::feeder_totals(&traces);
-    let runner = MapReduceRunner::new(Platform::new());
-    // Inject a worker failure mid-pipeline: results must be unaffected.
-    runner.injector().fail_map_task(1, 1);
+    // Plan a worker failure mid-pipeline: results must be unaffected.
+    let plan = FaultPlan::new().at(0, FaultKind::MapTaskFail { task: 1, times: 1 });
+    let injector = Arc::new(FaultInjector::with_plan(0, plan));
+    injector.advance_to(0);
+    let mut runner = MapReduceRunner::new(Platform::new());
+    runner.set_fault_injector(injector);
     let report = detect_theft(&runner, &traces, &feeder).unwrap();
+    assert_eq!(report.retries, 1, "the planned failure fired once");
     let thieves: Vec<u64> = traces
         .iter()
         .filter(|t| t.is_theft)

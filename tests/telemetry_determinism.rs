@@ -173,7 +173,7 @@ fn equal_seeds_give_byte_identical_traces() {
 fn run_batched_scenario(seed: u64, batch: usize) -> (String, String, String) {
     let mut cloud = SecureCloud::new();
     cloud.engine_mut().set_supervision_seed(seed);
-    cloud.set_delivery_batch(batch);
+    cloud.services_mut().set_delivery_batch(batch);
 
     let built = SecureImageBuilder::new("meter-gw", "v1", b"meter gateway code")
         .protect_file("/data/keys", b"meter-fleet-master-key")
