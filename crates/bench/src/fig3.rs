@@ -18,7 +18,7 @@ use crate::report::{Column, Ctx, Report};
 
 /// The database sizes swept for Figure 3 (MiB). The vertical line of the
 /// paper's figure sits at 128 MiB.
-pub const PAPER_DB_SIZES_MB: &[u64] = &[
+const PAPER_DB_SIZES_MB: &[u64] = &[
     8, 16, 32, 48, 64, 80, 96, 112, 128, 144, 160, 176, 192, 208, 224,
 ];
 
@@ -184,7 +184,7 @@ pub fn report(ctx: &Ctx) -> Vec<Report> {
 
 /// E8: one Figure 3 point under the paper's proposed optimisations.
 #[derive(Debug, Clone, PartialEq)]
-pub struct OptimisedPoint {
+struct OptimisedPoint {
     /// Variant label.
     pub variant: &'static str,
     /// Database size, MiB.
@@ -284,7 +284,7 @@ pub fn optimisations_report(_ctx: &Ctx) -> Vec<Report> {
 
 /// E2: the three memory-pressure regimes of §V-B.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CacheRegime {
+struct CacheRegime {
     /// Regime label.
     pub regime: &'static str,
     /// Database size, MiB.

@@ -124,7 +124,7 @@ pub fn report(_ctx: &Ctx) -> Vec<Report> {
 /// paper's "up to 23 %": the saving depends on how much consolidation
 /// opportunity the workload offers.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ChurnPoint {
+struct ChurnPoint {
     /// Short/batch arrivals per hour.
     pub churn_per_hour: f64,
     /// GenPack energy, kWh.

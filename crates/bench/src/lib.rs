@@ -14,19 +14,19 @@
 
 pub mod cluster_exp;
 pub mod container;
-pub mod cryptobench;
+mod cryptobench;
 pub mod fig3;
-pub mod genpack_exp;
-pub mod indexcmp;
+mod genpack_exp;
+mod indexcmp;
 pub mod messaging;
-pub mod orchestration_exp;
+mod orchestration_exp;
 pub mod pool;
 pub mod replication;
 pub mod report;
 pub mod rings;
 pub mod slo;
 pub mod storage;
-pub mod streaming_exp;
+mod streaming_exp;
 pub mod syscalls;
 
 use report::{Ctx, Report};

@@ -172,7 +172,7 @@ fn run_cell(shards: u32, replication: u32, workload: &ReplicationWorkload) -> Re
 /// whole-store snapshot (in-memory deployment) vs incremental manifest
 /// (tiered deployment), at the same workload.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FailoverStreamComparison {
+struct FailoverStreamComparison {
     /// Keys loaded before the kill.
     pub keys: usize,
     /// Value size, bytes.

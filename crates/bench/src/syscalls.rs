@@ -128,7 +128,7 @@ pub fn sweep(payloads: &[usize], calls: usize) -> Vec<SyscallPoint> {
 /// this sweep reports **wall-clock** time per call across the real rings
 /// and host servicer thread.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WindowPoint {
+struct WindowPoint {
     /// In-flight window depth.
     pub window: usize,
     /// Enclave cycles per call (simulated; window-independent by design).
@@ -156,7 +156,7 @@ fn window_sweep(windows: &[usize], calls: usize) -> Vec<WindowPoint> {
 }
 
 /// Default payload sizes (64 B – 64 KiB).
-pub const PAYLOADS: &[usize] = &[64, 256, 1024, 4096, 16_384, 65_536];
+const PAYLOADS: &[usize] = &[64, 256, 1024, 4096, 16_384, 65_536];
 
 /// The E4 table.
 pub fn report(ctx: &Ctx) -> Vec<Report> {

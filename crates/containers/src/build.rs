@@ -29,7 +29,7 @@ pub const PROTECTION_PATH: &str = "/scone/fs.protection";
 /// Marker bytes standing in for the statically linked SCONE runtime
 /// library; linking them into the entrypoint makes the runtime part of the
 /// enclave measurement.
-pub const SCONE_LIB: &[u8] = b"\x7fSCONE-STATIC-RUNTIME-v1\x7f";
+const SCONE_LIB: &[u8] = b"\x7fSCONE-STATIC-RUNTIME-v1\x7f";
 
 /// The output of a secure image build.
 #[derive(Debug, Clone)]

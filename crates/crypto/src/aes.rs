@@ -223,7 +223,7 @@ impl Aes128 {
 }
 
 /// Keystream blocks generated per batch before XORing into the message.
-pub(crate) const CTR_BATCH: usize = 8;
+const CTR_BATCH: usize = 8;
 
 /// Shared CTR engine: `next_counter` yields successive counter blocks (GCM's
 /// GCTR increments the low 32 bits only), and the

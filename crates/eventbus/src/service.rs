@@ -73,7 +73,7 @@ struct Registered {
 }
 
 /// Default number of consecutive handler panics before quarantine.
-pub const DEFAULT_QUARANTINE_AFTER: u32 = 3;
+const DEFAULT_QUARANTINE_AFTER: u32 = 3;
 
 /// Hosts a set of micro-services on one bus, pumping deliveries.
 pub struct ServiceHost {

@@ -159,7 +159,7 @@ impl Scheduler for RandomScheduler {
 
 /// Generations a server or container can belong to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Generation {
+enum Generation {
     /// Newly arrived containers under monitoring.
     Nursery,
     /// Containers that survived the nursery.

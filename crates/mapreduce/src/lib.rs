@@ -11,7 +11,7 @@
 //! # Example
 //!
 //! ```
-//! use securecloud_mapreduce::{FnMapper, FnReducer, JobConfig, MapReduceRunner};
+//! use securecloud_mapreduce::{JobConfig, MapReduceRunner};
 //! use securecloud_sgx::enclave::Platform;
 //!
 //! let runner = MapReduceRunner::new(Platform::new());
@@ -23,12 +23,12 @@
 //!     .run(
 //!         &JobConfig::default(),
 //!         &input,
-//!         &FnMapper(|_k: &[u8], v: &[u8], emit: &mut dyn FnMut(Vec<u8>, Vec<u8>)| {
+//!         &|_k, v, emit| {
 //!             for word in v.split(|&b| b == b' ') {
 //!                 emit(word.to_vec(), vec![1]);
 //!             }
-//!         }),
-//!         &FnReducer(|_k: &[u8], values: &[Vec<u8>]| vec![values.len() as u8]),
+//!         },
+//!         &|_k, values| vec![values.len() as u8],
 //!     )
 //!     .unwrap();
 //! assert_eq!(result.output[&b"a"[..].to_vec()], vec![2]);
@@ -50,51 +50,15 @@ use std::sync::Arc;
 /// A key-value input/output record.
 pub type Record = (Vec<u8>, Vec<u8>);
 
-/// User map function.
-///
-/// A map task seals each shuffle chunk under the job key, drawn afresh per
-/// run, with the nonce `(reducer, task)`. Every step of a task that can fail
-/// (the injected failure, the enclave launch, the `ecall` that runs `map`)
-/// returns before the seal loop, and the seal loop cannot fail, so a failed
-/// attempt has sealed nothing: each nonce is sealed once per job, whether
-/// or not `map` is deterministic.
-pub trait Mapper: Sync {
-    /// Maps one record, emitting intermediate pairs.
-    fn map(&self, key: &[u8], value: &[u8], emit: &mut dyn FnMut(Vec<u8>, Vec<u8>));
-}
-
-/// User reduce function.
-pub trait Reducer: Sync {
-    /// Reduces all values of one intermediate key to an output value.
-    fn reduce(&self, key: &[u8], values: &[Vec<u8>]) -> Vec<u8>;
-}
-
-/// Closure adapter for [`Mapper`].
-pub struct FnMapper<F>(pub F);
-impl<F> Mapper for FnMapper<F>
-where
-    F: Fn(&[u8], &[u8], &mut dyn FnMut(Vec<u8>, Vec<u8>)) + Sync,
-{
-    fn map(&self, key: &[u8], value: &[u8], emit: &mut dyn FnMut(Vec<u8>, Vec<u8>)) {
-        (self.0)(key, value, emit);
-    }
-}
-
-/// Closure adapter for [`Reducer`].
-pub struct FnReducer<F>(pub F);
-impl<F> Reducer for FnReducer<F>
-where
-    F: Fn(&[u8], &[Vec<u8>]) -> Vec<u8> + Sync,
-{
-    fn reduce(&self, key: &[u8], values: &[Vec<u8>]) -> Vec<u8> {
-        (self.0)(key, values)
-    }
-}
+// The two closures `MapReduceRunner::run` takes, named to keep its
+// signature short.
+type MapFn<'f> = dyn Fn(&[u8], &[u8], &mut dyn FnMut(Vec<u8>, Vec<u8>)) + 'f;
+type ReduceFn<'f> = dyn Fn(&[u8], &[Vec<u8>]) -> Vec<u8> + 'f;
 
 /// Job parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobConfig {
-    /// Number of map tasks.
+    /// Number of map tasks (at most one per input record).
     pub mappers: usize,
     /// Number of reduce partitions.
     pub reducers: usize,
@@ -206,7 +170,17 @@ impl MapReduceRunner {
         self.injector = Some(injector);
     }
 
-    /// Runs a job to completion.
+    /// Runs a job to completion: `map` turns one input record into
+    /// intermediate pairs through its `emit` callback, and `reduce` turns
+    /// all values of one intermediate key, in input order, into that key's
+    /// output value.
+    ///
+    /// A map task seals each shuffle chunk under the job key, drawn afresh
+    /// per run, with the nonce `(reducer, task)`. Every step of a task that
+    /// can fail (the injected failure, the enclave launch, the `ecall` that
+    /// runs `map`) returns before the seal loop, and the seal loop cannot
+    /// fail, so a failed attempt has sealed nothing: each nonce is sealed
+    /// once per job, whether or not `map` is deterministic.
     ///
     /// # Errors
     ///
@@ -217,8 +191,8 @@ impl MapReduceRunner {
         &self,
         config: &JobConfig,
         input: &[Record],
-        mapper: &dyn Mapper,
-        reducer: &dyn Reducer,
+        map: &MapFn<'_>,
+        reduce: &ReduceFn<'_>,
     ) -> Result<JobResult, MrError> {
         let job_key: [u8; 16] = securecloud_crypto::random_array();
         let mut stats = JobStats {
@@ -230,8 +204,13 @@ impl MapReduceRunner {
         // ---- Map phase: one enclave per task, encrypted shuffle output.
         // shuffle[reducer][..] = (map task, sealed chunk) on untrusted storage.
         let mut shuffle: Vec<Vec<(usize, Vec<u8>)>> = vec![Vec::new(); config.reducers.max(1)];
-        let chunk_len = input.len().div_ceil(config.mappers.max(1)).max(1);
-        for (task, chunk) in input.chunks(chunk_len).enumerate() {
+        // `mappers` tasks, at most one per record, over contiguous chunks
+        // whose sizes differ by at most one record.
+        let tasks = config.mappers.max(1).min(input.len());
+        let mut rest = input;
+        for task in 0..tasks {
+            let (chunk, tail) = rest.split_at(rest.len().div_ceil(tasks - task));
+            rest = tail;
             let mut attempts = 0;
             let partitions = loop {
                 attempts += 1;
@@ -245,7 +224,7 @@ impl MapReduceRunner {
                     config,
                     task,
                     chunk,
-                    mapper,
+                    map,
                     &job_key,
                     &mut stats,
                     &mut task_cycle_stats,
@@ -294,7 +273,7 @@ impl MapReduceRunner {
                     let mut out = Vec::with_capacity(groups.len());
                     for (key, values) in &groups {
                         mem.charge_ops(1 + values.len() as u64);
-                        out.push((key.clone(), reducer.reduce(key, values)));
+                        out.push((key.clone(), reduce(key, values)));
                     }
                     out
                 })
@@ -319,7 +298,7 @@ impl MapReduceRunner {
         config: &JobConfig,
         task: usize,
         chunk: &[Record],
-        mapper: &dyn Mapper,
+        map: &MapFn<'_>,
         job_key: &[u8; 16],
         stats: &mut JobStats,
         task_cycle_stats: &mut Welford,
@@ -344,7 +323,7 @@ impl MapReduceRunner {
             .ecall(|mem| {
                 for (key, value) in chunk {
                     mem.charge_ops(2 + (value.len() as u64) / 16);
-                    mapper.map(key, value, &mut |k, v| {
+                    map(key, value, &mut |k, v| {
                         let p = partition_for(&k, config.reducers);
                         emitted += 1;
                         partitions[p].push((k, v));
@@ -404,22 +383,16 @@ mod tests {
         ]
     }
 
-    fn word_mapper() -> impl Mapper {
-        FnMapper(
-            |_k: &[u8], v: &[u8], emit: &mut dyn FnMut(Vec<u8>, Vec<u8>)| {
-                for word in v.split(|&b| b == b' ').filter(|w| !w.is_empty()) {
-                    emit(word.to_vec(), vec![1u8]);
-                }
-            },
-        )
+    fn word_mapper(_k: &[u8], v: &[u8], emit: &mut dyn FnMut(Vec<u8>, Vec<u8>)) {
+        for word in v.split(|&b| b == b' ').filter(|w| !w.is_empty()) {
+            emit(word.to_vec(), vec![1u8]);
+        }
     }
 
-    fn count_reducer() -> impl Reducer {
-        FnReducer(|_k: &[u8], values: &[Vec<u8>]| {
-            (values.iter().map(|v| u64::from(v[0])).sum::<u64>())
-                .to_le_bytes()
-                .to_vec()
-        })
+    fn count_reducer(_k: &[u8], values: &[Vec<u8>]) -> Vec<u8> {
+        (values.iter().map(|v| u64::from(v[0])).sum::<u64>())
+            .to_le_bytes()
+            .to_vec()
     }
 
     fn counts(result: &JobResult) -> BTreeMap<String, u64> {
@@ -442,8 +415,8 @@ mod tests {
             .run(
                 &JobConfig::default(),
                 &word_count_input(),
-                &word_mapper(),
-                &count_reducer(),
+                &word_mapper,
+                &count_reducer,
             )
             .unwrap();
         let counts = counts(&result);
@@ -476,8 +449,8 @@ mod tests {
                         max_retries: 0,
                     },
                     &word_count_input(),
-                    &word_mapper(),
-                    &count_reducer(),
+                    &word_mapper,
+                    &count_reducer,
                 )
                 .unwrap();
             let c = counts(&result);
@@ -495,8 +468,8 @@ mod tests {
             .run(
                 &JobConfig::default(),
                 &word_count_input(),
-                &word_mapper(),
-                &count_reducer(),
+                &word_mapper,
+                &count_reducer,
             )
             .unwrap();
         assert_eq!(result.stats.retries, 1);
@@ -506,19 +479,17 @@ mod tests {
     #[test]
     fn a_retried_map_task_maps_and_seals_once() {
         let calls = AtomicU64::new(0);
-        let counting = FnMapper(
-            |k: &[u8], v: &[u8], emit: &mut dyn FnMut(Vec<u8>, Vec<u8>)| {
-                calls.fetch_add(1, Ordering::Relaxed);
-                word_mapper().map(k, v, emit);
-            },
-        );
+        let counting = |k: &[u8], v: &[u8], emit: &mut dyn FnMut(Vec<u8>, Vec<u8>)| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            word_mapper(k, v, emit);
+        };
         let input = word_count_input();
         let clean = MapReduceRunner::new(Platform::new())
-            .run(&JobConfig::default(), &input, &counting, &count_reducer())
+            .run(&JobConfig::default(), &input, &counting, &count_reducer)
             .unwrap();
         calls.store(0, Ordering::Relaxed);
         let retried = runner_failing(0, 2)
-            .run(&JobConfig::default(), &input, &counting, &count_reducer())
+            .run(&JobConfig::default(), &input, &counting, &count_reducer)
             .unwrap();
         // Both failed attempts returned before `map` ran, hence before any
         // seal: the mapper saw each record once.
@@ -536,8 +507,8 @@ mod tests {
                 ..JobConfig::default()
             },
             &word_count_input(),
-            &word_mapper(),
-            &count_reducer(),
+            &word_mapper,
+            &count_reducer,
         );
         assert!(matches!(
             err,
@@ -546,6 +517,18 @@ mod tests {
                 attempts: 3
             })
         ));
+    }
+
+    #[test]
+    fn mappers_is_the_number_of_map_tasks() {
+        // Five records over four mappers make four tasks of 2, 1, 1 and 1
+        // records, so the last task exists and its planned failure fires.
+        let input: Vec<Record> = (0..5u8).map(|i| (vec![i], b"w".to_vec())).collect();
+        let result = runner_failing(3, 1)
+            .run(&JobConfig::default(), &input, &word_mapper, &count_reducer)
+            .unwrap();
+        assert_eq!(result.stats.retries, 1);
+        assert_eq!(counts(&result)["w"], 5);
     }
 
     #[test]
@@ -562,7 +545,7 @@ mod tests {
     fn empty_input_produces_empty_output() {
         let runner = MapReduceRunner::new(Platform::new());
         let result = runner
-            .run(&JobConfig::default(), &[], &word_mapper(), &count_reducer())
+            .run(&JobConfig::default(), &[], &word_mapper, &count_reducer)
             .unwrap();
         assert!(result.output.is_empty());
         assert_eq!(result.stats.pairs_emitted, 0);
@@ -581,15 +564,11 @@ mod tests {
             .run(
                 &JobConfig::default(),
                 &input,
-                &FnMapper(
-                    |_k: &[u8], v: &[u8], emit: &mut dyn FnMut(Vec<u8>, Vec<u8>)| {
-                        emit(v.to_vec(), vec![1]);
-                    },
-                ),
-                &FnReducer(|k: &[u8], _v: &[Vec<u8>]| {
+                &|_k, v, emit| emit(v.to_vec(), vec![1]),
+                &|k, _v| {
                     assert_eq!(k, b"SECRETTOKEN");
                     vec![1]
-                }),
+                },
             )
             .unwrap();
         assert_eq!(result.output.len(), 1);

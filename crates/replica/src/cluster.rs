@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 /// The code every shard replica runs (its measurement is what the
 /// provisioning service allowlists by default).
-pub const DEFAULT_SHARD_CODE: &[u8] = b"securecloud replica kv shard v1";
+const DEFAULT_SHARD_CODE: &[u8] = b"securecloud replica kv shard v1";
 
 /// How many replicas each shard group runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]

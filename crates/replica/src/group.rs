@@ -948,13 +948,6 @@ impl ShardGroup {
         }
     }
 
-    #[cfg(test)]
-    fn force_epoch(&mut self, slot: usize, epoch: u64) {
-        if let Some(replica) = self.slots.get_mut(slot).and_then(Option::as_mut) {
-            replica.epoch = epoch;
-        }
-    }
-
     /// Makes `slot`'s sealed tier fail after `writes` more host writes.
     /// Returns `false`, arming nothing, when the slot is vacant or the
     /// group has no storage tier.
@@ -1093,7 +1086,7 @@ mod tests {
     fn stale_epoch_replica_refuses_writes() {
         let (mut g, _prov, _counters) = group();
         g.put(b"a", b"1").unwrap();
-        g.force_epoch(1, 0);
+        g.slots[1].as_mut().expect("slot 1 is live").epoch = 0;
         let err = g.put(b"b", b"2").unwrap_err();
         assert!(
             matches!(

@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Plaintext bytes per encrypted chunk.
-pub const CHUNK_SIZE: usize = 4096;
+const CHUNK_SIZE: usize = 4096;
 
 /// AEAD cost charged per plaintext byte (software AES in-enclave).
 const AEAD_CYCLES_PER_BYTE: u64 = 2;

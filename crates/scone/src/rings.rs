@@ -3,7 +3,7 @@
 //!
 //! This is the io_uring shape applied to shielded syscalls: two
 //! fixed-capacity single-producer/single-consumer rings live in *untrusted*
-//! shared memory. The enclave pushes [`SubmissionEntry`]s and pops
+//! shared memory. The enclave pushes `SubmissionEntry`s and pops
 //! [`CompletionEntry`]s; a host-side servicer drains submissions and pushes
 //! completions. Neither side ever performs an enclave transition — each
 //! ring operation costs one cross-core cache-line transfer
@@ -61,7 +61,7 @@ pub const DEFAULT_RING_DEPTH: usize = 64;
 /// One slot on the submission ring: the id and the (untrusted copy of the)
 /// call. The trusted copy stays in the shield's in-enclave pending table.
 #[derive(Debug, Clone)]
-pub struct SubmissionEntry {
+struct SubmissionEntry {
     /// Shield-assigned syscall id.
     pub id: u64,
     /// The call as the host will see it.
@@ -106,11 +106,6 @@ impl<T> SpscRing<T> {
             head: AtomicUsize::new(0),
             tail: AtomicUsize::new(0),
         })
-    }
-
-    #[cfg(test)]
-    fn capacity(&self) -> usize {
-        self.slots.len()
     }
 
     fn len(&self) -> usize {
@@ -386,7 +381,7 @@ mod tests {
     #[test]
     fn spsc_ring_push_pop_wraps() {
         let ring = SpscRing::<u32>::new(4);
-        assert_eq!(ring.capacity(), 4);
+        assert_eq!(ring.slots.len(), 4);
         for round in 0..10u32 {
             for i in 0..4 {
                 ring.try_push(round * 4 + i).unwrap();

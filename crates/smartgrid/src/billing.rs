@@ -7,7 +7,7 @@
 //! readings with a time-of-use tariff (peak/off-peak rates).
 
 use crate::meters::MeterTrace;
-use securecloud_mapreduce::{FnMapper, FnReducer, JobConfig, MapReduceRunner, MrError};
+use securecloud_mapreduce::{JobConfig, MapReduceRunner, MrError};
 use std::collections::BTreeMap;
 
 /// A time-of-use tariff.
@@ -87,26 +87,24 @@ pub fn compute_bills(
             max_retries: 1,
         },
         &input,
-        &FnMapper(
-            move |k: &[u8], v: &[u8], emit: &mut dyn FnMut(Vec<u8>, Vec<u8>)| {
-                let mut peak_kwh = 0.0f64;
-                let mut offpeak_kwh = 0.0f64;
-                for (i, chunk) in v.chunks_exact(8).enumerate() {
-                    let watts = f64::from_le_bytes(chunk.try_into().expect("chunked"));
-                    let kwh = watts / 1000.0 * hours;
-                    if tariff.is_peak(i as u64 * interval_secs) {
-                        peak_kwh += kwh;
-                    } else {
-                        offpeak_kwh += kwh;
-                    }
+        &|k, v, emit| {
+            let mut peak_kwh = 0.0f64;
+            let mut offpeak_kwh = 0.0f64;
+            for (i, chunk) in v.chunks_exact(8).enumerate() {
+                let watts = f64::from_le_bytes(chunk.try_into().expect("chunked"));
+                let kwh = watts / 1000.0 * hours;
+                if tariff.is_peak(i as u64 * interval_secs) {
+                    peak_kwh += kwh;
+                } else {
+                    offpeak_kwh += kwh;
                 }
-                let mut out = Vec::with_capacity(16);
-                out.extend_from_slice(&peak_kwh.to_le_bytes());
-                out.extend_from_slice(&offpeak_kwh.to_le_bytes());
-                emit(k.to_vec(), out);
-            },
-        ),
-        &FnReducer(|_k: &[u8], values: &[Vec<u8>]| values[0].clone()),
+            }
+            let mut out = Vec::with_capacity(16);
+            out.extend_from_slice(&peak_kwh.to_le_bytes());
+            out.extend_from_slice(&offpeak_kwh.to_le_bytes());
+            emit(k.to_vec(), out);
+        },
+        &|_k, values| values[0].clone(),
     )?;
 
     Ok(result

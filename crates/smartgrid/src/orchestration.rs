@@ -19,36 +19,6 @@ pub const TELEMETRY_TOPIC: &str = "telemetry/latency";
 /// Topic on which scaling actions are emitted.
 pub const ACTIONS_TOPIC: &str = "orchestration/actions";
 
-/// Online mean/variance with a minimum sample count — a thin wrapper over
-/// the workspace-shared [`Welford`] accumulator.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LatencyStats(Welford);
-
-impl LatencyStats {
-    /// Observes one sample.
-    pub fn observe(&mut self, value: f64) {
-        self.0.observe(value);
-    }
-
-    /// Samples observed.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.0.count()
-    }
-
-    /// Current mean.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        self.0.mean()
-    }
-
-    /// Current standard deviation (0 before two samples).
-    #[must_use]
-    pub fn stddev(&self) -> f64 {
-        self.0.stddev()
-    }
-}
-
 /// An anomaly verdict for one telemetry sample.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Anomaly {
@@ -67,7 +37,7 @@ pub struct Orchestrator {
     pub warmup: u64,
     /// Anomaly threshold in standard deviations.
     pub threshold_sigma: f64,
-    stats: HashMap<String, LatencyStats>,
+    stats: HashMap<String, Welford>,
     anomalies: Vec<Anomaly>,
 }
 
@@ -158,17 +128,6 @@ impl MicroService for Orchestrator {
 mod tests {
     use super::*;
     use securecloud_eventbus::service::ServiceHost;
-
-    #[test]
-    fn stats_welford() {
-        let mut s = LatencyStats::default();
-        for v in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.observe(v);
-        }
-        assert!((s.mean() - 5.0).abs() < 1e-9);
-        assert!((s.stddev() - 2.138_089_935).abs() < 1e-6);
-        assert_eq!(s.count(), 8);
-    }
 
     #[test]
     fn judge_learns_then_detects() {

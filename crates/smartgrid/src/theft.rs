@@ -14,7 +14,7 @@
 
 use crate::error::{decode_f64, decode_u64, decode_window, SmartgridError};
 use crate::meters::MeterTrace;
-use securecloud_mapreduce::{FnMapper, FnReducer, JobConfig, MapReduceRunner};
+use securecloud_mapreduce::{JobConfig, MapReduceRunner};
 
 /// A meter with its theft-suspicion score.
 #[derive(Debug, Clone, PartialEq)]
@@ -143,24 +143,22 @@ pub fn detect_theft(
     let sums = runner.run(
         &config,
         &input,
-        &FnMapper(
-            |_k: &[u8], v: &[u8], emit: &mut dyn FnMut(Vec<u8>, Vec<u8>)| {
-                for (window, chunk) in v.chunks_exact(8).enumerate() {
-                    let watts = f64::from_le_bytes(chunk.try_into().expect("chunked"));
-                    emit(
-                        (window as u32).to_be_bytes().to_vec(),
-                        watts.to_le_bytes().to_vec(),
-                    );
-                }
-            },
-        ),
-        &FnReducer(|_k: &[u8], values: &[Vec<u8>]| {
+        &|_k, v, emit| {
+            for (window, chunk) in v.chunks_exact(8).enumerate() {
+                let watts = f64::from_le_bytes(chunk.try_into().expect("chunked"));
+                emit(
+                    (window as u32).to_be_bytes().to_vec(),
+                    watts.to_le_bytes().to_vec(),
+                );
+            }
+        },
+        &|_k, values| {
             let sum: f64 = values
                 .iter()
                 .map(|v| f64::from_le_bytes(v.as_slice().try_into().expect("f64")))
                 .sum();
             sum.to_le_bytes().to_vec()
-        }),
+        },
     )?;
 
     let reported_totals = fold_window_sums(&sums.output, samples)?;
@@ -192,30 +190,19 @@ pub fn detect_theft(
             .collect()
     };
     let loss_residual = orthogonalise(&zscore(&loss), &common);
-    let common_for_job = common;
     let scores = runner.run(
         &config,
         &input,
-        &FnMapper(
-            move |k: &[u8], v: &[u8], emit: &mut dyn FnMut(Vec<u8>, Vec<u8>)| {
-                let series: Vec<f64> = v
-                    .chunks_exact(8)
-                    .map(|c| f64::from_le_bytes(c.try_into().expect("chunked")))
-                    .collect();
-                let z = zscore(&series);
-                let dot: f64 = z.iter().zip(&common_for_job).map(|(a, b)| a * b).sum();
-                let norm: f64 = common_for_job.iter().map(|b| b * b).sum();
-                let coefficient = if norm > 0.0 { dot / norm } else { 0.0 };
-                let residual: Vec<f64> = z
-                    .iter()
-                    .zip(&common_for_job)
-                    .map(|(a, b)| a - coefficient * b)
-                    .collect();
-                let score = pearson(&residual, &loss_residual);
-                emit(k.to_vec(), score.to_le_bytes().to_vec());
-            },
-        ),
-        &FnReducer(|_k: &[u8], values: &[Vec<u8>]| values[0].clone()),
+        &|k, v, emit| {
+            let series: Vec<f64> = v
+                .chunks_exact(8)
+                .map(|c| f64::from_le_bytes(c.try_into().expect("chunked")))
+                .collect();
+            let residual = orthogonalise(&zscore(&series), &common);
+            let score = pearson(&residual, &loss_residual);
+            emit(k.to_vec(), score.to_le_bytes().to_vec());
+        },
+        &|_k, values| values[0].clone(),
     )?;
 
     let mut ranked = Vec::with_capacity(scores.output.len());

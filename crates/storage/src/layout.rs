@@ -17,20 +17,20 @@ use std::collections::BTreeMap;
 
 /// Nonce domain for sealed segment blocks (`seq` = block index; uniqueness
 /// comes from the per-segment key).
-pub const BLOCK_NONCE_DOMAIN: u32 = 0x5343_4201; // "SCB" 1
+const BLOCK_NONCE_DOMAIN: u32 = 0x5343_4201; // "SCB" 1
 /// Nonce domain for sealed WAL records (`seq` = WAL sequence number).
-pub const WAL_NONCE_DOMAIN: u32 = 0x5343_4202;
+const WAL_NONCE_DOMAIN: u32 = 0x5343_4202;
 /// Nonce domain for sealed manifests (`seq` = manifest epoch).
-pub const MANIFEST_NONCE_DOMAIN: u32 = 0x5343_4203;
+const MANIFEST_NONCE_DOMAIN: u32 = 0x5343_4203;
 
 /// AAD prefix for sealed blocks (followed by the `(segment, block)` wire
 /// tuple so a block can't be replayed at another position).
-pub const BLOCK_AAD: &[u8] = b"securecloud storage block";
+const BLOCK_AAD: &[u8] = b"securecloud storage block";
 /// AAD prefix for sealed WAL records (followed by the sequence number and
 /// the previous record's tag, forming a MAC chain).
-pub const WAL_AAD: &[u8] = b"securecloud storage wal";
+const WAL_AAD: &[u8] = b"securecloud storage wal";
 /// AAD for sealed manifests.
-pub const MANIFEST_AAD: &[u8] = b"securecloud storage manifest";
+const MANIFEST_AAD: &[u8] = b"securecloud storage manifest";
 
 /// The MAC-chain anchor before any WAL record exists.
 pub const WAL_GENESIS_TAG: [u8; TAG_LEN] = [0u8; TAG_LEN];

@@ -32,7 +32,7 @@
 //!
 //! ## End of stream
 //!
-//! * An in-band [`ATTR_EOS`] marker on a lane's topic seals that lane.
+//! * An in-band `ATTR_EOS` marker on a lane's topic seals that lane.
 //! * Tokens on the `flush_in` control topic seal every lane once
 //!   `flush_fan_in` of them have arrived (one for an aggregator).
 //! * A sealed lane's watermark is the end of time; once every lane is
@@ -72,18 +72,18 @@ pub const ATTR_TIME: &str = "t";
 /// Attribute carrying the event value.
 pub const ATTR_VALUE: &str = "v";
 /// Result attribute: observation count in the window.
-pub const ATTR_COUNT: &str = "n";
+const ATTR_COUNT: &str = "n";
 /// Result attribute: minimum value in the window.
 pub const ATTR_MIN: &str = "min";
 /// Result attribute: maximum value in the window.
 pub const ATTR_MAX: &str = "max";
 /// Joined-result attribute: left-side window sum.
-pub const ATTR_LEFT: &str = "l";
+const ATTR_LEFT: &str = "l";
 /// Joined-result attribute: right-side window sum.
 pub const ATTR_RIGHT: &str = "r";
 /// Marker attribute: the publication is an end-of-stream token, not an
 /// event (sent in-band on data topics so it cannot overtake results).
-pub const ATTR_EOS: &str = "eos";
+const ATTR_EOS: &str = "eos";
 
 /// An end-of-stream marker publication.
 #[must_use]
