@@ -8,8 +8,8 @@
 //! exactly what a serial run would have produced. Parallelism changes
 //! wall-clock time and nothing else.
 
-use crossbeam::channel;
 use securecloud_telemetry::Telemetry;
+use std::sync::{Mutex, PoisonError};
 
 /// The default worker count: the machine's available parallelism, falling
 /// back to 1 when it cannot be queried.
@@ -40,7 +40,7 @@ pub fn grid<A: Copy, B: Copy>(outer: &[A], inner: &[B]) -> Vec<(A, B)> {
 /// record nothing pass `None` and ignore `f`'s second argument.
 ///
 /// With `jobs <= 1` the items run serially on the calling thread — no
-/// threads, no channels — so a single code path serves both the reference
+/// threads, no shared queue — so a single code path serves both the reference
 /// serial mode and the parallel mode. Worker threads are scoped: the call
 /// returns only after every worker has finished.
 ///
@@ -78,45 +78,38 @@ where
 }
 
 /// The parallel path of [`run_ordered`]: `f` over every item on
-/// `min(jobs, items)` scoped threads, results slotted back in input order.
+/// `min(jobs, items)` scoped threads. Each worker takes the next item from
+/// one shared iterator and returns its `(index, result)` pairs through its
+/// join handle; they are slotted back in input order.
 fn fan_out<T: Send, R: Send>(items: Vec<T>, jobs: usize, f: impl Fn(T) -> R + Sync) -> Vec<R> {
     let total = items.len();
-    let (task_tx, task_rx) = channel::unbounded::<(usize, T)>();
-    let (result_tx, result_rx) = channel::unbounded::<(usize, R)>();
-    for task in items.into_iter().enumerate() {
-        assert!(
-            task_tx.send(task).is_ok(),
-            "task channel open while enqueuing"
-        );
-    }
-    drop(task_tx);
-
-    let workers = jobs.min(total);
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+            let Some((index, item)) = next else {
+                return done;
+            };
+            done.push((index, f(item)));
+        }
+    };
+    let mut slots: Vec<Option<R>> = (0..total).map(|_| None).collect();
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let task_rx = task_rx.clone();
-            let result_tx = result_tx.clone();
-            let f = &f;
-            scope.spawn(move || {
-                while let Ok((index, item)) = task_rx.recv() {
-                    let result = f(item);
-                    if result_tx.send((index, result)).is_err() {
-                        return;
-                    }
-                }
-            });
+        let workers: Vec<_> = (0..jobs.min(total)).map(|_| scope.spawn(work)).collect();
+        for worker in workers {
+            let done = worker
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (index, result) in done {
+                slots[index] = Some(result);
+            }
         }
-        drop(result_tx);
-
-        let mut slots: Vec<Option<R>> = (0..total).map(|_| None).collect();
-        while let Ok((index, result)) = result_rx.recv() {
-            slots[index] = Some(result);
-        }
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every task produced a result"))
-            .collect()
-    })
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every item produced a result"))
+        .collect()
 }
 
 #[cfg(test)]

@@ -34,7 +34,7 @@ use crate::sha256::Sha256;
 use crate::wire::{Reader, Wire};
 use crate::x25519::{self, PublicKey, SecretKey};
 use crate::CryptoError;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 
 /// Byte-frame transport under a [`SecureChannel`].
 pub trait Transport {
@@ -62,8 +62,8 @@ pub struct MemoryTransport {
 /// Creates a connected pair of in-memory transports.
 #[must_use]
 pub fn memory_pair() -> (MemoryTransport, MemoryTransport) {
-    let (tx_ab, rx_ab) = unbounded();
-    let (tx_ba, rx_ba) = unbounded();
+    let (tx_ab, rx_ab) = channel();
+    let (tx_ba, rx_ba) = channel();
     (
         MemoryTransport {
             tx: tx_ab,

@@ -48,12 +48,15 @@ pub mod hmac;
 #[cfg(target_arch = "x86_64")]
 mod hw;
 pub mod reference;
+mod rng;
 pub mod sha256;
 pub mod wire;
 pub mod x25519;
 
+use rng::Generator;
 use std::error::Error as StdError;
 use std::fmt;
+use std::sync::{Mutex, PoisonError};
 
 /// Errors produced by cryptographic operations in this crate.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -141,12 +144,21 @@ pub fn unhex(s: &str) -> Result<Vec<u8>, CryptoError> {
         .collect()
 }
 
-/// Returns a fresh array of bytes from the thread-local CSPRNG.
+/// Returns a fresh array of bytes from the process-wide generator: AES-128
+/// in counter mode, keyed once per process from 32 bytes of `/dev/urandom`
+/// and re-keyed from its own output after every draw.
+///
+/// # Panics
+///
+/// If `/dev/urandom` cannot be read.
 #[must_use]
 pub fn random_array<const N: usize>() -> [u8; N] {
-    use rand::RngCore;
+    static GENERATOR: Mutex<Option<Generator>> = Mutex::new(None);
     let mut out = [0u8; N];
-    rand::thread_rng().fill_bytes(&mut out);
+    let mut generator = GENERATOR.lock().unwrap_or_else(PoisonError::into_inner);
+    generator
+        .get_or_insert_with(Generator::from_os)
+        .fill(&mut out);
     out
 }
 
@@ -182,6 +194,36 @@ mod tests {
         let a: [u8; 32] = random_array();
         let b: [u8; 32] = random_array();
         assert_ne!(a, b, "256-bit collision is vanishingly unlikely");
+    }
+
+    /// Set in the children that [`first_draw_differs_across_processes`]
+    /// starts; a plain test run never sets it.
+    const CHILD_MARKER: &str = "SECURECLOUD_CRYPTO_FIRST_DRAW_CHILD";
+
+    #[test]
+    fn first_draw_differs_across_processes() {
+        let name = "tests::first_draw_differs_across_processes";
+        if std::env::var_os(CHILD_MARKER).is_some() {
+            println!("first-draw={}", hex(&random_array::<16>()));
+            return;
+        }
+        let exe = std::env::current_exe().unwrap();
+        let draw = || {
+            let output = std::process::Command::new(&exe)
+                .args([name, "--exact", "--nocapture", "--test-threads=1"])
+                .env(CHILD_MARKER, "1")
+                .output()
+                .unwrap();
+            assert!(output.status.success(), "child test run failed");
+            let stdout = String::from_utf8(output.stdout).unwrap();
+            // libtest prints the test's name on the same line, before it.
+            let (_, drawn) = stdout
+                .split_once("first-draw=")
+                .expect("child printed its draw");
+            drawn[..32].to_string()
+        };
+        let (first, second) = (draw(), draw());
+        assert_ne!(first, second, "two processes drew the same first 16 bytes");
     }
 
     #[test]
