@@ -447,6 +447,21 @@ mod tests {
     use super::*;
 
     #[test]
+    fn det_rng_stream_is_pinned() {
+        let mut rng = DetRng::new(1);
+        let words: Vec<u64> = (0..4).map(|_| rng.next_u64()).collect();
+        assert_eq!(
+            words,
+            [
+                0x910a_2dec_8902_5cc1,
+                0xbeeb_8da1_658e_ec67,
+                0xf893_a2ee_fb32_555e,
+                0x71c1_8690_ee42_c90b
+            ]
+        );
+    }
+
+    #[test]
     fn det_rng_reproducible() {
         let mut a = DetRng::new(1);
         let mut b = DetRng::new(1);

@@ -109,6 +109,14 @@ impl ShardMap {
 mod tests {
     use super::*;
 
+    #[test]
+    fn mix_is_pinned() {
+        assert_eq!(
+            mix(fnv1a(FNV_OFFSET, b"meter/000042")),
+            0x5b86_2a32_7e3b_5ba7
+        );
+    }
+
     fn keys(n: u32) -> Vec<Vec<u8>> {
         (0..n)
             .map(|i| format!("meter/{i:06}").into_bytes())

@@ -830,6 +830,11 @@ mod tests {
     use super::*;
 
     #[test]
+    fn mix_seed_is_pinned() {
+        assert_eq!(mix_seed(11, 0x0703), 0x3129_d906_0e16_77d9);
+    }
+
+    #[test]
     fn plane_round_trips_events_through_router_and_operators() {
         let mut plane = StreamPlane::new(&PlaneConfig::default()).unwrap();
         plane.map_input(1, "in").unwrap();

@@ -154,6 +154,11 @@ mod tests {
     use super::*;
 
     #[test]
+    fn mix64_is_pinned() {
+        assert_eq!(mix64(0x0123_4567_89ab_cdef), 0x157a_3807_a48f_aa9d);
+    }
+
+    #[test]
     fn encode_decode_roundtrip() {
         let ctx = TraceContext {
             trace_id: 0x0102_0304_0506_0708,
