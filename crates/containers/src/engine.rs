@@ -20,11 +20,12 @@ use crate::registry::Registry;
 use crate::ContainerError;
 use parking_lot::RwLock;
 use securecloud_crypto::channel::memory_pair;
-use securecloud_faults::{DetRng, FaultInjector};
+use securecloud_faults::FaultInjector;
 use securecloud_scone::hostos::{FaultyHost, HostOs, MemHost, Syscall, SyscallRet};
 use securecloud_scone::runtime::SconeRuntime;
 use securecloud_scone::scf::ConfigService;
 use securecloud_sgx::enclave::{EnclaveConfig, Platform};
+use securecloud_telemetry::rng::SplitMix64;
 use securecloud_telemetry::{Telemetry, TraceContext};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -199,7 +200,7 @@ pub struct Engine {
     containers: HashMap<ContainerId, Container>,
     next_id: u64,
     now_ms: u64,
-    jitter_rng: DetRng,
+    jitter_rng: SplitMix64,
     injector: Option<Arc<FaultInjector>>,
     telemetry: Option<Arc<Telemetry>>,
 }
@@ -220,7 +221,7 @@ impl Engine {
             containers: HashMap::new(),
             next_id: 1,
             now_ms: 0,
-            jitter_rng: DetRng::new(0x5EC0_C10D),
+            jitter_rng: SplitMix64::new(0x5EC0_C10D),
             injector: None,
             telemetry: None,
         }
@@ -242,7 +243,7 @@ impl Engine {
 
     /// Reseeds the generator used for restart-backoff jitter.
     pub fn set_supervision_seed(&mut self, seed: u64) {
-        self.jitter_rng = DetRng::new(seed);
+        self.jitter_rng = SplitMix64::new(seed);
     }
 
     /// Attaches a fault injector. The engine records supervision events

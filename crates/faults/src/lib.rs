@@ -11,51 +11,21 @@
 //!   engine advance),
 //! * [`FaultInjector`] — a shareable injector that releases due events as
 //!   the clock advances and answers probabilistic queries (message loss /
-//!   duplication, syscall failure) from a seeded generator,
-//! * [`DetRng`] — the SplitMix64 generator behind it, reused by the
-//!   container engine for restart-backoff jitter.
+//!   duplication, syscall failure) from a seeded
+//!   `securecloud_telemetry::rng::SplitMix64`, the generator the container
+//!   engine also draws restart-backoff jitter from.
 //!
 //! Everything is reproducible from a single `u64` seed: no wall-clock, no
 //! OS entropy. Two runs with the same seed and the same sequence of calls
 //! produce byte-identical [`FaultInjector::trace`] output — the chaos
 //! harness asserts exactly that.
 
+use securecloud_telemetry::rng::SplitMix64;
 use std::sync::Mutex;
 
-/// A small deterministic generator (SplitMix64). Not cryptographic; used
-/// for fault sampling and backoff jitter where reproducibility is the
-/// point.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DetRng {
-    state: u64,
-}
-
-impl DetRng {
-    /// Creates a generator from a seed.
-    #[must_use]
-    pub fn new(seed: u64) -> Self {
-        DetRng { state: seed }
-    }
-
-    /// Next 64 random bits.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform value in `[0, bound)`.
-    pub fn below(&mut self, bound: u64) -> u64 {
-        assert!(bound > 0, "DetRng::below requires a positive bound");
-        self.next_u64() % bound
-    }
-
-    /// Returns `true` with probability `permille`/1000.
-    fn chance_permille(&mut self, permille: u16) -> bool {
-        self.below(1000) < u64::from(permille)
-    }
+/// Returns `true` with probability `permille`/1000.
+fn chance_permille(rng: &mut SplitMix64, permille: u16) -> bool {
+    rng.below(1000) < u64::from(permille)
 }
 
 /// What the injector can break.
@@ -261,7 +231,7 @@ pub struct FaultRates {
 
 #[derive(Debug)]
 struct InjectorState {
-    rng: DetRng,
+    rng: SplitMix64,
     pending: Vec<FaultEvent>, // sorted descending by time; popped from the back
     rates: FaultRates,
     forced_syscall_failures: u32,
@@ -299,7 +269,7 @@ impl FaultInjector {
         FaultInjector {
             seed,
             state: Mutex::new(InjectorState {
-                rng: DetRng::new(seed),
+                rng: SplitMix64::new(seed),
                 pending,
                 rates: FaultRates::default(),
                 forced_syscall_failures: 0,
@@ -356,9 +326,9 @@ impl FaultInjector {
         let mut state = self.lock();
         let loss = state.rates.message_loss_permille;
         let dup = state.rates.message_duplication_permille;
-        let fate = if state.rng.chance_permille(loss) {
+        let fate = if chance_permille(&mut state.rng, loss) {
             MessageFate::Lose
-        } else if state.rng.chance_permille(dup) {
+        } else if chance_permille(&mut state.rng, dup) {
             MessageFate::Duplicate
         } else {
             MessageFate::Deliver
@@ -388,7 +358,7 @@ impl FaultInjector {
             return true;
         }
         let rate = state.rates.syscall_failure_permille;
-        let fail = state.rng.chance_permille(rate);
+        let fail = chance_permille(&mut state.rng, rate);
         if fail {
             let line = format!("t={} syscall fail", state.now_ms);
             state.trace.push(line);
@@ -445,31 +415,6 @@ impl FaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn det_rng_stream_is_pinned() {
-        let mut rng = DetRng::new(1);
-        let words: Vec<u64> = (0..4).map(|_| rng.next_u64()).collect();
-        assert_eq!(
-            words,
-            [
-                0x910a_2dec_8902_5cc1,
-                0xbeeb_8da1_658e_ec67,
-                0xf893_a2ee_fb32_555e,
-                0x71c1_8690_ee42_c90b
-            ]
-        );
-    }
-
-    #[test]
-    fn det_rng_reproducible() {
-        let mut a = DetRng::new(1);
-        let mut b = DetRng::new(1);
-        for _ in 0..64 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
-        assert_ne!(DetRng::new(2).next_u64(), DetRng::new(3).next_u64());
-    }
 
     #[test]
     fn plan_fires_in_time_order() {

@@ -98,13 +98,12 @@ impl Default for UsageMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use securecloud_telemetry::rng::SeededRng;
 
     #[test]
     fn converges_on_noisy_signal() {
         let mut monitor = UsageMonitor::new(0.1);
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = SeededRng::new(4);
         for _ in 0..200 {
             monitor.observe(JobId(1), 3.0 + rng.gen_range(-0.3..0.3));
         }

@@ -2,8 +2,7 @@
 
 use crate::cluster::{Cluster, Demand, JobId, PowerState, ServerId};
 use crate::monitor::UsageMonitor;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use securecloud_telemetry::rng::SeededRng;
 use std::collections::BTreeMap;
 
 /// Actions a scheduler reports for one housekeeping tick.
@@ -120,7 +119,7 @@ impl Scheduler for FirstFitScheduler {
 /// Uniform-random placement among fitting servers; never parks anything.
 #[derive(Debug)]
 pub struct RandomScheduler {
-    rng: StdRng,
+    rng: SeededRng,
 }
 
 impl RandomScheduler {
@@ -128,7 +127,7 @@ impl RandomScheduler {
     #[must_use]
     pub fn new(seed: u64) -> Self {
         RandomScheduler {
-            rng: StdRng::seed_from_u64(seed),
+            rng: SeededRng::new(seed),
         }
     }
 }

@@ -3,8 +3,7 @@
 use crate::cluster::{Cluster, JobId, ServerSpec};
 use crate::schedulers::Scheduler;
 use crate::workload::JobArrival;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use securecloud_telemetry::rng::SeededRng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -88,6 +87,14 @@ impl SimResult {
     }
 }
 
+/// A draw from the closed interval `[low, high]`: the top 53 bits of one
+/// draw over 2⁵³ − 1, so both ends are reachable. Every seeded GenPack run
+/// depends on this exact arithmetic.
+fn closed_draw(rng: &mut SeededRng, low: f64, high: f64) -> f64 {
+    let unit = (rng.next_u64() >> 11) as f64 / ((1u64 << 53) - 1) as f64;
+    low + unit * (high - low)
+}
+
 /// Runs `scheduler` over the arrival trace.
 pub fn simulate(
     scheduler: &mut dyn Scheduler,
@@ -114,7 +121,7 @@ pub fn simulate(
         series: Vec::new(),
     };
 
-    let mut observation_rng = StdRng::seed_from_u64(0x0b5e);
+    let mut observation_rng = SeededRng::new(0x0b5e);
     let mut next_arrival = 0usize;
     let mut t = 0u64;
     let mut ticks = 0u64;
@@ -153,8 +160,10 @@ pub fn simulate(
             for job in cluster.jobs_on(server) {
                 if let Some(demand) = cluster.demand(job) {
                     let noise = 1.0
-                        + observation_rng.gen_range(
-                            -config.observation_noise..=config.observation_noise.max(1e-12),
+                        + closed_draw(
+                            &mut observation_rng,
+                            -config.observation_noise,
+                            config.observation_noise.max(1e-12),
                         );
                     scheduler.observe(job, demand.cpu_actual * noise);
                 }

@@ -6,8 +6,7 @@
 //! overestimate *actual* usage (the gap monitoring exploits).
 
 use crate::cluster::Demand;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use securecloud_telemetry::rng::SeededRng;
 
 /// Class of a container, in the sense of the GenPack generations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,7 +68,7 @@ impl WorkloadConfig {
     /// Generates the arrival trace, sorted by arrival time.
     #[must_use]
     pub fn generate(&self) -> Vec<JobArrival> {
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = SeededRng::new(self.seed);
         let mut jobs = Vec::new();
 
         for _ in 0..self.system_services {

@@ -4,24 +4,16 @@
 //! configurable number of virtual nodes per shard. The hash is a fixed
 //! FNV-1a (no per-process seed), so routing is deterministic across runs —
 //! the property the equal-seed trace tests and the repro benchmarks rely
-//! on. Consistent hashing keeps resharding cheap: growing from `n` to
-//! `n + 1` shards remaps roughly `1/(n+1)` of the keyspace instead of
-//! reshuffling everything.
+//! on. FNV-1a alone has weak avalanche on the short inputs used here
+//! (sequential keys and ring-point indices land in clusters), so every
+//! position also passes through the SplitMix64 finaliser. Consistent
+//! hashing keeps resharding cheap: growing from `n` to `n + 1` shards
+//! remaps roughly `1/(n+1)` of the keyspace instead of reshuffling
+//! everything.
 
 use crate::ShardId;
+use securecloud_telemetry::rng::mix64;
 use securecloud_telemetry::{fnv1a, FNV_OFFSET};
-
-/// SplitMix64-style finalizer. FNV-1a alone has weak avalanche on the
-/// short inputs used here (sequential keys and ring-point indices land in
-/// clusters); mixing the output spreads positions uniformly around the
-/// ring.
-fn mix(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// A consistent-hash ring mapping keys to shard groups.
 ///
@@ -61,7 +53,7 @@ impl ShardMap {
                 let mut state = fnv1a(FNV_OFFSET, b"securecloud-shard-ring-v1");
                 state = fnv1a(state, &shard.to_le_bytes());
                 state = fnv1a(state, &vnode.to_le_bytes());
-                points.push((mix(state), ShardId(shard)));
+                points.push((mix64(state), ShardId(shard)));
             }
         }
         points.sort_unstable();
@@ -88,7 +80,7 @@ impl ShardMap {
     /// the key's hash, wrapping around at the top of the ring.
     #[must_use]
     pub fn shard_for(&self, key: &[u8]) -> ShardId {
-        let hash = mix(fnv1a(FNV_OFFSET, key));
+        let hash = mix64(fnv1a(FNV_OFFSET, key));
         let idx = self.points.partition_point(|&(pos, _)| pos < hash);
         let (_, shard) = self.points[idx % self.points.len()];
         shard
@@ -108,14 +100,6 @@ impl ShardMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mix_is_pinned() {
-        assert_eq!(
-            mix(fnv1a(FNV_OFFSET, b"meter/000042")),
-            0x5b86_2a32_7e3b_5ba7
-        );
-    }
 
     fn keys(n: u32) -> Vec<Vec<u8>> {
         (0..n)

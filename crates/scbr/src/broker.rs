@@ -505,9 +505,8 @@ mod tests {
 
     #[test]
     fn agrees_with_flat_matching_on_random_workload() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(21);
+        use securecloud_telemetry::rng::SeededRng;
+        let mut rng = SeededRng::new(21);
         // A 7-broker binary tree.
         let mut o = Overlay::new(&[None, Some(0), Some(0), Some(1), Some(1), Some(2), Some(2)]);
         let mut flat: Vec<(SubId, Subscription)> = Vec::new();

@@ -617,9 +617,8 @@ mod tests {
 
     #[test]
     fn poset_agrees_with_naive_on_random_workload() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(7);
+        use securecloud_telemetry::rng::SeededRng;
+        let mut rng = SeededRng::new(7);
         let mut poset = PosetIndex::with_partition_attr("topic");
         let mut naive = NaiveIndex::new();
         for i in 0..300u64 {

@@ -7,8 +7,7 @@
 //! publication streams.
 
 use crate::types::{Op, Predicate, Publication, Subscription, Value};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use securecloud_telemetry::rng::SeededRng;
 
 /// Parameters of a generated workload.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,7 +45,7 @@ impl WorkloadSpec {
         format!("a{i}")
     }
 
-    fn generate_subscription(&self, rng: &mut StdRng) -> Subscription {
+    fn generate_subscription(&self, rng: &mut SeededRng) -> Subscription {
         let mut predicates = vec![Predicate::new(
             "topic",
             Op::Eq,
@@ -68,7 +67,7 @@ impl WorkloadSpec {
     /// Generates exactly `n` subscriptions.
     #[must_use]
     pub fn subscriptions(&self, n: usize) -> Vec<Subscription> {
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = SeededRng::new(self.seed);
         (0..n)
             .map(|_| self.generate_subscription(&mut rng))
             .collect()
@@ -78,7 +77,7 @@ impl WorkloadSpec {
     /// `target_bytes` (the Figure 3 x-axis).
     #[must_use]
     pub fn subscriptions_for_db_size(&self, target_bytes: u64) -> Vec<Subscription> {
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = SeededRng::new(self.seed);
         let mut out = Vec::new();
         let mut total = 0u64;
         while total < target_bytes {
@@ -93,7 +92,7 @@ impl WorkloadSpec {
     /// seed stream from the subscriptions).
     #[must_use]
     pub fn publications(&self, n: usize) -> Vec<Publication> {
-        let mut rng = StdRng::seed_from_u64(self.seed ^ 0x9e37_79b9_7f4a_7c15);
+        let mut rng = SeededRng::new(self.seed ^ 0x9e37_79b9_7f4a_7c15);
         (0..n)
             .map(|_| {
                 let mut publication =

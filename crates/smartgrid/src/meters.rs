@@ -10,8 +10,7 @@
 //! appliance structure is what both the analytics and the privacy attack
 //! (§VI, reference 15 of the paper) exercise.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use securecloud_telemetry::rng::SeededRng;
 
 /// A full per-household trace.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,7 +69,7 @@ impl GridSpec {
     /// Generates every household trace, deterministically.
     #[must_use]
     pub fn generate(&self) -> Vec<MeterTrace> {
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = SeededRng::new(self.seed);
         let samples = self.samples();
         (0..self.households)
             .map(|meter| {
@@ -150,7 +149,7 @@ struct Household {
 }
 
 impl Household {
-    fn sample(rng: &mut StdRng) -> Self {
+    fn sample(rng: &mut SeededRng) -> Self {
         Household {
             baseline: rng.gen_range(40.0..160.0),
             fridge_period: rng.gen_range(1800..3600),

@@ -6,8 +6,7 @@
 //! detector classifies samples against the EN 50160-style ±10 % band and
 //! reports detection latency — the basis of benchmark E7.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use securecloud_telemetry::rng::SeededRng;
 
 /// Nominal European line voltage.
 pub const NOMINAL_VOLTS: f64 = 230.0;
@@ -73,7 +72,7 @@ impl QualitySpec {
     /// Generates a voltage trace with injected sags/swells.
     #[must_use]
     pub fn generate(&self) -> VoltageTrace {
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = SeededRng::new(self.seed);
         let mut samples: Vec<f64> = (0..self.samples)
             .map(|_| NOMINAL_VOLTS + rng.gen_range(-2.0..2.0))
             .collect();

@@ -33,6 +33,7 @@ use securecloud_sgx::enclave::{EnclaveConfig, Platform};
 use securecloud_smartgrid::meters::GridSpec;
 use securecloud_smartgrid::quality::{QualitySpec, NOMINAL_VOLTS};
 use securecloud_telemetry::context::ContextMinter;
+use securecloud_telemetry::rng::{mix64, GOLDEN_GAMMA};
 
 use crate::operator::{
     AggregatorConfig, JoinConfig, StreamEvent, TwoStreamJoin, WindowedAggregator, ATTR_KEY,
@@ -375,12 +376,9 @@ impl Default for CitySpec {
     }
 }
 
+/// The SplitMix64 finaliser over the (seed, lane) pair.
 fn mix_seed(seed: u64, lane: u64) -> u64 {
-    // SplitMix64 finaliser over the (seed, lane) pair.
-    let mut z = seed ^ lane.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    mix64(seed ^ lane.wrapping_mul(GOLDEN_GAMMA))
 }
 
 impl CitySpec {

@@ -22,7 +22,9 @@
 //!   trace writer, and a chrome://tracing `trace_event` JSON emitter with
 //!   flow events linking spans across subsystems;
 //! * shared **streaming statistics** ([`stats`]) — the one Welford and EMA
-//!   implementation the rest of the workspace builds on.
+//!   implementation the rest of the workspace builds on;
+//! * the **seeded generators** ([`rng`]) — the one SplitMix64 finaliser
+//!   and the xoshiro256++ stream behind every seeded workload.
 //!
 //! The [`Telemetry`] facade bundles a clock, a registry, the trace events,
 //! and a context minter; subsystems receive an `Arc<Telemetry>` (or stay
@@ -53,6 +55,7 @@ pub mod context;
 pub mod critical_path;
 pub mod export;
 pub mod metrics;
+pub mod rng;
 pub mod slo;
 pub mod stats;
 pub mod trace;
