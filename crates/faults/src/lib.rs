@@ -417,6 +417,16 @@ mod tests {
     use super::*;
 
     #[test]
+    fn det_rng_reproducible() {
+        let mut a = SplitMix64::new(1);
+        let mut b = SplitMix64::new(1);
+        for _ in 0..64 {
+            assert_eq!(a.next_u64(), b.next_u64());
+        }
+        assert_ne!(SplitMix64::new(2).next_u64(), SplitMix64::new(3).next_u64());
+    }
+
+    #[test]
     fn plan_fires_in_time_order() {
         let plan = FaultPlan::new()
             .at(500, FaultKind::BrokerFail { broker: 1 })

@@ -357,6 +357,16 @@ mod tests {
     use super::*;
 
     #[test]
+    fn deterministic_from_seed() {
+        let mut a = rng::SeededRng::new(42);
+        let mut b = rng::SeededRng::new(42);
+        for _ in 0..100 {
+            assert_eq!(a.next_u64(), b.next_u64());
+        }
+        assert_ne!(a.next_u64(), rng::SeededRng::new(43).next_u64());
+    }
+
+    #[test]
     fn fnv1a_matches_the_reference_vectors() {
         assert_eq!(fnv1a(FNV_OFFSET, b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
