@@ -12,13 +12,24 @@
 //!   match a publication, the whole subtree is pruned.
 //!
 //! Matching runs over a *compiled* form, not over [`Subscription`]s:
-//! attribute names are interned to dense ids at insertion, every predicate
-//! becomes one 16-byte record in a single flat vector (predicate order
-//! kept), and a node is a 56-byte record pointing at its range of tests. A
+//! attribute names are interned to dense ids at insertion, and every
+//! predicate becomes one 16-byte record (predicate order kept). A
 //! [`PublicationRef`] is resolved once into a slot table indexed by attribute
 //! id, so evaluating a predicate is an array index and a compare. The
 //! traversal appends a [`VisitInfo`] per visited node to a caller-owned
 //! trace; what a visit costs on the simulated clock is the caller's business.
+//!
+//! Insertion grows a forest in insertion order: per-node children vectors
+//! and, for the covering checks, each subscription's normalised form (a
+//! sorted boxed slice, one entry per constrained attribute). Matching does
+//! not read that forest. The first match after an insert lays it out once
+//! into two flat arrays in *visit order*, the order in which the depth-first
+//! walk visits the nodes when every node matches: 32-byte node records, and
+//! the predicate records copied in the same order. In that pre-order a
+//! node's subtree is the contiguous run of records after it, so a node
+//! stores where its subtree ends: the walk goes to the next record when the
+//! node matches and jumps past the subtree when it does not. It needs no
+//! stack, and it only ever moves forward through both arrays.
 //!
 //! [`NaiveIndex`] is the linear-scan baseline used for benchmark E6 and as
 //! a correctness oracle in tests; it evaluates the original
@@ -61,8 +72,6 @@ pub struct MatchScratch<'p> {
     pub matched: Vec<SubId>,
     /// The current publication's values by attribute id.
     slots: Vec<Option<ValueRef<'p>>>,
-    /// Depth-first stack of node indices.
-    stack: Vec<u32>,
 }
 
 /// Common interface of the two indexes.
@@ -71,8 +80,10 @@ pub trait SubscriptionIndex {
     fn insert(&mut self, id: SubId, sub: Subscription, offset: u64);
     /// Matches the publication `view`, appending every visited node to
     /// `scratch.trace` and the ids of matching subscriptions to
-    /// `scratch.matched`.
-    fn match_publication<'p>(&self, view: PublicationRef<'p>, scratch: &mut MatchScratch<'p>);
+    /// `scratch.matched`. Takes `&mut self` so that an index may bring its
+    /// matching layout up to date with the inserts made since the last
+    /// match.
+    fn match_publication<'p>(&mut self, view: PublicationRef<'p>, scratch: &mut MatchScratch<'p>);
     /// Number of stored subscriptions.
     fn len(&self) -> usize;
     /// Whether the index is empty.
@@ -116,7 +127,7 @@ impl SubscriptionIndex for NaiveIndex {
         self.entries.push((id, sub, offset, size));
     }
 
-    fn match_publication<'p>(&self, view: PublicationRef<'p>, scratch: &mut MatchScratch<'p>) {
+    fn match_publication<'p>(&mut self, view: PublicationRef<'p>, scratch: &mut MatchScratch<'p>) {
         let publication = view.to_publication();
         for (id, sub, offset, size) in &self.entries {
             let (matched, evaluated) = matches_counted(sub, &publication);
@@ -149,7 +160,7 @@ struct Test {
     operand: u64,
 }
 
-/// The per-subscription record the traversal reads.
+/// A subscription in the insertion-time forest.
 #[derive(Debug)]
 struct Node {
     id: SubId,
@@ -161,7 +172,34 @@ struct Node {
     children: Vec<u32>,
 }
 
-const _: () = assert!(std::mem::size_of::<Test>() == 16 && std::mem::size_of::<Node>() <= 64);
+/// A subscription in the visit-ordered layout: the record the walk reads.
+#[derive(Debug)]
+struct FlatNode {
+    id: SubId,
+    offset: u64,
+    size: u32,
+    /// This node's range of [`PosetIndex::flat_tests`], in predicate order.
+    tests_start: u32,
+    tests_end: u32,
+    /// One past the last record of this node's subtree: where the walk
+    /// goes when this node does not match.
+    subtree_end: u32,
+}
+
+const _: () = assert!(
+    std::mem::size_of::<Test>() == 16
+        && std::mem::size_of::<Node>() <= 64
+        && std::mem::size_of::<FlatNode>() == 32
+);
+
+/// The subscriptions that share a partition value.
+#[derive(Debug, Default)]
+struct Group {
+    /// Roots of the group's containment forest, in [`PosetIndex::nodes`].
+    roots: Vec<u32>,
+    /// The group's records in [`PosetIndex::flat`], as a half-open range.
+    span: (u32, u32),
+}
 
 /// Containment-forest index with partition groups.
 #[derive(Debug, Default)]
@@ -171,19 +209,28 @@ pub struct PosetIndex {
     attrs: BTreeMap<String, u32>,
     /// String operands of the compiled predicates.
     strings: Vec<String>,
+    /// Compiled predicates in insertion order; read by the layout only.
     tests: Vec<Test>,
+    /// The forest in insertion order; read by insertion and the layout.
     nodes: Vec<Node>,
     /// Normalised predicates per node; read at insertion only.
     norms: Vec<Normalised<u32>>,
-    /// Roots per partition value. A publication without a partition value
+    /// Groups per partition value. A publication without a partition value
     /// visits integer groups in ascending order, then string groups in
     /// ascending order, then the general group — the same order, and so the
     /// same simulator charges, in every identically built index.
-    int_groups: BTreeMap<i64, Vec<u32>>,
-    str_groups: BTreeMap<String, Vec<u32>>,
-    /// Roots of subscriptions without an equality predicate on the
-    /// partition attribute; every publication visits them.
-    general: Vec<u32>,
+    int_groups: BTreeMap<i64, Group>,
+    str_groups: BTreeMap<String, Group>,
+    /// Subscriptions without an equality predicate on the partition
+    /// attribute; every publication visits them.
+    general: Group,
+    /// The forest in visit order, groups in the order above, so the keyed
+    /// groups together span the records in front of the general group.
+    flat: Vec<FlatNode>,
+    /// The predicate records of `flat`, in its order.
+    flat_tests: Vec<Test>,
+    /// Whether an insert has come since `flat` was laid out.
+    stale: bool,
 }
 
 /// Nodes, predicate records and attributes are addressed by `u32`.
@@ -215,7 +262,7 @@ impl PosetIndex {
         }
     }
 
-    /// Appends `sub`'s predicates to the flat test vector and returns their
+    /// Appends `sub`'s predicates to [`Self::tests`] and returns their
     /// range.
     fn compile(&mut self, sub: &Subscription) -> (u32, u32) {
         let start = index_u32(self.tests.len());
@@ -324,18 +371,66 @@ impl PosetIndex {
         }
     }
 
-    fn match_group(&self, roots: &[u32], scratch: &mut MatchScratch<'_>) {
+    /// Lays the forest out in visit order: per group, roots are pushed in
+    /// order and popped from the end, and a node's children are pushed when
+    /// it is laid out — the depth-first walk's order when every node
+    /// matches. A node's subtree end is set when the walk leaves it.
+    fn lay_out(&mut self) {
+        enum Step {
+            Enter(u32),
+            Leave(u32),
+        }
+        let mut flat = Vec::with_capacity(self.nodes.len());
+        let mut flat_tests = Vec::with_capacity(self.tests.len());
+        let mut stack = Vec::new();
+        let keyed = self
+            .int_groups
+            .values_mut()
+            .chain(self.str_groups.values_mut());
+        for group in keyed.chain([&mut self.general]) {
+            let start = index_u32(flat.len());
+            stack.extend(group.roots.iter().map(|&idx| Step::Enter(idx)));
+            while let Some(step) = stack.pop() {
+                match step {
+                    Step::Enter(idx) => {
+                        let node = &self.nodes[idx as usize];
+                        let at = index_u32(flat.len());
+                        let tests_start = index_u32(flat_tests.len());
+                        flat_tests.extend_from_slice(
+                            &self.tests[node.tests_start as usize..node.tests_end as usize],
+                        );
+                        flat.push(FlatNode {
+                            id: node.id,
+                            offset: node.offset,
+                            size: node.size,
+                            tests_start,
+                            tests_end: index_u32(flat_tests.len()),
+                            subtree_end: at + 1,
+                        });
+                        stack.push(Step::Leave(at));
+                        stack.extend(node.children.iter().map(|&child| Step::Enter(child)));
+                    }
+                    Step::Leave(at) => flat[at as usize].subtree_end = index_u32(flat.len()),
+                }
+            }
+            group.span = (start, index_u32(flat.len()));
+        }
+        self.flat = flat;
+        self.flat_tests = flat_tests;
+        self.stale = false;
+    }
+
+    /// Walks the records of `span`, which are whole subtrees in visit order.
+    fn walk(&self, (start, end): (u32, u32), scratch: &mut MatchScratch<'_>) {
         let MatchScratch {
             trace,
             matched,
             slots,
-            stack,
         } = scratch;
-        stack.clear();
-        stack.extend_from_slice(roots);
-        while let Some(idx) = stack.pop() {
-            let node = &self.nodes[idx as usize];
-            let tests = &self.tests[node.tests_start as usize..node.tests_end as usize];
+        let mut at = start;
+        while at < end {
+            let node = &self.flat[at as usize];
+            let tests = &self.flat_tests[node.tests_start as usize..node.tests_end as usize];
             let failed = tests.iter().position(|&test| !self.holds(test, slots));
             trace.push(VisitInfo {
                 offset: node.offset,
@@ -345,10 +440,13 @@ impl PosetIndex {
             });
             if failed.is_none() {
                 matched.push(node.id);
-                // Children are covered by this node, so they *may* match.
-                stack.extend_from_slice(&node.children);
+                // Children are covered by this node, so they *may* match;
+                // the first one to visit is the next record.
+                at += 1;
+            } else {
+                // Not matched → nor can its subtree (containment).
+                at = node.subtree_end;
             }
-            // Not matched → children cannot match either (containment).
         }
     }
 }
@@ -376,35 +474,35 @@ impl SubscriptionIndex for PosetIndex {
                 _ => None,
             })
         });
-        let roots = match partition_value {
+        let group = match partition_value {
             Some(Value::Int(v)) => self.int_groups.entry(int_group(*v)).or_default(),
             Some(Value::Str(s)) => self.str_groups.entry(s.clone()).or_default(),
             _ => &mut self.general,
         };
-        Self::insert_into_group(&mut self.nodes, &self.norms, roots, idx);
+        Self::insert_into_group(&mut self.nodes, &self.norms, &mut group.roots, idx);
+        self.stale = true;
     }
 
-    fn match_publication<'p>(&self, view: PublicationRef<'p>, scratch: &mut MatchScratch<'p>) {
+    fn match_publication<'p>(&mut self, view: PublicationRef<'p>, scratch: &mut MatchScratch<'p>) {
+        if self.stale {
+            self.lay_out();
+        }
         self.resolve(view, &mut scratch.slots);
         let partition_value = self
             .partition_attr
             .as_deref()
             .and_then(|attr| view.get(attr));
         let own_group = match partition_value {
-            Some(ValueRef::Int(v)) => self.int_groups.get(&int_group(v)),
-            Some(ValueRef::Str(s)) => self.str_groups.get(s),
-            // No partition value: every group may match.
-            Some(ValueRef::Float(_)) | None => {
-                for roots in self.int_groups.values().chain(self.str_groups.values()) {
-                    self.match_group(roots, scratch);
-                }
-                None
-            }
+            Some(ValueRef::Int(v)) => self.int_groups.get(&int_group(v)).map(|g| g.span),
+            Some(ValueRef::Str(s)) => self.str_groups.get(s).map(|g| g.span),
+            // No partition value: every group may match, and the keyed
+            // ones lie in front of the general group.
+            Some(ValueRef::Float(_)) | None => Some((0, self.general.span.0)),
         };
-        if let Some(roots) = own_group {
-            self.match_group(roots, scratch);
+        if let Some(span) = own_group {
+            self.walk(span, scratch);
         }
-        self.match_group(&self.general, scratch);
+        self.walk(self.general.span, scratch);
     }
 
     fn len(&self) -> usize {
@@ -426,7 +524,7 @@ mod tests {
         Subscription::new(preds)
     }
 
-    fn visit(index: &impl SubscriptionIndex, p: &Publication) -> (Vec<VisitInfo>, Vec<SubId>) {
+    fn visit(index: &mut impl SubscriptionIndex, p: &Publication) -> (Vec<VisitInfo>, Vec<SubId>) {
         let encoded = p.to_wire();
         let mut scratch = MatchScratch::default();
         index.match_publication(PublicationRef::parse(&encoded).unwrap(), &mut scratch);
@@ -445,7 +543,7 @@ mod tests {
         index.insert(SubId(2), sub(vec![pred("x", Op::Lt, 10)]), 64);
         index.insert(SubId(3), sub(vec![pred("y", Op::Eq, 1)]), 128);
         let p = Publication::new().with("x", Value::Int(15));
-        let (visits, matched) = visit(&index, &p);
+        let (visits, matched) = visit(&mut index, &p);
         assert_eq!(ids(matched), vec![1]);
         assert_eq!(visits.len(), 3, "naive visits everything");
     }
@@ -460,15 +558,16 @@ mod tests {
         // Unrelated root.
         index.insert(SubId(4), sub(vec![pred("y", Op::Eq, 1)]), 192);
         let keyed = index.int_groups.values().chain(index.str_groups.values());
-        assert_eq!(keyed.map(Vec::len).sum::<usize>() + index.general.len(), 2);
+        let roots = keyed.map(|group| group.roots.len()).sum::<usize>();
+        assert_eq!(roots + index.general.roots.len(), 2);
 
         // x = -5: broad fails => subtree pruned; visit only the 2 roots.
-        let (visits, matched) = visit(&index, &Publication::new().with("x", Value::Int(-5)));
+        let (visits, matched) = visit(&mut index, &Publication::new().with("x", Value::Int(-5)));
         assert!(matched.is_empty());
         assert_eq!(visits.len(), 2);
 
         // x = 60: broad, mid match; narrow visited and rejected.
-        let (visits, matched) = visit(&index, &Publication::new().with("x", Value::Int(60)));
+        let (visits, matched) = visit(&mut index, &Publication::new().with("x", Value::Int(60)));
         assert_eq!(ids(matched), vec![1, 2]);
         assert_eq!(visits.len(), 4);
     }
@@ -489,7 +588,7 @@ mod tests {
                 let (id, s) = &subs[(i + rotation) % subs.len()];
                 index.insert(SubId(*id), s.clone(), (*id) * 64);
             }
-            orders.push(ids(visit(&index, &p).1));
+            orders.push(ids(visit(&mut index, &p).1));
         }
         for o in &orders {
             assert_eq!(o, &vec![1, 2, 3]);
@@ -511,7 +610,7 @@ mod tests {
         let p = Publication::new()
             .with("topic", Value::Int(3))
             .with("x", Value::Int(100));
-        let (visits, matched) = visit(&index, &p);
+        let (visits, matched) = visit(&mut index, &p);
         assert_eq!(matched.len(), 5);
         assert!(
             visits.len() <= 5,
@@ -533,12 +632,12 @@ mod tests {
         let p = Publication::new()
             .with("topic", Value::Int(7))
             .with("x", Value::Int(1));
-        assert_eq!(ids(visit(&index, &p).1), vec![1, 2]);
+        assert_eq!(ids(visit(&mut index, &p).1), vec![1, 2]);
         // Different topic: only the general subscription matches.
         let p2 = Publication::new()
             .with("topic", Value::Int(8))
             .with("x", Value::Int(1));
-        assert_eq!(ids(visit(&index, &p2).1), vec![2]);
+        assert_eq!(ids(visit(&mut index, &p2).1), vec![2]);
     }
 
     /// The determinism contract: a publication without the partition
@@ -567,7 +666,7 @@ mod tests {
             index
         };
         let p = Publication::new().with("x", Value::Int(3));
-        let (visits, matched) = visit(&build(), &p);
+        let (visits, matched) = visit(&mut build(), &p);
         // Topic subscriptions cannot match without a topic, so only group
         // roots are visited; node `i` sits at offset `64 * i`.
         let key_of = |v: &VisitInfo| {
@@ -595,13 +694,13 @@ mod tests {
         assert_eq!(groups, every_group.into_iter().collect::<Vec<_>>());
         assert_eq!(matched, vec![SubId(96)]);
         for _ in 0..3 {
-            assert_eq!(visit(&build(), &p), (visits.clone(), matched.clone()));
+            assert_eq!(visit(&mut build(), &p), (visits.clone(), matched.clone()));
         }
         // With a partition value only that group and the general one are
         // visited, string-keyed like integer-keyed.
         for topic in [city(3), Value::Int(-5)] {
             let with_topic = p.clone().with("topic", topic.clone());
-            let (visits, _) = visit(&build(), &with_topic);
+            let (visits, _) = visit(&mut build(), &with_topic);
             let groups: Vec<_> = visits.iter().map(key_of).collect();
             assert!(groups.len() >= 2);
             let (own, general) = groups.split_at(groups.len() - 1);
@@ -643,8 +742,8 @@ mod tests {
                 .with("topic", Value::Int(rng.gen_range(0..5)))
                 .with("a", Value::Int(rng.gen_range(0..100)))
                 .with("b", Value::Int(rng.gen_range(0..100)));
-            let (poset_visits, got) = visit(&poset, &p);
-            let (naive_visits, want) = visit(&naive, &p);
+            let (poset_visits, got) = visit(&mut poset, &p);
+            let (naive_visits, want) = visit(&mut naive, &p);
             assert_eq!(ids(got), ids(want));
             assert!(poset_visits.len() <= naive_visits.len());
         }
@@ -657,7 +756,7 @@ mod tests {
         let footprint = s.footprint() as u32;
         index.insert(SubId(1), s, 4096);
         let p = Publication::new().with("x", Value::Int(1));
-        let v = visit(&index, &p).0[0];
+        let v = visit(&mut index, &p).0[0];
         assert_eq!(v.offset, 4096);
         assert_eq!(v.size, footprint);
         assert_eq!(v.predicates_evaluated, 1);

@@ -218,11 +218,12 @@ impl Subscription {
     }
 }
 
-/// Cached normalised form of a subscription's predicates.
+/// Cached normalised form of a subscription's predicates: one constraint
+/// per attribute, sorted by attribute, in one boxed slice sized to fit.
 ///
 /// `Normalised(None)` means the conjunction is unsatisfiable.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Normalised<K = String>(Option<BTreeMap<K, Constraint>>);
+pub struct Normalised<K = String>(Option<Box<[(K, Constraint)]>>);
 
 /// Covering decision on normalised forms: `a` covers `b` when every
 /// publication matching `b` matches `a` (conservative).
@@ -233,17 +234,11 @@ pub fn covers_normalised<K: Ord>(a: &Normalised<K>, b: &Normalised<K>) -> bool {
         // covers only unsatisfiable others.
         return b.0.is_none();
     };
-    for (attr, my_constraint) in mine {
-        match theirs.get(attr) {
-            None => return false,
-            Some(their_constraint) => {
-                if !my_constraint.contains(their_constraint) {
-                    return false;
-                }
-            }
-        }
-    }
-    true
+    mine.iter().all(|(attr, my_constraint)| {
+        theirs
+            .binary_search_by(|(their_attr, _)| their_attr.cmp(attr))
+            .is_ok_and(|at| my_constraint.contains(&theirs[at].1))
+    })
 }
 
 /// A publication: attribute → value.
@@ -315,13 +310,13 @@ impl Constraint {
     }
 }
 
-/// Normalises a conjunction into per-attribute constraints; `None` if the
-/// conjunction is unsatisfiable (empty interval).
+/// Normalises a conjunction into per-attribute constraints sorted by
+/// attribute; `None` if the conjunction is unsatisfiable (empty interval).
 fn normalise<K: Ord>(
     predicates: &[Predicate],
     mut key: impl FnMut(&str) -> K,
-) -> Option<BTreeMap<K, Constraint>> {
-    let mut out: BTreeMap<K, Constraint> = BTreeMap::new();
+) -> Option<Box<[(K, Constraint)]>> {
+    let mut out: Vec<(K, Constraint)> = Vec::with_capacity(predicates.len());
     for p in predicates {
         let constraint = match (&p.value, p.op) {
             (Value::Str(s), Op::Eq) => Constraint::StrEq(s.clone()),
@@ -353,13 +348,15 @@ fn normalise<K: Ord>(
             }
         };
         let attr = key(&p.attr);
-        let merged = match out.remove(&attr) {
-            None => constraint,
-            Some(existing) => intersect(existing, constraint)?,
-        };
-        out.insert(attr, merged);
+        match out.binary_search_by(|(have, _)| have.cmp(&attr)) {
+            Ok(at) => {
+                let (attr, existing) = out.remove(at);
+                out.insert(at, (attr, intersect(existing, constraint)?));
+            }
+            Err(at) => out.insert(at, (attr, constraint)),
+        }
     }
-    Some(out)
+    Some(out.into_boxed_slice())
 }
 
 fn intersect(a: Constraint, b: Constraint) -> Option<Constraint> {

@@ -49,7 +49,7 @@ fn arb_publication() -> impl Strategy<Value = Publication> {
 /// One matching pass over the view of the publication's encoding: the
 /// visit trace and the match list.
 fn visit(
-    index: &impl SubscriptionIndex,
+    index: &mut impl SubscriptionIndex,
     publication: &Publication,
 ) -> (Vec<VisitInfo>, Vec<SubId>) {
     let encoded = publication.to_wire();
@@ -118,9 +118,9 @@ proptest! {
             }
         }
         for publication in &publications {
-            let (oracle, mut want) = visit(&naive, publication);
+            let (oracle, mut want) = visit(&mut naive, publication);
             want.sort();
-            for poset in &posets {
+            for poset in &mut posets {
                 let (trace, mut got) = visit(poset, publication);
                 for node in &trace {
                     prop_assert_eq!(node, &oracle[(node.offset / 256) as usize]);
@@ -129,6 +129,46 @@ proptest! {
                 visited.sort();
                 visited.dedup();
                 prop_assert_eq!(visited.len(), trace.len(), "a node is visited at most once");
+                got.sort();
+                prop_assert_eq!(&got, &want);
+            }
+        }
+    }
+
+    /// Matching between inserts changes nothing: an index that matched after
+    /// every chunk of inserts and its twin that matches only after the last
+    /// insert visit the same nodes in the same order and match the same
+    /// subscriptions in the same order, and the match set is the oracle's.
+    /// An index that matched over a layout left from before an insert would
+    /// miss the nodes inserted since.
+    #[test]
+    fn relayout_after_insert_keeps_the_trace(
+        subs in prop::collection::vec(arb_subscription(), 1..60),
+        chunk in 1usize..8,
+        probes in prop::collection::vec(arb_publication(), 1..4),
+        publications in prop::collection::vec(arb_publication(), 1..10),
+    ) {
+        let mut naive = NaiveIndex::new();
+        let twins = || [PosetIndex::new(), PosetIndex::with_partition_attr("a")];
+        let (mut eager, mut lazy) = (twins(), twins());
+        for (i, sub) in subs.iter().enumerate() {
+            naive.insert(SubId(i as u64), sub.clone(), i as u64 * 256);
+            for poset in eager.iter_mut().chain(&mut lazy) {
+                poset.insert(SubId(i as u64), sub.clone(), i as u64 * 256);
+            }
+            if (i + 1) % chunk == 0 {
+                for poset in &mut eager {
+                    visit(poset, &probes[i % probes.len()]);
+                }
+            }
+        }
+        for publication in &publications {
+            let (_, mut want) = visit(&mut naive, publication);
+            want.sort();
+            for (eager, lazy) in eager.iter_mut().zip(&mut lazy) {
+                let (trace, matched) = visit(eager, publication);
+                prop_assert_eq!(&(trace, matched.clone()), &visit(lazy, publication));
+                let mut got = matched;
                 got.sort();
                 prop_assert_eq!(&got, &want);
             }
