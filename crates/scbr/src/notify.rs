@@ -98,23 +98,37 @@ impl<'a> PublicationRef<'a> {
 }
 
 /// The publications of one opened notification frame, in batch order.
+///
+/// A frame is a `Vec<Publication>` encoding of n distinct publications,
+/// then, only when some publication is delivered more than once, n `u32`
+/// multiplicities in batch order: the number of the subscriber's
+/// subscriptions that matched it. A list of all ones is never written, so
+/// a frame without repeats is byte for byte a `Vec<Publication>` and every
+/// frame has one encoding.
 #[derive(Debug, Clone)]
 pub struct Notifications {
     plain: Vec<u8>,
     /// Where each publication's encoding starts in `plain`; it ends where
-    /// the next one starts, or at the end of `plain`.
+    /// the next one starts, or at `end`.
     starts: Vec<usize>,
+    /// Where the publications end: the multiplicity list starts here, or
+    /// `plain` ends.
+    end: usize,
+    /// The sum of the multiplicities.
+    deliveries: usize,
 }
 
 impl Notifications {
-    /// Checks each publication as [`PublicationRef::parse`] does, and that
-    /// nothing trails the last.
+    /// Checks each publication as [`PublicationRef::parse`] does, then that
+    /// what trails the last is nothing or a canonical multiplicity list.
     ///
     /// # Errors
     ///
     /// [`CryptoError::Malformed`] on every input
-    /// `Vec::<Publication>::from_wire` rejects, and on attribute keys that
-    /// are not strictly ascending.
+    /// `Vec::<Publication>::from_wire` rejects, except a publication list
+    /// followed by a canonical multiplicity list; on attribute keys that
+    /// are not strictly ascending; and on a list whose length is not four
+    /// bytes per publication, that holds a 0, or that holds only 1s.
     pub fn parse(plain: Vec<u8>) -> Result<Self, CryptoError> {
         let mut r = Reader::new(&plain);
         let count = r.length()?;
@@ -124,55 +138,94 @@ impl Notifications {
             starts.push(plain.len() - r.remaining());
             check_publication(&mut r)?;
         }
+        let end = plain.len() - r.remaining();
+        let deliveries = check_multiplicities(&mut r, count)?;
         check_end(&r)?;
-        Ok(Notifications { plain, starts })
+        Ok(Notifications {
+            plain,
+            starts,
+            end,
+            deliveries,
+        })
     }
 
-    /// Publications in the batch.
+    /// Deliveries in the batch: the sum of the multiplicities.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.starts.len()
+        self.deliveries
     }
 
     /// Whether the batch is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.starts.is_empty()
+        self.deliveries == 0
     }
 
-    /// The publications, borrowed, in batch order.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = PublicationRef<'_>> {
-        (0..self.len()).map(|i| self.publication(i))
+    /// Distinct publications in the batch; fewer than [`Self::len`] when
+    /// the frame carries a multiplicity list.
+    #[must_use]
+    pub fn distinct(&self) -> usize {
+        self.starts.len()
+    }
+
+    /// The distinct publications, borrowed, in batch order, each with its
+    /// multiplicity.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (PublicationRef<'_>, u32)> {
+        (0..self.distinct()).map(|i| (self.publication(i), self.multiplicity(i)))
     }
 
     /// The `i`-th publication; empty past the end (never reached: callers
-    /// stay below [`Self::len`]).
+    /// stay below [`Self::distinct`]).
     fn publication(&self, i: usize) -> PublicationRef<'_> {
-        let start = self.starts.get(i).copied().unwrap_or(self.plain.len());
-        let end = self.starts.get(i + 1).copied().unwrap_or(self.plain.len());
+        let start = self.starts.get(i).copied().unwrap_or(self.end);
+        let end = self.starts.get(i + 1).copied().unwrap_or(self.end);
         PublicationRef {
             bytes: self.plain.get(start..end).unwrap_or_default(),
         }
     }
+
+    /// The `i`-th multiplicity: 1 when the frame carries no list.
+    fn multiplicity(&self, i: usize) -> u32 {
+        let at = self.end + 4 * i;
+        self.plain
+            .get(at..at + 4)
+            .and_then(|bytes| u32::from_wire(bytes).ok())
+            .unwrap_or(1)
+    }
 }
 
-/// Owned publications built one at a time from a [`Notifications`].
+/// Owned publications built one at a time from a [`Notifications`], each
+/// yielded once per delivery.
 #[derive(Debug)]
 pub struct IntoIter {
     notifications: Notifications,
     next: Range<usize>,
+    /// The publication being yielded, and how many more times.
+    current: Publication,
+    copies_left: u32,
+    deliveries_left: usize,
 }
 
 impl Iterator for IntoIter {
     type Item = Publication;
 
     fn next(&mut self) -> Option<Publication> {
-        let i = self.next.next()?;
-        Some(self.notifications.publication(i).to_publication())
+        if self.copies_left == 0 {
+            let i = self.next.next()?;
+            self.current = self.notifications.publication(i).to_publication();
+            self.copies_left = self.notifications.multiplicity(i);
+        }
+        self.copies_left = self.copies_left.saturating_sub(1);
+        self.deliveries_left = self.deliveries_left.saturating_sub(1);
+        Some(if self.copies_left == 0 {
+            std::mem::take(&mut self.current)
+        } else {
+            self.current.clone()
+        })
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        self.next.size_hint()
+        (self.deliveries_left, Some(self.deliveries_left))
     }
 }
 
@@ -184,10 +237,41 @@ impl IntoIterator for Notifications {
 
     fn into_iter(self) -> IntoIter {
         IntoIter {
-            next: 0..self.len(),
+            next: 0..self.distinct(),
+            deliveries_left: self.len(),
+            current: Publication::default(),
+            copies_left: 0,
             notifications: self,
         }
     }
+}
+
+/// Reads the multiplicity list of `count` publications if anything trails
+/// them, and returns the number of deliveries: `count` without a list.
+fn check_multiplicities(r: &mut Reader<'_>, count: usize) -> Result<usize, CryptoError> {
+    let len = r.remaining();
+    if len == 0 {
+        return Ok(count);
+    }
+    if len != 4 * count {
+        let error = format!("{len}-byte multiplicity list for {count} publications");
+        return Err(CryptoError::Malformed(error));
+    }
+    let mut deliveries = 0usize;
+    for _ in 0..count {
+        let copies = u32::decode(r)?;
+        if copies == 0 {
+            return Err(CryptoError::Malformed("multiplicity 0".to_owned()));
+        }
+        deliveries = deliveries
+            .checked_add(copies as usize)
+            .ok_or_else(|| CryptoError::Malformed("deliveries overflow".to_owned()))?;
+    }
+    if deliveries == count {
+        let error = "a multiplicity list of only 1s is not written".to_owned();
+        return Err(CryptoError::Malformed(error));
+    }
+    Ok(deliveries)
 }
 
 /// Reads one publication: its attribute count, then pairs whose keys are
@@ -268,15 +352,15 @@ mod tests {
         let opened = Notifications::parse(batch.to_wire()).unwrap();
         assert_eq!(opened.len(), 3);
         assert!(!opened.is_empty());
-        let second = opened.iter().nth(2).unwrap();
+        let (second, copies) = opened.iter().nth(2).unwrap();
+        assert_eq!(copies, 1);
         assert_eq!(second.get("topic"), Some(ValueRef::Int(2)));
         assert_eq!(second.get("name"), Some(ValueRef::Str("ü")));
         assert_eq!(second.get("load"), Some(ValueRef::Float(0.5)));
         assert_eq!(second.get("missing"), None);
         assert_eq!(second.get("a"), None);
         assert_eq!(second.get("zzz"), None);
-        let borrowed: Vec<Publication> =
-            opened.iter().map(PublicationRef::to_publication).collect();
+        let borrowed: Vec<Publication> = opened.iter().map(|(p, _)| p.to_publication()).collect();
         assert_eq!(borrowed, batch);
         let owned = opened.into_iter();
         assert_eq!(owned.len(), 3);
@@ -312,5 +396,17 @@ mod tests {
         let mut plain = vec![publication(1, "a")].to_wire();
         plain.push(0);
         assert!(Notifications::parse(plain).is_err());
+        // What trails a batch may only be a canonical multiplicity list.
+        let batch = vec![publication(1, "a"), publication(2, "b")];
+        for list in [&[2u32][..], &[2, 1, 1], &[0, 2], &[1, 1]] {
+            let mut plain = batch.to_wire();
+            for copies in list {
+                copies.encode(&mut plain);
+            }
+            assert!(
+                matches!(Notifications::parse(plain), Err(CryptoError::Malformed(_))),
+                "{list:?}"
+            );
+        }
     }
 }

@@ -283,16 +283,18 @@ impl SecureRouter {
     /// inside a *single* enclave transition, and the matched publications
     /// are fanned out as one sealed notification frame per subscriber:
     /// the returned pairs are `(owner, frame)` where each frame carries
-    /// every publication that matched one of that owner's subscriptions,
-    /// in batch order, as the bytes the batch's [`Notifications`] view
-    /// validated. Compared to N calls to [`Self::publish_sealed`],
-    /// this charges one ECALL/OCALL pair instead of N and one GHASH
-    /// setup per frame instead of per message.
+    /// every publication that matched one of that owner's subscriptions
+    /// once, in batch order, as the bytes the batch's [`Notifications`] view
+    /// validated, and how many of the owner's subscriptions matched it when
+    /// that is more than one for some publication. Compared to N calls to
+    /// [`Self::publish_sealed`], this charges one ECALL/OCALL pair instead
+    /// of N and one GHASH setup per frame instead of per message.
     ///
     /// # Errors
     ///
     /// [`ScbrError::UnknownClient`], [`ScbrError::Crypto`] (also on a
-    /// non-canonical publication), [`ScbrError::Enclave`],
+    /// non-canonical publication, and on a batch that carries a
+    /// multiplicity list), [`ScbrError::Enclave`],
     /// [`ScbrError::UnknownSubscription`].
     pub fn publish_sealed_batch(
         &mut self,
@@ -315,6 +317,12 @@ impl SecureRouter {
         let ctx = TraceContext::decode(header).unwrap_or_default();
         plain.drain(..CONTEXT_WIRE_LEN);
         let publications = Notifications::parse(plain)?;
+        // Multiplicities are the router's to write: a publisher's list would
+        // buy up to 2^32 - 1 deliveries for four bytes.
+        if publications.len() != publications.distinct() {
+            let error = "a publisher batch carries a multiplicity list".to_owned();
+            return Err(securecloud_crypto::CryptoError::Malformed(error).into());
+        }
 
         // One enclave transition for the whole batch: the AEAD open charge
         // and every match run inside a single ECALL/OCALL pair.
@@ -332,10 +340,10 @@ impl SecureRouter {
         let engine = &mut self.engine;
         let mut scratch = MatchScratch::default();
         // Where each publication's matches end in `scratch.matched`.
-        let mut match_ends = Vec::with_capacity(publications.len());
+        let mut match_ends = Vec::with_capacity(publications.distinct());
         Self::enter(&mut self.enclave, self.switchless, |mem| {
             mem.charge_cycles(aead_cost);
-            for publication in publications.iter() {
+            for (publication, _) in publications.iter() {
                 engine.publish_with(mem, publication, &mut scratch);
                 match_ends.push(scratch.matched.len());
             }
@@ -343,31 +351,44 @@ impl SecureRouter {
 
         // Group the matched publications' validated bytes per owning
         // subscriber, preserving batch order within each owner; BTreeMap
-        // keeps the fan-out order deterministic. A publication matching two
-        // subscriptions of the same owner is delivered twice, exactly like
-        // the single path.
-        let mut per_owner: BTreeMap<u64, Vec<&[u8]>> = BTreeMap::new();
+        // keeps the fan-out order deterministic. A publication matching k
+        // subscriptions of one owner is one entry with multiplicity k: the
+        // frame carries its bytes once. Distinct publications are disjoint,
+        // non-empty ranges of one buffer, so the slice identifies one.
+        let mut per_owner: BTreeMap<u64, Vec<(&[u8], u32)>> = BTreeMap::new();
         let mut match_start = 0;
-        for (publication, match_end) in publications.iter().zip(match_ends) {
+        for ((publication, _), match_end) in publications.iter().zip(match_ends) {
+            let bytes = publication.as_bytes();
             for sub_id in &scratch.matched[match_start..match_end] {
-                per_owner
+                let matched = per_owner
                     .entry(Self::owner_of(&self.owners, *sub_id)?.0)
-                    .or_default()
-                    .push(publication.as_bytes());
+                    .or_default();
+                match matched.last_mut() {
+                    Some((last, copies)) if std::ptr::eq(*last, bytes) => *copies += 1,
+                    _ => matched.push((bytes, 1)),
+                }
             }
             match_start = match_end;
         }
 
         let mut notifications = Vec::with_capacity(per_owner.len());
         for (owner, matched) in per_owner {
-            // One frame per owner: the count, then the publications.
-            let body_len = 4 + matched.iter().map(|bytes| bytes.len()).sum::<usize>();
+            // One frame per owner: the count, the distinct publications,
+            // then their multiplicities only if one of them repeats.
+            let repeats = matched.iter().any(|&(_, copies)| copies > 1);
+            let bytes: usize = matched.iter().map(|(bytes, _)| bytes.len()).sum();
+            let body_len = 4 + bytes + if repeats { 4 * matched.len() } else { 0 };
             let owner = ClientId(owner);
             let framed =
                 self.seal_notification(owner, b"scbr-notify-batch", body_len, |framed| {
                     (matched.len() as u32).encode(framed);
-                    for publication in matched {
+                    for (publication, _) in &matched {
                         framed.extend_from_slice(publication);
+                    }
+                    if repeats {
+                        for (_, copies) in &matched {
+                            copies.encode(framed);
+                        }
                     }
                 })?;
             notifications.push((owner, framed));
@@ -488,7 +509,10 @@ impl RouterClient {
     }
 
     /// Opens a batched notification frame from the router into a validated
-    /// view of the matched publications, in batch order. Every byte is
+    /// view of the matched publications, in batch order. The frame carries
+    /// each publication once, with the number of this subscriber's
+    /// subscriptions it matched: the view's `len()` counts deliveries, and
+    /// consuming it yields a publication once per delivery. Every byte is
     /// checked here; owned publications are built only as the view is
     /// consumed.
     ///
@@ -814,6 +838,96 @@ mod tests {
                 vec![publication(1, 50)]
             );
         }
+    }
+
+    /// Multiplicities are the router's to write. A publisher batch that
+    /// carries a canonical list authenticates and parses, but is refused
+    /// before the enclave is entered: nothing is charged or counted, no
+    /// notification sequence number is spent, and the next honest batch
+    /// routes.
+    #[test]
+    fn a_publisher_batch_with_multiplicities_is_refused() {
+        let mut router = router();
+        let mut subscriber = RouterClient::new();
+        let mut publisher = RouterClient::new();
+        let sub_id = router.register(&subscriber.public_key());
+        let pub_id = router.register(&publisher.public_key());
+        subscriber.complete_exchange(&router.public_key());
+        publisher.complete_exchange(&router.public_key());
+        let sealed = subscriber.seal_subscription(&sub(1, 10)).unwrap();
+        router.subscribe_sealed(sub_id, &sealed).unwrap();
+
+        let mut sealed = TraceContext::none().encode().to_vec();
+        encode_seq(&[publication(1, 50)], &mut sealed);
+        u32::MAX.encode(&mut sealed);
+        assert_eq!(
+            Notifications::parse(sealed[CONTEXT_WIRE_LEN..].to_vec())
+                .unwrap()
+                .len(),
+            u32::MAX as usize
+        );
+        publisher
+            .link()
+            .unwrap()
+            .send
+            .seal_in_place(&mut sealed, b"scbr-pub-batch");
+        let cycles = router.enclave().memory_view().cycles();
+        let stats = router.stats();
+        let notify_seq = router.clients[&sub_id].send.seq();
+        assert!(matches!(
+            router.publish_sealed_batch(pub_id, &sealed),
+            Err(ScbrError::Crypto(
+                securecloud_crypto::CryptoError::Malformed(_)
+            ))
+        ));
+        assert_eq!(router.enclave().memory_view().cycles(), cycles);
+        assert_eq!(router.stats(), stats);
+        assert_eq!(router.clients[&sub_id].send.seq(), notify_seq);
+
+        let honest = publisher
+            .seal_publication_batch(&[publication(1, 60)])
+            .unwrap();
+        let frames = router.publish_sealed_batch(pub_id, &honest).unwrap();
+        let opened = subscriber.open_notification_batch(&frames[0].1).unwrap();
+        assert_eq!(
+            opened.into_iter().collect::<Vec<_>>(),
+            vec![publication(1, 60)]
+        );
+    }
+
+    /// A publication that matches two subscriptions of one owner is sealed
+    /// into that owner's frame once, with multiplicity 2, and still counts
+    /// and materialises as two deliveries.
+    #[test]
+    fn a_publication_matching_two_subscriptions_of_one_owner_is_sealed_once() {
+        let mut router = router();
+        let mut subscriber = RouterClient::new();
+        let mut publisher = RouterClient::new();
+        let sub_id = router.register(&subscriber.public_key());
+        let pub_id = router.register(&publisher.public_key());
+        subscriber.complete_exchange(&router.public_key());
+        publisher.complete_exchange(&router.public_key());
+        for lo in [10, 20] {
+            let sealed = subscriber.seal_subscription(&sub(1, lo)).unwrap();
+            router.subscribe_sealed(sub_id, &sealed).unwrap();
+        }
+
+        let p = publication(1, 50);
+        let sealed = publisher
+            .seal_publication_batch(std::slice::from_ref(&p))
+            .unwrap();
+        let frames = router.publish_sealed_batch(pub_id, &sealed).unwrap();
+        assert_eq!(frames.len(), 1);
+        // The plaintext: the count, the publication once, its multiplicity.
+        let mut want = vec![p.clone()].to_wire();
+        2u32.encode(&mut want);
+        let mut link = subscriber.link.clone().unwrap();
+        let plain = link.open(&frames[0].1, b"scbr-notify-batch").unwrap();
+        assert_eq!(plain, want);
+
+        let opened = subscriber.open_notification_batch(&frames[0].1).unwrap();
+        assert_eq!(opened.len(), 2);
+        assert_eq!(opened.into_iter().collect::<Vec<_>>(), vec![p.clone(), p]);
     }
 
     /// A batch too short to hold its trace-context header authenticated

@@ -134,7 +134,7 @@ fn run(switchless: bool) -> Outcome {
 /// The call plane changes the transition charges and nothing else.
 #[test]
 fn router_charges_and_deliveries_are_pinned_on_both_call_planes() {
-    for (switchless, cycles) in [(false, 84_895_546), (true, 83_762_586)] {
+    for (switchless, cycles) in [(false, 83_593_974), (true, 82_461_014)] {
         let want = Outcome {
             cycles,
             engine: EngineStats {
