@@ -1,16 +1,14 @@
-//! A fixed-capacity LRU set over `u64` keys.
+//! A fixed-capacity LRU set over small, dense `u64` keys.
 //!
 //! Used by the memory simulator to track which cache lines are resident in
 //! the LLC and which pages are resident in the EPC: [`LruSet::touch`] runs
-//! once per simulated cache-line access. Implemented as a slab of
-//! doubly-linked 16-byte nodes plus an open-addressed table of slab slots
-//! (multiplicative hash, linear probing, backward-shift deletion, at most a
-//! quarter full so that a probe rarely has to compare a second node, doubled
-//! on demand), so `touch` is O(1). The sequence of hits and evictions is the
-//! contract: every simulated cycle derives from it.
-
-const NIL: u32 = u32::MAX;
-const MIN_TABLE: usize = 16;
+//! once per simulated cache-line access. Implemented as a dense slab of
+//! doubly-linked 16-byte nodes plus an index of slab slots addressed by the
+//! key itself, so `touch` is O(1) with one load and no hashing. The index
+//! grows to the largest key touched (4 bytes per key), which suits the line
+//! and page numbers of a bump-allocated address space and nothing sparser.
+//! The sequence of hits and evictions is the contract: every simulated cycle
+//! derives from it.
 
 #[derive(Debug, Clone, Copy, Default)]
 struct Node {
@@ -35,6 +33,9 @@ const HIT: Touch = Touch {
 
 /// Fixed-capacity LRU set.
 ///
+/// Keys index a vector directly, so its memory is 4 bytes per key up to the
+/// largest key ever touched: use keys drawn from a small, dense range.
+///
 /// ```
 /// use securecloud_sgx::lru::LruSet;
 ///
@@ -47,15 +48,13 @@ const HIT: Touch = Touch {
 /// ```
 #[derive(Debug, Clone)]
 pub struct LruSet {
-    /// Slab slot per position, `NIL` when empty; a key sits at or after its
-    /// home position with no empty position in between. Power-of-two length.
-    table: Vec<u32>,
-    shift: u32, // 64 - log2(table.len()): the hash is the product's top bits
+    /// Slab slot of each key, indexed by the key; 0 means absent, since
+    /// `slab[0]` is never a key's slot.
+    index: Vec<u32>,
     /// `slab[0]` holds no key: it anchors the recency ring (`next` is the
-    /// most recently used node, `prev` the least) and ends the free list.
+    /// most recently used node, `prev` the least). The resident keys fill
+    /// `slab[1..]` without holes.
     slab: Vec<Node>,
-    free: u32, // released slab slots, chained through `next`
-    len: usize,
     capacity: usize,
 }
 
@@ -68,13 +67,10 @@ impl LruSet {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "LruSet capacity must be positive");
-        assert!(capacity < NIL as usize, "LruSet capacity must fit u32");
+        assert!(capacity < u32::MAX as usize, "LruSet capacity must fit u32");
         LruSet {
-            table: vec![NIL; MIN_TABLE],
-            shift: 64 - MIN_TABLE.trailing_zeros(),
+            index: Vec::new(),
             slab: vec![Node::default()],
-            free: 0,
-            len: 0,
             capacity,
         }
     }
@@ -82,13 +78,13 @@ impl LruSet {
     /// Number of resident keys.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        self.slab.len() - 1
     }
 
     /// Whether the set is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// The configured capacity.
@@ -100,52 +96,45 @@ impl LruSet {
     /// Whether `key` is resident (does not affect recency).
     #[must_use]
     pub fn contains(&self, key: u64) -> bool {
-        self.find(key).1 != NIL
+        self.slot(key) != 0
     }
 
     /// Touches `key`: marks it most-recently-used, inserting (and possibly
     /// evicting the LRU key) if absent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` does not fit `usize`; aborts if the index cannot grow
+    /// to `key + 1` entries.
     pub fn touch(&mut self, key: u64) -> Touch {
         let head = self.slab[0].next;
         if head != 0 && self.slab[head as usize].key == key {
             return HIT;
         }
-        let (mut pos, slot) = self.find(key);
-        if slot != NIL {
+        let k = usize::try_from(key).expect("LruSet key must fit usize");
+        if k >= self.index.len() {
+            self.index.resize(k + 1, 0);
+        }
+        let slot = self.index[k];
+        if slot != 0 {
             self.unlink(slot);
             self.push_front(slot);
             return HIT;
         }
-        let mut evicted = None;
-        if self.len == self.capacity {
+        let (slot, evicted) = if self.len() == self.capacity {
+            // The victim's node takes the new key.
             let tail = self.slab[0].prev;
             let victim = self.slab[tail as usize].key;
-            evicted = Some((victim, self.find(victim).0));
-            self.release(tail);
-        } else if (self.len + 1) * 4 > self.table.len() {
-            self.grow();
-            pos = self.find(key).0;
-        }
-        let slot = match self.free {
-            0 => {
-                self.slab.push(Node::default());
-                (self.slab.len() - 1) as u32
-            }
-            slot => {
-                self.free = self.slab[slot as usize].next;
-                slot
-            }
+            self.index[victim as usize] = 0;
+            self.unlink(tail);
+            (tail, Some(victim))
+        } else {
+            self.slab.push(Node::default());
+            ((self.slab.len() - 1) as u32, None)
         };
         self.slab[slot as usize].key = key;
-        self.len += 1;
-        // Indexed at `pos` before the gap the victim leaves is closed, so
-        // one probe serves the lookup and the insertion.
-        self.table[pos] = slot;
+        self.index[k] = slot;
         self.push_front(slot);
-        let evicted = evicted.map(|(victim, gap)| {
-            self.erase(gap);
-            victim
-        });
         Touch {
             hit: false,
             evicted,
@@ -154,77 +143,36 @@ impl LruSet {
 
     /// Removes `key` if resident; returns whether it was present.
     pub fn remove(&mut self, key: u64) -> bool {
-        let (pos, slot) = self.find(key);
-        if slot != NIL {
-            self.erase(pos);
-            self.release(slot);
+        let slot = self.slot(key);
+        if slot == 0 {
+            return false;
         }
-        slot != NIL
+        self.index[key as usize] = 0;
+        self.unlink(slot);
+        // The last node moves into the hole, keeping the slab dense.
+        let last = self.slab.pop().expect("a resident key has a node");
+        if slot as usize != self.slab.len() {
+            self.slab[slot as usize] = last;
+            self.slab[last.prev as usize].next = slot;
+            self.slab[last.next as usize].prev = slot;
+            self.index[last.key as usize] = slot;
+        }
+        true
     }
 
     /// Removes every key, keeping the allocation.
     pub fn clear(&mut self) {
-        self.table.fill(NIL);
-        self.slab.clear();
-        self.slab.push(Node::default());
-        (self.free, self.len) = (0, 0);
-    }
-
-    /// Home position of `key`. Line and page numbers are dense, so a
-    /// multiplicative (Fibonacci) hash spreads them without a keyed hasher.
-    fn home(&self, key: u64) -> usize {
-        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
-    }
-
-    /// The position and slab slot of `key`, or the empty position that ends
-    /// its probe chain (where it would be inserted) and `NIL`.
-    fn find(&self, key: u64) -> (usize, u32) {
-        let mask = self.table.len() - 1;
-        let mut pos = self.home(key);
-        loop {
-            let slot = self.table[pos];
-            if slot == NIL || self.slab[slot as usize].key == key {
-                return (pos, slot);
-            }
-            pos = (pos + 1) & mask;
+        for node in &self.slab[1..] {
+            self.index[node.key as usize] = 0;
         }
+        self.slab.truncate(1);
+        self.slab[0] = Node::default();
     }
 
-    /// Empties position `gap` by backward shift: each later entry of the
-    /// chain moves into the gap unless that would put it before its home.
-    fn erase(&mut self, mut gap: usize) {
-        let mask = self.table.len() - 1;
-        let mut pos = (gap + 1) & mask;
-        while self.table[pos] != NIL {
-            let home = self.home(self.slab[self.table[pos] as usize].key);
-            if (pos.wrapping_sub(home) & mask) >= (pos.wrapping_sub(gap) & mask) {
-                self.table[gap] = self.table[pos];
-                gap = pos;
-            }
-            pos = (pos + 1) & mask;
-        }
-        self.table[gap] = NIL;
-    }
-
-    /// Doubles the table and re-indexes every resident key.
-    fn grow(&mut self) {
-        self.table = vec![NIL; self.table.len() * 2];
-        self.shift -= 1;
-        let mut slot = self.slab[0].next;
-        while slot != 0 {
-            let node = self.slab[slot as usize];
-            let pos = self.find(node.key).0;
-            self.table[pos] = slot;
-            slot = node.next;
-        }
-    }
-
-    /// Unlinks `slot` and chains its node into the free list.
-    fn release(&mut self, slot: u32) {
-        self.unlink(slot);
-        self.slab[slot as usize].next = self.free;
-        self.free = slot;
-        self.len -= 1;
+    /// The slab slot of `key`, or 0 if it is absent.
+    fn slot(&self, key: u64) -> u32 {
+        let k = usize::try_from(key).unwrap_or(usize::MAX);
+        self.index.get(k).copied().unwrap_or(0)
     }
 
     fn unlink(&mut self, slot: u32) {
@@ -317,18 +265,14 @@ mod tests {
         assert_eq!(lru.touch(6).evicted, Some(1));
     }
 
-    /// Every table entry is found at its own position, the table holds
-    /// exactly the resident keys, and the recency list links all of them.
+    /// The index holds exactly the resident keys at their slots, the slab has
+    /// no holes, and the recency ring links every node.
     fn assert_consistent(lru: &LruSet) {
-        let mut indexed = 0;
-        for (pos, &slot) in lru.table.iter().enumerate() {
-            if slot != NIL {
-                indexed += 1;
-                assert_eq!(lru.find(lru.slab[slot as usize].key), (pos, slot));
-            }
-        }
+        let indexed = lru.index.iter().filter(|&&slot| slot != 0).count();
         assert_eq!(indexed, lru.len());
-        assert!(lru.len() * 4 <= lru.table.len());
+        for (slot, node) in lru.slab.iter().enumerate().skip(1) {
+            assert_eq!(lru.index[node.key as usize] as usize, slot);
+        }
         let (mut linked, mut slot, mut prev) = (0, lru.slab[0].next, 0);
         while slot != 0 {
             assert_eq!(lru.slab[slot as usize].prev, prev);
@@ -340,70 +284,40 @@ mod tests {
         assert_eq!(linked, lru.len());
     }
 
-    /// The first `n` keys (counting up from 0) whose home position is `home`.
-    fn keys_homed_at(lru: &LruSet, home: usize, n: usize) -> Vec<u64> {
-        (0u64..).filter(|&k| lru.home(k) == home).take(n).collect()
-    }
-
     #[test]
-    fn probe_chain_wraps_the_table_end_and_survives_deletion() {
-        // Eight keys grow the table to its final 32 positions; it stays
-        // there once they are removed.
-        let mut lru = LruSet::new(8);
-        for k in 0..8 {
-            lru.touch(k);
-        }
-        for k in 0..8 {
-            assert!(lru.remove(k));
-        }
-        let last = lru.table.len() - 1;
-        assert_eq!(last, 31);
-        let colliding = keys_homed_at(&lru, last, 4);
-        let early = keys_homed_at(&lru, 0, 2);
-        let at_home = keys_homed_at(&lru, 5, 1);
-        // `colliding` fills positions 31, 0, 1, 2; `early` is pushed to 3, 4;
-        // `at_home` sits at 5, directly behind the chain.
-        for &k in colliding.iter().chain(&early).chain(&at_home) {
-            assert!(!lru.touch(k).hit);
-            assert_consistent(&lru);
-        }
-        assert_eq!(lru.find(colliding[3]).0, 2);
-        assert_eq!(lru.find(early[1]).0, 4);
-        // Deleting the head of the chain shifts the rest back across the
-        // wrap, but never moves a key before its home.
-        assert!(lru.remove(colliding[0]));
-        assert_consistent(&lru);
-        assert_eq!(lru.find(colliding[1]).0, last);
-        assert_eq!(lru.find(early[0]).0, 2);
-        assert_eq!(lru.find(at_home[0]).0, 5);
-        assert!(!lru.contains(colliding[0]));
-        assert!(!lru.remove(colliding[0]));
-        // Evicting misses reuse the victim's node and keep the index whole.
-        for k in keys_homed_at(&lru, last, 16).into_iter().skip(4) {
-            lru.touch(k);
-            assert_consistent(&lru);
-        }
-        assert_eq!(lru.len(), 8);
-        assert_eq!(lru.slab.len(), 1 + 8, "evictions reuse the victim's node");
-    }
-
-    #[test]
-    fn table_grows_on_demand_and_survives_clear() {
+    fn index_grows_to_the_largest_key_and_survives_clear() {
         let mut lru = LruSet::new(1000);
-        assert_eq!(lru.table.len(), MIN_TABLE);
+        assert!(lru.index.is_empty());
         for k in 0..3000u64 {
-            let t = lru.touch(k * 4096);
-            assert_eq!(t.evicted, k.checked_sub(1000).map(|v| v * 4096));
+            let t = lru.touch(k * 64);
+            assert_eq!(t.evicted, k.checked_sub(1000).map(|v| v * 64));
             if k % 97 == 0 {
                 assert_consistent(&lru);
             }
         }
-        assert_eq!(lru.table.len(), 4096);
-        assert_eq!(lru.slab.len(), 1 + 1000);
+        assert_eq!(lru.index.len(), 2999 * 64 + 1);
+        assert_eq!(
+            lru.slab.len(),
+            1 + 1000,
+            "evictions reuse the victim's node"
+        );
+        // Keys past the index are absent without growing it.
+        assert!(!lru.contains(u64::MAX));
+        assert!(!lru.remove(3000 * 64));
+        assert_eq!(lru.index.len(), 2999 * 64 + 1);
+        // Removing from the middle moves the last node into the hole.
+        assert!(lru.remove(2500 * 64));
+        assert!(lru.remove(2999 * 64));
+        assert_consistent(&lru);
+        assert_eq!(lru.slab.len(), 1 + 998);
+        assert_eq!(lru.touch(1).evicted, None);
+        assert_eq!(lru.touch(2).evicted, None);
+        assert_eq!(lru.touch(3).evicted, Some(2000 * 64));
+        assert_consistent(&lru);
         lru.clear();
         assert_consistent(&lru);
-        assert!(!lru.contains(2999 * 4096));
-        assert_eq!(lru.table.len(), 4096, "clear keeps the allocation");
+        assert!(!lru.contains(2998 * 64));
+        assert_eq!(lru.index.len(), 2999 * 64 + 1, "clear keeps the allocation");
         assert_eq!(lru.touch(7).evicted, None);
         assert!(lru.touch(7).hit);
         assert_consistent(&lru);

@@ -23,6 +23,9 @@
 //! lines of an access once and charges cycles, [`MemStats`] and the telemetry
 //! mirror counters once per call. The two [`LruSet`]s alone decide which
 //! lines hit and which pages fault; the simulated clock follows from that.
+//! They index their nodes by line and page number, so `touch` takes only
+//! addresses the bump allocator has handed out (freed ones included), and
+//! their index grows with the address space: 4 bytes per simulated line.
 
 use crate::costs::{CostModel, MemoryGeometry};
 use crate::lru::LruSet;
@@ -286,10 +289,22 @@ impl MemorySim {
 
     /// Reports `len` bytes of access starting at `addr`, charging memory
     /// costs per cache line touched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range reaches past the memory allocated so far: the
+    /// residency sets are indexed by line and page number, so they stay as
+    /// small as the simulator's address space. Freed memory stays inside it.
     pub fn touch(&mut self, addr: u64, len: usize) {
         if len == 0 {
             return;
         }
+        assert!(
+            addr.checked_add(len as u64)
+                .is_some_and(|end| end <= self.next_addr),
+            "touch of {addr:#x}+{len} reaches past the address space, which ends at {:#x}",
+            self.next_addr
+        );
         let first_line = addr >> self.line_shift;
         let last_line = (addr + len as u64 - 1) >> self.line_shift;
         let page_of_line = self.page_shift - self.line_shift;
@@ -745,6 +760,15 @@ mod tests {
         sim.llc.clear();
         sim.touch_region(region, 0, region.len() as usize);
         assert_eq!(sim.stats().epc_faults, 12, "every page faults again");
+    }
+
+    #[test]
+    #[should_panic(expected = "reaches past the address space")]
+    fn touch_outside_the_address_space_panics() {
+        let mut sim = MemorySim::enclave(tiny_geometry(), unit_costs());
+        let region = sim.alloc(4096);
+        sim.touch(region.base() + 4095, 1); // the last allocated byte
+        sim.touch(region.base() + 4096, 1);
     }
 
     #[test]
