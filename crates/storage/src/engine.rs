@@ -6,11 +6,13 @@
 //! and a block cache in enclave memory. All host transfers are charged
 //! through [`MemorySim::charge_host_read`]/[`MemorySim::charge_host_write`]
 //! and all enclave-side staging through `touch`, so the EPC-vs-host-IO
-//! trade-off is visible in cycles and telemetry.
+//! trade-off is visible in cycles and telemetry. A segment written, read
+//! whole or scanned moves in one transfer; a point lookup pages in one
+//! block per transfer.
 //!
 //! # Crash safety
 //!
-//! Host writes happen in a fixed order (WAL commit; segment blocks; then
+//! Host writes happen in a fixed order (WAL commit; the segment; then
 //! the manifest as the single atomic commit point; then WAL truncation
 //! and segment GC). A crash at any point leaves either the old manifest
 //! (plus a longer WAL and possibly orphan segments, both handled at
@@ -597,9 +599,11 @@ impl StorageEngine {
         Ok(())
     }
 
-    /// Seals `records` into a fresh segment on the host. The segment id
-    /// comes from a trusted counter and is never reused, so per-block
-    /// nonces stay unique even across crash-discarded attempts.
+    /// Seals `records` into a fresh segment, then writes all of its blocks
+    /// to the host in one transfer behind one crash gate: a crash leaves no
+    /// block of it on the host. The segment id comes from a trusted counter
+    /// and is never reused, so per-block nonces stay unique even across
+    /// crash-discarded attempts.
     fn write_segment(
         &mut self,
         mem: &mut MemorySim,
@@ -607,10 +611,9 @@ impl StorageEngine {
     ) -> Result<LiveSegment, StorageError> {
         let seg_id = self.counters.increment(&self.segment_counter);
         let cipher = AesGcm::new(&self.keys.segment_key(seg_id));
-        self.disk.segments.insert(seg_id, HostSegment::default());
+        let mut host = HostSegment::default();
         let mut tags = Vec::new();
         let mut blocks = Vec::new();
-        let mut bytes = 0u64;
         for (index, chunk) in pack_blocks(records, self.config.block_bytes)
             .into_iter()
             .enumerate()
@@ -618,24 +621,20 @@ impl StorageEngine {
             let chunk = &records[chunk.0..chunk.1];
             let sealed = seal_block(&cipher, seg_id, index as u32, chunk);
             mem.charge_ops(2 + sealed.len() as u64 / 64);
-            self.maybe_crash()?;
-            mem.charge_host_write(sealed.len() as u64);
-            bytes += sealed.len() as u64;
             tags.push(block_tag(&sealed)?);
             blocks.push(BlockMeta {
                 first_key: chunk[0].key.to_vec(),
                 last_key: chunk[chunk.len() - 1].key.to_vec(),
                 records: chunk.len() as u32,
             });
-            self.disk
-                .segments
-                .get_mut(&seg_id)
-                .expect("segment entry created above")
-                .blocks
-                .push(sealed);
-            self.stats.blocks_written += 1;
+            host.blocks.push(sealed);
         }
+        let bytes = host.bytes();
+        self.maybe_crash()?;
+        mem.charge_host_write(bytes);
+        self.stats.blocks_written += host.blocks.len() as u64;
         self.stats.segments_written += 1;
+        self.disk.segments.insert(seg_id, host);
         Ok(LiveSegment {
             meta: SegmentMeta {
                 id: seg_id,
@@ -746,7 +745,11 @@ impl StorageEngine {
             let Some(bi) = block_for_key(&self.segments[si].meta, key) else {
                 continue;
             };
-            let cache_pos = self.ensure_cached(mem, si, bi)?;
+            // A point lookup pages in one block: one host transfer.
+            let mut paged = 0;
+            let cached = self.ensure_cached(mem, si, bi, &mut paged);
+            charge_read(mem, paged);
+            let cache_pos = cached?;
             if let Some(ri) = self.cache[cache_pos].block.position(key) {
                 return Ok(Some((cache_pos, ri)));
             }
@@ -769,14 +772,20 @@ impl StorageEngine {
         out: &mut BTreeMap<Vec<u8>, Option<Vec<u8>>>,
     ) -> Result<(), StorageError> {
         for si in 0..self.segments.len() {
-            for bi in blocks_in_range(&self.segments[si].meta, lo, hi) {
-                let cache_pos = self.ensure_cached(mem, si, bi)?;
+            // The blocks in range that miss the cache come in one host
+            // transfer per segment.
+            let mut paged = 0;
+            let scanned = blocks_in_range(&self.segments[si].meta, lo, hi).try_for_each(|bi| {
+                let cache_pos = self.ensure_cached(mem, si, bi, &mut paged)?;
                 for record in self.cache[cache_pos].block.iter() {
                     if record.key >= lo && hi.is_none_or(|h| record.key < h) {
                         record.merge_into(out);
                     }
                 }
-            }
+                Ok::<_, StorageError>(())
+            });
+            charge_read(mem, paged);
+            scanned?;
         }
         Ok(())
     }
@@ -820,13 +829,15 @@ impl StorageEngine {
     }
 
     /// Ensures block `bi` of segment `si` is decrypted in the cache,
-    /// paging it in (with verification) on a miss. Returns its position
-    /// in `self.cache`.
+    /// paging it in (with verification) on a miss and adding its sealed
+    /// length to `paged`, the transfer the caller charges. Returns its
+    /// position in `self.cache`.
     fn ensure_cached(
         &mut self,
         mem: &mut MemorySim,
         si: usize,
         bi: usize,
+        paged: &mut u64,
     ) -> Result<usize, StorageError> {
         let seg_id = self.segments[si].meta.id;
         if let Some(pos) = self
@@ -844,7 +855,7 @@ impl StorageEngine {
             return Ok(self.cache.len() - 1);
         }
         self.ensure_verified(mem, si)?;
-        let block = self.read_block(mem, si, bi)?;
+        let block = self.read_block(mem, si, bi, paged)?;
         let cap = self.config.cache_blocks.max(1);
         if self.cache.len() >= cap {
             let evicted = self.cache.remove(0);
@@ -881,24 +892,35 @@ impl StorageEngine {
         );
     }
 
-    /// Reads and authenticates every block of segment `si`, in index order
-    /// (used by compaction and scrubbing; bypasses the cache).
+    /// Reads and authenticates every block of segment `si`, in index order,
+    /// in one host transfer (used by compaction and scrubbing; bypasses the
+    /// cache).
     fn read_segment_blocks(
         &mut self,
         mem: &mut MemorySim,
         si: usize,
     ) -> Result<Vec<Block>, StorageError> {
         self.ensure_verified(mem, si)?;
-        (0..self.segments[si].meta.blocks.len())
-            .map(|bi| self.read_block(mem, si, bi))
-            .collect()
+        let mut read = 0;
+        let blocks = (0..self.segments[si].meta.blocks.len())
+            .map(|bi| self.read_block(mem, si, bi, &mut read))
+            .collect();
+        charge_read(mem, read);
+        blocks
     }
 
-    /// Reads block `bi` of the verified segment `si` off the host, checks
-    /// its tag against the integrity tree and opens it. The host's bytes are
-    /// borrowed, not cloned: the only copy is the buffer `open_block`
-    /// decrypts in.
-    fn read_block(&self, mem: &mut MemorySim, si: usize, bi: usize) -> Result<Block, StorageError> {
+    /// Takes block `bi` of the verified segment `si` from the host, checks
+    /// its tag against the integrity tree and opens it. Its sealed length is
+    /// added to `read`: the caller charges the host transfer that carries
+    /// it, so a run of blocks moves in one. The host's bytes are borrowed,
+    /// not cloned: the only copy is the buffer `open_block` decrypts in.
+    fn read_block(
+        &self,
+        mem: &mut MemorySim,
+        si: usize,
+        bi: usize,
+        read: &mut u64,
+    ) -> Result<Block, StorageError> {
         let segment = &self.segments[si];
         let seg_id = segment.meta.id;
         let sealed = self
@@ -909,7 +931,7 @@ impl StorageEngine {
             .ok_or_else(|| {
                 StorageError::Corrupt(format!("host lost segment {seg_id} block {bi}"))
             })?;
-        mem.charge_host_read(sealed.len() as u64);
+        *read += sealed.len() as u64;
         let verified = segment.tags.as_ref().expect("verified by the caller");
         if block_tag(sealed)? != verified[bi] {
             return Err(StorageError::Integrity {
@@ -1009,6 +1031,13 @@ impl StorageEngine {
     }
 }
 
+/// Charges one host read carrying `bytes`, when any block moved.
+fn charge_read(mem: &mut MemorySim, bytes: u64) {
+    if bytes > 0 {
+        mem.charge_host_read(bytes);
+    }
+}
+
 /// Greedily packs sorted records into `(start, end)` runs whose encoded
 /// size fits `block_bytes` (always at least one record per block).
 fn pack_blocks(records: &[RecordRef<'_>], block_bytes: usize) -> Vec<(usize, usize)> {
@@ -1062,18 +1091,17 @@ mod tests {
         MemorySim::enclave(MemoryGeometry::sgx_v1(), CostModel::sgx_v1())
     }
 
+    fn config() -> StorageConfig {
+        StorageConfig {
+            block_bytes: 256,
+            flush_bytes: 1 << 10,
+            cache_blocks: 2,
+            compact_at_segments: 4,
+        }
+    }
+
     fn engine(counters: &CounterService, base: &str) -> StorageEngine {
-        StorageEngine::create(
-            StorageConfig {
-                block_bytes: 256,
-                flush_bytes: 1 << 10,
-                cache_blocks: 2,
-                compact_at_segments: 4,
-            },
-            StoreKeys::new([1u8; 16]),
-            counters.clone(),
-            base,
-        )
+        StorageEngine::create(config(), StoreKeys::new([1u8; 16]), counters.clone(), base)
     }
 
     fn put(i: u32) -> Record {
@@ -1497,6 +1525,176 @@ mod tests {
         .unwrap();
         assert_eq!(report.recovered_version, 30);
         e2.append(&mut m, &put(30)).unwrap();
+    }
+
+    /// Arms the crash hook at every host-write gate of `step` in turn, on a
+    /// fresh copy of the state `setup` builds, and checks each crash:
+    /// the engine is poisoned, every host segment is one that existed
+    /// before or one the uncrashed step writes whole, and a reopen reads
+    /// back `acked(gate)`. Returns the number of gates.
+    fn crash_at_every_gate(
+        setup: impl Fn(&mut StorageEngine, &mut MemorySim),
+        step: impl Fn(&mut StorageEngine, &mut MemorySim) -> Result<(), StorageError>,
+        acked: impl Fn(u64) -> Range<u32>,
+    ) -> u64 {
+        let fresh = || {
+            let counters = CounterService::new();
+            let (mut e, mut m) = (engine(&counters, "gates"), mem());
+            setup(&mut e, &mut m);
+            (counters, e, m)
+        };
+        let (_, mut reference, mut m) = fresh();
+        step(&mut reference, &mut m).unwrap();
+        for gate in 0.. {
+            let (counters, mut e, mut m) = fresh();
+            let before = e.disk().clone();
+            e.fail_after_host_writes(Some(gate));
+            match step(&mut e, &mut m) {
+                Ok(()) => return gate,
+                Err(err) => assert_eq!(err, StorageError::CrashInjected, "gate {gate}"),
+            }
+            assert_eq!(e.commit(&mut m), Err(StorageError::Poisoned), "gate {gate}");
+            for (id, segment) in &e.disk().segments {
+                assert!(
+                    before.segments.get(id) == Some(segment)
+                        || reference.disk().segments.get(id) == Some(segment),
+                    "gate {gate}: segment {id} is on the host in part"
+                );
+            }
+            let (mut reopened, report) = StorageEngine::open(
+                &mut m,
+                e.config().clone(),
+                StoreKeys::new([1u8; 16]),
+                counters,
+                "gates",
+                e.disk().clone(),
+            )
+            .unwrap();
+            for i in acked(gate) {
+                let key = format!("key{i:04}").into_bytes();
+                let read = match report.tail.iter().rev().find(|r| r.key() == key) {
+                    Some(record) => record.value().map(<[u8]>::to_vec),
+                    None => reopened.lookup(&mut m, &key).unwrap().flatten(),
+                };
+                assert_eq!(read, Some(vec![i as u8; 40]), "gate {gate}: key{i:04}");
+            }
+        }
+        unreachable!("the gates run out")
+    }
+
+    #[test]
+    fn every_gate_of_a_flush_and_a_compaction_recovers() {
+        // Two sealed segments, then five committed WAL records.
+        let setup = |e: &mut StorageEngine, m: &mut MemorySim| {
+            e.flush(m, &sorted_puts(0..20)).unwrap();
+            e.flush(m, &sorted_puts(10..30)).unwrap();
+            for i in 30..35 {
+                e.append(m, &put(i)).unwrap();
+            }
+        };
+        // A flush of a multi-block segment that first commits five staged
+        // records: WAL commit, segment, manifest, WAL truncation.
+        let flush = |e: &mut StorageEngine, m: &mut MemorySim| {
+            for i in 35..40 {
+                e.stage(m, &put(i))?;
+            }
+            e.flush(m, &sorted_puts(30..40))
+        };
+        // Past the commit gate, the staged records are acknowledged too.
+        let gates = crash_at_every_gate(setup, flush, |gate| 0..if gate == 0 { 35 } else { 40 });
+        assert_eq!(gates, 4);
+        // A compaction of three segments: segment, manifest, truncation.
+        let setup = |e: &mut StorageEngine, m: &mut MemorySim| {
+            setup(e, m);
+            e.flush(m, &sorted_puts(30..35)).unwrap();
+        };
+        let gates = crash_at_every_gate(setup, StorageEngine::compact, |_| 0..35);
+        assert_eq!(gates, 3);
+    }
+
+    #[test]
+    fn a_segment_moves_in_one_transfer() {
+        let records = sorted_puts(0..40);
+        let sealed = |disk: &HostDisk| disk.segments.values().map(HostSegment::bytes).sum::<u64>();
+        // A flush writes segment, manifest and WAL truncation whatever the
+        // block size.
+        let flushed = |block_bytes| {
+            let config = StorageConfig {
+                block_bytes,
+                ..config()
+            };
+            let counters = CounterService::new();
+            let mut e = StorageEngine::create(config, StoreKeys::new([1u8; 16]), counters, "w");
+            let mut m = mem();
+            e.flush(&mut m, &records).unwrap();
+            let manifest = e.disk().manifest.as_ref().map_or(0, Vec::len) as u64;
+            assert_eq!(m.stats().host_write_bytes, sealed(e.disk()) + manifest + 8);
+            (e.block_count(), m.stats().host_writes)
+        };
+        let (small, large) = (flushed(256), flushed(4096));
+        assert!(small.0 > 1 && large.0 == 1, "{small:?} {large:?}");
+        assert_eq!((small.1, large.1), (3, 3));
+
+        // Compacting s unverified segments reads s tag lists and s segments.
+        let counters = CounterService::new();
+        let mut e = engine(&counters, "c");
+        let mut m = mem();
+        for round in 0..3 {
+            e.flush(&mut m, &sorted_puts(round * 10..round * 10 + 15))
+                .unwrap();
+        }
+        let disk = e.disk().clone();
+        let (mut e, _) = StorageEngine::open(
+            &mut mem(),
+            config(),
+            StoreKeys::new([1u8; 16]),
+            counters,
+            "c",
+            disk.clone(),
+        )
+        .unwrap();
+        let mut m = mem();
+        e.compact(&mut m).unwrap();
+        let blocks: u64 = disk.segments.values().map(|s| s.blocks.len() as u64).sum();
+        assert_eq!(m.stats().host_reads, 3 + 3);
+        assert_eq!(
+            m.stats().host_read_bytes,
+            TAG_LEN as u64 * blocks + sealed(&disk)
+        );
+
+        // A scan pages its uncached blocks of a segment in with one read; a
+        // point lookup pages in one block per read.
+        let counters = CounterService::new();
+        let mut e = engine(&counters, "s");
+        let mut m = mem();
+        e.flush(&mut m, &records).unwrap();
+        let segment = e.disk().segments.values().next().unwrap().clone();
+        let k = segment.blocks.len();
+        assert!(k > e.config().cache_blocks + 1, "{k} blocks");
+        let before = m.stats();
+        let mut out = BTreeMap::new();
+        e.scan_into(&mut m, b"", None, &mut out).unwrap();
+        assert_eq!(out.len(), records.len());
+        assert_eq!(m.stats().host_reads - before.host_reads, 1);
+        assert_eq!(
+            m.stats().host_read_bytes - before.host_read_bytes,
+            segment.bytes()
+        );
+        assert_eq!(e.stats().blocks_read, k as u64);
+        // The scan left the last blocks cached; the first ones page in again.
+        let before = m.stats();
+        let cold = k - e.config().cache_blocks;
+        for bi in 0..cold {
+            let key = e.segments[0].meta.blocks[bi].first_key.clone();
+            assert!(e.lookup(&mut m, &key).unwrap().is_some());
+        }
+        assert_eq!(m.stats().host_reads - before.host_reads, cold as u64);
+        let cold_bytes: u64 = segment.blocks[..cold].iter().map(|b| b.len() as u64).sum();
+        assert_eq!(
+            m.stats().host_read_bytes - before.host_read_bytes,
+            cold_bytes
+        );
+        assert_eq!(e.stats().blocks_read, (k + cold) as u64);
     }
 
     proptest::proptest! {
