@@ -11,8 +11,8 @@
 //!
 //! Everything runs on virtual time, so every number is deterministic:
 //! equal seeds produce byte-identical decision traces at any `--jobs N`
-//! (pinned by `tests/parallel_determinism.rs` and the recorded
-//! `trace_fnv` digests in `BENCH_cluster.json`).
+//! (pinned by `crates/bench/tests/parallel_determinism.rs` and the
+//! recorded `trace_fnv` digests in `BENCH_cluster.json`).
 
 use securecloud::cluster::ScalingPolicy;
 use securecloud::eventbus::bus::METRIC_BACKPRESSURED;

@@ -3,7 +3,7 @@
 //! Measures what batching buys on the secure router: a batch of N
 //! publications arrives as **one** AEAD frame, is opened and matched
 //! inside **one** ECALL/OCALL pair, and fans out one sealed notification
-//! frame per subscriber — versus N single publishes, each paying its own
+//! frame per subscriber — versus N batches of one, each paying its own
 //! enclave transition, its own nonce schedule, and its own GHASH setup.
 //!
 //! Durations are simulated cycles from [`CostModel::sgx_v1`], so every
@@ -63,7 +63,7 @@ pub struct MessagingPoint {
     /// ECALL/OCALL pair) or `"switchless"` (ring-slot pairs, no
     /// transitions).
     pub plane: &'static str,
-    /// Publications per sealed frame (1 = the single-publish path).
+    /// Publications per sealed frame (1 = the single-publication baseline).
     pub batch: usize,
     /// Approximate attribute-payload size per publication, bytes.
     pub payload_bytes: usize,
@@ -154,32 +154,17 @@ fn run_point(
     let started = router.enclave_mut().memory().cycles();
     for chunk in publications.chunks(batch) {
         let before = router.enclave_mut().memory().cycles();
-        if batch == 1 {
-            let sealed = publisher
-                .seal_publication(&chunk[0])
-                .expect("exchange completed");
-            let notifications = router
-                .publish_sealed(pub_client, &sealed)
-                .expect("sequenced publish");
-            for (_, framed) in notifications {
-                subscriber
-                    .open_notification(&framed)
-                    .expect("authentic notification");
-                delivered += 1;
-            }
-        } else {
-            let sealed = publisher
-                .seal_publication_batch(chunk)
-                .expect("exchange completed");
-            let notifications = router
-                .publish_sealed_batch(pub_client, &sealed)
-                .expect("sequenced publish");
-            for (_, framed) in notifications {
-                delivered += subscriber
-                    .open_notification_batch(&framed)
-                    .expect("authentic notification")
-                    .len() as u64;
-            }
+        let sealed = publisher
+            .seal_publication_batch(chunk)
+            .expect("exchange completed");
+        let notifications = router
+            .publish_sealed_batch(pub_client, &sealed)
+            .expect("sequenced publish");
+        for (_, framed) in notifications {
+            delivered += subscriber
+                .open_notification_batch(&framed)
+                .expect("authentic notification")
+                .len() as u64;
         }
         let frame_cycles = router.enclave_mut().memory().cycles() - before;
         latency.observe((frame_cycles as f64 / (costs.cpu_ghz * 1e3)) as u64);
@@ -239,7 +224,7 @@ pub struct MessagingReport {
 }
 
 impl MessagingReport {
-    /// Throughput of `batch` relative to the single-publish baseline at
+    /// Throughput of `batch` relative to the batch-1 baseline at
     /// the same payload size.
     #[must_use]
     pub fn speedup(&self, payload_bytes: usize, batch: usize) -> Option<f64> {
@@ -343,7 +328,7 @@ mod tests {
         let speedup = report.speedup(64, 64).expect("both points present");
         assert!(
             speedup >= 3.0,
-            "batch 64 must amortize to >= 3x the single path, got {speedup:.2}x"
+            "batch 64 must amortize to >= 3x batches of one, got {speedup:.2}x"
         );
     }
 
@@ -371,7 +356,7 @@ mod tests {
                 s.batch
             );
         }
-        // With transitions gone, the single-publish path stops being
+        // With transitions gone, batches of one stop being
         // transition-bound: the batch-64 vs batch-1 throughput knee
         // flattens substantially relative to the sync plane.
         let knee = |report: &MessagingReport| report.speedup(64, 64).expect("points present");

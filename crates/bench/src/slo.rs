@@ -16,8 +16,9 @@
 //!
 //! Everything runs on virtual time with deterministic causal-id minting,
 //! so equal seeds produce byte-identical critical-path reports and alert
-//! streams at any `--jobs N` (pinned by `tests/parallel_determinism.rs`
-//! and the recorded `*_fnv` digests in `BENCH_slo.json`).
+//! streams at any `--jobs N` (pinned by
+//! `crates/bench/tests/parallel_determinism.rs` and the recorded `*_fnv`
+//! digests in `BENCH_slo.json`).
 
 use securecloud::cluster::ScalingPolicy;
 use securecloud::containers::build::SecureImageBuilder;

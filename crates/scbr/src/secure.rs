@@ -9,7 +9,7 @@
 
 use crate::engine::{Layout, MatchEngine};
 use crate::index::{MatchScratch, PosetIndex};
-use crate::notify::{Notifications, PublicationRef};
+use crate::notify::Notifications;
 use crate::types::{Publication, SubId, Subscription};
 use crate::ScbrError;
 use securecloud_crypto::gcm::{AesGcm, SealCtx, TAG_LEN};
@@ -208,75 +208,8 @@ impl SecureRouter {
             .ok_or(ScbrError::UnknownSubscription(sub_id))
     }
 
-    /// Seals the next notification frame for `owner` as `ct || tag` in one
-    /// exactly-sized buffer (the nonce is the link's next sequence number),
-    /// charging its AEAD work to the enclave; `fill` appends the `body_len`
-    /// plaintext bytes.
-    fn seal_notification(
-        &mut self,
-        owner: ClientId,
-        aad: &[u8],
-        body_len: usize,
-        fill: impl FnOnce(&mut Vec<u8>),
-    ) -> Result<Vec<u8>, ScbrError> {
-        let link = self
-            .clients
-            .get_mut(&owner)
-            .ok_or(ScbrError::UnknownClient(owner))?;
-        let mut framed = Vec::with_capacity(body_len + TAG_LEN);
-        fill(&mut framed);
-        link.send.seal_in_place(&mut framed, aad);
-        self.enclave
-            .memory()
-            .charge_cycles(body_len as u64 * AEAD_CYCLES_PER_BYTE);
-        Ok(framed)
-    }
-
-    /// Processes a sealed publication from `client`: decrypts, matches, and
-    /// returns one sealed notification per matching subscription, encrypted
-    /// for the owning subscriber.
-    ///
-    /// Decryption and matching run inside one enclave transition, so every
-    /// single-message publish pays a full ECALL/OCALL pair (compare
-    /// [`Self::publish_sealed_batch`], which amortizes that over a batch).
-    ///
-    /// # Errors
-    ///
-    /// [`ScbrError::UnknownClient`], [`ScbrError::Crypto`] (also on a
-    /// non-canonical publication), [`ScbrError::Enclave`],
-    /// [`ScbrError::UnknownSubscription`].
-    pub fn publish_sealed(
-        &mut self,
-        client: ClientId,
-        sealed: &[u8],
-    ) -> Result<Vec<(SubId, Vec<u8>)>, ScbrError> {
-        let state = self
-            .clients
-            .get_mut(&client)
-            .ok_or(ScbrError::UnknownClient(client))?;
-        let plain = state.open(sealed, b"scbr-pub")?;
-        let publication = PublicationRef::parse(&plain)?;
-
-        let aead_cost = sealed.len() as u64 * AEAD_CYCLES_PER_BYTE;
-        let engine = &mut self.engine;
-        let mut scratch = MatchScratch::default();
-        Self::enter(&mut self.enclave, self.switchless, |mem| {
-            mem.charge_cycles(aead_cost);
-            engine.publish_with(mem, publication, &mut scratch);
-        })?;
-
-        let mut notifications = Vec::with_capacity(scratch.matched.len());
-        for sub_id in scratch.matched {
-            let owner = Self::owner_of(&self.owners, sub_id)?;
-            let framed = self.seal_notification(owner, b"scbr-notify", plain.len(), |framed| {
-                framed.extend_from_slice(&plain);
-            })?;
-            notifications.push((sub_id, framed));
-        }
-        Ok(notifications)
-    }
-
-    /// Processes a sealed *batch* of publications from `client`.
+    /// Processes a sealed batch of publications from `client`; a single
+    /// publication is a batch of one.
     ///
     /// The whole batch arrives as one AEAD frame (one nonce, one tag — see
     /// [`RouterClient::seal_publication_batch`]), is opened and matched
@@ -286,9 +219,9 @@ impl SecureRouter {
     /// every publication that matched one of that owner's subscriptions
     /// once, in batch order, as the bytes the batch's [`Notifications`] view
     /// validated, and how many of the owner's subscriptions matched it when
-    /// that is more than one for some publication. Compared to N calls to
-    /// [`Self::publish_sealed`], this charges one ECALL/OCALL pair instead
-    /// of N and one GHASH setup per frame instead of per message.
+    /// that is more than one for some publication. Compared to N batches of
+    /// one, a batch of N charges one ECALL/OCALL pair instead of N and one
+    /// GHASH setup per frame instead of per message.
     ///
     /// # Errors
     ///
@@ -373,24 +306,32 @@ impl SecureRouter {
 
         let mut notifications = Vec::with_capacity(per_owner.len());
         for (owner, matched) in per_owner {
-            // One frame per owner: the count, the distinct publications,
-            // then their multiplicities only if one of them repeats.
+            // One frame per owner, sealed as `ct || tag` in one exactly-sized
+            // buffer under the link's next sequence number: the count, the
+            // distinct publications, then their multiplicities only if one
+            // of them repeats.
+            let owner = ClientId(owner);
+            let link = self
+                .clients
+                .get_mut(&owner)
+                .ok_or(ScbrError::UnknownClient(owner))?;
             let repeats = matched.iter().any(|&(_, copies)| copies > 1);
             let bytes: usize = matched.iter().map(|(bytes, _)| bytes.len()).sum();
             let body_len = 4 + bytes + if repeats { 4 * matched.len() } else { 0 };
-            let owner = ClientId(owner);
-            let framed =
-                self.seal_notification(owner, b"scbr-notify-batch", body_len, |framed| {
-                    (matched.len() as u32).encode(framed);
-                    for (publication, _) in &matched {
-                        framed.extend_from_slice(publication);
-                    }
-                    if repeats {
-                        for (_, copies) in &matched {
-                            copies.encode(framed);
-                        }
-                    }
-                })?;
+            let mut framed = Vec::with_capacity(body_len + TAG_LEN);
+            (matched.len() as u32).encode(&mut framed);
+            for (publication, _) in &matched {
+                framed.extend_from_slice(publication);
+            }
+            if repeats {
+                for (_, copies) in &matched {
+                    copies.encode(&mut framed);
+                }
+            }
+            link.send.seal_in_place(&mut framed, b"scbr-notify-batch");
+            self.enclave
+                .memory()
+                .charge_cycles(body_len as u64 * AEAD_CYCLES_PER_BYTE);
             notifications.push((owner, framed));
         }
         Ok(notifications)
@@ -460,18 +401,6 @@ impl RouterClient {
         Ok(sealed)
     }
 
-    /// Seals a publication for the router.
-    ///
-    /// # Errors
-    ///
-    /// [`ScbrError::ExchangeIncomplete`] before [`Self::complete_exchange`].
-    pub fn seal_publication(&mut self, publication: &Publication) -> Result<Vec<u8>, ScbrError> {
-        // Seal the wire encoding in place rather than copying it.
-        let mut sealed = publication.to_wire();
-        self.link()?.send.seal_in_place(&mut sealed, b"scbr-pub");
-        Ok(sealed)
-    }
-
     /// Seals a batch of publications into a single AEAD frame for the
     /// router: one nonce, one sequence number, and one tag for the whole
     /// batch, so a batch of N costs one seal instead of N.
@@ -525,17 +454,6 @@ impl RouterClient {
         let plain = self.link()?.open(framed, b"scbr-notify-batch")?;
         Ok(Notifications::parse(plain)?)
     }
-
-    /// Opens a notification from the router.
-    ///
-    /// # Errors
-    ///
-    /// [`ScbrError::Crypto`] on tampering or replay, and on a plaintext
-    /// that is not one canonical publication ([`PublicationRef::parse`]).
-    pub fn open_notification(&mut self, framed: &[u8]) -> Result<Publication, ScbrError> {
-        let plain = self.link()?.open(framed, b"scbr-notify")?;
-        Ok(PublicationRef::parse(&plain)?.to_publication())
-    }
 }
 
 #[cfg(test)]
@@ -576,15 +494,19 @@ mod tests {
         publisher.complete_exchange(&router.public_key());
 
         let sealed_sub = subscriber.seal_subscription(&sub(1, 10)).unwrap();
-        let sid = router.subscribe_sealed(sub_id, &sealed_sub).unwrap();
+        router.subscribe_sealed(sub_id, &sealed_sub).unwrap();
 
         let p = publication(1, 42);
-        let sealed_pub = publisher.seal_publication(&p).unwrap();
-        let notifications = router.publish_sealed(pub_id, &sealed_pub).unwrap();
+        let sealed_pub = publisher
+            .seal_publication_batch(std::slice::from_ref(&p))
+            .unwrap();
+        let notifications = router.publish_sealed_batch(pub_id, &sealed_pub).unwrap();
         assert_eq!(notifications.len(), 1);
-        assert_eq!(notifications[0].0, sid);
-        let received = subscriber.open_notification(&notifications[0].1).unwrap();
-        assert_eq!(received, p);
+        assert_eq!(notifications[0].0, sub_id);
+        let received = subscriber
+            .open_notification_batch(&notifications[0].1)
+            .unwrap();
+        assert_eq!(received.into_iter().collect::<Vec<_>>(), vec![p]);
         assert!(router.enclave_mut().memory().cycles() > 0);
     }
 
@@ -596,8 +518,12 @@ mod tests {
         subscriber.complete_exchange(&router.public_key());
         let sealed = subscriber.seal_subscription(&sub(1, 100)).unwrap();
         router.subscribe_sealed(sub_client, &sealed).unwrap();
-        let sealed_pub = subscriber.seal_publication(&publication(1, 5)).unwrap();
-        let notifications = router.publish_sealed(sub_client, &sealed_pub).unwrap();
+        let sealed_pub = subscriber
+            .seal_publication_batch(&[publication(1, 5)])
+            .unwrap();
+        let notifications = router
+            .publish_sealed_batch(sub_client, &sealed_pub)
+            .unwrap();
         assert!(notifications.is_empty());
     }
 
@@ -656,10 +582,10 @@ mod tests {
         bob.complete_exchange(&router.public_key());
         let sealed = alice.seal_subscription(&sub(1, 0)).unwrap();
         router.subscribe_sealed(alice_id, &sealed).unwrap();
-        let sealed_pub = alice.seal_publication(&publication(1, 7)).unwrap();
-        let notifications = router.publish_sealed(alice_id, &sealed_pub).unwrap();
-        assert!(bob.open_notification(&notifications[0].1).is_err());
-        assert!(alice.open_notification(&notifications[0].1).is_ok());
+        let sealed_pub = alice.seal_publication_batch(&[publication(1, 7)]).unwrap();
+        let notifications = router.publish_sealed_batch(alice_id, &sealed_pub).unwrap();
+        assert!(bob.open_notification_batch(&notifications[0].1).is_err());
+        assert!(alice.open_notification_batch(&notifications[0].1).is_ok());
     }
 
     #[test]
@@ -758,10 +684,10 @@ mod tests {
     }
 
     /// The router parses publications as the subscriber's view does. A
-    /// hand-built publication whose keys are unsorted or repeated, alone or
-    /// in a batch, authenticates but is malformed: it is rejected before the
-    /// enclave is entered, so nothing is charged or counted, and the link
-    /// still routes the next honest batch.
+    /// hand-built publication whose keys are unsorted or repeated
+    /// authenticates but is malformed: it is rejected before the enclave is
+    /// entered, so nothing is charged or counted, and the link still routes
+    /// the next honest batch.
     #[test]
     fn a_non_canonical_publication_is_malformed() {
         let mut router = router();
@@ -793,28 +719,16 @@ mod tests {
             plain.extend_from_slice(publication);
             plain
         };
-        for (mut sealed, batched) in [
-            (batch(&unsorted), true),
-            (batch(&repeated), true),
-            (unsorted.clone(), false),
-        ] {
-            let aad: &[u8] = if batched {
-                b"scbr-pub-batch"
-            } else {
-                b"scbr-pub"
-            };
+        for publication_bytes in [unsorted, repeated] {
+            let mut sealed = batch(&publication_bytes);
             publisher
                 .link()
                 .unwrap()
                 .send
-                .seal_in_place(&mut sealed, aad);
+                .seal_in_place(&mut sealed, b"scbr-pub-batch");
             let cycles = router.enclave().memory_view().cycles();
             let stats = router.stats();
-            let result = if batched {
-                router.publish_sealed_batch(pub_id, &sealed).map(drop)
-            } else {
-                router.publish_sealed(pub_id, &sealed).map(drop)
-            };
+            let result = router.publish_sealed_batch(pub_id, &sealed);
             assert!(
                 matches!(
                     result,
@@ -822,7 +736,7 @@ mod tests {
                         securecloud_crypto::CryptoError::Malformed(_)
                     ))
                 ),
-                "batched {batched}: {result:?}"
+                "{result:?}"
             );
             assert_eq!(router.enclave().memory_view().cycles(), cycles);
             assert_eq!(router.stats(), stats);
@@ -994,21 +908,27 @@ mod tests {
         let sent: Vec<Publication> = (1..=3).map(|v| publication(1, v)).collect();
         let mut frames = Vec::new();
         for p in &sent {
-            let sealed = publisher.seal_publication(p).unwrap();
-            let routed = router.publish_sealed(pub_id, &sealed).unwrap();
+            let sealed = publisher
+                .seal_publication_batch(std::slice::from_ref(p))
+                .unwrap();
+            let routed = router.publish_sealed_batch(pub_id, &sealed).unwrap();
             frames.extend(routed.into_iter().map(|(_, frame)| frame));
         }
         assert_eq!(frames.len(), 3);
         let refused = Err(ScbrError::Crypto(
             securecloud_crypto::CryptoError::AuthenticationFailed,
         ));
-        let mut open = |i: usize| subscriber.open_notification(&frames[i]);
+        let mut open = |i: usize| {
+            let opened = subscriber.open_notification_batch(&frames[i]);
+            opened.map(|view| view.into_iter().collect::<Vec<_>>())
+        };
+        let delivered = |i: usize| Ok(vec![sent[i].clone()]);
         // Frame 2 before frame 1, then frame 1 replayed once it has opened.
         assert_eq!(open(1), refused);
-        assert_eq!(open(0), Ok(sent[0].clone()));
+        assert_eq!(open(0), delivered(0));
         assert_eq!(open(0), refused);
-        assert_eq!(open(1), Ok(sent[1].clone()));
-        assert_eq!(open(2), Ok(sent[2].clone()));
+        assert_eq!(open(1), delivered(1));
+        assert_eq!(open(2), delivered(2));
     }
 
     #[test]
@@ -1024,51 +944,9 @@ mod tests {
     }
 
     #[test]
-    fn batch_matching_equals_single_matching() {
-        // The same publications produce the same per-owner deliveries
-        // whether published one at a time or as a batch.
-        let mut batch_router = router();
-        let mut single_router = router();
-        let publications: Vec<Publication> = (0..16).map(|v| publication(1, v * 20)).collect();
-
-        let mut deliveries_single: Vec<Publication> = Vec::new();
-        let mut deliveries_batch: Vec<Publication> = Vec::new();
-
-        for (router, deliveries, batched) in [
-            (&mut batch_router, &mut deliveries_batch, true),
-            (&mut single_router, &mut deliveries_single, false),
-        ] {
-            let mut subscriber = RouterClient::new();
-            let mut publisher = RouterClient::new();
-            let sub_id = router.register(&subscriber.public_key());
-            let pub_id = router.register(&publisher.public_key());
-            subscriber.complete_exchange(&router.public_key());
-            publisher.complete_exchange(&router.public_key());
-            let sealed = subscriber.seal_subscription(&sub(1, 100)).unwrap();
-            router.subscribe_sealed(sub_id, &sealed).unwrap();
-
-            if batched {
-                let sealed = publisher.seal_publication_batch(&publications).unwrap();
-                for (_, framed) in router.publish_sealed_batch(pub_id, &sealed).unwrap() {
-                    deliveries.extend(subscriber.open_notification_batch(&framed).unwrap());
-                }
-            } else {
-                for p in &publications {
-                    let sealed = publisher.seal_publication(p).unwrap();
-                    for (_, framed) in router.publish_sealed(pub_id, &sealed).unwrap() {
-                        deliveries.push(subscriber.open_notification(&framed).unwrap());
-                    }
-                }
-            }
-        }
-        assert!(!deliveries_single.is_empty());
-        assert_eq!(deliveries_batch, deliveries_single);
-    }
-
-    #[test]
     fn batch_amortizes_enclave_transitions() {
-        // A 16-publication batch pays one ECALL/OCALL pair; 16 singles pay
-        // 16. The simulated transition cycles must reflect that.
+        // A 16-publication batch pays one ECALL/OCALL pair; 16 batches of
+        // one pay 16. The simulated transition cycles must reflect that.
         let mut batch_router = router();
         let mut single_router = router();
         let publications: Vec<Publication> = (0..16).map(|v| publication(1, v)).collect();
@@ -1079,14 +957,10 @@ mod tests {
             let pub_id = router.register(&publisher.public_key());
             publisher.complete_exchange(&router.public_key());
             let before = router.enclave_mut().memory().cycles();
-            if batched {
-                let sealed = publisher.seal_publication_batch(&publications).unwrap();
+            let batch_len = if batched { publications.len() } else { 1 };
+            for batch in publications.chunks(batch_len) {
+                let sealed = publisher.seal_publication_batch(batch).unwrap();
                 router.publish_sealed_batch(pub_id, &sealed).unwrap();
-            } else {
-                for p in &publications {
-                    let sealed = publisher.seal_publication(p).unwrap();
-                    router.publish_sealed(pub_id, &sealed).unwrap();
-                }
             }
             costs.push(router.enclave_mut().memory().cycles() - before);
         }
@@ -1114,17 +988,6 @@ mod tests {
             Err(ScbrError::Crypto(_))
         ));
 
-        // Cross-format confusion: a single-message frame is not accepted
-        // by the batch path (the AADs differ).
-        let mut trudy = RouterClient::new();
-        let trudy_id = router.register(&trudy.public_key());
-        trudy.complete_exchange(&router.public_key());
-        let single = trudy.seal_publication(&publication(1, 3)).unwrap();
-        assert!(matches!(
-            router.publish_sealed_batch(trudy_id, &single),
-            Err(ScbrError::Crypto(_))
-        ));
-
         // Replay: an accepted batch cannot be accepted twice.
         let mut publisher = RouterClient::new();
         let pub_id = router.register(&publisher.public_key());
@@ -1135,6 +998,48 @@ mod tests {
             router.publish_sealed_batch(pub_id, &sealed),
             Err(ScbrError::Crypto(_))
         ));
+    }
+
+    /// Three frame kinds remain, each under its own AAD: a subscription
+    /// and a publication batch to the router, a notification batch back. A
+    /// frame of one kind is refused as another, and the refusal spends no
+    /// sequence number, so the link's next honest frame still routes.
+    #[test]
+    fn a_frame_is_refused_as_another_kind() {
+        let mut router = router();
+        let mut client = RouterClient::new();
+        let id = router.register(&client.public_key());
+        client.complete_exchange(&router.public_key());
+        let refused = |result: Result<(), ScbrError>| {
+            assert_eq!(
+                result,
+                Err(ScbrError::Crypto(
+                    securecloud_crypto::CryptoError::AuthenticationFailed
+                ))
+            );
+        };
+
+        // Each confused frame is sealed under the link's next sequence
+        // number, as the honest frames after it are.
+        let expected = router.clients[&id].recv.seq();
+        let sub_frame = client.clone().seal_subscription(&sub(1, 0)).unwrap();
+        refused(router.publish_sealed_batch(id, &sub_frame).map(drop));
+        let batch_frame = client
+            .clone()
+            .seal_publication_batch(&[publication(1, 5)])
+            .unwrap();
+        refused(router.subscribe_sealed(id, &batch_frame).map(drop));
+        assert_eq!(router.clients[&id].recv.seq(), expected);
+
+        let sealed = client.seal_subscription(&sub(1, 0)).unwrap();
+        router.subscribe_sealed(id, &sealed).unwrap();
+        let sealed = client.seal_publication_batch(&[publication(1, 5)]).unwrap();
+        let frames = router.publish_sealed_batch(id, &sealed).unwrap();
+        let opened = client.open_notification_batch(&frames[0].1).unwrap();
+        assert_eq!(
+            opened.into_iter().collect::<Vec<_>>(),
+            vec![publication(1, 5)]
+        );
     }
 
     #[test]
@@ -1159,9 +1064,12 @@ mod tests {
             let before = router.enclave_mut().memory().cycles();
             let mut opened = Vec::new();
             for v in 0..16 {
-                let sealed = publisher.seal_publication(&publication(1, v * 5)).unwrap();
-                for (_, framed) in router.publish_sealed(pub_id, &sealed).unwrap() {
-                    opened.push(subscriber.open_notification(&framed).unwrap().to_wire());
+                let sealed = publisher
+                    .seal_publication_batch(&[publication(1, v * 5)])
+                    .unwrap();
+                for (_, framed) in router.publish_sealed_batch(pub_id, &sealed).unwrap() {
+                    let view = subscriber.open_notification_batch(&framed).unwrap();
+                    opened.extend(view.into_iter().map(|p| p.to_wire()));
                 }
             }
             costs.push(router.enclave_mut().memory().cycles() - before);
@@ -1183,9 +1091,11 @@ mod tests {
         let pub_id = router.register(&publisher.public_key());
         publisher.complete_exchange(&router.public_key());
         router.enclave_mut().destroy();
-        let sealed = publisher.seal_publication(&publication(1, 1)).unwrap();
+        let sealed = publisher
+            .seal_publication_batch(&[publication(1, 1)])
+            .unwrap();
         assert!(matches!(
-            router.publish_sealed(pub_id, &sealed),
+            router.publish_sealed_batch(pub_id, &sealed),
             Err(ScbrError::Enclave(_))
         ));
     }

@@ -43,18 +43,21 @@ fn main() {
         .with("topic", Value::Int(7))
         .with("load_mw", Value::Int(250))
         .with("substation", Value::Str("north-3".into()));
-    let sealed_pub = publisher.seal_publication(&event).expect("sealed");
+    // A single publication is a batch of one.
+    let sealed_pub = publisher
+        .seal_publication_batch(std::slice::from_ref(&event))
+        .expect("sealed");
     let notifications = router
-        .publish_sealed(pub_client, &sealed_pub)
+        .publish_sealed_batch(pub_client, &sealed_pub)
         .expect("routed");
-    println!(
-        "publication matched {} subscription(s)",
-        notifications.len()
-    );
+    println!("publication notified {} subscriber(s)", notifications.len());
     let received = subscriber
-        .open_notification(&notifications[0].1)
+        .open_notification_batch(&notifications[0].1)
         .expect("only the owner can open it");
-    println!("subscriber decrypted notification: {received:?}\n");
+    for publication in received {
+        println!("subscriber decrypted notification: {publication:?}");
+    }
+    println!();
 
     // ---- The Figure 3 mechanism, in miniature: the same matching code in
     //      native vs enclave memory, at two database sizes.

@@ -148,10 +148,10 @@ fn router_state_is_confidential_and_replay_proof() {
 
     // A publication from an unregistered "client id" is rejected.
     let sealed_pub = alice
-        .seal_publication(&Publication::new().with("topic", Value::Int(1)))
+        .seal_publication_batch(&[Publication::new().with("topic", Value::Int(1))])
         .unwrap();
     assert!(router
-        .publish_sealed(securecloud::scbr::secure::ClientId(424242), &sealed_pub)
+        .publish_sealed_batch(securecloud::scbr::secure::ClientId(424242), &sealed_pub)
         .is_err());
 }
 
