@@ -93,7 +93,7 @@ securecloud_telemetry::metric_set! {
         puts: Counter = "securecloud_kv_puts_total",
         /// Point lookups served.
         gets: Counter = "securecloud_kv_gets_total",
-        /// Keys removed.
+        /// Deletes applied, each a tombstone in a tiered store.
         deletes: Counter = "securecloud_kv_deletes_total",
         /// Entries returned by range scans.
         scanned: Counter = "securecloud_kv_scanned_total",
@@ -108,7 +108,7 @@ struct Entry {
     offset: u64,
     footprint: u32,
     /// Tombstone marker (tiered mode): the key is deleted, masking any
-    /// older record in the sealed segments until the next flush.
+    /// older sealed record; a flush seals it, and compaction drops both.
     dead: bool,
 }
 
@@ -435,57 +435,40 @@ impl SecureKv {
 
     /// [`SecureKv::try_delete`], panicking on a storage-tier failure. Pinned
     /// by `benchmark/src/probes.rs:158`; product code calls `try_delete`.
-    pub fn delete(&mut self, mem: &mut MemorySim, key: &[u8]) -> Option<Vec<u8>> {
+    pub fn delete(&mut self, mem: &mut MemorySim, key: &[u8]) {
         self.try_delete(mem, key)
-            .expect("tiered storage failure on delete; reopen the store")
+            .expect("tiered storage failure on delete; reopen the store");
     }
 
-    /// Removes `key`, returning its value. In tiered mode a delete of a
-    /// flushed key pages it in (to report the old value), WAL-logs a
-    /// tombstone, and plants a memtable tombstone to mask the sealed
-    /// record; deleting an absent key is a no-op that does not bump the
-    /// version, matching the in-memory behaviour.
+    /// Removes `key` without reading it. In tiered mode a delete is a blind
+    /// LSM tombstone, logged and planted as a put of no value: it WAL-logs a
+    /// tombstone (staged in an open write group) and plants it in the
+    /// memtable, where it masks any sealed record of the key until
+    /// compaction drops both. It never pages a block in, so the host sees
+    /// one WAL record per delete whether or not the key existed. In-memory
+    /// mode removes the entry. In both modes every delete bumps the version
+    /// once, even of a key that is absent.
     ///
     /// # Errors
     ///
-    /// [`KvError::Storage`] — the sealed tier failed during lookup or
-    /// tombstone logging.
-    pub fn try_delete(
-        &mut self,
-        mem: &mut MemorySim,
-        key: &[u8],
-    ) -> Result<Option<Vec<u8>>, KvError> {
+    /// [`KvError::Storage`] — the sealed tier failed to log the tombstone.
+    pub fn try_delete(&mut self, mem: &mut MemorySim, key: &[u8]) -> Result<(), KvError> {
         mem.charge_ops(2 + (self.map.len().max(2) as f64).log2() as u64);
         if self.storage.is_none() {
-            let Some(entry) = self.map.remove(key) else {
-                return Ok(None);
-            };
-            self.version += 1;
-            self.metrics.deletes.inc();
-            self.bytes -= (key.len() + entry.value.len()) as u64;
-            return Ok(Some(entry.value));
-        }
-        let previous = match self.map.get(key) {
-            Some(entry) if entry.dead => return Ok(None), // already tombstoned
-            Some(entry) => {
+            if let Some(entry) = self.map.remove(key) {
+                self.bytes -= (key.len() + entry.value.len()) as u64;
+            }
+        } else {
+            // Overwriting the key's memtable slot, if it has one, touches its lines.
+            if let Some(entry) = self.map.get(key) {
                 mem.touch(entry.offset, entry.footprint as usize);
-                Some(entry.value.clone())
             }
-            None => {
-                let engine = self.storage.as_mut().expect("tiered mode checked");
-                match engine.lookup(mem, key)? {
-                    // Absent (or tombstoned) everywhere: no mutation.
-                    None | Some(None) => return Ok(None),
-                    Some(Some(value)) => Some(value),
-                }
-            }
-        };
-        self.log(mem, RecordRef { key, value: None })?;
-        self.memtable_put(mem, key, None);
+            self.log(mem, RecordRef { key, value: None })?;
+            self.memtable_put(mem, key, None);
+        }
         self.version += 1;
         self.metrics.deletes.inc();
-        self.maybe_flush(mem)?;
-        Ok(previous)
+        self.maybe_flush(mem)
     }
 
     /// [`SecureKv::try_scan`], panicking on a storage-tier failure. Pinned by
@@ -696,12 +679,16 @@ mod tests {
         );
         assert_eq!(get(&mut kv, &mut mem, b"a"), Some(b"2".to_vec()));
         assert_eq!(get(&mut kv, &mut mem, b"missing"), None);
-        assert_eq!(kv.try_delete(&mut mem, b"a").unwrap(), Some(b"2".to_vec()));
-        assert_eq!(kv.try_delete(&mut mem, b"a").unwrap(), None);
+        kv.try_delete(&mut mem, b"a").unwrap();
+        assert_eq!(get(&mut kv, &mut mem, b"a"), None);
+        // A delete of an absent key still counts, and bumps the version once.
+        let v = kv.version();
+        kv.try_delete(&mut mem, b"a").unwrap();
+        assert_eq!(kv.version(), v + 1);
         assert_eq!(kv.len(), 0);
         assert_eq!(kv.data_bytes(), 0);
         let s = kv.stats();
-        assert_eq!((s.puts, s.gets, s.deletes), (2, 2, 1));
+        assert_eq!((s.puts, s.gets, s.deletes), (2, 3, 2));
     }
 
     #[test]
@@ -903,21 +890,74 @@ mod tests {
         }
         kv.flush_memtable(&mut m).unwrap();
         assert_eq!(kv.len(), 0, "memtable drained");
-        // Delete a flushed key: pages it in, returns the old value, masks it.
-        assert_eq!(
-            kv.try_delete(&mut m, b"key0007").unwrap(),
-            Some(vec![1u8; 50])
-        );
+        let keys_around = |kv: &mut SecureKv, m: &mut MemorySim| -> Vec<Vec<u8>> {
+            let hits = kv.try_scan(m, b"key0006", b"key0009").unwrap();
+            hits.into_iter().map(|(k, _)| k).collect()
+        };
+        let survivors = [b"key0006".to_vec(), b"key0008".to_vec()];
+        // A memtable tombstone masks the flushed key from gets and scans...
+        kv.try_delete(&mut m, b"key0007").unwrap();
         assert_eq!(get(&mut kv, &mut m, b"key0007"), None);
-        // Deleting again (or an absent key) is a no-op.
-        let v = kv.version();
-        assert_eq!(kv.try_delete(&mut m, b"key0007").unwrap(), None);
-        assert_eq!(kv.try_delete(&mut m, b"nope").unwrap(), None);
-        assert_eq!(kv.version(), v);
-        // The tombstone survives its own flush.
+        assert_eq!(keys_around(&mut kv, &mut m), survivors);
+        // ...and, sealed in a newer segment, after its own flush.
         kv.flush_memtable(&mut m).unwrap();
+        assert_eq!(kv.len(), 0, "memtable drained");
         assert_eq!(get(&mut kv, &mut m, b"key0007"), None);
+        assert_eq!(keys_around(&mut kv, &mut m), survivors);
         assert_eq!(get(&mut kv, &mut m, b"key0008"), Some(vec![1u8; 50]));
+    }
+
+    /// A tiered delete is a blind tombstone: it pages no block in, logs one
+    /// WAL record and bumps the version once whether or not the key exists,
+    /// and compaction drops the tombstone together with the record it masks.
+    #[test]
+    fn a_delete_never_reads() {
+        let mut m = mem();
+        let counters = CounterService::new();
+        let mut kv = tiered_kv(&counters);
+        for i in 0..30u32 {
+            kv.try_put(&mut m, format!("key{i:04}").as_bytes(), &[1u8; 50])
+                .unwrap();
+        }
+        kv.flush_memtable(&mut m).unwrap();
+        let reads = |kv: &SecureKv, m: &MemorySim| {
+            let (host, engine) = (m.stats(), kv.storage().expect("tiered").stats());
+            (
+                host.host_reads,
+                host.host_read_bytes,
+                engine.blocks_read,
+                engine.cache_hits,
+            )
+        };
+        let appends = |kv: &SecureKv| kv.storage().expect("tiered").stats().wal_appends;
+        let before = reads(&kv, &m);
+
+        // A flushed key: no host read, no block paged in or found cached.
+        kv.try_delete(&mut m, b"key0007").unwrap();
+        assert_eq!(reads(&kv, &m), before);
+
+        // A key absent everywhere: one tombstone, one version, no read.
+        let (version, logged) = (kv.version(), appends(&kv));
+        kv.try_delete(&mut m, b"nope").unwrap();
+        assert_eq!(kv.version(), version + 1);
+        assert_eq!(appends(&kv), logged + 1);
+        assert_eq!(reads(&kv, &m), before);
+        assert_eq!(get(&mut kv, &mut m, b"nope"), None);
+
+        // Flushing the tombstones and one more put reaches
+        // `compact_at_segments` (4): the merge keeps neither a tombstone nor
+        // the record it masked.
+        kv.flush_memtable(&mut m).unwrap();
+        kv.try_put(&mut m, b"key9999", b"late").unwrap();
+        kv.flush_memtable(&mut m).unwrap();
+        let engine = kv.storage_mut().expect("tiered");
+        assert_eq!((engine.stats().compactions, engine.segment_count()), (1, 1));
+        assert_eq!(engine.lookup(&mut m, b"key0007").unwrap(), None);
+        assert_eq!(engine.lookup(&mut m, b"nope").unwrap(), None);
+        assert_eq!(
+            engine.lookup(&mut m, b"key0008").unwrap(),
+            Some(Some(vec![1u8; 50]))
+        );
     }
 
     #[test]
@@ -1128,7 +1168,8 @@ mod tests {
     /// memtable, 2-block cache, compaction at 4 segments), so the run flushes
     /// and compacts many times, scans evict cached blocks mid-scan, and
     /// tombstones shadow sealed keys. Returns the store and an FNV digest of
-    /// every value any call returned.
+    /// every value a put, get or scan returned, with a fixed marker for each
+    /// delete.
     fn replay_fixed_trace(mem: &mut MemorySim) -> (SecureKv, u64) {
         let mut kv = tiered_kv(&CounterService::new());
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
@@ -1151,7 +1192,10 @@ mod tests {
                     returned(kv.try_put(mem, &key(next()), &value).unwrap().as_deref());
                 }
                 5..=6 => returned(kv.try_get_ref(mem, &key(next())).unwrap()),
-                7 => returned(kv.try_delete(mem, &key(next())).unwrap().as_deref()),
+                7 => {
+                    kv.try_delete(mem, &key(next())).unwrap();
+                    returned(Some(b"\0deleted"));
+                }
                 _ => {
                     let from = next() % 400;
                     let to = format!("meter/{:04}", from + 1 + next() % 40).into_bytes();
@@ -1165,7 +1209,8 @@ mod tests {
         // A tombstone in a newer segment shadows the sealed key beneath it.
         kv.try_put(mem, b"meter/9999", b"sealed").unwrap();
         kv.flush_memtable(mem).unwrap();
-        returned(kv.try_delete(mem, b"meter/9999").unwrap().as_deref());
+        kv.try_delete(mem, b"meter/9999").unwrap();
+        returned(Some(b"\0deleted"));
         kv.flush_memtable(mem).unwrap();
         returned(kv.try_get_ref(mem, b"meter/9999").unwrap());
         (kv, digest)
@@ -1175,8 +1220,9 @@ mod tests {
     /// returned value and every sealed host byte of [`replay_fixed_trace`],
     /// captured at the commit before the borrowed record path; the cycles
     /// and host transfer counts were re-captured when a sealed segment came
-    /// to move in one host transfer. A change to any literal is a change to
-    /// the cost model, to the block visit order or to the sealed format.
+    /// to move in one host transfer, and every literal when a delete became
+    /// a blind tombstone. A change to any literal is a change to the cost
+    /// model, to the block visit order or to the sealed format.
     #[test]
     fn fixed_trace_charges_are_pinned() {
         // One usable EPC page and a 1 KiB LLC: the block cache and the
@@ -1191,34 +1237,34 @@ mod tests {
         let mut mem = MemorySim::enclave(geometry, CostModel::sgx_v1());
         let (kv, returned) = replay_fixed_trace(&mut mem);
         let engine = kv.storage().expect("tiered");
-        assert_eq!(mem.cycles(), 262_800_976);
+        assert_eq!(mem.cycles(), 247_119_856);
         assert_eq!(
             mem.stats(),
             MemStats {
-                line_accesses: 28_600,
-                cache_hits: 23_532,
-                llc_misses: 5_068,
-                epc_faults: 440,
-                epc_evictions: 354,
-                compute_ops: 78_618,
-                bytes_allocated: 90_178_048,
-                host_reads: 3_202,
-                host_writes: 2_635,
-                host_read_bytes: 1_880_800,
-                host_write_bytes: 1_058_317,
+                line_accesses: 26_665,
+                cache_hits: 21_082,
+                llc_misses: 5_583,
+                epc_faults: 509,
+                epc_evictions: 422,
+                compute_ops: 76_505,
+                bytes_allocated: 91_226_624,
+                host_reads: 2_647,
+                host_writes: 2_780,
+                host_read_bytes: 1_754_754,
+                host_write_bytes: 1_064_833,
             }
         );
         assert_eq!(
             engine.stats(),
             StorageStats {
-                wal_appends: 2_293,
+                wal_appends: 2_435,
                 wal_replayed: 0,
-                flushes: 86,
+                flushes: 87,
                 compactions: 28,
-                segments_written: 114,
-                blocks_written: 2_431,
-                blocks_read: 5_344,
-                cache_hits: 165,
+                segments_written: 115,
+                blocks_written: 2_426,
+                blocks_read: 4_805,
+                cache_hits: 130,
                 quarantined_segments: 0,
             }
         );
@@ -1227,13 +1273,13 @@ mod tests {
             KvStats {
                 puts: 2_013,
                 gets: 831,
-                deletes: 280,
+                deletes: 422,
                 scanned: 10_274,
             }
         );
-        assert_eq!(returned, 0x3149_f18d_71cb_151a, "returned values");
-        assert_eq!(disk_digest(engine.disk()), 0xc5ff_e410_e753_ddf4);
-        assert_eq!((kv.version(), engine.segment_count()), (2_293, 2));
+        assert_eq!(returned, 0xf0e6_aa4a_0643_8ecb, "returned values");
+        assert_eq!(disk_digest(engine.disk()), 0x7b30_2b7a_9b53_ba8a);
+        assert_eq!((kv.version(), engine.segment_count()), (2_435, 3));
     }
 
     #[test]

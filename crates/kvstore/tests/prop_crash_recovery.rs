@@ -57,7 +57,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 fn apply(kv: &mut SecureKv, m: &mut MemorySim, op: &Op) -> Result<(), KvError> {
     match op {
         Op::Put(k, v) => kv.try_put(m, &key(*k), v).map(|_| ()),
-        Op::Delete(k) => kv.try_delete(m, &key(*k)).map(|_| ()),
+        Op::Delete(k) => kv.try_delete(m, &key(*k)),
     }
 }
 

@@ -69,8 +69,13 @@ proptest! {
                     prop_assert_eq!(kv.try_get_ref(&mut mem, k).unwrap(), want);
                 }
                 KvOp::Delete(k) => {
-                    prop_assert_eq!(tiered.try_delete(&mut mem, k).unwrap(), model.get(k).cloned());
-                    prop_assert_eq!(kv.try_delete(&mut mem, k).unwrap(), model.remove(k));
+                    // A delete returns nothing: the reads that follow it,
+                    // here and in later ops, check it against the model.
+                    tiered.try_delete(&mut mem, k).unwrap();
+                    kv.try_delete(&mut mem, k).unwrap();
+                    model.remove(k);
+                    prop_assert_eq!(tiered.try_get_ref(&mut mem, k).unwrap(), None);
+                    prop_assert_eq!(kv.try_get_ref(&mut mem, k).unwrap(), None);
                 }
                 KvOp::Scan(a, b) => {
                     let got = kv.try_scan(&mut mem, a, b).unwrap();
@@ -87,6 +92,8 @@ proptest! {
                 }
             }
             prop_assert_eq!(kv.len(), model.len());
+            // Every put and every delete bumps the version once, in both modes.
+            prop_assert_eq!(tiered.version(), kv.version());
         }
         let expected_bytes: u64 = model
             .iter()

@@ -249,7 +249,8 @@ impl OperatorState {
 
     /// Drains a closed window on `lane`: returns `(key, accumulator)` in
     /// ascending key order and deletes the entries, so state stays bounded
-    /// by the number of *open* windows. The deletes stage until the next
+    /// by the number of *open* windows. Each delete is a blind tombstone
+    /// that pages nothing in; the deletes stage until the next
     /// [`OperatorState::commit`].
     ///
     /// # Errors
