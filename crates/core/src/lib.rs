@@ -206,9 +206,7 @@ impl SecureCloud {
     /// arm the service host, syscall and map-task failures arm the injector
     /// itself, and the replica kinds go to the replicated deployments.
     ///
-    /// Returns the fault events that fired so callers can apply the kinds
-    /// the facade does not own (e.g. [`FaultKind::BrokerFail`] against an
-    /// external [`scbr::broker::Overlay`]).
+    /// Returns the fault events that fired, in firing order.
     pub fn advance(&mut self, ms: u64) -> Vec<FaultEvent> {
         self.sim_now_ms += ms;
         // Stamp the telemetry clock before anything below emits events so
@@ -269,11 +267,9 @@ impl SecureCloud {
                         TraceContext::none(),
                     );
                 }
-                // The facade owns no broker overlay and no map/reduce
-                // runner: a broker failure is returned to the caller, and
-                // the injector armed a map-task failure itself for the
-                // runners that hold it.
-                FaultKind::BrokerFail { .. } | FaultKind::MapTaskFail { .. } => {}
+                // The facade owns no map/reduce runner: the injector armed
+                // a map-task failure itself for the runners that hold it.
+                FaultKind::MapTaskFail { .. } => {}
                 FaultKind::ReplicaKill { .. }
                 | FaultKind::ReplicaStall { .. }
                 | FaultKind::StorageCorruptBlock { .. }

@@ -3,7 +3,7 @@
 //! SecureCloud is pitched as a platform for *dependable* big-data
 //! micro-services, so the reproduction needs a way to exercise the
 //! recovery machinery — enclave aborts, crashing service handlers, lossy
-//! delivery, broker link failures — without giving up the deterministic
+//! delivery, killed replicas — without giving up the deterministic
 //! virtual clock the benchmarks depend on. This crate provides:
 //!
 //! * [`FaultPlan`] — a schedule of [`FaultEvent`]s pinned to virtual-time
@@ -40,11 +40,6 @@ pub enum FaultKind {
     ServicePanic {
         /// Service name, as reported by `MicroService::name`.
         service: String,
-    },
-    /// Fail a broker in the SCBR overlay.
-    BrokerFail {
-        /// Broker index in the overlay.
-        broker: usize,
     },
     /// Fail the next `count` host syscalls served to shielded runtimes.
     SyscallFail {
@@ -119,7 +114,6 @@ impl FaultKind {
         match self {
             FaultKind::EnclaveAbort { .. } => "enclave-abort",
             FaultKind::ServicePanic { .. } => "service-panic",
-            FaultKind::BrokerFail { .. } => "broker-fail",
             FaultKind::SyscallFail { .. } => "syscall-fail",
             FaultKind::ReplicaKill { .. } => "replica-kill",
             FaultKind::ReplicaStall { .. } => "replica-stall",
@@ -136,7 +130,6 @@ impl std::fmt::Display for FaultKind {
         match self {
             FaultKind::EnclaveAbort { container } => write!(f, "enclave-abort c{container}"),
             FaultKind::ServicePanic { service } => write!(f, "service-panic {service}"),
-            FaultKind::BrokerFail { broker } => write!(f, "broker-fail b{broker}"),
             FaultKind::SyscallFail { count } => write!(f, "syscall-fail x{count}"),
             FaultKind::ReplicaKill { shard, slot } => {
                 write!(f, "replica-kill s{shard}/r{slot}")
@@ -245,7 +238,7 @@ struct InjectorState {
 ///
 /// Subsystems hold an `Arc<FaultInjector>`; the simulation harness drives
 /// the clock with [`FaultInjector::advance_to`] and applies the returned
-/// events to the owning subsystem (abort the container, fail the broker,
+/// events to the owning subsystem (abort the container, kill the replica,
 /// …). All probabilistic answers come from the seeded generator, so a
 /// given seed yields one reproducible fault history.
 #[derive(Debug)]
@@ -429,7 +422,7 @@ mod tests {
     #[test]
     fn plan_fires_in_time_order() {
         let plan = FaultPlan::new()
-            .at(500, FaultKind::BrokerFail { broker: 1 })
+            .at(500, FaultKind::SyscallFail { count: 1 })
             .at(100, FaultKind::EnclaveAbort { container: 7 });
         let injector = FaultInjector::with_plan(42, plan);
         assert!(injector.advance_to(50).is_empty());

@@ -613,7 +613,6 @@ impl ReplicatedKv {
             }
             FaultKind::EnclaveAbort { .. }
             | FaultKind::ServicePanic { .. }
-            | FaultKind::BrokerFail { .. }
             | FaultKind::SyscallFail { .. }
             | FaultKind::MapTaskFail { .. } => Ok(FaultApplication::Ignored),
         }

@@ -38,7 +38,6 @@
 //! assert_eq!(engine.publish(&mut mem, &event), vec![id]);
 //! ```
 
-pub mod broker;
 pub mod engine;
 pub mod index;
 pub mod notify;

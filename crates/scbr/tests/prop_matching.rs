@@ -1,12 +1,11 @@
 //! Property-based tests for SCBR's core invariants: covering soundness,
-//! index equivalence, and overlay location-transparency.
+//! index equivalence, and lossless wire encoding.
 
 mod common;
 
 use common::arb_value;
 use proptest::prelude::*;
 use securecloud_crypto::wire::Wire;
-use securecloud_scbr::broker::{BrokerId, Overlay};
 use securecloud_scbr::index::{MatchScratch, NaiveIndex, PosetIndex, SubscriptionIndex, VisitInfo};
 use securecloud_scbr::notify::PublicationRef;
 use securecloud_scbr::types::{Op, Predicate, Publication, SubId, Subscription, Value};
@@ -172,34 +171,6 @@ proptest! {
                 got.sort();
                 prop_assert_eq!(&got, &want);
             }
-        }
-    }
-
-    /// The broker overlay is location-transparent: wherever subscriptions
-    /// live and wherever a publication enters, delivery equals flat
-    /// matching.
-    #[test]
-    fn overlay_equals_flat(
-        placements in prop::collection::vec((arb_subscription(), 0usize..5), 0..40),
-        publications in prop::collection::vec((arb_publication(), 0usize..5), 0..10),
-    ) {
-        // 5-broker tree: 0 root; 1,2 under 0; 3,4 under 1.
-        let mut overlay = Overlay::new(&[None, Some(0), Some(0), Some(1), Some(1)]);
-        let mut flat = Vec::new();
-        for (sub, broker) in &placements {
-            let id = overlay.subscribe(BrokerId(*broker), sub.clone());
-            flat.push((id, sub.clone()));
-        }
-        for (publication, entry) in &publications {
-            let mut got = overlay.publish(BrokerId(*entry), publication);
-            got.sort();
-            let mut want: Vec<SubId> = flat
-                .iter()
-                .filter(|(_, s)| s.matches(publication))
-                .map(|(id, _)| *id)
-                .collect();
-            want.sort();
-            prop_assert_eq!(got, want);
         }
     }
 

@@ -223,11 +223,6 @@ impl Enclave {
     /// mirrors its paging/decrypt counters into the registry.
     pub fn set_telemetry(&mut self, telemetry: &Telemetry) {
         self.metrics = Some(EnclaveMetrics::shared(telemetry.registry(), &[]));
-        // No enclave makes an OCALL of its own; the series is still exported
-        // (at 0) because `tests/telemetry_determinism.rs` pins the export.
-        telemetry
-            .registry()
-            .counter("securecloud_sgx_ocalls_total", &[]);
         self.mem.set_telemetry(telemetry);
     }
 

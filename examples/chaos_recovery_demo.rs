@@ -11,8 +11,7 @@ use securecloud::containers::engine::{RestartPolicy, SupervisionConfig};
 use securecloud::eventbus::bus::Message;
 use securecloud::eventbus::service::{MicroService, ServiceCtx};
 use securecloud::faults::{FaultInjector, FaultKind, FaultPlan, FaultRates};
-use securecloud::scbr::broker::{BrokerId, Overlay};
-use securecloud::scbr::types::{Op, Predicate, Publication, Subscription, Value};
+use securecloud::scbr::types::{Publication, Subscription};
 use securecloud::SecureCloud;
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
@@ -109,8 +108,7 @@ fn main() {
             FaultKind::ServicePanic {
                 service: "meter-sink".into(),
             },
-        )
-        .at(1_300, FaultKind::BrokerFail { broker: 1 });
+        );
     let injector = Arc::new(FaultInjector::with_plan(seed, plan));
     injector.set_rates(FaultRates {
         message_loss_permille: 120,
@@ -118,13 +116,6 @@ fn main() {
         syscall_failure_permille: 0,
     });
     cloud.set_fault_injector(Arc::clone(&injector));
-
-    // A small routing overlay: root 0, fan-out broker 1, edges 2 and 3.
-    let mut overlay = Overlay::try_new(&[None, Some(0), Some(1), Some(1)]).expect("topology");
-    let edge_sub = overlay.subscribe(
-        BrokerId(3),
-        Subscription::new(vec![Predicate::new("feeder", Op::Eq, Value::Int(7))]),
-    );
 
     // The pipeline: a dedup'ing sink plus a poison message with a budget.
     cloud.services_mut().set_quarantine_after(10);
@@ -154,15 +145,7 @@ fn main() {
     // Drive: pump deliveries, advance virtual time in 250 ms ticks.
     for _ in 0..24 {
         cloud.run_services(512);
-        for event in cloud.advance(250) {
-            if let FaultKind::BrokerFail { broker } = event.kind {
-                overlay.fail_broker(BrokerId(broker));
-                injector.record(format!(
-                    "broker b{broker} failed; recovery forwards {}",
-                    overlay.stats().recovery_forwards
-                ));
-            }
-        }
+        cloud.advance(250);
     }
 
     println!("=== fault/recovery trace (seed {seed}) ===");
@@ -170,12 +153,6 @@ fn main() {
         println!("{line}");
     }
 
-    let survivor_publish = overlay
-        .publish(
-            BrokerId(2),
-            &Publication::new().with("feeder", Value::Int(7)),
-        )
-        .contains(&edge_sub);
     let current_enclave = cloud
         .with_runtime(container, |rt| rt.enclave().id())
         .expect("secure runtime");
@@ -192,11 +169,6 @@ fn main() {
         state.restarts(),
         first_enclave,
         current_enclave
-    );
-    println!(
-        "overlay: recovery forwards {}, edge subscription reachable after failover: {}",
-        overlay.stats().recovery_forwards,
-        survivor_publish
     );
     for dead in cloud.services_mut().bus_mut().dead_letters() {
         println!(

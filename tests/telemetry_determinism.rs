@@ -8,8 +8,11 @@ use securecloud::containers::engine::{RestartPolicy, SupervisionConfig};
 use securecloud::eventbus::bus::Message;
 use securecloud::eventbus::service::{MicroService, ServiceCtx};
 use securecloud::faults::{FaultInjector, FaultKind, FaultPlan, FaultRates};
-use securecloud::scbr::broker::{BrokerId, Overlay};
+use securecloud::scbr::engine::MatchEngine;
+use securecloud::scbr::index::PosetIndex;
 use securecloud::scbr::types::{Publication, Subscription};
+use securecloud::sgx::costs::{CostModel, MemoryGeometry};
+use securecloud::sgx::mem::MemorySim;
 use securecloud::SecureCloud;
 use std::sync::Arc;
 
@@ -72,10 +75,11 @@ fn run_scenario(seed: u64) -> (String, String, String) {
         )
         .unwrap();
 
-    // An SCBR overlay reporting into the same registry as the platform.
-    let mut overlay = Overlay::try_new(&[None, Some(0), Some(1), Some(1)]).unwrap();
-    overlay.set_telemetry(Arc::clone(cloud.telemetry()));
-    let _ = overlay.subscribe(BrokerId(3), Subscription::new(vec![]));
+    // The SCBR matcher reporting into the same registry as the platform.
+    let mut mem = MemorySim::native(MemoryGeometry::sgx_v1(), CostModel::sgx_v1());
+    let mut matcher = MatchEngine::new(PosetIndex::new());
+    matcher.set_telemetry(cloud.telemetry(), "native");
+    let _ = matcher.subscribe(&mut mem, Subscription::new(vec![]));
 
     let plan = FaultPlan::new()
         .at(
@@ -89,8 +93,7 @@ fn run_scenario(seed: u64) -> (String, String, String) {
             FaultKind::ServicePanic {
                 service: "sink".into(),
             },
-        )
-        .at(1_300, FaultKind::BrokerFail { broker: 1 });
+        );
     let injector = Arc::new(FaultInjector::with_plan(seed, plan));
     injector.set_rates(FaultRates {
         message_loss_permille: 120,
@@ -118,12 +121,8 @@ fn run_scenario(seed: u64) -> (String, String, String) {
 
     for _ in 0..24 {
         cloud.run_services(512);
-        for event in cloud.advance(250) {
-            if let FaultKind::BrokerFail { broker } = event.kind {
-                overlay.fail_broker(BrokerId(broker));
-            }
-        }
-        let _ = overlay.publish(BrokerId(2), &Publication::new());
+        cloud.advance(250);
+        let _ = matcher.publish(&mut mem, &Publication::new());
     }
 
     // An enclave file read after the restart drives the scone shield and
@@ -261,7 +260,7 @@ fn fnv1a(text: &str) -> u64 {
 }
 
 /// The seeded run's Prometheus text, JSONL trace and chrome trace, pinned
-/// as `(length, FNV-1a)`: bus, containers, scbr overlay, scone, the sgx
+/// as `(length, FNV-1a)`: bus, containers, scbr matcher, scone, the sgx
 /// mirrors and enclave transitions all export into them, so a refactor of
 /// any metric set that moves one series, label or value fails here; the
 /// chrome trace also pins how spans pair their `Begin`/`End` events and
@@ -271,12 +270,12 @@ fn seeded_run_exports_are_pinned() {
     let (jsonl, prometheus, chrome) = with_silent_panics(|| run_scenario(0x5EED));
     assert_eq!(
         (prometheus.len(), fnv1a(&prometheus)),
-        (4843, 0xb78b_12b0_4430_9910)
+        (4796, 0xe8dc_692c_7388_1822)
     );
-    assert_eq!((jsonl.len(), fnv1a(&jsonl)), (24080, 0xd277_5116_730c_66f9));
+    assert_eq!((jsonl.len(), fnv1a(&jsonl)), (20345, 0x284d_6be8_8c51_2caa));
     assert_eq!(
         (chrome.len(), fnv1a(&chrome)),
-        (24871, 0xbc0b_56b6_e7df_b493)
+        (20269, 0x4428_0f69_cf0d_1d5b)
     );
 }
 
