@@ -66,7 +66,7 @@ use containers::image::ImageId;
 use containers::registry::Registry;
 use containers::ContainerError;
 use eventbus::service::{MicroService, ServiceHost};
-use faults::{FaultEvent, FaultInjector, FaultKind};
+use faults::{FaultInjector, FaultKind};
 use kvstore::CounterService;
 use parking_lot::RwLock;
 use replica::cluster::FaultApplication;
@@ -205,9 +205,8 @@ impl SecureCloud {
     /// came due are fired — enclave aborts go to the engine, service panics
     /// arm the service host, syscall and map-task failures arm the injector
     /// itself, and the replica kinds go to the replicated deployments.
-    ///
-    /// Returns the fault events that fired, in firing order.
-    pub fn advance(&mut self, ms: u64) -> Vec<FaultEvent> {
+    /// The injector's trace records every fault that fired.
+    pub fn advance(&mut self, ms: u64) {
         self.sim_now_ms += ms;
         // Stamp the telemetry clock before anything below emits events so
         // every trace entry carries the current virtual time.
@@ -302,7 +301,6 @@ impl SecureCloud {
         }
         // Let the elastic controller observe and act.
         self.tick_controller();
-        events
     }
 
     /// Counts a fault whose target no longer exists on this platform — an
@@ -489,6 +487,15 @@ mod tests {
     use super::*;
     use containers::build::SecureImageBuilder;
 
+    /// How many planned faults the injector has fired.
+    fn fired(injector: &FaultInjector) -> usize {
+        injector
+            .trace()
+            .iter()
+            .filter(|line| line.contains(" fire "))
+            .count()
+    }
+
     #[test]
     fn facade_deploy_run_read() {
         let mut cloud = SecureCloud::new();
@@ -514,7 +521,8 @@ mod tests {
 
         let mut cloud = SecureCloud::new();
         let plan = FaultPlan::new().at(50, FaultKind::ReplicaKill { shard: 0, slot: 1 });
-        cloud.set_fault_injector(Arc::new(FaultInjector::with_plan(7, plan)));
+        let injector = Arc::new(FaultInjector::with_plan(7, plan));
+        cloud.set_fault_injector(Arc::clone(&injector));
         let id = cloud
             .deploy_replicated_kv(ReplicaConfig {
                 shards: 2,
@@ -528,8 +536,8 @@ mod tests {
             .unwrap()
             .put(b"acked", b"before fault")
             .unwrap();
-        let events = cloud.advance(100);
-        assert_eq!(events.len(), 1);
+        cloud.advance(100);
+        assert_eq!(fired(&injector), 1);
         let kv = cloud.replicated_kv_mut(id).unwrap();
         assert_eq!(kv.stats().replicas_killed, 1);
         assert_eq!(kv.stats().replicas_replaced, 1, "auto-failover ran");
@@ -544,7 +552,8 @@ mod tests {
 
         let mut cloud = SecureCloud::new();
         let plan = FaultPlan::new().at(50, FaultKind::StorageCorruptBlock { shard: 0, slot: 1 });
-        cloud.set_fault_injector(Arc::new(FaultInjector::with_plan(11, plan)));
+        let injector = Arc::new(FaultInjector::with_plan(11, plan));
+        cloud.set_fault_injector(Arc::clone(&injector));
         let id = cloud
             .deploy_replicated_kv(ReplicaConfig {
                 shards: 1,
@@ -567,8 +576,8 @@ mod tests {
                 .put(format!("reading/{i:03}").as_bytes(), &[0xCD; 40])
                 .unwrap();
         }
-        let events = cloud.advance(100);
-        assert_eq!(events.len(), 1);
+        cloud.advance(100);
+        assert_eq!(fired(&injector), 1);
         let kv = cloud.replicated_kv_mut(id).unwrap();
         let stats = kv.stats();
         assert!(stats.storage_corruptions >= 1, "scrub saw the bit flip");
@@ -617,8 +626,8 @@ mod tests {
                 ..ReplicaConfig::default()
             })
             .unwrap();
-        let events = cloud.advance(100);
-        assert_eq!(events.len(), 5, "all five faults fired");
+        cloud.advance(100);
+        assert_eq!(fired(&injector), 5, "all five faults fired");
         let telemetry = Arc::clone(cloud.telemetry());
         let count = move |kind: &str| {
             telemetry

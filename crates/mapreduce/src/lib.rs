@@ -41,7 +41,6 @@ use securecloud_crypto::CryptoError;
 use securecloud_faults::FaultInjector;
 use securecloud_sgx::enclave::{EnclaveConfig, Platform};
 use securecloud_sgx::SgxError;
-use securecloud_telemetry::stats::Welford;
 use std::collections::BTreeMap;
 use std::error::Error as StdError;
 use std::fmt;
@@ -100,10 +99,6 @@ pub struct JobResult {
     pub output: BTreeMap<Vec<u8>, Vec<u8>>,
     /// Counters.
     pub stats: JobStats,
-    /// Distribution of enclave cycles per worker task (map attempts and
-    /// reduce partitions), for straggler analysis. Kept outside
-    /// [`JobStats`] because that struct is `Eq` and exact counters only.
-    pub task_cycle_stats: Welford,
 }
 
 /// Errors from the map/reduce runtime.
@@ -199,7 +194,6 @@ impl MapReduceRunner {
             records_in: input.len() as u64,
             ..JobStats::default()
         };
-        let mut task_cycle_stats = Welford::new();
 
         // ---- Map phase: one enclave per task, encrypted shuffle output.
         // shuffle[reducer][..] = (map task, sealed chunk) on untrusted storage.
@@ -220,15 +214,7 @@ impl MapReduceRunner {
                         attempts: attempts - 1,
                     });
                 }
-                match self.run_map_task(
-                    config,
-                    task,
-                    chunk,
-                    map,
-                    &job_key,
-                    &mut stats,
-                    &mut task_cycle_stats,
-                ) {
+                match self.run_map_task(config, task, chunk, map, &job_key, &mut stats) {
                     Ok(partitions) => break partitions,
                     Err(TaskFault) => {
                         stats.retries += 1;
@@ -278,21 +264,14 @@ impl MapReduceRunner {
                     out
                 })
                 .map_err(MrError::Sgx)?;
-            let cycles = enclave.memory().cycles();
-            stats.worker_cycles += cycles;
-            task_cycle_stats.observe(cycles as f64);
+            stats.worker_cycles += enclave.memory().cycles();
             for (k, v) in result {
                 output.insert(k, v);
             }
         }
-        Ok(JobResult {
-            output,
-            stats,
-            task_cycle_stats,
-        })
+        Ok(JobResult { output, stats })
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn run_map_task(
         &self,
         config: &JobConfig,
@@ -301,7 +280,6 @@ impl MapReduceRunner {
         map: &MapFn<'_>,
         job_key: &[u8; 16],
         stats: &mut JobStats,
-        task_cycle_stats: &mut Welford,
     ) -> Result<Vec<Option<Vec<u8>>>, TaskFault> {
         if self
             .injector
@@ -349,9 +327,7 @@ impl MapReduceRunner {
                 Some(AesGcm::new(job_key).seal(&nonce, &body, b"securecloud shuffle"))
             })
             .collect();
-        let cycles = enclave.memory().cycles();
-        stats.worker_cycles += cycles;
-        task_cycle_stats.observe(cycles as f64);
+        stats.worker_cycles += enclave.memory().cycles();
         Ok(sealed)
     }
 }
@@ -429,11 +405,6 @@ mod tests {
         assert!(result.stats.shuffle_bytes > 0);
         assert!(result.stats.worker_cycles > 0);
         assert_eq!(result.stats.reduce_groups, 6);
-        // One Welford sample per map attempt and reduce partition, and the
-        // distribution's total matches the scalar counter.
-        assert!(result.task_cycle_stats.count() > 0);
-        let total = result.task_cycle_stats.mean() * result.task_cycle_stats.count() as f64;
-        assert!((total - result.stats.worker_cycles as f64).abs() < 1.0);
     }
 
     #[test]

@@ -3,12 +3,15 @@
 //! because they need "a large data storage and processing infrastructure",
 //! and the readings are exactly the data that must stay confidential.
 //!
-//! Bills are computed as a secure map/reduce job over the reported
-//! readings with a time-of-use tariff (peak/off-peak rates).
+//! Bills price the secure [`meter_usage`] job's per-sample sums with a
+//! time-of-use tariff (peak/off-peak rates).
 
+use crate::batch::{meter_usage, sums};
+use crate::error::SmartgridError;
 use crate::meters::MeterTrace;
-use securecloud_mapreduce::{JobConfig, MapReduceRunner, MrError};
+use securecloud_mapreduce::MapReduceRunner;
 use std::collections::BTreeMap;
+use std::num::NonZeroUsize;
 
 /// A time-of-use tariff.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,113 +59,45 @@ pub struct Bill {
     pub total_cents: f64,
 }
 
-/// Computes every household's bill with a secure map/reduce job.
+/// Prices one meter's readings, one per `interval_secs` from second 0.
+fn bill(meter: u64, watts: &[f64], interval_secs: u64, tariff: Tariff) -> Bill {
+    let hours = interval_secs as f64 / 3600.0;
+    let (mut peak_kwh, mut offpeak_kwh) = (0.0, 0.0);
+    for (i, watts) in watts.iter().enumerate() {
+        let kwh = watts / 1000.0 * hours;
+        if tariff.is_peak(i as u64 * interval_secs) {
+            peak_kwh += kwh;
+        } else {
+            offpeak_kwh += kwh;
+        }
+    }
+    Bill {
+        meter,
+        peak_kwh,
+        offpeak_kwh,
+        total_cents: peak_kwh * tariff.peak_cents_per_kwh
+            + offpeak_kwh * tariff.offpeak_cents_per_kwh,
+    }
+}
+
+/// Computes every household's bill from the secure [`meter_usage`] job at
+/// one sample per window.
 ///
 /// # Errors
 ///
-/// Propagates [`MrError`] from the job runner.
+/// As [`meter_usage`].
 pub fn compute_bills(
     runner: &MapReduceRunner,
     traces: &[MeterTrace],
     interval_secs: u64,
     tariff: Tariff,
-) -> Result<BTreeMap<u64, Bill>, MrError> {
-    // Record: key = meter id, value = f64-LE reported series.
-    let input: Vec<(Vec<u8>, Vec<u8>)> = traces
-        .iter()
-        .map(|t| {
-            let mut bytes = Vec::with_capacity(t.reported.len() * 8);
-            for w in &t.reported {
-                bytes.extend_from_slice(&w.to_le_bytes());
-            }
-            (t.meter.to_le_bytes().to_vec(), bytes)
-        })
-        .collect();
-
-    let hours = interval_secs as f64 / 3600.0;
-    let result = runner.run(
-        &JobConfig {
-            mappers: 4,
-            reducers: 4,
-            max_retries: 1,
-        },
-        &input,
-        &|k, v, emit| {
-            let mut peak_kwh = 0.0f64;
-            let mut offpeak_kwh = 0.0f64;
-            for (i, chunk) in v.chunks_exact(8).enumerate() {
-                let watts = f64::from_le_bytes(chunk.try_into().expect("chunked"));
-                let kwh = watts / 1000.0 * hours;
-                if tariff.is_peak(i as u64 * interval_secs) {
-                    peak_kwh += kwh;
-                } else {
-                    offpeak_kwh += kwh;
-                }
-            }
-            let mut out = Vec::with_capacity(16);
-            out.extend_from_slice(&peak_kwh.to_le_bytes());
-            out.extend_from_slice(&offpeak_kwh.to_le_bytes());
-            emit(k.to_vec(), out);
-        },
-        &|_k, values| values[0].clone(),
-    )?;
-
-    Ok(result
-        .output
+) -> Result<BTreeMap<u64, Bill>, SmartgridError> {
+    let series = traces.iter().map(|t| (t.meter, t.reported.as_slice()));
+    let (usage, _) = meter_usage(runner, series, NonZeroUsize::MIN)?;
+    Ok(sums(&usage)
         .into_iter()
-        .map(|(k, v)| {
-            let meter = u64::from_le_bytes(k.as_slice().try_into().expect("u64"));
-            let peak_kwh = f64::from_le_bytes(v[..8].try_into().expect("f64"));
-            let offpeak_kwh = f64::from_le_bytes(v[8..16].try_into().expect("f64"));
-            (
-                meter,
-                Bill {
-                    meter,
-                    peak_kwh,
-                    offpeak_kwh,
-                    total_cents: peak_kwh * tariff.peak_cents_per_kwh
-                        + offpeak_kwh * tariff.offpeak_cents_per_kwh,
-                },
-            )
-        })
+        .map(|(meter, watts)| (meter, bill(meter, &watts, interval_secs, tariff)))
         .collect())
-}
-
-/// Sequential reference (for tests and cross-checks).
-// Needed by `tests::mapreduce_matches_reference`.
-#[doc(hidden)]
-#[must_use]
-pub fn compute_bills_reference(
-    traces: &[MeterTrace],
-    interval_secs: u64,
-    tariff: Tariff,
-) -> BTreeMap<u64, Bill> {
-    let hours = interval_secs as f64 / 3600.0;
-    traces
-        .iter()
-        .map(|t| {
-            let mut peak_kwh = 0.0;
-            let mut offpeak_kwh = 0.0;
-            for (i, watts) in t.reported.iter().enumerate() {
-                let kwh = watts / 1000.0 * hours;
-                if tariff.is_peak(i as u64 * interval_secs) {
-                    peak_kwh += kwh;
-                } else {
-                    offpeak_kwh += kwh;
-                }
-            }
-            (
-                t.meter,
-                Bill {
-                    meter: t.meter,
-                    peak_kwh,
-                    offpeak_kwh,
-                    total_cents: peak_kwh * tariff.peak_cents_per_kwh
-                        + offpeak_kwh * tariff.offpeak_cents_per_kwh,
-                },
-            )
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -187,13 +122,19 @@ mod tests {
         let traces = spec.generate();
         let runner = MapReduceRunner::new(Platform::new());
         let bills = compute_bills(&runner, &traces, spec.interval_secs, Tariff::default()).unwrap();
-        let reference = compute_bills_reference(&traces, spec.interval_secs, Tariff::default());
-        assert_eq!(bills.len(), reference.len());
-        for (meter, bill) in &bills {
-            let want = &reference[meter];
-            assert!((bill.peak_kwh - want.peak_kwh).abs() < 1e-9);
-            assert!((bill.offpeak_kwh - want.offpeak_kwh).abs() < 1e-9);
-            assert!((bill.total_cents - want.total_cents).abs() < 1e-6);
+        assert_eq!(bills.len(), traces.len());
+        for trace in &traces {
+            // The sequential reference prices the readings themselves.
+            let want = bill(
+                trace.meter,
+                &trace.reported,
+                spec.interval_secs,
+                Tariff::default(),
+            );
+            let got = &bills[&trace.meter];
+            assert!((got.peak_kwh - want.peak_kwh).abs() < 1e-9);
+            assert!((got.offpeak_kwh - want.offpeak_kwh).abs() < 1e-9);
+            assert!((got.total_cents - want.total_cents).abs() < 1e-6);
         }
     }
 
@@ -239,14 +180,14 @@ mod tests {
         let runner = MapReduceRunner::new(Platform::new());
         let bills = compute_bills(&runner, &traces, spec.interval_secs, Tariff::default()).unwrap();
         for trace in traces.iter().filter(|t| t.is_theft) {
-            let honest_twin = MeterTrace {
-                reported: trace.actual.clone(),
-                ..trace.clone()
-            };
-            let honest =
-                compute_bills_reference(&[honest_twin], spec.interval_secs, Tariff::default());
+            let honest = bill(
+                trace.meter,
+                &trace.actual,
+                spec.interval_secs,
+                Tariff::default(),
+            );
             assert!(
-                bills[&trace.meter].total_cents < honest[&trace.meter].total_cents * 0.5,
+                bills[&trace.meter].total_cents < honest.total_cents * 0.5,
                 "thief should pay much less than the honest twin"
             );
         }

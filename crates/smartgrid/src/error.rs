@@ -1,9 +1,6 @@
-//! Typed errors for the smart-grid pipelines.
-//!
-//! The analytics jobs decode their own wire formats out of mapreduce
-//! output; a malformed or truncated record is an input problem the caller
-//! can report or retry, not a reason to abort the whole generator, so the
-//! decode paths surface [`SmartgridError`] instead of panicking.
+//! Typed errors for the smart-grid pipelines: a malformed or truncated
+//! map/reduce record is an input problem the caller can report or retry,
+//! so the decode paths surface [`SmartgridError`] instead of panicking.
 
 use securecloud_mapreduce::MrError;
 use std::error::Error as StdError;
@@ -69,41 +66,21 @@ impl From<MrError> for SmartgridError {
     }
 }
 
-/// Decodes a fixed-width little-endian `f64`, surfacing a typed error on
-/// width mismatch instead of panicking.
-pub(crate) fn decode_f64(field: &'static str, bytes: &[u8]) -> Result<f64, SmartgridError> {
-    let arr: [u8; 8] = bytes
-        .try_into()
-        .map_err(|_| SmartgridError::MalformedRecord {
+/// Decodes a record of `N` little-endian `u64` fields, surfacing a typed
+/// error on width mismatch instead of panicking.
+pub(crate) fn decode_fields<const N: usize>(
+    field: &'static str,
+    bytes: &[u8],
+) -> Result<[u64; N], SmartgridError> {
+    let (fields, rest) = bytes.as_chunks();
+    match <[[u8; 8]; N]>::try_from(fields) {
+        Ok(fields) if rest.is_empty() => Ok(fields.map(u64::from_le_bytes)),
+        _ => Err(SmartgridError::MalformedRecord {
             field,
-            expected: 8,
+            expected: 8 * N,
             actual: bytes.len(),
-        })?;
-    Ok(f64::from_le_bytes(arr))
-}
-
-/// Decodes a fixed-width little-endian `u64` key.
-pub(crate) fn decode_u64(field: &'static str, bytes: &[u8]) -> Result<u64, SmartgridError> {
-    let arr: [u8; 8] = bytes
-        .try_into()
-        .map_err(|_| SmartgridError::MalformedRecord {
-            field,
-            expected: 8,
-            actual: bytes.len(),
-        })?;
-    Ok(u64::from_le_bytes(arr))
-}
-
-/// Decodes a big-endian `u32` window key.
-pub(crate) fn decode_window(field: &'static str, bytes: &[u8]) -> Result<usize, SmartgridError> {
-    let arr: [u8; 4] = bytes
-        .try_into()
-        .map_err(|_| SmartgridError::MalformedRecord {
-            field,
-            expected: 4,
-            actual: bytes.len(),
-        })?;
-    Ok(u32::from_be_bytes(arr) as usize)
+        }),
+    }
 }
 
 #[cfg(test)]
@@ -128,14 +105,13 @@ mod tests {
 
     #[test]
     fn decoders_reject_wrong_widths() {
-        assert!(decode_f64("v", &[0u8; 8]).is_ok());
-        assert!(matches!(
-            decode_f64("v", &[0u8; 7]),
-            Err(SmartgridError::MalformedRecord { actual: 7, .. })
-        ));
-        assert!(decode_u64("k", &1u64.to_le_bytes()).is_ok());
-        assert!(decode_u64("k", &[]).is_err());
-        assert_eq!(decode_window("w", &3u32.to_be_bytes()).unwrap(), 3);
-        assert!(decode_window("w", &[1, 2]).is_err());
+        let bytes = [1u64.to_le_bytes(), 2u64.to_le_bytes()].concat();
+        assert_eq!(decode_fields::<2>("v", &bytes).unwrap(), [1, 2]);
+        for bad in [&bytes[..7], &bytes[..15], &[0u8; 24]] {
+            assert!(matches!(
+                decode_fields::<2>("v", bad),
+                Err(SmartgridError::MalformedRecord { expected: 16, .. })
+            ));
+        }
     }
 }

@@ -5,9 +5,9 @@
 //!
 //! * [`meters`] — synthetic household traces from appliance models
 //!   (substitute for the private production data the paper uses),
-//! * [`theft`] — power-theft (non-technical-loss) detection as a two-phase
-//!   secure map/reduce pipeline,
-//! * [`billing`] — time-of-use billing as a secure map/reduce job,
+//! * [`batch`] — the city's windowed queries as secure map/reduce jobs,
+//! * [`theft`] — power-theft (non-technical-loss) detection over them,
+//! * [`billing`] — time-of-use billing over them,
 //! * [`quality`] — power-quality (sag/swell) monitoring with
 //!   millisecond-scale detection latency,
 //! * [`privacy`] — the appliance-inference attack that motivates
@@ -16,8 +16,7 @@
 //!   latency anomalies within one bus step,
 //! * [`error`] — typed errors for the pipelines' wire-format decodes.
 
-pub use error::SmartgridError;
-
+pub mod batch;
 pub mod billing;
 pub mod error;
 pub mod meters;

@@ -1,20 +1,19 @@
-//! Power-theft detection (non-technical-loss analysis) as a secure
-//! map/reduce pipeline — the paper's first use case (§VI): "sophisticated
-//! applications, such as power theft prevention".
+//! Power-theft detection (non-technical-loss analysis) — the paper's first
+//! use case (§VI): "sophisticated applications, such as power theft
+//! prevention". It reads the city's two secure map/reduce jobs
+//! ([`crate::batch`]) at one sample per window:
 //!
-//! Two phases over encrypted data inside enclaves:
-//!
-//! 1. **Loss series**: a map/reduce job aggregates the *reported* readings
-//!    per time window; subtracting the sum from the feeder-level
-//!    measurement yields the non-technical-loss series.
-//! 2. **Suspicion scores**: a second job correlates each meter's reported
-//!    series with the loss series — a thief's stolen energy is proportional
-//!    to their consumption, so their reported profile co-moves with the
-//!    loss.
+//! 1. **Loss series**: [`feeder_loss`]'s actual minus reported sums.
+//! 2. **Suspicion scores**: each meter's [`meter_usage`] series is
+//!    correlated with the loss series — a thief's stolen energy is
+//!    proportional to their consumption, so their reported profile
+//!    co-moves with the loss.
 
-use crate::error::{decode_f64, decode_u64, decode_window, SmartgridError};
+use crate::batch::{feeder_loss, meter_usage, sums};
+use crate::error::SmartgridError;
 use crate::meters::MeterTrace;
-use securecloud_mapreduce::{JobConfig, MapReduceRunner};
+use securecloud_mapreduce::MapReduceRunner;
+use std::num::NonZeroUsize;
 
 /// A meter with its theft-suspicion score.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,7 +36,7 @@ pub struct TheftReport {
     pub loss_fraction: f64,
     /// Meters ranked most-suspicious first.
     pub ranked: Vec<Suspicion>,
-    /// Map-task re-executions across both jobs.
+    /// Map-task re-executions across its jobs.
     pub retries: u64,
 }
 
@@ -79,27 +78,16 @@ fn pearson(a: &[f64], b: &[f64]) -> f64 {
     cov / (va * vb).sqrt()
 }
 
-/// Folds phase-1 reducer output (`be32` window key, `le f64` sum) into a
-/// dense per-window series. The window index is decoded from reducer
-/// bytes, so it is validated against the job's sample range — corrupted
-/// or truncated shuffle output becomes a typed error, not an
-/// out-of-bounds panic.
-fn fold_window_sums<'a>(
-    output: impl IntoIterator<Item = (&'a Vec<u8>, &'a Vec<u8>)>,
-    samples: usize,
-) -> Result<Vec<f64>, SmartgridError> {
-    let mut totals = vec![0f64; samples];
-    for (k, v) in output {
-        let window = decode_window("window key", k)?;
-        let slot = totals
-            .get_mut(window)
-            .ok_or(SmartgridError::WindowOutOfRange {
-                window,
-                windows: samples,
-            })?;
-        *slot = decode_f64("window sum", v)?;
-    }
-    Ok(totals)
+/// `series` less its projection on `base`.
+fn orthogonalise(series: &[f64], base: &[f64]) -> Vec<f64> {
+    let dot: f64 = series.iter().zip(base).map(|(a, b)| a * b).sum();
+    let norm: f64 = base.iter().map(|b| b * b).sum();
+    let coefficient = if norm > 0.0 { dot / norm } else { 0.0 };
+    series
+        .iter()
+        .zip(base)
+        .map(|(a, b)| a - coefficient * b)
+        .collect()
 }
 
 /// Runs the two-phase detection pipeline.
@@ -110,65 +98,25 @@ fn fold_window_sums<'a>(
 ///
 /// # Errors
 ///
-/// [`SmartgridError::MapReduce`] from the underlying jobs, and
-/// [`SmartgridError::MalformedRecord`] / [`SmartgridError::WindowOutOfRange`]
-/// when reducer output does not decode as this pipeline's wire format —
-/// truncated bytes or an out-of-range window index surface as typed errors
-/// instead of panicking mid-aggregation.
+/// As [`meter_usage`].
 pub fn detect_theft(
     runner: &MapReduceRunner,
     traces: &[MeterTrace],
     feeder_totals: &[f64],
 ) -> Result<TheftReport, SmartgridError> {
-    let samples = traces.first().map_or(0, |t| t.reported.len());
-    let config = JobConfig {
-        mappers: 4,
-        reducers: 4,
-        max_retries: 1,
-    };
+    let reported = || traces.iter().map(|t| (t.meter, t.reported.as_slice()));
+    let one = NonZeroUsize::MIN;
+    let feeder = reported().map(|(_, series)| (0, series));
+    let (windows, loss_retries) = feeder_loss(runner, feeder, [(0, feeder_totals)], one)?;
+    let (usage, usage_retries) = meter_usage(runner, reported(), one)?;
 
-    // ---- Phase 1: reported total per window.
-    // Input record: (meter id, reported series as f64-LE bytes).
-    let input: Vec<(Vec<u8>, Vec<u8>)> = traces
-        .iter()
-        .map(|t| {
-            let mut bytes = Vec::with_capacity(t.reported.len() * 8);
-            for w in &t.reported {
-                bytes.extend_from_slice(&w.to_le_bytes());
-            }
-            (t.meter.to_le_bytes().to_vec(), bytes)
-        })
-        .collect();
-
-    let sums = runner.run(
-        &config,
-        &input,
-        &|_k, v, emit| {
-            for (window, chunk) in v.chunks_exact(8).enumerate() {
-                let watts = f64::from_le_bytes(chunk.try_into().expect("chunked"));
-                emit(
-                    (window as u32).to_be_bytes().to_vec(),
-                    watts.to_le_bytes().to_vec(),
-                );
-            }
-        },
-        &|_k, values| {
-            let sum: f64 = values
-                .iter()
-                .map(|v| f64::from_le_bytes(v.as_slice().try_into().expect("f64")))
-                .sum();
-            sum.to_le_bytes().to_vec()
-        },
-    )?;
-
-    let reported_totals = fold_window_sums(&sums.output, samples)?;
-    let loss: Vec<f64> = feeder_totals
-        .iter()
-        .zip(&reported_totals)
-        .map(|(f, r)| f - r)
-        .collect();
-    let total_feeder: f64 = feeder_totals.iter().sum();
-    let total_reported: f64 = reported_totals.iter().sum();
+    // ---- Phase 1: the loss series.
+    let (actual, loss): (Vec<f64>, Vec<f64>) = windows
+        .values()
+        .map(|(reported, actual)| (actual.sum, actual.sum - reported.sum))
+        .unzip();
+    let total_feeder: f64 = actual.iter().sum();
+    let total_reported: f64 = windows.values().map(|w| w.0.sum).sum();
 
     // ---- Phase 2: per-meter correlation with the loss series.
     //
@@ -178,40 +126,15 @@ pub fn detect_theft(
     // common-mode profile (the z-scored feeder total), leaving only each
     // household's idiosyncratic pattern — which for a thief is exactly what
     // the stolen energy follows.
-    let common = zscore(feeder_totals);
-    let orthogonalise = |series: &[f64], base: &[f64]| -> Vec<f64> {
-        let dot: f64 = series.iter().zip(base).map(|(a, b)| a * b).sum();
-        let norm: f64 = base.iter().map(|b| b * b).sum();
-        let coefficient = if norm > 0.0 { dot / norm } else { 0.0 };
-        series
-            .iter()
-            .zip(base)
-            .map(|(a, b)| a - coefficient * b)
-            .collect()
-    };
+    let common = zscore(&actual);
     let loss_residual = orthogonalise(&zscore(&loss), &common);
-    let scores = runner.run(
-        &config,
-        &input,
-        &|k, v, emit| {
-            let series: Vec<f64> = v
-                .chunks_exact(8)
-                .map(|c| f64::from_le_bytes(c.try_into().expect("chunked")))
-                .collect();
-            let residual = orthogonalise(&zscore(&series), &common);
-            let score = pearson(&residual, &loss_residual);
-            emit(k.to_vec(), score.to_le_bytes().to_vec());
-        },
-        &|_k, values| values[0].clone(),
-    )?;
-
-    let mut ranked = Vec::with_capacity(scores.output.len());
-    for (k, v) in &scores.output {
-        ranked.push(Suspicion {
-            meter: decode_u64("meter key", k)?,
-            score: decode_f64("suspicion score", v)?,
-        });
-    }
+    let mut ranked: Vec<Suspicion> = sums(&usage)
+        .into_iter()
+        .map(|(meter, series)| Suspicion {
+            meter,
+            score: pearson(&orthogonalise(&zscore(&series), &common), &loss_residual),
+        })
+        .collect();
     ranked.sort_by(|a, b| b.score.total_cmp(&a.score));
 
     Ok(TheftReport {
@@ -223,7 +146,7 @@ pub fn detect_theft(
             0.0
         },
         ranked,
-        retries: sums.stats.retries + scores.stats.retries,
+        retries: loss_retries + usage_retries,
     })
 }
 
@@ -303,55 +226,6 @@ mod tests {
         assert_eq!(pearson(&up, &flat), 0.0);
         assert_eq!(pearson(&[], &[]), 0.0);
         assert_eq!(pearson(&[1.0], &[2.0]), 0.0);
-    }
-
-    #[test]
-    fn malformed_reducer_output_surfaces_typed_errors() {
-        // Regression: `reported_totals[window]` indexed with a reducer-
-        // decoded window and `expect()` decodes panicked on short bytes.
-        use std::collections::BTreeMap;
-        let map = |pairs: Vec<(Vec<u8>, Vec<u8>)>| pairs.into_iter().collect::<BTreeMap<_, _>>();
-        // Out-of-range window index:
-        let out_of_range = map(vec![(
-            9u32.to_be_bytes().to_vec(),
-            1.0f64.to_le_bytes().to_vec(),
-        )]);
-        assert_eq!(
-            fold_window_sums(&out_of_range, 4).unwrap_err(),
-            SmartgridError::WindowOutOfRange {
-                window: 9,
-                windows: 4
-            }
-        );
-        // Truncated window key:
-        let short_key = map(vec![(vec![0u8, 1], 1.0f64.to_le_bytes().to_vec())]);
-        assert!(matches!(
-            fold_window_sums(&short_key, 4).unwrap_err(),
-            SmartgridError::MalformedRecord {
-                field: "window key",
-                expected: 4,
-                actual: 2
-            }
-        ));
-        // Truncated value:
-        let short_value = map(vec![(0u32.to_be_bytes().to_vec(), vec![1, 2, 3])]);
-        assert!(matches!(
-            fold_window_sums(&short_value, 4).unwrap_err(),
-            SmartgridError::MalformedRecord {
-                field: "window sum",
-                actual: 3,
-                ..
-            }
-        ));
-        // Well-formed output still folds densely.
-        let good = map(vec![
-            (1u32.to_be_bytes().to_vec(), 2.5f64.to_le_bytes().to_vec()),
-            (3u32.to_be_bytes().to_vec(), 4.0f64.to_le_bytes().to_vec()),
-        ]);
-        assert_eq!(
-            fold_window_sums(&good, 4).unwrap(),
-            vec![0.0, 2.5, 0.0, 4.0]
-        );
     }
 
     #[test]

@@ -72,13 +72,13 @@ pub const ATTR_TIME: &str = "t";
 /// Attribute carrying the event value.
 pub const ATTR_VALUE: &str = "v";
 /// Result attribute: observation count in the window.
-const ATTR_COUNT: &str = "n";
+pub const ATTR_COUNT: &str = "n";
 /// Result attribute: minimum value in the window.
 pub const ATTR_MIN: &str = "min";
 /// Result attribute: maximum value in the window.
 pub const ATTR_MAX: &str = "max";
 /// Joined-result attribute: left-side window sum.
-const ATTR_LEFT: &str = "l";
+pub const ATTR_LEFT: &str = "l";
 /// Joined-result attribute: right-side window sum.
 pub const ATTR_RIGHT: &str = "r";
 /// Marker attribute: the publication is an end-of-stream token, not an

@@ -1,7 +1,8 @@
 //! Smart-meter analytics: the paper's first use case (§VI).
 //!
-//! Generates a day of sub-minute meter data for a feeder, runs the
-//! power-theft detection pipeline as secure map/reduce jobs, and
+//! Generates a day of sub-minute meter data for a feeder, runs power-theft
+//! detection and billing over the secure map/reduce jobs that check the
+//! city's streaming operators (`smartgrid::batch`), and
 //! demonstrates the appliance-inference privacy attack that motivates
 //! processing this data inside enclaves.
 //!
@@ -39,7 +40,7 @@ fn main() {
         .collect();
     println!("injected thieves (ground truth): {true_thieves:?}\n");
 
-    // ---- Theft detection as two secure map/reduce jobs.
+    // ---- Theft detection over the per-feeder loss and per-meter usage jobs.
     let runner = MapReduceRunner::new(Platform::new());
     let report = detect_theft(&runner, &traces, &feeder).expect("pipeline runs");
     println!(
@@ -73,7 +74,7 @@ fn main() {
         top.len()
     );
 
-    // ---- Time-of-use billing as a second secure map/reduce job.
+    // ---- Time-of-use billing, priced from the per-meter usage job.
     let bills = compute_bills(&runner, &traces, spec.interval_secs, Tariff::default())
         .expect("billing job runs");
     let revenue: f64 = bills.values().map(|b| b.total_cents).sum();
