@@ -276,7 +276,9 @@ impl SecureKv {
         self.bytes
     }
 
-    /// Monotone store version (bumped on every mutation).
+    /// Monotone store version (bumped on every mutation). A tiered store's
+    /// engine counts WAL positions instead, which skip the seqs a failed
+    /// commit spent: the two differ only after a failed commit and a reopen.
     #[must_use]
     pub fn version(&self) -> u64 {
         self.version
@@ -559,8 +561,8 @@ impl SecureKv {
 
     /// Exports the sealed host state for handing to a new replica: the
     /// manifest and WAL tail travel over a trusted channel; sealed segments
-    /// are self-authenticating. Advances the trusted version floor so
-    /// older exports are fenced.
+    /// are self-authenticating. Every commit advanced the trusted version
+    /// floor past it, so older exports are fenced.
     ///
     /// # Panics
     ///
@@ -1237,7 +1239,7 @@ mod tests {
         let mut mem = MemorySim::enclave(geometry, CostModel::sgx_v1());
         let (kv, returned) = replay_fixed_trace(&mut mem);
         let engine = kv.storage().expect("tiered");
-        assert_eq!(mem.cycles(), 247_119_856);
+        assert_eq!(mem.cycles(), 247_118_456);
         assert_eq!(
             mem.stats(),
             MemStats {
@@ -1246,12 +1248,12 @@ mod tests {
                 llc_misses: 5_583,
                 epc_faults: 509,
                 epc_evictions: 422,
-                compute_ops: 76_505,
+                compute_ops: 76_470,
                 bytes_allocated: 91_226_624,
                 host_reads: 2_647,
                 host_writes: 2_780,
                 host_read_bytes: 1_754_754,
-                host_write_bytes: 1_064_833,
+                host_write_bytes: 1_063_913,
             }
         );
         assert_eq!(
@@ -1278,7 +1280,7 @@ mod tests {
             }
         );
         assert_eq!(returned, 0xf0e6_aa4a_0643_8ecb, "returned values");
-        assert_eq!(disk_digest(engine.disk()), 0x7b30_2b7a_9b53_ba8a);
+        assert_eq!(disk_digest(engine.disk()), 0x37da_8585_b5f6_0d63);
         assert_eq!((kv.version(), engine.segment_count()), (2_435, 3));
     }
 

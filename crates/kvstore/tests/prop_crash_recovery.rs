@@ -116,20 +116,21 @@ proptest! {
             "prop/tier",
         );
         kv.storage_mut().expect("tiered").fail_after_host_writes(Some(kill_after));
-        let mut crash: Option<(usize, u64)> = None;
+        let mut crash: Option<(usize, u64, u64)> = None;
         for (i, op) in ops.iter().enumerate() {
             let version_before = kv.version();
+            let position_before = kv.storage().expect("tiered").version();
             match apply(&mut kv, &mut cm, op) {
                 Ok(()) => {}
                 Err(KvError::Storage(StorageError::CrashInjected)) => {
-                    crash = Some((i, version_before));
+                    crash = Some((i, version_before, position_before));
                     break;
                 }
                 Err(e) => prop_assert!(false, "unexpected error: {e}"),
             }
         }
 
-        let mut kv = if let Some((i, version_before)) = crash {
+        let mut kv = if let Some((i, version_before, position_before)) = crash {
             // Simulated restart: only the untrusted disk survives; the
             // enclave reopens it and replays the WAL tail along its MAC
             // chain against the trusted counter floor.
@@ -145,6 +146,9 @@ proptest! {
             )
             .expect("post-crash reopen");
             prop_assert_eq!(kv.version(), report.recovered_version);
+            // The failing op's seq is spent, landed or not: the reopened
+            // engine never seals it again.
+            prop_assert!(kv.storage().expect("tiered").version() > position_before);
             // The interrupted op is durable iff its WAL record landed
             // before the kill (a crash later in the same call — during a
             // flush or compaction it triggered — loses no mutation).
@@ -189,17 +193,18 @@ proptest! {
         kv.storage_mut().expect("tiered").fail_after_host_writes(Some(kill_at));
         let mut crashed_at = None;
         for (n, group) in groups.iter().enumerate() {
+            let position_before = kv.storage().expect("tiered").version();
             match apply_group(&mut kv, &mut cm, group) {
                 Ok(()) => {}
                 Err(KvError::Storage(StorageError::CrashInjected)) => {
-                    crashed_at = Some(n);
+                    crashed_at = Some((n, position_before));
                     break;
                 }
                 Err(e) => prop_assert!(false, "unexpected error: {e}"),
             }
         }
         // The memtable never flushes, so only a commit can have crashed.
-        let Some(n) = crashed_at else {
+        let Some((n, position_before)) = crashed_at else {
             return Ok(()); // the budget outlasted the workload
         };
         let disk = kv.storage().expect("tiered").disk().clone();
@@ -213,6 +218,9 @@ proptest! {
             disk,
         )
         .expect("post-crash reopen");
+        // Every seq the lost group staged stays spent.
+        let resumed = kv.storage().expect("tiered").version();
+        prop_assert!(resumed >= position_before + groups[n].len() as u64);
         let (want_version, want_state) = &prefix_states[n];
         prop_assert_eq!(kv.version(), *want_version);
         prop_assert_eq!(&kv.try_scan(&mut cm, b"", b"~").expect("recovered scan"), want_state);

@@ -118,8 +118,6 @@ pub struct DetectedEvent {
     pub kind: FaultKind,
     /// Sample at which the detector fired.
     pub detected_at: usize,
-    /// Voltage at detection.
-    pub volts: f64,
 }
 
 /// Streaming sag/swell detector: fires after `confirm_samples` consecutive
@@ -183,7 +181,6 @@ impl QualityDetector {
                     Some(DetectedEvent {
                         kind: k,
                         detected_at: index,
-                        volts,
                     })
                 } else {
                     None

@@ -34,7 +34,9 @@
 //! A failed host write poisons the engine: every later mutation returns
 //! [`StorageError::Poisoned`]. The failed write may have sealed bytes the
 //! host never took, so the engine seals nothing more under its keys; only a
-//! reopen from the host disk continues.
+//! reopen from the host disk continues. A commit spends its seqs on a
+//! trusted counter before the host sees them, and the reopened engine
+//! resumes past every spent seq, so no `(WAL key, seq)` is sealed twice.
 
 use crate::disk::{HostDisk, HostSegment, SealedWalRecord};
 use crate::layout::{
@@ -80,8 +82,9 @@ pub struct ReplayReport {
     pub tail: Vec<Record>,
     /// Number of WAL records replayed (only the tail, never the world).
     pub wal_replayed: u64,
-    /// Store version after replay, already checked against the trusted
-    /// version floor.
+    /// The replayed WAL position, already checked against the trusted
+    /// version floor. The engine resumes there, or past it at the seqs a
+    /// failed commit spent.
     pub recovered_version: u64,
 }
 
@@ -90,7 +93,7 @@ pub struct ReplayReport {
 /// Only [`IncrementalSnapshot::trusted_bytes`] (manifest + WAL tail) must
 /// cross a trusted channel; the sealed segments are self-authenticating
 /// against the manifest's integrity roots and can come from any untrusted
-/// mirror. Exporting advances the trusted version floor so an older
+/// mirror. Every commit advances the trusted version floor, so an older
 /// export can no longer be adopted.
 #[derive(Debug, Clone)]
 pub struct IncrementalSnapshot {
@@ -136,15 +139,15 @@ pub struct StorageEngine {
     keys: StoreKeys,
     wal_cipher: AesGcm,
     counters: CounterService,
-    /// Names of the trusted version-floor, commit-epoch and segment-id
-    /// counters under this store's counter base.
+    /// Names of the trusted version-floor, commit-epoch, segment-id and
+    /// WAL-seq counters under this store's counter base.
     version_counter: String,
     commit_counter: String,
     segment_counter: String,
+    wal_counter: String,
     disk: HostDisk,
     /// Live segments, oldest first (manifest order).
     segments: Vec<LiveSegment>,
-    manifest_version: u64,
     manifest_epoch: u64,
     wal_start_seq: u64,
     wal_next_seq: u64,
@@ -179,22 +182,22 @@ impl StorageEngine {
         counter_base: impl Into<String>,
     ) -> Self {
         let cap = config.cache_blocks.max(1);
-        let [version_counter, commit_counter, segment_counter] =
+        let [version_counter, commit_counter, segment_counter, wal_counter] =
             counter_names(&counter_base.into());
         StorageEngine {
             wal_cipher: AesGcm::new(&keys.wal_key()),
+            wal_next_seq: counters.read(&wal_counter),
             config,
             keys,
             counters,
             version_counter,
             commit_counter,
             segment_counter,
+            wal_counter,
             disk: HostDisk::new(),
             segments: Vec::new(),
-            manifest_version: 0,
             manifest_epoch: 0,
             wal_start_seq: 0,
-            wal_next_seq: 0,
             wal_prev_tag: WAL_GENESIS_TAG,
             staged: Vec::new(),
             wal_anchor_tag: WAL_GENESIS_TAG,
@@ -226,14 +229,13 @@ impl StorageEngine {
         counter_base: impl Into<String>,
         mut disk: HostDisk,
     ) -> Result<(Self, ReplayReport), StorageError> {
-        let [version_counter, commit_counter, segment_counter] =
+        let [version_counter, commit_counter, segment_counter, wal_counter] =
             counter_names(&counter_base.into());
         let version_floor = counters.read(&version_counter);
         let commit_floor = counters.read(&commit_counter);
 
         let manifest = match &disk.manifest {
             None => Manifest {
-                version: 0,
                 epoch: 0,
                 wal_start_seq: 0,
                 wal_anchor_tag: WAL_GENESIS_TAG,
@@ -281,7 +283,9 @@ impl StorageEngine {
 
         // Replay the WAL tail along its MAC chain. Records below
         // `wal_start_seq` are leftovers of a commit that crashed before
-        // truncation; skip them.
+        // truncation; skip them. A seq may jump forward past seqs a failed
+        // commit spent: the AAD binds each record to its seq and its
+        // predecessor's tag, so only the enclave can have sealed the jump.
         let wal_cipher = AesGcm::new(&keys.wal_key());
         let mut tail = Vec::new();
         let mut prev_tag = manifest.wal_anchor_tag;
@@ -290,9 +294,9 @@ impl StorageEngine {
             if rec.seq < manifest.wal_start_seq {
                 continue;
             }
-            if rec.seq != next_seq {
+            if rec.seq < next_seq {
                 return Err(StorageError::Corrupt(format!(
-                    "WAL gap: expected seq {next_seq}, found {}",
+                    "WAL goes back: expected seq {next_seq} or later, found {}",
                     rec.seq
                 )));
             }
@@ -301,11 +305,11 @@ impl StorageEngine {
             let record = open_wal_record(&wal_cipher, rec.seq, &prev_tag, &rec.sealed)?;
             prev_tag = wal_tag(&rec.sealed)?;
             tail.push(record);
-            next_seq += 1;
+            next_seq = rec.seq + 1;
         }
         disk.wal.retain(|r| r.seq >= manifest.wal_start_seq);
 
-        let recovered_version = manifest.version + tail.len() as u64;
+        let recovered_version = next_seq;
         if recovered_version < version_floor {
             return Err(StorageError::Rollback {
                 recovered_version,
@@ -320,18 +324,18 @@ impl StorageEngine {
         let wal_replayed = tail.len() as u64;
         let engine = StorageEngine {
             wal_cipher,
+            wal_next_seq: next_seq.max(counters.read(&wal_counter)),
             config,
             keys,
             counters,
             version_counter,
             commit_counter,
             segment_counter,
+            wal_counter,
             disk,
             segments,
-            manifest_version: manifest.version,
             manifest_epoch: manifest.epoch,
             wal_start_seq: manifest.wal_start_seq,
-            wal_next_seq: next_seq,
             wal_prev_tag: prev_tag,
             staged: Vec::new(),
             wal_anchor_tag: manifest.wal_anchor_tag,
@@ -355,11 +359,13 @@ impl StorageEngine {
         ))
     }
 
-    /// Store version: mutations folded into segments plus the committed WAL
-    /// tail (staged records count from their commit on).
+    /// Store version: the WAL position, the seq the next committed record
+    /// takes (staged records count from their commit on). Seqs a failed
+    /// commit spent stay spent, so after a failed commit and a reopen it runs
+    /// ahead of the mutation count `SecureKv::version` keeps.
     #[must_use]
     pub fn version(&self) -> u64 {
-        self.manifest_version + (self.wal_next_seq - self.wal_start_seq)
+        self.wal_next_seq
     }
 
     /// Live segment count.
@@ -456,9 +462,11 @@ impl StorageEngine {
         Ok(())
     }
 
-    /// Writes every staged record to the WAL in one host transfer (the
-    /// durability point of their puts and deletes), then advances the
-    /// trusted version floor past them. A no-op when nothing is staged.
+    /// Spends the staged seqs on the trusted WAL counter, writes every staged
+    /// record to the WAL in one host transfer (the durability point of their
+    /// puts and deletes), then advances the trusted version floor past them.
+    /// A no-op when nothing is staged. A seq spent by a commit that fails is
+    /// never sealed again: the reopened engine resumes past it.
     ///
     /// # Errors
     ///
@@ -470,10 +478,11 @@ impl StorageEngine {
         let Some(last) = self.staged.last() else {
             return Ok(());
         };
-        let tag = wal_tag(&last.sealed)?;
+        let (end, tag) = (last.seq + 1, wal_tag(&last.sealed)?);
+        self.counters.advance_to(&self.wal_counter, end);
         self.maybe_crash()?;
         mem.charge_host_write(self.staged.iter().map(|r| 8 + r.sealed.len() as u64).sum());
-        self.wal_next_seq += self.staged.len() as u64;
+        self.wal_next_seq = end;
         self.wal_prev_tag = tag;
         self.stats.wal_appends += self.staged.len() as u64;
         self.disk.wal.append(&mut self.staged);
@@ -529,13 +538,7 @@ impl StorageEngine {
         let mut segments: Vec<SegmentMeta> = self.segments.iter().map(|s| s.meta.clone()).collect();
         segments.push(new_segment.meta.clone());
         self.segments.push(new_segment);
-        self.commit_manifest(
-            mem,
-            segments,
-            self.version(),
-            self.wal_next_seq,
-            self.wal_prev_tag,
-        )?;
+        self.commit_manifest(mem, segments, self.wal_next_seq, self.wal_prev_tag)?;
         self.stats.flushes += 1;
         if self.segments.len() >= self.config.compact_at_segments.max(2) {
             self.compact(mem)?;
@@ -588,13 +591,7 @@ impl StorageEngine {
             segments.push(segment);
         }
         self.segments = segments;
-        self.commit_manifest(
-            mem,
-            metas,
-            self.manifest_version,
-            self.wal_start_seq,
-            self.wal_anchor_tag,
-        )?;
+        self.commit_manifest(mem, metas, self.wal_start_seq, self.wal_anchor_tag)?;
         self.stats.compactions += 1;
         Ok(())
     }
@@ -655,13 +652,11 @@ impl StorageEngine {
         &mut self,
         mem: &mut MemorySim,
         segments: Vec<SegmentMeta>,
-        version: u64,
         wal_start_seq: u64,
         wal_anchor_tag: [u8; TAG_LEN],
     ) -> Result<(), StorageError> {
         let epoch = self.counters.increment(&self.commit_counter);
         let manifest = Manifest {
-            version,
             epoch,
             wal_start_seq,
             wal_anchor_tag,
@@ -672,12 +667,9 @@ impl StorageEngine {
         self.maybe_crash()?;
         mem.charge_host_write(sealed.len() as u64);
         self.disk.manifest = Some(sealed);
-        self.manifest_version = version;
         self.manifest_epoch = epoch;
         self.wal_start_seq = wal_start_seq;
         self.wal_anchor_tag = wal_anchor_tag;
-        self.counters
-            .advance_to(&self.version_counter, self.version());
         // Post-commit cleanup; a crash here only leaves garbage that the
         // next open discards.
         let live: BTreeSet<u64> = manifest.segments.iter().map(|s| s.id).collect();
@@ -971,13 +963,7 @@ impl StorageEngine {
         self.stats.quarantined_segments += quarantined.len() as u64;
         self.segments.retain(|s| !quarantined.contains(&s.meta.id));
         let metas: Vec<SegmentMeta> = self.segments.iter().map(|s| s.meta.clone()).collect();
-        self.commit_manifest(
-            mem,
-            metas,
-            self.manifest_version,
-            self.wal_start_seq,
-            self.wal_anchor_tag,
-        )?;
+        self.commit_manifest(mem, metas, self.wal_start_seq, self.wal_anchor_tag)?;
         Ok(quarantined)
     }
 
@@ -1018,12 +1004,11 @@ impl StorageEngine {
     }
 
     /// Captures a consistent copy of the store for streaming to a new
-    /// replica and advances the trusted version floor to fence out any
-    /// older export. Staged records are not part of it until committed.
+    /// replica. Every commit already moved the trusted version floor past
+    /// what the copy holds, which fences out any older export. Staged
+    /// records are not part of it until committed.
     #[must_use]
     pub fn export(&self) -> IncrementalSnapshot {
-        self.counters
-            .advance_to(&self.version_counter, self.version());
         IncrementalSnapshot {
             version: self.version(),
             disk: self.disk.clone(),
@@ -1076,10 +1061,10 @@ fn blocks_in_range(meta: &SegmentMeta, lo: &[u8], hi: Option<&[u8]>) -> Range<us
     start..end
 }
 
-/// The trusted version-floor, commit-epoch and segment-id counter names
-/// under `base`.
-fn counter_names(base: &str) -> [String; 3] {
-    ["version", "commit", "segment"].map(|what| format!("{base}/storage-{what}"))
+/// The trusted version-floor, commit-epoch, segment-id and WAL-seq counter
+/// names under `base`.
+fn counter_names(base: &str) -> [String; 4] {
+    ["version", "commit", "segment", "wal"].map(|what| format!("{base}/storage-{what}"))
 }
 
 #[cfg(test)]
@@ -1428,7 +1413,8 @@ mod tests {
         let err = e.append(&mut m, &put(0)).unwrap_err();
         assert_eq!(err, StorageError::CrashInjected);
         assert!(e.disk().wal.is_empty(), "crash fires before bytes land");
-        // Recovery from the (empty) disk sees version 0, floor 0: clean.
+        // Recovery from the (empty) disk sees version 0, floor 0: clean. The
+        // engine resumes at 1, past the seq the failed append spent.
         let (e2, report) = StorageEngine::open(
             &mut mem(),
             StorageConfig::default(),
@@ -1439,7 +1425,48 @@ mod tests {
         )
         .unwrap();
         assert_eq!(report.recovered_version, 0);
-        assert_eq!(e2.version(), 0);
+        assert_eq!(e2.version(), 1);
+    }
+
+    #[test]
+    fn failed_append_never_reseals_a_seq() {
+        let counters = CounterService::new();
+        let reopen = |disk: HostDisk| {
+            let keys = StoreKeys::new([1u8; 16]);
+            StorageEngine::open(&mut mem(), config(), keys, counters.clone(), "t13", disk)
+        };
+        let mut e = engine(&counters, "t13");
+        let mut m = mem();
+        for i in 0..5 {
+            e.append(&mut m, &put(i)).unwrap();
+        }
+        e.fail_after_host_writes(Some(0));
+        assert_eq!(
+            e.append(&mut m, &put(100)),
+            Err(StorageError::CrashInjected)
+        );
+        let failed = e.staged.clone();
+        let (mut e2, report) = reopen(e.disk().clone()).unwrap();
+        assert_eq!(report.recovered_version, 5);
+        // The floor stays at what the host holds: an export taken before
+        // the next commit opens.
+        assert!(reopen(e2.export().disk).is_ok());
+        e2.append(&mut m, &put(200)).unwrap();
+        // (i) The acknowledged record takes a seq the failed append did not.
+        let acked = e2.disk().wal.last().unwrap().clone();
+        assert!(
+            failed.iter().all(|f| f.seq != acked.seq),
+            "seq {} sealed twice",
+            acked.seq
+        );
+        // (ii) The failed record served in its place is a rollback.
+        let mut forged = e2.disk().clone();
+        *forged.wal.last_mut().unwrap() = failed[0].clone();
+        assert!(matches!(reopen(forged), Err(StorageError::Rollback { .. })));
+        // The acknowledged disk replays across the spent seq.
+        let (e3, report) = reopen(e2.disk().clone()).unwrap();
+        assert_eq!(report.tail.last(), Some(&put(200)));
+        assert_eq!((report.recovered_version, e3.version()), (7, 7));
     }
 
     #[test]

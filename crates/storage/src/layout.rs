@@ -295,12 +295,11 @@ impl_wire_struct!(SegmentMeta {
 /// epoch + version floor checked against [`crate::CounterService`] at open.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Manifest {
-    /// Store version as of this manifest (mutations folded into segments).
-    pub version: u64,
     /// Commit epoch from the trusted commit counter; strictly increasing,
     /// also the manifest nonce sequence.
     pub epoch: u64,
-    /// First WAL sequence number NOT folded into the segments.
+    /// First WAL sequence number NOT folded into the segments: the store
+    /// version (WAL position) as of this manifest.
     pub wal_start_seq: u64,
     /// GCM tag of the last folded WAL record: the MAC-chain anchor for the
     /// live WAL tail ([`WAL_GENESIS_TAG`] if none was ever folded).
@@ -310,7 +309,6 @@ pub struct Manifest {
 }
 
 impl_wire_struct!(Manifest {
-    version,
     epoch,
     wal_start_seq,
     wal_anchor_tag,
@@ -517,7 +515,6 @@ mod tests {
     #[test]
     fn manifest_seals_and_detects_tamper() {
         let m = Manifest {
-            version: 5,
             epoch: 2,
             wal_start_seq: 5,
             wal_anchor_tag: [9u8; 16],

@@ -16,10 +16,10 @@
 //!   lives in the manifest; paging a block in verifies it against the
 //!   root, so a flipped bit anywhere on the host is detected
 //!   ([`StorageError::Integrity`]) and the segment can be quarantined.
-//! * **Rollback protection** — the manifest's version is floored by a
-//!   trusted monotonic counter ([`CounterService`]); every WAL append
-//!   advances the same floor, so serving a stale manifest *or* dropping
-//!   the WAL tail surfaces as [`StorageError::Rollback`].
+//! * **Rollback protection** — the store version is the WAL position,
+//!   floored by a trusted monotonic counter ([`CounterService`]); every
+//!   WAL commit advances the floor, so serving a stale manifest *or*
+//!   dropping the WAL tail surfaces as [`StorageError::Rollback`].
 //! * **Cost accounting** — every host transfer is charged through
 //!   [`MemorySim`](securecloud_sgx::mem::MemorySim)'s host-IO cost domain,
 //!   so EPC-paging vs host-IO trade-offs show up in cycles and telemetry.

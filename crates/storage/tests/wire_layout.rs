@@ -42,7 +42,6 @@ fn refs(records: &[Record]) -> Vec<RecordRef<'_>> {
 
 fn sample_manifest() -> Manifest {
     Manifest {
-        version: 7,
         epoch: 3,
         wal_start_seq: 5,
         wal_anchor_tag: [0xAA; 16],
@@ -173,7 +172,7 @@ const SEALED_BLOCK_HEX: &str = "b13298a9b187e893350bd12f8582d8596bd4fe4b4f5a85b7
 const SEALED_WAL_0_HEX: &str =
     "9e55c10bd18baf7414c0277f5a208778b0cf5e1ce4e06e7b1ba8ac5905ee5b0736a7e6a6c685aa06";
 const SEALED_WAL_1_HEX: &str = "5f1d24f5c11fc16ece80849f4c1ed4f63a50ac34fe80af4241abb8452736";
-const SEALED_MANIFEST_HEX: &str = "53434203000000000000000374898986ef14c1c8c2e53227456d0a7867f034b266289031f8d671b28d84b91bb7d986e628b67da544b81f99b65dcf8769401cd5dc581cee9d679b049d55e1f5a31a309f9b7178a9eb332a248261a9ebeead9901007ac8f9c3147615ab30149aaa7a615b392f357dce063170c19a92fd59e976c7d9263cff3c9af2898c99ed7709f303a6f0c6634698e6ee82a1d683097ac4df764251";
+const SEALED_MANIFEST_HEX: &str = "53434203000000000000000370898986ef14c1c8c4e53227456d0a78c85a9e18cc823a9bf8d671b28d84b91b1c732c4c801cd70f45b81f99e80193db351c4089dc581cee9d679b049d55e1f5a31a309f9b7178a9eb332a24dc3df5b7b2f1c55d627ac8f9c3147615ca30149aa37a615b554a4118b52901409df6e6982bab23838d5d13cf0cc595fde9eb4a0b698ef44165afbbe20fac01cd585a";
 const SEGMENT_KEY_2_HEX: &str = "4a4e3562c3879f1cd56feabaf6420ae5";
 const WAL_KEY_HEX: &str = "80756328ab6a165ac1b8dc4b8a4c7ca3";
 const MANIFEST_KEY_HEX: &str = "d6afbd575c8be8b5c256838242c7a15d";
