@@ -1222,9 +1222,11 @@ mod tests {
     /// returned value and every sealed host byte of [`replay_fixed_trace`],
     /// captured at the commit before the borrowed record path; the cycles
     /// and host transfer counts were re-captured when a sealed segment came
-    /// to move in one host transfer, and every literal when a delete became
-    /// a blind tombstone. A change to any literal is a change to the cost
-    /// model, to the block visit order or to the sealed format.
+    /// to move in one host transfer, every literal when a delete became a
+    /// blind tombstone, and the charges and `blocks_read` when a sequential
+    /// walk of point lookups began paging runs of blocks. A change to any
+    /// literal is a change to the cost model, to the block visit order or
+    /// to the sealed format.
     #[test]
     fn fixed_trace_charges_are_pinned() {
         // One usable EPC page and a 1 KiB LLC: the block cache and the
@@ -1239,20 +1241,20 @@ mod tests {
         let mut mem = MemorySim::enclave(geometry, CostModel::sgx_v1());
         let (kv, returned) = replay_fixed_trace(&mut mem);
         let engine = kv.storage().expect("tiered");
-        assert_eq!(mem.cycles(), 247_118_456);
+        assert_eq!(mem.cycles(), 247_118_728);
         assert_eq!(
             mem.stats(),
             MemStats {
-                line_accesses: 26_665,
-                cache_hits: 21_082,
+                line_accesses: 26_669,
+                cache_hits: 21_086,
                 llc_misses: 5_583,
                 epc_faults: 509,
                 epc_evictions: 422,
-                compute_ops: 76_470,
+                compute_ops: 76_476,
                 bytes_allocated: 91_226_624,
                 host_reads: 2_647,
                 host_writes: 2_780,
-                host_read_bytes: 1_754_754,
+                host_read_bytes: 1_755_019,
                 host_write_bytes: 1_063_913,
             }
         );
@@ -1265,7 +1267,7 @@ mod tests {
                 compactions: 28,
                 segments_written: 115,
                 blocks_written: 2_426,
-                blocks_read: 4_805,
+                blocks_read: 4_806,
                 cache_hits: 130,
                 quarantined_segments: 0,
             }

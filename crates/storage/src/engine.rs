@@ -7,8 +7,10 @@
 //! through [`MemorySim::charge_host_read`]/[`MemorySim::charge_host_write`]
 //! and all enclave-side staging through `touch`, so the EPC-vs-host-IO
 //! trade-off is visible in cycles and telemetry. A segment written, read
-//! whole or scanned moves in one transfer; a point lookup pages in one
-//! block per transfer.
+//! whole or scanned moves in one transfer. A point lookup pages in one
+//! block per transfer until the engine's misses walk a segment in block
+//! order: from the third sequential miss on, one transfer carries a run of
+//! consecutive blocks, its length doubling per miss up to the cache size.
 //!
 //! # Crash safety
 //!
@@ -148,7 +150,6 @@ pub struct StorageEngine {
     disk: HostDisk,
     /// Live segments, oldest first (manifest order).
     segments: Vec<LiveSegment>,
-    manifest_epoch: u64,
     wal_start_seq: u64,
     wal_next_seq: u64,
     /// Chain tag of the last committed WAL record.
@@ -162,6 +163,11 @@ pub struct StorageEngine {
     cache: Vec<CachedBlock>,
     free_slots: Vec<usize>,
     cache_region: Option<Region>,
+    /// Point lookups' read-ahead: the (segment id, block) whose miss
+    /// continues a sequential walk, and the run the walk has reached (0
+    /// after its first miss).
+    walk_next: Option<(u64, usize)>,
+    walk_run: usize,
     stats: StorageStats,
     /// Test hook: `Some(n)` makes the (n+1)-th host write fail with
     /// [`StorageError::CrashInjected`] before any bytes land.
@@ -196,7 +202,6 @@ impl StorageEngine {
             wal_counter,
             disk: HostDisk::new(),
             segments: Vec::new(),
-            manifest_epoch: 0,
             wal_start_seq: 0,
             wal_prev_tag: WAL_GENESIS_TAG,
             staged: Vec::new(),
@@ -204,6 +209,8 @@ impl StorageEngine {
             cache: Vec::new(),
             free_slots: (0..cap).rev().collect(),
             cache_region: None,
+            walk_next: None,
+            walk_run: 0,
             stats: StorageStats::default(),
             fail_after_host_writes: None,
             poisoned: false,
@@ -334,7 +341,6 @@ impl StorageEngine {
             wal_counter,
             disk,
             segments,
-            manifest_epoch: manifest.epoch,
             wal_start_seq: manifest.wal_start_seq,
             wal_prev_tag: prev_tag,
             staged: Vec::new(),
@@ -342,6 +348,8 @@ impl StorageEngine {
             cache: Vec::new(),
             free_slots: (0..cap).rev().collect(),
             cache_region: None,
+            walk_next: None,
+            walk_run: 0,
             stats: StorageStats {
                 wal_replayed,
                 ..StorageStats::default()
@@ -667,7 +675,6 @@ impl StorageEngine {
         self.maybe_crash()?;
         mem.charge_host_write(sealed.len() as u64);
         self.disk.manifest = Some(sealed);
-        self.manifest_epoch = epoch;
         self.wal_start_seq = wal_start_seq;
         self.wal_anchor_tag = wal_anchor_tag;
         // Post-commit cleanup; a crash here only leaves garbage that the
@@ -737,9 +744,10 @@ impl StorageEngine {
             let Some(bi) = block_for_key(&self.segments[si].meta, key) else {
                 continue;
             };
-            // A point lookup pages in one block: one host transfer.
+            // One host transfer: the block, and a read-ahead run after it
+            // when the lookups walk the segment in block order.
             let mut paged = 0;
-            let cached = self.ensure_cached(mem, si, bi, &mut paged);
+            let cached = self.ensure_cached(mem, si, bi, true, &mut paged);
             charge_read(mem, paged);
             let cache_pos = cached?;
             if let Some(ri) = self.cache[cache_pos].block.position(key) {
@@ -768,7 +776,7 @@ impl StorageEngine {
             // transfer per segment.
             let mut paged = 0;
             let scanned = blocks_in_range(&self.segments[si].meta, lo, hi).try_for_each(|bi| {
-                let cache_pos = self.ensure_cached(mem, si, bi, &mut paged)?;
+                let cache_pos = self.ensure_cached(mem, si, bi, false, &mut paged)?;
                 for record in self.cache[cache_pos].block.iter() {
                     if record.key >= lo && hi.is_none_or(|h| record.key < h) {
                         record.merge_into(out);
@@ -822,21 +830,22 @@ impl StorageEngine {
 
     /// Ensures block `bi` of segment `si` is decrypted in the cache,
     /// paging it in (with verification) on a miss and adding its sealed
-    /// length to `paged`, the transfer the caller charges. Returns its
-    /// position in `self.cache`.
+    /// length to `paged`, the transfer the caller charges. With
+    /// `read_ahead`, a miss pages the run [`StorageEngine::run_end`] asks
+    /// for in the same transfer: every block verified and staged in a cache
+    /// slot, farthest first, so that the walk's later blocks are evicted
+    /// before its nearer ones and `bi` ends up most recently used. Returns
+    /// `bi`'s position in `self.cache`.
     fn ensure_cached(
         &mut self,
         mem: &mut MemorySim,
         si: usize,
         bi: usize,
+        read_ahead: bool,
         paged: &mut u64,
     ) -> Result<usize, StorageError> {
         let seg_id = self.segments[si].meta.id;
-        if let Some(pos) = self
-            .cache
-            .iter()
-            .position(|c| c.segment == seg_id && c.index == bi as u32)
-        {
+        if let Some(pos) = self.cached(seg_id, bi) {
             // Move to most-recently-used; charge the staging touch.
             let block = self.cache.remove(pos);
             let slot = block.slot;
@@ -846,23 +855,65 @@ impl StorageEngine {
             self.touch_slot(mem, slot);
             return Ok(self.cache.len() - 1);
         }
+        let end = if read_ahead {
+            self.run_end(si, bi)
+        } else {
+            bi + 1
+        };
         self.ensure_verified(mem, si)?;
-        let block = self.read_block(mem, si, bi, paged)?;
         let cap = self.config.cache_blocks.max(1);
-        if self.cache.len() >= cap {
-            let evicted = self.cache.remove(0);
-            self.free_slots.push(evicted.slot);
+        for index in (bi..end).rev() {
+            let block = self.read_block(mem, si, index, paged)?;
+            if self.cache.len() >= cap {
+                let evicted = self.cache.remove(0);
+                self.free_slots.push(evicted.slot);
+            }
+            let slot = self.free_slots.pop().expect("slot freed or available");
+            self.touch_slot(mem, slot);
+            self.cache.push(CachedBlock {
+                segment: seg_id,
+                index: index as u32,
+                slot,
+                block,
+            });
+            self.stats.blocks_read += 1;
         }
-        let slot = self.free_slots.pop().expect("slot freed or available");
-        self.touch_slot(mem, slot);
-        self.cache.push(CachedBlock {
-            segment: seg_id,
-            index: bi as u32,
-            slot,
-            block,
-        });
-        self.stats.blocks_read += 1;
+        if read_ahead {
+            self.walk_next = Some((seg_id, end));
+        }
         Ok(self.cache.len() - 1)
+    }
+
+    /// Where a point lookup's miss on block `bi` of segment `si` stops
+    /// paging. A miss continues the walk when it falls on the block right
+    /// after the last run paged; any other miss starts a new walk. The run
+    /// is one block on a walk's first two misses, so it grows only once the
+    /// engine's previous two misses were blocks `bi - 2` and `bi - 1`; it
+    /// is two on the third and doubles per miss after, up to `cache_blocks`.
+    /// It stops at the segment's end and before a block already cached. A
+    /// run that fails leaves no walk to continue.
+    fn run_end(&mut self, si: usize, bi: usize) -> usize {
+        let seg_id = self.segments[si].meta.id;
+        self.walk_run = if self.walk_next.take() == Some((seg_id, bi)) {
+            (2 * self.walk_run).clamp(1, self.config.cache_blocks.max(1))
+        } else {
+            0
+        };
+        let last = self.segments[si]
+            .meta
+            .blocks
+            .len()
+            .min(bi + self.walk_run.max(1));
+        (bi + 1..last)
+            .find(|&b| self.cached(seg_id, b).is_some())
+            .unwrap_or(last)
+    }
+
+    /// Block `bi` of segment `seg_id`'s position in the cache, if cached.
+    fn cached(&self, seg_id: u64, bi: usize) -> Option<usize> {
+        self.cache
+            .iter()
+            .position(|c| c.segment == seg_id && c.index == bi as u32)
     }
 
     /// Charges the enclave-memory cost of staging a block in cache slot
@@ -1689,8 +1740,7 @@ mod tests {
             TAG_LEN as u64 * blocks + sealed(&disk)
         );
 
-        // A scan pages its uncached blocks of a segment in with one read; a
-        // point lookup pages in one block per read.
+        // A scan pages its uncached blocks of a segment in with one read.
         let counters = CounterService::new();
         let mut e = engine(&counters, "s");
         let mut m = mem();
@@ -1708,20 +1758,199 @@ mod tests {
             segment.bytes()
         );
         assert_eq!(e.stats().blocks_read, k as u64);
-        // The scan left the last blocks cached; the first ones page in again.
+        // The scan left the last blocks cached; a key-ordered walk pages the
+        // first ones in again, in runs of consecutive blocks: at most
+        // ceil(cold / c) + log2(c) + 2 reads, carrying the blocks it paged.
         let before = m.stats();
-        let cold = k - e.config().cache_blocks;
+        let cap = e.config().cache_blocks;
+        let cold = k - cap;
         for bi in 0..cold {
-            let key = e.segments[0].meta.blocks[bi].first_key.clone();
-            assert!(e.lookup(&mut m, &key).unwrap().is_some());
+            lookup_block(&mut e, &mut m, 0, bi).unwrap();
         }
-        assert_eq!(m.stats().host_reads - before.host_reads, cold as u64);
-        let cold_bytes: u64 = segment.blocks[..cold].iter().map(|b| b.len() as u64).sum();
+        let reads = m.stats().host_reads - before.host_reads;
+        let bound = cold.div_ceil(cap) + cap.ilog2() as usize + 2;
+        assert!(reads as usize <= bound, "{reads} reads, bound {bound}");
+        let paged = (e.stats().blocks_read - k as u64) as usize;
+        assert!((cold..=k).contains(&paged), "{paged} blocks paged");
+        let paged_bytes: u64 = segment.blocks[..paged].iter().map(|b| b.len() as u64).sum();
         assert_eq!(
             m.stats().host_read_bytes - before.host_read_bytes,
-            cold_bytes
+            paged_bytes
         );
-        assert_eq!(e.stats().blocks_read, (k + cold) as u64);
+    }
+
+    /// An engine holding one flushed segment of `keys` puts behind a cache of
+    /// `cache_blocks`, with the segment's host bytes.
+    fn one_segment(keys: u32, cache_blocks: usize) -> (StorageEngine, MemorySim, HostSegment) {
+        let config = StorageConfig {
+            cache_blocks,
+            ..config()
+        };
+        let keyring = StoreKeys::new([1u8; 16]);
+        let mut e = StorageEngine::create(config, keyring, CounterService::new(), "ra");
+        let mut m = mem();
+        e.flush(&mut m, &sorted_puts(0..keys)).unwrap();
+        let segment = e.disk().segments.values().next().unwrap().clone();
+        (e, m, segment)
+    }
+
+    /// Looks up the first key of block `bi` of live segment `si` and checks
+    /// its value. Returns the host reads, host read bytes and blocks paged
+    /// that the lookup made.
+    fn lookup_block(
+        e: &mut StorageEngine,
+        m: &mut MemorySim,
+        si: usize,
+        bi: usize,
+    ) -> Result<(u64, u64, u64), StorageError> {
+        let key = e.segments[si].meta.blocks[bi].first_key.clone();
+        let (before, paged) = (m.stats(), e.stats().blocks_read);
+        let value = e.lookup(m, &key)?;
+        let i: u32 = std::str::from_utf8(&key[3..]).unwrap().parse().unwrap();
+        assert_eq!(value, Some(Some(vec![i as u8; 40])), "block {bi}");
+        let after = m.stats();
+        Ok((
+            after.host_reads - before.host_reads,
+            after.host_read_bytes - before.host_read_bytes,
+            e.stats().blocks_read - paged,
+        ))
+    }
+
+    #[test]
+    fn a_key_ordered_walk_pages_runs_of_blocks() {
+        let (keys, cap) = (200, 4);
+        let (mut e, mut m, segment) = one_segment(keys, cap);
+        let k = segment.blocks.len();
+        assert!(k > 2 * cap, "{k} blocks");
+        let before = m.stats();
+        let mut runs = Vec::new();
+        for i in 0..keys {
+            let paged = e.stats().blocks_read;
+            assert_eq!(
+                e.lookup(&mut m, format!("key{i:04}").as_bytes()).unwrap(),
+                Some(Some(vec![i as u8; 40]))
+            );
+            match e.stats().blocks_read - paged {
+                0 => {}
+                run => runs.push(run),
+            }
+        }
+        let reads = m.stats().host_reads - before.host_reads;
+        let bound = k.div_ceil(cap) + cap.ilog2() as usize + 2;
+        assert!(reads as usize <= bound, "{reads} reads, bound {bound}");
+        assert_eq!(reads, runs.len() as u64, "one transfer per run");
+        // The third sequential miss starts a run of two, and each further
+        // one doubles it up to the cache size.
+        assert_eq!(runs[..4], [1, 1, 2, 4], "{runs:?}");
+        assert!(runs.iter().all(|&run| run <= cap as u64), "{runs:?}");
+        // Every block was paged once, and the reads carried exactly them.
+        assert_eq!(runs.iter().sum::<u64>(), k as u64);
+        assert_eq!(
+            m.stats().host_read_bytes - before.host_read_bytes,
+            segment.bytes()
+        );
+        // A run stops before a block already cached: with block 3 looked up
+        // first, the third miss pages block 2 alone, and no block twice.
+        let (mut e, mut m, _) = one_segment(keys, cap);
+        let paged: Vec<u64> = [3, 0, 1, 2, 3]
+            .into_iter()
+            .map(|bi| lookup_block(&mut e, &mut m, 0, bi).unwrap().2)
+            .collect();
+        assert_eq!(paged, [1, 1, 1, 1, 0]);
+    }
+
+    #[test]
+    fn lookups_out_of_block_order_page_one_block_per_read() {
+        let (keys, cap) = (200, 4);
+        let (_, _, segment) = one_segment(keys, cap);
+        let k = segment.blocks.len();
+        // Backwards, strided, and in pairs of neighbours: no third miss
+        // continues a walk.
+        let orders: [Vec<usize>; 3] = [
+            (0..k).rev().collect(),
+            (0..k).step_by(2).chain((1..k).step_by(2)).collect(),
+            (0..k).filter(|bi| bi % 3 != 2).collect(),
+        ];
+        for order in orders {
+            let (mut e, mut m, _) = one_segment(keys, cap);
+            for bi in order {
+                let sealed = segment.blocks[bi].len() as u64;
+                assert_eq!(
+                    lookup_block(&mut e, &mut m, 0, bi),
+                    Ok((1, sealed, 1)),
+                    "block {bi}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_corrupt_block_inside_a_run_fails_the_lookup_that_paged_it() {
+        let (mut e, mut m, _) = one_segment(200, 4);
+        let seg_id = e.segments[0].meta.id;
+        // Misses on blocks 0, 1 and 2 page one, one and two blocks; the miss
+        // on block 4 asks for blocks 4..8.
+        let walk = |e: &mut StorageEngine, m: &mut MemorySim| {
+            let paged: Vec<u64> = (0..4)
+                .map(|bi| lookup_block(e, m, 0, bi).unwrap().2)
+                .collect();
+            assert_eq!(paged, [1, 1, 2, 0]);
+        };
+        walk(&mut e, &mut m);
+        // The host flips a bit of block 6 after the tree was verified: the
+        // run opens each block it reads, and block 6 fails authentication.
+        // Only block 7, read and verified before it, is cached.
+        e.disk.segments.get_mut(&seg_id).unwrap().blocks[6][20] ^= 1;
+        let paged = e.stats().blocks_read;
+        let integrity = |block| StorageError::Integrity {
+            segment: seg_id,
+            block,
+        };
+        assert_eq!(lookup_block(&mut e, &mut m, 0, 4), Err(integrity(Some(6))));
+        assert_eq!(e.stats().blocks_read, paged + 1);
+        assert!(e.cached(seg_id, 7).is_some());
+        // No block is skipped: each of the run's blocks is read on its own
+        // lookup, and only the flipped one fails.
+        for bi in 4..8 {
+            match lookup_block(&mut e, &mut m, 0, bi) {
+                Err(err) => assert_eq!((bi, err), (6, integrity(Some(6)))),
+                Ok(_) => assert_ne!(bi, 6),
+            }
+        }
+        // A bit that `corrupt_block` flips in block 6 fails the run's
+        // lookup the same way.
+        let (mut e, mut m, _) = one_segment(200, 4);
+        walk(&mut e, &mut m);
+        assert_eq!(e.corrupt_block(6), Some((seg_id, 6)));
+        assert_eq!(lookup_block(&mut e, &mut m, 0, 4), Err(integrity(Some(6))));
+    }
+
+    #[test]
+    fn a_walk_alternating_between_two_segments_reads_no_block_twice() {
+        let config = StorageConfig {
+            cache_blocks: 4,
+            ..config()
+        };
+        let keyring = StoreKeys::new([1u8; 16]);
+        let mut e = StorageEngine::create(config, keyring, CounterService::new(), "ra");
+        let mut m = mem();
+        // Even keys in the older segment, odd keys in the newer one.
+        for first in [0, 1] {
+            let records: Vec<Record> = (first..200).step_by(2).map(put).collect();
+            e.flush(&mut m, &records).unwrap();
+        }
+        let segments = e.disk().segments.values();
+        let blocks: u64 = segments.clone().map(|s| s.blocks.len() as u64).sum();
+        let bytes: u64 = segments.map(HostSegment::bytes).sum();
+        let before = m.stats();
+        for i in 0..200 {
+            assert_eq!(
+                e.lookup(&mut m, format!("key{i:04}").as_bytes()).unwrap(),
+                Some(Some(vec![i as u8; 40]))
+            );
+        }
+        assert_eq!(e.stats().blocks_read, blocks);
+        assert_eq!(m.stats().host_read_bytes - before.host_read_bytes, bytes);
     }
 
     proptest::proptest! {

@@ -1,11 +1,15 @@
 //! Pins the on-host wire layout byte-for-byte: plaintext record encoding,
 //! sealed segment blocks, sealed WAL records, and the sealed manifest.
 //!
-//! These blobs live on the untrusted host and must stay readable across
-//! releases (a restarted enclave replays them). If any assertion here
-//! fails, the format changed: either revert the change or bump the format
-//! version in the `StoreKeys` HKDF salt *and* re-pin these constants with
-//! an explicit migration note.
+//! These blobs live on the untrusted host, where a restarted enclave
+//! replays them. If any assertion here fails, the format changed: either
+//! revert the change, or re-pin the moved constants and record each one,
+//! old -> new, as a migration note in CHANGES.md. The simulated host disk
+//! never outlives the process that wrote it, so no older image has to stay
+//! readable and a re-pin does not bump the `StoreKeys` HKDF salt (which
+//! would move every derived key and every pin with it). A host disk that
+//! outlives its process would need that bump, or a format version in the
+//! manifest, with the re-pin.
 
 use securecloud_crypto::gcm::AesGcm;
 use securecloud_crypto::wire::Wire;
