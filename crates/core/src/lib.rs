@@ -184,12 +184,16 @@ impl SecureCloud {
     }
 
     /// Attaches a seeded fault injector to the whole platform: the event
-    /// bus consults it for message fates, the container engine and service
-    /// host record recovery events into its trace, and [`SecureCloud::advance`]
-    /// fires its planned faults at their virtual-time points.
+    /// bus consults it for message fates, the container engine, service
+    /// host and cluster controller (attached before or after) record into
+    /// its trace, and [`SecureCloud::advance`] fires its planned faults at
+    /// their virtual-time points.
     pub fn set_fault_injector(&mut self, injector: Arc<FaultInjector>) {
         self.engine.set_fault_injector(Arc::clone(&injector));
         self.host.set_fault_injector(Arc::clone(&injector));
+        if let Some((_, controller)) = &mut self.controller {
+            controller.set_fault_injector(Arc::clone(&injector));
+        }
         self.injector = Some(injector);
     }
 
@@ -723,6 +727,38 @@ mod tests {
             .decisions()
             .iter()
             .any(|d| d.contains("killed stalled replica s0/r0")));
+    }
+
+    #[test]
+    fn injector_set_after_the_controller_receives_its_decisions() {
+        use faults::FaultPlan;
+
+        let mut cloud = SecureCloud::new();
+        let id = cloud
+            .deploy_replicated_kv(ReplicaConfig {
+                shards: 1,
+                ..ReplicaConfig::default()
+            })
+            .unwrap();
+        cloud
+            .attach_cluster_controller(id, ScalingPolicy::default(), 8)
+            .unwrap();
+        let plan = FaultPlan::new().at(1_500, FaultKind::ReplicaStall { shard: 0, slot: 0 });
+        let injector = Arc::new(FaultInjector::with_plan(11, plan));
+        cloud.set_fault_injector(Arc::clone(&injector));
+        for _ in 0..4 {
+            cloud.advance(1_000);
+        }
+        let decisions = cloud.cluster_controller().unwrap().decisions();
+        assert!(!decisions.is_empty());
+        // The injector stamps each line it records with its own clock.
+        let trace = injector.trace();
+        for decision in decisions {
+            assert!(
+                trace.iter().any(|line| line.ends_with(decision.as_str())),
+                "{decision} missing from the injector trace"
+            );
+        }
     }
 
     #[test]

@@ -130,27 +130,13 @@ impl Identity {
 }
 
 /// Handshake configuration.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct ChannelConfig {
     /// If set, the handshake fails unless the peer's static key matches.
     pub expected_peer: Option<PublicKey>,
     /// Opaque evidence (e.g. an attestation quote) sent to the peer,
     /// authenticated by the handshake transcript.
     pub attestation_payload: Vec<u8>,
-    /// Callback validating the peer's static key and attestation payload.
-    /// Returning `Err` aborts the handshake. Applied after `expected_peer`.
-    #[allow(clippy::type_complexity)]
-    pub verify_peer: Option<Box<dyn FnOnce(&PublicKey, &[u8]) -> Result<(), String> + Send>>,
-}
-
-impl std::fmt::Debug for ChannelConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ChannelConfig")
-            .field("expected_peer", &self.expected_peer.map(|k| crate::hex(&k)))
-            .field("attestation_payload_len", &self.attestation_payload.len())
-            .field("verify_peer", &self.verify_peer.is_some())
-            .finish()
-    }
 }
 
 #[derive(Debug)]
@@ -237,20 +223,13 @@ fn derive_keys(
     }
 }
 
-fn check_peer(
-    config: ChannelConfig,
-    peer_static: &PublicKey,
-    peer_payload: &[u8],
-) -> Result<(), CryptoError> {
-    if let Some(expected) = config.expected_peer {
-        if !crate::ct_eq(&expected, peer_static) {
-            return Err(CryptoError::Handshake("unexpected peer static key".into()));
+fn check_peer(expected: Option<PublicKey>, peer_static: &PublicKey) -> Result<(), CryptoError> {
+    match expected {
+        Some(expected) if !crate::ct_eq(&expected, peer_static) => {
+            Err(CryptoError::Handshake("unexpected peer static key".into()))
         }
+        _ => Ok(()),
     }
-    if let Some(verify) = config.verify_peer {
-        verify(peer_static, peer_payload).map_err(CryptoError::Handshake)?;
-    }
-    Ok(())
 }
 
 impl<T: Transport> SecureChannel<T> {
@@ -270,12 +249,14 @@ impl<T: Transport> SecureChannel<T> {
         let hello_i = Hello {
             ephemeral: eph_public,
             static_key: identity.public,
-            payload: config.attestation_payload.clone(),
+            payload: config.attestation_payload,
         };
         let hello_i_bytes = hello_i.to_wire();
         transport.send_frame(hello_i_bytes.clone())?;
         let hello_r_bytes = transport.recv_frame()?;
         let hello_r = Hello::from_wire(&hello_r_bytes)?;
+        // An unexpected responder learns nothing more than the hello.
+        check_peer(config.expected_peer, &hello_r.static_key)?;
 
         let mut transcript_hasher = Sha256::new();
         transcript_hasher.update(&hello_i_bytes);
@@ -294,8 +275,6 @@ impl<T: Transport> SecureChannel<T> {
             return Err(CryptoError::Handshake("responder finished MAC".into()));
         }
         transport.send_frame(HmacSha256::mac(&keys.finish_i, &transcript).to_vec())?;
-
-        check_peer(config, &hello_r.static_key, &hello_r.payload)?;
 
         Ok(SecureChannel {
             transport,
@@ -319,11 +298,12 @@ impl<T: Transport> SecureChannel<T> {
     ) -> Result<Self, CryptoError> {
         let hello_i_bytes = transport.recv_frame()?;
         let hello_i = Hello::from_wire(&hello_i_bytes)?;
+        check_peer(config.expected_peer, &hello_i.static_key)?;
         let (eph_secret, eph_public) = x25519::keypair();
         let hello_r = Hello {
             ephemeral: eph_public,
             static_key: identity.public,
-            payload: config.attestation_payload.clone(),
+            payload: config.attestation_payload,
         };
         let hello_r_bytes = hello_r.to_wire();
         transport.send_frame(hello_r_bytes.clone())?;
@@ -344,8 +324,6 @@ impl<T: Transport> SecureChannel<T> {
         if !crate::ct_eq(&HmacSha256::mac(&keys.finish_i, &transcript), &finished_i) {
             return Err(CryptoError::Handshake("initiator finished MAC".into()));
         }
-
-        check_peer(config, &hello_i.static_key, &hello_i.payload)?;
 
         Ok(SecureChannel {
             transport,
@@ -461,26 +439,6 @@ mod tests {
         };
         let (client, _server) = pair_with(client_cfg, ChannelConfig::default());
         assert!(matches!(client, Err(CryptoError::Handshake(_))));
-    }
-
-    #[test]
-    fn verify_peer_callback_can_reject() {
-        let server_cfg = ChannelConfig {
-            verify_peer: Some(Box::new(|_, payload| {
-                if payload == b"valid quote" {
-                    Ok(())
-                } else {
-                    Err("bad quote".into())
-                }
-            })),
-            ..ChannelConfig::default()
-        };
-        let client_cfg = ChannelConfig {
-            attestation_payload: b"forged".to_vec(),
-            ..ChannelConfig::default()
-        };
-        let (_client, server) = pair_with(client_cfg, server_cfg);
-        assert!(matches!(server, Err(CryptoError::Handshake(_))));
     }
 
     #[test]

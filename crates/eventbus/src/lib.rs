@@ -29,5 +29,5 @@ pub mod keys;
 pub mod service;
 
 pub use bus::{BusStats, EventBus, Message, MessageId, SubscriberId};
-pub use keys::{open_payload, seal_payload, KeyServiceError, TopicKeyService};
+pub use keys::{fetch_topic_key, open_payload, seal_payload, KeyServiceError, TopicKeyService};
 pub use service::{MicroService, ServiceCtx, ServiceHost};

@@ -3,30 +3,23 @@
 //! This is the reproduction of ReplicaTEE's provisioning service: a
 //! replica may join a shard group **only** after the service has verified
 //! a quote from the platform's (simulated) quoting enclave, and the
-//! group's sealing key travels exclusively over a mutually-authenticated
-//! [`SecureChannel`]. The quote binds the candidate's channel public key
-//! (its SHA-256 lands in the report's user data), so the service knows the
-//! channel terminates *inside* the attested enclave — a man-in-the-middle
-//! with a stolen quote cannot complete admission.
+//! group's sealing key travels exclusively over the attested secret
+//! release of `sgx::attest`. The candidate pins the service's channel key,
+//! and its quote binds, for [`Purpose::ReplicaAdmission`], the channel key
+//! it receives the group key on, so a man-in-the-middle with a stolen
+//! quote cannot complete admission.
 //!
-//! Admission flow (one [`ProvisioningService::admit`] call):
-//!
-//! 1. the candidate enclave generates a channel identity and quotes the
-//!    hash of its public key;
-//! 2. candidate and service run the channel handshake, the quote riding in
-//!    the candidate's authenticated attestation payload;
-//! 3. the service parses the quote, verifies it against its
-//!    [`AttestationService`] policy (registered platforms, measurement
-//!    allowlist, no debug enclaves), and checks the channel-key binding;
-//! 4. only then does the service release the group sealing key and the
-//!    group's current epoch over the channel.
+//! One [`ProvisioningService::admit`] call runs both ends in process: the
+//! candidate's [`request_secret`] and the service's
+//! [`ProvisioningService::serve_one`], which releases the group sealing key
+//! and the group's current epoch once the quote verifies under its
+//! [`AttestationService`] policy (registered platforms, measurement
+//! allowlist, no debug enclaves) and binds the channel key.
 
 use crate::{ReplicaError, ShardId};
-use securecloud_crypto::channel::{
-    memory_pair, ChannelConfig, Identity, MemoryTransport, SecureChannel,
-};
-use securecloud_crypto::sha256::Sha256;
-use securecloud_sgx::attest::{AttestationService, Quote};
+use securecloud_crypto::channel::{memory_pair, Identity, Transport};
+use securecloud_crypto::x25519::PublicKey;
+use securecloud_sgx::attest::{release_secret, request_secret, AttestationService, Purpose};
 use securecloud_sgx::enclave::{Enclave, Measurement, Platform};
 use securecloud_sgx::SgxError;
 use securecloud_telemetry::{Counter, Metric, Telemetry};
@@ -75,6 +68,12 @@ impl ProvisioningService {
         self.attestation.allow_measurement(measurement);
     }
 
+    /// The service's channel public key, pinned by candidates.
+    #[must_use]
+    pub fn public_key(&self) -> PublicKey {
+        self.identity.public_key()
+    }
+
     /// Adopts the admission counters into a shared telemetry registry.
     pub fn set_telemetry(&mut self, telemetry: &Telemetry) {
         let registry = telemetry.registry();
@@ -102,25 +101,13 @@ impl ProvisioningService {
         self.rejected.value()
     }
 
-    /// The sealing key for `shard`, created on first use. Internal: the
-    /// only way the key leaves the service is over an admission channel.
-    pub(crate) fn group_key(&mut self, shard: ShardId) -> [u8; 16] {
-        *self
-            .group_keys
-            .entry(shard.0)
-            .or_insert_with(securecloud_crypto::random_array)
-    }
-
     /// Runs the full admission flow for `candidate` joining `shard` at
     /// `epoch`. On success the candidate holds the group sealing key; on
     /// failure nothing secret was released.
     ///
     /// # Errors
     ///
-    /// * [`ReplicaError::AdmissionDenied`] — the quote failed verification
-    ///   (unknown platform, unlisted measurement, debug enclave, or a quote
-    ///   that does not bind the channel key);
-    /// * [`ReplicaError::Channel`] — the secure-channel handshake failed.
+    /// See [`ProvisioningService::serve_one`].
     pub fn admit(
         &mut self,
         shard: ShardId,
@@ -128,89 +115,92 @@ impl ProvisioningService {
         epoch: u64,
     ) -> Result<Admission, ReplicaError> {
         let (candidate_end, service_end) = memory_pair();
-        let candidate_identity = Identity::generate(&format!("replica-{shard}"));
-        let mut binding = Sha256::new();
-        binding.update(&candidate_identity.public_key());
-        let quote = candidate.quote(&binding.finalize());
-
+        let service_key = self.public_key();
         // Both handshake halves block on each other, so the service side
         // runs on its own thread (the simulator's "network" is in-memory).
-        let service_identity = self.identity.clone();
-        let responder = std::thread::spawn(move || {
-            SecureChannel::respond(service_end, &service_identity, ChannelConfig::default())
+        let (served, received) = std::thread::scope(|scope| {
+            let service = scope.spawn(|| self.serve_one(shard, epoch, service_end));
+            let received = request_secret(
+                candidate,
+                Purpose::ReplicaAdmission,
+                candidate_end,
+                service_key,
+            );
+            let served = service.join().unwrap_or_else(|_| {
+                panic!("shard {shard}: provisioning responder thread panicked during admission")
+            });
+            (served, received)
         });
-        let candidate_channel = SecureChannel::initiate(
-            candidate_end,
-            &candidate_identity,
-            ChannelConfig {
-                attestation_payload: quote.to_bytes(),
-                ..ChannelConfig::default()
-            },
-        );
-        let service_channel = responder.join().unwrap_or_else(|_| {
-            panic!("shard {shard}: provisioning responder thread panicked during admission")
-        });
-        let mut candidate_channel =
-            candidate_channel.map_err(|source| ReplicaError::Channel { shard, source })?;
-        let mut service_channel =
-            service_channel.map_err(|source| ReplicaError::Channel { shard, source })?;
-
-        // Service side: verify the (handshake-authenticated) quote before
-        // releasing anything.
-        if let Err(source) = self.verify_candidate(&service_channel) {
-            self.rejected.inc();
-            return Err(ReplicaError::AdmissionDenied { shard, source });
-        }
-
-        let key = self.group_key(shard);
-        let mut payload = key.to_vec();
-        payload.extend_from_slice(&epoch.to_le_bytes());
-        service_channel
-            .send(&payload)
-            .map_err(|source| ReplicaError::Channel { shard, source })?;
-
-        // Candidate side: receive the key over the channel.
-        let received = candidate_channel
-            .recv()
-            .map_err(|source| ReplicaError::Channel { shard, source })?;
-        if received.len() < 24 {
+        served?;
+        let payload = received.map_err(|source| admission_error(shard, source))?;
+        let Ok(payload) = <[u8; 24]>::try_from(payload.as_slice()) else {
             return Err(ReplicaError::InvalidConfig(format!(
-                "shard {shard}: admission payload truncated ({} bytes, need 24: \
-                 16-byte group key + 8-byte epoch)",
-                received.len()
+                "shard {shard}: admission payload is {} bytes, not 24 \
+                 (16-byte group key + 8-byte epoch)",
+                payload.len()
             )));
-        }
-        let group_key: [u8; 16] = received[..16]
-            .try_into()
-            .unwrap_or_else(|_| panic!("shard {shard}: group-key slice is 16 bytes by check"));
-        let epoch = u64::from_le_bytes(
-            received[16..24]
-                .try_into()
-                .unwrap_or_else(|_| panic!("shard {shard}: epoch slice is 8 bytes by check")),
-        );
-        self.admitted.inc();
-        Ok(Admission { group_key, epoch })
+        };
+        let (group_key, epoch) = payload.split_at(16);
+        Ok(Admission {
+            group_key: group_key.try_into().expect("16 of 24 bytes"),
+            epoch: u64::from_le_bytes(epoch.try_into().expect("8 of 24 bytes")),
+        })
     }
 
-    /// The service-side checks: quote parses, verifies under the
-    /// attestation policy, and binds the channel's static key.
-    fn verify_candidate(&self, channel: &SecureChannel<MemoryTransport>) -> Result<(), SgxError> {
-        let quote = Quote::from_bytes(channel.peer_attestation())?;
-        let report = self.attestation.verify(&quote)?;
-        let mut binding = Sha256::new();
-        binding.update(&channel.peer_static_key());
-        if report.report_data[..32] != binding.finalize() {
-            return Err(SgxError::AttestationFailed(
-                "quote does not bind the channel key".into(),
-            ));
+    /// Serves one admission request for `shard` over `transport`: releases
+    /// the group's sealing key (created on the first admission) and
+    /// `epoch`. A refused request changes nothing but the rejected counter.
+    ///
+    /// # Errors
+    ///
+    /// * [`ReplicaError::AdmissionDenied`] — the quote failed verification
+    ///   (unknown platform, unlisted measurement, debug enclave, or a quote
+    ///   that does not bind the channel key for replica admission);
+    /// * [`ReplicaError::Channel`] — the secure-channel handshake failed.
+    pub fn serve_one<T: Transport>(
+        &mut self,
+        shard: ShardId,
+        epoch: u64,
+        transport: T,
+    ) -> Result<(), ReplicaError> {
+        let group_keys = &mut self.group_keys;
+        let served = release_secret(
+            transport,
+            &self.identity,
+            &self.attestation,
+            Purpose::ReplicaAdmission,
+            |_| {
+                let key = group_keys
+                    .entry(shard.0)
+                    .or_insert_with(securecloud_crypto::random_array);
+                Ok([&key[..], &epoch.to_le_bytes()].concat())
+            },
+        );
+        match served {
+            Ok(_) => {
+                self.admitted.inc();
+                Ok(())
+            }
+            Err(source @ SgxError::Crypto(_)) => Err(admission_error(shard, source)),
+            Err(source) => {
+                self.rejected.inc();
+                Err(admission_error(shard, source))
+            }
         }
-        Ok(())
+    }
+}
+
+fn admission_error(shard: ShardId, source: SgxError) -> ReplicaError {
+    match source {
+        SgxError::Crypto(source) => ReplicaError::Channel { shard, source },
+        source => ReplicaError::AdmissionDenied { shard, source },
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use securecloud_crypto::channel::{ChannelConfig, SecureChannel};
     use securecloud_sgx::enclave::EnclaveConfig;
 
     const SHARD_CODE: &[u8] = b"replica shard code";
@@ -280,28 +270,24 @@ mod tests {
     fn quote_must_bind_the_channel_key() {
         // A valid quote bound to the WRONG data (e.g. replayed from another
         // session) fails the binding check even though it verifies.
-        let (platform, service) = setup();
+        let (platform, mut service) = setup();
         let enclave = platform
             .launch(EnclaveConfig::new("r0", SHARD_CODE))
             .unwrap();
         let (a, b) = memory_pair();
         let replayed = enclave.quote(b"someone else's channel key hash");
-        let initiator_id = Identity::generate("mitm");
-        let service_id = service.identity.clone();
-        let responder = std::thread::spawn(move || {
-            SecureChannel::respond(b, &service_id, ChannelConfig::default())
+        let config = ChannelConfig {
+            expected_peer: Some(service.public_key()),
+            attestation_payload: replayed.to_bytes(),
+        };
+        let mitm = std::thread::spawn(move || {
+            let mut channel = SecureChannel::initiate(a, &Identity::generate("mitm"), config)?;
+            channel.recv()
         });
-        let _initiator = SecureChannel::initiate(
-            a,
-            &initiator_id,
-            ChannelConfig {
-                attestation_payload: replayed.to_bytes(),
-                ..ChannelConfig::default()
-            },
-        )
-        .unwrap();
-        let service_channel = responder.join().unwrap().unwrap();
-        let err = service.verify_candidate(&service_channel).unwrap_err();
+        let err = service.serve_one(ShardId(0), 1, b).unwrap_err();
+        assert!(matches!(err, ReplicaError::AdmissionDenied { .. }), "{err}");
         assert!(err.to_string().contains("bind"), "{err}");
+        assert_eq!(mitm.join().unwrap().unwrap()[0], 0, "refusal frame only");
+        assert_eq!((service.admitted(), service.rejected()), (0, 1));
     }
 }

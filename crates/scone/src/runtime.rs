@@ -16,7 +16,7 @@ use crate::fshield::{FsProtection, ShieldedFs};
 use crate::scf::{fetch_scf, Scf};
 use crate::syscall::Shield;
 use crate::SconeError;
-use securecloud_crypto::channel::{Identity, Transport};
+use securecloud_crypto::channel::Transport;
 use securecloud_crypto::x25519::PublicKey;
 use securecloud_sgx::enclave::Enclave;
 use std::sync::Arc;
@@ -46,13 +46,7 @@ impl SconeRuntime {
         shield: Shield,
         sealed_protection: &[u8],
     ) -> Result<Self, SconeError> {
-        let channel_identity = Identity::generate(&format!("enclave-{:?}", enclave.id()));
-        let scf = fetch_scf(
-            &mut enclave,
-            &channel_identity,
-            transport,
-            config_service_key,
-        )?;
+        let scf = fetch_scf(&mut enclave, transport, config_service_key)?;
 
         let digest = FsProtection::digest(sealed_protection);
         if !securecloud_crypto::ct_eq(&digest, &scf.fs_protection_digest) {

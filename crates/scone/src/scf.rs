@@ -10,17 +10,18 @@
 //! keys.
 //!
 //! The [`ConfigService`] holds SCFs keyed by enclave measurement and
-//! releases one only after verifying the requesting enclave's quote — with
-//! the quote's report data bound to the channel key, preventing relays.
+//! releases one over the attested secret release of `sgx::attest`: only to
+//! an enclave whose quote verifies and binds, for [`Purpose::Scf`], the
+//! channel key the SCF travels over.
 
 use crate::SconeError;
-use securecloud_crypto::channel::{ChannelConfig, Identity, SecureChannel, Transport};
-use securecloud_crypto::sha256::Sha256;
+use securecloud_crypto::channel::{Identity, Transport};
+use securecloud_crypto::impl_wire_struct;
 use securecloud_crypto::wire::Wire;
 use securecloud_crypto::x25519::PublicKey;
-use securecloud_crypto::{impl_wire_struct, CryptoError};
-use securecloud_sgx::attest::{AttestationService, Quote};
+use securecloud_sgx::attest::{release_secret, request_secret, AttestationService, Purpose};
 use securecloud_sgx::enclave::{Enclave, Measurement};
+use securecloud_sgx::SgxError;
 use std::collections::{BTreeMap, HashMap};
 
 /// A startup configuration file.
@@ -42,16 +43,6 @@ impl_wire_struct!(Scf {
     fs_protection_key,
     fs_protection_digest
 });
-
-/// The binding an enclave must put in its quote's report data: the hash of
-/// the channel public key it will use to receive the SCF.
-#[must_use]
-fn channel_binding(channel_key: &PublicKey) -> [u8; 32] {
-    let mut h = Sha256::new();
-    h.update(b"securecloud scf channel binding v1");
-    h.update(channel_key);
-    h.finalize()
-}
 
 /// The trusted configuration service releasing SCFs to attested enclaves.
 #[derive(Debug)]
@@ -89,57 +80,33 @@ impl ConfigService {
         &mut self.attestation
     }
 
-    /// Serves one SCF request over `transport`.
-    ///
-    /// The handshake authenticates the enclave's quote; the SCF is released
-    /// only if the quote verifies, its report data binds the channel key the
-    /// enclave is using, and an SCF is registered for the measurement.
+    /// Serves one SCF request over `transport`: releases the SCF registered
+    /// for the requesting enclave's measurement.
     ///
     /// # Errors
     ///
-    /// [`SconeError`] describing the failed verification step. On failure an
-    /// error marker is sent to the client instead of the SCF.
+    /// [`SconeError`] describing the failed step. On failure an error
+    /// marker is sent to the client instead of the SCF.
     pub fn serve_one<T: Transport>(&self, transport: T) -> Result<Measurement, SconeError> {
-        let mut channel =
-            SecureChannel::respond(transport, &self.identity, ChannelConfig::default())
-                .map_err(SconeError::Crypto)?;
-        let outcome = self.authorize(&channel);
-        match outcome {
-            Ok((measurement, scf)) => {
-                let mut frame = vec![1u8];
-                frame.extend_from_slice(&scf.to_wire());
-                channel.send(&frame).map_err(SconeError::Crypto)?;
-                Ok(measurement)
-            }
-            Err(e) => {
-                let mut frame = vec![0u8];
-                frame.extend_from_slice(e.to_string().as_bytes());
-                let _ = channel.send(&frame);
-                Err(e)
-            }
-        }
-    }
-
-    fn authorize<T: Transport>(
-        &self,
-        channel: &SecureChannel<T>,
-    ) -> Result<(Measurement, &Scf), SconeError> {
-        let quote = Quote::from_bytes(channel.peer_attestation())
-            .map_err(|e| SconeError::Config(format!("malformed quote: {e}")))?;
-        let report = self.attestation.verify(&quote).map_err(SconeError::Sgx)?;
-        let expected_binding = channel_binding(&channel.peer_static_key());
-        if !securecloud_crypto::ct_eq(&report.report_data[..32], &expected_binding) {
-            return Err(SconeError::Config(
-                "quote is not bound to the requesting channel key (possible relay)".into(),
-            ));
-        }
-        let scf = self.scfs.get(&report.measurement).ok_or_else(|| {
-            SconeError::Config(format!(
-                "no SCF registered for measurement {}",
-                report.measurement.to_hex()
-            ))
-        })?;
-        Ok((report.measurement, scf))
+        let report = release_secret(
+            transport,
+            &self.identity,
+            &self.attestation,
+            Purpose::Scf,
+            |report| {
+                self.scfs
+                    .get(&report.measurement)
+                    .map(Wire::to_wire)
+                    .ok_or_else(|| {
+                        format!(
+                            "no SCF registered for measurement {}",
+                            report.measurement.to_hex()
+                        )
+                    })
+            },
+        )
+        .map_err(scone_error)?;
+        Ok(report.measurement)
     }
 }
 
@@ -150,42 +117,32 @@ impl ConfigService {
 ///
 /// # Errors
 ///
-/// [`SconeError::Crypto`] on handshake failure, [`SconeError::Config`] if
-/// the service refuses or answers malformed data.
+/// [`SconeError::Crypto`] on handshake failure or a malformed SCF,
+/// [`SconeError::Config`] if the service refuses.
 pub fn fetch_scf<T: Transport>(
     enclave: &mut Enclave,
-    channel_identity: &Identity,
     transport: T,
     service_key: PublicKey,
 ) -> Result<Scf, SconeError> {
-    let binding = channel_binding(&channel_identity.public_key());
-    let quote = enclave.quote(&binding);
     // Four X25519 operations plus AEAD: ~600k cycles inside the enclave.
     enclave.memory().charge_cycles(600_000);
-    let config = ChannelConfig {
-        expected_peer: Some(service_key),
-        attestation_payload: quote.to_bytes(),
-        verify_peer: None,
-    };
-    let mut channel =
-        SecureChannel::initiate(transport, channel_identity, config).map_err(SconeError::Crypto)?;
-    let frame = channel.recv().map_err(SconeError::Crypto)?;
-    match frame.split_first() {
-        Some((1, body)) => Scf::from_wire(body).map_err(SconeError::Crypto),
-        Some((0, body)) => Err(SconeError::Config(format!(
-            "config service refused: {}",
-            String::from_utf8_lossy(body)
-        ))),
-        _ => Err(SconeError::Crypto(CryptoError::Malformed(
-            "empty SCF frame".into(),
-        ))),
+    let body =
+        request_secret(enclave, Purpose::Scf, transport, service_key).map_err(scone_error)?;
+    Scf::from_wire(&body).map_err(SconeError::Crypto)
+}
+
+fn scone_error(e: SgxError) -> SconeError {
+    match e {
+        SgxError::Crypto(e) => SconeError::Crypto(e),
+        SgxError::Refused(why) => SconeError::Config(why),
+        e => SconeError::Sgx(e),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use securecloud_crypto::channel::memory_pair;
+    use securecloud_crypto::channel::{memory_pair, ChannelConfig, SecureChannel};
     use securecloud_sgx::enclave::{EnclaveConfig, Platform};
     use securecloud_sgx::SgxError;
     use std::thread;
@@ -238,8 +195,7 @@ mod tests {
         let (client_t, server_t) = memory_pair();
         let service_key = service.public_key();
         let server = thread::spawn(move || service.serve_one(server_t));
-        let identity = Identity::generate("enclave-channel");
-        let scf = fetch_scf(&mut enclave, &identity, client_t, service_key).unwrap();
+        let scf = fetch_scf(&mut enclave, client_t, service_key).unwrap();
         assert_eq!(scf, scf_fixture_normalized(&scf));
         assert_eq!(server.join().unwrap().unwrap(), enclave.measurement());
         assert!(enclave.memory().cycles() > 0, "handshake must be charged");
@@ -271,8 +227,7 @@ mod tests {
         let (client_t, server_t) = memory_pair();
         let key = service.public_key();
         let server = thread::spawn(move || service.serve_one(server_t));
-        let identity = Identity::generate("other-channel");
-        let err = fetch_scf(&mut other, &identity, client_t, key);
+        let err = fetch_scf(&mut other, client_t, key);
         assert!(matches!(err, Err(SconeError::Config(_))));
         assert!(server.join().unwrap().is_err());
     }
@@ -292,8 +247,7 @@ mod tests {
         let (client_t, server_t) = memory_pair();
         let key = service.public_key();
         let server = thread::spawn(move || service.serve_one(server_t));
-        let identity = Identity::generate("rogue-channel");
-        let err = fetch_scf(&mut rogue, &identity, client_t, key);
+        let err = fetch_scf(&mut rogue, client_t, key);
         assert!(err.is_err());
         assert!(server.join().unwrap().is_err());
     }
@@ -316,37 +270,12 @@ mod tests {
         let (client_t, server_t) = memory_pair();
         let key = service.public_key();
         let server = thread::spawn(move || service.serve_one(server_t));
-        let identity = Identity::generate("debug-channel");
-        let err = fetch_scf(&mut debug, &identity, client_t, key);
+        let err = fetch_scf(&mut debug, client_t, key);
         assert!(matches!(err, Err(SconeError::Config(_))));
         assert!(matches!(
             server.join().unwrap(),
             Err(SconeError::Sgx(SgxError::AttestationFailed(_)))
         ));
-    }
-
-    #[test]
-    fn relayed_quote_is_refused() {
-        // The attacker owns the channel but presents an honest enclave's
-        // quote that is bound to a *different* channel key.
-        let Setup {
-            enclave, service, ..
-        } = setup();
-        let honest_identity = Identity::generate("honest-channel");
-        let quote = enclave.quote(&channel_binding(&honest_identity.public_key()));
-        let attacker_identity = Identity::generate("attacker-channel");
-        let (client_t, server_t) = memory_pair();
-        let key = service.public_key();
-        let server = thread::spawn(move || service.serve_one(server_t));
-        let config = ChannelConfig {
-            expected_peer: Some(key),
-            attestation_payload: quote.to_bytes(),
-            verify_peer: None,
-        };
-        let mut channel = SecureChannel::initiate(client_t, &attacker_identity, config).unwrap();
-        let frame = channel.recv().unwrap();
-        assert_eq!(frame[0], 0, "service must refuse the relayed quote");
-        assert!(server.join().unwrap().is_err());
     }
 
     #[test]
@@ -359,7 +288,6 @@ mod tests {
         let config = ChannelConfig {
             expected_peer: Some(key),
             attestation_payload: b"not a quote".to_vec(),
-            verify_peer: None,
         };
         let mut channel = SecureChannel::initiate(client_t, &identity, config).unwrap();
         let frame = channel.recv().unwrap();
@@ -376,9 +304,8 @@ mod tests {
         } = setup();
         let (client_t, server_t) = memory_pair();
         let server = thread::spawn(move || service.serve_one(server_t));
-        let identity = Identity::generate("enclave-channel");
         let wrong_key = Identity::generate("imposter").public_key();
-        let err = fetch_scf(&mut enclave, &identity, client_t, wrong_key);
+        let err = fetch_scf(&mut enclave, client_t, wrong_key);
         assert!(matches!(err, Err(SconeError::Crypto(_))));
         drop(server); // server thread errors out when the client hangs up
     }

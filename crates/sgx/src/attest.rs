@@ -7,10 +7,21 @@
 //! quote key (as Intel shares EPID group keys) and applies one fixed
 //! policy: the measurement must be on the allowlist, and debug enclaves are
 //! refused. Neither check can be switched off.
+//!
+//! Every secret the stack hands to an enclave (a startup configuration, a
+//! shard group's sealing key, a topic key) is released by one handshake:
+//! [`request_secret`] on the enclave's side, [`release_secret`] on the
+//! service's. The enclave quotes a [`Purpose`]-labelled hash of its channel
+//! key, so a quote read off one session, or made for another purpose, is
+//! refused; the service keeps only its policy.
 
-use crate::enclave::{Measurement, Platform};
+use crate::enclave::{Enclave, Measurement, Platform};
 use crate::SgxError;
+use securecloud_crypto::channel::{ChannelConfig, Identity, SecureChannel, Transport};
 use securecloud_crypto::hmac::HmacSha256;
+use securecloud_crypto::sha256::Sha256;
+use securecloud_crypto::x25519::PublicKey;
+use securecloud_crypto::CryptoError;
 use std::collections::HashSet;
 
 /// Length of the user-data field in a report (matches SGX's 64 bytes).
@@ -175,10 +186,125 @@ impl AttestationService {
     }
 }
 
+/// What a quote's report data binds a channel key to. A quote bound for
+/// one purpose is refused by the services of the other two.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Purpose {
+    /// A secure container's startup configuration (`scone::scf`).
+    Scf,
+    /// A shard group's sealing key and epoch (`replica::provision`).
+    ReplicaAdmission,
+    /// A topic's payload key (`eventbus::keys`).
+    TopicKey,
+}
+
+impl Purpose {
+    /// The report data an enclave quotes to receive a secret for this
+    /// purpose over a channel keyed by `channel_key`.
+    fn binding(self, channel_key: &PublicKey) -> [u8; 32] {
+        let label: &[u8] = match self {
+            Purpose::Scf => b"securecloud scf channel binding v1",
+            Purpose::ReplicaAdmission => b"securecloud replica admission binding v1",
+            Purpose::TopicKey => b"securecloud topic key binding v1",
+        };
+        let mut h = Sha256::new();
+        h.update(label);
+        h.update(channel_key);
+        h.finalize()
+    }
+}
+
+/// Enclave side of an attested secret release: quotes `purpose`'s binding
+/// of a fresh channel key, runs the handshake against the service pinned
+/// by `service_key`, and returns the secret the service released.
+///
+/// # Errors
+///
+/// [`SgxError::Crypto`] if the handshake fails (a responder that does not
+/// hold `service_key` fails it before any secret moves) or the answer is
+/// malformed; [`SgxError::Refused`] with the service's reason.
+pub fn request_secret<T: Transport>(
+    enclave: &Enclave,
+    purpose: Purpose,
+    transport: T,
+    service_key: PublicKey,
+) -> Result<Vec<u8>, SgxError> {
+    let identity = Identity::generate(enclave.name());
+    let quote = enclave.quote(&purpose.binding(&identity.public_key()));
+    let config = ChannelConfig {
+        expected_peer: Some(service_key),
+        attestation_payload: quote.to_bytes(),
+    };
+    let mut channel = SecureChannel::initiate(transport, &identity, config)?;
+    let mut frame = channel.recv()?;
+    match frame.first() {
+        Some(1) => {
+            frame.remove(0);
+            Ok(frame)
+        }
+        Some(0) => Err(SgxError::Refused(
+            String::from_utf8_lossy(&frame[1..]).into_owned(),
+        )),
+        _ => Err(CryptoError::Malformed("empty release frame".into()).into()),
+    }
+}
+
+/// Service side of an attested secret release: runs the handshake over
+/// `transport` as `identity`, verifies the peer's quote under
+/// `attestation` and its binding of the peer's channel key for `purpose`,
+/// and asks `policy` for the verified enclave's secret. Sends `1‖secret`,
+/// or `0‖reason` when any step refuses.
+///
+/// # Errors
+///
+/// [`SgxError::Crypto`] if the handshake or the send fails;
+/// [`SgxError::InvalidConfig`] for a malformed quote;
+/// [`SgxError::AttestationFailed`] for a quote that does not verify or
+/// does not bind the channel key for `purpose` (`policy` is not asked);
+/// [`SgxError::Refused`] with `policy`'s reason.
+pub fn release_secret<T: Transport>(
+    transport: T,
+    identity: &Identity,
+    attestation: &AttestationService,
+    purpose: Purpose,
+    policy: impl FnOnce(&Report) -> Result<Vec<u8>, String>,
+) -> Result<Report, SgxError> {
+    let mut channel = SecureChannel::respond(transport, identity, ChannelConfig::default())?;
+    let binding = purpose.binding(&channel.peer_static_key());
+    let outcome = Quote::from_bytes(channel.peer_attestation())
+        .and_then(|quote| attestation.verify(&quote))
+        .and_then(|report| {
+            if !securecloud_crypto::ct_eq(&report.report_data[..32], &binding) {
+                return Err(SgxError::AttestationFailed(format!(
+                    "quote does not bind the requesting channel key for {purpose:?} \
+                     (relayed, or made for another purpose)"
+                )));
+            }
+            let secret = policy(&report).map_err(SgxError::Refused)?;
+            Ok((report, secret))
+        });
+    match outcome {
+        Ok((report, secret)) => {
+            let mut frame = Vec::with_capacity(1 + secret.len());
+            frame.push(1);
+            frame.extend_from_slice(&secret);
+            channel.send(&frame)?;
+            Ok(report)
+        }
+        Err(e) => {
+            let mut frame = vec![0u8];
+            frame.extend_from_slice(e.to_string().as_bytes());
+            let _ = channel.send(&frame);
+            Err(e)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::enclave::EnclaveConfig;
+    use securecloud_crypto::channel::memory_pair;
 
     fn setup() -> (Platform, crate::enclave::Enclave, AttestationService) {
         let platform = Platform::new();
@@ -276,5 +402,67 @@ mod tests {
         service.register_platform(&p2);
         assert!(service.verify(&e1.quote(b"")).is_ok());
         assert!(service.verify(&e2.quote(b"")).is_ok());
+    }
+
+    /// Serves one release of `b"secret"` to `payload`'s sender over a
+    /// channel keyed by `identity`; returns the service's outcome and the
+    /// frame the sender received.
+    fn serve_payload(
+        service: &AttestationService,
+        identity: &Identity,
+        payload: Vec<u8>,
+    ) -> (Result<Report, SgxError>, Vec<u8>) {
+        let (client_t, server_t) = memory_pair();
+        let service_identity = Identity::generate("service");
+        let config = ChannelConfig {
+            expected_peer: Some(service_identity.public_key()),
+            attestation_payload: payload,
+        };
+        let identity = identity.clone();
+        let client = std::thread::spawn(move || {
+            SecureChannel::initiate(client_t, &identity, config)
+                .unwrap()
+                .recv()
+                .unwrap()
+        });
+        let served = release_secret(server_t, &service_identity, service, Purpose::Scf, |_| {
+            Ok(b"secret".to_vec())
+        });
+        (served, client.join().unwrap())
+    }
+
+    #[test]
+    fn bound_quote_receives_the_secret() {
+        let (_platform, enclave, service) = setup();
+        let identity = Identity::generate("enclave");
+        let quote = enclave.quote(&Purpose::Scf.binding(&identity.public_key()));
+        let (served, frame) = serve_payload(&service, &identity, quote.to_bytes());
+        assert_eq!(served.unwrap().measurement, enclave.measurement());
+        assert_eq!(frame, b"\x01secret");
+    }
+
+    #[test]
+    fn relayed_quote_is_refused() {
+        // The attacker owns the channel but presents an honest enclave's
+        // quote that is bound to a *different* channel key.
+        let (_platform, enclave, service) = setup();
+        let honest = Identity::generate("honest");
+        let quote = enclave.quote(&Purpose::Scf.binding(&honest.public_key()));
+        let attacker = Identity::generate("attacker");
+        let (served, frame) = serve_payload(&service, &attacker, quote.to_bytes());
+        assert!(matches!(served, Err(SgxError::AttestationFailed(_))));
+        assert_eq!(frame[0], 0, "service must refuse the relayed quote");
+    }
+
+    #[test]
+    fn quote_for_another_purpose_is_refused() {
+        let (_platform, enclave, service) = setup();
+        let identity = Identity::generate("enclave");
+        for purpose in [Purpose::ReplicaAdmission, Purpose::TopicKey] {
+            let quote = enclave.quote(&purpose.binding(&identity.public_key()));
+            let (served, frame) = serve_payload(&service, &identity, quote.to_bytes());
+            assert!(matches!(served, Err(SgxError::AttestationFailed(_))));
+            assert_eq!(frame[0], 0);
+        }
     }
 }

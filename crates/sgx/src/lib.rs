@@ -56,6 +56,8 @@ pub enum SgxError {
     InvalidConfig(String),
     /// Attestation verification failed.
     AttestationFailed(String),
+    /// A service refused to release a secret to an attested enclave.
+    Refused(String),
     /// A cryptographic operation (seal/unseal) failed.
     Crypto(securecloud_crypto::CryptoError),
 }
@@ -66,6 +68,7 @@ impl fmt::Display for SgxError {
             SgxError::Destroyed => write!(f, "enclave has been destroyed"),
             SgxError::InvalidConfig(why) => write!(f, "invalid configuration: {why}"),
             SgxError::AttestationFailed(why) => write!(f, "attestation failed: {why}"),
+            SgxError::Refused(why) => write!(f, "secret release refused: {why}"),
             SgxError::Crypto(e) => write!(f, "cryptographic failure: {e}"),
         }
     }

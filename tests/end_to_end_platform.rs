@@ -247,9 +247,28 @@ fn kv_snapshot_travels_between_enclave_instances() {
 
 #[test]
 fn end_to_end_sealed_payloads_between_attested_services() {
-    use securecloud::eventbus::{open_payload, seal_payload, TopicKeyService};
+    use securecloud::crypto::channel::memory_pair;
+    use securecloud::eventbus::{
+        fetch_topic_key, open_payload, seal_payload, KeyServiceError, TopicKeyService,
+    };
     use securecloud::sgx::attest::AttestationService;
-    use securecloud::sgx::enclave::EnclaveConfig;
+    use securecloud::sgx::enclave::{Enclave, EnclaveConfig};
+
+    // An enclave fetches a topic key over its own attested channel to the
+    // pinned key service.
+    fn fetch(
+        keys: &TopicKeyService,
+        enclave: &Enclave,
+        topic: &str,
+    ) -> Result<[u8; 16], KeyServiceError> {
+        let (client, server) = memory_pair();
+        std::thread::scope(|scope| {
+            let served = scope.spawn(|| keys.serve_one(topic, server));
+            let key = fetch_topic_key(enclave, topic, client, keys.public_key());
+            served.join().unwrap()?;
+            key
+        })
+    }
 
     // Two services (producer, consumer) run as enclaves on the platform;
     // the bus itself is untrusted and must see only ciphertext.
@@ -268,9 +287,9 @@ fn end_to_end_sealed_payloads_between_attested_services() {
     keys.grant("meters/raw", producer.measurement());
     keys.grant("meters/raw", consumer.measurement());
 
-    // Both sides obtain the topic key by presenting quotes.
-    let k_producer = keys.key_for("meters/raw", &producer.quote(b"")).unwrap();
-    let k_consumer = keys.key_for("meters/raw", &consumer.quote(b"")).unwrap();
+    // Both sides obtain the topic key by attesting to the key service.
+    let k_producer = fetch(&keys, &producer, "meters/raw").unwrap();
+    let k_consumer = fetch(&keys, &consumer, "meters/raw").unwrap();
     assert_eq!(k_producer, k_consumer);
 
     // Producer publishes sealed readings; routable attributes stay in the
@@ -309,5 +328,5 @@ fn end_to_end_sealed_payloads_between_attested_services() {
     let rogue = platform
         .launch(EnclaveConfig::new("rogue", b"rogue code"))
         .unwrap();
-    assert!(keys.key_for("meters/raw", &rogue.quote(b"")).is_err());
+    assert!(fetch(&keys, &rogue, "meters/raw").is_err());
 }

@@ -6,9 +6,16 @@
 use securecloud::containers::build::{SecureImageBuilder, PROTECTION_PATH};
 use securecloud::containers::image::Layer;
 use securecloud::crypto::channel::{memory_pair, ChannelConfig, Identity, SecureChannel};
+use securecloud::crypto::CryptoError;
+use securecloud::eventbus::{fetch_topic_key, KeyServiceError, TopicKeyService};
+use securecloud::replica::{ProvisioningService, ReplicaError, ShardId};
 use securecloud::scbr::secure::{RouterClient, SecureRouter};
 use securecloud::scbr::types::{Op, Predicate, Publication, Subscription, Value};
-use securecloud::sgx::enclave::{EnclaveConfig, Platform};
+use securecloud::scone::scf::{fetch_scf, ConfigService, Scf};
+use securecloud::scone::SconeError;
+use securecloud::sgx::attest::{request_secret, Purpose};
+use securecloud::sgx::enclave::{EnclaveConfig, Measurement, Platform};
+use securecloud::sgx::SgxError;
 use securecloud::SecureCloud;
 use std::thread;
 
@@ -181,20 +188,145 @@ fn sealing_isolates_enclaves_and_platforms() {
     assert!(enclave_other.unseal(&sealed, b"context").is_err());
 }
 
+/// An attestation policy that trusts `platform` and allows `allowed`.
+fn attestation_allowing(
+    platform: &Platform,
+    allowed: Measurement,
+) -> securecloud::sgx::attest::AttestationService {
+    let mut attestation = securecloud::sgx::attest::AttestationService::new();
+    attestation.register_platform(platform);
+    attestation.allow_measurement(allowed);
+    attestation
+}
+
 #[test]
 fn quotes_do_not_transfer_between_purposes() {
-    // A quote binds report data; reusing it for a different binding fails
-    // at the consumer that checks the binding.
+    // An enclave on every list presents a quote bound, for SCF
+    // provisioning, to its own channel key. Topic-key release and replica
+    // admission both refuse it.
     let platform = Platform::new();
     let enclave = platform
         .launch(EnclaveConfig::new("svc", b"svc code"))
         .unwrap();
-    let mut attestation = securecloud::sgx::attest::AttestationService::new();
-    attestation.register_platform(&platform);
-    attestation.allow_measurement(enclave.measurement());
+    let mut topics = TopicKeyService::new(attestation_allowing(&platform, enclave.measurement()));
+    topics.grant("meters", enclave.measurement());
+    let mut provisioning = ProvisioningService::new(&platform, enclave.measurement());
 
-    let quote_for_a = enclave.quote(b"binding-A");
-    let report = attestation.verify(&quote_for_a).unwrap();
-    assert_eq!(&report.report_data[..9], b"binding-A");
-    assert_ne!(&report.report_data[..9], b"binding-B");
+    let (client_t, server_t) = memory_pair();
+    let (asked, served) = thread::scope(|scope| {
+        let served = scope.spawn(|| topics.serve_one("meters", server_t));
+        let asked = request_secret(&enclave, Purpose::Scf, client_t, topics.public_key());
+        (asked, served.join().unwrap())
+    });
+    assert!(matches!(asked, Err(SgxError::Refused(_))));
+    assert!(matches!(
+        served,
+        Err(KeyServiceError::Attestation(SgxError::AttestationFailed(_)))
+    ));
+
+    let (client_t, server_t) = memory_pair();
+    let service_key = provisioning.public_key();
+    let (asked, served) = thread::scope(|scope| {
+        let served = scope.spawn(|| provisioning.serve_one(ShardId(0), 1, server_t));
+        let asked = request_secret(&enclave, Purpose::Scf, client_t, service_key);
+        (asked, served.join().unwrap())
+    });
+    assert!(matches!(asked, Err(SgxError::Refused(_))));
+    assert!(matches!(served, Err(ReplicaError::AdmissionDenied { .. })));
+    assert_eq!((provisioning.admitted(), provisioning.rejected()), (0, 1));
+
+    // The same enclave, asking for its topic key with a quote bound for
+    // that purpose, receives it.
+    let (client_t, server_t) = memory_pair();
+    let key = thread::scope(|scope| {
+        let served = scope.spawn(|| topics.serve_one("meters", server_t));
+        let key = fetch_topic_key(&enclave, "meters", client_t, topics.public_key());
+        served.join().unwrap().unwrap();
+        key
+    });
+    assert!(key.is_ok());
+}
+
+#[test]
+fn pinned_initiator_refuses_an_impostor_before_any_secret_moves() {
+    // The impostor holds an SCF for the enclave's measurement and would
+    // release it, but not the genuine config service's channel key.
+    let platform = Platform::new();
+    let mut enclave = platform
+        .launch(EnclaveConfig::new("app", b"app code"))
+        .unwrap();
+    let genuine = ConfigService::new(attestation_allowing(&platform, enclave.measurement()));
+    let mut impostor = ConfigService::new(attestation_allowing(&platform, enclave.measurement()));
+    impostor.register(
+        enclave.measurement(),
+        Scf {
+            args: vec!["--attacker-chosen".into()],
+            env: Default::default(),
+            fs_protection_key: [0; 16],
+            fs_protection_digest: [0; 32],
+        },
+    );
+    let (client_t, server_t) = memory_pair();
+    let (fetched, served) = thread::scope(|scope| {
+        let served = scope.spawn(|| impostor.serve_one(server_t));
+        let fetched = fetch_scf(&mut enclave, client_t, genuine.public_key());
+        (fetched, served.join().unwrap())
+    });
+    assert!(matches!(
+        fetched,
+        Err(SconeError::Crypto(CryptoError::Handshake(_)))
+    ));
+    // The enclave hung up on the impostor's hello: the impostor never
+    // finished the handshake, so it neither saw a verified quote nor sent
+    // its SCF.
+    assert!(matches!(
+        served,
+        Err(SconeError::Crypto(CryptoError::TransportClosed))
+    ));
+}
+
+#[test]
+fn a_refused_request_changes_no_state_but_the_rejected_counter() {
+    // Each service's whole state, as its `Debug` prints it (group keys,
+    // topic keys, ACLs, SCFs, counters), before and after refused requests.
+    let platform = Platform::new();
+    let shard_code: &[u8] = b"shard code";
+    let member = platform
+        .launch(EnclaveConfig::new("r0", shard_code))
+        .unwrap();
+    let rogue = platform
+        .launch(EnclaveConfig::new("rogue", b"rogue code"))
+        .unwrap();
+    let debug = platform
+        .launch(EnclaveConfig {
+            debug: true,
+            ..EnclaveConfig::new("dbg", shard_code)
+        })
+        .unwrap();
+
+    let mut provisioning = ProvisioningService::new(&platform, member.measurement());
+    provisioning.admit(ShardId(0), &member, 1).unwrap();
+    let before = format!("{provisioning:?}");
+    for (shard, candidate) in [(0, &rogue), (1, &rogue), (1, &debug)] {
+        assert!(provisioning.admit(ShardId(shard), candidate, 2).is_err());
+    }
+    assert_eq!((provisioning.admitted(), provisioning.rejected()), (1, 3));
+    let after = format!("{provisioning:?}").replace(
+        "rejected: Counter { value: 3 }",
+        "rejected: Counter { value: 0 }",
+    );
+    assert_eq!(after, before);
+
+    let mut topics = TopicKeyService::new(attestation_allowing(&platform, rogue.measurement()));
+    topics.grant("meters", member.measurement());
+    let before = format!("{topics:?}");
+    for candidate in [&rogue, &debug] {
+        let (client_t, server_t) = memory_pair();
+        thread::scope(|scope| {
+            let served = scope.spawn(|| topics.serve_one("meters", server_t));
+            assert!(fetch_topic_key(candidate, "meters", client_t, topics.public_key()).is_err());
+            assert!(served.join().unwrap().is_err());
+        });
+    }
+    assert_eq!(format!("{topics:?}"), before);
 }
