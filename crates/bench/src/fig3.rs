@@ -197,9 +197,9 @@ struct OptimisedPoint {
     pub faults_per_pub: u64,
 }
 
-/// E8: the paper's future-work directions quantified — match records
-/// stored apart from the payloads ("optimise our data structures to avoid
-/// paging", [`Layout::Split`]) and a
+/// E8: the paper's future-work directions quantified — matching over the
+/// compiled index in visit order, apart from the payloads ("optimise our
+/// data structures to avoid paging", [`Layout::Split`]) and a
 /// larger-EPC platform (SGX2-class hardware) — against the measured
 /// baseline, at one past-EPC database size.
 #[must_use]

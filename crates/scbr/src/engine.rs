@@ -1,46 +1,48 @@
 //! The matching engine with a simulated memory layout.
 //!
-//! The engine stores subscriptions in a bump-allocated arena of simulated
-//! memory and charges every node visit of a match to the [`MemorySim`]:
-//! cache, MEE, and EPC-paging costs. Running the *same* engine code against
-//! a native-domain and an enclave-domain simulator is how benchmark E1
-//! regenerates the paper's Figure 3.
+//! The engine stores subscriptions in simulated memory and charges every
+//! node visit of a match to the [`MemorySim`]: cache, MEE, and EPC-paging
+//! costs. Running the *same* engine code against a native-domain and an
+//! enclave-domain simulator is how benchmark E1 regenerates the paper's
+//! Figure 3.
 //!
 //! Two [`Layout`] policies are available. [`Layout::Inline`] stores each
-//! subscription's record in one piece, in arrival order: the baseline the
-//! paper measured, and what [`MatchEngine::new`] builds. [`Layout::Split`]
-//! implements the paper's stated future work ("we intend to optimise our
-//! data structures to avoid paging and cache misses"): it stores each
-//! subscription's *match record* (header and predicates) densely in
-//! arrival order and its payload, which matching never reads, in an arena
-//! of its own, so the pages a matching pass touches hold only match
-//! records. The sealed router builds its engine with it. Benchmark E8
-//! quantifies the effect.
+//! subscription's wire record in one piece in a bump-allocated arena, in
+//! arrival order, and charges a visit as a read of the record's first 128
+//! bytes: the baseline the paper measured, and what [`MatchEngine::new`]
+//! builds. [`Layout::Split`] implements the paper's stated future work ("we
+//! intend to optimise our data structures to avoid paging and cache
+//! misses"): the simulated match memory is the index's compiled image, in
+//! visit order, written whenever the index lays it out anew; a visit is
+//! charged the bytes of it the walk read; payloads, which matching never
+//! reads, sit in an arena of their own, and the wire record is not stored.
+//! The sealed router builds its engine with it. Benchmark E8 quantifies the
+//! effect.
 
 use crate::index::{MatchScratch, SubscriptionIndex};
 use crate::notify::PublicationRef;
 use crate::types::{Publication, SubId, Subscription};
 use securecloud_crypto::wire::Wire;
-use securecloud_sgx::mem::{Arena, MemorySim};
+use securecloud_sgx::mem::{Arena, MemorySim, Region};
 use securecloud_telemetry::Telemetry;
 
 /// Arena chunk size: subscriptions are packed into these.
 const ARENA_CHUNK_BYTES: u64 = 1 << 20;
 
-/// Memory layout policy for the subscription arena.
+/// Memory layout policy for the subscription database.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Layout {
-    /// Each subscription's record, payload included, in one piece in
+    /// Each subscription's wire record, payload included, in one piece in
     /// arrival order (the baseline the paper measured).
     Inline,
-    /// Match records in arrival order in one arena, payloads in a second
-    /// one; a subscription without a payload is laid out as under
-    /// [`Layout::Inline`].
+    /// The index's compiled image in visit order, rewritten after inserts,
+    /// each visit charged the bytes of it the walk read; payloads in an
+    /// arena of their own; no wire record. (`NaiveIndex` has no image.)
     Split,
 }
 
-/// Bytes of a node actually read while evaluating its predicates (header +
-/// predicate block; the payload is not touched during matching).
+/// Under [`Layout::Inline`], the bytes of a wire record a visit is charged
+/// for (header and predicates; matching never reads the payload).
 const MATCH_READ_BYTES: u32 = 128;
 
 securecloud_telemetry::metric_set! {
@@ -68,10 +70,11 @@ securecloud_telemetry::metric_set! {
 pub struct MatchEngine<I> {
     index: I,
     layout: Layout,
-    /// Match records (whole records under [`Layout::Inline`]).
+    /// What `subscribe` stores: whole wire records under
+    /// [`Layout::Inline`], payloads under [`Layout::Split`].
     arena: Arena,
-    /// Payloads under [`Layout::Split`].
-    payloads: Arena,
+    /// Under [`Layout::Split`], the region holding the compiled image.
+    compiled: Option<Region>,
     db_bytes: u64,
     next_id: u64,
     metrics: EngineMetrics,
@@ -91,7 +94,7 @@ impl<I: SubscriptionIndex> MatchEngine<I> {
             index,
             layout,
             arena: Arena::new(ARENA_CHUNK_BYTES),
-            payloads: Arena::new(ARENA_CHUNK_BYTES),
+            compiled: None,
             db_bytes: 0,
             next_id: 0,
             metrics: EngineMetrics::default(),
@@ -130,21 +133,21 @@ impl<I: SubscriptionIndex> MatchEngine<I> {
         self.metrics.snapshot()
     }
 
-    /// Stores a subscription, charging the write of every byte of it into
-    /// the arenas. Under [`Layout::Split`] the index keeps the match record
-    /// only, so a visit reads at most that record.
+    /// Stores a subscription, charging the write of what the layout keeps
+    /// of it: the wire record under [`Layout::Inline`], the payload under
+    /// [`Layout::Split`] (the next match writes the compiled image).
     pub fn subscribe(&mut self, mem: &mut MemorySim, mut sub: Subscription) -> SubId {
         let bytes = sub.footprint() as u64;
-        let payload = match self.layout {
-            Layout::Inline => 0,
+        let stored = match self.layout {
+            Layout::Inline => bytes,
             Layout::Split => std::mem::take(&mut sub.payload).len() as u64,
         };
-        let offset = self.arena.alloc(mem, bytes - payload);
-        mem.touch(offset, (bytes - payload) as usize);
-        if payload > 0 {
-            let at = self.payloads.alloc(mem, payload);
-            mem.touch(at, payload as usize);
-        }
+        let offset = if stored > 0 {
+            self.arena.alloc(mem, stored)
+        } else {
+            0
+        };
+        mem.touch(offset, stored as usize);
         mem.charge_ops(sub.predicates.len() as u64 + 4);
         self.db_bytes += bytes;
         let id = SubId(self.next_id);
@@ -172,7 +175,8 @@ impl<I: SubscriptionIndex> MatchEngine<I> {
     /// the same [`MemorySim::touch`] calls in the same order as if each
     /// visit were charged on the spot (a touch never steers the walk), while
     /// the index and the simulator's tables stop evicting each other from
-    /// the host's cache.
+    /// the host's cache. Under [`Layout::Split`] a re-layout comes first,
+    /// charged as the write of the whole compiled image.
     pub fn publish_with<'p>(
         &mut self,
         mem: &mut MemorySim,
@@ -182,10 +186,24 @@ impl<I: SubscriptionIndex> MatchEngine<I> {
         scratch.trace.clear();
         let matched_before = scratch.matched.len();
         self.index.match_publication(publication, scratch);
+        if let (Layout::Split, Some(bytes)) = (self.layout, scratch.laid_out.take()) {
+            // A re-layout writes a fresh image and frees the old one.
+            let image = mem.alloc(bytes.into());
+            if let Some(old) = self.compiled.replace(image) {
+                mem.free(old);
+            }
+            mem.touch(image.base(), bytes as usize);
+        }
+        let image = self.compiled.map_or(0, |image| image.base());
         let mut predicates = 0u64;
         for visit in &scratch.trace {
             predicates += u64::from(visit.predicates_evaluated);
-            mem.touch(visit.offset, visit.size.min(MATCH_READ_BYTES) as usize);
+            match self.layout {
+                Layout::Inline => {
+                    mem.touch(visit.offset, visit.size.min(MATCH_READ_BYTES) as usize)
+                }
+                Layout::Split => mem.touch(image + u64::from(visit.record), visit.read as usize),
+            }
         }
         mem.charge_ops(predicates);
         self.metrics.publications.inc();
@@ -200,7 +218,7 @@ impl<I: SubscriptionIndex> MatchEngine<I> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::{NaiveIndex, PosetIndex};
+    use crate::index::{NaiveIndex, PosetIndex, VisitInfo};
     use crate::types::{Op, Predicate, Value};
     use securecloud_sgx::costs::{CostModel, MemoryGeometry};
     use securecloud_sgx::mem::MemStats;
@@ -313,7 +331,10 @@ mod tests {
             let spans: Vec<_> = scratch
                 .trace
                 .iter()
-                .map(|v| v.offset..v.offset + u64::from(v.size))
+                .map(|v| match layout {
+                    Layout::Inline => v.offset..v.offset + u64::from(v.size),
+                    Layout::Split => u64::from(v.record)..u64::from(v.record + v.read),
+                })
                 .collect();
             let (a, b) = (&spans[0], &spans[1]);
             assert!(
@@ -323,9 +344,102 @@ mod tests {
         }
     }
 
+    /// Cache lines of `[record, record + read)` in an image whose region
+    /// starts on a page, and so on a line.
+    fn lines(visit: &VisitInfo) -> u64 {
+        let (start, end) = (
+            u64::from(visit.record),
+            u64::from(visit.record + visit.read),
+        );
+        (end - 1) / 64 - start / 64 + 1
+    }
+
+    /// Under [`Layout::Split`], `c` (no partition attribute: one forest)
+    /// is a root, `a` a root covering `b`, so the walk visits `c`, `a`,
+    /// `b` and lays out `c` (48 bytes), `a` (48) and `b` (32 + 16 + 16 +
+    /// the 6 bytes of its string operand) in that order.
+    fn split_engine(mem: &mut MemorySim) -> MatchEngine<PosetIndex> {
+        let mut engine = MatchEngine::with_layout(PosetIndex::new(), Layout::Split);
+        let a = Subscription::new(vec![Predicate::new("x", Op::Ge, Value::Int(0))]);
+        let b = Subscription::new(vec![
+            Predicate::new("x", Op::Ge, Value::Int(10)),
+            Predicate::new("name", Op::Eq, Value::Str("abcdef".into())),
+        ]);
+        let c = Subscription::new(vec![Predicate::new("y", Op::Le, Value::Int(5))]);
+        for s in [a, b, c] {
+            engine.subscribe(mem, s.with_payload(vec![0u8; 64]));
+        }
+        engine
+    }
+
+    /// Publishes `p` and returns the visits with the line accesses charged.
+    fn charged(
+        engine: &mut MatchEngine<PosetIndex>,
+        mem: &mut MemorySim,
+        p: &Publication,
+    ) -> (Vec<VisitInfo>, u64) {
+        let encoded = p.to_wire();
+        let mut scratch = MatchScratch::default();
+        let before = mem.stats().line_accesses;
+        engine.publish_with(mem, PublicationRef::parse(&encoded).unwrap(), &mut scratch);
+        (scratch.trace, mem.stats().line_accesses - before)
+    }
+
+    #[test]
+    fn split_visit_is_charged_the_bytes_the_walk_read() {
+        let mut mem = native_mem();
+        let mut engine = split_engine(&mut mem);
+        let every = Publication::new()
+            .with("x", Value::Int(20))
+            .with("y", Value::Int(1))
+            .with("name", Value::Str("abcdef".into()));
+        // The first match lays out the 166-byte image: three lines.
+        let (visits, lines_charged) = charged(&mut engine, &mut mem, &every);
+        let at = |v: &VisitInfo| (v.record, v.read, v.predicates_evaluated);
+        let all: Vec<_> = visits.iter().map(at).collect();
+        assert_eq!(all, [(0, 48, 1), (48, 48, 1), (96, 70, 2)]);
+        assert_eq!(lines_charged, 3 + visits.iter().map(lines).sum::<u64>());
+        // `a` fails its one test, so `b` is pruned: neither visited nor
+        // charged.
+        let pruned = every.clone().with("x", Value::Int(-1));
+        let (visits, lines_charged) = charged(&mut engine, &mut mem, &pruned);
+        let all: Vec<_> = visits.iter().map(at).collect();
+        assert_eq!(all, [(0, 48, 1), (48, 48, 1)]);
+        assert_eq!(lines_charged, visits.iter().map(lines).sum::<u64>());
+        // A failed string test still reads its operand.
+        let other_name = every.with("name", Value::Str("zz".into()));
+        let (visits, _) = charged(&mut engine, &mut mem, &other_name);
+        assert_eq!(at(&visits[2]), (96, 32 + 16 + 16 + 6, 2));
+        // The three records, packed in visit order, are all the image.
+        let image = engine.compiled.expect("laid out");
+        assert_eq!(image.len(), 166);
+    }
+
+    #[test]
+    fn a_subscribe_after_a_publish_charges_one_re_layout() {
+        let mut mem = native_mem();
+        let mut engine = split_engine(&mut mem);
+        let p = Publication::new()
+            .with("x", Value::Int(20))
+            .with("y", Value::Int(1));
+        let visits_only = |visits: &[VisitInfo]| visits.iter().map(lines).sum::<u64>();
+        let (visits, first) = charged(&mut engine, &mut mem, &p);
+        assert_eq!(first, 3 + visits_only(&visits), "the 166-byte image");
+        let (visits, again) = charged(&mut engine, &mut mem, &p);
+        assert_eq!(again, visits_only(&visits), "no insert, no re-layout");
+        // One more 48-byte root: a fresh 214-byte image.
+        let d = Subscription::new(vec![Predicate::new("z", Op::Lt, Value::Int(3))]);
+        engine.subscribe(&mut mem, d);
+        let (visits, relaid) = charged(&mut engine, &mut mem, &p);
+        assert_eq!(relaid, 4 + visits_only(&visits), "the 214-byte image");
+        assert_eq!(engine.compiled.map(|r| r.len()), Some(214));
+        let (visits, again) = charged(&mut engine, &mut mem, &p);
+        assert_eq!(again, visits_only(&visits));
+    }
+
     #[test]
     fn split_layout_cuts_epc_faults() {
-        // A DB larger than a tiny EPC whose match records alone fit it:
+        // A DB larger than a tiny EPC whose compiled image alone fits it:
         // matching pages under the inline layout and not once split.
         let geometry = securecloud_sgx::costs::MemoryGeometry {
             line_bytes: 64,
@@ -488,25 +602,28 @@ mod tests {
         );
     }
 
-    /// The same trace under [`Layout::Split`], captured when the layout was
-    /// added: the same visits, over match records packed apart from the
-    /// payloads, fault on about a seventh of the pages in the enclave.
+    /// The same trace under [`Layout::Split`], captured when a visit began
+    /// to be charged the bytes of the compiled image it read: the same
+    /// visits, plus one write of the 167 612-byte image, touch about two
+    /// thirds of the lines and fault on a twelfth of the pages that
+    /// [`Layout::Inline`] faults on in the enclave. The payload arena is
+    /// the other megabyte allocated.
     #[test]
     fn split_fixed_trace_charges_are_pinned() {
         let pin = |epc_faults, epc_evictions| MemStats {
-            line_accesses: 26_048,
-            cache_hits: 7_951,
-            llc_misses: 18_097,
+            line_accesses: 16_520,
+            cache_hits: 7_690,
+            llc_misses: 8_830,
             epc_faults,
             epc_evictions,
             compute_ops: 21_998,
-            bytes_allocated: 2 << 20,
+            bytes_allocated: (1 << 20) + 167_612,
             ..MemStats::default()
         };
         check_fixed_trace(
             Layout::Split,
-            (4_562_928, pin(0, 0)),
-            (13_794_528, pin(195, 99)),
+            (2_707_440, pin(0, 0)),
+            (7_637_940, pin(117, 21)),
         );
     }
 

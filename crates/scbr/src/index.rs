@@ -29,16 +29,17 @@
 //! node's subtree is the contiguous run of records after it, so a node
 //! stores where its subtree ends: the walk goes to the next record when the
 //! node matches and jumps past the subtree when it does not. It needs no
-//! stack, and it only ever moves forward through both arrays.
+//! stack, and it only ever moves forward through both arrays. The *compiled
+//! image* packs the two in one byte range: each node record followed by its
+//! predicate records, a string operand after its predicate. A visit reads a
+//! prefix: 32 bytes, then 16 and any operand per predicate it evaluated.
 //!
 //! [`NaiveIndex`] is the linear-scan baseline used for benchmark E6 and as
 //! a correctness oracle in tests; it evaluates the original
-//! [`Subscription`]s against an owned [`Publication`].
+//! [`Subscription`]s against an owned [`Publication`](crate::types::Publication).
 
 use crate::notify::{PublicationRef, ValueRef};
-use crate::types::{
-    compare, covers_normalised, Normalised, Op, Publication, SubId, Subscription, Value,
-};
+use crate::types::{compare, covers_normalised, Normalised, Op, SubId, Subscription, Value};
 use std::collections::BTreeMap;
 
 /// Insertion scans at most this many siblings per level when looking for
@@ -47,14 +48,22 @@ use std::collections::BTreeMap;
 /// databases without affecting matching correctness (only pruning quality).
 const MAX_SIBLING_SCAN: usize = 64;
 
+/// Bytes of a node record and of a predicate record in the compiled image.
+const HEADER_BYTES: u32 = 32;
+const TEST_BYTES: u32 = 16;
+
 /// Information about one index node visited during matching; the match
 /// engine charges simulated memory and compute costs from it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VisitInfo {
-    /// Simulated address of the node.
+    /// Simulated address the subscription was inserted with.
     pub offset: u64,
-    /// Node footprint in bytes.
+    /// The subscription's wire footprint in bytes.
     pub size: u32,
+    /// Where the node's record starts in the index's compiled image, and
+    /// how many of its bytes the visit read (both 0 for [`NaiveIndex`]).
+    pub record: u32,
+    pub read: u32,
     /// Predicates evaluated at this node (short-circuit aware).
     pub predicates_evaluated: u32,
     /// Whether the node's subscription matched.
@@ -70,6 +79,9 @@ pub struct MatchScratch<'p> {
     pub trace: Vec<VisitInfo>,
     /// Ids of the matching subscriptions, in visit order. Appended to.
     pub matched: Vec<SubId>,
+    /// The compiled image's length, set when a match laid it out anew (the
+    /// first after an insert); the caller takes it.
+    pub laid_out: Option<u32>,
     /// The current publication's values by attribute id.
     slots: Vec<Option<ValueRef<'p>>>,
 }
@@ -90,21 +102,6 @@ pub trait SubscriptionIndex {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
-
-fn matches_counted(sub: &Subscription, publication: &Publication) -> (bool, u32) {
-    let mut evaluated = 0u32;
-    for p in &sub.predicates {
-        evaluated += 1;
-        let ok = publication
-            .attrs
-            .get(&p.attr)
-            .is_some_and(|actual| p.eval(actual));
-        if !ok {
-            return (false, evaluated);
-        }
-    }
-    (true, evaluated)
 }
 
 /// Linear-scan baseline index.
@@ -130,14 +127,21 @@ impl SubscriptionIndex for NaiveIndex {
     fn match_publication<'p>(&mut self, view: PublicationRef<'p>, scratch: &mut MatchScratch<'p>) {
         let publication = view.to_publication();
         for (id, sub, offset, size) in &self.entries {
-            let (matched, evaluated) = matches_counted(sub, &publication);
+            let failed = sub.predicates.iter().position(|p| {
+                !publication
+                    .attrs
+                    .get(&p.attr)
+                    .is_some_and(|actual| p.eval(actual))
+            });
             scratch.trace.push(VisitInfo {
                 offset: *offset,
                 size: *size,
-                predicates_evaluated: evaluated,
-                matched,
+                record: 0,
+                read: 0,
+                predicates_evaluated: failed.map_or(sub.predicates.len(), |at| at + 1) as u32,
+                matched: failed.is_none(),
             });
-            if matched {
+            if failed.is_none() {
                 scratch.matched.push(*id);
             }
         }
@@ -160,6 +164,14 @@ struct Test {
     operand: u64,
 }
 
+impl Test {
+    /// Bytes of this record in the compiled image, operand included.
+    fn image_bytes(self, strings: &[String]) -> u32 {
+        let operand = self.string.then(|| strings[self.operand as usize].len());
+        TEST_BYTES + index_u32(operand.unwrap_or(0))
+    }
+}
+
 /// A subscription in the insertion-time forest.
 #[derive(Debug)]
 struct Node {
@@ -178,18 +190,19 @@ struct FlatNode {
     id: SubId,
     offset: u64,
     size: u32,
-    /// This node's range of [`PosetIndex::flat_tests`], in predicate order.
+    record: u32,
+    /// Where this node's predicate records start in
+    /// [`PosetIndex::flat_tests`]; they end where the next node's start.
     tests_start: u32,
-    tests_end: u32,
     /// One past the last record of this node's subtree: where the walk
     /// goes when this node does not match.
     subtree_end: u32,
 }
 
 const _: () = assert!(
-    std::mem::size_of::<Test>() == 16
+    std::mem::size_of::<Test>() == TEST_BYTES as usize
         && std::mem::size_of::<Node>() <= 64
-        && std::mem::size_of::<FlatNode>() == 32
+        && std::mem::size_of::<FlatNode>() == HEADER_BYTES as usize
 );
 
 /// The subscriptions that share a partition value.
@@ -375,7 +388,8 @@ impl PosetIndex {
     /// order and popped from the end, and a node's children are pushed when
     /// it is laid out — the depth-first walk's order when every node
     /// matches. A node's subtree end is set when the walk leaves it.
-    fn lay_out(&mut self) {
+    /// Returns the byte length of the compiled image.
+    fn lay_out(&mut self) -> u32 {
         enum Step {
             Enter(u32),
             Leave(u32),
@@ -383,6 +397,7 @@ impl PosetIndex {
         let mut flat = Vec::with_capacity(self.nodes.len());
         let mut flat_tests = Vec::with_capacity(self.tests.len());
         let mut stack = Vec::new();
+        let mut image = 0u32;
         let keyed = self
             .int_groups
             .values_mut()
@@ -395,18 +410,20 @@ impl PosetIndex {
                     Step::Enter(idx) => {
                         let node = &self.nodes[idx as usize];
                         let at = index_u32(flat.len());
-                        let tests_start = index_u32(flat_tests.len());
-                        flat_tests.extend_from_slice(
-                            &self.tests[node.tests_start as usize..node.tests_end as usize],
-                        );
+                        let tests = &self.tests[node.tests_start as usize..node.tests_end as usize];
                         flat.push(FlatNode {
                             id: node.id,
                             offset: node.offset,
                             size: node.size,
-                            tests_start,
-                            tests_end: index_u32(flat_tests.len()),
+                            record: image,
+                            tests_start: index_u32(flat_tests.len()),
                             subtree_end: at + 1,
                         });
+                        flat_tests.extend_from_slice(tests);
+                        image += HEADER_BYTES;
+                        for &test in tests {
+                            image += test.image_bytes(&self.strings);
+                        }
                         stack.push(Step::Leave(at));
                         stack.extend(node.children.iter().map(|&child| Step::Enter(child)));
                     }
@@ -418,6 +435,7 @@ impl PosetIndex {
         self.flat = flat;
         self.flat_tests = flat_tests;
         self.stale = false;
+        image
     }
 
     /// Walks the records of `span`, which are whole subtrees in visit order.
@@ -426,15 +444,26 @@ impl PosetIndex {
             trace,
             matched,
             slots,
+            ..
         } = scratch;
         let mut at = start;
         while at < end {
             let node = &self.flat[at as usize];
-            let tests = &self.flat_tests[node.tests_start as usize..node.tests_end as usize];
-            let failed = tests.iter().position(|&test| !self.holds(test, slots));
+            let tests_end = self
+                .flat
+                .get(at as usize + 1)
+                .map_or(self.flat_tests.len(), |next| next.tests_start as usize);
+            let tests = &self.flat_tests[node.tests_start as usize..tests_end];
+            let mut read = HEADER_BYTES;
+            let failed = tests.iter().position(|&test| {
+                read += test.image_bytes(&self.strings);
+                !self.holds(test, slots)
+            });
             trace.push(VisitInfo {
                 offset: node.offset,
                 size: node.size,
+                record: node.record,
+                read,
                 predicates_evaluated: failed.map_or(tests.len(), |at| at + 1) as u32,
                 matched: failed.is_none(),
             });
@@ -485,7 +514,7 @@ impl SubscriptionIndex for PosetIndex {
 
     fn match_publication<'p>(&mut self, view: PublicationRef<'p>, scratch: &mut MatchScratch<'p>) {
         if self.stale {
-            self.lay_out();
+            scratch.laid_out = Some(self.lay_out());
         }
         self.resolve(view, &mut scratch.slots);
         let partition_value = self
@@ -513,7 +542,7 @@ impl SubscriptionIndex for PosetIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::{Op, Predicate};
+    use crate::types::{Op, Predicate, Publication};
     use securecloud_crypto::wire::Wire;
 
     fn pred(attr: &str, op: Op, v: i64) -> Predicate {

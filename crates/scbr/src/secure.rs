@@ -84,9 +84,10 @@ impl std::fmt::Debug for SecureRouter {
 
 impl SecureRouter {
     /// Creates a router inside `enclave`, partitioning its index on
-    /// `partition_attr` if given. Its engine keeps subscription payloads
-    /// apart from the match records ([`Layout::Split`]): fan-out reads
-    /// `owners`, never a payload.
+    /// `partition_attr` if given. Its engine ([`Layout::Split`]) holds the
+    /// index's compiled image in visit order and charges each visit the
+    /// bytes of it the walk reads; it keeps no wire record, and payloads
+    /// sit apart: fan-out reads `owners`, never a payload.
     #[must_use]
     pub fn new(enclave: Enclave, partition_attr: Option<&str>) -> Self {
         let (secret, public) = x25519::keypair();

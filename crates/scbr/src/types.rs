@@ -268,13 +268,8 @@ impl Publication {
 /// Normalised constraint on one attribute.
 #[derive(Debug, Clone, PartialEq)]
 enum Constraint {
-    /// Numeric interval with inclusive/exclusive bounds.
-    Interval {
-        lo: f64,
-        lo_incl: bool,
-        hi: f64,
-        hi_incl: bool,
-    },
+    /// Numeric interval: each bound is a value and whether it is included.
+    Interval { lo: (f64, bool), hi: (f64, bool) },
     /// Exact string.
     StrEq(String),
     /// String range (only from explicit ordering predicates; kept opaque —
@@ -286,23 +281,8 @@ impl Constraint {
     /// Whether every value satisfying `other` satisfies `self`.
     fn contains(&self, other: &Constraint) -> bool {
         match (self, other) {
-            (
-                Constraint::Interval {
-                    lo: alo,
-                    lo_incl: aloi,
-                    hi: ahi,
-                    hi_incl: ahii,
-                },
-                Constraint::Interval {
-                    lo: blo,
-                    lo_incl: bloi,
-                    hi: bhi,
-                    hi_incl: bhii,
-                },
-            ) => {
-                let lo_ok = alo < blo || (alo == blo && (*aloi || !bloi));
-                let hi_ok = ahi > bhi || (ahi == bhi && (*ahii || !bhii));
-                lo_ok && hi_ok
+            (Constraint::Interval { lo, hi }, Constraint::Interval { lo: b_lo, hi: b_hi }) => {
+                wider(*lo, *b_lo, f64::lt) && wider(*hi, *b_hi, f64::gt)
             }
             (Constraint::StrEq(a), Constraint::StrEq(b)) => a == b,
             _ => false,
@@ -332,19 +312,14 @@ fn normalise<K: Ord>(
                 }
                 // The open side is closed at the infinity: `x >= 0` holds
                 // for +∞.
-                let (lo, lo_incl, hi, hi_incl) = match op {
-                    Op::Eq => (x, true, x, true),
-                    Op::Lt => (f64::NEG_INFINITY, true, x, false),
-                    Op::Le => (f64::NEG_INFINITY, true, x, true),
-                    Op::Gt => (x, false, f64::INFINITY, true),
-                    Op::Ge => (x, true, f64::INFINITY, true),
+                let (lo, hi) = match op {
+                    Op::Eq => ((x, true), (x, true)),
+                    Op::Lt => ((f64::NEG_INFINITY, true), (x, false)),
+                    Op::Le => ((f64::NEG_INFINITY, true), (x, true)),
+                    Op::Gt => ((x, false), (f64::INFINITY, true)),
+                    Op::Ge => ((x, true), (f64::INFINITY, true)),
                 };
-                Constraint::Interval {
-                    lo,
-                    lo_incl,
-                    hi,
-                    hi_incl,
-                }
+                Constraint::Interval { lo, hi }
             }
         };
         let attr = key(&p.attr);
@@ -359,45 +334,22 @@ fn normalise<K: Ord>(
     Some(out.into_boxed_slice())
 }
 
+/// Whether bound `a` admits every value bound `b` admits, where `beyond`
+/// tells a value outside the other bound's value (`f64::lt` for lower
+/// bounds, `f64::gt` for upper ones).
+fn wider(a: (f64, bool), b: (f64, bool), beyond: fn(&f64, &f64) -> bool) -> bool {
+    beyond(&a.0, &b.0) || (a.0 == b.0 && (a.1 || !b.1))
+}
+
 fn intersect(a: Constraint, b: Constraint) -> Option<Constraint> {
     match (a, b) {
-        (
-            Constraint::Interval {
-                lo: alo,
-                lo_incl: aloi,
-                hi: ahi,
-                hi_incl: ahii,
-            },
-            Constraint::Interval {
-                lo: blo,
-                lo_incl: bloi,
-                hi: bhi,
-                hi_incl: bhii,
-            },
-        ) => {
-            let (lo, lo_incl) = if alo > blo {
-                (alo, aloi)
-            } else if blo > alo {
-                (blo, bloi)
-            } else {
-                (alo, aloi && bloi)
-            };
-            let (hi, hi_incl) = if ahi < bhi {
-                (ahi, ahii)
-            } else if bhi < ahi {
-                (bhi, bhii)
-            } else {
-                (ahi, ahii && bhii)
-            };
-            if lo > hi || (lo == hi && !(lo_incl && hi_incl)) {
+        (Constraint::Interval { lo, hi }, Constraint::Interval { lo: b_lo, hi: b_hi }) => {
+            let lo = if wider(lo, b_lo, f64::lt) { b_lo } else { lo };
+            let hi = if wider(hi, b_hi, f64::gt) { b_hi } else { hi };
+            if lo.0 > hi.0 || (lo.0 == hi.0 && !(lo.1 && hi.1)) {
                 return None;
             }
-            Some(Constraint::Interval {
-                lo,
-                lo_incl,
-                hi,
-                hi_incl,
-            })
+            Some(Constraint::Interval { lo, hi })
         }
         (Constraint::StrEq(a), Constraint::StrEq(b)) => {
             if a == b {

@@ -120,7 +120,7 @@ fn run(switchless: bool) -> Outcome {
 /// The call plane changes the transition charges and nothing else.
 #[test]
 fn router_charges_and_deliveries_are_pinned_on_both_call_planes() {
-    for (switchless, cycles) in [(false, 83_460_196), (true, 82_327_236)] {
+    for (switchless, cycles) in [(false, 47_759_684), (true, 46_626_724)] {
         let want = Outcome {
             cycles,
             engine: EngineStats {
@@ -130,13 +130,13 @@ fn router_charges_and_deliveries_are_pinned_on_both_call_planes() {
                 predicates_evaluated: 69_160,
             },
             mem: MemStats {
-                line_accesses: 139_953,
-                cache_hits: 44_940,
-                llc_misses: 95_013,
-                epc_faults: 1_186,
-                epc_evictions: 802,
+                line_accesses: 92_090,
+                cache_hits: 45_001,
+                llc_misses: 47_089,
+                epc_faults: 584,
+                epc_evictions: 200,
                 compute_ops: 140_101,
-                bytes_allocated: 4 << 20,
+                bytes_allocated: 2_919_120,
                 ..MemStats::default()
             },
             frames: [146, 146, 146, 146],

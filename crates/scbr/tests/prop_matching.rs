@@ -100,8 +100,10 @@ proptest! {
     /// The compiled containment forest against the oracle, with and without
     /// partition groups: every node it visits reports exactly what the
     /// linear scan computed on the original `Subscription` — address, size,
-    /// match and short-circuit predicate count — and its match set is the
-    /// oracle's.
+    /// match and short-circuit predicate count — and reads the header plus
+    /// 16 bytes and a string operand per evaluated predicate of its
+    /// compiled record, which overlaps no other visited record; its match
+    /// set is the oracle's.
     #[test]
     fn poset_equals_naive(
         subs in prop::collection::vec(arb_subscription(), 0..60),
@@ -122,8 +124,18 @@ proptest! {
             for poset in &mut posets {
                 let (trace, mut got) = visit(poset, publication);
                 for node in &trace {
-                    prop_assert_eq!(node, &oracle[(node.offset / 256) as usize]);
+                    let at = (node.offset / 256) as usize;
+                    prop_assert_eq!(&VisitInfo { record: 0, read: 0, ..*node }, &oracle[at]);
+                    let evaluated = &subs[at].predicates[..node.predicates_evaluated as usize];
+                    let read = evaluated.iter().map(|p| match &p.value {
+                        Value::Str(s) => 16 + s.len() as u32,
+                        _ => 16,
+                    });
+                    prop_assert_eq!(node.read, 32 + read.sum::<u32>());
                 }
+                let mut records: Vec<_> = trace.iter().map(|n| (n.record, n.record + n.read)).collect();
+                records.sort();
+                prop_assert!(records.windows(2).all(|w| w[0].1 <= w[1].0), "{:?}", records);
                 let mut visited: Vec<u64> = trace.iter().map(|node| node.offset).collect();
                 visited.sort();
                 visited.dedup();

@@ -47,7 +47,7 @@ use crate::layout::{
     WAL_GENESIS_TAG,
 };
 use crate::tree::merkle_root;
-use crate::{CounterService, StorageConfig, StorageError, StoreKeys};
+use crate::{Counter, CounterService, StorageConfig, StorageError, StoreKeys};
 use securecloud_crypto::gcm::{AesGcm, TAG_LEN};
 use securecloud_sgx::mem::{MemorySim, Region};
 use std::collections::{BTreeMap, BTreeSet};
@@ -141,12 +141,12 @@ pub struct StorageEngine {
     keys: StoreKeys,
     wal_cipher: AesGcm,
     counters: CounterService,
-    /// Names of the trusted version-floor, commit-epoch, segment-id and
-    /// WAL-seq counters under this store's counter base.
-    version_counter: String,
-    commit_counter: String,
-    segment_counter: String,
-    wal_counter: String,
+    /// The trusted version-floor, commit-epoch, segment-id and WAL-seq
+    /// counters under this store's counter base.
+    version_counter: Counter,
+    commit_counter: Counter,
+    segment_counter: Counter,
+    wal_counter: Counter,
     disk: HostDisk,
     /// Live segments, oldest first (manifest order).
     segments: Vec<LiveSegment>,
@@ -189,10 +189,10 @@ impl StorageEngine {
     ) -> Self {
         let cap = config.cache_blocks.max(1);
         let [version_counter, commit_counter, segment_counter, wal_counter] =
-            counter_names(&counter_base.into());
+            store_counters(&counters, &counter_base.into());
         StorageEngine {
             wal_cipher: AesGcm::new(&keys.wal_key()),
-            wal_next_seq: counters.read(&wal_counter),
+            wal_next_seq: wal_counter.read(),
             config,
             keys,
             counters,
@@ -237,9 +237,9 @@ impl StorageEngine {
         mut disk: HostDisk,
     ) -> Result<(Self, ReplayReport), StorageError> {
         let [version_counter, commit_counter, segment_counter, wal_counter] =
-            counter_names(&counter_base.into());
-        let version_floor = counters.read(&version_counter);
-        let commit_floor = counters.read(&commit_counter);
+            store_counters(&counters, &counter_base.into());
+        let version_floor = version_counter.read();
+        let commit_floor = commit_counter.read();
 
         let manifest = match &disk.manifest {
             None => Manifest {
@@ -325,13 +325,13 @@ impl StorageEngine {
         }
         // Re-advance counters that may lag the host after a crash between
         // a host write and the corresponding counter bump.
-        counters.advance_to(&version_counter, recovered_version);
+        version_counter.advance_to(recovered_version);
 
         let cap = config.cache_blocks.max(1);
         let wal_replayed = tail.len() as u64;
         let engine = StorageEngine {
             wal_cipher,
-            wal_next_seq: next_seq.max(counters.read(&wal_counter)),
+            wal_next_seq: next_seq.max(wal_counter.read()),
             config,
             keys,
             counters,
@@ -487,15 +487,14 @@ impl StorageEngine {
             return Ok(());
         };
         let (end, tag) = (last.seq + 1, wal_tag(&last.sealed)?);
-        self.counters.advance_to(&self.wal_counter, end);
+        self.wal_counter.advance_to(end);
         self.maybe_crash()?;
         mem.charge_host_write(self.staged.iter().map(|r| 8 + r.sealed.len() as u64).sum());
         self.wal_next_seq = end;
         self.wal_prev_tag = tag;
         self.stats.wal_appends += self.staged.len() as u64;
         self.disk.wal.append(&mut self.staged);
-        self.counters
-            .advance_to(&self.version_counter, self.version());
+        self.version_counter.advance_to(self.version());
         Ok(())
     }
 
@@ -614,7 +613,7 @@ impl StorageEngine {
         mem: &mut MemorySim,
         records: &[RecordRef<'_>],
     ) -> Result<LiveSegment, StorageError> {
-        let seg_id = self.counters.increment(&self.segment_counter);
+        let seg_id = self.segment_counter.increment();
         let cipher = AesGcm::new(&self.keys.segment_key(seg_id));
         let mut host = HostSegment::default();
         let mut tags = Vec::new();
@@ -663,7 +662,7 @@ impl StorageEngine {
         wal_start_seq: u64,
         wal_anchor_tag: [u8; TAG_LEN],
     ) -> Result<(), StorageError> {
-        let epoch = self.counters.increment(&self.commit_counter);
+        let epoch = self.commit_counter.increment();
         let manifest = Manifest {
             epoch,
             wal_start_seq,
@@ -1112,10 +1111,11 @@ fn blocks_in_range(meta: &SegmentMeta, lo: &[u8], hi: Option<&[u8]>) -> Range<us
     start..end
 }
 
-/// The trusted version-floor, commit-epoch, segment-id and WAL-seq counter
-/// names under `base`.
-fn counter_names(base: &str) -> [String; 4] {
-    ["version", "commit", "segment", "wal"].map(|what| format!("{base}/storage-{what}"))
+/// The trusted version-floor, commit-epoch, segment-id and WAL-seq counters
+/// under `base`, resolved once.
+fn store_counters(counters: &CounterService, base: &str) -> [Counter; 4] {
+    ["version", "commit", "segment", "wal"]
+        .map(|what| counters.counter(&format!("{base}/storage-{what}")))
 }
 
 #[cfg(test)]

@@ -39,6 +39,7 @@ use securecloud_crypto::CryptoError;
 use std::collections::HashMap;
 use std::error::Error as StdError;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Errors from the storage engine.
@@ -113,7 +114,26 @@ impl From<CryptoError> for StorageError {
 /// instances via `Clone`.
 #[derive(Debug, Clone, Default)]
 pub struct CounterService {
-    counters: Arc<Mutex<HashMap<String, u64>>>,
+    counters: Arc<Mutex<HashMap<String, Counter>>>,
+}
+
+/// One counter of a [`CounterService`], resolved from its name once, so a
+/// store's commit path bumps it without hashing the name.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Counter(Arc<AtomicU64>);
+
+impl Counter {
+    pub(crate) fn read(&self) -> u64 {
+        self.0.load(Ordering::SeqCst)
+    }
+
+    pub(crate) fn increment(&self) -> u64 {
+        self.0.fetch_add(1, Ordering::SeqCst) + 1
+    }
+
+    pub(crate) fn advance_to(&self, value: u64) -> u64 {
+        self.0.fetch_max(value, Ordering::SeqCst).max(value)
+    }
 }
 
 impl CounterService {
@@ -126,12 +146,12 @@ impl CounterService {
     /// Reads a counter (0 if never bumped).
     #[must_use]
     pub fn read(&self, name: &str) -> u64 {
-        *self.counters.lock().get(name).unwrap_or(&0)
+        self.counters.lock().get(name).map_or(0, Counter::read)
     }
 
     /// Increments and returns the new value.
     pub fn increment(&self, name: &str) -> u64 {
-        self.update(name, |v| v + 1)
+        self.counter(name).increment()
     }
 
     /// Advances a counter to `value` if that moves it forward, returning
@@ -139,23 +159,16 @@ impl CounterService {
     /// sealing an older snapshot than a sibling already recorded) can
     /// never roll the counter back.
     pub fn advance_to(&self, name: &str, value: u64) -> u64 {
-        self.update(name, |v| v.max(value))
+        self.counter(name).advance_to(value)
     }
 
-    /// Applies `f` to the counter (0 if never bumped) and returns the
-    /// result; only a counter's first update allocates its name.
-    fn update(&self, name: &str, f: impl FnOnce(u64) -> u64) -> u64 {
+    /// The counter named `name` (at 0 if never bumped); only its first use
+    /// allocates the name.
+    pub(crate) fn counter(&self, name: &str) -> Counter {
         let mut counters = self.counters.lock();
-        match counters.get_mut(name) {
-            Some(v) => {
-                *v = f(*v);
-                *v
-            }
-            None => {
-                let v = f(0);
-                counters.insert(name.to_string(), v);
-                v
-            }
+        match counters.get(name) {
+            Some(counter) => counter.clone(),
+            None => counters.entry(name.to_string()).or_default().clone(),
         }
     }
 }

@@ -83,7 +83,7 @@ fn quarter_hour_windows_are_pinned_at_every_delivery_batch() {
         results: 168,
         loss_windows: 24,
         flagged_feeders: vec![0, 1, 2, 3, 4, 5],
-        router_cycles: 924_456,
+        router_cycles: 917_616,
         metrics: StateMetrics {
             events: 912,
             results: 240,
@@ -107,7 +107,7 @@ fn half_hour_windows_are_pinned_at_every_delivery_batch() {
         results: 84,
         loss_windows: 12,
         flagged_feeders: vec![0, 1, 2, 3, 4, 5],
-        router_cycles: 882_552,
+        router_cycles: 876_384,
         metrics: StateMetrics {
             events: 888,
             results: 120,
@@ -131,7 +131,7 @@ fn hour_windows_are_pinned_at_every_delivery_batch() {
         results: 42,
         loss_windows: 6,
         flagged_feeders: vec![0, 1, 2, 3, 4, 5],
-        router_cycles: 860_928,
+        router_cycles: 855_096,
         metrics: StateMetrics {
             events: 876,
             results: 60,
