@@ -8,6 +8,8 @@
 //! and writes `target/telemetry/BENCH_<exp>.json`; the run's telemetry
 //! report (Prometheus snapshot, JSONL trace, chrome trace) lands beside it.
 
+#![forbid(unsafe_code)]
+
 use securecloud_bench::report::Ctx;
 use securecloud_bench::{pool, select, usage};
 use securecloud_telemetry::Telemetry;

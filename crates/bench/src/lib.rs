@@ -8,9 +8,11 @@
 //! over that registry printing the tables recorded in EXPERIMENTS.md.
 //!
 //! Experiment results are *simulated* durations from the SGX cost model
-//! (deterministic, hardware-independent) except where noted (E4b measures
-//! real wall-clock across the syscall rings, E5 of the cryptographic build
-//! pipeline, E10 of the crypto kernels).
+//! (deterministic, hardware-independent) except where noted (E5 measures
+//! real wall-clock of the cryptographic build pipeline, E10 of the crypto
+//! kernels).
+
+#![forbid(unsafe_code)]
 
 pub mod cluster_exp;
 pub mod container;
@@ -59,7 +61,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
     ("genpack", genpack_exp::report),
     ("ablation", genpack_exp::ablation_report),
     ("genpack_sweep", genpack_exp::churn_report),
-    ("syscall_window", syscalls::window_report),
     ("syscall", syscalls::report),
     ("container", container::report),
     ("index", indexcmp::report),
@@ -125,7 +126,7 @@ mod tests {
                 "duplicate sub-command {name}"
             );
             assert_ne!(*name, "all", "`all` is reserved");
-            // Whole-word match: `syscall` must not pass on `syscall_window`.
+            // Whole-word match: `genpack` must not pass on `genpack_sweep`.
             let listed = usage.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'));
             assert!(
                 listed.clone().any(|word| word == *name),

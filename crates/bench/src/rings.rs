@@ -17,7 +17,7 @@
 
 use securecloud_scone::executor::Executor;
 use securecloud_scone::hostos::{MemHost, Syscall, SyscallRet};
-use securecloud_scone::syscall::{Shield, METRIC_RING_SPURIOUS_WAKES};
+use securecloud_scone::syscall::{Shield, METRIC_RING_WAKES};
 use securecloud_sgx::costs::{CostModel, MemoryGeometry};
 use securecloud_sgx::mem::MemorySim;
 use securecloud_telemetry::Telemetry;
@@ -89,10 +89,9 @@ pub struct RingsPoint {
     /// Enclave transitions per syscall on the ring plane (always 0: the
     /// servicer drains submissions without an enclave exit).
     pub ring_transitions_per_op: f64,
-    /// Executor parks on the completion signal.
+    /// Times the executor found the completion ring empty and parked
+    /// while the host serviced the queued submissions.
     pub parks: u64,
-    /// Wakes that found no completion (deterministic servicer: ~0).
-    pub spurious_wakes: u64,
 }
 
 fn enclave_mem() -> MemorySim {
@@ -155,7 +154,7 @@ fn run_sync_plane(
 }
 
 /// Runs the workload as `workers` cooperative tasks over the ring plane;
-/// returns (cycles, stats, spurious wakes, host).
+/// returns (cycles, stats, parks, host).
 fn run_ring_plane(
     depth: usize,
     payload_bytes: usize,
@@ -202,14 +201,11 @@ fn run_ring_plane(
     let before = mem.cycles();
     let stats = exec.run(&mut mem).expect("executor run");
     let cycles = mem.cycles() - before;
-    let spurious = local
-        .registry()
-        .counter(METRIC_RING_SPURIOUS_WAKES, &[])
-        .value();
+    let parks = local.registry().counter(METRIC_RING_WAKES, &[]).value();
     if let Some(shared) = telemetry {
         shared.absorb(&local);
     }
-    (cycles, stats, spurious, host)
+    (cycles, stats, parks, host)
 }
 
 /// Measures one cell on both planes.
@@ -226,7 +222,7 @@ pub fn run_point(
 
     let (sync_cycles, sync_calls, sync_host) =
         run_sync_plane(payload_bytes, workers, ops_per_worker);
-    let (ring_cycles, stats, spurious, ring_host) =
+    let (ring_cycles, stats, parks, ring_host) =
         run_ring_plane(depth, payload_bytes, workers, ops_per_worker, telemetry);
     assert_eq!(
         sync_calls, stats.syscalls,
@@ -255,8 +251,7 @@ pub fn run_point(
         ring_kops_per_s: ghz * 1e6 / ring_per,
         sync_transitions_per_op: 1.0,
         ring_transitions_per_op: 0.0,
-        parks: stats.parks,
-        spurious_wakes: spurious,
+        parks,
     }
 }
 
@@ -312,7 +307,6 @@ pub fn report(ctx: &Ctx) -> Vec<Report> {
                 Fixed(p.ring_transitions_per_op, 1)
             }),
             Column::new("parks", 7, |p| p.parks.into()),
-            Column::keyed("spurious", 9, "spurious_wakes", |p| p.spurious_wakes.into()),
         ],
     );
     let rings = Report {
@@ -373,11 +367,14 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_servicer_reports_zero_spurious_wakes() {
-        let points = sweep(&tiny(), 1, None);
-        for p in &points {
-            assert_eq!(p.spurious_wakes, 0, "{p:?}");
-        }
+    fn parks_count_empty_ring_waits_not_completions() {
+        // Four workers keep several calls in flight, so one park services
+        // a batch and later completions are already on the ring.
+        let p = run_point(8, 64, 4, 96, None);
+        assert!(0 < p.parks && p.parks < p.syscalls, "{p:?}");
+        // One worker has a single call in flight: every completion parks.
+        let p = run_point(8, 64, 1, 96, None);
+        assert_eq!(p.parks, p.syscalls, "{p:?}");
     }
 
     #[test]

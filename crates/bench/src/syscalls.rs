@@ -2,7 +2,7 @@
 //! synchronous (transition-per-call) interface (§IV).
 
 use securecloud_scone::hostos::{MemHost, Syscall, SyscallRet};
-use securecloud_scone::syscall::Shield;
+use securecloud_scone::syscall::{Shield, DEFAULT_RING_DEPTH};
 use securecloud_sgx::costs::{CostModel, MemoryGeometry};
 use securecloud_sgx::mem::MemorySim;
 use std::sync::Arc;
@@ -99,9 +99,8 @@ pub fn run_point(payload: usize, calls: usize) -> SyscallPoint {
     }
     let sync_cycles = (mem.cycles() - before) as f64 / calls as f64;
 
-    // --- Asynchronous: the rings and a real host servicer thread, 32
-    // calls in flight.
-    let mut async_shield = Shield::threaded(host);
+    // --- Asynchronous: the switchless rings, 32 calls in flight.
+    let mut async_shield = Shield::switchless(host, DEFAULT_RING_DEPTH);
     let mut mem = enclave_mem();
     let fd = open(&mut async_shield, &mut mem, "/async");
     let async_cycles = pwrite_windowed(&mut async_shield, &mut mem, fd, calls, payload, 32);
@@ -122,39 +121,6 @@ pub fn sweep(payloads: &[usize], calls: usize) -> Vec<SyscallPoint> {
     payloads.iter().map(|&p| run_point(p, calls)).collect()
 }
 
-/// E4b: effect of the asynchronous in-flight window. The enclave-side
-/// *simulated* cost per call is window-independent (the submissions are
-/// identical); what the window buys is overlap with the host thread, so
-/// this sweep reports **wall-clock** time per call across the real rings
-/// and host servicer thread.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct WindowPoint {
-    /// In-flight window depth.
-    pub window: usize,
-    /// Enclave cycles per call (simulated; window-independent by design).
-    pub cycles_per_call: f64,
-    /// Wall-clock nanoseconds per call across the real rings.
-    pub wall_ns_per_call: f64,
-}
-
-/// Sweeps the async in-flight window for 64-byte writes.
-#[must_use]
-fn window_sweep(windows: &[usize], calls: usize) -> Vec<WindowPoint> {
-    let point = |&window: &usize| {
-        let mut shield = Shield::threaded(Arc::new(MemHost::new()));
-        let mut mem = enclave_mem();
-        let fd = open(&mut shield, &mut mem, "/w");
-        let wall_start = std::time::Instant::now();
-        let cycles_per_call = pwrite_windowed(&mut shield, &mut mem, fd, calls, 64, window);
-        WindowPoint {
-            window,
-            cycles_per_call,
-            wall_ns_per_call: wall_start.elapsed().as_nanos() as f64 / calls as f64,
-        }
-    };
-    windows.iter().map(point).collect()
-}
-
 /// Default payload sizes (64 B – 64 KiB).
 const PAYLOADS: &[usize] = &[64, 256, 1024, 4096, 16_384, 65_536];
 
@@ -173,23 +139,6 @@ pub fn report(ctx: &Ctx) -> Vec<Report> {
             Column::new("speedup", 9, |p| Unit(p.speedup, 1, "x")),
             Column::new("sync Mc/s", 13, |p| Fixed(p.sync_mcalls_per_s, 2)),
             Column::new("async Mc/s", 14, |p| Fixed(p.async_mcalls_per_s, 2)),
-        ],
-    )]
-}
-
-/// The E4b table.
-pub fn window_report(ctx: &Ctx) -> Vec<Report> {
-    let points = window_sweep(&[1, 2, 4, 8, 16, 32, 64], ctx.pick(2_000, 20_000));
-    vec![Report::new(
-        "syscall_window",
-        "== E4b: async syscall in-flight window (batching ablation) ==
-(enclave-side cycles are window-independent; the window buys
- wall-clock overlap with the host syscall thread)",
-        &points,
-        [
-            Column::new("window", 8, |p| p.window.into()),
-            Column::new("cycles per call", 16, |p| Fixed(p.cycles_per_call, 0)),
-            Column::new("wall ns per call", 18, |p| Fixed(p.wall_ns_per_call, 0)),
         ],
     )]
 }

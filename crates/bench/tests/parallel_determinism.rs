@@ -169,11 +169,11 @@ fn replication_grid_is_identical_across_job_counts() {
     assert_eq!(order, expected_order, "row-major order must be preserved");
 }
 
-/// E4 smoke report (`repro -- syscall --smoke`): its async column runs over
-/// `Shield::threaded`, a real host servicer thread, but the shield charges
-/// enclave cycles from the cost model alone, never from the thread's
-/// timing. So the report is byte-identical across runs and job counts,
-/// which is what lets CI `cmp` the committed `BENCH_syscall.json`.
+/// E4 smoke report (`repro -- syscall --smoke`): both columns charge
+/// enclave cycles from the cost model alone, the async one over
+/// `Shield::switchless` with its host side serviced at park points. So the
+/// report is byte-identical across runs and job counts, which is what lets
+/// CI `cmp` the committed `BENCH_syscall.json`.
 #[test]
 fn syscall_smoke_report_is_identical_across_runs_and_job_counts() {
     let render = |jobs: usize| {

@@ -51,11 +51,9 @@ pub enum RestartPolicy {
     /// Never restart (the default; matches the pre-supervision engine).
     #[default]
     Never,
-    /// Restart after aborts (enclave faults, crashes).
+    /// Restart after aborts (enclave faults, crashes). Administrative
+    /// [`Engine::stop`] never triggers a restart.
     OnFailure,
-    /// Restart after any abnormal termination. Administrative
-    /// [`Engine::stop`] never triggers a restart under any policy.
-    Always,
 }
 
 /// Supervision health, tracked alongside the lifecycle state.
@@ -489,7 +487,7 @@ impl Engine {
                 container.health = ContainerHealth::Failed;
                 container.restart_due_ms = None;
             }
-            RestartPolicy::OnFailure | RestartPolicy::Always => {
+            RestartPolicy::OnFailure => {
                 self.schedule_restart_or_quarantine(id);
             }
         }
@@ -884,7 +882,7 @@ mod tests {
         let mut engine = engine();
         let image_id = engine.deploy(built_image());
         let cid = engine
-            .run_supervised(image_id, supervised(RestartPolicy::Always))
+            .run_supervised(image_id, supervised(RestartPolicy::OnFailure))
             .unwrap();
         // Crash-loop: abort immediately after each restart.
         let mut expected_delays = Vec::new();
@@ -998,7 +996,7 @@ mod tests {
         let mut engine = engine();
         let image_id = engine.deploy(built_image());
         let cid = engine
-            .run_supervised(image_id, supervised(RestartPolicy::Always))
+            .run_supervised(image_id, supervised(RestartPolicy::OnFailure))
             .unwrap();
         engine.stop(cid).unwrap();
         let container = engine.container(cid).unwrap();

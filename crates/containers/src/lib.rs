@@ -13,6 +13,8 @@
 //! * [`engine`] — the container engine running plain and secure containers
 //!   side by side, with resource accounting.
 
+#![forbid(unsafe_code)]
+
 pub mod build;
 pub mod engine;
 pub mod image;

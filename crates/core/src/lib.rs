@@ -43,6 +43,8 @@
 //! assert_eq!(plaintext, b"secret");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use securecloud_cluster as cluster;
 pub use securecloud_containers as containers;
 pub use securecloud_crypto as crypto;

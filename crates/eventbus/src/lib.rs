@@ -24,6 +24,8 @@
 //! bus.ack(subscriber, message.id);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bus;
 pub mod keys;
 pub mod service;

@@ -20,6 +20,8 @@
 //! produce byte-identical [`FaultInjector::trace`] output — the chaos
 //! harness asserts exactly that.
 
+#![forbid(unsafe_code)]
+
 use securecloud_telemetry::rng::SplitMix64;
 use std::sync::Mutex;
 

@@ -32,6 +32,8 @@
 //! assert!(genpack.energy_joules <= spread.energy_joules);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cluster;
 pub mod monitor;
 pub mod schedulers;

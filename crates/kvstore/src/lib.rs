@@ -28,6 +28,8 @@
 //! # Ok::<(), securecloud_kvstore::KvError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod store;
 
 pub use store::{CounterService, KvError, KvStats, SecureKv, Snapshot};

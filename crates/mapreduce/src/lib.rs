@@ -34,6 +34,8 @@
 //! assert_eq!(result.output[&b"a"[..].to_vec()], vec![2]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 use securecloud_crypto::gcm::{nonce_from_seq, AesGcm};
 use securecloud_crypto::sha256::Sha256;
 use securecloud_crypto::wire::Wire;

@@ -7,9 +7,9 @@
 //! level, with Rust's native `Future`/`Waker` machinery: a coroutine that
 //! `await`s a shielded syscall parks and another one runs (a user-level
 //! switch costs [`USER_SWITCH_CYCLES`], not a ~8 000-cycle enclave exit),
-//! and when every coroutine is blocked the executor parks on the shield's
-//! completion signal — no busy-polling and, over the switchless
-//! transport, no enclave transitions.
+//! and when every coroutine is blocked the executor takes the shield's
+//! next completion — no busy-polling and, over the switchless transport,
+//! no enclave transitions.
 //!
 //! Futures never touch the shield or the memory simulation directly (a
 //! future's `poll` has no way to carry `&mut MemorySim` soundly across
@@ -163,8 +163,6 @@ pub struct ExecStats {
     pub tasks_completed: u64,
     /// Syscalls submitted on the shield.
     pub syscalls: u64,
-    /// Times the executor parked on the completion signal.
-    pub parks: u64,
 }
 
 /// The in-enclave executor: a ready queue of spawned futures over one
@@ -311,10 +309,9 @@ impl Executor {
                 // the program awaits something that can never resolve.
                 return Err(SconeError::ShieldStopped);
             }
-            // Park on the ring's completion signal; each wake resolves
-            // exactly one future.
+            // Every task is blocked: take the next completion, which
+            // resolves exactly one future.
             let completion = self.shield.complete(mem)?;
-            self.stats.parks += 1;
             if let Some((cell, waker)) = self.in_flight.remove(&completion.id) {
                 cell.borrow_mut().ret = Some(Ok(completion.ret));
                 waker.wake();
@@ -327,8 +324,8 @@ impl Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hostos::{HostOs, MemHost};
-    use crate::rings::DEFAULT_RING_DEPTH;
+    use crate::hostos::MemHost;
+    use crate::syscall::DEFAULT_RING_DEPTH;
     use securecloud_sgx::costs::{CostModel, MemoryGeometry};
 
     fn mem() -> MemorySim {
@@ -409,9 +406,9 @@ mod tests {
 
     #[test]
     fn executor_runs_are_deterministic() {
-        let run = |shield: fn(Arc<dyn HostOs>) -> Shield| {
+        let run = || {
             let host = Arc::new(MemHost::new());
-            let mut exec = Executor::new(shield(host.clone()));
+            let mut exec = Executor::new(Shield::switchless(host.clone(), DEFAULT_RING_DEPTH));
             let handle = exec.handle();
             for i in 0..4u64 {
                 exec.spawn(write_file(handle.clone(), format!("/d{i}"), 9));
@@ -420,21 +417,13 @@ mod tests {
             let stats = exec.run(&mut m).unwrap();
             (stats, m.cycles(), host.raw_file("/d3").unwrap())
         };
-        let deterministic = |host| Shield::switchless(host, DEFAULT_RING_DEPTH);
-        let a = run(deterministic);
-        let b = run(deterministic);
-        assert_eq!(a, b);
-        // The threaded servicer produces the same final state and the same
-        // deterministic cycle count — only wall-clock overlap differs.
-        let c = run(Shield::threaded);
-        assert_eq!(a.1, c.1);
-        assert_eq!(a.2, c.2);
+        assert_eq!(run(), run());
     }
 
     #[test]
     fn pure_compute_tasks_never_reach_the_host() {
         let host = Arc::new(MemHost::new());
-        let mut exec = Executor::new(Shield::threaded(host.clone()));
+        let mut exec = Executor::new(Shield::switchless(host.clone(), DEFAULT_RING_DEPTH));
         for _ in 0..4 {
             let handle = exec.handle();
             exec.spawn(async move {
@@ -486,7 +475,6 @@ mod tests {
         let stats = exec.run(&mut m).unwrap();
         assert_eq!(stats.tasks_completed, 7);
         assert_eq!(stats.syscalls, 6 * 9); // open + 7 writes + close
-        assert_eq!(stats.parks, stats.syscalls);
         assert_eq!(exec.pending(), 0);
         for i in 0..6 {
             assert_eq!(host.raw_file(&format!("/mix{i}")).unwrap().len(), 7 * 8);

@@ -9,12 +9,10 @@
 //!   copied out, results sanity-checked against an in-enclave pending
 //!   table and copied in. One [`syscall::Shield`]; its constructor picks
 //!   the transport — a transition pair per call, or SCONE's asynchronous
-//!   rings.
+//!   shared-memory submission/completion rings, serviced by the host
+//!   without any enclave transition.
 //! * [`fshield`] — transparent encryption/authentication of file data with
 //!   an *FS protection file* holding per-file keys and chunk MACs.
-//! * [`rings`] — shared-memory submission/completion rings: the switchless
-//!   transport, SPSC slots in untrusted memory serviced by the host
-//!   without any enclave transition.
 //! * [`executor`] — SCONE's "tailored threading", the one in-enclave
 //!   scheduler: a cooperative futures executor (wakers, a ready queue, and
 //!   a parking path that blocks on completions instead of busy-polling)
@@ -25,10 +23,11 @@
 //! * [`hostos`] — the untrusted host interface (with adversarial test
 //!   hooks: corruption and rollback).
 
+#![forbid(unsafe_code)]
+
 pub mod executor;
 pub mod fshield;
 pub mod hostos;
-pub mod rings;
 pub mod runtime;
 pub mod scf;
 pub mod syscall;

@@ -229,7 +229,7 @@ mod tests {
         let (client_t, server_t) = memory_pair();
         let service_key = service.public_key();
         let server = thread::spawn(move || service.serve_one(server_t));
-        let shield = Shield::switchless(host, crate::rings::DEFAULT_RING_DEPTH);
+        let shield = Shield::switchless(host, crate::syscall::DEFAULT_RING_DEPTH);
         let mut runtime =
             SconeRuntime::bootstrap(enclave, client_t, service_key, shield, &sealed_protection)
                 .unwrap();

@@ -10,19 +10,39 @@
 //!
 //! * [`Shield::sync`] — the naive transport: every call exits and
 //!   re-enters the enclave, paying one transition pair (~8k cycles).
-//! * [`Shield::switchless`] / [`Shield::threaded`] — SCONE's asynchronous
-//!   interface: submissions are pushed onto fixed-capacity shared-memory
-//!   rings ([`crate::rings::SyscallRings`]) serviced by the host without
-//!   any enclave transition; the enclave pays one ring-slot cache-line
-//!   transfer per hop and parks on a wake signal instead of busy-polling.
+//! * [`Shield::switchless`] — SCONE's asynchronous interface, the
+//!   io_uring shape: submissions are pushed onto a fixed-capacity
+//!   submission ring in shared memory and answered on a completion ring,
+//!   with no enclave transition; the enclave pays one ring-slot
+//!   cache-line transfer per hop ([`CostModel::ring_slot_cycles`]). When
+//!   the completion ring is empty the enclave parks, and the host side
+//!   services every queued submission, in order, right at that park
+//!   point — so every park delivers a completion and every count is a
+//!   pure function of the workload.
 //!
-//! Benchmark E4 (`syscall_async`) compares the two transports,
-//! reproducing the paper's claim that the asynchronous interface is what
-//! makes SCONE's performance "acceptable"; E15 (`rings`) sweeps ring
-//! depth, payload, and worker count over the switchless one.
+//! # Memory-safety argument (untrusted slots)
+//!
+//! The rings are *outside* the enclave, so everything in them is
+//! attacker-controlled the moment it leaves enclave registers:
+//!
+//! * The **submission** side is write-only from the enclave's point of
+//!   view: the host may corrupt, reorder, or drop entries, which degrades
+//!   into a wrong or missing completion — handled below.
+//! * A **completion** entry carries only `(id, ret)`. The enclave never
+//!   trusts a call echoed through untrusted memory; instead the shield
+//!   validates `ret` against **its own** pending-table record of the call.
+//!   A completion whose id is unknown (forged, replayed, or duplicated by
+//!   the host) is a `HostViolation` before any byte of it reaches the
+//!   application.
+//!
+//! Benchmark E4 (`syscall`) compares the two transports, reproducing the
+//! paper's claim that the asynchronous interface is what makes SCONE's
+//! performance "acceptable"; E15 (`rings`) sweeps ring depth, payload,
+//! and worker count over the switchless one.
+//!
+//! [`CostModel::ring_slot_cycles`]: securecloud_sgx::costs::CostModel::ring_slot_cycles
 
 use crate::hostos::{HostOs, Syscall, SyscallRet};
-use crate::rings::{ServicerMode, SyscallRings, DEFAULT_RING_DEPTH};
 use crate::SconeError;
 use securecloud_sgx::mem::{MemorySim, Region};
 use securecloud_telemetry::Telemetry;
@@ -140,19 +160,19 @@ pub struct Completion {
     pub ret: SyscallRet,
 }
 
-/// Registry name of the spurious-wake counter of the switchless rings.
-pub const METRIC_RING_SPURIOUS_WAKES: &str = "securecloud_scone_ring_spurious_wakes_total";
+/// Default capacity of each ring (submission and completion alike).
+pub const DEFAULT_RING_DEPTH: usize = 64;
+
+/// Registry name of the park counter of the switchless rings: one per
+/// time the enclave found the completion ring empty.
+pub const METRIC_RING_WAKES: &str = "securecloud_scone_ring_wakes_total";
 
 securecloud_telemetry::metric_set! {
-    /// Registry handles for the switchless transport. The depth gauge derives
-    /// from enclave-side state only (deterministic in every mode); park/wake
-    /// counts are recorded only when the servicer is deterministic, because
-    /// threaded wake timing is wall-clock-dependent and would break the
-    /// byte-identical telemetry contract.
+    /// Registry handles for the switchless transport: the depth gauge and
+    /// the park counter, both pure functions of the workload.
     struct RingMetrics {
         depth: Gauge = "securecloud_scone_ring_depth",
-        wakes: Counter = "securecloud_scone_ring_wakes_total",
-        spurious_wakes: Counter = METRIC_RING_SPURIOUS_WAKES,
+        wakes: Counter = METRIC_RING_WAKES,
     }
 }
 
@@ -160,11 +180,18 @@ securecloud_telemetry::metric_set! {
 /// line holding the trusted copy's bookkeeping.
 const PENDING_SLOT_BYTES: u64 = 64;
 
-/// Enclave-side state of the switchless transport: the ring pair, the EPC
-/// backing store of the pending table, and the registry handles.
+/// The switchless transport: the submission and completion rings in
+/// untrusted shared memory, the host that services them, the EPC backing
+/// store of the pending table, and the registry handles.
 #[derive(Debug)]
 struct RingPlane {
-    rings: SyscallRings,
+    host: Arc<dyn HostOs>,
+    depth: usize,
+    /// `(id, call)` slots, enclave → host: the untrusted copy of each call.
+    submissions: VecDeque<(u64, Syscall)>,
+    /// `(id, ret)` slots, host → enclave. Deliberately without a call
+    /// echo: the shield validates `ret` against its own pending table.
+    completions: VecDeque<(u64, SyscallRet)>,
     /// Backing store of the pending table, charged through the enclave
     /// memory simulation.
     table: Option<Region>,
@@ -172,8 +199,31 @@ struct RingPlane {
 }
 
 impl RingPlane {
+    fn new(host: Arc<dyn HostOs>, depth: usize) -> Self {
+        let depth = depth.max(1);
+        RingPlane {
+            host,
+            depth,
+            submissions: VecDeque::with_capacity(depth),
+            completions: VecDeque::with_capacity(depth),
+            table: None,
+            metrics: None,
+        }
+    }
+
+    /// Pushes one submission. The shield bounds in-flight calls by
+    /// `depth`, so a full ring here is a protocol bug, reported as
+    /// `ShieldStopped`.
+    fn push(&mut self, id: u64, call: Syscall) -> Result<(), SconeError> {
+        if self.submissions.len() == self.depth {
+            return Err(SconeError::ShieldStopped);
+        }
+        self.submissions.push_back((id, call));
+        Ok(())
+    }
+
     fn touch_pending_slot(&mut self, mem: &mut MemorySim, id: u64) {
-        let depth = self.rings.depth() as u64;
+        let depth = self.depth as u64;
         let table = *self
             .table
             .get_or_insert_with(|| mem.alloc(depth * PENDING_SLOT_BYTES));
@@ -184,19 +234,24 @@ impl RingPlane {
         );
     }
 
-    /// Pops one completion off the ring, charging the slot transfer.
+    /// Pops one completion off the ring, charging the slot transfer. On an
+    /// empty completion ring the enclave parks and the host services every
+    /// queued submission, in order, at this point. The caller must have at
+    /// least one submission outstanding.
     fn reap(&mut self, mem: &mut MemorySim) -> (u64, SyscallRet) {
-        let (entry, report) = self.rings.pop_completion();
-        mem.charge_cycles(mem.costs().ring_slot_cycles);
-        // Threaded wake timing is wall-clock-dependent: keep it out of the
-        // registry (deterministic mode's counts are pure workload functions).
-        if let (true, Some(m)) = (self.rings.is_deterministic(), &self.metrics) {
-            if report.parked {
+        if self.completions.is_empty() {
+            for (id, call) in self.submissions.drain(..) {
+                let ret = self.host.execute(&call);
+                self.completions.push_back((id, ret));
+            }
+            if let Some(m) = &self.metrics {
                 m.wakes.inc();
             }
-            m.spurious_wakes.add(report.spurious_wakes);
         }
-        (entry.id, entry.ret)
+        mem.charge_cycles(mem.costs().ring_slot_cycles);
+        self.completions
+            .pop_front()
+            .expect("caller had a submission outstanding")
     }
 }
 
@@ -215,7 +270,7 @@ enum Transport {
 /// The shielded syscall interface. Every call is copied out of the
 /// enclave, carried to the host over the transport the constructor chose,
 /// and its answer validated against the shield's own in-enclave pending
-/// table before it is copied back in (see [`crate::rings`] for the
+/// table before it is copied back in (see the module docs for the
 /// memory-safety argument).
 #[derive(Debug)]
 pub struct Shield {
@@ -243,14 +298,6 @@ impl Shield {
         }
     }
 
-    fn over_rings(host: Arc<dyn HostOs>, depth: usize, mode: ServicerMode) -> Self {
-        Self::over(Transport::Rings(RingPlane {
-            rings: SyscallRings::new(host, depth, mode),
-            table: None,
-            metrics: None,
-        }))
-    }
-
     /// The naive transport: each call exits and re-enters the enclave, so
     /// it is serviced inline and charged one transition pair.
     pub fn sync(host: Arc<dyn HostOs>) -> Self {
@@ -258,25 +305,17 @@ impl Shield {
     }
 
     /// The switchless transport with `depth` ring slots, its host side
-    /// serviced inline at enclave park points: fully deterministic, so
-    /// ring park/wake counters are recorded in the registry.
+    /// serviced inline whenever the enclave parks on an empty completion
+    /// ring.
     pub fn switchless(host: Arc<dyn HostOs>, depth: usize) -> Self {
-        Self::over_rings(host, depth, ServicerMode::Deterministic)
-    }
-
-    /// The switchless transport with a real host-side servicer thread and
-    /// the default ring depth: genuine wall-clock overlap between enclave
-    /// and host (benchmark E4b).
-    pub fn threaded(host: Arc<dyn HostOs>) -> Self {
-        Self::over_rings(host, DEFAULT_RING_DEPTH, ServicerMode::Threaded)
+        Self::over(Transport::Rings(RingPlane::new(host, depth)))
     }
 
     /// Routes per-kind syscall counters and cycle histograms (labelled
     /// `mode="sync"` or `mode="async"` after the transport) into
     /// `telemetry`'s registry; the switchless transport adds its
-    /// ring-depth gauge and wake counters. Only enclave-side cycles are
-    /// recorded; the host servicer thread is never instrumented (it runs
-    /// on wall-clock time and would break trace determinism).
+    /// ring-depth gauge and park counter. Only enclave-side cycles are
+    /// recorded.
     pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
         let mode = match &mut self.transport {
             Transport::Sync(_) => "sync",
@@ -322,12 +361,12 @@ impl Shield {
                 self.reaped.push_back((id, host.execute(&call)));
             }
             Transport::Rings(plane) => {
-                if self.pending.len() - self.reaped.len() == plane.rings.depth() {
+                if self.pending.len() - self.reaped.len() == plane.depth {
                     self.reaped.push_back(plane.reap(mem));
                 }
                 plane.touch_pending_slot(mem, id);
                 mem.charge_cycles(mem.costs().ring_slot_cycles);
-                plane.rings.push_submission(id, call.clone())?;
+                plane.push(id, call.clone())?;
             }
         }
         self.next_id += 1;
@@ -342,9 +381,10 @@ impl Shield {
         self.pending.len()
     }
 
-    /// Takes the next host answer — on the switchless transport parking on
-    /// the ring's wake signal, never busy-polling and never transitioning
-    /// — then validates it against the in-enclave pending table.
+    /// Takes the next host answer — on the switchless transport parking
+    /// while the host services the ring, never busy-polling and never
+    /// transitioning — then validates it against the in-enclave pending
+    /// table.
     ///
     /// # Errors
     ///
@@ -473,7 +513,7 @@ mod tests {
     fn async_shield_is_cheaper_per_call() {
         let host = Arc::new(MemHost::new());
         let mut sync_shield = Shield::sync(host.clone());
-        let mut async_shield = Shield::threaded(host.clone());
+        let mut async_shield = Shield::switchless(host.clone(), DEFAULT_RING_DEPTH);
         let mut mem_sync = mem();
         let mut mem_async = mem();
         let fd = open(&mut sync_shield, &mut mem_sync, "/f");
@@ -503,7 +543,7 @@ mod tests {
     #[test]
     fn async_pipelining_overlaps() {
         let host = Arc::new(MemHost::new());
-        let mut shield = Shield::threaded(host);
+        let mut shield = Shield::switchless(host, DEFAULT_RING_DEPTH);
         let mut mem = mem();
         let fd = open(&mut shield, &mut mem, "/f");
         let mut ids = Vec::new();
@@ -534,7 +574,7 @@ mod tests {
     fn complete_without_submit_errors() {
         let host = Arc::new(MemHost::new());
         let mut mem = mem();
-        for mut shield in [Shield::sync(host.clone()), Shield::threaded(host)] {
+        for mut shield in both_transports(host) {
             assert!(matches!(
                 shield.complete(&mut mem),
                 Err(SconeError::ShieldStopped)
@@ -729,20 +769,10 @@ mod tests {
             shield.complete(&mut mem).unwrap();
         }
         // Open parks once, then the 8-write batch parks once and the
-        // remaining completions are already serviced.
-        let wakes = telemetry
-            .registry()
-            .counter("securecloud_scone_ring_wakes_total", &[])
-            .value();
+        // remaining completions are already serviced: every park finds a
+        // completion, so no wake is ever spurious.
+        let wakes = telemetry.registry().counter(METRIC_RING_WAKES, &[]).value();
         assert_eq!(wakes, 2);
-        assert_eq!(
-            telemetry
-                .registry()
-                .counter("securecloud_scone_ring_spurious_wakes_total", &[])
-                .value(),
-            0,
-            "parking wakes exactly when a completion exists"
-        );
         assert_eq!(
             telemetry
                 .registry()
@@ -750,6 +780,58 @@ mod tests {
                 .value(),
             0
         );
+    }
+
+    fn open_call(i: u64) -> Syscall {
+        Syscall::Open {
+            path: format!("/o{i}"),
+            create: true,
+        }
+    }
+
+    #[test]
+    fn deterministic_mode_services_at_park_points() {
+        let host = Arc::new(MemHost::new());
+        let mut plane = RingPlane::new(host.clone(), 8);
+        let mut mem = mem();
+        plane.push(0, open_call(0)).unwrap();
+        // Nothing serviced yet: the host runs only when the enclave parks.
+        assert_eq!(host.call_count(), 0);
+        assert!(plane.completions.is_empty());
+        let (id, ret) = plane.reap(&mut mem);
+        assert_eq!(id, 0);
+        assert!(matches!(ret, SyscallRet::Fd(_)));
+        assert_eq!(host.call_count(), 1);
+    }
+
+    #[test]
+    fn deterministic_park_drains_all_queued_submissions() {
+        let host = Arc::new(MemHost::new());
+        let mut plane = RingPlane::new(host.clone(), 8);
+        let mut mem = mem();
+        for i in 0..5u64 {
+            plane.push(i, open_call(i)).unwrap();
+        }
+        // The first reap parks and services the whole batch; the rest find
+        // their completions already on the ring.
+        assert_eq!(plane.reap(&mut mem).0, 0);
+        assert_eq!(host.call_count(), 5);
+        for expect in 1..5u64 {
+            assert_eq!(plane.reap(&mut mem).0, expect);
+        }
+        assert_eq!(host.call_count(), 5);
+    }
+
+    #[test]
+    fn ring_overflow_is_reported_not_corrupted() {
+        let mut plane = RingPlane::new(Arc::new(MemHost::new()), 2);
+        plane.push(0, open_call(0)).unwrap();
+        plane.push(1, open_call(1)).unwrap();
+        assert!(matches!(
+            plane.push(2, open_call(2)),
+            Err(SconeError::ShieldStopped)
+        ));
+        assert_eq!(plane.submissions.len(), 2);
     }
 
     #[test]

@@ -37,6 +37,8 @@
 //! assert!(enclave.memory().cycles() > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod attest;
 pub mod costs;
 pub mod enclave;

@@ -16,6 +16,8 @@
 //!   latency anomalies within one bus step,
 //! * [`error`] — typed errors for the pipelines' wire-format decodes.
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod billing;
 pub mod error;

@@ -24,6 +24,8 @@
 //!   [`MemorySim`](securecloud_sgx::mem::MemorySim)'s host-IO cost domain,
 //!   so EPC-paging vs host-IO trade-offs show up in cycles and telemetry.
 
+#![forbid(unsafe_code)]
+
 pub mod disk;
 pub mod engine;
 pub mod layout;

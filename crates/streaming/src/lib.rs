@@ -28,6 +28,8 @@
 //! [`MemorySim`]: securecloud_sgx::mem::MemorySim
 //! [`StreamPlane`]: pipeline::StreamPlane
 
+#![forbid(unsafe_code)]
+
 use std::error::Error as StdError;
 use std::fmt;
 
